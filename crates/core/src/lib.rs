@@ -38,7 +38,6 @@ pub mod restruct;
 pub mod rhs_discovery;
 pub mod service;
 pub mod session;
-pub mod sql_counts;
 pub mod translate;
 
 pub use dbre_relational::sketch::{SketchMode, SketchPruneStats};

@@ -98,10 +98,10 @@ pub struct PipelineStats {
     /// Name of the counting backend that served the run
     /// ([`BackendChoice::name`]).
     pub backend: &'static str,
-    /// Execution-strategy counters from the backend: batch-executor
-    /// operator batches vs tuple-interpreter fallbacks, and — crucially
-    /// — how many probes failed outright and were silently served by
-    /// the reference fallback. Nonzero failures surface as a CLI
+    /// Execution-strategy counters from the backend: statements
+    /// lowered onto the counting kernels vs run on the tuple
+    /// interpreter, and — crucially — how many probes failed outright
+    /// and were silently served by the reference fallback. Nonzero failures surface as a CLI
     /// warning; all-zero for single-strategy backends.
     pub backend_exec: BackendExecStats,
     /// Buffer-pool counters from the paged backend: page hits, misses

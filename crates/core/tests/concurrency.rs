@@ -1,9 +1,9 @@
-//! Concurrency suite: readers over snapshots while a writer commits
-//! deltas through the shared engine, and full concurrent sessions
-//! with per-session decision-log determinism.
+//! Concurrency suite: readers racing over several table versions
+//! through one shared engine, and full concurrent sessions with
+//! per-session decision-log determinism.
 //!
 //! Everything here is differential — concurrent answers are compared
-//! against single-threaded recomputation on the same snapshot — so a
+//! against single-threaded recomputation on the same version — so a
 //! torn cache entry, a stale generation tag, or cross-session log
 //! interleaving fails loudly rather than flaking.
 
@@ -21,9 +21,9 @@ use dbre_relational::backend::{CountBackend, ReferenceBackend};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::Relation;
 use dbre_relational::value::{Domain, Value};
-use dbre_relational::{Database, DbSnapshot, Delta, Fd, SharedDb, StatsEngine};
+use dbre_relational::{Database, DbSnapshot, Fd, StatsEngine};
 
-/// Deterministic pseudo-random cell for the writer's appends.
+/// Deterministic pseudo-random cell for the fixture rows.
 fn cell(seed: u64) -> Value {
     match seed % 5 {
         4 => Value::Null,
@@ -31,14 +31,16 @@ fn cell(seed: u64) -> Value {
     }
 }
 
-/// Readers probe snapshots through the shared engine while a writer
-/// commits appends and deletes through [`SharedDb::apply`] with
-/// incremental maintenance on the same engine. Every concurrent
+/// Four readers probe one shared engine over several versions of a
+/// table, built beforehand by inserting into clones (so every version
+/// carries its own generation tag). Each thread walks the versions in
+/// a different order, so cache fills for different generations of
+/// the same `(relation, attributes)` key race each other. Every
 /// answer must equal a single-threaded recompute on the *same
-/// snapshot* — maintained entries, fresh entries and direct scans may
-/// never disagree, no matter how writes interleave.
+/// version* — an entry filled for one generation may never be served
+/// for another.
 #[test]
-fn concurrent_probes_with_delta_writes_match_reference() {
+fn concurrent_probes_across_versions_match_reference() {
     let mut db = Database::new();
     let rel = db
         .add_relation(Relation::of(
@@ -46,74 +48,52 @@ fn concurrent_probes_with_delta_writes_match_reference() {
             &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int)],
         ))
         .unwrap();
+    let row = |s: u64| {
+        vec![
+            cell(s),
+            cell(s.wrapping_mul(7) + 1),
+            cell(s.wrapping_mul(13) + 2),
+        ]
+    };
     for i in 0..40u64 {
-        db.insert(
-            rel,
-            vec![
-                cell(i),
-                cell(i.wrapping_mul(7) + 1),
-                cell(i.wrapping_mul(13) + 2),
-            ],
-        )
-        .unwrap();
+        db.insert(rel, row(i)).unwrap();
     }
-    let shared = SharedDb::new(db);
+    let mut versions = vec![db];
+    for step in 0..6u64 {
+        let mut next = versions[versions.len() - 1].clone();
+        for j in 0..3 {
+            next.insert(rel, row(step * 31 + j)).unwrap();
+        }
+        versions.push(next);
+    }
     let engine = StatsEngine::new();
+    let attr_sets: &[&[AttrId]] = &[
+        &[AttrId(0)],
+        &[AttrId(1), AttrId(2)],
+        &[AttrId(0), AttrId(1), AttrId(2)],
+    ];
 
     std::thread::scope(|scope| {
-        // Writer: 24 committed deltas, alternating appends and
-        // deletes, each maintaining the shared engine's caches.
-        let writer = scope.spawn(|| {
-            for step in 0..24u64 {
-                let before = shared.snapshot();
-                let delta = if step % 3 == 2 && before.table(rel).len() >= 4 {
-                    let len = before.table(rel).len();
-                    let mut rows = vec![(step as usize * 5) % len, (step as usize * 11 + 2) % len];
-                    rows.sort_unstable();
-                    rows.dedup();
-                    Delta::Delete { rel, rows }
-                } else {
-                    Delta::Append {
-                        rel,
-                        rows: (0..3)
-                            .map(|j| {
-                                let s = step * 31 + j;
-                                vec![cell(s), cell(s + 1), cell(s + 2)]
-                            })
-                            .collect(),
-                    }
-                };
-                shared.apply(&delta, &[&engine]).unwrap();
-            }
-        });
-
-        // Readers: each pins a fresh snapshot per iteration and
-        // differentially checks every cache family on it.
-        let attr_sets: &[&[AttrId]] = &[
-            &[AttrId(0)],
-            &[AttrId(1), AttrId(2)],
-            &[AttrId(0), AttrId(1), AttrId(2)],
-        ];
         for reader in 0..4usize {
             let engine = &engine;
-            let shared = &shared;
+            let versions = &versions;
             scope.spawn(move || {
                 let reference = ReferenceBackend;
-                for _ in 0..30 {
-                    let snap = shared.snapshot();
+                for round in 0..30usize {
+                    let snap = &versions[(round * (reader + 1) + reader) % versions.len()];
                     let table = snap.table(rel);
                     for attrs in attr_sets {
                         assert_eq!(
-                            engine.count_distinct(&snap, rel, attrs),
+                            engine.count_distinct(snap, rel, attrs),
                             table.count_distinct(attrs),
                         );
                         assert_eq!(
-                            *engine.partition_for_attrs(&snap, rel, attrs),
+                            *engine.partition_for_attrs(snap, rel, attrs),
                             StrippedPartition::for_attrs(table, attrs),
                         );
                         assert_eq!(
-                            *engine.lhs_groups(&snap, rel, attrs),
-                            *reference.lhs_groups(&snap, rel, attrs),
+                            *engine.lhs_groups(snap, rel, attrs),
+                            *reference.lhs_groups(snap, rel, attrs),
                         );
                     }
                     let fd = Fd::new(
@@ -121,11 +101,10 @@ fn concurrent_probes_with_delta_writes_match_reference() {
                         dbre_relational::attr::AttrSet::from_indices([reader as u16 % 3]),
                         dbre_relational::attr::AttrSet::from_indices([(reader as u16 + 1) % 3]),
                     );
-                    assert_eq!(engine.fd_holds(&snap, &fd), snap.fd_holds(&fd));
+                    assert_eq!(engine.fd_holds(snap, &fd), snap.fd_holds(&fd));
                 }
             });
         }
-        writer.join().unwrap();
     });
 }
 

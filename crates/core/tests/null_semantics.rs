@@ -1,7 +1,7 @@
 //! Differential test: the three counting backends — the naive columnar
 //! primitives (`dbre_relational::counting`), the memoized
 //! [`StatsEngine`], and the generated-SQL backend
-//! (`dbre_core::sql_counts`) — must agree on a NULL-bearing database.
+//! (`dbre_sql::counts`) — must agree on a NULL-bearing database.
 //!
 //! SQL semantics pin the expected numbers: `COUNT(DISTINCT X)` drops
 //! rows where any counted column is NULL, and an equi-join predicate
@@ -12,7 +12,6 @@
 // failure is test behaviour.
 #![allow(clippy::expect_used)]
 
-use dbre_core::sql_counts::join_stats_via_sql;
 use dbre_relational::attr::AttrId;
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
@@ -20,6 +19,7 @@ use dbre_relational::deps::IndSide;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::value::{Domain, Value};
+use dbre_sql::counts::join_stats_via_sql;
 
 fn v(code: i64) -> Value {
     if code < 0 {

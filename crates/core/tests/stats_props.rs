@@ -7,7 +7,6 @@
 // failure is test behaviour.
 #![allow(clippy::unwrap_used)]
 
-use dbre_core::sql_counts::join_stats_via_sql;
 use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
@@ -15,6 +14,7 @@ use dbre_relational::deps::{Fd, Ind, IndSide};
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::value::{Domain, Value};
+use dbre_sql::counts::join_stats_via_sql;
 use proptest::prelude::*;
 
 /// Encodes `0..=CAP` as ints with the top value mapped to NULL, so the

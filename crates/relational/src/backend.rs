@@ -35,7 +35,6 @@ use crate::attr::AttrId;
 use crate::bufpool::PageCacheStats;
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
-use crate::delta::Delta;
 use crate::deps::{Fd, Ind};
 use crate::encode::{
     decode_set_cols, distinct_codes_cols, intersect_count, lhs_groups_cols, partition1_col,
@@ -128,17 +127,17 @@ type ProjectionCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
 /// generated statements that failed to execute and were silently
 /// served by the reference semantics (a healthy backend keeps this at
 /// zero — the pipeline surfaces it as a warning), while `batch_ops` /
-/// `tuple_fallback_ops` record how many executor operators ran on the
-/// columnar batch path versus the tuple-at-a-time interpreter.
+/// `tuple_fallback_ops` record how many generated statements were
+/// lowered onto the counting kernels versus run on the tuple-at-a-time
+/// interpreter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BackendExecStats {
     /// Probes whose native execution failed and were served by a
     /// reference fallback instead. Zero on a healthy backend.
     pub fallback_failures: u64,
-    /// Executor operators served by the columnar batch path.
+    /// Statements served by their lowering onto the counting kernels.
     pub batch_ops: u64,
-    /// Executor operators served by the tuple-at-a-time fallback
-    /// interpreter.
+    /// Statements served by the tuple-at-a-time fallback interpreter.
     pub tuple_fallback_ops: u64,
 }
 
@@ -240,11 +239,13 @@ pub trait CountBackend: Send + Sync {
     }
 
     /// The backend's dictionary encoding of one column, when it
-    /// maintains one — the dict-access seam the batch SQL executor
-    /// scans through, so it pulls codes from the same
-    /// generation-tagged cache as every counting probe instead of
-    /// re-interning columns. Backends without an encoding return
-    /// `None` and consumers build their own dictionary.
+    /// maintains one — the dict-access seam for consumers that need
+    /// per-row codes or values of a column whose raw cells may not be
+    /// resident: key inference reads NULL-freeness off it, RHS-Discovery
+    /// computes a streamed table's g3 error over its codes, and
+    /// Restruct hydrates streamed columns from it. Codes come from the
+    /// same generation-tagged cache as every counting probe. Backends
+    /// without an encoding return `None`.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let _ = (db, rel, attr);
         None
@@ -287,19 +288,6 @@ pub trait CountBackend: Send + Sync {
     /// skipped, one miss per table that had to encode.
     fn spill_stats(&self) -> SpillCacheStats {
         SpillCacheStats::default()
-    }
-
-    /// Carries the backend's internal caches across one committed
-    /// [`Delta`] — `before`/`after` are the database versions on
-    /// either side of the generation boundary, and the delta has
-    /// already been applied to `after`. Implementations must leave
-    /// every probe answer unchanged: anything they cannot maintain
-    /// incrementally they simply evict (the generation tags make
-    /// stale entries unreachable anyway; maintenance is a warm-cache
-    /// optimization, never a correctness requirement). The default
-    /// does nothing.
-    fn apply_delta(&self, before: &Database, after: &Database, delta: &Delta) {
-        let _ = (before, after, delta);
     }
 }
 
@@ -535,96 +523,6 @@ impl CountBackend for EncodedBackend {
         // sketch always summarizes exactly the state the counting
         // kernels read (and is built at most once per generation).
         EncodedBackend::column_dict(self, db, rel, attr).sketch()
-    }
-
-    /// Delta maintenance of the dictionary caches. Appends extend the
-    /// cached interning (codes stay first-occurrence canonical) and
-    /// insert the appended code tuples into cached distinct sets;
-    /// deletes decrement per-code counts, evicting a dictionary only
-    /// when a value's last occurrence vanished (a rebuild would assign
-    /// different codes). Distinct sets carry no multiplicities, so
-    /// deletes evict them wholesale.
-    fn apply_delta(&self, before: &Database, after: &Database, delta: &Delta) {
-        let rel = delta.rel();
-        let old_gen = before.generation(rel);
-        let new_gen = after.generation(rel);
-        {
-            let mut columns = write_recover(&self.columns);
-            let keys: Vec<(RelId, AttrId)> =
-                columns.keys().filter(|(r, _)| *r == rel).copied().collect();
-            for key in keys {
-                let maintained = columns
-                    .get(&key)
-                    .filter(|entry| entry.gen == old_gen)
-                    .and_then(|entry| {
-                        let mut dict = (*entry.value).clone();
-                        match delta {
-                            Delta::Append { rows, .. } => {
-                                let cells: Vec<Value> =
-                                    rows.iter().map(|r| r[key.1.index()].clone()).collect();
-                                dict.append_values(&cells);
-                                Some(dict)
-                            }
-                            Delta::Delete { rows, .. } => dict.remove_rows(rows).then_some(dict),
-                        }
-                    });
-                match maintained {
-                    Some(dict) => {
-                        columns.insert(
-                            key,
-                            Tagged {
-                                gen: new_gen,
-                                value: Arc::new(dict),
-                            },
-                        );
-                    }
-                    None => {
-                        columns.remove(&key);
-                    }
-                }
-            }
-        }
-        match delta {
-            Delta::Delete { .. } => {
-                let mut encoded = write_recover(&self.encoded);
-                encoded.retain(|(r, _), _| *r != rel);
-            }
-            Delta::Append { .. } => {
-                let old_rows = before.table(rel).len();
-                let new_rows = after.table(rel).len();
-                let stale: Vec<(RelId, Vec<AttrId>)> = {
-                    let encoded = read_recover(&self.encoded);
-                    encoded.keys().filter(|(r, _)| *r == rel).cloned().collect()
-                };
-                for key in stale {
-                    // Pull the maintained (or freshly built) dicts
-                    // outside the encoded-set lock; `column_dict` only
-                    // touches the columns shard.
-                    let dicts = self.attr_dicts(after, rel, &key.1);
-                    let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-                    let mut encoded = write_recover(&self.encoded);
-                    let maintained = encoded.get(&key).filter(|e| e.gen == old_gen).map(|entry| {
-                        let mut set = (*entry.value).clone();
-                        set.append_rows(&cols, old_rows, new_rows);
-                        set
-                    });
-                    match maintained {
-                        Some(set) => {
-                            encoded.insert(
-                                key,
-                                Tagged {
-                                    gen: new_gen,
-                                    value: Arc::new(set),
-                                },
-                            );
-                        }
-                        None => {
-                            encoded.remove(&key);
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 

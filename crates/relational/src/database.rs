@@ -85,13 +85,6 @@ impl Database {
         &self.tables[rel.index()]
     }
 
-    /// The extension of `rel` as a shared handle — a snapshot reader
-    /// can hold this across later mutations of the database (the
-    /// mutated clone points at a fresh `Arc`, this one stays alive).
-    pub fn table_arc(&self, rel: RelId) -> Arc<Table> {
-        Arc::clone(&self.tables[rel.index()])
-    }
-
     /// Mutable extension access. Conservatively counts as a mutation
     /// for cache-invalidation purposes (see [`Self::generation`]).
     pub fn table_mut(&mut self, rel: RelId) -> &mut Table {
@@ -101,11 +94,11 @@ impl Database {
 
     /// The generation tag of `rel`'s extension: assigned at creation
     /// and reassigned by [`Self::insert`], [`Self::replace_table`],
-    /// [`Self::append_rows`], [`Self::delete_rows`], and
-    /// [`Self::table_mut`]. Tags come from a process-global allocator,
-    /// so equal tags mean *the same table version* even across
-    /// database clones; cached statistics tagged with a different
-    /// generation are stale.
+    /// [`Self::set_streamed_extension`] and [`Self::table_mut`] — in a
+    /// dialogue, by IND-Discovery's conceptualisations and Restruct's
+    /// splits. Tags come from a process-global allocator, so equal
+    /// tags mean *the same table version* even across database clones;
+    /// cached statistics tagged with a different generation are stale.
     pub fn generation(&self, rel: RelId) -> u64 {
         self.gens[rel.index()]
     }
@@ -170,64 +163,6 @@ impl Database {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Appends a batch of tuples under **one** generation step: every
-    /// row is domain-validated up front (all-or-nothing), then the
-    /// table moves from its current version directly to one tagged
-    /// with a single fresh generation. The delta-maintenance layer
-    /// ([`crate::delta`]) relies on exactly one version boundary per
-    /// batch. Streamed extensions cannot be appended to.
-    pub fn append_rows(
-        &mut self,
-        rel: RelId,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<(), RelationalError> {
-        if !self.table(rel).is_materialized() {
-            return Err(RelationalError::StreamedExtension {
-                relation: self.schema.relation(rel).name.clone(),
-            });
-        }
-        for row in &rows {
-            self.validate_row(rel, row)?;
-        }
-        self.gens[rel.index()] = fresh_gen();
-        let table = Arc::make_mut(&mut self.tables[rel.index()]);
-        for row in rows {
-            // Arity was validated above; push_row can no longer fail.
-            table.push_row(row)?;
-        }
-        Ok(())
-    }
-
-    /// Deletes the rows at `rows` (indices must be strictly ascending
-    /// and in bounds) under one generation step; surviving rows keep
-    /// their relative order. Streamed extensions cannot be deleted
-    /// from.
-    pub fn delete_rows(&mut self, rel: RelId, rows: &[usize]) -> Result<(), RelationalError> {
-        let table = self.table(rel);
-        if !table.is_materialized() {
-            return Err(RelationalError::StreamedExtension {
-                relation: self.schema.relation(rel).name.clone(),
-            });
-        }
-        let len = table.len();
-        for (i, &r) in rows.iter().enumerate() {
-            let ascending = i == 0 || rows[i - 1] < r;
-            if r >= len || !ascending {
-                return Err(RelationalError::BadDeleteSet {
-                    relation: self.schema.relation(rel).name.clone(),
-                    index: r,
-                    rows: len,
-                });
-            }
-        }
-        if rows.is_empty() {
-            return Ok(());
-        }
-        self.gens[rel.index()] = fresh_gen();
-        Arc::make_mut(&mut self.tables[rel.index()]).remove_rows(rows);
         Ok(())
     }
 

@@ -92,7 +92,7 @@ pub struct ColumnDict {
     counts: Vec<u64>,
     /// Lazily built column sketch ([`ColumnDict::sketch`]); `None`
     /// once initialized means the dictionary is not sketchable (counts
-    /// invariant broken or ghost codes present).
+    /// invariant broken).
     sketch: OnceLock<Option<Arc<ColumnSketch>>>,
 }
 
@@ -316,8 +316,8 @@ impl ColumnDict {
 
     /// The column's sketch, built on first request (O(cardinality))
     /// and cached. `None` when the dictionary cannot vouch for
-    /// exactness: the fused-counts invariant is broken (hand-assembled
-    /// dictionary) or a removal left ghost codes — in both cases
+    /// exactness: the fused-counts invariant is broken (a hand-assembled
+    /// dictionary with missing counts, or a code no row carries) — then
     /// `cardinality()` may over-count the live column and any pruning
     /// proof would be unsound, so no sketch is offered at all.
     pub fn sketch(&self) -> Option<Arc<ColumnSketch>> {
@@ -369,8 +369,9 @@ impl ColumnDict {
 
     /// Rebuilds a full dictionary from this (slim) one plus a per-row
     /// code vector — the paged store's rehydration path for consumers
-    /// that need random access to codes (the batch SQL executor's
-    /// `column_dict()` seam).
+    /// that need random access to codes (the `column_dict()` seam:
+    /// key inference, RHS-Discovery's g3 error on streamed tables and
+    /// Restruct's hydration of streamed columns).
     pub fn rehydrate(&self, codes: Vec<u32>) -> ColumnDict {
         ColumnDict {
             codes,
@@ -380,73 +381,6 @@ impl ColumnDict {
             counts: self.counts.clone(),
             sketch: self.sketch.clone(),
         }
-    }
-
-    /// Extends the dictionary with appended cells, interning exactly
-    /// as [`ColumnDict::build`] would — codes stay first-occurrence
-    /// canonical, so the result **equals** a rebuild over the
-    /// concatenated column. This is the append half of delta
-    /// maintenance ([`crate::delta`]); it requires a full (non-slim)
-    /// dictionary and clones a value only on first occurrence.
-    pub fn append_values(&mut self, appended: &[Value]) {
-        debug_assert_eq!(
-            self.codes.len() as u64,
-            self.counts.iter().sum::<u64>(),
-            "append_values needs a full (non-slim) dictionary"
-        );
-        // The value set is about to change: drop the derived sketch.
-        self.sketch.take();
-        self.codes.reserve(appended.len());
-        for v in appended {
-            if v.is_null() {
-                self.nulls += 1;
-                self.counts[NULL_CODE as usize] += 1;
-                self.codes.push(NULL_CODE);
-                continue;
-            }
-            let code = match self.index.get(v) {
-                Some(&c) => c,
-                None => {
-                    let next = self.values.len() as u32 + 1;
-                    self.values.push(v.clone());
-                    self.index.insert(v.clone(), next);
-                    self.counts.push(0);
-                    next
-                }
-            };
-            self.counts[code as usize] += 1;
-            self.codes.push(code);
-        }
-    }
-
-    /// Removes the rows at `sorted` (strictly ascending), decrementing
-    /// per-code counts. Returns `true` when the result still equals a
-    /// rebuild over the surviving column — `false` when some value's
-    /// count reached zero, leaving a *ghost* code that a rebuild would
-    /// never assign (first-occurrence order diverges and
-    /// `cardinality()` over-counts); the caller must then evict and
-    /// rebuild instead of keeping this dictionary.
-    pub fn remove_rows(&mut self, sorted: &[usize]) -> bool {
-        self.sketch.take();
-        for &i in sorted {
-            let code = self.codes[i] as usize;
-            self.counts[code] -= 1;
-            if code == NULL_CODE as usize {
-                self.nulls -= 1;
-            }
-        }
-        let mut next_del = 0usize;
-        let mut write = 0usize;
-        for read in 0..self.codes.len() {
-            if next_del < sorted.len() && sorted[next_del] == read {
-                next_del += 1;
-                continue;
-            }
-            self.codes[write] = self.codes[read];
-            write += 1;
-        }
-        self.codes.truncate(write);
-        self.counts.iter().skip(1).all(|&c| c > 0)
     }
 }
 
@@ -485,48 +419,6 @@ impl EncodedSet {
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Maintains this set across a row append: inserts the projected
-    /// code tuples of rows `old_rows..new_rows` of `cols` (the
-    /// **already-maintained** dictionaries covering the full
-    /// post-append column). Equals `distinct_codes_cols` over the
-    /// whole column — the delta layer's append path for cached
-    /// distinct sets. Deletes are not maintainable here (no
-    /// multiplicities); callers evict instead.
-    pub fn append_rows(&mut self, cols: &[&ColumnDict], old_rows: usize, new_rows: usize) {
-        match self {
-            EncodedSet::Unary { card } => {
-                // Canonical interning means codes 1..=cardinality all
-                // occur; the maintained dictionary already knows the
-                // new cardinality.
-                *card = cols[0].cardinality() as u32;
-            }
-            EncodedSet::Packed(set) => {
-                let (ca, cb) = (cols[0].codes(), cols[1].codes());
-                for i in old_rows..new_rows {
-                    let (x, y) = (ca[i], cb[i]);
-                    if x != NULL_CODE && y != NULL_CODE {
-                        set.insert(pack2(x, y));
-                    }
-                }
-            }
-            EncodedSet::Wide(set) => {
-                'rows: for i in old_rows..new_rows {
-                    let mut key = Vec::with_capacity(cols.len());
-                    for c in cols {
-                        let code = c.codes()[i];
-                        if code == NULL_CODE {
-                            continue 'rows;
-                        }
-                        key.push(code);
-                    }
-                    if !set.contains(key.as_slice()) {
-                        set.insert(key.into_boxed_slice());
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -995,9 +887,8 @@ fn strip(groups: impl IntoIterator<Item = Vec<usize>>, rows: usize) -> StrippedP
 /// ([`NULL_CODE`] when the left value does not occur on the right —
 /// callers must treat a zero result as "no match", never as NULL
 /// equality). Codes are column-local, so cross-table probes — the
-/// intersection kernel here, and the batch SQL executor's hash-join
-/// probes in `dbre-sql` — go through this table instead of re-hashing
-/// `Value`s per tuple.
+/// intersection kernel here — go through this table instead of
+/// re-hashing `Value`s per tuple.
 pub fn code_translation(left: &ColumnDict, right: &ColumnDict) -> Vec<u32> {
     let mut t = vec![NULL_CODE; left.cardinality() + 1];
     for (i, v) in left.distinct_values().iter().enumerate() {
@@ -1354,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn dict_sketch_lazy_exact_and_invalidated() {
+    fn dict_sketch_lazy_and_exact() {
         let t = sample();
         let built = ColumnDict::build(t.column(a(0)));
         // Lazy: nothing built until asked.
@@ -1374,17 +1265,9 @@ mod tests {
         let mut manual = ColumnDict::build(t.column(a(0)));
         manual.counts = Vec::new();
         assert!(manual.sketch().is_none());
-        // Ghost codes (a removal that emptied a value) → no sketch.
-        let mut ghosted = ColumnDict::build(&[Value::Int(1), Value::Int(2)]);
-        assert!(!ghosted.remove_rows(&[1]), "removal leaves a ghost");
-        assert!(ghosted.sketch().is_none());
-        // Mutation invalidates a previously built sketch.
-        let mut appended = ColumnDict::build(t.column(a(0)));
-        appended.sketch();
-        appended.append_values(&[Value::Int(99)]);
-        assert!(appended.sketch_if_built().is_none());
-        let resketch = appended.sketch().unwrap();
-        assert_eq!(resketch.distinct_exact(), appended.cardinality());
+        // A code no row carries (zero count) → no sketch.
+        let unused = ColumnDict::from_parts(vec![Value::Int(1), Value::Int(2)], 0, vec![0, 1, 0]);
+        assert!(unused.sketch().is_none());
         // from_parts_with_sketch preseeds a sketch equal to a rebuild.
         let slim = built.slim();
         let seeded = ColumnDict::from_parts_with_sketch(

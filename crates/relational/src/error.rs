@@ -71,21 +71,6 @@ pub enum RelationalError {
         /// The relation the empty list was projected from.
         relation: String,
     },
-    /// A row-level mutation (append/delete) targeted a streamed
-    /// extension, whose rows live in the paged store.
-    StreamedExtension {
-        /// The relation.
-        relation: String,
-    },
-    /// A delete set was out of bounds or not strictly ascending.
-    BadDeleteSet {
-        /// The relation.
-        relation: String,
-        /// The offending row index.
-        index: usize,
-        /// The table's row count.
-        rows: usize,
-    },
 }
 
 impl fmt::Display for RelationalError {
@@ -155,24 +140,6 @@ impl fmt::Display for RelationalError {
             }
             RelationalError::EmptyAttrList { relation } => {
                 write!(f, "empty attribute list on relation `{relation}`")
-            }
-            RelationalError::StreamedExtension { relation } => {
-                write!(
-                    f,
-                    "relation `{relation}` is a streamed extension; row mutations need \
-                     materialized columns"
-                )
-            }
-            RelationalError::BadDeleteSet {
-                relation,
-                index,
-                rows,
-            } => {
-                write!(
-                    f,
-                    "delete set for `{relation}` invalid at index {index} \
-                     (must be strictly ascending and < {rows})"
-                )
             }
         }
     }

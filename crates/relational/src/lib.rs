@@ -32,7 +32,6 @@ pub mod chase;
 pub mod counting;
 pub mod csv;
 pub mod database;
-pub mod delta;
 pub mod deps;
 pub mod encode;
 pub mod error;
@@ -58,7 +57,6 @@ pub use bufpool::{BufferPool, PageCacheStats};
 pub use counting::{join_stats, EquiJoin, JoinStats};
 pub use csv::CsvError;
 pub use database::Database;
-pub use delta::Delta;
 pub use deps::{Constraints, Dependencies, Fd, Ind, IndSide, Key};
 pub use encode::{ColumnDict, DictBuilder, DictTable, EncodedSet};
 pub use error::{DbreError, RelationalError};
@@ -68,7 +66,7 @@ pub use par::par_map;
 pub use partitions::StrippedPartition;
 pub use schema::{QualAttrs, RelId, Relation, Schema};
 pub use sketch::{ColumnSketch, SketchMode, SketchPruneStats};
-pub use snapshot::{DbSnapshot, SharedDb};
+pub use snapshot::DbSnapshot;
 pub use spill::{SpillCacheStats, SpilledTable};
 pub use stats::{StatsCounters, StatsEngine};
 pub use table::Table;

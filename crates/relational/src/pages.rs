@@ -527,7 +527,7 @@ impl PagedColumn {
 
     /// Rehydrates the full per-row code vector by streaming every
     /// page — the bridge for consumers that need random access
-    /// (`column_dict()` for the batch SQL executor).
+    /// (the `column_dict()` seam).
     pub fn read_all_codes(&self, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
         let mut codes = Vec::with_capacity(self.rows);
         for p in 0..self.file.pages {

@@ -1,29 +1,22 @@
-//! Snapshot isolation: immutable, `Arc`-published database versions.
+//! Immutable, `Arc`-shared database snapshots.
 //!
-//! A [`SharedDb`] holds the *current* version of a database behind an
-//! atomically swapped `Arc`. Readers take a [`DbSnapshot`] — a
-//! momentary lock to clone the `Arc`, then no locks at all — and keep
-//! a consistent view for as long as they hold it, no matter how many
-//! writes land in the meantime. Writers build the next version as a
-//! copy-on-write clone (tables sit behind `Arc`, so an append to one
-//! relation shares every other table with the previous version),
-//! run cache maintenance ([`crate::delta`],
-//! [`crate::stats::StatsEngine::apply_delta`]), and publish by
-//! swapping the `Arc`.
+//! A [`DbSnapshot`] is one version of a [`Database`] behind an `Arc`:
+//! cloning it is O(1) and it never changes. The session service in
+//! `dbre-core` hands one snapshot to every concurrent session; each
+//! session takes a private copy-on-write [`DbSnapshot::to_database`]
+//! clone, because IND-Discovery adds relations and Restruct replaces
+//! tables. Tables sit behind `Arc`, so those clones share every table
+//! payload until a session first mutates it.
 //!
-//! Nothing is ever invalidated *in place*: an old version's tables
-//! and cached statistics stay alive exactly as long as some reader's
-//! `Arc` keeps them alive, and die with the last clone — eviction by
-//! `Arc`. That is why readers never block writers (they hold no lock
-//! while reading) and writers never corrupt readers (they mutate
-//! fresh copies, never shared state).
+//! Sessions may share one [`crate::stats::StatsEngine`] too. A mutation
+//! draws a fresh tag from the process-global generation allocator
+//! ([`Database::generation`]), so sessions that diverge from the same
+//! snapshot never alias each other's cache entries, while entries of
+//! the tables they leave untouched stay shared and warm.
 
 use crate::database::Database;
-use crate::delta::Delta;
-use crate::error::RelationalError;
-use crate::stats::StatsEngine;
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::Arc;
 
 /// One immutable version of a [`Database`], shared by `Arc`.
 /// Dereferences to [`Database`]; cloning is O(1).
@@ -33,17 +26,11 @@ pub struct DbSnapshot {
 }
 
 impl DbSnapshot {
-    /// Wraps an owned database as a snapshot (the version-zero path;
-    /// later versions come from [`SharedDb::apply`]).
+    /// Wraps an owned database as a snapshot.
     pub fn new(db: Database) -> Self {
         DbSnapshot {
             inner: Arc::new(db),
         }
-    }
-
-    /// The underlying shared handle.
-    pub fn as_arc(&self) -> &Arc<Database> {
-        &self.inner
     }
 
     /// An owned copy-on-write clone — the starting point for a
@@ -63,84 +50,6 @@ impl Deref for DbSnapshot {
     }
 }
 
-/// The current database version plus the write path that advances it.
-///
-/// Reads ([`SharedDb::snapshot`]) take the `current` lock only long
-/// enough to clone an `Arc`. Writes serialize on `writer` (holding it
-/// across clone → mutate → maintain → publish), and touch `current`
-/// only for the final swap — so a slow writer never blocks readers,
-/// and readers never block anyone.
-#[derive(Debug)]
-pub struct SharedDb {
-    current: RwLock<Arc<Database>>,
-    writer: Mutex<()>,
-}
-
-impl SharedDb {
-    /// Publishes `db` as version zero.
-    pub fn new(db: Database) -> Self {
-        SharedDb {
-            current: RwLock::new(Arc::new(db)),
-            writer: Mutex::new(()),
-        }
-    }
-
-    /// The current version. Lock held only for the `Arc` clone.
-    pub fn snapshot(&self) -> DbSnapshot {
-        let guard = match self.current.read() {
-            Ok(g) => g,
-            // The lock only ever guards an `Arc` clone/assign, which
-            // cannot unwind mid-update; a poisoned flag still wraps a
-            // fully published version.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        DbSnapshot {
-            inner: Arc::clone(&guard),
-        }
-    }
-
-    fn writer_lock(&self) -> MutexGuard<'_, ()> {
-        match self.writer.lock() {
-            Ok(g) => g,
-            // A writer that panicked never published (publish is the
-            // last step), so the current version is intact and the
-            // next writer may simply proceed.
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Applies one delta: clones the current version (copy-on-write),
-    /// mutates the clone, runs incremental cache maintenance on every
-    /// engine in `engines`, then publishes the new version by `Arc`
-    /// swap. Returns the new snapshot. On error nothing is published
-    /// and caches are untouched.
-    ///
-    /// Maintenance runs *before* the swap so the first reader of the
-    /// new version finds warm caches; readers of older versions are
-    /// unaffected either way, because cache entries are keyed by
-    /// generation and their `Arc`ed payloads stay alive while held.
-    pub fn apply(
-        &self,
-        delta: &Delta,
-        engines: &[&StatsEngine],
-    ) -> Result<DbSnapshot, RelationalError> {
-        let _writer = self.writer_lock();
-        let before = self.snapshot();
-        let mut next = before.to_database();
-        next.apply_delta(delta)?;
-        for engine in engines {
-            engine.apply_delta(&before, &next, delta);
-        }
-        let next = Arc::new(next);
-        let mut guard = match self.current.write() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = Arc::clone(&next);
-        Ok(DbSnapshot { inner: next })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,43 +66,22 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_are_isolated_from_later_writes() {
+    fn snapshots_are_isolated_from_session_writes() {
         let (db, rel) = one_rel_db();
-        let shared = SharedDb::new(db);
-        let old = shared.snapshot();
-        let old_gen = old.generation(rel);
-        shared
-            .apply(
-                &Delta::Append {
-                    rel,
-                    rows: vec![vec![Value::Int(2)]],
-                },
-                &[],
-            )
-            .unwrap();
-        // The old snapshot still sees one row under its old tag...
-        assert_eq!(old.table(rel).len(), 1);
-        assert_eq!(old.generation(rel), old_gen);
-        // ...while a fresh snapshot sees the append under a new tag.
-        let new = shared.snapshot();
-        assert_eq!(new.table(rel).len(), 2);
-        assert_ne!(new.generation(rel), old_gen);
-    }
-
-    #[test]
-    fn failed_apply_publishes_nothing() {
-        let (db, rel) = one_rel_db();
-        let shared = SharedDb::new(db);
-        let before = shared.snapshot();
-        let err = shared.apply(
-            &Delta::Append {
-                rel,
-                rows: vec![vec![Value::str("bad")]],
-            },
-            &[],
-        );
-        assert!(err.is_err());
-        assert!(Arc::ptr_eq(before.as_arc(), shared.snapshot().as_arc()));
+        let snap = DbSnapshot::new(db);
+        let old_gen = snap.generation(rel);
+        let mut session = snap.to_database();
+        session.insert(rel, vec![Value::Int(2)]).unwrap();
+        // The snapshot still sees one row under its old tag...
+        assert_eq!(snap.table(rel).len(), 1);
+        assert_eq!(snap.generation(rel), old_gen);
+        // ...while the session's clone sees the insert under a new tag.
+        assert_eq!(session.table(rel).len(), 2);
+        assert_ne!(session.generation(rel), old_gen);
+        // Two sessions diverging from one snapshot never share a tag.
+        let mut other = snap.to_database();
+        other.insert(rel, vec![Value::Int(2)]).unwrap();
+        assert_ne!(other.generation(rel), session.generation(rel));
     }
 
     #[test]
@@ -206,20 +94,12 @@ mod tests {
             .add_relation(Relation::of("B", &[("y", Domain::Int)]))
             .unwrap();
         db.insert(t2, vec![Value::Int(5)]).unwrap();
-        let shared = SharedDb::new(db);
-        let before = shared.snapshot();
-        let after = shared
-            .apply(
-                &Delta::Append {
-                    rel: t1,
-                    rows: vec![vec![Value::Int(1)]],
-                },
-                &[],
-            )
-            .unwrap();
+        let snap = DbSnapshot::new(db);
+        let mut session = snap.to_database();
+        session.insert(t1, vec![Value::Int(1)]).unwrap();
         // B untouched: both versions point at the same table payload.
-        assert!(std::ptr::eq(before.table(t2), after.table(t2)));
-        assert!(!std::ptr::eq(before.table(t1), after.table(t1)));
-        assert_eq!(before.generation(t2), after.generation(t2));
+        assert!(std::ptr::eq(snap.table(t2), session.table(t2)));
+        assert!(!std::ptr::eq(snap.table(t1), session.table(t1)));
+        assert_eq!(snap.generation(t2), session.generation(t2));
     }
 }

@@ -49,10 +49,6 @@ use crate::backend::{
 };
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
-use crate::delta::{
-    lhs_groups_append, lhs_groups_delete, partition_append, partition_delete, projection_append,
-    Delta,
-};
 use crate::deps::{Fd, Ind};
 use crate::encode::ColumnDict;
 use crate::partitions::StrippedPartition;
@@ -101,8 +97,6 @@ type AttrCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
 /// `dbre-core` does exactly this): sessions touching the same table
 /// version share warm entries, sessions that mutated their private
 /// clone get fresh tags and fresh entries, and nothing can alias.
-/// Committed writes keep the shared engine warm through
-/// [`StatsEngine::apply_delta`] instead of wholesale invalidation.
 pub struct StatsEngine {
     /// The counting implementation cache misses are delegated to.
     backend: Box<dyn CountBackend>,
@@ -419,139 +413,10 @@ impl StatsEngine {
     pub fn spill_stats(&self) -> crate::spill::SpillCacheStats {
         self.backend.spill_stats()
     }
-
-    /// Carries this engine's caches across one committed [`Delta`] —
-    /// the write path of [`crate::snapshot::SharedDb::apply`]. Every
-    /// entry of the mutated relation still tagged with the pre-delta
-    /// generation is either *maintained* — rewritten incrementally by
-    /// [`crate::delta`] and re-tagged with the post-delta generation,
-    /// with a result identical to a from-scratch recompute — or
-    /// evicted. Entries of other relations, and the `Arc`ed payloads
-    /// readers of older versions still hold, are untouched.
-    ///
-    /// Maintenance is a warm-cache optimization, never a correctness
-    /// requirement: anything evicted here is rebuilt on demand, and
-    /// the backend's own delta hook runs first so rebuilds land on
-    /// maintained dictionaries. No hit/miss counters are charged —
-    /// this is write-side upkeep, not a lookup.
-    pub fn apply_delta(&self, before: &Database, after: &Database, delta: &Delta) {
-        self.backend.apply_delta(before, after, delta);
-        let rel = delta.rel();
-        let old_gen = before.generation(rel);
-        let new_gen = after.generation(rel);
-        let table = after.table(rel);
-        // A streamed extension has no raw columns to maintain from —
-        // evict and let the backend rebuild from its pages.
-        let maintainable = table.is_materialized();
-        let old_rows = before.table(rel).len();
-        let new_rows = table.len();
-
-        // Partitions (mining convention), generic over arity: the
-        // product of maintained unary partitions equals the direct
-        // multi-attribute partition, so one maintenance step serves
-        // both shapes.
-        maintain(&self.partitions, rel, old_gen, new_gen, |attrs, p| {
-            if !maintainable {
-                return None;
-            }
-            Some(match delta {
-                Delta::Append { .. } => {
-                    let cols: Vec<&[crate::value::Value]> =
-                        attrs.iter().map(|a| table.column(*a)).collect();
-                    partition_append(p, &cols, old_rows, new_rows)
-                }
-                Delta::Delete { rows, .. } => partition_delete(p, rows),
-            })
-        });
-        // LHS groups (SQL convention: NULL rows skipped).
-        maintain(&self.lhs_groups, rel, old_gen, new_gen, |attrs, g| {
-            if !maintainable {
-                return None;
-            }
-            Some(match delta {
-                Delta::Append { .. } => {
-                    let cols: Vec<&[crate::value::Value]> =
-                        attrs.iter().map(|a| table.column(*a)).collect();
-                    lhs_groups_append(g, &cols, old_rows, new_rows)
-                }
-                Delta::Delete { rows, .. } => lhs_groups_delete(g, rows),
-            })
-        });
-        // Distinct projections append-maintain; a delete can remove
-        // the last witness of a tuple, which a set without
-        // multiplicities cannot detect, so deletes evict.
-        maintain(&self.projections, rel, old_gen, new_gen, |attrs, set| {
-            if !maintainable {
-                return None;
-            }
-            match delta {
-                Delta::Append { .. } => {
-                    let cols: Vec<&[crate::value::Value]> =
-                        attrs.iter().map(|a| table.column(*a)).collect();
-                    Some(projection_append(set, &cols, old_rows, new_rows))
-                }
-                Delta::Delete { .. } => None,
-            }
-        });
-        // Counts re-derive from the just-maintained projection of the
-        // same key when present; otherwise evict — the backend's
-        // maintained distinct sets make the recount near-free anyway.
-        {
-            let projections = read_recover(&self.projections);
-            maintain(&self.counts, rel, old_gen, new_gen, |attrs, _| {
-                projections
-                    .get(&(rel, attrs.to_vec()))
-                    .filter(|p| p.gen == new_gen)
-                    .map(|p| p.value.len())
-            });
-        }
-        // Join statistics have no incremental form worth keeping (the
-        // intersection can move either way on append or delete);
-        // entries touching the mutated relation are evicted and
-        // rebuilt on demand from the backend's maintained structures.
-        write_recover(&self.joins).retain(|j, _| j.left.rel != rel && j.right.rel != rel);
-    }
-}
-
-/// Rewrites one cache family for `rel` across a committed delta:
-/// entries tagged `old_gen` are fed to `step` and re-inserted under
-/// `new_gen` when it returns a maintained value; every other entry of
-/// `rel` (stale tags, shapes `step` declines) is evicted. Entries of
-/// other relations are untouched.
-fn maintain<T>(
-    cache: &AttrCache<T>,
-    rel: RelId,
-    old_gen: u64,
-    new_gen: u64,
-    mut step: impl FnMut(&[AttrId], &T) -> Option<T>,
-) {
-    let mut guard = write_recover(cache);
-    let keys: Vec<(RelId, Vec<AttrId>)> =
-        guard.keys().filter(|(r, _)| *r == rel).cloned().collect();
-    for key in keys {
-        let next = guard
-            .get(&key)
-            .filter(|e| e.gen == old_gen)
-            .and_then(|e| step(&key.1, &e.value));
-        match next {
-            Some(v) => {
-                guard.insert(
-                    key,
-                    Tagged {
-                        gen: new_gen,
-                        value: Arc::new(v),
-                    },
-                );
-            }
-            None => {
-                guard.remove(&key);
-            }
-        }
-    }
 }
 
 // Compile-time proof that the engine, every in-crate backend, the
-// buffer pool under them, and the snapshot types stay `Send + Sync` —
+// buffer pool under them, and the snapshot type stay `Send + Sync` —
 // the concurrent service in `dbre-core` depends on it, and a stray
 // `Rc` or `Cell` slipping into a cache would otherwise surface only as
 // a distant trait-bound error there. (`dbre-sql` asserts the same for
@@ -563,7 +428,6 @@ const _: () = {
     assert_send_sync::<EncodedBackend>();
     assert_send_sync::<crate::pages::PagedBackend>();
     assert_send_sync::<crate::bufpool::BufferPool>();
-    assert_send_sync::<crate::snapshot::SharedDb>();
     assert_send_sync::<crate::snapshot::DbSnapshot>();
 };
 
@@ -793,78 +657,6 @@ mod tests {
         assert!(engine.counters().cache_misses > 0);
         seam.count_distinct(&db, l, &[AttrId(0)]);
         assert!(engine.counters().cache_hits > 0);
-    }
-
-    #[test]
-    fn apply_delta_maintains_caches_identically() {
-        let (db, l, r) = two_table_db();
-        let engine = StatsEngine::new();
-        let attrs = [AttrId(0), AttrId(1)];
-        // Warm every cache family on L, plus a join touching L.
-        engine.count_distinct(&db, l, &[AttrId(0)]);
-        engine.projection(&db, l, &[AttrId(0)]);
-        engine.partition_for_attrs(&db, l, &attrs);
-        engine.lhs_groups(&db, l, &[AttrId(0)]);
-        let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
-            .unwrap();
-        engine.join_stats(&db, &join);
-
-        let shared = crate::snapshot::SharedDb::new(db);
-        let snap = shared
-            .apply(
-                &Delta::Append {
-                    rel: l,
-                    rows: vec![
-                        vec![Value::Int(1), Value::Int(10)],
-                        vec![Value::Int(9), Value::Int(30)],
-                    ],
-                },
-                &[&engine],
-            )
-            .unwrap();
-        let misses = engine.counters().cache_misses;
-        // Maintained entries answer at the new generation without a
-        // rebuild...
-        let p = engine.partition_for_attrs(&snap, l, &attrs);
-        let g = engine.lhs_groups(&snap, l, &[AttrId(0)]);
-        let proj = engine.projection(&snap, l, &[AttrId(0)]);
-        let n = engine.count_distinct(&snap, l, &[AttrId(0)]);
-        assert_eq!(engine.counters().cache_misses, misses);
-        // ...and agree exactly with a cold recompute on the new
-        // version.
-        let cold = StatsEngine::new();
-        assert_eq!(*p, *cold.partition_for_attrs(&snap, l, &attrs));
-        assert_eq!(*g, *cold.lhs_groups(&snap, l, &[AttrId(0)]));
-        assert_eq!(*proj, *cold.projection(&snap, l, &[AttrId(0)]));
-        assert_eq!(n, cold.count_distinct(&snap, l, &[AttrId(0)]));
-        // The join entry was evicted (its relation was touched) and
-        // rebuilds to the right answer.
-        assert_eq!(engine.join_stats(&snap, &join), join_stats(&snap, &join));
-
-        // Deletes: partitions and groups maintain in place,
-        // projections/counts evict and rebuild correctly.
-        let snap2 = shared
-            .apply(
-                &Delta::Delete {
-                    rel: l,
-                    rows: vec![0, 3],
-                },
-                &[&engine],
-            )
-            .unwrap();
-        let cold = StatsEngine::new();
-        assert_eq!(
-            *engine.partition_for_attrs(&snap2, l, &attrs),
-            *cold.partition_for_attrs(&snap2, l, &attrs)
-        );
-        assert_eq!(
-            *engine.lhs_groups(&snap2, l, &[AttrId(0)]),
-            *cold.lhs_groups(&snap2, l, &[AttrId(0)])
-        );
-        assert_eq!(
-            engine.count_distinct(&snap2, l, &[AttrId(0)]),
-            cold.count_distinct(&snap2, l, &[AttrId(0)])
-        );
     }
 
     #[test]

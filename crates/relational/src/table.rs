@@ -185,30 +185,6 @@ impl Table {
         self.distinct_projection(attrs).len()
     }
 
-    /// Removes the rows at `sorted` (strictly ascending, in-bounds)
-    /// in one pass per column. Surviving rows keep their relative
-    /// order, so row `i` moves to index `i − |{d ∈ sorted : d < i}|` —
-    /// the remap the delta-maintenance layer ([`crate::delta`])
-    /// applies to cached partitions and LHS groups.
-    pub(crate) fn remove_rows(&mut self, sorted: &[usize]) {
-        for col in &mut self.columns {
-            let mut next_del = 0usize;
-            let mut write = 0usize;
-            for read in 0..col.len() {
-                if next_del < sorted.len() && sorted[next_del] == read {
-                    next_del += 1;
-                    continue;
-                }
-                if write != read {
-                    col.swap(write, read);
-                }
-                write += 1;
-            }
-            col.truncate(write);
-        }
-        self.rows -= sorted.len();
-    }
-
     /// Removes the columns in `drop` (sorted or not), producing a new
     /// table whose column order matches the relation with those
     /// attributes removed. Used by the Restruct algorithm.

@@ -1,275 +1,81 @@
-//! Columnar/batch execution over dictionary codes — the fast path of
-//! the SQL substrate.
+//! Tier-1 lowering: generated counting statements executed on the
+//! counting kernels instead of the tuple interpreter.
 //!
 //! The tuple interpreter in [`crate::executor`] clones and compares
 //! [`Value`]s row by row; fine as a semantic oracle, hopeless as the
 //! engine behind thousands of generated `COUNT(DISTINCT …)` probes.
-//! This module executes the supported query shapes the way the
-//! encoded counting backend does: every touched column is a
-//! [`ColumnDict`] of dense `u32` codes (pulled through the
-//! [`CountBackend::column_dict`] seam, so a probing backend shares the
-//! generation-tagged dictionary cache it already owns), and operators
-//! consume and produce row batches of [`BATCH_SIZE`] positions whose
-//! payload is plain integer codes.
+//! The probe shapes the pipeline generates *are* the paper's `‖·‖`
+//! primitives, so they lower straight onto a [`CountBackend`]'s
+//! `count_distinct` / `join_stats` kernels without enumerating a
+//! single row:
 //!
-//! Two tiers:
+//! * `SELECT COUNT(*) FROM r x` — the table length;
+//! * `SELECT COUNT(DISTINCT x.a…) FROM r x` — `‖r[A]‖`;
+//! * `SELECT COUNT(DISTINCT x.a…) FROM r x, s y WHERE x.a… = y.b…`, a
+//!   conjunctive equi-join whose counted columns are exactly one
+//!   side's join columns — `‖r[A] ⋈ s[B]‖`, served by the
+//!   intersection kernel.
 //!
-//! * **set-algebraic lowering** — the probe shapes the pipeline
-//!   generates (`SELECT COUNT(DISTINCT x.a…) FROM r x`, and the same
-//!   count over a conjunctive equi-join whose counted columns are the
-//!   join columns) *are* the paper's `‖·‖` primitives, so they lower
-//!   directly onto the backend's `count_distinct` / `join_stats`
-//!   kernels (`EncodedSet` membership, cross-dictionary translation
-//!   inside `intersect_count`) without enumerating a single row;
-//! * **batched enumeration** — everything else that fits the batch
-//!   model runs as scan → code-mask selection → translated hash-join
-//!   probe → sink (count, distinct code set, projection), in
-//!   fixed-size batches. Single-column predicates compile to
-//!   per-*code* truth masks (one three-valued evaluation per distinct
-//!   value, then an array lookup per row); `INTERSECT` runs on code
-//!   tuples through a structural translation table; `DISTINCT`
-//!   dedupes code tuples before any value is decoded.
-//!
-//! Predicates the batch path cannot express — correlated
-//! `IN`/`EXISTS`, residual three-valued `WHERE` trees — fall back
-//! **per batch** to the tuple interpreter's row-predicate seam, and
-//! query shapes outside the model entirely (grouping, ordering,
-//! wildcards, aggregates beyond counts) return `None` so the caller
-//! runs the whole query tuple-at-a-time. Results are identical either
-//! way — the batch-vs-tuple differential proptests pin it — only the
-//! speed and the [`BatchReport`] counters differ.
+//! Every other query — filters, projections, grouping, set
+//! operations, other aggregates — is left to the tuple interpreter.
+//! Results are identical either way; the unit tests below pin each
+//! lowered shape against the interpreter.
 
 use crate::ast::*;
-use crate::error::SqlResult;
-use crate::executor::{eval_row_predicate, Binding, ResultSet};
+use crate::executor::ResultSet;
 use dbre_relational::attr::AttrId;
 use dbre_relational::backend::CountBackend;
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
-use dbre_relational::encode::{code_translation, ColumnDict, NULL_CODE};
-use dbre_relational::fasthash::{FxHashMap, FxHashSet};
 use dbre_relational::schema::RelId;
 use dbre_relational::value::Value;
-use std::collections::HashSet;
-use std::sync::Arc;
 
-/// Rows per operator batch. Large enough to amortize per-batch
-/// dispatch, small enough that a batch of codes stays cache-resident.
-pub const BATCH_SIZE: usize = 1024;
-
-/// Counters for one batch execution: how much work ran on dictionary
-/// codes and how often a batch had to consult the tuple interpreter.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Operator batches (or whole set-algebraic lowerings) processed
-    /// entirely on dictionary codes.
-    pub batch_ops: u64,
-    /// Per-batch residual evaluations routed through the tuple
-    /// interpreter.
-    pub fallback_ops: u64,
-}
-
-/// Executes `query` on the batch path when its shape fits the model.
+/// Executes `query` through its tier-1 lowering, when it has one.
 ///
-/// `Ok(Some(_))` is a complete, tuple-path-identical result;
-/// `Ok(None)` means the query is outside the batch model and the
-/// caller should run [`crate::execute_query`] instead — which also
+/// `Some(_)` is a complete result, identical to the tuple path's;
+/// `None` means the query is not one of the lowered count shapes and
+/// the caller should run [`crate::execute_query`] instead — which also
 /// reproduces the exact error text for malformed queries, because the
-/// lowering aborts (rather than erroring) on anything it cannot
-/// resolve. `backend` supplies column dictionaries through
-/// [`CountBackend::column_dict`] and serves the set-algebraic count
-/// lowerings; a backend without an encoding still works (dictionaries
-/// are then built ad hoc per query).
+/// lowering gives up (rather than erroring) on anything it cannot
+/// resolve. `backend` serves the counts.
 pub fn execute_query_batch(
     db: &Database,
     backend: &dyn CountBackend,
     query: &Query,
-    report: &mut BatchReport,
-) -> SqlResult<Option<ResultSet>> {
-    let Some(first) = batch_select(db, backend, &query.body, report)? else {
-        return Ok(None);
-    };
-    let Some((op, rest)) = &query.compound else {
-        return Ok(Some(first.decode()));
-    };
-    // The compound chain is right-associative, like the tuple path:
-    // the second operand is the *entire* rest of the chain.
-    let second = if rest.compound.is_none() {
-        batch_select(db, backend, &rest.body, report)?
-    } else {
-        execute_query_batch(db, backend, rest, report)?.map(SelectOut::Rows)
-    };
-    let Some(second) = second else {
-        return Ok(None);
-    };
-    if first.width() != second.width() {
-        // Let the tuple path produce its "equal column counts" error.
-        return Ok(None);
+) -> Option<ResultSet> {
+    if query.compound.is_some() {
+        return None;
     }
-    Ok(Some(set_op(*op, first, second, report)))
+    let plan = lower(db, &query.body)?;
+    let n = lower_set_algebraic(db, backend, &plan)?;
+    Some(ResultSet {
+        columns: vec![plan.column],
+        rows: vec![vec![Value::Int(n as i64)]],
+    })
 }
-
-// ---- select output -----------------------------------------------------
-
-/// Output of one lowered SELECT: either still in code space (plain
-/// projections — set operations run on these without decoding) or
-/// already decoded (aggregate scalars, nested compound results).
-enum SelectOut {
-    Coded(CodedRows),
-    Rows(ResultSet),
-}
-
-impl SelectOut {
-    fn width(&self) -> usize {
-        match self {
-            SelectOut::Coded(c) => c.columns.len(),
-            SelectOut::Rows(r) => r.columns.len(),
-        }
-    }
-
-    fn decode(self) -> ResultSet {
-        match self {
-            SelectOut::Coded(c) => c.decode(),
-            SelectOut::Rows(r) => r,
-        }
-    }
-}
-
-/// Projected rows as per-position code tuples plus the dictionaries to
-/// decode them with (one per output column; codes are column-local).
-struct CodedRows {
-    columns: Vec<String>,
-    dicts: Vec<Arc<ColumnDict>>,
-    rows: Vec<Box<[u32]>>,
-}
-
-impl CodedRows {
-    fn decode_row(dicts: &[Arc<ColumnDict>], row: &[u32]) -> Vec<Value> {
-        row.iter()
-            .zip(dicts)
-            .map(|(&c, d)| d.value_of(c).cloned().unwrap_or(Value::Null))
-            .collect()
-    }
-
-    fn decode(self) -> ResultSet {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| CodedRows::decode_row(&self.dicts, r))
-            .collect();
-        ResultSet {
-            columns: self.columns,
-            rows,
-        }
-    }
-}
-
-// ---- set operations ----------------------------------------------------
-
-/// Set operations use *structural* row equality (a NULL row equals a
-/// NULL row — the tuple path hashes whole `Value` rows), so this
-/// translation differs from the join kernel's [`code_translation`]:
-/// NULL (code 0) maps to NULL, and a left value absent on the right
-/// maps to a sentinel that matches nothing — `NULL_CODE` there would
-/// falsely match right NULLs.
-fn set_translation(left: &ColumnDict, right: &ColumnDict) -> Vec<u32> {
-    let mut t = vec![u32::MAX; left.cardinality() + 1];
-    t[0] = NULL_CODE;
-    for (i, v) in left.distinct_values().iter().enumerate() {
-        let c = right.code_of(v);
-        t[i + 1] = if c == NULL_CODE { u32::MAX } else { c };
-    }
-    t
-}
-
-/// `INTERSECT` / `UNION` with set semantics, sorted like the tuple
-/// path. An intersection of two still-coded sides runs on code tuples
-/// through [`set_translation`] — only surviving rows are decoded;
-/// everything else decodes first (a union must decode every output
-/// row anyway).
-fn set_op(op: SetOp, first: SelectOut, second: SelectOut, report: &mut BatchReport) -> ResultSet {
-    if let (SetOp::Intersect, SelectOut::Coded(l), SelectOut::Coded(r)) = (op, &first, &second) {
-        report.batch_ops += 1;
-        let right: FxHashSet<&[u32]> = r.rows.iter().map(|b| b.as_ref()).collect();
-        let trans: Vec<Vec<u32>> = l
-            .dicts
-            .iter()
-            .zip(&r.dicts)
-            .map(|(ld, rd)| set_translation(ld, rd))
-            .collect();
-        let mut seen: FxHashSet<&[u32]> = FxHashSet::default();
-        let mut key: Vec<u32> = Vec::with_capacity(trans.len());
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for row in &l.rows {
-            if !seen.insert(row.as_ref()) {
-                continue;
-            }
-            key.clear();
-            key.extend(row.iter().zip(&trans).map(|(&c, t)| t[c as usize]));
-            if right.contains(key.as_slice()) {
-                rows.push(CodedRows::decode_row(&l.dicts, row));
-            }
-        }
-        rows.sort();
-        return ResultSet {
-            columns: l.columns.clone(),
-            rows,
-        };
-    }
-    let columns = match &first {
-        SelectOut::Coded(c) => c.columns.clone(),
-        SelectOut::Rows(r) => r.columns.clone(),
-    };
-    let left: HashSet<Vec<Value>> = first.decode().rows.into_iter().collect();
-    let right: HashSet<Vec<Value>> = second.decode().rows.into_iter().collect();
-    let mut rows: Vec<Vec<Value>> = match op {
-        SetOp::Intersect => left.into_iter().filter(|r| right.contains(r)).collect(),
-        SetOp::Union => left.union(&right).cloned().collect(),
-    };
-    rows.sort();
-    ResultSet { columns, rows }
-}
-
-// ---- lowering ----------------------------------------------------------
 
 /// One FROM table in the lowered plan.
 struct TableCtx {
     rel: RelId,
     name: String,
-    rows: usize,
 }
 
-/// A conjunct compilable to a per-code truth mask: one column of one
-/// table against literals only.
-struct MaskSpec<'q> {
-    tbl: usize,
-    attr: AttrId,
-    expr: &'q Expr,
-}
-
-/// What the query projects or aggregates.
+/// What the query counts.
 enum SinkShape {
     CountStar,
     CountDistinct(Vec<(usize, AttrId)>),
-    Project {
-        cols: Vec<(usize, AttrId)>,
-        distinct: bool,
-    },
 }
 
-/// A SELECT lowered into the batch model.
-struct Plan<'q> {
+/// A single-count SELECT over one table or a two-table equi-join.
+struct Plan {
     tables: Vec<TableCtx>,
     /// Conjunctive cross-table equalities `(attr on table 0, attr on
     /// table 1)`, in conjunct order; non-empty iff two tables.
     join_pairs: Vec<(AttrId, AttrId)>,
-    masks: Vec<MaskSpec<'q>>,
-    /// Conjuncts outside the mask shapes — evaluated per surviving row
-    /// by the tuple interpreter.
-    residuals: Vec<&'q Expr>,
     sink: SinkShape,
-    columns: Vec<String>,
+    /// The output column name.
+    column: String,
 }
 
 /// Statically resolves a column against the FROM tables, mirroring the
@@ -295,83 +101,10 @@ fn resolve_col(db: &Database, tables: &[TableCtx], c: &ColumnRef) -> Option<(usi
     found
 }
 
-/// The single column of a mask-compilable conjunct, if the conjunct
-/// has one of the supported shapes: `col ⋈ literal`,
-/// `col IS [NOT] NULL`, `col [NOT] IN (literals…)`.
-fn mask_column(e: &Expr) -> Option<&ColumnRef> {
-    match e {
-        Expr::Cmp { left, right, .. } => match (left.as_ref(), right.as_ref()) {
-            (Expr::Column(c), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(c)) => Some(c),
-            _ => None,
-        },
-        Expr::IsNull { expr, .. } => match expr.as_ref() {
-            Expr::Column(c) => Some(c),
-            _ => None,
-        },
-        Expr::InList { expr, list, .. } => match expr.as_ref() {
-            Expr::Column(c) if list.iter().all(|i| matches!(i, Expr::Literal(_))) => Some(c),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Mirrors the tuple interpreter's three-valued `Cmp` / `IsNull` /
-/// `InList` evaluation for one candidate column value (`v` is the
-/// decoded value, [`Value::Null`] for code 0). Only called on shapes
-/// accepted by [`mask_column`].
-fn eval_simple_pred(e: &Expr, v: &Value) -> Option<bool> {
-    match e {
-        Expr::Cmp { op, left, right } => {
-            let (l, r) = match (left.as_ref(), right.as_ref()) {
-                (Expr::Column(_), Expr::Literal(lit)) => (v, lit),
-                (Expr::Literal(lit), Expr::Column(_)) => (lit, v),
-                _ => return None,
-            };
-            if l.is_null() || r.is_null() {
-                return None;
-            }
-            let ord = l.cmp(r);
-            Some(match op {
-                CmpOp::Eq => ord.is_eq(),
-                CmpOp::Ne => ord.is_ne(),
-                CmpOp::Lt => ord.is_lt(),
-                CmpOp::Le => ord.is_le(),
-                CmpOp::Gt => ord.is_gt(),
-                CmpOp::Ge => ord.is_ge(),
-            })
-        }
-        Expr::IsNull { negated, .. } => Some(if *negated { !v.is_null() } else { v.is_null() }),
-        Expr::InList { list, negated, .. } => {
-            if v.is_null() {
-                return None;
-            }
-            let mut saw_null = false;
-            for item in list {
-                let Expr::Literal(w) = item else {
-                    return None;
-                };
-                if w.is_null() {
-                    saw_null = true;
-                } else if w == v {
-                    return Some(!negated);
-                }
-            }
-            if saw_null {
-                None
-            } else {
-                Some(*negated)
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Lowers one SELECT into a [`Plan`], or `None` when the shape is
-/// outside the batch model.
-fn lower<'q>(db: &Database, s: &'q Select) -> Option<Plan<'q>> {
-    // Grouping/ordering machinery and wildcard projections take the
-    // tuple path wholesale.
+/// Lowers one SELECT into a [`Plan`], or `None` when it is not a
+/// single `COUNT` over one table or over a conjunctive two-table
+/// equi-join.
+fn lower(db: &Database, s: &Select) -> Option<Plan> {
     if !s.group_by.is_empty() || s.having.is_some() || !s.order_by.is_empty() {
         return None;
     }
@@ -379,101 +112,47 @@ fn lower<'q>(db: &Database, s: &'q Select) -> Option<Plan<'q>> {
         return None;
     }
 
-    let mut tables = Vec::with_capacity(s.from.len());
+    let mut tables: Vec<TableCtx> = Vec::with_capacity(s.from.len());
     for tr in &s.from {
         let rel = db.rel(&tr.table).ok()?;
         let name = tr.binding().to_string();
-        if tables.iter().any(|t: &TableCtx| t.name == name) {
+        if tables.iter().any(|t| t.name == name) {
             return None; // duplicate binding — tuple path reports it
         }
-        let rows = db.table(rel).len();
-        if rows > u32::MAX as usize {
-            return None; // row ids are u32 in the batch model
-        }
-        tables.push(TableCtx { rel, name, rows });
+        tables.push(TableCtx { rel, name });
     }
 
-    // Sink: one global COUNT aggregate, or a plain column projection.
-    let mut columns = Vec::with_capacity(s.items.len());
-    let item_exprs: Vec<(&'q Expr, &'q Option<String>)> = s
-        .items
-        .iter()
-        .map(|it| match it {
-            SelectItem::Expr { expr, alias } => Some((expr, alias)),
-            SelectItem::Wildcard => None,
-        })
-        .collect::<Option<_>>()?;
-    let aggregated = item_exprs.iter().any(|(e, _)| e.contains_aggregate());
-    let sink = if aggregated {
-        let [(expr, alias)] = item_exprs.as_slice() else {
-            return None; // multi-aggregate selects take the tuple path
-        };
-        match expr {
-            Expr::CountStar => {
-                columns.push((*alias).clone().unwrap_or_else(|| "count(*)".to_string()));
-                SinkShape::CountStar
-            }
-            Expr::CountDistinct(cols) => {
-                columns.push(
-                    (*alias)
-                        .clone()
-                        .unwrap_or_else(|| "count(distinct)".to_string()),
-                );
-                let cols = cols
-                    .iter()
-                    .map(|c| resolve_col(db, &tables, c))
-                    .collect::<Option<Vec<_>>>()?;
-                SinkShape::CountDistinct(cols)
-            }
-            _ => return None, // MIN/MAX/SUM/AVG sinks take the tuple path
-        }
-    } else {
-        let mut cols = Vec::with_capacity(item_exprs.len());
-        for (expr, alias) in &item_exprs {
-            let Expr::Column(c) = expr else {
-                return None;
-            };
-            cols.push(resolve_col(db, &tables, c)?);
-            columns.push((*alias).clone().unwrap_or_else(|| c.to_string()));
-        }
-        SinkShape::Project {
-            cols,
-            distinct: s.distinct,
-        }
+    let [SelectItem::Expr { expr, alias }] = s.items.as_slice() else {
+        return None;
     };
+    let (sink, default_name) = match expr {
+        Expr::CountStar => (SinkShape::CountStar, "count(*)"),
+        Expr::CountDistinct(cols) => {
+            let cols = cols
+                .iter()
+                .map(|c| resolve_col(db, &tables, c))
+                .collect::<Option<Vec<_>>>()?;
+            (SinkShape::CountDistinct(cols), "count(distinct)")
+        }
+        _ => return None,
+    };
+    let column = alias.clone().unwrap_or_else(|| default_name.to_string());
 
-    // Conjuncts: cross-table equalities become the join, single-column
-    // literal shapes become code masks, the rest is residual.
+    // Every conjunct must be a cross-table column equality, which
+    // becomes a join pair; any filter takes the tuple path.
     let mut join_pairs = Vec::new();
-    let mut masks: Vec<MaskSpec<'q>> = Vec::new();
-    let mut residuals: Vec<&'q Expr> = Vec::new();
     for p in s.join_conds.iter().chain(s.where_clause.iter()) {
         for c in p.conjuncts() {
-            if c.contains_aggregate() {
-                return None; // tuple path reports the WHERE-aggregate error
+            let (a, b) = c.as_column_equality()?;
+            let (ta, aa) = resolve_col(db, &tables, a)?;
+            let (tb, ab) = resolve_col(db, &tables, b)?;
+            if ta == tb {
+                return None;
             }
-            if tables.len() == 2 {
-                if let Some((a, b)) = c.as_column_equality() {
-                    match (resolve_col(db, &tables, a), resolve_col(db, &tables, b)) {
-                        (Some((ta, aa)), Some((tb, ab))) if ta != tb => {
-                            join_pairs.push(if ta == 0 { (aa, ab) } else { (ab, aa) });
-                            continue;
-                        }
-                        (Some(_), Some(_)) => {} // same-table equality: filter below
-                        _ => return None,        // unresolvable — tuple path errors
-                    }
-                }
-            }
-            if let Some(col) = mask_column(c) {
-                let (tbl, attr) = resolve_col(db, &tables, col)?;
-                masks.push(MaskSpec { tbl, attr, expr: c });
-                continue;
-            }
-            residuals.push(c);
+            join_pairs.push(if ta == 0 { (aa, ab) } else { (ab, aa) });
         }
     }
-    // Two tables with no equality to join on: a cross product (or a
-    // residual-only join) — outside the batch model.
+    // Two tables with no equality to join on: a cross product.
     if tables.len() == 2 && join_pairs.is_empty() {
         return None;
     }
@@ -481,229 +160,28 @@ fn lower<'q>(db: &Database, s: &'q Select) -> Option<Plan<'q>> {
     Some(Plan {
         tables,
         join_pairs,
-        masks,
-        residuals,
         sink,
-        columns,
+        column,
     })
 }
 
-// ---- execution ---------------------------------------------------------
-
-/// A [`MaskSpec`] compiled against its column's dictionary: one truth
-/// evaluation per distinct value (`mask[0]` is the NULL verdict), then
-/// an array lookup per row.
-struct CompiledMask {
-    tbl: usize,
-    dict: Arc<ColumnDict>,
-    mask: Vec<bool>,
-}
-
-impl CompiledMask {
-    fn passes(&self, row: usize) -> bool {
-        self.mask[self.dict.codes()[row] as usize]
-    }
-}
-
-/// Distinct code-tuple accumulator, shaped by projection arity like
-/// [`dbre_relational::encode::EncodedSet`].
-enum DistinctSet {
-    /// One column: a seen-flag per code.
-    One { seen: Vec<bool>, n: usize },
-    /// Two columns: packed `u64` keys.
-    Two(FxHashSet<u64>),
-    /// Wider: the full code tuple.
-    Wide(FxHashSet<Box<[u32]>>),
-}
-
-impl DistinctSet {
-    fn len(&self) -> usize {
-        match self {
-            DistinctSet::One { n, .. } => *n,
-            DistinctSet::Two(s) => s.len(),
-            DistinctSet::Wide(s) => s.len(),
-        }
-    }
-}
-
-/// The terminal operator: consumes row batches, produces the result.
-enum Sink {
-    CountStar(usize),
-    /// `COUNT(DISTINCT …)`: code tuples, NULL-bearing tuples dropped
-    /// (SQL convention).
-    CountDistinct {
-        cols: Vec<(usize, Arc<ColumnDict>)>,
-        set: DistinctSet,
-    },
-    /// Plain projection in enumeration order; `seen` dedupes code
-    /// tuples when `DISTINCT` (first occurrence wins, like the tuple
-    /// path).
-    Project {
-        cols: Vec<(usize, Arc<ColumnDict>)>,
-        distinct: bool,
-        seen: FxHashSet<Box<[u32]>>,
-        rows: Vec<Box<[u32]>>,
-    },
-}
-
-impl Sink {
-    /// Consumes one batch: `rows[t]` holds the row ids of table `t`
-    /// (both entries alias the same slice for single-table plans).
-    // `i` indexes `rows[*t]` for a per-column table index `t`, so the
-    // iterator rewrite clippy suggests does not apply.
-    #[allow(clippy::needless_range_loop)]
-    fn consume(&mut self, rows: [&[u32]; 2]) {
-        match self {
-            Sink::CountStar(n) => *n += rows[0].len(),
-            Sink::CountDistinct { cols, set } => {
-                'tuples: for i in 0..rows[0].len() {
-                    match set {
-                        DistinctSet::One { seen, n } => {
-                            let (t, d) = &cols[0];
-                            let c = d.codes()[rows[*t][i] as usize];
-                            if c != NULL_CODE && !std::mem::replace(&mut seen[c as usize], true) {
-                                *n += 1;
-                            }
-                        }
-                        DistinctSet::Two(s) => {
-                            let (ta, da) = &cols[0];
-                            let (tb, db_) = &cols[1];
-                            let a = da.codes()[rows[*ta][i] as usize];
-                            let b = db_.codes()[rows[*tb][i] as usize];
-                            if a != NULL_CODE && b != NULL_CODE {
-                                s.insert((a as u64) << 32 | b as u64);
-                            }
-                        }
-                        DistinctSet::Wide(s) => {
-                            let mut key = Vec::with_capacity(cols.len());
-                            for (t, d) in cols.iter() {
-                                let c = d.codes()[rows[*t][i] as usize];
-                                if c == NULL_CODE {
-                                    continue 'tuples;
-                                }
-                                key.push(c);
-                            }
-                            s.insert(key.into_boxed_slice());
-                        }
-                    }
-                }
-            }
-            Sink::Project {
-                cols,
-                distinct,
-                seen,
-                rows: out,
-            } => {
-                for i in 0..rows[0].len() {
-                    let key: Box<[u32]> = cols
-                        .iter()
-                        .map(|(t, d)| d.codes()[rows[*t][i] as usize])
-                        .collect();
-                    if *distinct && !seen.insert(key.clone()) {
-                        continue;
-                    }
-                    out.push(key);
-                }
-            }
-        }
-    }
-}
-
-/// Compacts `xs` (and `ys`, when joined) down to the rows on which
-/// every residual conjunct is TRUE, one tuple-interpreter evaluation
-/// per row — the per-batch fallback boundary.
-fn filter_residuals(
-    db: &Database,
-    bindings: &mut [Binding],
-    residuals: &[&Expr],
-    xs: &mut Vec<u32>,
-    mut ys: Option<&mut Vec<u32>>,
-) -> SqlResult<()> {
-    let mut keep = Vec::with_capacity(xs.len());
-    for i in 0..xs.len() {
-        bindings[0].row = xs[i] as usize;
-        if let Some(ys) = ys.as_ref() {
-            bindings[1].row = ys[i] as usize;
-        }
-        let mut pass = true;
-        for r in residuals {
-            if eval_row_predicate(db, bindings, r)? != Some(true) {
-                pass = false;
-                break;
-            }
-        }
-        keep.push(pass);
-    }
-    let mut w = 0;
-    for i in 0..keep.len() {
-        if keep[i] {
-            xs[w] = xs[i];
-            if let Some(ys) = ys.as_mut() {
-                ys[w] = ys[i];
-            }
-            w += 1;
-        }
-    }
-    xs.truncate(w);
-    if let Some(ys) = ys {
-        ys.truncate(w);
-    }
-    Ok(())
-}
-
-/// Runs one lowered SELECT.
-fn batch_select(
-    db: &Database,
-    backend: &dyn CountBackend,
-    s: &Select,
-    report: &mut BatchReport,
-) -> SqlResult<Option<SelectOut>> {
-    let Some(plan) = lower(db, s) else {
-        return Ok(None);
-    };
-    if plan.masks.is_empty() && plan.residuals.is_empty() {
-        if let Some(out) = lower_set_algebraic(db, backend, &plan, report) {
-            return Ok(Some(out));
-        }
-    }
-    exec_plan(db, backend, &plan, report)
-}
-
-/// A one-row count result.
-fn scalar(plan: &Plan<'_>, n: usize) -> SelectOut {
-    SelectOut::Rows(ResultSet {
-        columns: plan.columns.clone(),
-        rows: vec![vec![Value::Int(n as i64)]],
-    })
-}
-
-/// Tier one: probes that *are* the `‖·‖` primitives lower straight
-/// onto the backend's counting kernels — no row enumeration at all.
-fn lower_set_algebraic(
-    db: &Database,
-    backend: &dyn CountBackend,
-    plan: &Plan<'_>,
-    report: &mut BatchReport,
-) -> Option<SelectOut> {
-    match (&plan.sink, plan.tables.len()) {
+/// Serves a lowered plan from the backend's counting kernels — no row
+/// enumeration at all. `None` for the join shapes that are not a
+/// `‖·‖` primitive (`COUNT(*)` over a join, or counted columns other
+/// than one side's join columns).
+fn lower_set_algebraic(db: &Database, backend: &dyn CountBackend, plan: &Plan) -> Option<usize> {
+    match (&plan.sink, plan.tables.as_slice()) {
         // SELECT COUNT(*) FROM r — the table length.
-        (SinkShape::CountStar, 1) => {
-            report.batch_ops += 1;
-            Some(scalar(plan, plan.tables[0].rows))
-        }
+        (SinkShape::CountStar, [t]) => Some(db.table(t.rel).len()),
         // SELECT COUNT(DISTINCT x.a…) FROM r x — `‖r[A]‖`.
-        (SinkShape::CountDistinct(cols), 1) => {
+        (SinkShape::CountDistinct(cols), [t]) => {
             let attrs: Vec<AttrId> = cols.iter().map(|&(_, a)| a).collect();
-            report.batch_ops += 1;
-            Some(scalar(
-                plan,
-                backend.count_distinct(db, plan.tables[0].rel, &attrs),
-            ))
+            Some(backend.count_distinct(db, t.rel, &attrs))
         }
         // SELECT COUNT(DISTINCT x.a…) FROM r x, s y WHERE x.a… = y.b…
         // with the counted columns exactly one side's join columns —
         // `‖r[A] ⋈ s[B]‖`, served by the intersection kernel.
-        (SinkShape::CountDistinct(cols), 2) => {
+        (SinkShape::CountDistinct(cols), [_, _]) => {
             let side = cols.first()?.0;
             if !cols.iter().all(|&(t, _)| t == side) {
                 return None;
@@ -716,260 +194,17 @@ fn lower_set_algebraic(
                     .collect()
             };
             if counted != pair_side(side) {
-                return None; // counted ≠ join columns: enumerate instead
+                return None;
             }
             let join = EquiJoin::try_new(
                 IndSide::new(plan.tables[side].rel, counted),
                 IndSide::new(plan.tables[1 - side].rel, pair_side(1 - side)),
             )
             .ok()?;
-            report.batch_ops += 1;
-            Some(scalar(plan, backend.join_stats(db, &join).n_join))
+            Some(backend.join_stats(db, &join).n_join)
         }
         _ => None,
     }
-}
-
-/// Tier two: batched scan / hash-join enumeration feeding the sink.
-/// Returns `Ok(None)` when the plan cannot be executed safely in the
-/// batch model — the caller falls back to the tuple interpreter.
-fn exec_plan(
-    db: &Database,
-    backend: &dyn CountBackend,
-    plan: &Plan<'_>,
-    report: &mut BatchReport,
-) -> SqlResult<Option<SelectOut>> {
-    // Defense in depth for the u32 row-id model: `lower()` refuses
-    // oversized tables at plan time, but the selection loop and the
-    // join bucket builds below all push `row as u32`. Re-check the
-    // captured row counts so a plan that arrives oversized (a future
-    // lowering path that forgets the guard) aborts cleanly to the
-    // tuple path instead of silently truncating row ids.
-    if plan.tables.iter().any(|t| t.rows > u32::MAX as usize) {
-        return Ok(None);
-    }
-
-    let dict_of = |tbl: usize, attr: AttrId| -> Arc<ColumnDict> {
-        let t = &plan.tables[tbl];
-        backend
-            .column_dict(db, t.rel, attr)
-            .unwrap_or_else(|| Arc::new(ColumnDict::build(db.table(t.rel).column(attr))))
-    };
-
-    let masks: Vec<CompiledMask> = plan
-        .masks
-        .iter()
-        .map(|m| {
-            let dict = dict_of(m.tbl, m.attr);
-            let mut mask = Vec::with_capacity(dict.cardinality() + 1);
-            mask.push(eval_simple_pred(m.expr, &Value::Null) == Some(true));
-            for v in dict.distinct_values() {
-                mask.push(eval_simple_pred(m.expr, v) == Some(true));
-            }
-            CompiledMask {
-                tbl: m.tbl,
-                dict,
-                mask,
-            }
-        })
-        .collect();
-
-    let sink_cols = |cols: &[(usize, AttrId)]| -> Vec<(usize, Arc<ColumnDict>)> {
-        cols.iter().map(|&(t, a)| (t, dict_of(t, a))).collect()
-    };
-    let mut sink = match &plan.sink {
-        SinkShape::CountStar => Sink::CountStar(0),
-        SinkShape::CountDistinct(cols) => {
-            let cols = sink_cols(cols);
-            let set = match cols.as_slice() {
-                [(_, d)] => DistinctSet::One {
-                    seen: vec![false; d.cardinality() + 1],
-                    n: 0,
-                },
-                [_, _] => DistinctSet::Two(FxHashSet::default()),
-                _ => DistinctSet::Wide(FxHashSet::default()),
-            };
-            Sink::CountDistinct { cols, set }
-        }
-        SinkShape::Project { cols, distinct } => Sink::Project {
-            cols: sink_cols(cols),
-            distinct: *distinct,
-            seen: FxHashSet::default(),
-            rows: Vec::new(),
-        },
-    };
-
-    let mut bindings: Vec<Binding> = plan
-        .tables
-        .iter()
-        .map(|t| Binding {
-            name: t.name.clone(),
-            rel: t.rel,
-            row: 0,
-        })
-        .collect();
-
-    if plan.tables.len() == 1 {
-        let rows = plan.tables[0].rows;
-        let mut sel: Vec<u32> = Vec::with_capacity(BATCH_SIZE.min(rows));
-        let mut start = 0usize;
-        while start < rows {
-            let end = (start + BATCH_SIZE).min(rows);
-            sel.clear();
-            'rows: for row in start..end {
-                for m in &masks {
-                    if !m.passes(row) {
-                        continue 'rows;
-                    }
-                }
-                sel.push(row as u32);
-            }
-            report.batch_ops += 1;
-            if !plan.residuals.is_empty() && !sel.is_empty() {
-                report.fallback_ops += 1;
-                filter_residuals(db, &mut bindings, &plan.residuals, &mut sel, None)?;
-            }
-            sink.consume([&sel, &sel]);
-            start = end;
-        }
-    } else {
-        join_plan(db, plan, &dict_of, &masks, &mut bindings, &mut sink, report)?;
-    }
-
-    Ok(Some(match sink {
-        Sink::CountStar(n) => scalar(plan, n),
-        Sink::CountDistinct { set, .. } => scalar(plan, set.len()),
-        Sink::Project { cols, rows, .. } => SelectOut::Coded(CodedRows {
-            columns: plan.columns.clone(),
-            dicts: cols.into_iter().map(|(_, d)| d).collect(),
-            rows,
-        }),
-    }))
-}
-
-/// The two-table path: build code buckets over table 1 (its masks
-/// applied at build time), then probe with table 0's codes through a
-/// [`code_translation`] table — NULLs and untranslatable codes never
-/// match, like SQL equality. Pair order is the tuple path's
-/// enumeration order: table 0 ascending, matches ascending within.
-fn join_plan(
-    db: &Database,
-    plan: &Plan<'_>,
-    dict_of: &dyn Fn(usize, AttrId) -> Arc<ColumnDict>,
-    masks: &[CompiledMask],
-    bindings: &mut [Binding],
-    sink: &mut Sink,
-    report: &mut BatchReport,
-) -> SqlResult<()> {
-    let pair_dicts: Vec<(Arc<ColumnDict>, Arc<ColumnDict>)> = plan
-        .join_pairs
-        .iter()
-        .map(|&(a, b)| (dict_of(0, a), dict_of(1, b)))
-        .collect();
-    let build_rows = plan.tables[1].rows;
-    let probe_rows = plan.tables[0].rows;
-    let build_pass = |row: usize| masks.iter().all(|m| m.tbl != 1 || m.passes(row));
-    let probe_pass = |row: usize| masks.iter().all(|m| m.tbl != 0 || m.passes(row));
-
-    let mut xs: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-    let mut ys: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
-    let flush = |xs: &mut Vec<u32>,
-                 ys: &mut Vec<u32>,
-                 sink: &mut Sink,
-                 report: &mut BatchReport,
-                 bindings: &mut [Binding]|
-     -> SqlResult<()> {
-        if xs.is_empty() {
-            return Ok(());
-        }
-        report.batch_ops += 1;
-        if !plan.residuals.is_empty() {
-            report.fallback_ops += 1;
-            filter_residuals(db, bindings, &plan.residuals, xs, Some(ys))?;
-        }
-        sink.consume([xs, ys]);
-        xs.clear();
-        ys.clear();
-        Ok(())
-    };
-
-    if let [(xd, yd)] = pair_dicts.as_slice() {
-        // Single join pair: dense buckets over the build side's code
-        // domain, probes translated through one lookup table.
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); yd.cardinality() + 1];
-        for row in 0..build_rows {
-            let c = yd.codes()[row];
-            if c != NULL_CODE && build_pass(row) {
-                buckets[c as usize].push(row as u32);
-            }
-        }
-        let trans = code_translation(xd, yd);
-        for xrow in 0..probe_rows {
-            if !probe_pass(xrow) {
-                continue;
-            }
-            let yc = trans[xd.codes()[xrow] as usize];
-            if yc == NULL_CODE {
-                continue; // NULL or untranslatable: joins nothing
-            }
-            for &yrow in &buckets[yc as usize] {
-                xs.push(xrow as u32);
-                ys.push(yrow);
-                if xs.len() >= BATCH_SIZE {
-                    flush(&mut xs, &mut ys, sink, report, bindings)?;
-                }
-            }
-        }
-    } else {
-        // Composite key: hash buckets over the build side's code
-        // tuples, probes translated per position.
-        let mut buckets: FxHashMap<Box<[u32]>, Vec<u32>> = FxHashMap::default();
-        let mut key: Vec<u32> = Vec::with_capacity(pair_dicts.len());
-        'build: for row in 0..build_rows {
-            key.clear();
-            for (_, yd) in &pair_dicts {
-                let c = yd.codes()[row];
-                if c == NULL_CODE {
-                    continue 'build;
-                }
-                key.push(c);
-            }
-            if build_pass(row) {
-                buckets
-                    .entry(key.as_slice().into())
-                    .or_default()
-                    .push(row as u32);
-            }
-        }
-        let trans: Vec<Vec<u32>> = pair_dicts
-            .iter()
-            .map(|(xd, yd)| code_translation(xd, yd))
-            .collect();
-        'probe: for xrow in 0..probe_rows {
-            if !probe_pass(xrow) {
-                continue;
-            }
-            key.clear();
-            for ((xd, _), t) in pair_dicts.iter().zip(&trans) {
-                let yc = t[xd.codes()[xrow] as usize];
-                if yc == NULL_CODE {
-                    continue 'probe;
-                }
-                key.push(yc);
-            }
-            let Some(rows) = buckets.get(key.as_slice()) else {
-                continue;
-            };
-            for &yrow in rows {
-                xs.push(xrow as u32);
-                ys.push(yrow);
-                if xs.len() >= BATCH_SIZE {
-                    flush(&mut xs, &mut ys, sink, report, bindings)?;
-                }
-            }
-        }
-    }
-    flush(&mut xs, &mut ys, sink, report, bindings)
 }
 
 #[cfg(test)]
@@ -993,38 +228,40 @@ mod tests {
         cat.into_database()
     }
 
-    /// Runs `sql` on both paths and asserts identical results; returns
-    /// the batch report (the batch path must accept the query).
-    fn check(db: &Database, sql: &str) -> BatchReport {
-        let q = parse_query(sql).unwrap();
-        let mut report = BatchReport::default();
-        let batch = execute_query_batch(db, &ReferenceBackend, &q, &mut report)
-            .unwrap()
-            .unwrap_or_else(|| panic!("batch path rejected: {sql}"));
-        let tuple = run_sql(db, sql).unwrap();
-        assert_eq!(batch, tuple, "batch != tuple for: {sql}");
-        report
+    fn lowered(db: &Database, sql: &str) -> Option<ResultSet> {
+        execute_query_batch(db, &ReferenceBackend, &parse_query(sql).unwrap())
+    }
+
+    /// Asserts that `sql` lowers and that the lowering answers exactly
+    /// like the tuple interpreter.
+    fn check(db: &Database, sql: &str) {
+        let out = lowered(db, sql).unwrap_or_else(|| panic!("not lowered: {sql}"));
+        assert_eq!(
+            out,
+            run_sql(db, sql).unwrap(),
+            "lowered != tuple for: {sql}"
+        );
     }
 
     #[test]
     fn tier_one_lowers_counts_without_enumeration() {
         let db = db();
-        // ‖A[x]‖, ‖A[x,y]‖, COUNT(*), and the join count all lower in
-        // one batch op each (three statements in the join probe shape).
-        assert_eq!(
-            check(&db, "SELECT COUNT(DISTINCT x.x) FROM A x").batch_ops,
-            1
-        );
-        assert_eq!(
-            check(&db, "SELECT COUNT(DISTINCT x.x, x.y) FROM A x").batch_ops,
-            1
-        );
-        assert_eq!(check(&db, "SELECT COUNT(*) FROM A x").batch_ops, 1);
-        let r = check(
+        check(&db, "SELECT COUNT(DISTINCT x.x) FROM A x");
+        check(&db, "SELECT COUNT(DISTINCT x.x, x.y) FROM A x");
+        check(&db, "SELECT COUNT(*) FROM A x");
+        check(
             &db,
             "SELECT COUNT(DISTINCT x.x) FROM A x, B y WHERE x.x = y.u",
         );
-        assert_eq!((r.batch_ops, r.fallback_ops), (1, 0));
+        // Either side may be counted; an alias names the column.
+        check(
+            &db,
+            "SELECT COUNT(DISTINCT y.u) AS n FROM A x, B y WHERE x.x = y.u",
+        );
+        check(
+            &db,
+            "SELECT COUNT(DISTINCT x.x) FROM A x JOIN B y ON y.u = x.x",
+        );
         // Composite join pair, counted columns = join columns.
         check(
             &db,
@@ -1033,125 +270,27 @@ mod tests {
     }
 
     #[test]
-    fn oversized_tables_abort_to_tuple_path_instead_of_truncating() {
-        let db = db();
-        // A join shape whose execution would hit both the selection
-        // loop and the hash-join bucket `row as u32` casts.
-        let q = parse_query("SELECT COUNT(DISTINCT x.y) FROM A x, B y WHERE x.x = y.u").unwrap();
-        let mut plan = lower(&db, &q.body).expect("plan lowers");
-        // Mock a table too large for the u32 row-id model. `lower()`
-        // refuses such tables up front; this exercises the exec_plan
-        // defense-in-depth guard directly.
-        plan.tables[0].rows = u32::MAX as usize + 2;
-        let mut report = BatchReport::default();
-        let out = exec_plan(&db, &ReferenceBackend, &plan, &mut report).unwrap();
-        assert!(out.is_none(), "oversized plan must abort, not truncate");
-
-        // Single-table shape: same guard covers the selection loop.
-        let q = parse_query("SELECT COUNT(*) FROM A x WHERE x.x = 1").unwrap();
-        let mut plan = lower(&db, &q.body).expect("plan lowers");
-        plan.tables[0].rows = u32::MAX as usize + 2;
-        let out = exec_plan(&db, &ReferenceBackend, &plan, &mut report).unwrap();
-        assert!(out.is_none(), "oversized plan must abort, not truncate");
-    }
-
-    #[test]
-    fn tier_two_enumerates_with_masks_and_joins() {
-        let db = db();
-        // Counted columns differ from the join columns: enumeration.
-        check(
-            &db,
-            "SELECT COUNT(DISTINCT x.y) FROM A x, B y WHERE x.x = y.u",
-        );
-        check(&db, "SELECT COUNT(*) FROM A x, B y WHERE x.x = y.u");
-        // Masks: literal comparisons, IS NULL, IN lists.
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.x = 1");
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.x > 1 AND x.s = 'a'");
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.y IS NULL");
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.y IS NOT NULL");
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.x IN (1, 3)");
-        check(&db, "SELECT COUNT(*) FROM A x WHERE x.x NOT IN (1, NULL)");
-        check(&db, "SELECT COUNT(DISTINCT x.s) FROM A x WHERE x.x = 1");
-        // Projections, with and without DISTINCT, preserve order.
-        check(&db, "SELECT x.x, x.s FROM A x WHERE x.y = 1");
-        check(&db, "SELECT DISTINCT x.x FROM A x");
-        check(&db, "SELECT x.x, y.v FROM A x, B y WHERE x.x = y.u");
-        check(
-            &db,
-            "SELECT DISTINCT x.s, y.v FROM A x, B y WHERE x.x = y.u AND y.v < 9",
-        );
-    }
-
-    #[test]
-    fn residuals_fall_back_per_batch() {
-        let db = db();
-        // x.x = x.y is no mask shape: residual via the tuple seam.
-        let r = check(&db, "SELECT COUNT(*) FROM A x WHERE x.x = x.y");
-        assert!(r.fallback_ops > 0, "expected residual fallback");
-        // Correlated subquery residual on top of a batch join.
-        let r = check(
-            &db,
-            "SELECT COUNT(*) FROM A x WHERE x.x IN (SELECT y.u FROM B y)",
-        );
-        assert!(r.fallback_ops > 0);
-    }
-
-    #[test]
-    fn set_operations_match_tuple_path() {
-        let db = db();
-        check(&db, "SELECT x.x FROM A x INTERSECT SELECT y.u FROM B y");
-        check(&db, "SELECT x.x FROM A x UNION SELECT y.u FROM B y");
-        // NULL rows intersect structurally (NULL = NULL matches here).
-        check(&db, "SELECT x.y FROM A x INTERSECT SELECT x.y FROM A x");
-        // Right-associative chain.
-        check(
-            &db,
-            "SELECT x.x FROM A x UNION SELECT y.u FROM B y INTERSECT SELECT y.v FROM B y",
-        );
-    }
-
-    #[test]
-    fn out_of_model_shapes_are_rejected_not_wrong() {
+    fn other_shapes_are_left_to_the_tuple_interpreter() {
         let db = db();
         for sql in [
-            "SELECT * FROM A x",                          // wildcard
-            "SELECT MIN(x.x) FROM A x",                   // non-count agg
-            "SELECT x.x FROM A x ORDER BY x.x",           // ordering
-            "SELECT x.x, COUNT(*) FROM A x GROUP BY x.x", // grouping
-            "SELECT COUNT(*) FROM A x, B y",              // cross product
-            "SELECT ghost.z FROM A x",                    // unresolvable
+            "SELECT * FROM A x",                                        // wildcard
+            "SELECT x.x FROM A x",                                      // projection
+            "SELECT DISTINCT x.x, x.s FROM A x",                        // projection
+            "SELECT MIN(x.x) FROM A x",                                 // non-count agg
+            "SELECT COUNT(*), COUNT(DISTINCT x.x) FROM A x",            // two items
+            "SELECT x.x FROM A x ORDER BY x.x",                         // ordering
+            "SELECT x.x, COUNT(*) FROM A x GROUP BY x.x",               // grouping
+            "SELECT COUNT(*) FROM A x WHERE x.x = 1",                   // filter
+            "SELECT COUNT(*) FROM A x WHERE x.x = x.y",                 // same-table equality
+            "SELECT COUNT(*) FROM A x, B y",                            // cross product
+            "SELECT COUNT(*) FROM A x, B y WHERE x.x = y.u",            // join COUNT(*)
+            "SELECT COUNT(DISTINCT x.y) FROM A x, B y WHERE x.x = y.u", // counted ≠ join cols
+            "SELECT COUNT(DISTINCT x.x) FROM A x, B y WHERE x.x = y.u AND y.v = 1", // filter
+            "SELECT x.x FROM A x INTERSECT SELECT y.u FROM B y",        // set operation
+            "SELECT COUNT(DISTINCT ghost.z) FROM A x",                  // unresolvable
+            "SELECT COUNT(*) FROM A x, A x",                            // duplicate binding
         ] {
-            let q = parse_query(sql).unwrap();
-            let mut report = BatchReport::default();
-            let out = execute_query_batch(&db, &ReferenceBackend, &q, &mut report).unwrap();
-            assert!(out.is_none(), "batch path should reject: {sql}");
+            assert!(lowered(&db, sql).is_none(), "should not lower: {sql}");
         }
-    }
-
-    #[test]
-    fn batches_flush_correctly_past_batch_size() {
-        // More output pairs than BATCH_SIZE: a skewed join whose hot
-        // key fans out 64 × 64 = 4096 pairs.
-        let mut cat = Catalog::new();
-        let mut script = String::from("CREATE TABLE L (k INT); CREATE TABLE R (k INT, t INT);");
-        script.push_str("INSERT INTO L VALUES (1)");
-        for _ in 1..64 {
-            script.push_str(", (1)");
-        }
-        script.push(';');
-        script.push_str("INSERT INTO R VALUES (1, 0)");
-        for i in 1..64 {
-            script.push_str(&format!(", (1, {i})"));
-        }
-        script.push(';');
-        cat.load_script(&script).unwrap();
-        let db = cat.into_database();
-        let r = check(&db, "SELECT x.k, y.t FROM L x, R y WHERE x.k = y.k");
-        assert!(r.batch_ops >= 4, "expected multiple flushes: {r:?}");
-        check(&db, "SELECT COUNT(*) FROM L x, R y WHERE x.k = y.k");
-        check(
-            &db,
-            "SELECT COUNT(DISTINCT y.t) FROM L x, R y WHERE x.k = y.k",
-        );
     }
 }

@@ -30,7 +30,7 @@ use dbre_relational::schema::RelId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::batch::{execute_query_batch, BatchReport};
+use crate::batch::execute_query_batch;
 use crate::executor::{execute_query, ResultSet};
 use crate::{run_sql, SqlResult};
 
@@ -111,12 +111,12 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
 /// `SELECT COUNT(DISTINCT …)` through this crate's executor, the way a
 /// DBRE tool would interrogate a live legacy DBMS.
 ///
-/// Statements execute on the batch path
-/// ([`crate::batch::execute_query_batch`]) backed by an owned
-/// [`EncodedBackend`] — the probe shapes lower straight onto the
-/// dictionary-code kernels, so the dictionaries built for one probe
-/// serve every later probe touching the same columns. Queries the
-/// batch model cannot express run through the tuple interpreter;
+/// Every statement is parsed, then executed through its tier-1
+/// lowering ([`crate::batch::execute_query_batch`]) onto an owned
+/// [`EncodedBackend`] — the generated probe shapes are exactly the
+/// lowered ones, so the dictionaries built for one probe serve every
+/// later probe touching the same columns. A statement without a
+/// lowering runs on the tuple interpreter;
 /// [`SqlBackend::exec_stats`] reports how often each path served.
 ///
 /// The backend trait is infallible by design (counting cannot fail on
@@ -128,7 +128,7 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
 #[derive(Default)]
 pub struct SqlBackend {
     reference: ReferenceBackend,
-    /// Dictionary caches + counting kernels behind the batch executor.
+    /// Dictionary caches + counting kernels behind the lowering.
     encoded: EncodedBackend,
     failures: AtomicU64,
     batch_ops: AtomicU64,
@@ -166,18 +166,13 @@ impl SqlBackend {
         self.failures.load(Ordering::Relaxed)
     }
 
-    /// Executes one generated statement: batch path first, whole-query
-    /// tuple interpretation when the shape (or an execution error)
-    /// falls outside the batch model. Each path's use is counted.
+    /// Executes one generated statement: its tier-1 lowering when it
+    /// has one, the tuple interpreter otherwise. Each path's use is
+    /// counted.
     fn run_probe(&self, db: &Database, sql: &str) -> SqlResult<ResultSet> {
         let query = crate::parser::parse_query(sql)?;
-        let mut report = BatchReport::default();
-        let batch = execute_query_batch(db, &self.encoded, &query, &mut report);
-        self.batch_ops
-            .fetch_add(report.batch_ops, Ordering::Relaxed);
-        self.tuple_ops
-            .fetch_add(report.fallback_ops, Ordering::Relaxed);
-        if let Ok(Some(rs)) = batch {
+        if let Some(rs) = execute_query_batch(db, &self.encoded, &query) {
+            self.batch_ops.fetch_add(1, Ordering::Relaxed);
             return Ok(rs);
         }
         self.tuple_ops.fetch_add(1, Ordering::Relaxed);
@@ -200,8 +195,7 @@ impl SqlBackend {
         }
     }
 
-    /// The three IND-Discovery cardinalities via generated SQL on the
-    /// batch path.
+    /// The three IND-Discovery cardinalities via generated SQL.
     fn join_stats_probe(&self, db: &Database, join: &EquiJoin) -> SqlResult<JoinStats> {
         let n_left = self
             .run_probe(db, &count_side_sql(db, &join.left))?
@@ -297,6 +291,7 @@ mod tests {
         let backend = SqlBackend::new();
         let stats = backend.join_stats(&db, &join);
         assert_eq!(stats, ReferenceBackend.join_stats(&db, &join));
+        assert_eq!(stats, join_stats_via_sql(&db, &join).unwrap());
         assert_eq!(stats.n_join, 2); // pairs (1,1) and (2,1)
         assert_eq!(backend.failures(), 0, "no statement fell back");
     }

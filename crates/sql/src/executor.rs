@@ -1,14 +1,11 @@
 //! A tuple-at-a-time executor for the SQL subset.
 //!
 //! Fidelity, not speed, is the goal: this interpreter is the semantic
-//! oracle for the crate. The fast path is the columnar/batch executor
-//! in [`crate::batch`], which lowers the supported query shapes onto
-//! the dictionary-code kernels of [`dbre_relational::encode`] and
-//! falls back *per batch* to the row predicate evaluation here
-//! (`eval_row_predicate`) for anything it cannot express — correlated
-//! `IN`/`EXISTS`, three-valued `WHERE` residuals. [`execute_query`]
-//! and [`run_sql`] always take the tuple path, so differential tests
-//! can pin the batch executor against it.
+//! oracle for the crate. The fast path is the tier-1 lowering in
+//! [`crate::batch`], which serves the generated `‖·‖` count shapes
+//! from the counting kernels and leaves every other query to this
+//! interpreter. [`execute_query`] and [`run_sql`] always take the
+//! tuple path, so tests can pin the lowering against it.
 //!
 //! Supported: cross joins (nested loops), `JOIN … ON`, `WHERE` with
 //! three-valued logic, correlated `IN`/`EXISTS` subqueries,
@@ -62,33 +59,11 @@ pub fn run_sql(db: &Database, sql: &str) -> SqlResult<ResultSet> {
 }
 
 /// One bound table in a scope: binding name, relation, current row.
-/// `pub(crate)` so the batch executor can stage rows for its residual
-/// fallback through [`eval_row_predicate`].
 #[derive(Debug, Clone)]
-pub(crate) struct Binding {
-    pub(crate) name: String,
-    pub(crate) rel: RelId,
-    pub(crate) row: usize,
-}
-
-/// Evaluates `e` as a top-level row predicate (three-valued: `None` is
-/// UNKNOWN) with each FROM table positioned on its current row — the
-/// seam through which the batch executor hands one surviving row at a
-/// time back to this interpreter for predicates the batch path cannot
-/// express. Subqueries inside `e` see `bindings` as their outer scope,
-/// exactly as they would mid-enumeration.
-pub(crate) fn eval_row_predicate(
-    db: &Database,
-    bindings: &[Binding],
-    e: &Expr,
-) -> SqlResult<Option<bool>> {
-    let exec = Executor { db };
-    let mut scope = ScopeStack {
-        exec: &exec,
-        scopes: &[],
-        inner: bindings,
-    };
-    scope.eval_predicate(e)
+struct Binding {
+    name: String,
+    rel: RelId,
+    row: usize,
 }
 
 struct Executor<'a> {

@@ -27,7 +27,7 @@ pub mod parser;
 pub mod token;
 
 pub use ast::{ColumnRef, Expr, Query, Select, Statement};
-pub use batch::{execute_query_batch, BatchReport};
+pub use batch::execute_query_batch;
 pub use catalog::Catalog;
 pub use counts::{count_join_sql, count_side_sql, join_stats_via_sql, SqlBackend};
 pub use error::{SqlError, SqlResult};

@@ -30,8 +30,7 @@ use dbre_relational::pages::PagedBackend;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
-use dbre_sql::batch::{execute_query_batch, BatchReport};
-use dbre_sql::{execute_query, parse_query, SqlBackend};
+use dbre_sql::SqlBackend;
 use proptest::prelude::*;
 
 // ---- generators (collision/NULL/NaN-biased, like encode_differential)
@@ -252,224 +251,5 @@ proptest! {
             paged.exec_stats().fallback_failures, 0,
             "paged probes must stream, not fall back"
         );
-    }
-}
-
-// ---- batch-vs-tuple query differential ---------------------------------
-//
-// The properties above pin the counting seam; these pin the *executor*:
-// every generated in-model query must produce byte-identical results on
-// the batch path and the tuple interpreter, over the same NULL-heavy /
-// NaN-biased tables. The generators deliberately cover both NULL
-// conventions the executor implements — `COUNT(DISTINCT …)` drops
-// NULL-bearing tuples (SQL counting convention), while `DISTINCT`
-// projections and set operations compare rows structurally, where a
-// NULL row *does* equal a NULL row.
-
-/// A literal in generated SQL text (NULL included: comparisons against
-/// it must stay UNKNOWN on both paths).
-fn literal() -> impl Strategy<Value = String> {
-    prop_oneof![
-        (0i64..4).prop_map(|i| i.to_string()),
-        Just("'a'".to_string()),
-        Just("'b'".to_string()),
-        Just("0.5".to_string()),
-        Just("NULL".to_string()),
-    ]
-}
-
-/// One WHERE conjunct, with column indices resolved modulo the actual
-/// arity at render time (the vendored proptest has no `flat_map`):
-/// mask-compilable shapes plus the same-table column equality that
-/// forces the batch path through its per-batch residual fallback.
-#[derive(Debug, Clone)]
-enum PredSpec {
-    Cmp(usize, usize, String),
-    IsNull(usize, bool),
-    InList(usize, bool, Vec<String>),
-    ColEq(usize, usize),
-}
-
-const CMP_OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
-
-impl PredSpec {
-    fn render(&self, alias: &str, arity: usize) -> String {
-        let col = |i: usize| format!("{alias}.c{}", i % arity);
-        match self {
-            PredSpec::Cmp(c, op, lit) => format!("{} {} {lit}", col(*c), CMP_OPS[*op]),
-            PredSpec::IsNull(c, negated) => {
-                format!("{} IS {}NULL", col(*c), if *negated { "NOT " } else { "" })
-            }
-            PredSpec::InList(c, negated, lits) => format!(
-                "{} {}IN ({})",
-                col(*c),
-                if *negated { "NOT " } else { "" },
-                lits.join(", ")
-            ),
-            PredSpec::ColEq(a, b) => format!("{} = {}", col(*a), col(*b)),
-        }
-    }
-}
-
-fn pred_spec() -> impl Strategy<Value = PredSpec> {
-    prop_oneof![
-        (0usize..4, 0usize..6, literal()).prop_map(|(c, o, l)| PredSpec::Cmp(c, o, l)),
-        (0usize..4, any::<bool>()).prop_map(|(c, n)| PredSpec::IsNull(c, n)),
-        (
-            0usize..4,
-            any::<bool>(),
-            prop::collection::vec(literal(), 1..4)
-        )
-            .prop_map(|(c, n, ls)| PredSpec::InList(c, n, ls)),
-        (0usize..4, 0usize..4).prop_map(|(a, b)| PredSpec::ColEq(a, b)),
-    ]
-}
-
-/// The projection/aggregate list, column indices modulo arity.
-#[derive(Debug, Clone)]
-enum SinkSpec {
-    CountStar,
-    CountDistinct(Vec<usize>),
-    Project(Vec<usize>, bool),
-}
-
-impl SinkSpec {
-    fn render(&self, alias: &str, arity: usize) -> String {
-        let cols = |ix: &[usize]| {
-            ix.iter()
-                .map(|i| format!("{alias}.c{}", i % arity))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        match self {
-            SinkSpec::CountStar => "COUNT(*)".to_string(),
-            SinkSpec::CountDistinct(ix) => format!("COUNT(DISTINCT {})", cols(ix)),
-            SinkSpec::Project(ix, distinct) => {
-                format!("{}{}", if *distinct { "DISTINCT " } else { "" }, cols(ix))
-            }
-        }
-    }
-}
-
-fn sink_spec() -> impl Strategy<Value = SinkSpec> {
-    prop_oneof![
-        Just(SinkSpec::CountStar),
-        prop::collection::vec(0usize..4, 1..3).prop_map(SinkSpec::CountDistinct),
-        (prop::collection::vec(0usize..4, 1..3), any::<bool>())
-            .prop_map(|(ix, d)| SinkSpec::Project(ix, d)),
-    ]
-}
-
-/// Executes `sql` on both paths and asserts identical results. The
-/// generated shapes are all inside the batch model, so `None` (shape
-/// rejection) is a failure here, not a fallback.
-fn assert_batch_matches_tuple(db: &Database, sql: &str) -> Result<(), TestCaseError> {
-    let q = parse_query(sql).expect("generated SQL parses");
-    let backend = EncodedBackend::new();
-    let mut report = BatchReport::default();
-    let batch = execute_query_batch(db, &backend, &q, &mut report)
-        .expect("batch execution succeeds")
-        .unwrap_or_else(|| panic!("batch path rejected in-model query: {sql}"));
-    let tuple = execute_query(db, &q).expect("tuple execution succeeds");
-    prop_assert_eq!(batch, tuple, "batch != tuple for: {}", sql);
-    Ok(())
-}
-
-proptest! {
-    /// Single-table scans: counts, DISTINCT counts, projections (plain
-    /// and DISTINCT, order-sensitive), masks and residuals.
-    #[test]
-    fn batch_single_table_matches_tuple(
-        arity in 1usize..4,
-        rows in raw_rows(4),
-        sink in sink_spec(),
-        preds in prop::collection::vec(pred_spec(), 0..3),
-    ) {
-        let t = make_table(arity, rows);
-        let (db, _) = db_of(&[&t]);
-        let mut sql = format!("SELECT {} FROM T0 x", sink.render("x", arity));
-        if !preds.is_empty() {
-            let parts: Vec<String> = preds.iter().map(|p| p.render("x", arity)).collect();
-            sql.push_str(&format!(" WHERE {}", parts.join(" AND ")));
-        }
-        assert_batch_matches_tuple(&db, &sql)?;
-    }
-
-    /// Two-table equi-joins: translated hash probes, both counting and
-    /// enumeration sinks, masks/residuals on either side.
-    #[test]
-    fn batch_join_matches_tuple(
-        la in 1usize..4,
-        ra in 1usize..4,
-        lrows in raw_rows(3),
-        rrows in raw_rows(3),
-        pairs in prop::collection::vec((0usize..3, 0usize..3), 1..3),
-        count_left in any::<bool>(),
-        star in any::<bool>(),
-        preds in prop::collection::vec((pred_spec(), any::<bool>()), 0..3),
-    ) {
-        let lt = make_table(la, lrows);
-        let rt = make_table(ra, rrows);
-        let (db, _) = db_of(&[&lt, &rt]);
-        let mut conds: Vec<String> = pairs
-            .iter()
-            .map(|&(i, j)| format!("x.c{} = y.c{}", i % la, j % ra))
-            .collect();
-        for (p, on_left) in &preds {
-            conds.push(if *on_left {
-                p.render("x", la)
-            } else {
-                p.render("y", ra)
-            });
-        }
-        let sink = if star {
-            "COUNT(*)".to_string()
-        } else if count_left {
-            // Counted columns = the left join columns: the shape that
-            // lowers onto the intersection kernel when unmasked.
-            let cols: Vec<String> = pairs.iter().map(|&(i, _)| format!("x.c{}", i % la)).collect();
-            format!("COUNT(DISTINCT {})", cols.join(", "))
-        } else {
-            let cols: Vec<String> = pairs.iter().map(|&(_, j)| format!("y.c{}", j % ra)).collect();
-            format!("DISTINCT {}", cols.join(", "))
-        };
-        let sql = format!(
-            "SELECT {sink} FROM T0 x, T1 y WHERE {}",
-            conds.join(" AND ")
-        );
-        assert_batch_matches_tuple(&db, &sql)?;
-    }
-
-    /// Set operations: structural NULL equality, dedup, sorted output,
-    /// right-associative chains — batch and tuple agree.
-    #[test]
-    fn batch_set_ops_match_tuple(
-        arity0 in 1usize..4,
-        arity1 in 1usize..4,
-        rows0 in raw_rows(3),
-        rows1 in raw_rows(3),
-        width in 1usize..3,
-        intersect in any::<bool>(),
-        chain in any::<bool>(),
-    ) {
-        let t0 = make_table(arity0, rows0);
-        let t1 = make_table(arity1, rows1);
-        let (db, _) = db_of(&[&t0, &t1]);
-        let cols = |alias: &str, arity: usize| -> String {
-            (0..width)
-                .map(|i| format!("{alias}.c{}", i % arity))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let op = if intersect { "INTERSECT" } else { "UNION" };
-        let mut sql = format!(
-            "SELECT {} FROM T0 x {op} SELECT {} FROM T1 y",
-            cols("x", arity0),
-            cols("y", arity1)
-        );
-        if chain {
-            sql.push_str(&format!(" UNION SELECT {} FROM T0 z", cols("z", arity0)));
-        }
-        assert_batch_matches_tuple(&db, &sql)?;
     }
 }
