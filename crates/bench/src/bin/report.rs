@@ -672,7 +672,7 @@ fn x8() {
 /// keeps carrying the SQL path.
 fn xb(check: bool) {
     use dbre_mine::{check_hash, StrippedPartition};
-    use dbre_relational::encode::{partition1_col, ColumnDict};
+    use dbre_relational::encode::{partition1, ColumnDict};
     use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
 
     header(
@@ -747,7 +747,9 @@ fn xb(check: bool) {
                     let table = s.db.table(rel);
                     for i in 0..relation.arity() {
                         let col = ColumnDict::build(table.column(AttrId(i as u16)));
-                        std::hint::black_box(partition1_col(&col));
+                        std::hint::black_box(
+                            partition1(&col, &()).unwrap_or_else(|never| match never {}),
+                        );
                     }
                 }
             }),

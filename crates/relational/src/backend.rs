@@ -17,11 +17,17 @@
 //! (sharded, remote, sampled) is a one-file addition that inherits the
 //! caching, the pipeline wiring, and the test harness.
 //!
-//! Two backends live here — [`ReferenceBackend`] (the `Value`-based
-//! reference semantics) and [`EncodedBackend`] (the dictionary-encoded
-//! kernels, owning the per-column dictionary cache). The SQL backend
-//! lives in `dbre-sql` (`SqlBackend`), respecting the dependency
-//! direction: this crate knows nothing about SQL.
+//! [`ReferenceBackend`] (the `Value`-based reference semantics) lives
+//! here, and so does [`ColumnarBackend`], the one backend over
+//! dictionary-encoded columns: it owns the generation-tagged column
+//! and encoded-set caches and the single set of [`CountBackend`]
+//! method bodies, and runs the kernel family of [`crate::encode`].
+//! Its [`ColumnStore`] decides only where a built column's codes live:
+//! [`EncodedBackend`] keeps them resident ([`ResidentStore`]),
+//! [`crate::pages::PagedBackend`] spills them to pages behind a buffer
+//! pool ([`crate::pages::SpilledStore`]). The SQL backend lives in
+//! `dbre-sql` (`SqlBackend`), respecting the dependency direction:
+//! this crate knows nothing about SQL.
 //!
 //! NULL conventions are part of the contract (see the trait docs):
 //! projections and counts drop NULL-bearing tuples (SQL
@@ -36,10 +42,7 @@ use crate::bufpool::PageCacheStats;
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::{Fd, Ind};
-use crate::encode::{
-    decode_set_cols, distinct_codes_cols, intersect_count, lhs_groups_cols, partition1_col,
-    ColumnDict, DictTable, EncodedSet,
-};
+use crate::encode::{self, decode_set_cols, intersect_count, CodeSource, ColumnDict, EncodedSet};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
@@ -47,6 +50,7 @@ use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
 
 /// What a cache shard does when its lock is recovered from poisoning:
@@ -119,6 +123,9 @@ impl<T> Clone for Tagged<T> {
 
 /// Generation-tagged cache keyed by a projection `(rel, attrs)`.
 type ProjectionCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
+
+/// Generation-tagged cache keyed by one column `(rel, attr)`.
+pub(crate) type ColumnCache<T> = RwLock<HashMap<(RelId, AttrId), Tagged<T>>>;
 
 /// Execution counters a backend may expose about *how* it served its
 /// probes — all zero for backends with a single execution strategy.
@@ -238,14 +245,16 @@ pub trait CountBackend: Send + Sync {
         let _ = (db, rel);
     }
 
-    /// The backend's dictionary encoding of one column, when it
-    /// maintains one — the dict-access seam for consumers that need
-    /// per-row codes or values of a column whose raw cells may not be
-    /// resident: key inference reads NULL-freeness off it, RHS-Discovery
-    /// computes a streamed table's g3 error over its codes, and
-    /// Restruct hydrates streamed columns from it. Codes come from the
-    /// same generation-tagged cache as every counting probe. Backends
-    /// without an encoding return `None`.
+    /// The backend's dictionary encoding of one column, per-row codes
+    /// included, when it maintains one — the dict-access seam for
+    /// streamed extensions, whose raw cells are not resident: key
+    /// inference reads NULL-freeness off it, RHS-Discovery computes a
+    /// streamed table's g3 error over its codes, and Restruct hydrates
+    /// streamed columns from it. Every caller asks only about streamed
+    /// tables, which only the paged backend serves. The columnar
+    /// backends answer from the same generation-tagged column cache as
+    /// their counting probes; the reference and SQL backends keep no
+    /// encoding and return `None`.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let _ = (db, rel, attr);
         None
@@ -350,28 +359,135 @@ impl CountBackend for ReferenceBackend {
     }
 }
 
-/// The dictionary-encoded backend (PR 3 kernels): each column a probe
-/// touches is interned once per table generation into a
-/// [`ColumnDict`], and counting / grouping / partitioning / join
-/// kernels run on dense `u32` codes instead of cloning `Value` tuples
-/// per row.
+/// Where a [`ColumnarBackend`] keeps a freshly built column's codes —
+/// the one thing the `encoded` and `paged` backends do differently.
 ///
-/// The per-column dictionaries and the per-projection encoded sets are
+/// Everything else is shared: the generation-tagged column cache, the
+/// encoded-set cache, the kernels of [`crate::encode`] and every
+/// [`CountBackend`] method body. [`ResidentStore`] keeps the codes in
+/// the dictionary and cannot fail; [`crate::pages::SpilledStore`]
+/// spills them to a page file behind a buffer pool and degrades a
+/// failed read to the reference semantics.
+pub trait ColumnStore: Send + Sync {
+    /// The backend's stable name for reports and the CLI.
+    const NAME: &'static str;
+    /// Why a column could not be built or read — [`Infallible`] for
+    /// resident codes.
+    type Error: Send;
+    /// One cached column: its resident dictionary (a slim one for
+    /// spilled codes) and its codes, read through [`Self::pager`].
+    type Column: CodeSource<Error = Self::Error> + Send + Sync;
+
+    /// What the columns' codes are read through.
+    fn pager(&self) -> &<Self::Column as CodeSource>::Pager;
+
+    /// Encodes one column of the table's current generation.
+    fn build(&self, db: &Database, rel: RelId, attr: AttrId) -> Result<Self::Column, Self::Error>;
+
+    /// `col`'s full dictionary, per-row codes included — the
+    /// [`CountBackend::column_dict`] seam.
+    fn full_dict(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attr: AttrId,
+        col: Arc<Self::Column>,
+    ) -> Result<Arc<ColumnDict>, Self::Error>;
+
+    /// Serves a probe whose native execution failed on `rels`.
+    fn degrade<T>(
+        &self,
+        db: &Database,
+        rels: &[RelId],
+        err: Self::Error,
+        reference: impl FnOnce() -> T,
+    ) -> T;
+
+    /// Releases what a replaced column held outside the cache.
+    fn retire(&self, stale: &Self::Column) {
+        let _ = stale;
+    }
+
+    /// See [`CountBackend::exec_stats`].
+    fn exec_stats(&self) -> BackendExecStats {
+        BackendExecStats::default()
+    }
+
+    /// See [`CountBackend::page_stats`].
+    fn page_stats(&self) -> PageCacheStats {
+        PageCacheStats::default()
+    }
+
+    /// See [`CountBackend::spill_stats`].
+    fn spill_stats(&self) -> SpillCacheStats {
+        SpillCacheStats::default()
+    }
+}
+
+/// A counting backend over dictionary-encoded columns: each column a
+/// probe touches is interned once per table generation, and counting /
+/// grouping / partitioning / join probes run the integer-code kernels
+/// of [`crate::encode`] over its codes, wherever the [`ColumnStore`]
+/// keeps them.
+///
+/// The per-column encodings and the per-projection encoded sets are
 /// cached *inside* the backend, tagged with [`Database::generation`]
 /// so a mutated table can never serve stale codes. Encoding lazily per
 /// column matters on the paper's workloads: a query set `Q` joins a
 /// handful of key columns of wide denormalized relations, so encoding
 /// whole tables up front would dominate the cold path the encoding is
 /// meant to speed up.
-#[derive(Default)]
-pub struct EncodedBackend {
-    /// Per-column dictionary encodings, keyed per
-    /// `(relation, attribute)` so a probe touching two columns of a
-    /// wide table pays for exactly those two builds.
-    columns: RwLock<HashMap<(RelId, AttrId), Tagged<ColumnDict>>>,
+pub struct ColumnarBackend<S: ColumnStore> {
+    pub(crate) store: S,
+    /// Per-column encodings, keyed per `(relation, attribute)` so a
+    /// probe touching two columns of a wide table pays for exactly
+    /// those two builds.
+    pub(crate) columns: ColumnCache<S::Column>,
     /// Encoded distinct-code sets per `(rel, attrs)` — shared between
     /// counts, projections and every join side touching them.
     encoded: ProjectionCache<EncodedSet>,
+}
+
+/// The dictionary-encoded backend: every column's codes stay resident.
+pub type EncodedBackend = ColumnarBackend<ResidentStore>;
+
+/// The resident store: a freshly built column's codes stay in its
+/// dictionary, in memory.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResidentStore;
+
+impl ColumnStore for ResidentStore {
+    const NAME: &'static str = "encoded";
+    type Error = Infallible;
+    type Column = ColumnDict;
+
+    fn pager(&self) -> &() {
+        &()
+    }
+
+    fn build(&self, db: &Database, rel: RelId, attr: AttrId) -> Result<ColumnDict, Infallible> {
+        Ok(ColumnDict::build(db.table(rel).column(attr)))
+    }
+
+    fn full_dict(
+        &self,
+        _db: &Database,
+        _rel: RelId,
+        _attr: AttrId,
+        col: Arc<ColumnDict>,
+    ) -> Result<Arc<ColumnDict>, Infallible> {
+        Ok(col)
+    }
+
+    fn degrade<T>(&self, _: &Database, _: &[RelId], err: Infallible, _: impl FnOnce() -> T) -> T {
+        match err {}
+    }
+}
+
+impl<S: ColumnStore + Default> Default for ColumnarBackend<S> {
+    fn default() -> Self {
+        ColumnarBackend::with_store(S::default())
+    }
 }
 
 impl EncodedBackend {
@@ -379,150 +495,260 @@ impl EncodedBackend {
     pub fn new() -> Self {
         EncodedBackend::default()
     }
+}
 
-    /// The dictionary encoding of one column of `rel`, built once per
-    /// table generation and shared out of the cache. The returned
-    /// `Arc` is safe to share read-only across parallel workers.
-    pub fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnDict> {
-        let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.columns).get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
+/// Generation-tagged get-or-build on one cache shard. Keys are shared
+/// across concurrent probes (two parallel join probes can touch the
+/// same column), so after building the entry is re-checked under the
+/// write lock: a concurrent winner's entry is adopted and ours
+/// dropped. Building before locking wastes the loser's pass but never
+/// serializes distinct keys. A replaced stale entry goes to `retire`.
+pub(crate) fn get_or_build<K, T, E>(
+    cache: &RwLock<HashMap<K, Tagged<T>>>,
+    key: K,
+    gen: u64,
+    build: impl FnOnce() -> Result<T, E>,
+    retire: impl FnOnce(&T),
+) -> Result<Arc<T>, E>
+where
+    K: std::hash::Hash + Eq,
+{
+    if let Some(entry) = read_recover(cache).get(&key) {
+        if entry.gen == gen {
+            return Ok(Arc::clone(&entry.value));
         }
-        let value = Arc::new(ColumnDict::build(db.table(rel).column(attr)));
-        // Column keys are shared across concurrent probes (two
-        // parallel join probes can touch the same column), so re-check
-        // under the write lock: if a concurrent prober beat us, adopt
-        // its entry and drop ours. Building before locking wastes the
-        // loser's pass but never serializes distinct columns.
-        let mut columns = write_recover(&self.columns);
-        if let Some(entry) = columns.get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
+    }
+    let value = Arc::new(build()?);
+    let mut guard = write_recover(cache);
+    if let Some(entry) = guard.get(&key) {
+        if entry.gen == gen {
+            return Ok(Arc::clone(&entry.value));
         }
-        columns.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        value
+    }
+    let tagged = Tagged {
+        gen,
+        value: Arc::clone(&value),
+    };
+    if let Some(stale) = guard.insert(key, tagged) {
+        retire(&stale.value);
+    }
+    Ok(value)
+}
+
+impl<S: ColumnStore> ColumnarBackend<S> {
+    /// A backend over `store` with empty caches.
+    pub(crate) fn with_store(store: S) -> Self {
+        ColumnarBackend {
+            store,
+            columns: RwLock::new(HashMap::new()),
+            encoded: RwLock::new(HashMap::new()),
+        }
     }
 
-    /// The cached column dictionaries of `attrs`, in order (repeats
-    /// allowed).
-    fn attr_dicts(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Arc<ColumnDict>> {
-        attrs
-            .iter()
-            .map(|a| self.column_dict(db, rel, *a))
-            .collect()
+    /// One column of `rel`, encoded once per table generation and
+    /// shared out of the cache. A replaced stale entry is retired
+    /// through the store (the spilled store purges its pages).
+    pub(crate) fn column(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attr: AttrId,
+    ) -> Result<Arc<S::Column>, S::Error> {
+        get_or_build(
+            &self.columns,
+            (rel, attr),
+            db.generation(rel),
+            || self.store.build(db, rel, attr),
+            |stale| self.store.retire(stale),
+        )
     }
 
-    /// The dictionary encoding of `rel`'s *whole* table, assembled
-    /// from the per-column cache (cheap `Arc` clones for already-warm
-    /// columns). Whole-table consumers — CSV import prewarming, batch
-    /// FD checks via `check_encoded` — use this; statistic probes go
-    /// through the per-column kernels and never force untouched
-    /// columns to encode.
-    pub fn dict(&self, db: &Database, rel: RelId) -> Arc<DictTable> {
-        let table = db.table(rel);
-        let columns = (0..table.arity())
-            .map(|i| self.column_dict(db, rel, AttrId(i as u16)))
-            .collect();
-        Arc::new(DictTable::from_columns(columns, table.len()))
+    /// The cached columns of `attrs`, in order (repeats allowed).
+    fn columns(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attrs: &[AttrId],
+    ) -> Result<Vec<Arc<S::Column>>, S::Error> {
+        attrs.iter().map(|a| self.column(db, rel, *a)).collect()
+    }
+
+    /// Borrowed views of `cols`, as the kernels take them.
+    fn refs(cols: &[Arc<S::Column>]) -> Vec<&S::Column> {
+        cols.iter().map(Arc::as_ref).collect()
+    }
+
+    /// The resident dictionaries of `cols` — all that decoding and the
+    /// join intersection read.
+    fn dicts(cols: &[Arc<S::Column>]) -> Vec<&ColumnDict> {
+        cols.iter().map(|c| c.dict()).collect()
     }
 
     /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
     /// encoded form, shared out of the cache.
-    fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
-        let gen = db.generation(rel);
-        let key = (rel, attrs.to_vec());
-        if let Some(entry) = read_recover(&self.encoded).get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
-        }
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        let value = Arc::new(distinct_codes_cols(&cols, db.table(rel).len()));
-        let mut encoded = write_recover(&self.encoded);
-        if let Some(entry) = encoded.get(&key) {
-            if entry.gen == gen {
-                return Arc::clone(&entry.value);
-            }
-        }
-        encoded.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
+    fn encoded_set(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attrs: &[AttrId],
+    ) -> Result<Arc<EncodedSet>, S::Error> {
+        get_or_build(
+            &self.encoded,
+            (rel, attrs.to_vec()),
+            db.generation(rel),
+            || {
+                let cols = self.columns(db, rel, attrs)?;
+                let refs = Self::refs(&cols);
+                encode::distinct_codes(&refs, self.store.pager(), db.table(rel).len())
             },
-        );
-        value
+            |_| {},
+        )
+    }
+
+    /// Runs `probe`; if it fails on `rels`, the store decides how the
+    /// answer is served (`reference` computes it from the extension).
+    fn serve<T>(
+        &self,
+        db: &Database,
+        rels: &[RelId],
+        probe: impl FnOnce() -> Result<T, S::Error>,
+        reference: impl FnOnce() -> T,
+    ) -> T {
+        probe().unwrap_or_else(|err| self.store.degrade(db, rels, err, reference))
     }
 }
 
-impl CountBackend for EncodedBackend {
+impl<S: ColumnStore> CountBackend for ColumnarBackend<S> {
     fn name(&self) -> &'static str {
-        "encoded"
+        S::NAME
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        self.encoded_set(db, rel, attrs).len()
+        self.serve(
+            db,
+            &[rel],
+            || Ok(self.encoded_set(db, rel, attrs)?.len()),
+            || db.table(rel).count_distinct(attrs),
+        )
     }
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let ldicts = self.attr_dicts(db, join.left.rel, &join.left.attrs);
-        let rdicts = self.attr_dicts(db, join.right.rel, &join.right.attrs);
-        let left = self.encoded_set(db, join.left.rel, &join.left.attrs);
-        let right = self.encoded_set(db, join.right.rel, &join.right.attrs);
-        let lcols: Vec<&ColumnDict> = ldicts.iter().map(Arc::as_ref).collect();
-        let rcols: Vec<&ColumnDict> = rdicts.iter().map(Arc::as_ref).collect();
-        let n_join = intersect_count(&lcols, &left, &rcols, &right);
-        JoinStats {
-            n_left: left.len(),
-            n_right: right.len(),
-            n_join,
-        }
+        let (l, r) = (&join.left, &join.right);
+        self.serve(
+            db,
+            &[l.rel, r.rel],
+            || {
+                let lcols = self.columns(db, l.rel, &l.attrs)?;
+                let rcols = self.columns(db, r.rel, &r.attrs)?;
+                let left = self.encoded_set(db, l.rel, &l.attrs)?;
+                let right = self.encoded_set(db, r.rel, &r.attrs)?;
+                let (ldicts, rdicts) = (Self::dicts(&lcols), Self::dicts(&rcols));
+                Ok(JoinStats {
+                    n_left: left.len(),
+                    n_right: right.len(),
+                    n_join: intersect_count(&ldicts, &left, &rdicts, &right),
+                })
+            },
+            || join_stats(db, join),
+        )
     }
 
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        Arc::new(lhs_groups_cols(&cols, db.table(rel).len()))
+        self.serve(
+            db,
+            &[rel],
+            || {
+                let cols = self.columns(db, rel, attrs)?;
+                let refs = Self::refs(&cols);
+                let groups = encode::lhs_groups(&refs, self.store.pager(), db.table(rel).len())?;
+                Ok(Arc::new(groups))
+            },
+            || Arc::new(lhs_groups_reference(db, rel, attrs)),
+        )
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let set = self.encoded_set(db, rel, attrs);
-        let dicts = self.attr_dicts(db, rel, attrs);
-        let cols: Vec<&ColumnDict> = dicts.iter().map(Arc::as_ref).collect();
-        Arc::new(decode_set_cols(&cols, &set))
+        self.serve(
+            db,
+            &[rel],
+            || {
+                let set = self.encoded_set(db, rel, attrs)?;
+                let cols = self.columns(db, rel, attrs)?;
+                Ok(Arc::new(decode_set_cols(&Self::dicts(&cols), &set)))
+            },
+            || Arc::new(db.table(rel).distinct_projection(attrs)),
+        )
+    }
+
+    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
+        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
+        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
+        self.serve(
+            db,
+            &[fd.rel],
+            || {
+                let lcols = self.columns(db, fd.rel, &lhs)?;
+                let rcols = self.columns(db, fd.rel, &rhs)?;
+                let (l, r) = (Self::refs(&lcols), Self::refs(&rcols));
+                encode::fd_holds(&l, &r, self.store.pager(), db.table(fd.rel).len())
+            },
+            || db.fd_holds(fd),
+        )
     }
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        // Array-bucket build over the code domain — no hashing.
-        Arc::new(partition1_col(&self.column_dict(db, rel, attr)))
+        self.serve(
+            db,
+            &[rel],
+            || {
+                let col = self.column(db, rel, attr)?;
+                Ok(Arc::new(encode::partition1(&*col, self.store.pager())?))
+            },
+            || Arc::new(StrippedPartition::for_attribute(db.table(rel), attr)),
+        )
     }
 
     fn prewarm(&self, db: &Database, rel: RelId) {
-        // Interning every column while the rows are hot is exactly
-        // assembling the whole-table dictionary.
-        self.dict(db, rel);
+        // Encode every column while the rows are hot; a failed build is
+        // retried (and served) by whichever probe needs the column.
+        for i in 0..db.table(rel).arity() {
+            let _ = self.column(db, rel, AttrId(i as u16));
+        }
     }
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        Some(EncodedBackend::column_dict(self, db, rel, attr))
+        self.serve(
+            db,
+            &[rel],
+            || {
+                let col = self.column(db, rel, attr)?;
+                self.store.full_dict(db, rel, attr, col).map(Some)
+            },
+            || None,
+        )
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
         // Lazily attached to the generation-cached dictionary, so the
         // sketch always summarizes exactly the state the counting
-        // kernels read (and is built at most once per generation).
-        EncodedBackend::column_dict(self, db, rel, attr).sketch()
+        // kernels read (and is built at most once per generation). The
+        // resident dictionary — slim for spilled codes — carries the
+        // whole value set and the fused counts, so this never reads a
+        // code page. A failed build simply yields no sketch: pruning
+        // is disabled, answers unchanged.
+        self.column(db, rel, attr).ok()?.dict().sketch()
+    }
+
+    fn exec_stats(&self) -> BackendExecStats {
+        self.store.exec_stats()
+    }
+
+    fn page_stats(&self) -> PageCacheStats {
+        self.store.page_stats()
+    }
+
+    fn spill_stats(&self) -> SpillCacheStats {
+        self.store.spill_stats()
     }
 }
 
@@ -552,15 +778,17 @@ mod tests {
         (db, l, r)
     }
 
-    /// Every probe of the two in-crate backends agrees on a NULL-bearing
-    /// database (the exhaustive pinning lives in the differential
-    /// proptest suites; this is the smoke test).
+    /// Every probe of the in-crate backends — both columnar stores over
+    /// a one-page pool included — agrees with the reference on a
+    /// NULL-bearing database (the exhaustive pinning lives in the
+    /// differential proptest suites; this is the smoke test).
     #[test]
-    fn reference_and_encoded_agree() {
+    fn in_crate_backends_agree() {
         let (db, l, r) = sample_db();
         let reference = ReferenceBackend;
         let encoded = EncodedBackend::new();
-        let backends: [&dyn CountBackend; 2] = [&reference, &encoded];
+        let paged = crate::pages::PagedBackend::with_capacity_bytes(crate::pages::PAGE_BYTES);
+        let backends: [&dyn CountBackend; 3] = [&reference, &encoded, &paged];
         let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
             .unwrap();
         let fd = Fd::new(
@@ -570,20 +798,45 @@ mod tests {
         );
         let ind = Ind::unary(l, AttrId(0), r, AttrId(0));
         for b in backends {
-            assert_eq!(b.count_distinct(&db, l, &[AttrId(0)]), 4, "{}", b.name());
-            assert_eq!(b.join_stats(&db, &join), join_stats(&db, &join));
-            assert_eq!(*b.lhs_groups(&db, l, &[AttrId(0)]), vec![vec![0, 1]]);
-            assert_eq!(b.fd_holds(&db, &fd), db.fd_holds(&fd));
-            assert_eq!(b.ind_holds(&db, &ind), db.ind_holds(&ind));
+            let name = b.name();
+            assert_eq!(b.count_distinct(&db, l, &[AttrId(0)]), 4, "{name}");
             assert_eq!(
-                *b.projection(&db, l, &[AttrId(0)]),
-                db.table(l).distinct_projection(&[AttrId(0)])
+                *b.lhs_groups(&db, l, &[AttrId(0)]),
+                vec![vec![0, 1]],
+                "{name}"
             );
+            for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
+                assert_eq!(
+                    b.count_distinct(&db, l, &attrs),
+                    db.table(l).count_distinct(&attrs),
+                    "{name}"
+                );
+                assert_eq!(
+                    *b.lhs_groups(&db, l, &attrs),
+                    lhs_groups_reference(&db, l, &attrs),
+                    "{name}"
+                );
+                assert_eq!(
+                    *b.projection(&db, l, &attrs),
+                    db.table(l).distinct_projection(&attrs),
+                    "{name}"
+                );
+            }
+            assert_eq!(b.join_stats(&db, &join), join_stats(&db, &join), "{name}");
+            assert_eq!(b.fd_holds(&db, &fd), db.fd_holds(&fd), "{name}");
+            assert_eq!(b.ind_holds(&db, &ind), db.ind_holds(&ind), "{name}");
             assert_eq!(
                 *b.partition1(&db, l, AttrId(1)),
-                StrippedPartition::for_attribute(db.table(l), AttrId(1))
+                StrippedPartition::for_attribute(db.table(l), AttrId(1)),
+                "{name}"
             );
+            assert_eq!(b.exec_stats().fallback_failures, 0, "{name}");
         }
+        let pool = paged.page_stats();
+        assert!(
+            pool.hits + pool.misses > 0,
+            "paged probes must touch the pool"
+        );
     }
 
     /// The encoded backend's internal caches are generation-aware: a

@@ -402,7 +402,7 @@ pub fn import_csv_with_stats(
 /// degrade to a re-encode that overwrites them.
 ///
 /// Field semantics, coercion and error reporting are byte-identical
-/// to [`import_csv`] — both run on the same [`RecordParser`] — with
+/// to [`import_csv`] — both run on the same record parser — with
 /// one accepted divergence: this path surfaces the *first* record's
 /// error in stream order, while [`import_csv`] parses everything
 /// before coercing (so a late structural error can mask an early

@@ -1,5 +1,5 @@
-//! Dictionary-encoded columns: integer-code kernels for `‖·‖` counting,
-//! joins, and partitions.
+//! Dictionary-encoded columns and the one family of integer-code
+//! kernels behind every `‖·‖` probe.
 //!
 //! Every statistic the paper's algorithms consume — distinct
 //! projections for the three IND-Discovery cardinalities, LHS groups
@@ -15,19 +15,27 @@
 //!
 //! The unit of encoding is the **column** ([`ColumnDict`]), not the
 //! table: a probe that touches two attributes of a 13-column relation
-//! pays for exactly two dictionary builds. The kernels are free
-//! functions over `&[&ColumnDict]` slices, so callers can mix columns
-//! cached at different times ([`crate::stats::StatsEngine`] caches one
-//! dictionary per `(relation, attribute)` generation). [`DictTable`]
-//! bundles one `Arc<ColumnDict>` per attribute for whole-table
-//! consumers (TANE, SPIDER, key discovery) and forwards every kernel.
+//! pays for exactly two dictionary builds.
+//!
+//! The kernels — [`distinct_codes`], [`lhs_groups`], [`partition1`]
+//! and [`fd_holds`] — exist once, generic over a [`CodeSource`] that
+//! yields a column's codes in page-sized chunks through a pager.
+//! Resident codes (a built [`ColumnDict`], the `encoded` backend)
+//! slice the code vector and cannot fail; spilled codes
+//! ([`crate::pages::PagedColumn`], the `paged` backend) read pages
+//! through the buffer pool. Both storage modes therefore share one
+//! scan loop, one deterministic chunk-parallel merge under the
+//! `parallel` feature, and one answer. Cross-column kernels that never
+//! touch per-row codes — [`code_translation`], [`intersect_count`],
+//! [`decode_set_cols`] — read only the dictionaries.
 //!
 //! Consequences of the encoding:
 //!
 //! * a unary `COUNT(DISTINCT a)` is the dictionary cardinality — `O(1)`
 //!   after the build;
-//! * a unary stripped partition is an array-bucket pass over the code
-//!   domain, no hashing at all;
+//! * unary groupings (partitions, LHS groups) are a counting-sort fill
+//!   over the code domain, sized from the per-code counts the build
+//!   fused into its interning loop — no hashing at all;
 //! * a two-attribute projection key packs into a single `u64`
 //!   (`hi << 32 | lo`), wider ones into a `Box<[u32]>` — no `Value`
 //!   clones on any hot path;
@@ -36,30 +44,33 @@
 //!   integer sets.
 //!
 //! NULL conventions are preserved exactly: the SQL kernels
-//! ([`count_distinct_cols`], [`distinct_codes_cols`],
-//! [`fd_holds_cols`], [`lhs_groups_cols`]) skip rows whose projection
-//! touches code 0, while the mining kernels ([`partition1_col`],
-//! [`partition_cols`]) treat code 0 as an ordinary value equal to
-//! itself, mirroring [`crate::partitions`]. `NaN` floats intern
-//! through [`crate::value::OrdF64`]'s total order, so two NaNs with
-//! the same payload share a code exactly when the `Value` kernels
-//! consider them equal.
+//! ([`distinct_codes`], [`lhs_groups`], [`fd_holds`]) skip rows whose
+//! projection touches code 0, while the mining kernel ([`partition1`])
+//! treats code 0 as an ordinary value equal to itself, mirroring
+//! [`crate::partitions`]. `NaN` floats intern through
+//! [`crate::value::OrdF64`]'s total order, so two NaNs with the same
+//! payload share a code exactly when the `Value` kernels consider them
+//! equal.
 //!
 //! A `ColumnDict` is immutable after [`ColumnDict::build`]; sharing
 //! one read-only across [`crate::par::par_map`] workers is safe
 //! (`Sync` by construction, no interior mutability). Lifecycle
 //! management — building once per table generation and invalidating on
-//! mutation — lives in [`crate::stats::StatsEngine`].
+//! mutation — lives in the counting backends
+//! ([`crate::backend::ColumnarBackend`]).
 
 use crate::attr::AttrId;
-use crate::counting::JoinStats;
 use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::pages::PAGE_CODES;
 use crate::partitions::StrippedPartition;
 use crate::sketch::ColumnSketch;
 use crate::table::{ProjKey, Table};
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
+use std::convert::Infallible;
+use std::ops::{Deref, Range};
 use std::sync::{Arc, OnceLock};
 
 /// The NULL sentinel code: row positions holding SQL `NULL` encode to
@@ -427,99 +438,9 @@ fn pack2(hi: u32, lo: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
 }
 
-// ---- column-slice kernels -------------------------------------------
-//
-// Each kernel takes the projected columns as `&[&ColumnDict]`
-// (repeats allowed — a projection list can name a column twice) plus
-// the table's row count, which disambiguates the empty projection.
-
-/// `‖r[cols]‖` under SQL semantics (rows with a NULL among the
-/// projection dropped) — the paper's cardinality query, matching
-/// [`Table::count_distinct`] exactly.
-pub fn count_distinct_cols(cols: &[&ColumnDict], rows: usize) -> usize {
-    match cols {
-        [c] => c.cardinality(),
-        [ca, cb] => {
-            // Bitset fast path: when the code-domain product is small,
-            // pair counting is a dense bit array instead of a hash set.
-            let domain = ca.cardinality() as u64 * cb.cardinality() as u64;
-            const BITSET_MAX: u64 = 1 << 22; // 512 KiB of bits
-            if domain > 0 && domain <= BITSET_MAX {
-                let width = cb.cardinality() as u64;
-                let mut bits = vec![0u64; (domain as usize).div_ceil(64)];
-                let mut count = 0usize;
-                for (&x, &y) in ca.codes().iter().zip(cb.codes()) {
-                    if x == NULL_CODE || y == NULL_CODE {
-                        continue;
-                    }
-                    let idx = (u64::from(x) - 1) * width + (u64::from(y) - 1);
-                    let (w, m) = ((idx / 64) as usize, 1u64 << (idx % 64));
-                    if bits[w] & m == 0 {
-                        bits[w] |= m;
-                        count += 1;
-                    }
-                }
-                count
-            } else {
-                distinct_codes_cols(cols, rows).len()
-            }
-        }
-        _ => distinct_codes_cols(cols, rows).len(),
-    }
-}
-
-/// The distinct non-NULL projected code tuples (SQL semantics) —
-/// decode with [`decode_set_cols`] to recover the exact
-/// [`Table::distinct_projection`] result.
-pub fn distinct_codes_cols(cols: &[&ColumnDict], rows: usize) -> EncodedSet {
-    match cols {
-        [] => {
-            // π_∅ is {[]} on a non-empty table, {} on an empty one
-            // (matching the Value-based reference).
-            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            if rows > 0 {
-                s.insert(Box::from([]));
-            }
-            EncodedSet::Wide(s)
-        }
-        [c] => EncodedSet::Unary {
-            card: c.cardinality() as u32,
-        },
-        [ca, cb] => {
-            let cap = (ca.cardinality() as u64 * cb.cardinality() as u64).min(rows as u64) as usize;
-            let mut set: FxHashSet<u64> =
-                FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            for (&x, &y) in ca.codes().iter().zip(cb.codes()) {
-                if x != NULL_CODE && y != NULL_CODE {
-                    set.insert(pack2(x, y));
-                }
-            }
-            EncodedSet::Packed(set)
-        }
-        _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
-                    }
-                    *s = code;
-                }
-                // Probe by slice first so duplicates allocate nothing.
-                if !set.contains(scratch.as_slice()) {
-                    set.insert(scratch.clone().into_boxed_slice());
-                }
-            }
-            EncodedSet::Wide(set)
-        }
-    }
-}
-
 /// Decodes an [`EncodedSet`] produced from `cols` back into `Value`
-/// tuples; equals [`Table::distinct_projection`].
+/// tuples; equals [`Table::distinct_projection`]. Reads only the
+/// decode tables, so slim dictionaries serve.
 pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKey> {
     let decode_one = |col: &ColumnDict, code: u32| -> Value {
         col.value_of(code).cloned().unwrap_or(Value::Null)
@@ -548,245 +469,629 @@ pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKe
     }
 }
 
-/// Occurrence counts for `col`'s code domain — borrowed from the
-/// dictionary's fused counts when the invariant holds, recounted from
-/// the code vector otherwise (hand-assembled dictionaries).
-fn counts_of(col: &ColumnDict) -> std::borrow::Cow<'_, [u64]> {
-    let domain = col.cardinality() + 1;
-    if col.code_counts().len() == domain {
-        return std::borrow::Cow::Borrowed(col.code_counts());
-    }
-    let mut counts: Vec<u64> = vec![0; domain];
-    for &c in col.codes() {
-        counts[c as usize] += 1;
-    }
-    std::borrow::Cow::Owned(counts)
+// ---- the kernel family over code sources ----------------------------
+//
+// Every row-scan kernel reads its columns through a [`CodeSource`]:
+// page-sized chunks of codes, streamed in lockstep. Multi-column
+// kernels take the projected columns as a slice (repeats allowed — a
+// projection list can name a column twice) plus the table's row count,
+// which disambiguates the empty projection. Under the `parallel`
+// feature the chunks split into contiguous ranges scanned on scoped
+// threads, and the per-range partials merge in range order, so every
+// answer is byte-identical to the serial scan.
+
+/// A column whose per-row codes are read in page-sized chunks through
+/// a pager: chunk `i` holds rows `i * PAGE_CODES ..` up to the next
+/// page boundary (or the last row).
+///
+/// A built [`ColumnDict`] is resident codes: its pager is `()`, each
+/// chunk a slice of the code vector, and no read can fail. A
+/// [`crate::pages::PagedColumn`] is spilled codes: its pager is the
+/// [`crate::bufpool::BufferPool`], each chunk a pooled page, and a read
+/// fails with a [`crate::pages::PageError`].
+pub trait CodeSource: Sync {
+    /// What chunks are read through.
+    type Pager: Sync;
+    /// Why a chunk could not be read — [`Infallible`] for resident
+    /// codes.
+    type Error: Send;
+    /// One chunk's codes, borrowed or pinned for the scan.
+    type Chunk<'a>: Deref<Target = [u32]> + Send
+    where
+        Self: 'a;
+    /// Whether, under the `parallel` feature, a reader thread fetches
+    /// chunks ahead of the kernel — worth it only where a read blocks.
+    const PREFETCH: bool = false;
+
+    /// The column's dictionary; a slim one is enough (kernels read only
+    /// its cardinality, NULL count and fused code counts).
+    fn dict(&self) -> &ColumnDict;
+
+    /// Rows the column encodes.
+    fn rows(&self) -> usize;
+
+    /// Chunk `i`'s codes.
+    fn chunk<'a>(
+        &'a self,
+        pager: &'a Self::Pager,
+        i: usize,
+    ) -> Result<Self::Chunk<'a>, Self::Error>;
 }
 
-/// The unary stripped partition `π_attr` (mining convention:
-/// NULL = NULL) via array buckets over the code domain — no hashing.
-/// Equals [`StrippedPartition::for_attribute`].
-pub fn partition1_col(col: &ColumnDict) -> StrippedPartition {
-    // The sizes come straight from the dictionary (fused into the
-    // interning loop), so stripped singleton classes — the vast
-    // majority on key-like columns — never allocate anything and the
-    // kernel is a single fill pass.
-    let domain = col.cardinality() + 1;
-    let counts = counts_of(col);
-    // slots[c] is the class of code c, or MAX for stripped codes
-    // (count < 2; code 0 = the NULL class, kept like any other).
-    let mut slots: Vec<u32> = vec![u32::MAX; domain];
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for (c, &n) in counts.iter().enumerate() {
-        if n >= 2 {
-            slots[c] = classes.len() as u32;
-            classes.push(Vec::with_capacity(n as usize));
-        }
+/// Resident codes: each chunk is a slice of the code vector.
+impl CodeSource for ColumnDict {
+    type Pager = ();
+    type Error = Infallible;
+    type Chunk<'a> = &'a [u32];
+
+    fn dict(&self) -> &ColumnDict {
+        self
     }
-    for (i, &c) in col.codes().iter().enumerate() {
-        let s = slots[c as usize];
-        if s != u32::MAX {
-            classes[s as usize].push(i);
-        }
+
+    fn rows(&self) -> usize {
+        self.codes.len()
     }
-    // Rows were pushed in ascending order; only the outer order needs
-    // normalizing to match `from_groups`.
-    classes.sort();
-    StrippedPartition {
-        classes,
-        rows: col.rows(),
+
+    fn chunk<'a>(&'a self, _: &'a (), i: usize) -> Result<&'a [u32], Infallible> {
+        let len = self.codes.len();
+        let start = i.saturating_mul(PAGE_CODES).min(len);
+        let end = start.saturating_add(PAGE_CODES).min(len);
+        Ok(&self.codes[start..end])
     }
 }
 
-/// The stripped partition over `cols` (NULL = NULL), built in one
-/// grouping pass over packed code keys. Equals
-/// [`StrippedPartition::for_attrs`]: grouping directly by the full
-/// tuple yields the same classes as TANE's chained products, and both
-/// normalize class order identically.
-pub fn partition_cols(cols: &[&ColumnDict], rows: usize) -> StrippedPartition {
-    match cols {
-        [] => StrippedPartition::single_class(rows),
-        [c] => partition1_col(c),
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut groups: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for i in 0..rows {
-                groups.entry(pack2(ca[i], cb[i])).or_default().push(i);
+/// Worker threads for chunked scans. Off-feature this is 1 (every
+/// kernel is one serial scan); with the `parallel` feature it follows
+/// the machine, overridable through `DBRE_PAGED_THREADS` (clamped to
+/// 1..=64) so scaling can be measured — and the parallel code paths
+/// exercised — regardless of the host's core count.
+fn chunk_threads() -> usize {
+    #[cfg(not(feature = "parallel"))]
+    {
+        1
+    }
+    #[cfg(feature = "parallel")]
+    {
+        if let Ok(v) = std::env::var("DBRE_PAGED_THREADS") {
+            if let Ok(n) = v.trim().parse::<usize>() {
+                return n.clamp(1, 64);
             }
-            strip(groups.into_values(), rows)
+        }
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    }
+}
+
+/// Splits the chunks of a `rows`-row column into at most
+/// [`chunk_threads`] contiguous ranges. Range boundaries depend only on
+/// (rows, threads), so a merge in range order is deterministic.
+fn chunk_ranges(rows: usize) -> Vec<Range<usize>> {
+    let chunks = rows.div_ceil(PAGE_CODES);
+    if chunks == 0 {
+        return Vec::new();
+    }
+    let per = chunks.div_ceil(chunk_threads().clamp(1, chunks));
+    (0..chunks)
+        .step_by(per)
+        .map(|s| s..(s + per).min(chunks))
+        .collect()
+}
+
+/// Runs `f` over every range, one scoped thread per range when the
+/// `parallel` feature is on and there is more than one range, inline
+/// otherwise. Results come back **in range order** regardless of
+/// completion order — the determinism the merges rely on. A worker's
+/// panic resumes on the caller.
+fn run_chunks<R, E, F>(ranges: &[Range<usize>], f: F) -> Vec<Result<R, E>>
+where
+    R: Send,
+    E: Send,
+    F: Fn(Range<usize>) -> Result<R, E> + Sync,
+{
+    #[cfg(feature = "parallel")]
+    if ranges.len() > 1 {
+        return std::thread::scope(|scope| {
+            let workers: Vec<_> = ranges
+                .iter()
+                .map(|r| {
+                    let (f, r) = (&f, r.clone());
+                    scope.spawn(move || f(r))
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+    }
+    ranges.iter().map(|r| f(r.clone())).collect()
+}
+
+/// Folds per-range partials in range order. The first partial *is* the
+/// accumulator — moved, never copied — so a single-range scan (the
+/// serial build, or any column of one page) returns its partial as is.
+/// `None` when there were no ranges (an empty column).
+fn merge<R, E>(parts: Vec<Result<R, E>>, mut fold: impl FnMut(&mut R, R)) -> Result<Option<R>, E> {
+    let mut acc = None;
+    for part in parts {
+        let part = part?;
+        match &mut acc {
+            None => acc = Some(part),
+            Some(a) => fold(a, part),
+        }
+    }
+    Ok(acc)
+}
+
+/// How many chunk groups the prefetching reader may run ahead of the
+/// consumer.
+#[cfg(feature = "parallel")]
+const PREFETCH_DEPTH: usize = 2;
+
+/// Streams `range`'s chunks of `cols` in lockstep, calling
+/// `f(first_row, slices)` once per chunk in order. Holding the chunks
+/// across the callback keeps pooled pages alive even if the pool
+/// evicts them mid-iteration, so a capacity-1 pool is slow but never
+/// wrong.
+///
+/// Under the `parallel` feature a [`CodeSource::PREFETCH`] source gets
+/// a reader thread fetching chunks ahead of the consumer (bounded by
+/// [`PREFETCH_DEPTH`]), overlapping page I/O with kernel compute.
+/// Chunks are still requested and delivered strictly in order, so
+/// results and pool counters are identical to the plain loop.
+fn stream_range<C: CodeSource>(
+    cols: &[&C],
+    pager: &C::Pager,
+    range: Range<usize>,
+    mut f: impl FnMut(usize, &[&[u32]]),
+) -> Result<(), C::Error> {
+    #[cfg(feature = "parallel")]
+    if C::PREFETCH && range.len() > 1 {
+        return std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
+            let reader = range.clone();
+            scope.spawn(move || {
+                for i in reader {
+                    let group: Result<Vec<C::Chunk<'_>>, C::Error> =
+                        cols.iter().map(|c| c.chunk(pager, i)).collect();
+                    let stop = group.is_err();
+                    if tx.send(group).is_err() || stop {
+                        return;
+                    }
+                }
+            });
+            for (i, group) in range.zip(rx.iter()) {
+                visit(i, &group?, &mut f);
+            }
+            Ok(())
+        });
+    }
+    for i in range {
+        let group: Vec<C::Chunk<'_>> = cols
+            .iter()
+            .map(|c| c.chunk(pager, i))
+            .collect::<Result<_, _>>()?;
+        visit(i, &group, &mut f);
+    }
+    Ok(())
+}
+
+/// Hands one chunk group to a kernel callback. Lockstep chunks of one
+/// table have equal lengths; trimming to the shortest keeps every
+/// index loop in bounds regardless.
+fn visit<K: Deref<Target = [u32]>>(i: usize, group: &[K], f: &mut impl FnMut(usize, &[&[u32]])) {
+    let n = group.iter().map(|c| c.len()).min().unwrap_or(0);
+    let slices: Vec<&[u32]> = group.iter().map(|c| &c[..n]).collect();
+    f(i * PAGE_CODES, &slices);
+}
+
+/// Per-code occurrence counts of `col` (index 0 = NULL): the
+/// dictionary's fused counts ([`ColumnDict::code_counts`]) when they
+/// hold, else one chunked counting pass (any other length means
+/// "unavailable" by convention).
+fn code_counts<'a, C: CodeSource>(
+    col: &'a C,
+    pager: &C::Pager,
+) -> Result<Cow<'a, [u64]>, C::Error> {
+    let domain = col.dict().cardinality() + 1;
+    let fused = col.dict().code_counts();
+    if fused.len() == domain {
+        return Ok(Cow::Borrowed(fused));
+    }
+    let parts = run_chunks(&chunk_ranges(col.rows()), |r| {
+        let mut counts: Vec<u64> = vec![0; domain];
+        stream_range(&[col], pager, r, |_, s| {
+            for &c in s[0] {
+                counts[c as usize] += 1;
+            }
+        })?;
+        Ok(counts)
+    });
+    let counts = merge(parts, |acc, part| {
+        for (a, b) in acc.iter_mut().zip(part) {
+            *a += b;
+        }
+    })?;
+    Ok(Cow::Owned(counts.unwrap_or_else(|| vec![0; domain])))
+}
+
+/// The counting-sort slot table: `slots[c]` is the dense group index of
+/// code `c`, `u32::MAX` for codes that form no group (fewer than two
+/// rows, or NULL when `skip_null`). Returns the slot table and each
+/// group's size.
+fn group_slots(counts: &[u64], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
+    let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
+    let mut sizes: Vec<usize> = Vec::new();
+    for (c, &n) in counts.iter().enumerate().skip(usize::from(skip_null)) {
+        if n >= 2 {
+            slots[c] = sizes.len() as u32;
+            sizes.push(n as usize);
+        }
+    }
+    (slots, sizes)
+}
+
+/// The chunked counting-sort fill shared by [`lhs_groups`] and
+/// [`partition1`]: every row whose code has a slot lands in its group.
+/// Partials concatenate in range order, so row ids stay ascending. A
+/// single range fills its groups in place at their final sizes.
+fn fill_groups<C: CodeSource>(
+    col: &C,
+    pager: &C::Pager,
+    slots: &[u32],
+    sizes: &[usize],
+) -> Result<Vec<Vec<usize>>, C::Error> {
+    let ranges = chunk_ranges(col.rows());
+    let presize = ranges.len() == 1;
+    let parts = run_chunks(&ranges, |r| {
+        let mut part: Vec<Vec<usize>> = sizes
+            .iter()
+            .map(|&n| Vec::with_capacity(if presize { n } else { 0 }))
+            .collect();
+        stream_range(&[col], pager, r, |base, s| {
+            for (i, &c) in s[0].iter().enumerate() {
+                let slot = slots[c as usize];
+                if slot != u32::MAX {
+                    part[slot as usize].push(base + i);
+                }
+            }
+        })?;
+        Ok(part)
+    });
+    let groups = merge(parts, |acc, part| {
+        for (g, p) in acc.iter_mut().zip(part) {
+            g.extend(p);
+        }
+    })?;
+    Ok(groups.unwrap_or_else(|| vec![Vec::new(); sizes.len()]))
+}
+
+/// Unions per-range row-group maps, in range order (row ids stay
+/// ascending within each group).
+fn merge_groups<K: std::hash::Hash + Eq, E>(
+    parts: Vec<Result<FxHashMap<K, Vec<usize>>, E>>,
+) -> Result<FxHashMap<K, Vec<usize>>, E> {
+    let map = merge(parts, |acc, part| {
+        for (k, v) in part {
+            acc.entry(k).or_default().extend(v);
+        }
+    })?;
+    Ok(map.unwrap_or_default())
+}
+
+/// The groups of two or more rows, sorted (rows arrive ascending within
+/// each group; only the outer order needs normalizing).
+fn sorted_groups<K>(map: FxHashMap<K, Vec<usize>>) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
+    groups.sort();
+    groups
+}
+
+/// The distinct non-NULL projected code tuples (SQL semantics: rows
+/// with a NULL among the projection are dropped) — `‖r[cols]‖` is its
+/// length, and [`decode_set_cols`] recovers the exact
+/// [`Table::distinct_projection`] result. Set contents do not depend
+/// on how the scan was split; only insertion order does, which no
+/// consumer observes.
+pub fn distinct_codes<C: CodeSource>(
+    cols: &[&C],
+    pager: &C::Pager,
+    rows: usize,
+) -> Result<EncodedSet, C::Error> {
+    match cols {
+        [] => {
+            // π_∅ is {[]} on a non-empty table, {} on an empty one
+            // (matching the Value-based reference).
+            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
+            if rows > 0 {
+                s.insert(Box::from([]));
+            }
+            Ok(EncodedSet::Wide(s))
+        }
+        [c] => Ok(EncodedSet::Unary {
+            card: c.dict().cardinality() as u32,
+        }),
+        [ca, cb] => {
+            let domain = ca.dict().cardinality() as u64 * cb.dict().cardinality() as u64;
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let cap = domain.min((r.len() * PAGE_CODES).min(rows) as u64) as usize;
+                let mut set: FxHashSet<u64> =
+                    FxHashSet::with_capacity_and_hasher(cap, Default::default());
+                stream_range(cols, pager, r, |_, s| {
+                    for (&x, &y) in s[0].iter().zip(s[1]) {
+                        if x != NULL_CODE && y != NULL_CODE {
+                            set.insert(pack2(x, y));
+                        }
+                    }
+                })?;
+                Ok(set)
+            });
+            let set = merge(parts, |acc, part| acc.extend(part))?;
+            Ok(EncodedSet::Packed(set.unwrap_or_default()))
         }
         _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut groups: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    *s = c[i];
-                }
-                if let Some(g) = groups.get_mut(scratch.as_slice()) {
-                    g.push(i);
-                } else {
-                    groups.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                }
-            }
-            strip(groups.into_values(), rows)
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
+                let mut scratch: Vec<u32> = vec![0; cols.len()];
+                stream_range(cols, pager, r, |_, s| {
+                    'rows: for i in 0..s[0].len() {
+                        for (k, c) in scratch.iter_mut().zip(s) {
+                            if c[i] == NULL_CODE {
+                                continue 'rows;
+                            }
+                            *k = c[i];
+                        }
+                        // Probe by slice first so duplicates allocate nothing.
+                        if !set.contains(scratch.as_slice()) {
+                            set.insert(scratch.clone().into_boxed_slice());
+                        }
+                    }
+                })?;
+                Ok(set)
+            });
+            let set = merge(parts, |acc, part| acc.extend(part))?;
+            Ok(EncodedSet::Wide(set.unwrap_or_default()))
         }
     }
 }
 
 /// Row-index groups (size ≥ 2) agreeing on `cols` under SQL semantics
-/// — rows with a NULL among the projection are skipped.
-/// Deterministically ordered; the encoded counterpart of the LHS-group
-/// builder behind `StatsEngine::fd_holds`.
-pub fn lhs_groups_cols(cols: &[&ColumnDict], rows: usize) -> Vec<Vec<usize>> {
+/// — rows with a NULL among the projection are skipped. Indices
+/// ascending within a group, groups sorted: the contract of
+/// [`crate::backend::CountBackend::lhs_groups`]. Unary group sizes
+/// come from the dictionary's fused counts, so singleton codes — the
+/// common case on key-like columns — never allocate a group.
+pub fn lhs_groups<C: CodeSource>(
+    cols: &[&C],
+    pager: &C::Pager,
+    rows: usize,
+) -> Result<Vec<Vec<usize>>, C::Error> {
     match cols {
         [] => {
             // No attributes, no NULLs to skip: all rows agree.
-            if rows >= 2 {
+            Ok(if rows >= 2 {
                 vec![(0..rows).collect()]
             } else {
                 Vec::new()
-            }
+            })
         }
         [col] => {
-            // Sizes from the dictionary's fused counts (as in
-            // [`partition1_col`]): singleton codes — the common case on
-            // key-like columns — never allocate a group.
-            let counts = counts_of(col);
-            let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for (c, &n) in counts.iter().enumerate() {
-                if c != NULL_CODE as usize && n >= 2 {
-                    slots[c] = groups.len() as u32;
-                    groups.push(Vec::with_capacity(n as usize));
-                }
-            }
-            for (i, &c) in col.codes().iter().enumerate() {
-                let s = slots[c as usize];
-                if c != NULL_CODE && s != u32::MAX {
-                    groups[s as usize].push(i);
-                }
-            }
+            let counts = code_counts(*col, pager)?;
+            // slots[NULL_CODE] stays MAX (NULL rows never group), so
+            // the fill pass needs no NULL check.
+            let (slots, sizes) = group_slots(&counts, true);
+            let mut groups = fill_groups(*col, pager, &slots, &sizes)?;
             groups.sort();
-            groups
+            Ok(groups)
         }
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for i in 0..rows {
-                if ca[i] != NULL_CODE && cb[i] != NULL_CODE {
-                    map.entry(pack2(ca[i], cb[i])).or_default().push(i);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            groups
+        [_, _] => {
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+                stream_range(cols, pager, r, |base, s| {
+                    for (i, (&x, &y)) in s[0].iter().zip(s[1]).enumerate() {
+                        if x != NULL_CODE && y != NULL_CODE {
+                            map.entry(pack2(x, y)).or_default().push(base + i);
+                        }
+                    }
+                })?;
+                Ok(map)
+            });
+            Ok(sorted_groups(merge_groups(parts)?))
         }
         _ => {
-            let codes: Vec<&[u32]> = cols.iter().map(|c| c.codes()).collect();
-            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
+                let mut scratch: Vec<u32> = vec![0; cols.len()];
+                stream_range(cols, pager, r, |base, s| {
+                    'rows: for i in 0..s[0].len() {
+                        for (k, c) in scratch.iter_mut().zip(s) {
+                            if c[i] == NULL_CODE {
+                                continue 'rows;
+                            }
+                            *k = c[i];
+                        }
+                        if let Some(g) = map.get_mut(scratch.as_slice()) {
+                            g.push(base + i);
+                        } else {
+                            map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
+                        }
                     }
-                    *s = code;
-                }
-                if let Some(g) = map.get_mut(scratch.as_slice()) {
-                    g.push(i);
-                } else {
-                    map.insert(scratch.clone().into_boxed_slice(), vec![i]);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            groups
+                })?;
+                Ok(map)
+            });
+            Ok(sorted_groups(merge_groups(parts)?))
         }
     }
 }
 
-/// Does `lhs → rhs` hold under SQL semantics (NULL-LHS rows skipped)?
-/// Single pass, first-witness comparison on codes; same answer as
-/// `Database::fd_holds` — structural `Value` equality coincides with
-/// code equality because both sides intern through the same `Eq`.
-pub fn fd_holds_cols(lhs: &[&ColumnDict], rhs: &[&ColumnDict], rows: usize) -> bool {
-    let rcols: Vec<&[u32]> = rhs.iter().map(|c| c.codes()).collect();
-    let agree = |i: usize, j: usize| rcols.iter().all(|c| c[i] == c[j]);
+/// The unary stripped partition `π_col` (mining convention:
+/// NULL = NULL, the NULL rows forming a class of their own). Equals
+/// [`StrippedPartition::for_attribute`]. Class sizes come from the
+/// dictionary's fused counts, so stripped singleton classes never
+/// allocate and the kernel is a single fill pass.
+pub fn partition1<C: CodeSource>(col: &C, pager: &C::Pager) -> Result<StrippedPartition, C::Error> {
+    let counts = code_counts(col, pager)?;
+    let (slots, sizes) = group_slots(&counts, false);
+    let mut classes = fill_groups(col, pager, &slots, &sizes)?;
+    classes.sort();
+    Ok(StrippedPartition {
+        classes,
+        rows: col.rows(),
+    })
+}
+
+/// Does `lhs → rhs` hold under SQL semantics? NULL-LHS rows are
+/// skipped; the RHS is compared structurally — same-dictionary code
+/// equality *is* structural `Value` equality, `NULL = NULL` and
+/// `NaN = NaN` included — so the answer equals
+/// [`crate::database::Database::fd_holds`].
+///
+/// One chunked pass over LHS and RHS codes together, keeping a single
+/// RHS **witness tuple** per LHS group instead of materializing row
+/// groups: allocation is bounded by the number of duplicated LHS
+/// values, never the extension, which is what lets an out-of-core FD
+/// probe run in pool-sized memory. Codes are dense `u32`s (a real code
+/// can never be `u32::MAX`), so `u32::MAX` marks "group not seen yet".
+pub fn fd_holds<C: CodeSource>(
+    lhs: &[&C],
+    rhs: &[&C],
+    pager: &C::Pager,
+    rows: usize,
+) -> Result<bool, C::Error> {
+    if rhs.is_empty() || rows < 2 {
+        return Ok(true);
+    }
+    let arity = rhs.len();
     match lhs {
         [] => {
-            // Empty LHS: every row must agree on the RHS.
-            (1..rows).all(|i| agree(0, i))
+            // One group of every row: holds iff each RHS column is
+            // constant under structural equality — all NULL, or one
+            // value and no NULLs. Pure dictionary metadata, no scan.
+            Ok(rhs.iter().all(|c| {
+                let nulls = c.dict().null_count();
+                nulls == rows || (c.dict().cardinality() == 1 && nulls == 0)
+            }))
         }
-        [col] => {
-            let mut first: Vec<usize> = vec![usize::MAX; col.cardinality() + 1];
-            for (i, &c) in col.codes().iter().enumerate() {
-                if c == NULL_CODE {
-                    continue;
-                }
-                let f = first[c as usize];
-                if f == usize::MAX {
-                    first[c as usize] = i;
-                } else if !agree(i, f) {
-                    return false;
-                }
+        [l] => {
+            let counts = code_counts(*l, pager)?;
+            let (slots, sizes) = group_slots(&counts, true);
+            let groups = sizes.len();
+            if groups == 0 {
+                // Every non-NULL LHS value is unique: nothing to agree on.
+                return Ok(true);
             }
-            true
-        }
-        [ca, cb] => {
-            let (ca, cb) = (ca.codes(), cb.codes());
-            let mut first: FxHashMap<u64, usize> = FxHashMap::default();
-            for i in 0..rows {
-                if ca[i] == NULL_CODE || cb[i] == NULL_CODE {
-                    continue;
-                }
-                match first.entry(pack2(ca[i], cb[i])) {
-                    Entry::Occupied(e) => {
-                        if !agree(i, *e.get()) {
-                            return false;
+            let scan: Vec<&C> = std::iter::once(*l).chain(rhs.iter().copied()).collect();
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let mut witness: Vec<u32> = vec![u32::MAX; groups * arity];
+                let mut ok = true;
+                stream_range(&scan, pager, r, |_, s| {
+                    if !ok {
+                        return;
+                    }
+                    for (i, &c) in s[0].iter().enumerate() {
+                        let slot = slots[c as usize];
+                        if slot == u32::MAX {
+                            continue;
+                        }
+                        let w = &mut witness[slot as usize * arity..][..arity];
+                        if w[0] == u32::MAX {
+                            for (wj, col) in w.iter_mut().zip(&s[1..]) {
+                                *wj = col[i];
+                            }
+                        } else if w.iter().zip(&s[1..]).any(|(&wj, col)| wj != col[i]) {
+                            ok = false;
+                            return;
                         }
                     }
-                    Entry::Vacant(e) => {
-                        e.insert(i);
+                })?;
+                Ok(ok.then_some(witness))
+            });
+            let mut acc: Option<Vec<u32>> = None;
+            for part in parts {
+                let Some(w) = part? else { return Ok(false) };
+                let Some(a) = &mut acc else {
+                    acc = Some(w);
+                    continue;
+                };
+                for (aw, ww) in a.chunks_exact_mut(arity).zip(w.chunks_exact(arity)) {
+                    if ww[0] == u32::MAX {
+                        continue;
+                    }
+                    if aw[0] == u32::MAX {
+                        aw.copy_from_slice(ww);
+                    } else if aw != ww {
+                        return Ok(false);
                     }
                 }
             }
-            true
+            Ok(true)
         }
         _ => {
-            let codes: Vec<&[u32]> = lhs.iter().map(|c| c.codes()).collect();
-            let mut first: FxHashMap<Box<[u32]>, usize> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; lhs.len()];
-            'rows: for i in 0..rows {
-                for (s, c) in scratch.iter_mut().zip(&codes) {
-                    let code = c[i];
-                    if code == NULL_CODE {
-                        continue 'rows;
+            // LHS code tuple → the RHS tuple of its first row.
+            type Witnesses = FxHashMap<Box<[u32]>, Box<[u32]>>;
+            let k = lhs.len();
+            let scan: Vec<&C> = lhs.iter().chain(rhs).copied().collect();
+            let parts = run_chunks(&chunk_ranges(rows), |r| {
+                let mut first = Witnesses::default();
+                let mut key: Vec<u32> = vec![0; k];
+                let mut ok = true;
+                stream_range(&scan, pager, r, |_, s| {
+                    if !ok {
+                        return;
                     }
-                    *s = code;
-                }
-                if let Some(&f) = first.get(scratch.as_slice()) {
-                    if !agree(i, f) {
-                        return false;
+                    'rows: for i in 0..s[0].len() {
+                        for (kj, c) in key.iter_mut().zip(&s[..k]) {
+                            if c[i] == NULL_CODE {
+                                continue 'rows;
+                            }
+                            *kj = c[i];
+                        }
+                        if let Some(w) = first.get(key.as_slice()) {
+                            if w.iter().zip(&s[k..]).any(|(&wj, col)| wj != col[i]) {
+                                ok = false;
+                                return;
+                            }
+                        } else {
+                            let w: Box<[u32]> = s[k..].iter().map(|col| col[i]).collect();
+                            first.insert(key.clone().into_boxed_slice(), w);
+                        }
                     }
-                } else {
-                    first.insert(scratch.clone().into_boxed_slice(), i);
+                })?;
+                Ok(ok.then_some(first))
+            });
+            let mut acc: Option<Witnesses> = None;
+            for part in parts {
+                let Some(m) = part? else { return Ok(false) };
+                let Some(a) = &mut acc else {
+                    acc = Some(m);
+                    continue;
+                };
+                for (key, w) in m {
+                    match a.entry(key) {
+                        Entry::Occupied(e) => {
+                            if *e.get() != w {
+                                return Ok(false);
+                            }
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert(w);
+                        }
+                    }
                 }
             }
-            true
+            Ok(true)
         }
     }
 }
 
 /// A fully dictionary-encoded table: one shared [`ColumnDict`] per
-/// attribute (cheap to assemble from per-column caches — see
-/// [`crate::stats::StatsEngine::dict`]).
+/// attribute, resident.
 ///
 /// Immutable and `Sync` after construction, so parallel workers share
 /// the codes read-only. Whole-table consumers (TANE, SPIDER, key
-/// discovery, `check_encoded`) use this; per-projection consumers go
-/// through the column-slice kernels directly.
+/// discovery) use this; per-projection consumers go through a
+/// counting backend's column cache.
 #[derive(Debug, Clone, Default)]
 pub struct DictTable {
     columns: Vec<Arc<ColumnDict>>,
@@ -803,13 +1108,6 @@ impl DictTable {
             columns,
             rows: table.len(),
         }
-    }
-
-    /// Assembles a table view from already-built column dictionaries
-    /// (all encoding the same `rows`-row table, in attribute order).
-    pub fn from_columns(columns: Vec<Arc<ColumnDict>>, rows: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.rows() == rows));
-        DictTable { columns, rows }
     }
 
     /// Number of rows of the encoded table.
@@ -830,57 +1128,11 @@ impl DictTable {
         self.columns[attr.index()].as_ref()
     }
 
-    /// The column dictionaries of `attrs`, hoisted once so row loops
-    /// never re-walk the attribute lookup.
-    fn cols(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
-        attrs.iter().map(|a| self.column(*a)).collect()
-    }
-
-    /// `‖r[attrs]‖` under SQL semantics; see [`count_distinct_cols`].
-    pub fn count_distinct(&self, attrs: &[AttrId]) -> usize {
-        count_distinct_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// Distinct projected code tuples; see [`distinct_codes_cols`].
-    pub fn distinct_codes(&self, attrs: &[AttrId]) -> EncodedSet {
-        distinct_codes_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// Decodes an [`EncodedSet`] from this table on `attrs`; see
-    /// [`decode_set_cols`].
-    pub fn decode_set(&self, attrs: &[AttrId], set: &EncodedSet) -> HashSet<ProjKey> {
-        decode_set_cols(&self.cols(attrs), set)
-    }
-
-    /// Unary stripped partition; see [`partition1_col`].
+    /// Unary stripped partition; see [`partition1`]. Resident codes
+    /// cannot fail to read.
     pub fn partition1(&self, attr: AttrId) -> StrippedPartition {
-        partition1_col(self.column(attr))
+        partition1(self.column(attr), &()).unwrap_or_else(|never| match never {})
     }
-
-    /// Stripped partition over `attrs`; see [`partition_cols`].
-    pub fn partition(&self, attrs: &[AttrId]) -> StrippedPartition {
-        partition_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// SQL-semantics LHS groups; see [`lhs_groups_cols`].
-    pub fn lhs_groups(&self, attrs: &[AttrId]) -> Vec<Vec<usize>> {
-        lhs_groups_cols(&self.cols(attrs), self.rows)
-    }
-
-    /// SQL-semantics FD check; see [`fd_holds_cols`].
-    pub fn fd_holds(&self, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
-        fd_holds_cols(&self.cols(lhs), &self.cols(rhs), self.rows)
-    }
-}
-
-/// `from_groups` twin for code-keyed grouping: strip singletons,
-/// normalize ordering.
-fn strip(groups: impl IntoIterator<Item = Vec<usize>>, rows: usize) -> StrippedPartition {
-    let mut classes: Vec<Vec<usize>> = groups.into_iter().filter(|g| g.len() >= 2).collect();
-    // Rows were pushed in ascending order; classes arrive unsorted
-    // from the map.
-    classes.sort();
-    StrippedPartition { classes, rows }
 }
 
 /// Per-position code translation `left code → right code`
@@ -989,31 +1241,21 @@ pub fn intersect_count(
     }
 }
 
-/// The three IND-Discovery cardinalities for an encoded join, built
-/// from scratch. Equals [`crate::counting::join_stats`].
-pub fn join_stats_encoded(
-    left: &DictTable,
-    lattrs: &[AttrId],
-    right: &DictTable,
-    rattrs: &[AttrId],
-) -> JoinStats {
-    let lcols: Vec<&ColumnDict> = lattrs.iter().map(|a| left.column(*a)).collect();
-    let rcols: Vec<&ColumnDict> = rattrs.iter().map(|a| right.column(*a)).collect();
-    let lset = distinct_codes_cols(&lcols, left.rows());
-    let rset = distinct_codes_cols(&rcols, right.rows());
-    JoinStats {
-        n_left: lset.len(),
-        n_right: rset.len(),
-        n_join: intersect_count(&lcols, &lset, &rcols, &rset),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn a(i: u16) -> AttrId {
         AttrId(i)
+    }
+
+    /// Resident kernels cannot fail.
+    fn ok<T>(r: Result<T, Infallible>) -> T {
+        r.unwrap_or_else(|never| match never {})
+    }
+
+    fn cols<'a>(d: &'a DictTable, attrs: &[AttrId]) -> Vec<&'a ColumnDict> {
+        attrs.iter().map(|&x| d.column(x)).collect()
     }
 
     fn sample() -> Table {
@@ -1059,10 +1301,11 @@ mod tests {
             vec![a(0), a(1)],
             vec![a(1), a(0)],
             vec![a(0), a(0)],
+            vec![a(0), a(1), a(0)],
             vec![],
         ] {
             assert_eq!(
-                d.count_distinct(&attrs),
+                ok(distinct_codes(&cols(&d, &attrs), &(), d.rows())).len(),
                 t.count_distinct(&attrs),
                 "attrs {attrs:?}"
             );
@@ -1074,9 +1317,10 @@ mod tests {
         let t = sample();
         let d = DictTable::build(&t);
         for attrs in [vec![a(0)], vec![a(0), a(1)], vec![a(1), a(0), a(0)]] {
-            let set = d.distinct_codes(&attrs);
+            let c = cols(&d, &attrs);
+            let set = ok(distinct_codes(&c, &(), d.rows()));
             assert_eq!(
-                d.decode_set(&attrs, &set),
+                decode_set_cols(&c, &set),
                 t.distinct_projection(&attrs),
                 "attrs {attrs:?}"
             );
@@ -1087,17 +1331,11 @@ mod tests {
     fn partitions_match_reference() {
         let t = sample();
         let d = DictTable::build(&t);
-        for attrs in [vec![a(0)], vec![a(1)], vec![a(0), a(1)], vec![]] {
-            assert_eq!(
-                d.partition(&attrs),
-                StrippedPartition::for_attrs(&t, &attrs),
-                "attrs {attrs:?}"
-            );
+        for x in [a(0), a(1)] {
+            let expected = StrippedPartition::for_attribute(&t, x);
+            assert_eq!(ok(partition1(d.column(x), &())), expected, "attr {x:?}");
+            assert_eq!(d.partition1(x), expected, "attr {x:?}");
         }
-        assert_eq!(
-            d.partition1(a(0)),
-            StrippedPartition::for_attribute(&t, a(0))
-        );
     }
 
     #[test]
@@ -1116,21 +1354,28 @@ mod tests {
         )
         .unwrap();
         let d = DictTable::build(&t);
-        assert!(d.fd_holds(&[a(0)], &[a(1)]));
+        let fd = |lhs: &[AttrId], rhs: &[AttrId]| {
+            ok(fd_holds(&cols(&d, lhs), &cols(&d, rhs), &(), d.rows()))
+        };
+        assert!(fd(&[a(0)], &[a(1)]));
         // y = 10 maps to x ∈ {1, 2}.
-        assert!(!d.fd_holds(&[a(1)], &[a(0)]));
+        assert!(!fd(&[a(1)], &[a(0)]));
+        // Composite LHS: (x, y) is unique on its non-NULL rows.
+        assert!(fd(&[a(0), a(1)], &[a(0)]));
         // Empty LHS: constant-column test.
-        assert!(!d.fd_holds(&[], &[a(0)]));
+        assert!(!fd(&[], &[a(0)]));
     }
 
     #[test]
     fn lhs_groups_skip_null_rows() {
         let t = sample();
         let d = DictTable::build(&t);
+        let groups = |attrs: &[AttrId]| ok(lhs_groups(&cols(&d, attrs), &(), d.rows()));
         // x: value 1 on rows {0,1}; NULL row 3 skipped.
-        assert_eq!(d.lhs_groups(&[a(0)]), vec![vec![0, 1]]);
+        assert_eq!(groups(&[a(0)]), vec![vec![0, 1]]);
         // (x, y): only (1,'a') repeats.
-        assert_eq!(d.lhs_groups(&[a(0), a(1)]), vec![vec![0, 1]]);
+        assert_eq!(groups(&[a(0), a(1)]), vec![vec![0, 1]]);
+        assert_eq!(groups(&[a(0), a(1), a(0)]), vec![vec![0, 1]]);
     }
 
     #[test]
@@ -1154,8 +1399,15 @@ mod tests {
         )
         .unwrap();
         let (dl, dr) = (DictTable::build(&l), DictTable::build(&r));
-        let s = join_stats_encoded(&dl, &[a(0)], &dr, &[a(0)]);
-        assert_eq!((s.n_left, s.n_right, s.n_join), (4, 3, 2));
+        let (lc, rc) = (cols(&dl, &[a(0)]), cols(&dr, &[a(0)]));
+        let (ls, rs) = (
+            ok(distinct_codes(&lc, &(), dl.rows())),
+            ok(distinct_codes(&rc, &(), dr.rows())),
+        );
+        assert_eq!(
+            (ls.len(), rs.len(), intersect_count(&lc, &ls, &rc, &rs)),
+            (4, 3, 2)
+        );
     }
 
     #[test]
@@ -1174,7 +1426,10 @@ mod tests {
         let d = DictTable::build(&t);
         // Same-payload NaNs share a code (OrdF64 total order).
         assert_eq!(d.column(a(0)).cardinality(), 2);
-        assert_eq!(d.count_distinct(&[a(0)]), t.count_distinct(&[a(0)]));
+        assert_eq!(
+            ok(distinct_codes(&cols(&d, &[a(0)]), &(), d.rows())).len(),
+            t.count_distinct(&[a(0)])
+        );
         assert_eq!(
             d.partition1(a(0)),
             StrippedPartition::for_attribute(&t, a(0))
@@ -1185,12 +1440,14 @@ mod tests {
     fn empty_table_kernels() {
         let t = Table::new(2);
         let d = DictTable::build(&t);
-        assert_eq!(d.count_distinct(&[a(0)]), 0);
-        assert_eq!(d.count_distinct(&[a(0), a(1)]), 0);
-        assert!(d.distinct_codes(&[]).is_empty());
-        assert!(d.partition(&[a(0), a(1)]).is_key());
-        assert!(d.fd_holds(&[a(0)], &[a(1)]));
-        assert!(d.lhs_groups(&[a(0)]).is_empty());
+        let (x, xy) = (cols(&d, &[a(0)]), cols(&d, &[a(0), a(1)]));
+        assert_eq!(ok(distinct_codes(&x, &(), 0)).len(), 0);
+        assert_eq!(ok(distinct_codes(&xy, &(), 0)).len(), 0);
+        assert!(ok(distinct_codes::<ColumnDict>(&[], &(), 0)).is_empty());
+        assert!(d.partition1(a(0)).is_key());
+        assert!(ok(fd_holds(&x, &cols(&d, &[a(1)]), &(), 0)));
+        assert!(ok(lhs_groups(&x, &(), 0)).is_empty());
+        assert!(ok(lhs_groups(&xy, &(), 0)).is_empty());
     }
 
     #[test]
@@ -1226,21 +1483,19 @@ mod tests {
     #[test]
     fn kernels_fall_back_when_counts_missing() {
         // A hand-assembled dictionary without the counts invariant
-        // (e.g. Default + rehydrate) must still partition correctly.
+        // must still partition correctly: the kernels recount.
         let t = sample();
         let built = ColumnDict::build(t.column(a(0)));
-        let stripped = ColumnDict::default().rehydrate(built.codes().to_vec());
-        // Cardinality is 0 on the stripped dict, so counts length
-        // mismatches and the kernels recount; partition1 only depends
-        // on codes, and all real codes are out of the (empty) domain —
-        // exercise just the recount path on the true dict shape.
-        assert_eq!(stripped.code_counts().len(), 0);
         let mut manual = built.clone();
         manual.counts = Vec::new();
-        assert_eq!(partition1_col(&manual), partition1_col(&built));
+        assert_eq!(ok(partition1(&manual, &())), ok(partition1(&built, &())));
         assert_eq!(
-            lhs_groups_cols(&[&manual], t.len()),
-            lhs_groups_cols(&[&built], t.len())
+            ok(lhs_groups(&[&manual], &(), t.len())),
+            ok(lhs_groups(&[&built], &(), t.len()))
+        );
+        assert_eq!(
+            ok(fd_holds(&[&manual], &[&built], &(), t.len())),
+            ok(fd_holds(&[&built], &[&built], &(), t.len()))
         );
     }
 
@@ -1280,24 +1535,6 @@ mod tests {
             seeded.sketch_if_built().as_deref(),
             Some(sketch.as_ref()),
             "preseeded sketch equals a fresh build"
-        );
-    }
-
-    #[test]
-    fn from_columns_matches_whole_table_build() {
-        let t = sample();
-        let built = DictTable::build(&t);
-        let assembled = DictTable::from_columns(
-            (0..t.arity())
-                .map(|i| Arc::new(ColumnDict::build(t.column(a(i as u16)))))
-                .collect(),
-            t.len(),
-        );
-        assert_eq!(assembled.rows(), built.rows());
-        assert_eq!(assembled.arity(), built.arity());
-        assert_eq!(
-            assembled.distinct_codes(&[a(0), a(1)]),
-            built.distinct_codes(&[a(0), a(1)])
         );
     }
 }

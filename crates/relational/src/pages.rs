@@ -1,48 +1,40 @@
-//! The paged columnar store: dictionary codes on disk, counting
-//! kernels streaming over fixed-size pages.
+//! The spilled store: dictionary codes on disk, read page by page
+//! through a buffer pool.
 //!
-//! The in-memory backends cap the extension at what fits in RAM; the
+//! The resident store caps the extension at what fits in RAM; the
 //! paper's target — 100M-row legacy databases — does not. This module
 //! keeps each encoded column's per-row `u32` codes (NULL = 0, exactly
 //! the [`crate::encode::ColumnDict`] code space) in a spill file of
 //! fixed [`PAGE_BYTES`] pages behind a small header, while the
-//! *dictionary* halves (decode table, encode index, NULL count) stay
-//! resident as a codes-free [`ColumnDict::slim`] copy. Every counting
-//! kernel the pipeline needs — `count_distinct`, `join_stats`,
-//! `lhs_groups`, counting-sort partitions — re-runs the PR 3 encoded
-//! kernels page slice by page slice through a shared LRU
-//! [`BufferPool`], so the resident working set is bounded by the pool
-//! capacity, not the extension size.
+//! *dictionary* halves (decode table, encode index, NULL count, fused
+//! code counts) stay resident as a codes-free [`ColumnDict::slim`]
+//! copy.
 //!
-//! Cross-column kernels that never touch per-row codes —
-//! [`crate::encode::intersect_count`], [`crate::encode::code_translation`],
-//! [`crate::encode::decode_set_cols`] — are reused *unchanged* on the
-//! slim dictionaries; only the row-scan loops needed paged twins.
+//! A [`PagedColumn`] is a [`CodeSource`]: each page is one chunk, read
+//! through a shared LRU [`BufferPool`] as its pager, so the one
+//! kernel family of [`crate::encode`] — the same code that scans
+//! resident columns — runs over it unchanged, and the resident working
+//! set is bounded by the pool capacity, not the extension size.
 //!
-//! [`PagedBackend`] packages the store as the fourth
-//! `BackendChoice`: spill-on-encode from the same generation-tagged
+//! [`PagedBackend`] is the shared [`ColumnarBackend`] over the
+//! [`SpilledStore`]: spill-on-encode from the same generation-tagged
 //! dictionary build the encoded backend performs, invalidation by
 //! eviction ([`BufferPool::evict_file`]) when a table mutates, and a
 //! reference fallback (counted in
 //! [`BackendExecStats::fallback_failures`]) if a spill file ever
 //! fails — an I/O error degrades a probe to the slow path, never to a
-//! wrong answer or a panic.
+//! wrong answer.
 
 use crate::attr::AttrId;
-use crate::backend::{lhs_groups_reference, read_recover, write_recover, Tagged};
-use crate::backend::{BackendExecStats, CountBackend};
+use crate::backend::{
+    write_recover, BackendExecStats, ColumnCache, ColumnStore, ColumnarBackend, Tagged,
+};
 use crate::bufpool::{BufferPool, PageCacheStats, PageKey};
-use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
-use crate::deps::Fd;
-use crate::encode::{decode_set_cols, intersect_count, ColumnDict, EncodedSet, NULL_CODE};
-use crate::fasthash::{FxHashMap, FxHashSet};
-use crate::partitions::StrippedPartition;
+use crate::encode::{CodeSource, ColumnDict};
 use crate::schema::RelId;
-use crate::sketch::ColumnSketch;
 use crate::spill::{SpillCacheStats, SpilledTable};
-use crate::table::ProjKey;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -275,16 +267,17 @@ impl PageFile {
                 HEADER_BYTES as u64 + u64::from(page) * PAGE_BYTES as u64,
             ))
             .map_err(io_err)?;
-            f.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    PageError::Truncated {
-                        expected: HEADER_BYTES as u64 + u64::from(self.pages) * PAGE_BYTES as u64,
-                        actual: 0,
-                    }
-                } else {
-                    io_err(e)
+            if let Err(e) = f.read_exact(&mut buf) {
+                if e.kind() != std::io::ErrorKind::UnexpectedEof {
+                    return Err(io_err(e));
                 }
-            })?;
+                // The file shrank after `open` validated its length:
+                // report what is there now.
+                return Err(PageError::Truncated {
+                    expected: HEADER_BYTES as u64 + u64::from(self.pages) * PAGE_BYTES as u64,
+                    actual: f.metadata().map_err(io_err)?.len(),
+                });
+            }
         }
         Ok(buf
             .chunks_exact(4)
@@ -537,615 +530,58 @@ impl PagedColumn {
     }
 }
 
-/// Worker threads for chunked page scans. Off-feature this is 1 (the
-/// chunked kernels collapse to their serial shape); with the
-/// `parallel` feature it follows the machine, overridable through
-/// `DBRE_PAGED_THREADS` (clamped to 1..=64) so scaling can be
-/// measured — and the parallel code paths exercised — regardless of
-/// the host's core count.
-fn paged_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+/// Spilled codes: chunk `i` is page `i` of the spill file, read
+/// through the buffer pool, which pins each page for as long as a
+/// kernel holds it.
+impl CodeSource for PagedColumn {
+    type Pager = BufferPool;
+    type Error = PageError;
+    type Chunk<'a> = PageCodes;
+    const PREFETCH: bool = true;
+
+    fn dict(&self) -> &ColumnDict {
+        &self.dict
     }
-    #[cfg(feature = "parallel")]
-    {
-        if let Ok(v) = std::env::var("DBRE_PAGED_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn chunk(&self, pool: &BufferPool, i: usize) -> Result<PageCodes, PageError> {
+        self.page(pool, i as u32).map(PageCodes)
     }
 }
 
-/// Splits `pages` into at most `threads` contiguous ranges. Chunk
-/// boundaries depend only on (pages, threads), so a merge in chunk
-/// order is deterministic.
-fn page_chunks(pages: usize, threads: usize) -> Vec<std::ops::Range<usize>> {
-    if pages == 0 {
-        return Vec::new();
+/// One pooled page of codes, pinned while a kernel reads it.
+#[derive(Debug, Clone)]
+pub struct PageCodes(Arc<Vec<u32>>);
+
+impl std::ops::Deref for PageCodes {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.0
     }
-    let n = threads.clamp(1, pages);
-    let per = pages.div_ceil(n);
-    (0..pages)
-        .step_by(per)
-        .map(|s| s..(s + per).min(pages))
-        .collect()
 }
 
-/// Runs `f` over every chunk, one scoped thread per chunk when the
-/// `parallel` feature is on and there is more than one chunk, inline
-/// otherwise. Results come back **in chunk order** regardless of
-/// completion order — the determinism the merges rely on.
-fn run_chunks<R, F>(chunks: &[std::ops::Range<usize>], f: F) -> Vec<Result<R, PageError>>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> Result<R, PageError> + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if chunks.len() > 1 {
-        let mut out: Vec<Option<Result<R, PageError>>> = Vec::new();
-        out.resize_with(chunks.len(), || None);
-        std::thread::scope(|scope| {
-            for (slot, chunk) in out.iter_mut().zip(chunks) {
-                let fr = &f;
-                scope.spawn(move || {
-                    *slot = Some(fr(chunk.clone()));
-                });
-            }
-        });
-        return out
-            .into_iter()
-            .map(|r| {
-                // Invariant: the scope joins every worker, and each
-                // worker's only job is to fill its slot.
-                #[allow(clippy::expect_used)]
-                r.expect("chunk worker filled its slot before scope exit")
-            })
-            .collect();
-    }
-    chunks.iter().map(|c| f(c.clone())).collect()
-}
-
-/// How many page groups the prefetching reader may run ahead of the
-/// consumer.
-#[cfg(feature = "parallel")]
-const PREFETCH_DEPTH: usize = 2;
-
-/// Streams `range`'s pages over `cols` in lockstep, calling
-/// `f(base_row, slices)` once per page in order. Holding the `Arc`s
-/// across the callback keeps the data alive even if the pool evicts
-/// the entry mid-iteration, so a capacity-1 pool is slow but never
-/// wrong.
+/// The spilled store: a freshly built column's codes go to a page
+/// file at once, only the slim dictionary stays resident, and every
+/// scan reads pages through a capacity-bounded [`BufferPool`] — the
+/// resident working set is bounded by the pool, not the extension.
 ///
-/// Under the `parallel` feature a reader thread fetches pages through
-/// the pool ahead of the consumer (bounded by [`PREFETCH_DEPTH`]),
-/// overlapping page I/O with kernel compute. Pages are still
-/// requested and delivered strictly in order, so results and counter
-/// totals are identical to the plain loop.
-fn stream_page_range<F>(
-    cols: &[&PagedColumn],
-    pool: &BufferPool,
-    range: std::ops::Range<usize>,
-    mut f: F,
-) -> Result<(), PageError>
-where
-    F: FnMut(usize, &[&[u32]]),
-{
-    #[cfg(feature = "parallel")]
-    if range.len() > 1 {
-        return std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
-            let reader = range.clone();
-            scope.spawn(move || {
-                for p in reader {
-                    let group: Result<Vec<Arc<Vec<u32>>>, PageError> =
-                        cols.iter().map(|c| c.page(pool, p as u32)).collect();
-                    let stop = group.is_err();
-                    if tx.send(group).is_err() || stop {
-                        return;
-                    }
-                }
-            });
-            for (p, group) in range.clone().zip(rx.iter()) {
-                let owned = group?;
-                let slices: Vec<&[u32]> = owned.iter().map(|a| a.as_slice()).collect();
-                f(p * PAGE_CODES, &slices);
-            }
-            Ok(())
-        });
-    }
-    for p in range {
-        let owned: Vec<Arc<Vec<u32>>> = cols
-            .iter()
-            .map(|c| c.page(pool, p as u32))
-            .collect::<Result<_, _>>()?;
-        let slices: Vec<&[u32]> = owned.iter().map(|a| a.as_slice()).collect();
-        f(p * PAGE_CODES, &slices);
-    }
-    Ok(())
-}
-
-#[inline]
-fn pack2(hi: u32, lo: u32) -> u64 {
-    (u64::from(hi) << 32) | u64::from(lo)
-}
-
-/// Paged twin of [`crate::encode::distinct_codes_cols`]: the distinct
-/// non-NULL projected code tuples, streamed page by page — in
-/// parallel per-chunk partials unioned afterwards when the `parallel`
-/// feature (and more than one thread) is in play. Set contents are
-/// identical either way; only insertion order differs, which no
-/// consumer observes.
-pub fn distinct_codes_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<EncodedSet, PageError> {
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match cols {
-        [] => {
-            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            if rows > 0 {
-                s.insert(Box::from([]));
-            }
-            Ok(EncodedSet::Wide(s))
-        }
-        [c] => Ok(EncodedSet::Unary {
-            card: c.dict.cardinality() as u32,
-        }),
-        [ca, cb] => {
-            let cap = (ca.dict.cardinality() as u64 * cb.dict.cardinality() as u64).min(rows as u64)
-                as usize;
-            let parts = run_chunks(&chunks, |r| {
-                let mut set: FxHashSet<u64> = FxHashSet::default();
-                stream_page_range(cols, pool, r, |_, slices| {
-                    for (&x, &y) in slices[0].iter().zip(slices[1]) {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            set.insert(pack2(x, y));
-                        }
-                    }
-                })?;
-                Ok(set)
-            });
-            let mut set: FxHashSet<u64> =
-                FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            for part in parts {
-                set.extend(part?);
-            }
-            Ok(EncodedSet::Packed(set))
-        }
-        _ => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_page_range(cols, pool, r, |_, slices| {
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in scratch.iter_mut().zip(slices) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if !set.contains(scratch.as_slice()) {
-                            set.insert(scratch.clone().into_boxed_slice());
-                        }
-                    }
-                })?;
-                Ok(set)
-            });
-            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            for part in parts {
-                set.extend(part?);
-            }
-            Ok(EncodedSet::Wide(set))
-        }
-    }
-}
-
-/// Paged twin of [`crate::encode::count_distinct_cols`], including
-/// the dense-bitset pair fast path.
-pub fn count_distinct_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<usize, PageError> {
-    match cols {
-        [c] => Ok(c.dict.cardinality()),
-        [ca, cb] => {
-            let domain = ca.dict.cardinality() as u64 * cb.dict.cardinality() as u64;
-            const BITSET_MAX: u64 = 1 << 22;
-            if domain > 0 && domain <= BITSET_MAX {
-                let width = cb.dict.cardinality() as u64;
-                let words = (domain as usize).div_ceil(64);
-                let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-                let parts = run_chunks(&chunks, |r| {
-                    let mut bits = vec![0u64; words];
-                    stream_page_range(cols, pool, r, |_, slices| {
-                        for (&x, &y) in slices[0].iter().zip(slices[1]) {
-                            if x == NULL_CODE || y == NULL_CODE {
-                                continue;
-                            }
-                            let idx = (u64::from(x) - 1) * width + (u64::from(y) - 1);
-                            bits[(idx / 64) as usize] |= 1u64 << (idx % 64);
-                        }
-                    })?;
-                    Ok(bits)
-                });
-                let mut acc = vec![0u64; words];
-                for part in parts {
-                    for (a, b) in acc.iter_mut().zip(part?) {
-                        *a |= b;
-                    }
-                }
-                Ok(acc.iter().map(|w| w.count_ones() as usize).sum())
-            } else {
-                Ok(distinct_codes_paged(cols, rows, pool)?.len())
-            }
-        }
-        _ => Ok(distinct_codes_paged(cols, rows, pool)?.len()),
-    }
-}
-
-/// Per-code occurrence counts of one column. The resident dictionary
-/// carries them for free since the counts fusion
-/// ([`ColumnDict::code_counts`]); any dictionary without them (a
-/// foreign length is treated as "unavailable" by convention) costs
-/// one chunked counting pass over the pages. Index 0 is the NULL
-/// count.
-fn code_counts_paged(col: &PagedColumn, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
-    let domain = col.dict.cardinality() + 1;
-    let dc = col.dict.code_counts();
-    if dc.len() == domain {
-        return Ok(dc.iter().map(|&n| n as u32).collect());
-    }
-    let cols = [col];
-    let chunks = page_chunks(col.rows.div_ceil(PAGE_CODES), paged_threads());
-    let parts = run_chunks(&chunks, |r| {
-        let mut counts: Vec<u32> = vec![0; domain];
-        stream_page_range(&cols, pool, r, |_, slices| {
-            for &c in slices[0] {
-                counts[c as usize] += 1;
-            }
-        })?;
-        Ok(counts)
-    });
-    let mut acc = vec![0u32; domain];
-    for part in parts {
-        for (a, b) in acc.iter_mut().zip(part?) {
-            *a += b;
-        }
-    }
-    Ok(acc)
-}
-
-/// Builds the counting-sort slot table: `slots[c]` is the dense group
-/// index of code `c`, `u32::MAX` for codes that form no group
-/// (occurrence < 2, or NULL when `skip_null`). Returns the slot table
-/// and each group's size.
-fn group_slots(counts: &[u32], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
-    let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
-    let mut sizes: Vec<usize> = Vec::new();
-    let start = usize::from(skip_null);
-    for (c, &n) in counts.iter().enumerate().skip(start) {
-        if n >= 2 {
-            slots[c] = sizes.len() as u32;
-            sizes.push(n as usize);
-        }
-    }
-    (slots, sizes)
-}
-
-/// The chunked counting-sort fill pass shared by [`lhs_groups_paged`]
-/// and [`partition1_paged`]: every row whose code has a slot lands in
-/// its group, chunk partials concatenated in chunk order so row ids
-/// stay ascending — byte-identical to the serial fill.
-fn fill_groups_paged(
-    col: &PagedColumn,
-    rows: usize,
-    pool: &BufferPool,
-    slots: &[u32],
-    sizes: &[usize],
-) -> Result<Vec<Vec<usize>>, PageError> {
-    let cols = [col];
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    let parts = run_chunks(&chunks, |r| {
-        let mut part: Vec<Vec<usize>> = vec![Vec::new(); sizes.len()];
-        stream_page_range(&cols, pool, r, |base, slices| {
-            for (i, &c) in slices[0].iter().enumerate() {
-                let s = slots[c as usize];
-                if s != u32::MAX {
-                    part[s as usize].push(base + i);
-                }
-            }
-        })?;
-        Ok(part)
-    });
-    let mut groups: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    for part in parts {
-        for (g, p) in groups.iter_mut().zip(part?) {
-            g.extend(p);
-        }
-    }
-    Ok(groups)
-}
-
-/// Paged twin of [`crate::encode::lhs_groups_cols`]: SQL-semantics
-/// row groups (size ≥ 2), page base offsets restoring global row ids.
-/// Unary group sizes come straight from the dictionary's fused
-/// occurrence counts (no counting pass); the fill pass — and the
-/// hash-grouped multi-column arms — run as per-chunk partials merged
-/// in chunk order, so the result is byte-identical to the serial
-/// scan.
-pub fn lhs_groups_paged(
-    cols: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<Vec<Vec<usize>>, PageError> {
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match cols {
-        [] => Ok(if rows >= 2 {
-            vec![(0..rows).collect()]
-        } else {
-            Vec::new()
-        }),
-        [col] => {
-            let counts = code_counts_paged(col, pool)?;
-            // slots[NULL_CODE] stays MAX (SQL semantics: NULL rows
-            // never group), so the fill pass needs no NULL check.
-            let (slots, sizes) = group_slots(&counts, true);
-            let mut groups = fill_groups_paged(col, rows, pool, &slots, &sizes)?;
-            groups.sort();
-            Ok(groups)
-        }
-        [_, _] => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                stream_page_range(cols, pool, r, |base, slices| {
-                    for (i, (&x, &y)) in slices[0].iter().zip(slices[1]).enumerate() {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            map.entry(pack2(x, y)).or_default().push(base + i);
-                        }
-                    }
-                })?;
-                Ok(map)
-            });
-            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            for part in parts {
-                for (k, v) in part? {
-                    map.entry(k).or_default().extend(v);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            Ok(groups)
-        }
-        _ => {
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_page_range(cols, pool, r, |base, slices| {
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in scratch.iter_mut().zip(slices) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if let Some(g) = map.get_mut(scratch.as_slice()) {
-                            g.push(base + i);
-                        } else {
-                            map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
-                        }
-                    }
-                })?;
-                Ok(map)
-            });
-            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            for part in parts {
-                for (k, v) in part? {
-                    map.entry(k).or_default().extend(v);
-                }
-            }
-            let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-            groups.sort();
-            Ok(groups)
-        }
-    }
-}
-
-/// Paged twin of [`crate::encode::partition1_col`]: the unary
-/// stripped partition (mining convention, NULL = NULL). Class sizes
-/// come from the dictionary's fused occurrence counts — NULL included
-/// as its own class — so only the chunked fill pass touches pages.
-pub fn partition1_paged(
-    col: &PagedColumn,
-    pool: &BufferPool,
-) -> Result<StrippedPartition, PageError> {
-    let counts = code_counts_paged(col, pool)?;
-    let (slots, sizes) = group_slots(&counts, false);
-    let mut classes = fill_groups_paged(col, col.rows, pool, &slots, &sizes)?;
-    classes.sort();
-    Ok(StrippedPartition {
-        classes,
-        rows: col.rows,
-    })
-}
-
-/// Paged FD check, SQL semantics (matches the `CountBackend` default:
-/// NULL-LHS rows are skipped, the RHS is compared structurally —
-/// same-dictionary code equality *is* structural `Value` equality,
-/// `NULL = NULL` and `NaN = NaN` included).
-///
-/// One chunked pass over LHS and RHS pages together, keeping a single
-/// RHS **witness tuple** per LHS group instead of materializing row
-/// groups — allocation is bounded by the number of duplicated LHS
-/// values, never the extension, which is what lets an out-of-core FD
-/// probe run in pool-sized memory. Codes are dense `u32`s (a real
-/// code can never be `u32::MAX`), so `u32::MAX` marks "group not seen
-/// yet".
-pub fn fd_holds_paged(
-    lhs: &[&PagedColumn],
-    rhs: &[&PagedColumn],
-    rows: usize,
-    pool: &BufferPool,
-) -> Result<bool, PageError> {
-    if rhs.is_empty() || rows < 2 {
-        return Ok(true);
-    }
-    let arity = rhs.len();
-    let chunks = page_chunks(rows.div_ceil(PAGE_CODES), paged_threads());
-    match lhs {
-        [] => {
-            // One group of every row: holds iff each RHS column is
-            // constant under structural equality — all NULL, or one
-            // value and no NULLs. Pure dictionary metadata, no scan.
-            Ok(rhs.iter().all(|c| {
-                let nulls = c.dict.null_count();
-                nulls == rows || (c.dict.cardinality() == 1 && nulls == 0)
-            }))
-        }
-        [l] => {
-            let counts = code_counts_paged(l, pool)?;
-            let (slots, sizes) = group_slots(&counts, true);
-            if sizes.is_empty() {
-                // Every non-NULL LHS value is unique: nothing to agree on.
-                return Ok(true);
-            }
-            let mut scan: Vec<&PagedColumn> = Vec::with_capacity(1 + arity);
-            scan.push(l);
-            scan.extend(rhs.iter().copied());
-            let parts = run_chunks(&chunks, |r| {
-                let mut witness: Vec<u32> = vec![u32::MAX; sizes.len() * arity];
-                let mut ok = true;
-                stream_page_range(&scan, pool, r, |_, slices| {
-                    if !ok {
-                        return;
-                    }
-                    for (i, &c) in slices[0].iter().enumerate() {
-                        let s = slots[c as usize];
-                        if s == u32::MAX {
-                            continue;
-                        }
-                        let base = s as usize * arity;
-                        if witness[base] == u32::MAX {
-                            for j in 0..arity {
-                                witness[base + j] = slices[1 + j][i];
-                            }
-                        } else {
-                            for j in 0..arity {
-                                if witness[base + j] != slices[1 + j][i] {
-                                    ok = false;
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(witness))
-            });
-            let mut acc: Option<Vec<u32>> = None;
-            for part in parts {
-                let Some(w) = part? else { return Ok(false) };
-                match &mut acc {
-                    None => acc = Some(w),
-                    Some(a) => {
-                        for g in 0..sizes.len() {
-                            let base = g * arity;
-                            if w[base] == u32::MAX {
-                                continue;
-                            }
-                            if a[base] == u32::MAX {
-                                a[base..base + arity].copy_from_slice(&w[base..base + arity]);
-                            } else if a[base..base + arity] != w[base..base + arity] {
-                                return Ok(false);
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-        _ => {
-            let k = lhs.len();
-            let mut scan: Vec<&PagedColumn> = Vec::with_capacity(k + arity);
-            scan.extend(lhs.iter().copied());
-            scan.extend(rhs.iter().copied());
-            let parts = run_chunks(&chunks, |r| {
-                let mut map: FxHashMap<Box<[u32]>, Box<[u32]>> = FxHashMap::default();
-                let mut key: Vec<u32> = vec![0; k];
-                let mut ok = true;
-                stream_page_range(&scan, pool, r, |_, slices| {
-                    if !ok {
-                        return;
-                    }
-                    'rows: for i in 0..slices[0].len() {
-                        for (s, c) in key.iter_mut().zip(&slices[..k]) {
-                            let code = c[i];
-                            if code == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *s = code;
-                        }
-                        if let Some(w) = map.get(key.as_slice()) {
-                            for (j, &wj) in w.iter().enumerate() {
-                                if wj != slices[k + j][i] {
-                                    ok = false;
-                                    return;
-                                }
-                            }
-                        } else {
-                            let w: Box<[u32]> = (0..arity).map(|j| slices[k + j][i]).collect();
-                            map.insert(key.clone().into_boxed_slice(), w);
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(map))
-            });
-            let mut acc: FxHashMap<Box<[u32]>, Box<[u32]>> = FxHashMap::default();
-            for part in parts {
-                let Some(m) = part? else { return Ok(false) };
-                for (key, w) in m {
-                    match acc.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            if *e.get() != w {
-                                return Ok(false);
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(w);
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
-/// The out-of-core counting backend: encoded kernels streaming over
-/// spilled code pages through a capacity-bounded [`BufferPool`].
-///
-/// Column encoding happens exactly as in the encoded backend (one
-/// interning pass per column per table generation), but the per-row
-/// codes are spilled to a page file immediately and only the slim
-/// dictionary stays resident. A table mutation (generation bump)
-/// replaces the spill file and purges its pages from the pool; a
-/// spill or read failure degrades the probe to the `Value`-based
-/// reference semantics and increments
-/// [`BackendExecStats::fallback_failures`].
-pub struct PagedBackend {
+/// A table mutation (generation bump) replaces the spill file and
+/// purges its pages from the pool (invalidation by eviction). A spill
+/// or read failure degrades the probe to the `Value`-based reference
+/// semantics and increments [`BackendExecStats::fallback_failures`] —
+/// unless the table is a streamed extension, which has no in-memory
+/// rows to fall back to: that probe panics loudly instead, and the
+/// session's per-stage isolation surfaces it as a stage error.
+pub struct SpilledStore {
     pool: Arc<BufferPool>,
-    columns: RwLock<HashMap<(RelId, AttrId), Tagged<PagedColumn>>>,
     /// Rehydrated full dictionaries for the `column_dict()` seam —
     /// built on demand by streaming every page, then cached per
     /// generation like any other derived structure.
-    hydrated: RwLock<HashMap<(RelId, AttrId), Tagged<ColumnDict>>>,
+    hydrated: ColumnCache<ColumnDict>,
     fallbacks: AtomicU64,
     /// Streamed-ingest tables adopted from the persistent spill cache
     /// (encode skipped entirely).
@@ -1155,102 +591,21 @@ pub struct PagedBackend {
     spill_misses: AtomicU64,
 }
 
-impl Default for PagedBackend {
+impl Default for SpilledStore {
     fn default() -> Self {
-        PagedBackend::new()
+        SpilledStore::with_pool(Arc::new(BufferPool::default()))
     }
 }
 
-impl PagedBackend {
-    /// A paged backend with the default 64 MiB buffer pool.
-    pub fn new() -> Self {
-        PagedBackend::with_pool(Arc::new(BufferPool::default()))
-    }
-
-    /// A paged backend whose pool holds at most `bytes` of page data.
-    pub fn with_capacity_bytes(bytes: usize) -> Self {
-        PagedBackend::with_pool(Arc::new(BufferPool::with_capacity_bytes(bytes)))
-    }
-
-    /// A paged backend over an explicit (possibly shared) pool.
-    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
-        PagedBackend {
+impl SpilledStore {
+    fn with_pool(pool: Arc<BufferPool>) -> Self {
+        SpilledStore {
             pool,
-            columns: RwLock::new(HashMap::new()),
             hydrated: RwLock::new(HashMap::new()),
             fallbacks: AtomicU64::new(0),
             spill_hits: AtomicU64::new(0),
             spill_misses: AtomicU64::new(0),
         }
-    }
-
-    /// The backend's buffer pool.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
-    /// The paged encoding of one column, spilled once per table
-    /// generation. A stale entry's pages are purged from the pool
-    /// before the replacement is adopted (invalidation by eviction).
-    pub fn paged_column(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attr: AttrId,
-    ) -> Result<Arc<PagedColumn>, PageError> {
-        let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.columns).get(&key) {
-            if entry.gen == gen {
-                return Ok(Arc::clone(&entry.value));
-            }
-        }
-        // A streamed extension's rows exist only in the paged store —
-        // there is no in-memory column to (re-)encode from. A miss
-        // here means the adopted columns were invalidated (the table
-        // mutated); rebuilding from the empty in-memory column would
-        // silently encode zero rows.
-        if !db.table(rel).is_materialized() {
-            return Err(PageError::Io(format!(
-                "column {} of relation {} is a streamed extension with no spilled pages",
-                attr.0, rel.0
-            )));
-        }
-        let full = ColumnDict::build(db.table(rel).column(attr));
-        let value = Arc::new(PagedColumn::from_dict(&full)?);
-        drop(full);
-        let mut columns = write_recover(&self.columns);
-        if let Some(entry) = columns.get(&key) {
-            if entry.gen == gen {
-                return Ok(Arc::clone(&entry.value));
-            }
-        }
-        if let Some(stale) = columns.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        ) {
-            self.pool.evict_file(stale.value.file.id);
-        }
-        Ok(value)
-    }
-
-    fn attr_columns(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attrs: &[AttrId],
-    ) -> Result<Vec<Arc<PagedColumn>>, PageError> {
-        attrs
-            .iter()
-            .map(|a| self.paged_column(db, rel, *a))
-            .collect()
-    }
-
-    fn note_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Degrades a failed probe to the reference path — unless one of
@@ -1265,215 +620,63 @@ impl PagedBackend {
                 "paged backend failed on a streamed extension with no in-memory fallback: {err}"
             );
         }
-        self.note_fallback();
-    }
-
-    /// Adopts a streamed-ingest table's columns: the spill files were
-    /// written (or loaded from the persistent cache) by
-    /// `import_csv_spilled`, so no encode pass runs here. Columns are
-    /// installed under the table's *current* generation; the spill
-    /// hit/miss counters record whether the cache skipped encode.
-    pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
-        let gen = db.generation(rel);
-        let mut columns = write_recover(&self.columns);
-        for (i, col) in table.columns().iter().enumerate() {
-            let key = (rel, AttrId(i as u16));
-            if let Some(stale) = columns.insert(
-                key,
-                Tagged {
-                    gen,
-                    value: Arc::clone(col),
-                },
-            ) {
-                self.pool.evict_file(stale.value.file.id);
-            }
-        }
-        drop(columns);
-        if table.from_cache() {
-            self.spill_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.spill_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-impl CountBackend for PagedBackend {
-    fn name(&self) -> &'static str {
-        "paged"
+impl ColumnStore for SpilledStore {
+    const NAME: &'static str = "paged";
+    type Error = PageError;
+    type Column = PagedColumn;
+
+    fn pager(&self) -> &BufferPool {
+        &self.pool
     }
 
-    fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            count_distinct_paged(&refs, rows, &self.pool)
-        });
-        match probe {
-            Ok(n) => n,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                db.table(rel).count_distinct(attrs)
-            }
+    fn build(&self, db: &Database, rel: RelId, attr: AttrId) -> Result<PagedColumn, PageError> {
+        // A streamed extension's rows exist only in the paged store —
+        // there is no in-memory column to (re-)encode from. A miss
+        // here means the adopted columns were invalidated (the table
+        // mutated); rebuilding from the empty in-memory column would
+        // silently encode zero rows.
+        if !db.table(rel).is_materialized() {
+            return Err(PageError::Io(format!(
+                "column {} of relation {} is a streamed extension with no spilled pages",
+                attr.0, rel.0
+            )));
         }
+        PagedColumn::from_dict(&ColumnDict::build(db.table(rel).column(attr)))
     }
 
-    fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let probe = (|| -> Result<JoinStats, PageError> {
-            let lrows = db.table(join.left.rel).len();
-            let rrows = db.table(join.right.rel).len();
-            let lcols = self.attr_columns(db, join.left.rel, &join.left.attrs)?;
-            let rcols = self.attr_columns(db, join.right.rel, &join.right.attrs)?;
-            let lrefs: Vec<&PagedColumn> = lcols.iter().map(Arc::as_ref).collect();
-            let rrefs: Vec<&PagedColumn> = rcols.iter().map(Arc::as_ref).collect();
-            let lset = distinct_codes_paged(&lrefs, lrows, &self.pool)?;
-            let rset = distinct_codes_paged(&rrefs, rrows, &self.pool)?;
-            // The intersection kernel reads only dictionary lookups
-            // (`code_translation`, `code_of`), never per-row codes, so
-            // the slim dictionaries drive it unchanged.
-            let ldicts: Vec<&ColumnDict> = lcols.iter().map(|c| c.dict.as_ref()).collect();
-            let rdicts: Vec<&ColumnDict> = rcols.iter().map(|c| c.dict.as_ref()).collect();
-            let n_join = intersect_count(&ldicts, &lset, &rdicts, &rset);
-            Ok(JoinStats {
-                n_left: lset.len(),
-                n_right: rset.len(),
-                n_join,
-            })
-        })();
-        match probe {
-            Ok(s) => s,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[join.left.rel, join.right.rel], &e);
-                join_stats(db, join)
-            }
-        }
+    fn full_dict(
+        &self,
+        db: &Database,
+        rel: RelId,
+        attr: AttrId,
+        col: Arc<PagedColumn>,
+    ) -> Result<Arc<ColumnDict>, PageError> {
+        crate::backend::get_or_build(
+            &self.hydrated,
+            (rel, attr),
+            db.generation(rel),
+            || Ok(col.dict.rehydrate(col.read_all_codes(&self.pool)?)),
+            |_| {},
+        )
     }
 
-    fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            lhs_groups_paged(&refs, rows, &self.pool)
-        });
-        match probe {
-            Ok(groups) => Arc::new(groups),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(lhs_groups_reference(db, rel, attrs))
-            }
-        }
+    fn degrade<T>(
+        &self,
+        db: &Database,
+        rels: &[RelId],
+        err: PageError,
+        reference: impl FnOnce() -> T,
+    ) -> T {
+        self.note_fallback_or_die(db, rels, &err);
+        reference()
     }
 
-    fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let rows = db.table(rel).len();
-        let probe = self.attr_columns(db, rel, attrs).and_then(|cols| {
-            let refs: Vec<&PagedColumn> = cols.iter().map(Arc::as_ref).collect();
-            let set = distinct_codes_paged(&refs, rows, &self.pool)?;
-            // Decoding touches only the decode tables of the slim
-            // dictionaries.
-            let dicts: Vec<&ColumnDict> = cols.iter().map(|c| c.dict.as_ref()).collect();
-            Ok(decode_set_cols(&dicts, &set))
-        });
-        match probe {
-            Ok(set) => Arc::new(set),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(db.table(rel).distinct_projection(attrs))
-            }
-        }
-    }
-
-    fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        let probe = self
-            .paged_column(db, rel, attr)
-            .and_then(|col| partition1_paged(&col, &self.pool));
-        match probe {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                Arc::new(StrippedPartition::for_attribute(db.table(rel), attr))
-            }
-        }
-    }
-
-    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        let rows = db.table(fd.rel).len();
-        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
-        let probe = (|| -> Result<bool, PageError> {
-            let lcols = self.attr_columns(db, fd.rel, &lhs)?;
-            let rcols = self.attr_columns(db, fd.rel, &rhs)?;
-            let lrefs: Vec<&PagedColumn> = lcols.iter().map(Arc::as_ref).collect();
-            let rrefs: Vec<&PagedColumn> = rcols.iter().map(Arc::as_ref).collect();
-            fd_holds_paged(&lrefs, &rrefs, rows, &self.pool)
-        })();
-        match probe {
-            Ok(b) => b,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[fd.rel], &e);
-                db.fd_holds(fd)
-            }
-        }
-    }
-
-    fn prewarm(&self, db: &Database, rel: RelId) {
-        // Spill every column while the rows are hot; a failed spill is
-        // retried (and fallback-counted) by whichever probe needs it.
-        let arity = db.table(rel).arity();
-        for i in 0..arity {
-            let _ = self.paged_column(db, rel, AttrId(i as u16));
-        }
-    }
-
-    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        let gen = db.generation(rel);
-        let key = (rel, attr);
-        if let Some(entry) = read_recover(&self.hydrated).get(&key) {
-            if entry.gen == gen {
-                return Some(Arc::clone(&entry.value));
-            }
-        }
-        let col = match self.paged_column(db, rel, attr) {
-            Ok(c) => c,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                return None;
-            }
-        };
-        let codes = match col.read_all_codes(&self.pool) {
-            Ok(c) => c,
-            Err(e) => {
-                self.note_fallback_or_die(db, &[rel], &e);
-                return None;
-            }
-        };
-        let value = Arc::new(col.dict.rehydrate(codes));
-        let mut hydrated = write_recover(&self.hydrated);
-        if let Some(entry) = hydrated.get(&key) {
-            if entry.gen == gen {
-                return Some(Arc::clone(&entry.value));
-            }
-        }
-        hydrated.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        Some(value)
-    }
-
-    fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // The resident slim dictionary carries the whole value set and
-        // the fused counts — everything a sketch summarizes — so this
-        // never streams a single code page (unlike `column_dict`,
-        // which rehydrates the full column). Streamed-ingest columns
-        // loaded from a warm spill entry arrive with the sketch
-        // preseeded from persisted hashes. A spill failure simply
-        // yields no sketch: pruning is disabled, answers unchanged.
-        self.paged_column(db, rel, attr)
-            .ok()
-            .and_then(|col| col.dict.sketch())
+    fn retire(&self, stale: &PagedColumn) {
+        self.pool.evict_file(stale.file.id);
     }
 
     fn exec_stats(&self) -> BackendExecStats {
@@ -1495,11 +698,66 @@ impl CountBackend for PagedBackend {
     }
 }
 
+/// The out-of-core counting backend: the encoded kernels streaming
+/// over spilled code pages through a capacity-bounded [`BufferPool`].
+/// Column encoding happens exactly as in the encoded backend (one
+/// interning pass per column per table generation); the per-row codes
+/// then live in the [`SpilledStore`].
+pub type PagedBackend = ColumnarBackend<SpilledStore>;
+
+impl PagedBackend {
+    /// A paged backend with the default 64 MiB buffer pool.
+    pub fn new() -> Self {
+        PagedBackend::default()
+    }
+
+    /// A paged backend whose pool holds at most `bytes` of page data.
+    pub fn with_capacity_bytes(bytes: usize) -> Self {
+        PagedBackend::with_pool(Arc::new(BufferPool::with_capacity_bytes(bytes)))
+    }
+
+    /// A paged backend over an explicit (possibly shared) pool.
+    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
+        ColumnarBackend::with_store(SpilledStore::with_pool(pool))
+    }
+
+    /// The backend's buffer pool.
+    pub fn pool(&self) -> &BufferPool {
+        &self.store.pool
+    }
+
+    /// Adopts a streamed-ingest table's columns: the spill files were
+    /// written (or loaded from the persistent cache) by
+    /// `import_csv_spilled`, so no encode pass runs here. Columns are
+    /// installed under the table's *current* generation; the spill
+    /// hit/miss counters record whether the cache skipped encode.
+    pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
+        let gen = db.generation(rel);
+        let mut columns = write_recover(&self.columns);
+        for (i, col) in table.columns().iter().enumerate() {
+            let tagged = Tagged {
+                gen,
+                value: Arc::clone(col),
+            };
+            if let Some(stale) = columns.insert((rel, AttrId(i as u16)), tagged) {
+                self.store.retire(&stale.value);
+            }
+        }
+        drop(columns);
+        let counter = if table.from_cache() {
+            &self.store.spill_hits
+        } else {
+            &self.store.spill_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{EncodedBackend, ReferenceBackend};
-    use crate::deps::IndSide;
+    use crate::backend::{CountBackend, EncodedBackend, ReferenceBackend};
+    use crate::deps::Fd;
     use crate::schema::Relation;
     use crate::value::{Domain, Value};
 
@@ -1588,36 +846,35 @@ mod tests {
     }
 
     #[test]
-    fn paged_backend_matches_reference_and_encoded() {
-        let (db, l, r) = sample_db();
-        let reference = ReferenceBackend;
-        let encoded = EncodedBackend::new();
-        // One page worth of pool is enough for correctness.
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-        let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
+    fn short_read_reports_the_current_length() {
+        // A file truncated after `open` validated it: the page read
+        // comes up short and must report what is on disk now.
+        let codes: Vec<u32> = (0..PAGE_CODES as u32 * 2 + 9).collect();
+        let spilled = PageFile::spill(&codes).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "dbre-test-short-read-{}-{}.col",
+            std::process::id(),
+            spilled.id()
+        ));
+        std::fs::copy(spilled.path(), &path).unwrap();
+        let f = PageFile::open(&path).unwrap();
+        assert_eq!(f.pages(), 3);
+        let short = HEADER_BYTES as u64 + PAGE_BYTES as u64 + 100;
+        File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(short)
             .unwrap();
-        for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
-            assert_eq!(
-                paged.count_distinct(&db, l, &attrs),
-                reference.count_distinct(&db, l, &attrs)
-            );
-            assert_eq!(
-                *paged.lhs_groups(&db, l, &attrs),
-                *reference.lhs_groups(&db, l, &attrs)
-            );
-            assert_eq!(
-                *paged.projection(&db, l, &attrs),
-                *reference.projection(&db, l, &attrs)
-            );
-        }
-        assert_eq!(paged.join_stats(&db, &join), encoded.join_stats(&db, &join));
+        f.read_page(0).unwrap();
         assert_eq!(
-            *paged.partition1(&db, l, AttrId(1)),
-            *reference.partition1(&db, l, AttrId(1))
+            f.read_page(1),
+            Err(PageError::Truncated {
+                expected: HEADER_BYTES as u64 + 3 * PAGE_BYTES as u64,
+                actual: short,
+            })
         );
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
-        let stats = paged.page_stats();
-        assert!(stats.hits + stats.misses > 0, "probes must touch the pool");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1625,10 +882,10 @@ mod tests {
         let (mut db, l, _) = sample_db();
         let paged = PagedBackend::new();
         assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 4);
-        let old_file = paged.paged_column(&db, l, AttrId(0)).unwrap().file().id();
+        let old_file = paged.column(&db, l, AttrId(0)).unwrap().file().id();
         db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
         assert_eq!(paged.count_distinct(&db, l, &[AttrId(0)]), 5);
-        let new_file = paged.paged_column(&db, l, AttrId(0)).unwrap().file().id();
+        let new_file = paged.column(&db, l, AttrId(0)).unwrap().file().id();
         assert_ne!(old_file, new_file, "mutation must respill the column");
     }
 
@@ -1641,6 +898,16 @@ mod tests {
         assert_eq!(dict.codes(), direct.codes());
         assert_eq!(dict.cardinality(), direct.cardinality());
         assert_eq!(dict.null_count(), direct.null_count());
+    }
+
+    /// The resident and the spilled store over a 1-page pool (constant
+    /// churn): every multi-page test runs its probes through both, so
+    /// resident codes cross chunk boundaries as well as spilled ones.
+    fn both_stores() -> (EncodedBackend, PagedBackend) {
+        (
+            EncodedBackend::new(),
+            PagedBackend::with_capacity_bytes(PAGE_BYTES),
+        )
     }
 
     #[test]
@@ -1661,24 +928,29 @@ mod tests {
                 .unwrap();
         }
         let reference = ReferenceBackend;
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES); // 1-page pool: constant churn
-        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
+        let (encoded, paged) = both_stores();
+        for backend in [&encoded as &dyn CountBackend, &paged] {
+            let name = backend.name();
+            for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
+                assert_eq!(
+                    backend.count_distinct(&db, rel, &attrs),
+                    reference.count_distinct(&db, rel, &attrs),
+                    "{name} {attrs:?}"
+                );
+                assert_eq!(
+                    *backend.lhs_groups(&db, rel, &attrs),
+                    *reference.lhs_groups(&db, rel, &attrs),
+                    "{name} {attrs:?}"
+                );
+            }
             assert_eq!(
-                paged.count_distinct(&db, rel, &attrs),
-                reference.count_distinct(&db, rel, &attrs),
-                "{attrs:?}"
+                *backend.partition1(&db, rel, AttrId(0)),
+                *reference.partition1(&db, rel, AttrId(0)),
+                "{name}"
             );
+            assert_eq!(backend.exec_stats().fallback_failures, 0, "{name}");
         }
-        assert_eq!(
-            *paged.lhs_groups(&db, rel, &[AttrId(1)]),
-            *reference.lhs_groups(&db, rel, &[AttrId(1)])
-        );
-        assert_eq!(
-            *paged.partition1(&db, rel, AttrId(0)),
-            *reference.partition1(&db, rel, AttrId(0))
-        );
         assert!(paged.page_stats().evictions > 0, "1-page pool must churn");
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
     }
 
     #[test]
@@ -1750,29 +1022,11 @@ mod tests {
             let c = Value::Int(i % 7);
             db.insert(rel, vec![a, b, c, Value::Int(i)]).unwrap();
         }
-        let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-        let fd = |lhs: &[u16], rhs: &[u16]| Fd {
+        let fd = |rel, lhs: &[u16], rhs: &[u16]| Fd {
             rel,
             lhs: crate::attr::AttrSet::from_indices(lhs.iter().copied()),
             rhs: crate::attr::AttrSet::from_indices(rhs.iter().copied()),
         };
-        for (lhs, rhs) in [
-            (&[0u16][..], &[1u16][..]), // a → b: holds (NULL-a rows exempt)
-            (&[0], &[2]),               // a → c: fails
-            (&[1], &[0]),               // b → a: fails (NULL vs non-NULL under same b)
-            (&[0, 2], &[1]),            // ac → b: holds
-            (&[0, 1], &[2]),            // ab → c: fails
-            (&[3], &[0, 1, 2]),         // key → everything: holds
-            (&[], &[1]),                // {} → b: fails (b not constant)
-            (&[0], &[1, 2]),            // multi-RHS: fails because of c
-        ] {
-            let fd = fd(lhs, rhs);
-            assert_eq!(
-                CountBackend::fd_holds(&paged, &db, &fd),
-                db.fd_holds(&fd),
-                "lhs={lhs:?} rhs={rhs:?}"
-            );
-        }
         // Constant RHS: {} → const holds without a scan.
         let mut db2 = Database::new();
         let r2 = db2
@@ -1781,23 +1035,40 @@ mod tests {
         for i in 0..10 {
             db2.insert(r2, vec![Value::Int(i), Value::Int(7)]).unwrap();
         }
-        let fd2 = Fd {
-            rel: r2,
-            lhs: crate::attr::AttrSet::empty(),
-            rhs: crate::attr::AttrSet::from_indices([1u16]),
-        };
-        assert!(CountBackend::fd_holds(&paged, &db2, &fd2));
-        assert!(db2.fd_holds(&fd2));
-        assert_eq!(paged.exec_stats().fallback_failures, 0);
+        let (encoded, paged) = both_stores();
+        for backend in [&encoded as &dyn CountBackend, &paged] {
+            let name = backend.name();
+            for (lhs, rhs) in [
+                (&[0u16][..], &[1u16][..]), // a → b: holds (NULL-a rows exempt)
+                (&[0], &[2]),               // a → c: fails
+                (&[1], &[0]),               // b → a: fails (NULL vs non-NULL under same b)
+                (&[0, 2], &[1]),            // ac → b: holds
+                (&[0, 1], &[2]),            // ab → c: fails
+                (&[3], &[0, 1, 2]),         // key → everything: holds
+                (&[], &[1]),                // {} → b: fails (b not constant)
+                (&[0], &[1, 2]),            // multi-RHS: fails because of c
+            ] {
+                let fd = fd(rel, lhs, rhs);
+                assert_eq!(
+                    backend.fd_holds(&db, &fd),
+                    db.fd_holds(&fd),
+                    "{name} lhs={lhs:?} rhs={rhs:?}"
+                );
+            }
+            let fd2 = fd(r2, &[], &[1]);
+            assert!(backend.fd_holds(&db2, &fd2), "{name}");
+            assert!(db2.fd_holds(&fd2));
+            assert_eq!(backend.exec_stats().fallback_failures, 0, "{name}");
+        }
     }
 
     #[cfg(feature = "parallel")]
     #[test]
     fn chunked_kernels_match_reference_across_thread_counts() {
         // DBRE_PAGED_THREADS is read per kernel call; every thread
-        // count must give byte-identical answers. Concurrent paged
-        // tests seeing the transient value is fine — that is exactly
-        // the invariant under test.
+        // count must give byte-identical answers, over resident and
+        // spilled codes alike. Concurrent tests seeing the transient
+        // value is fine — that is exactly the invariant under test.
         let mut db = Database::new();
         let rel = db
             .add_relation(Relation::of("P", &[("x", Domain::Int), ("y", Domain::Int)]))
@@ -1813,42 +1084,49 @@ mod tests {
                 .unwrap();
         }
         let reference = ReferenceBackend;
-        for threads in ["1", "2", "5"] {
-            std::env::set_var("DBRE_PAGED_THREADS", threads);
-            let paged = PagedBackend::new();
-            for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
-                assert_eq!(
-                    paged.count_distinct(&db, rel, &attrs),
-                    reference.count_distinct(&db, rel, &attrs),
-                    "threads={threads} attrs={attrs:?}"
-                );
-            }
-            assert_eq!(
-                *paged.lhs_groups(&db, rel, &[AttrId(0)]),
-                *reference.lhs_groups(&db, rel, &[AttrId(0)]),
-                "threads={threads}"
-            );
-            assert_eq!(
-                *paged.lhs_groups(&db, rel, &[AttrId(0), AttrId(1)]),
-                *reference.lhs_groups(&db, rel, &[AttrId(0), AttrId(1)]),
-                "threads={threads}"
-            );
-            assert_eq!(
-                *paged.partition1(&db, rel, AttrId(0)),
-                *reference.partition1(&db, rel, AttrId(0)),
-                "threads={threads}"
-            );
-            let fd = Fd {
+        let fds = [
+            Fd {
                 rel,
                 lhs: crate::attr::AttrSet::from_indices([0u16]),
                 rhs: crate::attr::AttrSet::from_indices([1u16]),
-            };
-            assert_eq!(
-                CountBackend::fd_holds(&paged, &db, &fd),
-                db.fd_holds(&fd),
-                "threads={threads}"
-            );
-            assert_eq!(paged.exec_stats().fallback_failures, 0);
+            },
+            Fd {
+                rel,
+                lhs: crate::attr::AttrSet::from_indices([0u16, 1]),
+                rhs: crate::attr::AttrSet::from_indices([0u16]),
+            },
+        ];
+        for threads in ["1", "2", "5"] {
+            std::env::set_var("DBRE_PAGED_THREADS", threads);
+            let (encoded, paged) = (EncodedBackend::new(), PagedBackend::new());
+            for backend in [&encoded as &dyn CountBackend, &paged] {
+                let name = backend.name();
+                for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
+                    assert_eq!(
+                        backend.count_distinct(&db, rel, &attrs),
+                        reference.count_distinct(&db, rel, &attrs),
+                        "{name} threads={threads} attrs={attrs:?}"
+                    );
+                    assert_eq!(
+                        *backend.lhs_groups(&db, rel, &attrs),
+                        *reference.lhs_groups(&db, rel, &attrs),
+                        "{name} threads={threads} attrs={attrs:?}"
+                    );
+                }
+                assert_eq!(
+                    *backend.partition1(&db, rel, AttrId(0)),
+                    *reference.partition1(&db, rel, AttrId(0)),
+                    "{name} threads={threads}"
+                );
+                for fd in &fds {
+                    assert_eq!(
+                        backend.fd_holds(&db, fd),
+                        db.fd_holds(fd),
+                        "{name} threads={threads} {fd:?}"
+                    );
+                }
+                assert_eq!(backend.exec_stats().fallback_failures, 0);
+            }
         }
         std::env::remove_var("DBRE_PAGED_THREADS");
     }

@@ -20,9 +20,10 @@
 
 use crate::bufpool::BufferPool;
 use crate::database::Database;
+use crate::encode::lhs_groups;
 use crate::encode::ColumnDict;
 use crate::error::DbreError;
-use crate::pages::{fnv1a64_bytes, lhs_groups_paged, FNV_BYTES_SEED};
+use crate::pages::{fnv1a64_bytes, FNV_BYTES_SEED};
 use crate::pages::{PageError, PageFile, PagedColumn};
 use crate::schema::{RelId, Relation};
 use crate::value::{Date, OrdF64, Value};
@@ -392,8 +393,8 @@ pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
 /// not-null constraints read the resident dictionaries' NULL counts,
 /// key constraints hold iff no non-NULL key projection repeats —
 /// exactly "`lhs_groups` over the key attributes is empty", which the
-/// paged kernel answers from dictionary counts (unary) or one
-/// streamed scan (composite).
+/// kernel answers over the spilled pages from dictionary counts
+/// (unary) or one streamed scan (composite).
 pub fn validate_spilled(
     db: &Database,
     rel: RelId,
@@ -432,7 +433,7 @@ pub fn validate_spilled(
                     .ok_or_else(|| PageError::Io(format!("key attr {} out of range", a.0)))
             })
             .collect::<Result<_, _>>()?;
-        let groups = lhs_groups_paged(&cols, table.rows(), pool)?;
+        let groups = lhs_groups(&cols, pool, table.rows())?;
         if !groups.is_empty() {
             return Err(crate::error::RelationalError::KeyViolation {
                 relation: relation.name.clone(),

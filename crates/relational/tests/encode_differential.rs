@@ -5,6 +5,10 @@
 //! NaN-bearing columns, under both NULL conventions (SQL skip-NULL for
 //! counts / FD checks / LHS groups, NULL = NULL for partitions).
 //!
+//! Every case runs the one kernel family twice: over resident codes
+//! and over the same codes spilled to page files read through a
+//! one-page buffer pool.
+//!
 //! The same file gates the default and `parallel` builds (CI runs both
 //! feature sets), so the encoded path is pinned to the reference
 //! byte-for-byte regardless of how the engine schedules work.
@@ -17,10 +21,15 @@ use std::collections::{HashMap, HashSet};
 
 use dbre_relational::attr::AttrId;
 use dbre_relational::backend::{EncodedBackend, ReferenceBackend};
-use dbre_relational::counting::{join_stats, EquiJoin};
+use dbre_relational::bufpool::BufferPool;
+use dbre_relational::counting::{join_stats, EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
-use dbre_relational::encode::{join_stats_encoded, DictTable};
+use dbre_relational::encode::{
+    decode_set_cols, distinct_codes, fd_holds, intersect_count, lhs_groups, partition1, CodeSource,
+    ColumnDict,
+};
+use dbre_relational::pages::PagedColumn;
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::Relation;
 use dbre_relational::stats::StatsEngine;
@@ -151,6 +160,81 @@ fn naive_lhs_groups(t: &Table, attrs: &[AttrId]) -> Vec<Vec<usize>> {
     groups
 }
 
+// ---- both storage modes ---------------------------------------------
+
+/// One table's columns in both storage modes: resident dictionaries,
+/// and the same codes spilled to page files behind a one-page pool.
+struct Stores {
+    resident: Vec<ColumnDict>,
+    spilled: Vec<PagedColumn>,
+    pool: BufferPool,
+    rows: usize,
+}
+
+impl Stores {
+    fn of(t: &Table) -> Stores {
+        let resident: Vec<ColumnDict> = (0..t.arity())
+            .map(|i| ColumnDict::build(t.column(AttrId(i as u16))))
+            .collect();
+        let spilled = resident
+            .iter()
+            .map(|d| PagedColumn::from_dict(d).expect("spill to temp dir"))
+            .collect();
+        Stores {
+            resident,
+            spilled,
+            pool: BufferPool::with_capacity_pages(1),
+            rows: t.len(),
+        }
+    }
+
+    fn resident(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
+        attrs.iter().map(|a| &self.resident[a.index()]).collect()
+    }
+
+    fn spilled(&self, attrs: &[AttrId]) -> Vec<&PagedColumn> {
+        attrs.iter().map(|a| &self.spilled[a.index()]).collect()
+    }
+}
+
+/// Kernel results are the same whichever store served them; a page
+/// read never fails on these fresh temp files.
+fn read<T, E: std::fmt::Debug>(r: Result<T, E>) -> T {
+    r.expect("kernel read its codes")
+}
+
+fn dicts<'a, C: CodeSource>(cols: &[&'a C]) -> Vec<&'a ColumnDict> {
+    cols.iter().map(|c| c.dict()).collect()
+}
+
+/// The decoded distinct projection, from either store.
+fn decoded<C: CodeSource>(cols: &[&C], pager: &C::Pager, rows: usize) -> HashSet<Vec<Value>>
+where
+    C::Error: std::fmt::Debug,
+{
+    decode_set_cols(&dicts(cols), &read(distinct_codes(cols, pager, rows)))
+}
+
+/// The three join cardinalities from the encoded sets of two sides,
+/// from either store.
+fn join_counts<C: CodeSource>(
+    (l, lp, lrows): (&[&C], &C::Pager, usize),
+    (r, rp, rrows): (&[&C], &C::Pager, usize),
+) -> JoinStats
+where
+    C::Error: std::fmt::Debug,
+{
+    let (ls, rs) = (
+        read(distinct_codes(l, lp, lrows)),
+        read(distinct_codes(r, rp, rrows)),
+    );
+    JoinStats {
+        n_left: ls.len(),
+        n_right: rs.len(),
+        n_join: intersect_count(&dicts(l), &ls, &dicts(r), &rs),
+    }
+}
+
 // ---- properties -----------------------------------------------------
 
 proptest! {
@@ -158,8 +242,10 @@ proptest! {
     #[test]
     fn counts_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.count_distinct(&attrs), t.count_distinct(&attrs));
+        let s = Stores::of(&t);
+        let expected = t.count_distinct(&attrs);
+        prop_assert_eq!(read(distinct_codes(&s.resident(&attrs), &(), s.rows)).len(), expected);
+        prop_assert_eq!(read(distinct_codes(&s.spilled(&attrs), &s.pool, s.rows)).len(), expected);
     }
 
     /// Decoding the encoded distinct set recovers the reference
@@ -167,21 +253,23 @@ proptest! {
     #[test]
     fn distinct_sets_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        let encoded: HashSet<_> = d.decode_set(&attrs, &d.distinct_codes(&attrs));
-        prop_assert_eq!(encoded, t.distinct_projection(&attrs));
+        let s = Stores::of(&t);
+        let expected = t.distinct_projection(&attrs);
+        prop_assert_eq!(decoded(&s.resident(&attrs), &(), s.rows), expected.clone());
+        prop_assert_eq!(decoded(&s.spilled(&attrs), &s.pool, s.rows), expected);
     }
 
-    /// Stripped partitions (NULL = NULL convention) are byte-identical
-    /// to the Value-based constructors, unary and multi-attribute.
+    /// Unary stripped partitions (NULL = NULL convention) are
+    /// byte-identical to the Value-based constructor.
     #[test]
     fn partitions_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        if let [a] = attrs.as_slice() {
-            prop_assert_eq!(d.partition1(*a), StrippedPartition::for_attribute(&t, *a));
+        let s = Stores::of(&t);
+        for a in attrs {
+            let expected = StrippedPartition::for_attribute(&t, a);
+            prop_assert_eq!(read(partition1(s.resident(&[a])[0], &())), expected.clone());
+            prop_assert_eq!(read(partition1(s.spilled(&[a])[0], &s.pool)), expected);
         }
-        prop_assert_eq!(d.partition(&attrs), StrippedPartition::for_attrs(&t, &attrs));
     }
 
     /// FD checks (SQL convention) match an independent naive oracle.
@@ -195,8 +283,16 @@ proptest! {
             .into_iter()
             .map(|i| AttrId(i % t.arity() as u16))
             .collect();
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.fd_holds(&lhs, &rhs), naive_fd_holds(&t, &lhs, &rhs));
+        let s = Stores::of(&t);
+        let expected = naive_fd_holds(&t, &lhs, &rhs);
+        prop_assert_eq!(
+            read(fd_holds(&s.resident(&lhs), &s.resident(&rhs), &(), s.rows)),
+            expected
+        );
+        prop_assert_eq!(
+            read(fd_holds(&s.spilled(&lhs), &s.spilled(&rhs), &s.pool, s.rows)),
+            expected
+        );
     }
 
     /// LHS groups (SQL convention) match the naive oracle exactly,
@@ -204,8 +300,10 @@ proptest! {
     #[test]
     fn lhs_groups_agree(case in table_and_attrs()) {
         let (t, attrs) = case;
-        let d = DictTable::build(&t);
-        prop_assert_eq!(d.lhs_groups(&attrs), naive_lhs_groups(&t, &attrs));
+        let s = Stores::of(&t);
+        let expected = naive_lhs_groups(&t, &attrs);
+        prop_assert_eq!(read(lhs_groups(&s.resident(&attrs), &(), s.rows)), expected.clone());
+        prop_assert_eq!(read(lhs_groups(&s.spilled(&attrs), &s.pool, s.rows)), expected);
     }
 
     /// Cross-table join stats: code translation gives the same three
@@ -213,8 +311,15 @@ proptest! {
     #[test]
     fn join_stats_agree(case in join_case()) {
         let (lt, lattrs, rt, rattrs) = case;
-        let (ld, rd) = (DictTable::build(&lt), DictTable::build(&rt));
-        let encoded = join_stats_encoded(&ld, &lattrs, &rd, &rattrs);
+        let (ls, rs) = (Stores::of(&lt), Stores::of(&rt));
+        let resident = join_counts(
+            (&ls.resident(&lattrs), &(), ls.rows),
+            (&rs.resident(&rattrs), &(), rs.rows),
+        );
+        let spilled = join_counts(
+            (&ls.spilled(&lattrs), &ls.pool, ls.rows),
+            (&rs.spilled(&rattrs), &rs.pool, rs.rows),
+        );
 
         let mut db = Database::new();
         let mk = |n: usize| -> Vec<(String, Domain)> {
@@ -236,7 +341,9 @@ proptest! {
             .expect("arity matches");
         let join = EquiJoin::try_new(IndSide::new(l, lattrs), IndSide::new(r, rattrs))
             .expect("equal arity by construction");
-        prop_assert_eq!(encoded, join_stats(&db, &join));
+        let expected = join_stats(&db, &join);
+        prop_assert_eq!(resident, expected);
+        prop_assert_eq!(spilled, expected);
     }
 
     /// The memoizing engine agrees with the references through its

@@ -9,8 +9,7 @@
 //! interchangeability claim is a tested property rather than a remark
 //! (the three-way backend differential suite pins it).
 //!
-//! [`SqlBackend`] implements
-//! [`CountBackend`](dbre_relational::backend::CountBackend) — it lives
+//! [`SqlBackend`] implements [`CountBackend`] — it lives
 //! here rather than in `dbre-relational` to respect the dependency
 //! direction (the relational substrate knows nothing about SQL). The
 //! cardinality probes (`count_distinct`, `join_stats`, and through
@@ -25,7 +24,6 @@ use dbre_relational::backend::{BackendExecStats, CountBackend, EncodedBackend, R
 use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
-use dbre_relational::encode::ColumnDict;
 use dbre_relational::schema::RelId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -244,10 +242,6 @@ impl CountBackend for SqlBackend {
         // group client-side with the reference semantics, like a tool
         // post-processing fetched rows.
         self.reference.lhs_groups(db, rel, attrs)
-    }
-
-    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        Some(EncodedBackend::column_dict(&self.encoded, db, rel, attr))
     }
 
     fn exec_stats(&self) -> BackendExecStats {
