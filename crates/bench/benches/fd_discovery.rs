@@ -8,7 +8,7 @@ use dbre_core::rhs_discovery::RhsOptions;
 use dbre_mine::tane::tane;
 use dbre_mine::{check_hash, check_partition, StrippedPartition};
 use dbre_relational::encode::{partition1, ColumnDict};
-use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
+use dbre_relational::{AttrId, AttrSet, CountBackend, Fd, StatsEngine};
 use dbre_synth::TruthOracle;
 use std::hint::black_box;
 

@@ -673,7 +673,7 @@ fn x8() {
 fn xb(check: bool) {
     use dbre_mine::{check_hash, StrippedPartition};
     use dbre_relational::encode::{partition1, ColumnDict};
-    use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
+    use dbre_relational::{AttrId, AttrSet, CountBackend, Fd, StatsEngine};
 
     header(
         "XB",

@@ -63,25 +63,14 @@ impl IndDiscovery {
 /// Runs IND-Discovery over the set `Q`. Conceptualized NEI relations
 /// are added to `db` (schema, extension, key constraint).
 ///
-/// Equivalent to [`ind_discovery_with_stats`] with a throwaway
-/// [`StatsEngine`].
+/// Equivalent to [`ind_discovery_sketched`] with a throwaway
+/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
 pub fn ind_discovery(
     db: &mut Database,
     q: &[EquiJoin],
     oracle: &mut dyn Oracle,
 ) -> Result<IndDiscovery, DbreError> {
-    ind_discovery_with_stats(db, q, oracle, &StatsEngine::new())
-}
-
-/// Runs IND-Discovery with counting memoized in `engine`, honoring the
-/// ambient [`SketchMode`] (`DBRE_SKETCH`).
-pub fn ind_discovery_with_stats(
-    db: &mut Database,
-    q: &[EquiJoin],
-    oracle: &mut dyn Oracle,
-    engine: &dyn CountBackend,
-) -> Result<IndDiscovery, DbreError> {
-    ind_discovery_sketched(db, q, oracle, engine, SketchMode::from_env())
+    ind_discovery_sketched(db, q, oracle, &StatsEngine::new(), SketchMode::from_env())
 }
 
 /// Runs IND-Discovery with counting memoized in `engine`.
@@ -93,8 +82,8 @@ pub fn ind_discovery_with_stats(
 /// sketches' exact distinct counts (the same NULL-free projections the
 /// kernel counts) and a proven-empty intersection is `n_join = 0` —
 /// so the exact join kernel never runs for it. The proof is exact
-/// (sorted-hash membership behind a Bloom fast path), so the output is
-/// byte-identical to the exact-only run; sketches never *decide* a
+/// (a walk over the two sorted distinct-hash arrays), so the output
+/// is byte-identical to the exact-only run; sketches never *decide* a
 /// case they cannot prove.
 ///
 /// The remaining cardinalities are collected up front in one
@@ -103,17 +92,12 @@ pub fn ind_discovery_with_stats(
 /// conceptualization — *adds* relations and never touches existing
 /// tables.
 ///
-/// The oracle dialogue stays strictly sequential and per-question
-/// deterministic, but when `mode` is on the NEI questions are *asked*
-/// in descending estimated-overlap order (HLL inclusion–exclusion,
-/// ties broken by `Q` position) so a live expert sees the most
-/// promising presumptions first. Decisions are *applied* — and the
-/// log written — in `Q` order regardless, so for an oracle that
-/// answers each question on its own merits (all the bundled policies)
-/// results and log are identical whichever order the questions
-/// arrive in. A sequence-dependent oracle (e.g. the chaos fuzzer's
-/// RNG stream) may answer differently across modes; that is a
-/// property of the oracle, not of the counting.
+/// The oracle dialogue stays strictly sequential and deterministic.
+/// The NEI questions are *asked* in descending exact overlap order
+/// ([`JoinStats::overlap_ratio`], ties broken by `Q` position) so a
+/// live expert sees the most promising presumptions first; `mode`
+/// decides only which kernels run, never the question order.
+/// Decisions are *applied* — and the log written — in `Q` order.
 ///
 /// Every join is validated against the schema *before* any counting
 /// touches a table; a malformed join (out-of-range ids, mismatched
@@ -181,30 +165,17 @@ pub fn ind_discovery_sketched(
         .map(|(join, pre)| pre.unwrap_or_else(|| engine.join_stats(db, join)))
         .collect();
 
-    // Rank the NEI questions (sketch mode only): most-promising first,
-    // by HLL overlap estimate where sketches exist, exact overlap
-    // ratio otherwise, `Q` position as the deterministic tie-break.
+    // Rank the NEI questions: most-promising first by exact overlap
+    // ratio, `Q` position as the deterministic tie-break.
     let is_nei =
         |s: &JoinStats| !s.empty_intersection() && s.n_join != s.n_left && s.n_join != s.n_right;
     let mut nei_order: Vec<usize> = (0..q.len()).filter(|&i| is_nei(&all_stats[i])).collect();
-    if mode.is_on() {
-        let mut ranked: Vec<(f64, usize)> = nei_order
-            .iter()
-            .map(|&i| {
-                let score = match &pairs[i] {
-                    Some((l, r)) => l.estimated_overlap(r),
-                    None => all_stats[i].overlap_ratio(),
-                };
-                (score, i)
-            })
-            .collect();
-        ranked.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        nei_order = ranked.into_iter().map(|(_, i)| i).collect();
-    }
+    nei_order.sort_by(|&a, &b| {
+        all_stats[b]
+            .overlap_ratio()
+            .total_cmp(&all_stats[a].overlap_ratio())
+            .then(a.cmp(&b))
+    });
 
     // Consult the expert in ranked order; apply (and log) in Q order.
     let mut decisions: Vec<Option<NeiDecision>> = vec![None; q.len()];

@@ -62,8 +62,9 @@ pub struct PipelineOptions {
     /// no other backend can answer for pages-only extensions.
     pub spilled: Vec<(RelId, Arc<SpilledTable>)>,
     /// Sketch-accelerated discovery (`--sketch` on the CLI,
-    /// `DBRE_SKETCH` in the environment): HLL/Bloom column sketches
-    /// prune provably-decided candidates before the exact kernels run.
+    /// `DBRE_SKETCH` in the environment): column sketches (exact
+    /// sorted distinct hashes plus an HLL estimate) prune
+    /// provably-decided candidates before the exact kernels run.
     /// Results are byte-identical either way — sketches only suppress
     /// work whose outcome they can prove.
     pub sketch: SketchMode,

@@ -16,17 +16,21 @@
 //!
 //! Unlike the paper (which works on schema text), this implementation
 //! also restructures the *extension*: new relations receive the
-//! distinct projection of their source, and split-off attributes are
-//! physically dropped — so the output is a runnable database whose
-//! 3NF-ness the test suite verifies.
+//! distinct projection of their source — for an FD split, one row per
+//! `A` group of the counting engine's cached LHS groups, carrying the
+//! group's plurality `B` when the expert enforced the FD over dirty
+//! data — and split-off attributes are physically dropped, so the
+//! output is a runnable database whose 3NF-ness the test suite
+//! verifies.
 
 use crate::ind_discovery::unique_name;
 use crate::oracle::{DecisionRecord, NamingContext, NewRelationReason, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
+use dbre_relational::backend::{plurality, set_cells, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind, IndSide};
 use dbre_relational::schema::{QualAttrs, RelId, Relation};
-use dbre_relational::{Attribute, DbreError, RelationalError};
+use dbre_relational::{Attribute, DbreError, RelationalError, Table};
 
 /// Result of Restruct.
 #[derive(Debug, Clone, Default)]
@@ -115,6 +119,11 @@ fn validate_inputs(
 /// Runs Restruct. Mutates `db` in place: adds the new relations,
 /// removes split-off attributes, extends `K`.
 ///
+/// An FD split reads the rows of `R_i` grouped by `A` from `engine`
+/// ([`CountBackend::lhs_groups`]) — the groups RHS-Discovery's
+/// extension tests already cached there for every FD of `F` — so the
+/// split regroups nothing.
+///
 /// Fallible: malformed inputs (out-of-range ids, empty attribute sets,
 /// mismatched IND arity) are rejected upfront with a typed error,
 /// before any mutation. `db` is only modified on the `Ok` path and by
@@ -126,6 +135,7 @@ pub fn restruct(
     hidden: &[QualAttrs],
     inds: &[Ind],
     oracle: &mut dyn Oracle,
+    engine: &dyn CountBackend,
 ) -> Result<Restructured, DbreError> {
     validate_inputs(db, fds, hidden, inds)?;
     let mut out = Restructured {
@@ -215,7 +225,7 @@ pub fn restruct(
         // the structure then "no longer matches the database
         // extension". We repair by keeping, per key value, the most
         // frequent right-hand side (g3-style minimal change).
-        let table = fd_repaired_subtable(db.table(fd.rel), &a_ids, &b_ids)?;
+        let table = fd_repaired_subtable(db, fd, engine)?;
         let rel_p = db.add_relation_with_table(Relation::new(name, attrs)?, table)?;
         // Key of the new relation: its A_i prefix.
         let p_a: Vec<AttrId> = (0..a_ids.len() as u16).map(AttrId).collect();
@@ -258,44 +268,44 @@ pub fn restruct(
 }
 
 /// Builds the extension of an FD-split relation `R_p(A B)`: one tuple
-/// per distinct non-null `A` value, carrying the *plurality* `B` value
-/// observed for it (ties broken by first occurrence). Identical to the
-/// distinct projection whenever `A → B` actually holds.
+/// per distinct non-null `A` value, in first-seen order, carrying the
+/// [`plurality`] `B` value of its group (ties broken by first
+/// occurrence). Identical to the distinct projection whenever `A → B`
+/// actually holds. A row in no group of `engine`'s LHS groups is the
+/// only one with its `A` value and keeps its own `B`.
 fn fd_repaired_subtable(
-    table: &dbre_relational::Table,
-    a_ids: &[AttrId],
-    b_ids: &[AttrId],
-) -> Result<dbre_relational::Table, DbreError> {
-    use std::collections::HashMap;
-    type Row = Vec<dbre_relational::Value>;
-    // key -> (first-seen order, rhs -> (count, first index))
-    let mut order: Vec<Row> = Vec::new();
-    let mut groups: HashMap<Row, HashMap<Row, (usize, usize)>> = HashMap::new();
-    for i in 0..table.len() {
-        if table.row_has_null(i, a_ids) {
-            continue;
+    db: &Database,
+    fd: &Fd,
+    engine: &dyn CountBackend,
+) -> Result<Table, DbreError> {
+    let a_ids: Vec<AttrId> = fd.lhs.iter().collect();
+    let a = set_cells(engine, db, fd.rel, &fd.lhs);
+    let b = set_cells(engine, db, fd.rel, &fd.rhs);
+    let groups = engine.lhs_groups(db, fd.rel, &a_ids);
+    // Per row: the group it starts, `GROUPED` for a later row of a
+    // group, `SINGLE` for a row in no group (NULL or unique `A`).
+    const SINGLE: usize = usize::MAX;
+    const GROUPED: usize = usize::MAX - 1;
+    let mut group_of = vec![SINGLE; db.table(fd.rel).len()];
+    for (g, group) in groups.iter().enumerate() {
+        group_of[group[0]] = g;
+        for &i in &group[1..] {
+            group_of[i] = GROUPED;
         }
-        let key = table.project_row(i, a_ids);
-        let val = table.project_row(i, b_ids);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            HashMap::new()
-        });
-        let slot = entry.entry(val).or_insert((0, i));
-        slot.0 += 1;
     }
-    let mut out = dbre_relational::Table::new(a_ids.len() + b_ids.len());
-    for key in order {
-        let rhss = &groups[&key];
-        // Every group received at least one RHS when it was created.
-        let Some(best) = rhss
-            .iter()
-            .min_by_key(|(_, (count, first))| (std::cmp::Reverse(*count), *first))
-        else {
-            continue;
+    let mut out = Table::new(a.len() + b.len());
+    for (i, &g) in group_of.iter().enumerate() {
+        let source = match g {
+            GROUPED => continue,
+            SINGLE if a.iter().any(|c| c.is_null(i)) => continue,
+            SINGLE => i,
+            g => plurality(&groups[g], &b).0,
         };
-        let mut row = key.clone();
-        row.extend(best.0.iter().cloned());
+        let row = a
+            .iter()
+            .map(|c| c.value(i))
+            .chain(b.iter().map(|c| c.value(source)))
+            .collect();
         out.push_row(row)?;
     }
     Ok(out)
@@ -436,6 +446,7 @@ fn apply_removals(
 mod tests {
     use super::*;
     use crate::oracle::{DenyOracle, ScriptedOracle};
+    use dbre_relational::stats::StatsEngine;
     use dbre_relational::value::{Domain, Value};
 
     /// Department(dep key, emp, skill, location, proj) + Project-ish
@@ -512,7 +523,7 @@ mod tests {
         let (mut db, dept, _) = db();
         let h = QualAttrs::new(dept, AttrSet::from_indices([1u16]));
         let mut oracle = ScriptedOracle::new().name("hidden:Department.{emp}", "Employee");
-        let out = restruct(&mut db, &[], &[h], &[], &mut oracle).unwrap();
+        let out = restruct(&mut db, &[], &[h], &[], &mut oracle, &StatsEngine::new()).unwrap();
         assert_eq!(out.hidden_relations.len(), 1);
         let employee = db.rel("Employee").unwrap();
         assert_eq!(db.table(employee).len(), 2); // distinct emps {1, 2}
@@ -536,7 +547,15 @@ mod tests {
         // Existing IND Department[emp] << Assignment[emp].
         let existing = Ind::unary(dept, AttrId(1), assign, AttrId(0));
         let mut oracle = ScriptedOracle::new().name("hidden:Assignment.{emp}", "Employee");
-        let out = restruct(&mut db, &[], &[h], &[existing], &mut oracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[h],
+            &[existing],
+            &mut oracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let rendered: Vec<String> = out.inds.iter().map(|i| i.render(&db.schema)).collect();
         assert!(rendered.contains(&"Department[emp] << Employee[emp]".to_string()));
         assert!(rendered.contains(&"Assignment[emp] << Employee[emp]".to_string()));
@@ -553,7 +572,7 @@ mod tests {
             AttrSet::from_indices([2u16, 4u16]),
         );
         let mut oracle = ScriptedOracle::new().name("fd:Department: emp -> skill, proj", "Manager");
-        let out = restruct(&mut db, &[fd], &[], &[], &mut oracle).unwrap();
+        let out = restruct(&mut db, &[fd], &[], &[], &mut oracle, &StatsEngine::new()).unwrap();
         assert_eq!(out.fd_relations.len(), 1);
         // Department lost skill and proj.
         let dept_rel = db.schema.relation(dept);
@@ -609,7 +628,15 @@ mod tests {
         let mut oracle = ScriptedOracle::new()
             .name("fd:Assignment: proj -> project-name", "Project")
             .name("fd:Department: emp -> skill, proj", "Manager");
-        let out = restruct(&mut db, &fds, &[], &[existing], &mut oracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &fds,
+            &[],
+            &[existing],
+            &mut oracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let rendered: Vec<String> = out.inds.iter().map(|i| i.render(&db.schema)).collect();
         assert!(
             rendered.contains(&"Manager[proj] << Project[proj]".to_string()),
@@ -631,7 +658,15 @@ mod tests {
         let keyed = Ind::unary(assign, AttrId(1), dept, AttrId(0));
         // Department[emp] << Assignment[emp] — Assignment.emp not a key.
         let unkeyed = Ind::unary(dept, AttrId(1), assign, AttrId(0));
-        let out = restruct(&mut db, &[], &[], &[keyed, unkeyed], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[],
+            &[keyed, unkeyed],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         assert_eq!(out.inds.len(), 2);
         assert_eq!(out.ric.len(), 1);
         assert_eq!(
@@ -644,9 +679,57 @@ mod tests {
     fn default_names_used_without_script() {
         let (mut db, dept, _) = db();
         let h = QualAttrs::new(dept, AttrSet::from_indices([1u16]));
-        let out = restruct(&mut db, &[], &[h], &[], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[],
+            &[h],
+            &[],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         let name = &db.schema.relation(out.hidden_relations[0]).name;
         assert_eq!(name, "Department_emp");
+    }
+
+    /// An FD the expert enforced over dirty data splits off one row
+    /// per distinct non-NULL `A`, in first-seen order, carrying the
+    /// plurality `B` of its group: a tie goes to the first occurrence,
+    /// a NULL-`A` row is dropped, and NULL and NaN count as values.
+    #[test]
+    fn enforced_fd_split_keeps_the_plurality_rhs() {
+        let mut db = Database::new();
+        let t = db
+            .add_relation(Relation::of(
+                "T",
+                &[("k", Domain::Int), ("a", Domain::Int), ("b", Domain::Float)],
+            ))
+            .unwrap();
+        db.constraints.add_key(t, AttrSet::from_indices([0u16]));
+        db.constraints.normalize();
+        let csv = "k,a,b\n0,1,2\n1,1,3\n2,2,\n3,1,3\n4,,9\n5,1,2\n\
+                   6,3,NaN\n7,2,5\n8,2,\n9,3,4\n10,3,NaN\n11,4,7\n";
+        dbre_relational::csv::import_csv(&mut db, t, csv).unwrap();
+        let fd = Fd::new(
+            t,
+            AttrSet::from_indices([1u16]),
+            AttrSet::from_indices([2u16]),
+        );
+        assert!(!db.fd_holds(&fd), "the split FD is enforced, not satisfied");
+        let mut oracle = ScriptedOracle::new().name("fd:T: a -> b", "TA");
+        let out = restruct(&mut db, &[fd], &[], &[], &mut oracle, &StatsEngine::new()).unwrap();
+        let split = db.rel("TA").unwrap();
+        assert_eq!(out.fd_relations, vec![split]);
+        let got: Vec<Vec<Value>> = db.table(split).rows().collect();
+        let (i, f) = (Value::Int, Value::float);
+        let want = [
+            [i(1), f(2.0)],
+            [i(2), Value::Null],
+            [i(3), f(f64::NAN)],
+            [i(4), f(7.0)],
+        ];
+        assert_eq!(got, want);
+        assert_eq!(db.schema.relation(t).arity(), 2, "b left T");
     }
 
     #[test]
@@ -663,7 +746,15 @@ mod tests {
             AttrSet::from_indices([1u16]),
             AttrSet::from_indices([2u16, 4u16]),
         );
-        let out = restruct(&mut db, &[fd], &[], &[straddle], &mut DenyOracle).unwrap();
+        let out = restruct(
+            &mut db,
+            &[fd],
+            &[],
+            &[straddle],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
         assert!(!out.warnings.is_empty());
         assert_eq!(out.inds.len(), 1); // only the linking IND survives
     }

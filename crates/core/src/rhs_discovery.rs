@@ -8,7 +8,9 @@
 //!    attribute that may be null cannot determine one that must not be
 //!    in the object the paper is after.
 //! 2. *Test each candidate*: `A → b` against the extension; on failure
-//!    the expert user may still enforce it (dirty data, step (ii)).
+//!    the expert user may still enforce it (dirty data, step (ii)),
+//!    shown its g3 error. Both questions read the rows grouped by `A`
+//!    that the counting engine caches once per step.
 //! 3. If `B ≠ ∅` the FD `R_i : A → B` joins `F` (after expert
 //!    validation) and `R_i.A` leaves `H` if it was there; if `B = ∅`
 //!    and `R_i.A ∉ H`, the expert decides whether `R_i.A` is a hidden
@@ -20,7 +22,7 @@
 use crate::lhs_discovery::LhsDiscovery;
 use crate::oracle::{DecisionRecord, FdContext, HiddenContext, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::CountBackend;
+use dbre_relational::backend::{g3_error, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
 use dbre_relational::par::par_map;
@@ -68,52 +70,16 @@ pub struct RhsDiscovery {
 
 /// Runs RHS-Discovery over `LHS ∪ H`.
 ///
-/// Equivalent to [`rhs_discovery_with_stats`] with a throwaway
-/// [`StatsEngine`].
+/// Equivalent to [`rhs_discovery_sketched`] with a throwaway
+/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
 pub fn rhs_discovery(
     db: &Database,
     input: &LhsDiscovery,
     oracle: &mut dyn Oracle,
     options: &RhsOptions,
 ) -> RhsDiscovery {
-    rhs_discovery_with_stats(db, input, oracle, options, &StatsEngine::new())
-}
-
-/// `g3` error of a failing FD, safe for streamed extensions.
-///
-/// Materialized tables go through the raw-column scan in
-/// [`dbre_mine::fd_error_db`]. A streamed extension has empty raw
-/// columns, so its error is computed over the backend-served
-/// dictionary codes instead — same number, no hydration. A streamed
-/// table whose backend cannot serve a dictionary is a wiring bug
-/// (adoption installs the pages before discovery runs), so that case
-/// fails loudly rather than inventing an error value.
-fn fd_error_for(db: &Database, fd: &Fd, engine: &dyn CountBackend) -> f64 {
-    if db.table(fd.rel).is_materialized() {
-        return dbre_mine::fd_error_db(db, fd);
-    }
-    let dict_of = |a: AttrId| {
-        engine.column_dict(db, fd.rel, a).unwrap_or_else(|| {
-            panic!("streamed extension must have backend-served column dictionaries")
-        })
-    };
-    let lhs: Vec<_> = fd.lhs.iter().map(dict_of).collect();
-    let rhs: Vec<_> = fd.rhs.iter().map(dict_of).collect();
-    let lhs_codes: Vec<&[u32]> = lhs.iter().map(|d| d.codes()).collect();
-    let rhs_codes: Vec<&[u32]> = rhs.iter().map(|d| d.codes()).collect();
-    dbre_mine::fd_error_coded(&lhs_codes, &rhs_codes, db.table(fd.rel).len())
-}
-
-/// Runs RHS-Discovery with `A → b` extension tests memoized in
-/// `engine`, honoring the ambient [`SketchMode`] (`DBRE_SKETCH`).
-pub fn rhs_discovery_with_stats(
-    db: &Database,
-    input: &LhsDiscovery,
-    oracle: &mut dyn Oracle,
-    options: &RhsOptions,
-    engine: &dyn CountBackend,
-) -> RhsDiscovery {
-    rhs_discovery_sketched(db, input, oracle, options, engine, SketchMode::from_env())
+    let engine = StatsEngine::new();
+    rhs_discovery_sketched(db, input, oracle, options, &engine, SketchMode::from_env())
 }
 
 /// Runs RHS-Discovery with `A → b` extension tests memoized in
@@ -121,9 +87,12 @@ pub fn rhs_discovery_with_stats(
 ///
 /// All candidates `b` of one step share the LHS `A`, so the engine
 /// groups the rows agreeing on `A` once and every test only rescans the
-/// grouped rows. The per-candidate tests run through [`par_map`]
-/// (concurrent with `--features parallel`); oracle interaction for
-/// failing/elicited FDs stays sequential and in candidate order.
+/// grouped rows. The g3 error shown for a failing test
+/// ([`g3_error`]) reads the same cached groups, over the raw values of
+/// a resident table or the backend-served codes of a streamed one.
+/// The per-candidate tests run through [`par_map`] (concurrent with
+/// `--features parallel`); oracle interaction for failing/elicited FDs
+/// stays sequential and in candidate order.
 ///
 /// When `mode` is on and a single-attribute LHS has a
 /// [`ColumnSketch`][dbre_relational::sketch::ColumnSketch] proving it a
@@ -207,7 +176,7 @@ pub fn rhs_discovery_sketched(
             if holds {
                 b.insert(cand_attr);
             } else {
-                let error = fd_error_for(db, fd, engine);
+                let error = g3_error(engine, db, fd);
                 let enforced = oracle.enforce_fd(&FdContext { db, fd, error });
                 out.log.push(DecisionRecord::new(
                     "RHS-Discovery/enforce",
@@ -477,6 +446,63 @@ mod tests {
         );
         assert!(out.fds.is_empty());
         assert_eq!(out.given_up.len(), 1);
+    }
+
+    /// Every `RHS-Discovery/enforce` record shows the failing FD's g3
+    /// error exactly as the `Value`-level reference computes it on the
+    /// same table — through ties, NULL-LHS rows, NULL and NaN RHS
+    /// cells, and a composite LHS.
+    #[test]
+    fn enforce_records_show_the_reference_g3_error() {
+        let mut db = Database::new();
+        let t = db
+            .add_relation(Relation::of(
+                "T",
+                &[
+                    ("k", Domain::Int),
+                    ("a", Domain::Int),
+                    ("b", Domain::Float),
+                    ("c", Domain::Text),
+                    ("d", Domain::Int),
+                ],
+            ))
+            .unwrap();
+        db.constraints.add_key(t, AttrSet::from_indices([0u16]));
+        db.constraints.normalize();
+        let csv = "k,a,b,c,d\n0,1,2,x,1\n1,1,3,x,1\n2,2,,y,2\n3,1,3,z,1\n4,,9,x,3\n5,1,2,,2\n\
+                   6,3,NaN,y,3\n7,2,5,y,2\n8,2,,,2\n9,3,4,y,3\n10,3,NaN,y,3\n11,4,7,w,4\n";
+        dbre_relational::csv::import_csv(&mut db, t, csv).unwrap();
+        let lhs = [&[1u16][..], &[1, 4], &[3]];
+        let input = LhsDiscovery {
+            lhs: lhs
+                .iter()
+                .map(|a| QualAttrs::new(t, AttrSet::from_indices(a.iter().copied())))
+                .collect(),
+            hidden: vec![],
+        };
+        let out = rhs_discovery(&db, &input, &mut DenyOracle, &RhsOptions::default());
+        let enforce: Vec<&DecisionRecord> = out
+            .log
+            .iter()
+            .filter(|r| r.step == "RHS-Discovery/enforce")
+            .collect();
+        assert_eq!(enforce.len(), 8, "{:#?}", out.log);
+        for record in enforce {
+            let fd = input
+                .lhs
+                .iter()
+                .flat_map(|q| {
+                    (0..5u16).map(|b| Fd::new(t, q.attrs.clone(), AttrSet::single(AttrId(b))))
+                })
+                .find(|fd| fd.render(&db.schema) == record.question)
+                .unwrap();
+            let (l, r): (Vec<AttrId>, Vec<AttrId>) =
+                (fd.lhs.iter().collect(), fd.rhs.iter().collect());
+            let expected = dbre_mine::fd_error(db.table(t), &l, &r);
+            assert!(expected > 0.0, "{}", record.question);
+            let shown = format!("rejected (g3 error {expected:.4})");
+            assert_eq!(record.decision, shown, "{}", record.question);
+        }
     }
 
     #[test]

@@ -514,6 +514,7 @@ impl Stage for RestructStage {
             &s.rhs.hidden,
             &s.ind.inds,
             &mut *s.oracle,
+            &*s.engine,
         )?;
         s.record_all(&out.log);
         s.restructured = out;

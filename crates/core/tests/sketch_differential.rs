@@ -45,7 +45,7 @@ fn float_val(code: i64) -> Value {
 
 /// Two relations with an int and a float column each; `shift` moves
 /// the right relation's int values into a disjoint range so the
-/// Bloom-disjointness proof actually fires on some inputs.
+/// hash-disjointness proof actually fires on some inputs.
 fn build_db(
     left: &[(i64, i64)],
     right: &[(i64, i64)],

@@ -8,6 +8,7 @@
 #![allow(clippy::unwrap_used)]
 
 use dbre_relational::attr::{AttrId, AttrSet};
+use dbre_relational::backend::CountBackend;
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind, IndSide};

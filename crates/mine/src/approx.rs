@@ -10,13 +10,16 @@
 //! * FD error — the fraction of tuples to delete for `X → Y` to hold;
 //! * IND error — the fraction of distinct LHS values not contained in
 //!   the RHS value set.
+//!
+//! These are `Value`-level references: the pipeline's g3 error is
+//! [`dbre_relational::backend::g3_error`], the same number read from
+//! the counting engine's cached LHS groups.
 
 use crate::fd_check::violations;
 use dbre_relational::attr::AttrId;
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind};
 use dbre_relational::table::Table;
-use std::collections::HashMap;
 
 /// `g3` error of an FD on a table: minimum fraction of (non-NULL-LHS)
 /// tuples to remove so the FD holds. In `[0, 1]`; 0 iff it holds.
@@ -28,40 +31,6 @@ pub fn fd_error(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> f64 {
         return 0.0;
     }
     violations(table, lhs, rhs) as f64 / considered as f64
-}
-
-/// `g3` error computed over dictionary-encoded columns (code 0 = NULL).
-///
-/// Equivalent to [`fd_error`] on the decoded table: per-column codes
-/// are injective on values, so grouping by LHS code tuple and keeping
-/// the plurality RHS code tuple (NULL codes included as values, as in
-/// `violations`) yields the same count. This is the path for streamed
-/// extensions whose raw columns are empty — callers feed it the
-/// backend-served dictionaries instead of hydrating the table.
-pub fn fd_error_coded(lhs: &[&[u32]], rhs: &[&[u32]], rows: usize) -> f64 {
-    let mut groups: HashMap<Vec<u32>, HashMap<Vec<u32>, usize>> = HashMap::new();
-    let mut considered = 0usize;
-    'rows: for i in 0..rows {
-        let mut key = Vec::with_capacity(lhs.len());
-        for c in lhs {
-            let code = c[i];
-            if code == 0 {
-                continue 'rows;
-            }
-            key.push(code);
-        }
-        considered += 1;
-        let val: Vec<u32> = rhs.iter().map(|c| c[i]).collect();
-        *groups.entry(key).or_default().entry(val).or_insert(0) += 1;
-    }
-    if considered == 0 {
-        return 0.0;
-    }
-    let kept: usize = groups
-        .values()
-        .map(|rhs_counts| rhs_counts.values().copied().max().unwrap_or(0))
-        .sum();
-    (considered - kept) as f64 / considered as f64
 }
 
 /// `g3` error of an FD given as a [`Fd`] against a database.
@@ -146,56 +115,6 @@ mod tests {
             AttrSet::from_indices([1u16]),
         );
         assert_eq!(fd_error_db(&db, &fd), 0.0);
-    }
-
-    #[test]
-    fn coded_error_matches_decoded() {
-        use dbre_relational::encode::ColumnDict;
-        let mut db = Database::new();
-        let r = db
-            .add_relation(Relation::of(
-                "R",
-                &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int)],
-            ))
-            .unwrap();
-        // NULL-heavy LHS, ties in the plurality counts, and a NULL RHS
-        // value that must group as a value of its own.
-        let rows: &[(Option<i64>, Option<i64>, Option<i64>)] = &[
-            (Some(1), Some(1), Some(9)),
-            (Some(1), Some(2), Some(9)),
-            (Some(1), Some(2), None),
-            (None, Some(3), Some(7)),
-            (Some(2), None, Some(7)),
-            (Some(2), None, Some(8)),
-            (Some(3), Some(5), Some(5)),
-        ];
-        for (a, b, c) in rows {
-            let v = |o: &Option<i64>| o.map(Value::Int).unwrap_or(Value::Null);
-            db.insert(r, vec![v(a), v(b), v(c)]).unwrap();
-        }
-        let table = db.table(r);
-        let dicts: Vec<ColumnDict> = (0..3)
-            .map(|i| ColumnDict::build(table.column(AttrId(i))))
-            .collect();
-        let cases: &[(&[u16], &[u16])] = &[
-            (&[0], &[1]),
-            (&[0], &[2]),
-            (&[0, 1], &[2]),
-            (&[1], &[0, 2]),
-            (&[2], &[1]),
-        ];
-        for (lhs, rhs) in cases {
-            let l: Vec<AttrId> = lhs.iter().map(|&i| AttrId(i)).collect();
-            let rh: Vec<AttrId> = rhs.iter().map(|&i| AttrId(i)).collect();
-            let decoded = fd_error(table, &l, &rh);
-            let lc: Vec<&[u32]> = lhs.iter().map(|&i| dicts[i as usize].codes()).collect();
-            let rc: Vec<&[u32]> = rhs.iter().map(|&i| dicts[i as usize].codes()).collect();
-            let coded = fd_error_coded(&lc, &rc, table.len());
-            assert!(
-                (decoded - coded).abs() < 1e-12,
-                "{lhs:?} -> {rhs:?}: decoded {decoded} coded {coded}"
-            );
-        }
     }
 
     #[test]

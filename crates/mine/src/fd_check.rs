@@ -1,27 +1,24 @@
 //! Single-FD verification backends.
 //!
 //! RHS-Discovery tests one candidate FD at a time against the
-//! extension (`A → b holds in r_i`, step (i) of the algorithm). Three
-//! interchangeable checks are provided so the ablation bench can
-//! compare them:
+//! extension (`A → b holds in r_i`, step (i) of the algorithm). Two
+//! `Value`-level checks are provided so the ablation bench can compare
+//! them:
 //!
 //! * [`check_hash`] — one hash pass grouping LHS projections (SQL NULL
 //!   semantics: tuples with NULL on the LHS are skipped, like
 //!   `Database::fd_holds`);
 //! * [`check_partition`] — stripped-partition refinement (NULL = NULL
-//!   mining convention);
-//! * [`check_cached`] — served through the counting seam, so the
-//!   dictionary-encoded kernels (and any engine's memoized LHS
-//!   grouping) answer with the same SQL semantics as [`check_hash`].
+//!   mining convention).
 //!
 //! [`violations`] additionally reports *how badly* an FD fails — the
 //! `g3` counter backing approximate dependencies in [`crate::approx`].
+//!
+//! These are references: the pipeline's FD test is the counting seam's
+//! `CountBackend::fd_holds`, read from the engine's cached LHS groups.
 
 use crate::partitions::fd_holds_partition;
 use dbre_relational::attr::AttrId;
-use dbre_relational::backend::CountBackend;
-use dbre_relational::database::Database;
-use dbre_relational::deps::Fd;
 use dbre_relational::table::Table;
 use dbre_relational::value::Value;
 use std::collections::HashMap;
@@ -61,16 +58,6 @@ pub fn check_hash(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
 /// [`check_hash`] on NULL-free columns).
 pub fn check_partition(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
     fd_holds_partition(table, lhs, rhs)
-}
-
-/// Backend-served FD check: same SQL NULL semantics and same answer
-/// as [`check_hash`], served through the counting seam. Pass a
-/// [`StatsEngine`](dbre_relational::stats::StatsEngine) (which itself
-/// implements the trait) and the LHS row grouping is memoized, so a
-/// batch of tests sharing one LHS (the shape RHS-Discovery produces)
-/// groups once and only rescans the grouped rows.
-pub fn check_cached(db: &Database, fd: &Fd, backend: &dyn CountBackend) -> bool {
-    backend.fd_holds(db, fd)
 }
 
 /// `g3`-style violation count: the minimum number of tuples to delete

@@ -15,7 +15,7 @@
 
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::CountBackend;
+use dbre_relational::backend::{column_cells, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::encode::DictTable;
 use dbre_relational::par::par_map;
@@ -92,21 +92,11 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 }
 
 /// [`discover_keys`] with the unary seed partitions served through
-/// the counting seam, honoring the ambient [`SketchMode`]
-/// (`DBRE_SKETCH`).
-pub fn discover_keys_with_stats(
-    db: &Database,
-    rel: RelId,
-    max_width: Option<usize>,
-    backend: &dyn CountBackend,
-) -> KeyResult {
-    discover_keys_sketched(db, rel, max_width, backend, SketchMode::from_env())
-}
-
-/// [`discover_keys`] with the unary seed partitions served through
 /// the counting seam (pass a
 /// [`StatsEngine`] and they are additionally cached), built
-/// concurrently under `--features parallel`.
+/// concurrently under `--features parallel`. NULL-freeness is read
+/// through [`column_cells`], so a streamed extension answers from its
+/// backend-served dictionaries.
 ///
 /// When `mode` is on and the backend serves sketches, two exact
 /// shortcuts fire (the discovered keys are identical either way):
@@ -125,21 +115,9 @@ pub fn discover_keys_sketched(
     mode: SketchMode,
 ) -> KeyResult {
     let table = db.table(rel);
-    // A streamed extension has empty raw columns — scanning them would
-    // declare every column NULL-free. Read NULL-freeness off the
-    // backend-served dictionaries instead (they count NULLs exactly).
-    let eligible = if table.is_materialized() {
-        eligible_columns_raw(table)
-    } else {
-        (0..table.arity() as u16)
-            .filter(|&i| {
-                backend
-                    .column_dict(db, rel, AttrId(i))
-                    .map(|d| d.null_count() == 0)
-                    .unwrap_or(false)
-            })
-            .collect::<Vec<u16>>()
-    };
+    let eligible: Vec<u16> = (0..table.arity() as u16)
+        .filter(|&i| !column_cells(backend, db, rel, AttrId(i)).has_null())
+        .collect();
     let sketches: Vec<Option<Arc<ColumnSketch>>> = eligible
         .iter()
         .map(|&i| {
@@ -186,8 +164,8 @@ pub fn discover_keys_sketched(
     discover_keys_seeded(table.arity(), table.len(), seeds, max_width, sk)
 }
 
-/// Columns containing NULL cannot participate in a key — raw-column
-/// scan, valid only for materialized tables.
+/// Columns containing NULL cannot participate in a key — the
+/// raw-column scan of a `Table` (see [`discover_keys`]).
 fn eligible_columns_raw(table: &Table) -> Vec<u16> {
     (0..table.arity() as u16)
         .filter(|&i| {
@@ -321,25 +299,19 @@ fn set_of(mask: u32) -> AttrSet {
 /// Infers keys for every relation of a database that has none declared
 /// and registers the narrowest discovered key as its primary key.
 /// Returns the relations that received an inferred key.
+///
+/// Equivalent to [`infer_missing_keys_sketched`] with a throwaway
+/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
 pub fn infer_missing_keys(db: &mut Database, max_width: Option<usize>) -> Vec<(RelId, AttrSet)> {
-    infer_missing_keys_with_stats(db, max_width, &StatsEngine::new())
+    infer_missing_keys_sketched(db, max_width, &StatsEngine::new(), SketchMode::from_env()).0
 }
 
 /// [`infer_missing_keys`] with unary partitions served through the
 /// counting seam — memoized when `backend` is a [`StatsEngine`] (key
 /// registration touches only the dictionary, never the tables, so
-/// previously cached entries stay valid). Honors the ambient
-/// [`SketchMode`] (`DBRE_SKETCH`).
-pub fn infer_missing_keys_with_stats(
-    db: &mut Database,
-    max_width: Option<usize>,
-    backend: &dyn CountBackend,
-) -> Vec<(RelId, AttrSet)> {
-    infer_missing_keys_sketched(db, max_width, backend, SketchMode::from_env()).0
-}
-
-/// [`infer_missing_keys_with_stats`] with an explicit [`SketchMode`],
-/// also returning the accumulated sketch-prefilter counters.
+/// previously cached entries stay valid) — and an explicit
+/// [`SketchMode`], also returning the accumulated sketch-prefilter
+/// counters.
 pub fn infer_missing_keys_sketched(
     db: &mut Database,
     max_width: Option<usize>,
@@ -485,7 +457,7 @@ mod tests {
         backend.adopt_spilled(&db, r, &SpilledTable::new(cols, rows.len(), false));
 
         // `a` contains NULL: only `b` may seed a key, and it is one.
-        let result = discover_keys_with_stats(&db, r, None, &backend);
+        let result = discover_keys_sketched(&db, r, None, &backend, SketchMode::from_env());
         assert_eq!(result.keys, vec![AttrSet::from_indices([1u16])]);
 
         // Same rows materialized agree.

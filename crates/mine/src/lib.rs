@@ -26,13 +26,11 @@ pub use dbre_relational::partitions;
 pub mod spider;
 pub mod tane;
 
-pub use approx::{
-    fd_error, fd_error_coded, fd_error_db, fd_holds_approx, ind_error, ind_holds_approx,
-};
-pub use fd_check::{check_cached, check_hash, check_partition, violations};
+pub use approx::{fd_error, fd_error_db, fd_holds_approx, ind_error, ind_holds_approx};
+pub use fd_check::{check_hash, check_partition, violations};
 pub use keys::{
-    discover_keys, discover_keys_sketched, discover_keys_with_stats, infer_missing_keys,
-    infer_missing_keys_sketched, infer_missing_keys_with_stats, KeyResult, KeyStats,
+    discover_keys, discover_keys_sketched, infer_missing_keys, infer_missing_keys_sketched,
+    KeyResult, KeyStats,
 };
 pub use mind::{maximal, mind, mind_with_stats, MindResult, MindStats};
 pub use partitions::StrippedPartition;

@@ -37,7 +37,7 @@
 //! convention (`NULL = NULL`). Every implementation must reproduce
 //! these exactly — the differential proptests enforce it.
 
-use crate::attr::AttrId;
+use crate::attr::{AttrId, AttrSet};
 use crate::bufpool::PageCacheStats;
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
@@ -49,6 +49,7 @@ use crate::sketch::ColumnSketch;
 use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
 use crate::value::Value;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
@@ -199,21 +200,20 @@ pub trait CountBackend: Send + Sync {
 
     /// Does `fd` hold in the extension? SQL NULL semantics: NULL-LHS
     /// rows are skipped; the RHS comparison is structural equality on
-    /// the raw values (`NULL = NULL`, `NaN = NaN` by bit key). The
-    /// default builds on [`lhs_groups`](CountBackend::lhs_groups) and
-    /// touches only the grouped rows.
+    /// the cells (`NULL = NULL`, `NaN = NaN` by bit key). The default
+    /// asks [`lhs_groups`](CountBackend::lhs_groups) for the groups —
+    /// cached when `self` is a [`crate::stats::StatsEngine`] — and
+    /// requires every group to be uniform on the RHS
+    /// [`column_cells`]: only the grouped rows are touched, and a
+    /// key-like LHS (no group) reads no RHS cell at all.
     fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
         let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
         let groups = self.lhs_groups(db, fd.rel, &lhs);
-        let table = db.table(fd.rel);
-        let rcols: Vec<&[Value]> = rhs.iter().map(|a| table.column(*a)).collect();
-        groups.iter().all(|group| {
-            let first = group[0];
-            group[1..]
-                .iter()
-                .all(|&i| rcols.iter().all(|c| c[i] == c[first]))
-        })
+        if groups.is_empty() {
+            return true;
+        }
+        let rhs = set_cells(self, db, fd.rel, &fd.rhs);
+        groups.iter().all(|group| uniform(group, &rhs))
     }
 
     /// Does `ind` hold in the extension? Same answer as
@@ -247,11 +247,12 @@ pub trait CountBackend: Send + Sync {
 
     /// The backend's dictionary encoding of one column, per-row codes
     /// included, when it maintains one — the dict-access seam for
-    /// streamed extensions, whose raw cells are not resident: key
-    /// inference reads NULL-freeness off it, RHS-Discovery computes a
-    /// streamed table's g3 error over its codes, and Restruct hydrates
-    /// streamed columns from it. Every caller asks only about streamed
-    /// tables, which only the paged backend serves. The columnar
+    /// streamed extensions, whose raw cells are not resident:
+    /// [`column_cells`] serves a streamed table's cells from it (the
+    /// FD test, the g3 error and key inference's NULL-freeness read
+    /// them), and Restruct hydrates streamed columns from it. Every
+    /// caller asks only about streamed tables, which only the paged
+    /// backend serves. The columnar
     /// backends answer from the same generation-tagged column cache as
     /// their counting probes; the reference and SQL backends keep no
     /// encoding and return `None`.
@@ -261,8 +262,8 @@ pub trait CountBackend: Send + Sync {
     }
 
     /// The backend's sketch of one column
-    /// ([`crate::sketch::ColumnSketch`]: exact distinct hashes, HLL,
-    /// blocked Bloom), when it can produce one cheaply and *soundly* —
+    /// ([`crate::sketch::ColumnSketch`]: exact sorted distinct hashes
+    /// plus an HLL), when it can produce one cheaply and *soundly* —
     /// the prefilter seam the discovery stages consult before paying
     /// for exact kernels. `None` (the default) disables pruning for
     /// the column, which is always correct: sketches only ever
@@ -298,6 +299,151 @@ pub trait CountBackend: Send + Sync {
     fn spill_stats(&self) -> SpillCacheStats {
         SpillCacheStats::default()
     }
+}
+
+/// One column's cells as the FD questions read them (see
+/// [`column_cells`]). Two rows hold the same cell exactly when their
+/// values are structurally equal (`NULL = NULL`, `NaN = NaN` by bit
+/// key) in either form, because one dictionary's codes are injective
+/// on values.
+pub enum Cells<'a> {
+    /// A resident table's raw column.
+    Values(&'a [Value]),
+    /// A streamed table's backend-served dictionary, per-row codes
+    /// included ([`encode::NULL_CODE`] for NULL).
+    Codes(Arc<ColumnDict>),
+}
+
+impl Cells<'_> {
+    /// Is row `i`'s cell NULL?
+    pub fn is_null(&self, i: usize) -> bool {
+        match self {
+            Cells::Values(v) => v[i].is_null(),
+            Cells::Codes(d) => d.codes()[i] == encode::NULL_CODE,
+        }
+    }
+
+    /// Does any row hold NULL?
+    pub fn has_null(&self) -> bool {
+        match self {
+            Cells::Values(v) => v.iter().any(Value::is_null),
+            Cells::Codes(d) => d.null_count() > 0,
+        }
+    }
+
+    /// Row `i`'s value, decoded from its code on a streamed table.
+    pub fn value(&self, i: usize) -> Value {
+        match self {
+            Cells::Values(v) => v[i].clone(),
+            Cells::Codes(d) => d.value_of(d.codes()[i]).cloned().unwrap_or(Value::Null),
+        }
+    }
+
+    /// Orders rows `i` and `j` by their cells — `Equal` exactly when
+    /// they hold the same cell.
+    fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
+        match self {
+            Cells::Values(v) => v[i].cmp(&v[j]),
+            Cells::Codes(d) => d.codes()[i].cmp(&d.codes()[j]),
+        }
+    }
+}
+
+/// Do all rows of `group` (non-empty) hold the same `cells`?
+fn uniform(group: &[usize], cells: &[Cells<'_>]) -> bool {
+    group[1..]
+        .iter()
+        .all(|&i| cells.iter().all(|c| c.cmp_rows(i, group[0]).is_eq()))
+}
+
+/// The cells of `rel.attr`: its raw values while the table is
+/// resident, the backend-served dictionary codes
+/// ([`CountBackend::column_dict`]) when it is a streamed extension,
+/// whose raw columns are empty. With the LHS groups, this is all the
+/// FD test ([`CountBackend::fd_holds`]), the [`g3_error`] and
+/// Restruct's [`plurality`] split read.
+///
+/// # Panics
+///
+/// On a streamed table whose backend serves no dictionary: a wiring
+/// bug (adoption installs the pages before discovery runs), which the
+/// session's per-stage isolation turns into a degraded stage.
+pub fn column_cells<'a, B: CountBackend + ?Sized>(
+    backend: &B,
+    db: &'a Database,
+    rel: RelId,
+    attr: AttrId,
+) -> Cells<'a> {
+    let table = db.table(rel);
+    if table.is_materialized() {
+        return Cells::Values(table.column(attr));
+    }
+    Cells::Codes(backend.column_dict(db, rel, attr).unwrap_or_else(|| {
+        panic!("streamed extension must have backend-served column dictionaries")
+    }))
+}
+
+/// [`column_cells`] of every attribute of `attrs`, in order.
+pub fn set_cells<'a, B: CountBackend + ?Sized>(
+    backend: &B,
+    db: &'a Database,
+    rel: RelId,
+    attrs: &AttrSet,
+) -> Vec<Cells<'a>> {
+    attrs
+        .iter()
+        .map(|a| column_cells(backend, db, rel, a))
+        .collect()
+}
+
+/// The plurality right-hand side of one LHS group: the row whose
+/// `rhs` cells occur most often among the rows of `group` (ascending,
+/// as [`CountBackend::lhs_groups`] returns it), ties going to the
+/// first occurrence, and how often they occur. NULL and NaN cells
+/// count as values.
+pub fn plurality(group: &[usize], rhs: &[Cells<'_>]) -> (usize, usize) {
+    if uniform(group, rhs) {
+        return (group[0], group.len());
+    }
+    let by_cells = |i: &usize, j: &usize| {
+        rhs.iter()
+            .map(|c| c.cmp_rows(*i, *j))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    };
+    // A stable sort keeps each run of equal cells in row order, so a
+    // run starts at its first occurrence.
+    let mut rows = group.to_vec();
+    rows.sort_by(by_cells);
+    rows.chunk_by(|i, j| by_cells(i, j).is_eq())
+        .map(|run| (run[0], run.len()))
+        .max_by_key(|&(first, n)| (n, Reverse(first)))
+        .unwrap_or((group[0], 0))
+}
+
+/// The `g3` error of `fd`: the fraction of the rows with a non-NULL
+/// LHS to delete for it to hold — every LHS group keeps its
+/// [`plurality`] RHS and loses the rest. Read from `backend`'s LHS
+/// groups (cached when it is a [`crate::stats::StatsEngine`], which
+/// RHS-Discovery's failing test just filled) and [`column_cells`];
+/// the same number as the `Value`-level reference (`dbre_mine`'s
+/// `fd_error`). 0 iff the FD holds.
+pub fn g3_error(backend: &dyn CountBackend, db: &Database, fd: &Fd) -> f64 {
+    let lhs_cells = set_cells(backend, db, fd.rel, &fd.lhs);
+    let considered = (0..db.table(fd.rel).len())
+        .filter(|&i| !lhs_cells.iter().any(|c| c.is_null(i)))
+        .count();
+    if considered == 0 {
+        return 0.0;
+    }
+    let lhs: Vec<AttrId> = fd.lhs.iter().collect();
+    let rhs = set_cells(backend, db, fd.rel, &fd.rhs);
+    let violations: usize = backend
+        .lhs_groups(db, fd.rel, &lhs)
+        .iter()
+        .map(|group| group.len() - plurality(group, &rhs).1)
+        .sum();
+    violations as f64 / considered as f64
 }
 
 /// Shared `Value`-level implementation of the LHS-group contract (see
@@ -677,22 +823,6 @@ impl<S: ColumnStore> CountBackend for ColumnarBackend<S> {
                 Ok(Arc::new(decode_set_cols(&Self::dicts(&cols), &set)))
             },
             || Arc::new(db.table(rel).distinct_projection(attrs)),
-        )
-    }
-
-    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
-        self.serve(
-            db,
-            &[fd.rel],
-            || {
-                let lcols = self.columns(db, fd.rel, &lhs)?;
-                let rcols = self.columns(db, fd.rel, &rhs)?;
-                let (l, r) = (Self::refs(&lcols), Self::refs(&rcols));
-                encode::fd_holds(&l, &r, self.store.pager(), db.table(fd.rel).len())
-            },
-            || db.fd_holds(fd),
         )
     }
 

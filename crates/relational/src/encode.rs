@@ -17,8 +17,8 @@
 //! table: a probe that touches two attributes of a 13-column relation
 //! pays for exactly two dictionary builds.
 //!
-//! The kernels — [`distinct_codes`], [`lhs_groups`], [`partition1`]
-//! and [`fd_holds`] — exist once, generic over a [`CodeSource`] that
+//! The kernels — [`distinct_codes`], [`lhs_groups`] and
+//! [`partition1`] — exist once, generic over a [`CodeSource`] that
 //! yields a column's codes in page-sized chunks through a pager.
 //! Resident codes (a built [`ColumnDict`], the `encoded` backend)
 //! slice the code vector and cannot fail; spilled codes
@@ -44,7 +44,7 @@
 //!   integer sets.
 //!
 //! NULL conventions are preserved exactly: the SQL kernels
-//! ([`distinct_codes`], [`lhs_groups`], [`fd_holds`]) skip rows whose
+//! ([`distinct_codes`], [`lhs_groups`]) skip rows whose
 //! projection touches code 0, while the mining kernel ([`partition1`])
 //! treats code 0 as an ordinary value equal to itself, mirroring
 //! [`crate::partitions`]. `NaN` floats intern through
@@ -941,150 +941,6 @@ pub fn partition1<C: CodeSource>(col: &C, pager: &C::Pager) -> Result<StrippedPa
     })
 }
 
-/// Does `lhs → rhs` hold under SQL semantics? NULL-LHS rows are
-/// skipped; the RHS is compared structurally — same-dictionary code
-/// equality *is* structural `Value` equality, `NULL = NULL` and
-/// `NaN = NaN` included — so the answer equals
-/// [`crate::database::Database::fd_holds`].
-///
-/// One chunked pass over LHS and RHS codes together, keeping a single
-/// RHS **witness tuple** per LHS group instead of materializing row
-/// groups: allocation is bounded by the number of duplicated LHS
-/// values, never the extension, which is what lets an out-of-core FD
-/// probe run in pool-sized memory. Codes are dense `u32`s (a real code
-/// can never be `u32::MAX`), so `u32::MAX` marks "group not seen yet".
-pub fn fd_holds<C: CodeSource>(
-    lhs: &[&C],
-    rhs: &[&C],
-    pager: &C::Pager,
-    rows: usize,
-) -> Result<bool, C::Error> {
-    if rhs.is_empty() || rows < 2 {
-        return Ok(true);
-    }
-    let arity = rhs.len();
-    match lhs {
-        [] => {
-            // One group of every row: holds iff each RHS column is
-            // constant under structural equality — all NULL, or one
-            // value and no NULLs. Pure dictionary metadata, no scan.
-            Ok(rhs.iter().all(|c| {
-                let nulls = c.dict().null_count();
-                nulls == rows || (c.dict().cardinality() == 1 && nulls == 0)
-            }))
-        }
-        [l] => {
-            let counts = code_counts(*l, pager)?;
-            let (slots, sizes) = group_slots(&counts, true);
-            let groups = sizes.len();
-            if groups == 0 {
-                // Every non-NULL LHS value is unique: nothing to agree on.
-                return Ok(true);
-            }
-            let scan: Vec<&C> = std::iter::once(*l).chain(rhs.iter().copied()).collect();
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let mut witness: Vec<u32> = vec![u32::MAX; groups * arity];
-                let mut ok = true;
-                stream_range(&scan, pager, r, |_, s| {
-                    if !ok {
-                        return;
-                    }
-                    for (i, &c) in s[0].iter().enumerate() {
-                        let slot = slots[c as usize];
-                        if slot == u32::MAX {
-                            continue;
-                        }
-                        let w = &mut witness[slot as usize * arity..][..arity];
-                        if w[0] == u32::MAX {
-                            for (wj, col) in w.iter_mut().zip(&s[1..]) {
-                                *wj = col[i];
-                            }
-                        } else if w.iter().zip(&s[1..]).any(|(&wj, col)| wj != col[i]) {
-                            ok = false;
-                            return;
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(witness))
-            });
-            let mut acc: Option<Vec<u32>> = None;
-            for part in parts {
-                let Some(w) = part? else { return Ok(false) };
-                let Some(a) = &mut acc else {
-                    acc = Some(w);
-                    continue;
-                };
-                for (aw, ww) in a.chunks_exact_mut(arity).zip(w.chunks_exact(arity)) {
-                    if ww[0] == u32::MAX {
-                        continue;
-                    }
-                    if aw[0] == u32::MAX {
-                        aw.copy_from_slice(ww);
-                    } else if aw != ww {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
-        }
-        _ => {
-            // LHS code tuple → the RHS tuple of its first row.
-            type Witnesses = FxHashMap<Box<[u32]>, Box<[u32]>>;
-            let k = lhs.len();
-            let scan: Vec<&C> = lhs.iter().chain(rhs).copied().collect();
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let mut first = Witnesses::default();
-                let mut key: Vec<u32> = vec![0; k];
-                let mut ok = true;
-                stream_range(&scan, pager, r, |_, s| {
-                    if !ok {
-                        return;
-                    }
-                    'rows: for i in 0..s[0].len() {
-                        for (kj, c) in key.iter_mut().zip(&s[..k]) {
-                            if c[i] == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *kj = c[i];
-                        }
-                        if let Some(w) = first.get(key.as_slice()) {
-                            if w.iter().zip(&s[k..]).any(|(&wj, col)| wj != col[i]) {
-                                ok = false;
-                                return;
-                            }
-                        } else {
-                            let w: Box<[u32]> = s[k..].iter().map(|col| col[i]).collect();
-                            first.insert(key.clone().into_boxed_slice(), w);
-                        }
-                    }
-                })?;
-                Ok(ok.then_some(first))
-            });
-            let mut acc: Option<Witnesses> = None;
-            for part in parts {
-                let Some(m) = part? else { return Ok(false) };
-                let Some(a) = &mut acc else {
-                    acc = Some(m);
-                    continue;
-                };
-                for (key, w) in m {
-                    match a.entry(key) {
-                        Entry::Occupied(e) => {
-                            if *e.get() != w {
-                                return Ok(false);
-                            }
-                        }
-                        Entry::Vacant(e) => {
-                            e.insert(w);
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        }
-    }
-}
-
 /// A fully dictionary-encoded table: one shared [`ColumnDict`] per
 /// attribute, resident.
 ///
@@ -1339,34 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn fd_holds_matches_sql_semantics() {
-        // NULL-LHS rows skipped: x → y holds despite the NULL rows.
-        #[allow(clippy::unwrap_used)]
-        let t = Table::from_rows(
-            2,
-            vec![
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Int(1), Value::Int(10)],
-                vec![Value::Null, Value::Int(1)],
-                vec![Value::Null, Value::Int(2)],
-                vec![Value::Int(2), Value::Int(10)],
-            ],
-        )
-        .unwrap();
-        let d = DictTable::build(&t);
-        let fd = |lhs: &[AttrId], rhs: &[AttrId]| {
-            ok(fd_holds(&cols(&d, lhs), &cols(&d, rhs), &(), d.rows()))
-        };
-        assert!(fd(&[a(0)], &[a(1)]));
-        // y = 10 maps to x ∈ {1, 2}.
-        assert!(!fd(&[a(1)], &[a(0)]));
-        // Composite LHS: (x, y) is unique on its non-NULL rows.
-        assert!(fd(&[a(0), a(1)], &[a(0)]));
-        // Empty LHS: constant-column test.
-        assert!(!fd(&[], &[a(0)]));
-    }
-
-    #[test]
     fn lhs_groups_skip_null_rows() {
         let t = sample();
         let d = DictTable::build(&t);
@@ -1445,7 +1273,6 @@ mod tests {
         assert_eq!(ok(distinct_codes(&xy, &(), 0)).len(), 0);
         assert!(ok(distinct_codes::<ColumnDict>(&[], &(), 0)).is_empty());
         assert!(d.partition1(a(0)).is_key());
-        assert!(ok(fd_holds(&x, &cols(&d, &[a(1)]), &(), 0)));
         assert!(ok(lhs_groups(&x, &(), 0)).is_empty());
         assert!(ok(lhs_groups(&xy, &(), 0)).is_empty());
     }
@@ -1492,10 +1319,6 @@ mod tests {
         assert_eq!(
             ok(lhs_groups(&[&manual], &(), t.len())),
             ok(lhs_groups(&[&built], &(), t.len()))
-        );
-        assert_eq!(
-            ok(fd_holds(&[&manual], &[&built], &(), t.len())),
-            ok(fd_holds(&[&built], &[&built], &(), t.len()))
         );
     }
 

@@ -1,7 +1,7 @@
-//! Column sketches: HyperLogLog distinct-count estimates plus a
-//! blocked Bloom filter per column, built in one streaming pass and
-//! used as a *provably sound* prefilter in front of the exact counting
-//! kernels.
+//! Column sketches: the exact sorted distinct-value hashes of a
+//! column plus a HyperLogLog estimate, built in one pass from a
+//! dictionary and used as a *provably sound* prefilter in front of the
+//! exact counting kernels.
 //!
 //! The discovery loops of the paper are quadratic in candidate pairs
 //! (IND-Discovery probes every element of `Q`; SPIDER seeds `n²`
@@ -15,25 +15,26 @@
 //! output: **a sketch may only suppress exact work whose result it can
 //! prove.** Two kinds of evidence qualify:
 //!
-//! * a Bloom filter has no false negatives, so a *definite miss*
-//!   (`contains == false`) proves the probed value is absent. If every
-//!   distinct value of one column misses the other column's filter,
-//!   the intersection is *proven empty* ([`ColumnSketch::proves_disjoint`]);
-//!   if any value of `A` misses `B`'s filter, `A ⊆ B` is *refuted*
-//!   ([`ColumnSketch::refutes_containment`]).
+//! * the sorted distinct hashes (`hashes`, one 64-bit hash per
+//!   distinct non-NULL value): equal values hash equally, so a hash of
+//!   one column absent from the other's array proves the value absent.
+//!   If the two arrays share no hash, the intersection is *proven
+//!   empty* ([`ColumnSketch::proves_disjoint`]); if a hash of `A` is
+//!   missing from `B`, `A ⊆ B` is *refuted*
+//!   ([`ColumnSketch::refutes_containment`]). Both proofs walk the
+//!   sorted arrays.
 //! * the per-column distinct counts are **exact**, not estimated: the
-//!   dictionary already knows its cardinality, and the sketch keeps one
-//!   64-bit hash per distinct value (`hashes`). Cardinality ordering
+//!   dictionary already knows its cardinality, and the hash array has
+//!   one entry per distinct value. Cardinality ordering
 //!   (`‖A‖ > ‖B‖ ⇒ A ⊄ B`) is therefore a proof, not a guess.
 //!
-//! The HyperLogLog estimate is *never* allowed to veto exact work: it
-//! drives only ranking (asking the oracle about high-confidence IND
-//! presumptions first) and observability (the estimated-vs-exact
-//! error reported in the pipeline stats).
+//! The HyperLogLog estimate is *never* allowed to veto exact work, nor
+//! to order anything: it only reports its own error against the exact
+//! count (the estimated-vs-exact error in the pipeline stats).
 //!
 //! Hash soundness: sketches hash whole [`Value`]s with the crate's
 //! deterministic [`FxBuildHasher`] (finalized through a strong 64-bit
-//! mixer, [`mix64`], because HLL and the Bloom filter consume raw bit
+//! mixer, [`mix64`], because HLL register selection consumes raw bit
 //! patterns). `Value`'s `Hash` is consistent with its `Eq` — NaN
 //! floats go through `OrdF64`'s total order — so `v₁ == v₂` implies
 //! equal hashes under exactly the equality the join kernels use.
@@ -143,8 +144,8 @@ fn sorted_subset(a: &[u64], b: &[u64]) -> bool {
 }
 
 /// SplitMix64 finalizer: full-avalanche 64-bit mixing. The Fx hash is
-/// fast but weak in its low bits; HLL register selection and Bloom bit
-/// derivation need every bit to be unbiased.
+/// fast but weak in its low bits; HLL register selection needs every
+/// bit to be unbiased.
 #[inline]
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -170,10 +171,8 @@ const HLL_M: usize = 1 << HLL_P;
 /// A HyperLogLog distinct-count estimator (p = 12).
 ///
 /// Estimation only — exact cardinalities come from the dictionary.
-/// The estimator exists for overlap ranking ([`ColumnSketch::estimated_overlap`]
-/// needs a mergeable union estimate; exact distinct sets of two
-/// *different* columns cannot be intersected in O(1)) and for the
-/// estimated-vs-exact error metric the pipeline reports.
+/// The estimator exists for the estimated-vs-exact error metric the
+/// pipeline reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Hll {
     registers: Box<[u8]>,
@@ -206,19 +205,6 @@ impl Hll {
         }
     }
 
-    /// Register-wise max merge: the estimator of the union of the two
-    /// observed multisets.
-    pub fn merged(&self, other: &Hll) -> Hll {
-        let registers = self
-            .registers
-            .iter()
-            .zip(other.registers.iter())
-            .map(|(&a, &b)| a.max(b))
-            .collect::<Vec<u8>>()
-            .into_boxed_slice();
-        Hll { registers }
-    }
-
     /// The cardinality estimate (raw HLL with the small-range
     /// linear-counting correction; the 64-bit-hash large-range
     /// correction is unnecessary).
@@ -242,90 +228,8 @@ impl Hll {
     }
 }
 
-/// 512-bit (8-word) Bloom blocks: one cache line per probe.
-const BLOOM_BLOCK_BITS: u32 = 512;
-/// Bits budgeted per distinct key (~12 → per-probe fpp well under 1%).
-const BLOOM_BITS_PER_KEY: usize = 12;
-/// Probes per key, derived from one 64-bit hash by double hashing.
-const BLOOM_PROBES: u32 = 8;
-
-/// A blocked Bloom filter over value hashes.
-///
-/// All `k = 8` probe bits of a key land in a single 512-bit block
-/// chosen from the hash's upper bits, so a membership test touches one
-/// cache line. False positives are possible (they only cost a wasted
-/// exact probe); false negatives are impossible — the property every
-/// pruning proof rests on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BlockedBloom {
-    blocks: Vec<[u64; 8]>,
-    mask: usize,
-}
-
-impl BlockedBloom {
-    /// A filter sized for `n` distinct keys (power-of-two block count).
-    pub fn with_capacity(n: usize) -> Self {
-        let want = (n * BLOOM_BITS_PER_KEY).div_ceil(BLOOM_BLOCK_BITS as usize);
-        let blocks = want.next_power_of_two().max(1);
-        BlockedBloom {
-            blocks: vec![[0u64; 8]; blocks],
-            mask: blocks - 1,
-        }
-    }
-
-    #[inline]
-    fn block_of(&self, h: u64) -> usize {
-        ((h >> 32) as usize) & self.mask
-    }
-
-    /// Start/stride of the double-hashing bit progression. Both come
-    /// from the *low* word — the block index comes from the high word,
-    /// and reusing high bits for the stride would hand every key in a
-    /// block a near-identical probe pattern (catastrophic for the
-    /// false-positive rate).
-    #[inline]
-    fn probe_seed(h: u64) -> (u32, u32) {
-        let h1 = h as u32;
-        let h2 = (h1 >> 16) | 1; // odd step → full period mod 512
-        (h1, h2)
-    }
-
-    /// Inserts one (pre-mixed) hash.
-    #[inline]
-    pub fn insert(&mut self, h: u64) {
-        let block = &mut self.blocks[((h >> 32) as usize) & self.mask];
-        let (mut h1, h2) = BlockedBloom::probe_seed(h);
-        for _ in 0..BLOOM_PROBES {
-            let bit = h1 % BLOOM_BLOCK_BITS;
-            block[(bit / 64) as usize] |= 1u64 << (bit % 64);
-            h1 = h1.wrapping_add(h2);
-        }
-    }
-
-    /// Membership probe. `false` is definitive (the key was never
-    /// inserted); `true` may be a false positive.
-    #[inline]
-    pub fn contains(&self, h: u64) -> bool {
-        let block = &self.blocks[self.block_of(h)];
-        let (mut h1, h2) = BlockedBloom::probe_seed(h);
-        for _ in 0..BLOOM_PROBES {
-            let bit = h1 % BLOOM_BLOCK_BITS;
-            if block[(bit / 64) as usize] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-            h1 = h1.wrapping_add(h2);
-        }
-        true
-    }
-
-    /// Filter size in bytes (observability).
-    pub fn size_bytes(&self) -> usize {
-        self.blocks.len() * 64
-    }
-}
-
-/// One column's sketch: exact distinct hashes plus the two probabilistic
-/// summaries derived from them.
+/// One column's sketch: exact sorted distinct hashes plus the HLL
+/// estimate derived from them.
 ///
 /// Built from a dictionary's decode table (one hash per *distinct*
 /// non-NULL value — O(cardinality), not O(rows)), or rebuilt from
@@ -337,13 +241,10 @@ impl BlockedBloom {
 pub struct ColumnSketch {
     rows: usize,
     nulls: usize,
-    /// One [`value_hash`] per distinct non-NULL value, **sorted** —
-    /// the probes back every Bloom hit with an exact binary search, so
-    /// a Bloom false positive costs `O(log n)` instead of unsoundly
-    /// (or, for proofs, uselessly) reporting presence.
+    /// One [`value_hash`] per distinct non-NULL value, **sorted**, so
+    /// the proofs are merge walks over two arrays.
     hashes: Vec<u64>,
     hll: Hll,
-    bloom: BlockedBloom,
 }
 
 impl ColumnSketch {
@@ -360,29 +261,15 @@ impl ColumnSketch {
     pub fn from_hashes(rows: usize, nulls: usize, mut hashes: Vec<u64>) -> ColumnSketch {
         hashes.sort_unstable();
         let mut hll = Hll::new();
-        let mut bloom = BlockedBloom::with_capacity(hashes.len());
         for &h in &hashes {
             hll.insert(h);
-            bloom.insert(h);
         }
         ColumnSketch {
             rows,
             nulls,
             hashes,
             hll,
-            bloom,
         }
-    }
-
-    /// Exact membership of `h` in the column's distinct-hash set: the
-    /// Bloom filter answers definite misses in one cache line, and the
-    /// rare (possible) hits are confirmed against the sorted hashes.
-    /// This is what keeps the pruning proofs usable at scale — a raw
-    /// Bloom "all probes must miss" proof fails on any false positive,
-    /// which over thousands of probes is near-certain.
-    #[inline]
-    fn contains_hash(&self, h: u64) -> bool {
-        self.bloom.contains(h) && self.hashes.binary_search(&h).is_ok()
     }
 
     /// Rows of the source column (including NULLs).
@@ -404,8 +291,8 @@ impl ColumnSketch {
         self.hashes.len()
     }
 
-    /// The HLL estimate of the distinct count — observability and
-    /// ranking only, never a pruning proof.
+    /// The HLL estimate of the distinct count — observability only,
+    /// never a pruning proof.
     #[inline]
     pub fn distinct_estimate(&self) -> f64 {
         self.hll.estimate()
@@ -424,13 +311,6 @@ impl ColumnSketch {
         &self.hashes
     }
 
-    /// Exact membership of `h` in the distinct-hash set (Bloom fast
-    /// path, binary-search confirmation).
-    #[inline]
-    pub fn may_contain(&self, h: u64) -> bool {
-        self.contains_hash(h)
-    }
-
     /// **Proof:** the column is NULL-free and every row distinct —
     /// i.e. the unary partition is a key partition. (Exact counts, not
     /// estimates; trivially true for the empty column, matching
@@ -444,9 +324,7 @@ impl ColumnSketch {
     /// (`N_kl = 0`). The sorted hash arrays share no element — equal
     /// values hash equally, so empty hash intersection implies empty
     /// value intersection. The walk gallops the smaller array through
-    /// the larger (not per-key Bloom probes: at high cardinality those
-    /// are a random access per key) and short-circuits on the first
-    /// shared hash.
+    /// the larger and short-circuits on the first shared hash.
     pub fn proves_disjoint(&self, other: &ColumnSketch) -> bool {
         !sorted_intersects(&self.hashes, &other.hashes)
     }
@@ -475,21 +353,6 @@ impl ColumnSketch {
     /// How many of `self`'s hashes [`Self::refutes_containment`]
     /// checks before giving up and deferring to the exact kernel.
     pub const REFUTE_CAP: usize = 64;
-
-    /// Estimated overlap ratio `≈ N_kl / min(N_k, N_l)`, mirroring
-    /// `JoinStats::overlap_ratio`: exact per-side counts, HLL-merged
-    /// union estimate for the intersection
-    /// (`|A∩B| = |A| + |B| − |A∪B|`), clamped to `[0, 1]`. Ranking
-    /// signal only.
-    pub fn estimated_overlap(&self, other: &ColumnSketch) -> f64 {
-        let min = self.distinct_exact().min(other.distinct_exact()) as f64;
-        if min <= 0.0 {
-            return 0.0;
-        }
-        let union = self.hll.merged(&other.hll).estimate();
-        let inter = (self.distinct_exact() + other.distinct_exact()) as f64 - union;
-        (inter / min).clamp(0.0, 1.0)
-    }
 }
 
 /// Prefilter observability: how many candidates the sketches saw, how
@@ -576,36 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn hll_merge_estimates_union() {
-        let mut a = Hll::new();
-        let mut b = Hll::new();
-        for i in 0..5_000i64 {
-            a.insert(value_hash(&Value::Int(i)));
-            b.insert(value_hash(&Value::Int(i + 2_500))); // 50% overlap
-        }
-        let union = a.merged(&b).estimate();
-        let err = (union - 7_500.0).abs() / 7_500.0;
-        assert!(err < 0.08, "union={union} err={err}");
-    }
-
-    #[test]
-    fn bloom_has_no_false_negatives() {
-        let keys: Vec<u64> = (0..10_000i64).map(|i| value_hash(&Value::Int(i))).collect();
-        let mut bloom = BlockedBloom::with_capacity(keys.len());
-        for &k in &keys {
-            bloom.insert(k);
-        }
-        for &k in &keys {
-            assert!(bloom.contains(k), "inserted key reported absent");
-        }
-        // And the false-positive rate on absent keys is small.
-        let fps = (10_000..30_000i64)
-            .filter(|&i| bloom.contains(value_hash(&Value::Int(i))))
-            .count();
-        assert!(fps < 600, "false-positive rate too high: {fps}/20000");
-    }
-
-    #[test]
     fn disjointness_proof_is_sound_and_useful() {
         let a = ColumnSketch::build(&ints(0..2_000), 0, 2_000);
         let b = ColumnSketch::build(&ints(1_000_000..1_002_000), 0, 2_000);
@@ -630,7 +463,7 @@ mod tests {
         assert!(!small.refutes_containment(&big));
         // big ⊄ small: refuted by cardinality alone.
         assert!(big.refutes_containment(&small));
-        // Shifted set of equal size: refuted by a Bloom miss.
+        // Shifted set of equal size: refuted by a missing hash.
         let shifted = ColumnSketch::build(&ints(50..150), 0, 100);
         assert!(shifted.refutes_containment(&small));
     }
@@ -679,17 +512,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn overlap_estimate_tracks_truth() {
-        let a = ColumnSketch::build(&ints(0..4_000), 0, 4_000);
-        let b = ColumnSketch::build(&ints(2_000..6_000), 0, 4_000);
-        let est = a.estimated_overlap(&b);
-        assert!((est - 0.5).abs() < 0.1, "est={est}");
-        let disjoint = ColumnSketch::build(&ints(100_000..104_000), 0, 4_000);
-        assert!(a.estimated_overlap(&disjoint) < 0.1);
-        assert!(a.estimated_overlap(&a) > 0.9);
     }
 
     #[test]

@@ -32,16 +32,22 @@
 //! so the hit/miss counters match the sequential schedule.
 //!
 //! NULL semantics are the backend contract (see [`CountBackend`]):
-//! projections drop NULL-containing rows (SQL `COUNT(DISTINCT …)`),
-//! [`StatsEngine::fd_holds`] skips NULL-LHS rows (SQL, matching
-//! [`Database::fd_holds`]), while [`StatsEngine::partition_for_attrs`]
-//! keeps the mining convention (NULL = NULL) of [`crate::partitions`].
-//! The two families are cached separately and never conflated.
+//! projections and [`StatsEngine::lhs_groups`] drop NULL-containing
+//! rows (SQL `COUNT(DISTINCT …)`, matching [`Database::fd_holds`]),
+//! while [`StatsEngine::partition_for_attrs`] keeps the mining
+//! convention (NULL = NULL) of [`crate::partitions`]. The two families
+//! are cached separately and never conflated.
 //!
 //! The engine itself implements [`CountBackend`], so anything written
 //! against the seam — the miners, the differential suites — can take
 //! either a raw backend or a memoizing engine through the same
-//! `&dyn CountBackend` parameter.
+//! `&dyn CountBackend` parameter. The engine inherits the seam's
+//! extension tests, which read its caches: [`CountBackend::ind_holds`]
+//! the memoized join statistics, and [`CountBackend::fd_holds`] the
+//! cached LHS groups. [`crate::backend::g3_error`] and Restruct's
+//! plurality split read the same groups, so a batch of `A → b` tests,
+//! the g3 error of a failing one and the split of an enforced one
+//! group the rows by `A` once.
 
 use crate::attr::AttrId;
 use crate::backend::{
@@ -49,7 +55,6 @@ use crate::backend::{
 };
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
-use crate::deps::{Fd, Ind};
 use crate::encode::ColumnDict;
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
@@ -78,7 +83,8 @@ pub struct StatsCounters {
     pub cache_hits: u64,
     /// Lookups that had to (re)build an entry.
     pub cache_misses: u64,
-    /// Table rows scanned while building entries and running checks.
+    /// Table rows scanned while building cache entries. An FD test's
+    /// pass over its (cached) LHS groups is not counted.
     pub rows_scanned: u64,
 }
 
@@ -311,61 +317,6 @@ impl StatsEngine {
         })
     }
 
-    /// Does `fd` hold in the extension? Same SQL NULL semantics and
-    /// same answer as [`Database::fd_holds`], but the LHS grouping is
-    /// cached — repeated `A → b` probes with a shared LHS (the shape
-    /// RHS-Discovery generates) only rescan the grouped rows.
-    pub fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        // A streamed extension has no raw RHS columns to compare —
-        // delegate the whole probe to the backend (the paged backend's
-        // one-pass witness check), which answers from the spilled
-        // pages.
-        if !db.table(fd.rel).is_materialized() {
-            return self.backend.fd_holds(db, fd);
-        }
-        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let rhs: Vec<AttrId> = fd.rhs.iter().collect();
-        let groups = self.lhs_groups(db, fd.rel, &lhs);
-        if groups.is_empty() {
-            // Key-like LHS: no group of agreeing rows, so no pair can
-            // disagree on the RHS.
-            return true;
-        }
-        // The RHS comparison is structural equality on the raw columns
-        // (hoisted out of the loop): only the grouped rows are touched,
-        // so interning whole RHS columns into codes would cost a full
-        // table pass per probe just to cheapen these few comparisons.
-        let table = db.table(fd.rel);
-        let rcols: Vec<&[crate::value::Value]> = rhs.iter().map(|a| table.column(*a)).collect();
-        for group in groups.iter() {
-            self.rows_scanned
-                .fetch_add(group.len() as u64, Ordering::Relaxed);
-            let first = group[0];
-            if group[1..]
-                .iter()
-                .any(|&i| rcols.iter().any(|c| c[i] != c[first]))
-            {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Does `ind` hold in the extension? Same answer as
-    /// [`Database::ind_holds`], served through the memoized join
-    /// statistics (an inclusion is a join whose intersection has the
-    /// full left cardinality).
-    pub fn ind_holds(&self, db: &Database, ind: &Ind) -> bool {
-        // An Ind guarantees equal side arity, so the struct literal
-        // cannot violate the EquiJoin invariant.
-        let join = EquiJoin {
-            left: ind.lhs.clone(),
-            right: ind.rhs.clone(),
-        };
-        let s = self.join_stats(db, &join);
-        s.n_join == s.n_left
-    }
-
     /// Prewarms `rel`: lets the backend build its internal structures
     /// while the rows are hot (e.g. right after a CSV import) and
     /// primes the unary count cache, so the first statistics query
@@ -455,14 +406,6 @@ impl CountBackend for StatsEngine {
         StatsEngine::projection(self, db, rel, attrs)
     }
 
-    fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        StatsEngine::fd_holds(self, db, fd)
-    }
-
-    fn ind_holds(&self, db: &Database, ind: &Ind) -> bool {
-        StatsEngine::ind_holds(self, db, ind)
-    }
-
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
         StatsEngine::partition(self, db, rel, attr)
     }
@@ -501,7 +444,7 @@ mod tests {
     use crate::attr::AttrSet;
     use crate::backend::ReferenceBackend;
     use crate::counting::join_stats;
-    use crate::deps::IndSide;
+    use crate::deps::{Fd, Ind, IndSide};
     use crate::schema::Relation;
     use crate::value::{Domain, Value};
 

@@ -18,20 +18,22 @@
 #![allow(clippy::expect_used)]
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use dbre_relational::attr::AttrId;
-use dbre_relational::backend::{EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::{join_stats, EquiJoin, JoinStats};
 use dbre_relational::database::Database;
-use dbre_relational::deps::IndSide;
+use dbre_relational::deps::{Fd, IndSide};
 use dbre_relational::encode::{
-    decode_set_cols, distinct_codes, fd_holds, intersect_count, lhs_groups, partition1, CodeSource,
+    decode_set_cols, distinct_codes, intersect_count, lhs_groups, partition1, CodeSource,
     ColumnDict,
 };
-use dbre_relational::pages::PagedColumn;
+use dbre_relational::pages::{PagedBackend, PagedColumn, PAGE_BYTES};
 use dbre_relational::partitions::StrippedPartition;
-use dbre_relational::schema::Relation;
+use dbre_relational::schema::{RelId, Relation};
+use dbre_relational::spill::SpilledTable;
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
@@ -103,18 +105,41 @@ fn join_case() -> impl Strategy<Value = (Table, Vec<AttrId>, Table, Vec<AttrId>)
         })
 }
 
-/// Wraps a table in a single-relation database (`add_relation_with_table`
-/// skips domain validation, so mixed-type proptest columns are fine).
-fn db_of(t: &Table) -> (Database, dbre_relational::schema::RelId) {
-    let mut db = Database::new();
+/// The single relation `T(c0, c1, …)` shaped for `t`.
+fn relation_of(t: &Table) -> Relation {
     let cols: Vec<(String, Domain)> = (0..t.arity())
         .map(|i| (format!("c{i}"), Domain::Int))
         .collect();
     let named: Vec<(&str, Domain)> = cols.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    Relation::of("T", &named)
+}
+
+/// Wraps a table in a single-relation database (`add_relation_with_table`
+/// skips domain validation, so mixed-type proptest columns are fine).
+fn db_of(t: &Table) -> (Database, RelId) {
+    let mut db = Database::new();
     let rel = db
-        .add_relation_with_table(Relation::of("T", &named), t.clone())
+        .add_relation_with_table(relation_of(t), t.clone())
         .expect("arity matches");
     (db, rel)
+}
+
+/// `t`'s streamed twin: a database whose only relation holds no
+/// resident values, served by a paged backend over a one-page pool
+/// that adopted `t`'s columns spilled to page files.
+fn streamed_twin(t: &Table) -> (Database, RelId, PagedBackend) {
+    let mut db = Database::new();
+    let rel = db.add_relation(relation_of(t)).expect("fresh schema");
+    db.set_streamed_extension(rel, t.len());
+    let columns = (0..t.arity())
+        .map(|i| {
+            let dict = ColumnDict::build(t.column(AttrId(i as u16)));
+            Arc::new(PagedColumn::from_dict(&dict).expect("spill to temp dir"))
+        })
+        .collect();
+    let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
+    paged.adopt_spilled(&db, rel, &SpilledTable::new(columns, t.len(), false));
+    (db, rel, paged)
 }
 
 // ---- Value-based naive references (independent of encode.rs) --------
@@ -272,7 +297,11 @@ proptest! {
         }
     }
 
-    /// FD checks (SQL convention) match an independent naive oracle.
+    /// FD checks (SQL convention) through `CountBackend::fd_holds`
+    /// match an independent naive oracle — on the resident table (LHS
+    /// groups from the kernels, RHS cells the raw values) and on its
+    /// streamed twin over a one-page pool (groups read from the
+    /// spilled pages, RHS cells the backend-served codes).
     #[test]
     fn fd_holds_agrees(
         case in table_and_attrs(),
@@ -283,16 +312,17 @@ proptest! {
             .into_iter()
             .map(|i| AttrId(i % t.arity() as u16))
             .collect();
-        let s = Stores::of(&t);
         let expected = naive_fd_holds(&t, &lhs, &rhs);
-        prop_assert_eq!(
-            read(fd_holds(&s.resident(&lhs), &s.resident(&rhs), &(), s.rows)),
-            expected
-        );
-        prop_assert_eq!(
-            read(fd_holds(&s.spilled(&lhs), &s.spilled(&rhs), &s.pool, s.rows)),
-            expected
-        );
+        let (db, rel) = db_of(&t);
+        let fd = Fd {
+            rel,
+            lhs: lhs.iter().copied().collect(),
+            rhs: rhs.iter().copied().collect(),
+        };
+        prop_assert_eq!(EncodedBackend::new().fd_holds(&db, &fd), expected);
+        let (twin, trel, paged) = streamed_twin(&t);
+        prop_assert_eq!(paged.fd_holds(&twin, &Fd { rel: trel, ..fd }), expected);
+        prop_assert_eq!(paged.exec_stats().fallback_failures, 0);
     }
 
     /// LHS groups (SQL convention) match the naive oracle exactly,
@@ -386,7 +416,7 @@ proptest! {
                     "backend {}", engine.backend_name()
                 );
                 if !attrs.is_empty() {
-                    let fd = dbre_relational::deps::Fd {
+                    let fd = Fd {
                         rel,
                         lhs: attrs.iter().copied().collect(),
                         rhs: rhs.iter().copied().collect(),
