@@ -828,146 +828,11 @@ fn xb(check: bool) {
         backend_rows.push((choice.name(), ns));
     }
 
-    // Sketch prefilter: IND candidate filtering at 8 entities / 50k
-    // rows over the full cross-relation unary candidate space (every
-    // domain-compatible column pair — the search space where most
-    // candidates are hopeless). Each candidate asks "is the left
-    // column contained in the right?". The exact path runs the ‖·‖
-    // kernel for every candidate and checks n_join == n_left; the
-    // sketch path first tries to refute containment from the one-pass
-    // column sketches (a left hash missing from the right hash set is
-    // certain proof — the walk bails at the first miss) and runs the
-    // kernel only on the survivors. The verdicts must match
-    // pair-for-pair — the prefilter may only skip work, never change
-    // an answer.
-    let s50 = scenario(8, 50_000, 42);
-    let mut sketch_cands: Vec<dbre_relational::counting::EquiJoin> = Vec::new();
-    for (lrel, lr) in s50.db.schema.iter() {
-        for (rrel, rr) in s50.db.schema.iter() {
-            if lrel == rrel {
-                continue;
-            }
-            for i in 0..lr.arity() {
-                for j in 0..rr.arity() {
-                    let (li, rj) = (AttrId(i as u16), AttrId(j as u16));
-                    if lr.attribute(li).domain != rr.attribute(rj).domain {
-                        continue;
-                    }
-                    if let Ok(join) = dbre_relational::counting::EquiJoin::try_new(
-                        dbre_relational::deps::IndSide::single(lrel, li),
-                        dbre_relational::deps::IndSide::single(rrel, rj),
-                    ) {
-                        sketch_cands.push(join);
-                    }
-                }
-            }
-        }
-    }
-    let sketch_space = sketch_cands.len();
-    let filter_exact = |engine: &dbre_relational::StatsEngine| {
-        for join in &sketch_cands {
-            let js = engine.join_stats(&s50.db, join);
-            std::hint::black_box(js.n_join == js.n_left);
-        }
-    };
-    let filter_sketched = |engine: &dbre_relational::StatsEngine| {
-        use dbre_relational::backend::CountBackend;
-        for join in &sketch_cands {
-            let refuted = match (
-                engine.column_sketch(&s50.db, join.left.rel, join.left.attrs[0]),
-                engine.column_sketch(&s50.db, join.right.rel, join.right.attrs[0]),
-            ) {
-                (Some(l), Some(r)) => l.refutes_containment(&r),
-                _ => false,
-            };
-            if refuted {
-                std::hint::black_box(false);
-            } else {
-                let js = engine.join_stats(&s50.db, join);
-                std::hint::black_box(js.n_join == js.n_left);
-            }
-        }
-    };
-    // Agreement sweep (untimed): every refuted candidate must fail the
-    // exact containment check too, and the counters come from here.
-    let mut sketch_prune = dbre_relational::sketch::SketchPruneStats::default();
-    let sketch_agree = {
-        use dbre_relational::backend::CountBackend;
-        let engine = StatsEngine::new();
-        let mut agree = true;
-        for join in &sketch_cands {
-            let exact = engine.join_stats(&s50.db, join);
-            let pair = (
-                engine.column_sketch(&s50.db, join.left.rel, join.left.attrs[0]),
-                engine.column_sketch(&s50.db, join.right.rel, join.right.attrs[0]),
-            );
-            let (Some(l), Some(r)) = pair else {
-                continue;
-            };
-            sketch_prune.candidates += 1;
-            sketch_prune.observe_column(&l);
-            sketch_prune.observe_column(&r);
-            if l.refutes_containment(&r) {
-                sketch_prune.pruned += 1;
-                agree &= exact.n_join < exact.n_left;
-            } else {
-                sketch_prune.verified += 1;
-            }
-        }
-        agree
-    };
-    // Timed region: the filtering pass itself, per-sample fresh join
-    // and projection caches. Dictionaries and sketches are prewarmed
-    // outside the clock — they are ingest artifacts (the dictionary
-    // IS the encoded storage format and the spill cache persists
-    // sketches beside it) paid identically by both paths, and timing
-    // them would only bury the quantity under test.
-    let prewarm_store = |engine: &dbre_relational::StatsEngine| {
-        use dbre_relational::backend::CountBackend;
-        for join in &sketch_cands {
-            std::hint::black_box(engine.column_sketch(&s50.db, join.left.rel, join.left.attrs[0]));
-            std::hint::black_box(engine.column_sketch(
-                &s50.db,
-                join.right.rel,
-                join.right.attrs[0],
-            ));
-        }
-    };
-    let measure_filters = || {
-        let median = |f: &dyn Fn(&dbre_relational::StatsEngine)| {
-            let mut times: Vec<f64> = (0..3)
-                .map(|_| {
-                    let engine = StatsEngine::new();
-                    prewarm_store(&engine);
-                    let t0 = Instant::now();
-                    f(&engine);
-                    t0.elapsed().as_nanos() as f64
-                })
-                .collect();
-            times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
-            times[times.len() / 2]
-        };
-        (median(&filter_exact), median(&filter_sketched))
-    };
-    let (sketch_exact_ns, sketch_pruned_ns) = measure_filters();
-    benches.push((
-        "ind_discovery/candidate_filter_cold_exact/e8_r50000".to_string(),
-        sketch_exact_ns,
-    ));
-    benches.push((
-        "ind_discovery/candidate_filter_cold_sketch/e8_r50000".to_string(),
-        sketch_pruned_ns,
-    ));
-
     // Out-of-core scaling point: the full pipeline at 8 entities / 1M
     // rows, encoded (in RAM) vs paged (64 MiB default pool), single
     // sample — this is a scaling observation, not a microbenchmark.
     // Skipped under --check to keep the CI smoke leg inside its budget.
     let mut paged_scale: Option<(f64, f64, bool, dbre_relational::PageCacheStats)> = None;
-    // Sketch prepass on the same 1M-row paged run: end-to-end wall
-    // time with and without the prefilter, identical-design check,
-    // and the on-run's prune counters.
-    let mut sketch_paged_1m: Option<(f64, f64, bool, dbre_relational::SketchPruneStats)> = None;
     if !check {
         let s = scenario(8, 1_000_000, 42);
         let q = dbre_extract::extract_programs(
@@ -976,10 +841,9 @@ fn xb(check: bool) {
             &dbre_extract::ExtractConfig::default(),
         )
         .q();
-        let run = |choice: dbre_core::BackendChoice, sketch: dbre_core::SketchMode| {
+        let run = |choice: dbre_core::BackendChoice| {
             let opts = PipelineOptions {
                 backend: choice,
-                sketch,
                 ..Default::default()
             };
             let mut oracle = AutoOracle::default();
@@ -990,22 +854,14 @@ fn xb(check: bool) {
             let r = dbre_core::run_with_q(db, &q, &mut oracle, &opts);
             (t0.elapsed().as_secs_f64() * 1e3, r)
         };
-        let (encoded_ms, enc) = run(dbre_core::BackendChoice::Encoded, dbre_core::SketchMode::On);
-        let (paged_ms, paged) = run(dbre_core::BackendChoice::Paged, dbre_core::SketchMode::On);
+        let (encoded_ms, enc) = run(dbre_core::BackendChoice::Encoded);
+        let (paged_ms, paged) = run(dbre_core::BackendChoice::Paged);
         // The two backends must reach the same reverse-engineered
         // design; streaming over spilled pages may only cost time.
         let agree = render_inds(&enc.db, &enc.ind.inds) == render_inds(&paged.db, &paged.ind.inds)
             && render_fds(&enc.db_before, &enc.rhs.fds)
                 == render_fds(&paged.db_before, &paged.rhs.fds)
             && enc.restructured.ric.len() == paged.restructured.ric.len();
-        let (paged_off_ms, paged_off) =
-            run(dbre_core::BackendChoice::Paged, dbre_core::SketchMode::Off);
-        let sketch_agree_1m = paged.log == paged_off.log
-            && render_inds(&paged.db, &paged.ind.inds)
-                == render_inds(&paged_off.db, &paged_off.ind.inds)
-            && render_fds(&paged.db_before, &paged.rhs.fds)
-                == render_fds(&paged_off.db_before, &paged_off.rhs.fds);
-        sketch_paged_1m = Some((paged_ms, paged_off_ms, sketch_agree_1m, paged.stats.sketch));
         paged_scale = Some((encoded_ms, paged_ms, agree, paged.stats.page_cache));
     }
 
@@ -1227,27 +1083,6 @@ fn xb(check: bool) {
              \"serial_ms\": {serial_ms:.2}, \"parallel_ms\": {parallel_ms:.2} }},\n"
         ));
     }
-    json.push_str(&format!(
-        "  \"sketch\": {{ \"scale\": \"e8_r50000\", \"candidate_space\": {sketch_space}, \
-         \"candidates\": {}, \"pruned\": {}, \"verified\": {}, \
-         \"mean_distinct_error\": {:.4}, \"exact_ms\": {:.2}, \"pruned_ms\": {:.2}, \
-         \"speedup\": {:.2}, \"agree\": {sketch_agree} }},\n",
-        sketch_prune.candidates,
-        sketch_prune.pruned,
-        sketch_prune.verified,
-        sketch_prune.mean_distinct_error(),
-        sketch_exact_ns / 1e6,
-        sketch_pruned_ns / 1e6,
-        sketch_exact_ns / sketch_pruned_ns.max(1.0),
-    ));
-    if let Some((on_ms, off_ms, agree, sk)) = &sketch_paged_1m {
-        json.push_str(&format!(
-            "  \"sketch_paged_1m\": {{ \"rows\": 1000000, \"sketch_on_ms\": {on_ms:.0}, \
-             \"sketch_off_ms\": {off_ms:.0}, \"agree\": {agree}, \"candidates\": {}, \
-             \"pruned\": {}, \"verified\": {} }},\n",
-            sk.candidates, sk.pruned, sk.verified
-        ));
-    }
     json.push_str("  \"service\": [\n");
     for (i, (n, sps, p50, p99, agree)) in service_rows.iter().enumerate() {
         let sep = if i + 1 == service_rows.len() { "" } else { "," };
@@ -1319,38 +1154,6 @@ fn xb(check: bool) {
         println!(
             "  {threads} threads     {parallel_ms:>9.2} ms   ({:.2}x)",
             serial_ms / parallel_ms.max(1e-9)
-        );
-    }
-    println!(
-        "\n  sketch prefilter: IND candidate filtering, warm store \
-         (8 entities, 50k rows, {sketch_space} candidate pairs):"
-    );
-    println!("  exact-only    {:>9.2} ms", sketch_exact_ns / 1e6);
-    println!(
-        "  sketch-pruned {:>9.2} ms   ({:.2}x; {} refuted, {} exactly verified)",
-        sketch_pruned_ns / 1e6,
-        sketch_exact_ns / sketch_pruned_ns.max(1.0),
-        sketch_prune.pruned,
-        sketch_prune.verified
-    );
-    println!(
-        "  verdicts agree: {}",
-        if sketch_agree {
-            "yes"
-        } else {
-            "NO — INVESTIGATE"
-        }
-    );
-    if let Some((on_ms, off_ms, agree, sk)) = &sketch_paged_1m {
-        println!("\n  sketch prepass, full pipeline (8 entities, 1M rows, paged, 1 sample):");
-        println!(
-            "  --sketch on   {on_ms:>9.0} ms   ({} candidates, {} pruned, {} verified)",
-            sk.candidates, sk.pruned, sk.verified
-        );
-        println!("  --sketch off  {off_ms:>9.0} ms");
-        println!(
-            "  designs agree: {}",
-            if *agree { "yes" } else { "NO — INVESTIGATE" }
         );
     }
     println!("\n  concurrent service (8 entities, 1000 rows, one shared engine):");
@@ -1433,43 +1236,6 @@ fn xb(check: bool) {
         };
         gate("sql", dbre_core::BackendChoice::Sql, 2.0);
         gate("paged", dbre_core::BackendChoice::Paged, 1.1);
-
-        // Sketch gate. Verdict agreement is absolute — a pruned pair
-        // whose synthesized stats differ from the exact kernel's is a
-        // correctness bug, no retries. The timing half follows the
-        // best-of-3 pattern: the pruned filter pass must never be
-        // slower than the exact-only pass (the prefilter may only
-        // skip work, so losing time means the sketches stopped
-        // paying for themselves).
-        if !sketch_agree {
-            eprintln!("FAIL: sketch-pruned candidate verdicts diverged from the exact kernels");
-            std::process::exit(1);
-        }
-        let mut ok = false;
-        for attempt in 1..=3 {
-            let (exact, pruned) = if attempt == 1 {
-                (sketch_exact_ns, sketch_pruned_ns)
-            } else {
-                measure_filters()
-            };
-            println!(
-                "\n  check attempt {attempt}: sketch-pruned filter {:.2} ms vs exact-only \
-                 {:.2} ms ({:.2}x)",
-                pruned / 1e6,
-                exact / 1e6,
-                exact / pruned.max(1.0)
-            );
-            if pruned <= exact {
-                ok = true;
-                break;
-            }
-        }
-        if !ok {
-            eprintln!(
-                "FAIL: sketch-pruned candidate filtering slower than exact-only in all attempts"
-            );
-            std::process::exit(1);
-        }
 
         // Service gate. Determinism is absolute — logs diverging from
         // the serial run fail immediately, no retries (scheduling must

@@ -8,7 +8,7 @@
 //!              [--csv Table=rows.csv]... [--programs file|dir]...
 //!              [--oracle auto|deny] [--backend reference|encoded|sql|paged]
 //!              [--page-cache MIB] [--spill-dir DIR] [--infer-keys]
-//!              [--sketch on|off] [--sessions N] [--dot out.dot] [--quiet]
+//!              [--sessions N] [--dot out.dot] [--quiet]
 //! dbre extract --schema schema.sql [--programs file|dir]...
 //! dbre example
 //! ```
@@ -18,7 +18,7 @@
 
 use dbre_core::pipeline::{run_with_programs, PipelineOptions};
 use dbre_core::render::{render_fds, render_inds, render_log, render_schema};
-use dbre_core::{AutoOracle, DenyOracle, Oracle, SketchMode};
+use dbre_core::{AutoOracle, DenyOracle, Oracle};
 use dbre_extract::{ProgramSource, SourceKind};
 use dbre_relational::csv::import_csv;
 use dbre_sql::Catalog;
@@ -65,11 +65,6 @@ pub struct ReverseArgs {
     pub spill_dir: Option<PathBuf>,
     /// Infer missing keys from the extension.
     pub infer_keys: bool,
-    /// Sketch prefilter override: `--sketch on|off`. `None` defers to
-    /// the `DBRE_SKETCH` environment variable (default on). Either
-    /// mode produces byte-identical findings; `off` is the exact-only
-    /// baseline for benchmarking.
-    pub sketch: Option<SketchMode>,
     /// Service bench mode: run this many concurrent sessions over one
     /// shared snapshot and engine, print throughput and presumption
     /// latency, and check all logs against a serial run.
@@ -98,7 +93,7 @@ USAGE:
                [--csv Table=rows.csv]... [--programs FILE|DIR]...
                [--oracle auto|deny] [--backend reference|encoded|sql|paged]
                [--page-cache MIB] [--spill-dir DIR] [--infer-keys]
-               [--sketch on|off] [--sessions N] [--dot OUT.dot] [--quiet]
+               [--sessions N] [--dot OUT.dot] [--quiet]
   dbre extract --schema DDL.sql [--programs FILE|DIR]...
   dbre example
   dbre help
@@ -166,13 +161,6 @@ pub fn parse_args(args: &[String]) -> Command {
                             reverse.spill_dir = Some(PathBuf::from(value("--spill-dir")?));
                         }
                         "--infer-keys" => reverse.infer_keys = true,
-                        "--sketch" => {
-                            let v = value("--sketch")?;
-                            reverse.sketch =
-                                Some(SketchMode::parse(&v).ok_or_else(|| {
-                                    format!("--sketch must be on or off, got `{v}`")
-                                })?);
-                        }
                         "--sessions" => {
                             let v = value("--sessions")?;
                             let n: usize = v.parse().ok().filter(|n| *n > 0).ok_or_else(|| {
@@ -365,9 +353,6 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             }
             options.spilled = spilled;
             options.page_cache = args.page_cache.map(|mib| mib * 1024 * 1024);
-            if let Some(mode) = args.sketch {
-                options.sketch = mode;
-            }
             if let Some(n) = args.sessions {
                 return run_service_bench(db, &programs, &options, args, n);
             }
@@ -571,17 +556,9 @@ fn render_result(result: &dbre_core::pipeline::PipelineResult, quiet: bool) -> S
     if sk.active() {
         let _ = writeln!(
             out,
-            "sketch prefilter: {} candidates, {} pruned, {} exactly verified",
+            "sketch shortcuts: {} candidates, {} pruned, {} exactly verified",
             sk.candidates, sk.pruned, sk.verified
         );
-        if sk.est_error_cols > 0 {
-            let _ = writeln!(
-                out,
-                "sketch distinct counts: mean HLL error {:.2}% over {} columns",
-                sk.mean_distinct_error() * 100.0,
-                sk.est_error_cols
-            );
-        }
     }
     for (stage, t) in &result.stats.stage_timings {
         let _ = writeln!(out, "{stage:<14} {:>9.3} ms", t.as_secs_f64() * 1e3);
@@ -620,8 +597,6 @@ mod tests {
             "--spill-dir",
             "cache/",
             "--infer-keys",
-            "--sketch",
-            "off",
             "--dot",
             "out.dot",
             "--quiet",
@@ -629,7 +604,6 @@ mod tests {
         let Command::Reverse(a) = cmd else {
             panic!("{cmd:?}")
         };
-        assert_eq!(a.sketch, Some(SketchMode::Off));
         assert_eq!(a.schema, PathBuf::from("ddl.sql"));
         assert_eq!(a.data, Some(PathBuf::from("rows.sql")));
         assert_eq!(a.csv, vec![("Person".into(), PathBuf::from("p.csv"))]);
@@ -675,7 +649,7 @@ mod tests {
             Command::Help(Some(_))
         ));
         assert!(matches!(
-            parse_args(&s(&["reverse", "--schema", "x", "--sketch", "maybe"])),
+            parse_args(&s(&["reverse", "--schema", "x", "--sketch", "on"])),
             Command::Help(Some(_))
         ));
         assert!(matches!(
@@ -789,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_flag_is_observable_and_inert() {
+    fn sketch_shortcuts_are_observable_and_inert() {
         let dir = std::env::temp_dir().join(format!("dbre_cli_sketch_{}", std::process::id()));
         std::fs::create_dir_all(dir.join("programs")).unwrap();
         std::fs::write(
@@ -806,7 +780,9 @@ mod tests {
         )
         .unwrap();
         let mut findings = Vec::new();
-        for mode in ["on", "off"] {
+        // The encoded backend serves exact column counts; the reference
+        // backend serves none and answers every candidate with a probe.
+        for backend in ["encoded", "reference"] {
             let cmd = parse_args(&s(&[
                 "reverse",
                 "--schema",
@@ -814,16 +790,14 @@ mod tests {
                 "--programs",
                 dir.join("programs").to_str().unwrap(),
                 "--backend",
-                "encoded",
-                "--sketch",
-                mode,
+                backend,
                 "--quiet",
             ]));
             let out = run(&cmd).unwrap();
             assert_eq!(
-                out.contains("sketch prefilter: "),
-                mode == "on",
-                "mode {mode}: {out}"
+                out.contains("sketch shortcuts: "),
+                backend == "encoded",
+                "backend {backend}: {out}"
             );
             findings.push(
                 out.split("# Pipeline statistics")
@@ -832,7 +806,7 @@ mod tests {
                     .to_string(),
             );
         }
-        // Pruned and exact-only runs report identical findings.
+        // Shortcut and probe-only runs report identical findings.
         assert_eq!(findings[0], findings[1]);
         std::fs::remove_dir_all(&dir).ok();
     }

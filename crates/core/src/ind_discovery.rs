@@ -14,7 +14,8 @@
 //!
 //! Conceptualized relations are materialized with the intersection as
 //! extension, keyed on all their attributes (they are identifier sets),
-//! and recorded in `S`.
+//! and recorded in `S`. Every case is decided from the three exact
+//! cardinalities; no join is skipped.
 
 use crate::oracle::{
     DecisionRecord, NamingContext, NeiContext, NeiDecision, NewRelationReason, Oracle,
@@ -26,12 +27,10 @@ use dbre_relational::database::Database;
 use dbre_relational::deps::{Ind, IndSide};
 use dbre_relational::par::par_map;
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::sketch::{ColumnSketch, SketchMode, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
 use dbre_relational::value::Value;
 use dbre_relational::{Attribute, DbreError};
-use std::sync::Arc;
 
 /// Result of IND-Discovery.
 #[derive(Debug, Clone, Default)]
@@ -47,9 +46,6 @@ pub struct IndDiscovery {
     /// Joins where the intersection was empty (case (i)) — flagged as
     /// potential data-integrity problems.
     pub empty_intersections: Vec<EquiJoin>,
-    /// Sketch-prefilter observability (all zero when sketches were off
-    /// or the backend offers none).
-    pub sketch: SketchPruneStats,
 }
 
 impl IndDiscovery {
@@ -63,41 +59,31 @@ impl IndDiscovery {
 /// Runs IND-Discovery over the set `Q`. Conceptualized NEI relations
 /// are added to `db` (schema, extension, key constraint).
 ///
-/// Equivalent to [`ind_discovery_sketched`] with a throwaway
-/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
+/// Equivalent to [`ind_discovery_with_engine`] with a throwaway
+/// [`StatsEngine`].
 pub fn ind_discovery(
     db: &mut Database,
     q: &[EquiJoin],
     oracle: &mut dyn Oracle,
 ) -> Result<IndDiscovery, DbreError> {
-    ind_discovery_sketched(db, q, oracle, &StatsEngine::new(), SketchMode::from_env())
+    ind_discovery_with_engine(db, q, oracle, &StatsEngine::new())
 }
 
 /// Runs IND-Discovery with counting memoized in `engine`.
 ///
-/// When `mode` is on and the backend serves [`ColumnSketch`]es, the
-/// per-join cardinalities go through a *sketch prefilter* first: a
-/// single-attribute join whose two sketches prove a disjoint value set
-/// gets its [`JoinStats`] synthesized — `n_left`/`n_right` are the
-/// sketches' exact distinct counts (the same NULL-free projections the
-/// kernel counts) and a proven-empty intersection is `n_join = 0` —
-/// so the exact join kernel never runs for it. The proof is exact
-/// (a walk over the two sorted distinct-hash arrays), so the output
-/// is byte-identical to the exact-only run; sketches never *decide* a
-/// case they cannot prove.
-///
-/// The remaining cardinalities are collected up front in one
-/// [`par_map`] pass (concurrent with `--features parallel`), which is
-/// sound because the only mutation the loop performs —
+/// Every join's exact cardinalities (`‖r_k[A_k]‖`, `‖r_l[A_l]‖`,
+/// `‖r_k[A_k] ⋈ r_l[A_l]‖`) are collected up front in one [`par_map`]
+/// pass over `engine` (concurrent with `--features parallel`), which
+/// is sound because the only mutation the loop performs —
 /// conceptualization — *adds* relations and never touches existing
-/// tables.
+/// tables. The loop below then reads them back from the engine's
+/// cache in `Q` order.
 ///
 /// The oracle dialogue stays strictly sequential and deterministic.
 /// The NEI questions are *asked* in descending exact overlap order
 /// ([`JoinStats::overlap_ratio`], ties broken by `Q` position) so a
-/// live expert sees the most promising presumptions first; `mode`
-/// decides only which kernels run, never the question order.
-/// Decisions are *applied* — and the log written — in `Q` order.
+/// live expert sees the most promising presumptions first. Decisions
+/// are *applied* — and the log written — in `Q` order.
 ///
 /// Every join is validated against the schema *before* any counting
 /// touches a table; a malformed join (out-of-range ids, mismatched
@@ -105,65 +91,20 @@ pub fn ind_discovery(
 /// [`DbreError::Relational`] instead of an index panic. The pipeline
 /// pre-filters `Q` with per-join warnings, so a direct caller is the
 /// only one who ever sees this error.
-pub fn ind_discovery_sketched(
+pub fn ind_discovery_with_engine(
     db: &mut Database,
     q: &[EquiJoin],
     oracle: &mut dyn Oracle,
     engine: &dyn CountBackend,
-    mode: SketchMode,
 ) -> Result<IndDiscovery, DbreError> {
     for join in q {
         join.validate(db)?;
     }
     let mut out = IndDiscovery::default();
 
-    // Sketch prefilter. Only unary joins have per-column sketches; a
-    // missing sketch (backend without the seam, ghosted dict) simply
-    // falls through to the exact kernel.
-    let pairs: Vec<Option<(Arc<ColumnSketch>, Arc<ColumnSketch>)>> = q
-        .iter()
-        .map(|join| {
-            if !mode.is_on() || join.left.attrs.len() != 1 || join.right.attrs.len() != 1 {
-                return None;
-            }
-            let l = engine.column_sketch(db, join.left.rel, join.left.attrs[0])?;
-            let r = engine.column_sketch(db, join.right.rel, join.right.attrs[0])?;
-            Some((l, r))
-        })
-        .collect();
-    let prejudged: Vec<Option<JoinStats>> = pairs
-        .iter()
-        .map(|pair| {
-            let (l, r) = pair.as_ref()?;
-            out.sketch.candidates += 1;
-            out.sketch.observe_column(l);
-            out.sketch.observe_column(r);
-            if l.proves_disjoint(r) {
-                out.sketch.pruned += 1;
-                Some(JoinStats {
-                    n_left: l.distinct_exact(),
-                    n_right: r.distinct_exact(),
-                    n_join: 0,
-                })
-            } else {
-                out.sketch.verified += 1;
-                None
-            }
-        })
-        .collect();
-
-    // Exact cardinalities for everything the prefilter couldn't prove.
-    let need_exact: Vec<&EquiJoin> = q
-        .iter()
-        .zip(&prejudged)
-        .filter_map(|(join, pre)| pre.is_none().then_some(join))
-        .collect();
-    par_map(&need_exact, |join| engine.join_stats(db, join));
-    let all_stats: Vec<JoinStats> = q
-        .iter()
-        .zip(prejudged)
-        .map(|(join, pre)| pre.unwrap_or_else(|| engine.join_stats(db, join)))
-        .collect();
+    // One pass fills the engine's join cache; the read-back hits it.
+    par_map(q, |join| engine.join_stats(db, join));
+    let all_stats: Vec<JoinStats> = q.iter().map(|join| engine.join_stats(db, join)).collect();
 
     // Rank the NEI questions: most-promising first by exact overlap
     // ratio, `Q` position as the deterministic tie-break.

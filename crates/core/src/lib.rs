@@ -40,17 +40,19 @@ pub mod service;
 pub mod session;
 pub mod translate;
 
-pub use dbre_relational::sketch::{SketchMode, SketchPruneStats};
+pub use dbre_relational::sketch::SketchPruneStats;
 pub use eer::EerSchema;
 pub use forward::{forward_map, ForwardMapped};
-pub use ind_discovery::{ind_discovery, ind_discovery_sketched, IndDiscovery};
+pub use ind_discovery::{ind_discovery, ind_discovery_with_engine, IndDiscovery};
 pub use lhs_discovery::{lhs_discovery, LhsDiscovery};
 pub use oracle::{
     AutoOracle, ChaosOracle, DenyOracle, NeiDecision, Oracle, OracleAbort, ScriptedOracle,
 };
-pub use pipeline::{run_with_programs, run_with_q, PipelineOptions, PipelineResult, StageError};
+pub use pipeline::{
+    run_with_programs, run_with_q, PipelineOptions, PipelineResult, SketchMode, StageError,
+};
 pub use restruct::{restruct, Restructured};
-pub use rhs_discovery::{rhs_discovery, rhs_discovery_sketched, RhsDiscovery, RhsOptions};
+pub use rhs_discovery::{rhs_discovery, rhs_discovery_with_engine, RhsDiscovery, RhsOptions};
 pub use service::{run_service, shared_engine, ServiceReport, SessionOutcome, TimingOracle};
 pub use session::{stages, BackendChoice, DbreSession, Stage};
 pub use translate::translate;

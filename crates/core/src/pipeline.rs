@@ -24,7 +24,7 @@ use crate::session::{stages, BackendChoice, DbreSession};
 use dbre_extract::{extract_programs, ExtractConfig, ProgramSource};
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
-use dbre_relational::sketch::{SketchMode, SketchPruneStats};
+use dbre_relational::sketch::SketchPruneStats;
 use dbre_relational::stats::StatsCounters;
 use dbre_relational::BackendExecStats;
 use dbre_relational::DbreError;
@@ -61,13 +61,19 @@ pub struct PipelineOptions {
     /// `spilled` forces the paged backend regardless of `backend` —
     /// no other backend can answer for pages-only extensions.
     pub spilled: Vec<(RelId, Arc<SpilledTable>)>,
-    /// Sketch-accelerated discovery (`--sketch` on the CLI,
-    /// `DBRE_SKETCH` in the environment): column sketches (exact
-    /// sorted distinct hashes plus an HLL estimate) prune
-    /// provably-decided candidates before the exact kernels run.
-    /// Results are byte-identical either way — sketches only suppress
-    /// work whose outcome they can prove.
+    /// Read by nothing: the exact-count shortcuts are always on. Kept
+    /// only because the end-to-end benchmark sets it; it goes together
+    /// with [`SketchMode`] once that benchmark stops doing so.
     pub sketch: SketchMode,
+}
+
+/// The one value of [`PipelineOptions::sketch`]. Kept only so the
+/// end-to-end benchmark's `sketch: SketchMode::On` still compiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SketchMode {
+    /// The exact-count shortcuts run (they always do).
+    #[default]
+    On,
 }
 
 impl Default for PipelineOptions {
@@ -82,7 +88,7 @@ impl Default for PipelineOptions {
             backend: BackendChoice::from_env(),
             page_cache: None,
             spilled: Vec::new(),
-            sketch: SketchMode::from_env(),
+            sketch: SketchMode::On,
         }
     }
 }
@@ -113,10 +119,10 @@ pub struct PipelineStats {
     /// adopted from a warm `--spill-dir` entry (encode skipped) vs
     /// tables encoded from source. All-zero when nothing streamed.
     pub spill_cache: SpillCacheStats,
-    /// Sketch-prefilter counters summed over the discovery stages:
-    /// candidates examined, proofs that pruned the exact kernel,
-    /// survivors exactly verified, and the mean HLL-vs-exact distinct
-    /// error over consulted columns. All-zero with sketches off.
+    /// Exact-count shortcut counters summed over key inference and
+    /// RHS-Discovery: candidates examined, candidates settled without
+    /// a probe, candidates probed. All-zero on backends that serve no
+    /// counts (reference, SQL).
     pub sketch: SketchPruneStats,
 }
 

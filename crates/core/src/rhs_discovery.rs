@@ -17,7 +17,9 @@
 //!    object (steps (iv)/(v)).
 //!
 //! The pruning of step 1 is what keeps the number of extension queries
-//! small — ablation X4 measures exactly that.
+//! small — ablation X4 measures exactly that. Step 2 has one shortcut:
+//! when the backend's exact column counts prove a single-attribute `A`
+//! a key, every `A → b` holds and no probe runs.
 
 use crate::lhs_discovery::LhsDiscovery;
 use crate::oracle::{DecisionRecord, FdContext, HiddenContext, Oracle};
@@ -27,7 +29,7 @@ use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
 use dbre_relational::par::par_map;
 use dbre_relational::schema::QualAttrs;
-use dbre_relational::sketch::{SketchMode, SketchPruneStats};
+use dbre_relational::sketch::SketchPruneStats;
 use dbre_relational::stats::StatsEngine;
 
 /// Options controlling RHS-Discovery (the ablation knobs).
@@ -58,20 +60,20 @@ pub struct RhsDiscovery {
     /// Candidates the expert user gave up (step (v)).
     pub given_up: Vec<QualAttrs>,
     /// Number of `A → b` extension tests performed (ablation metric).
-    /// Counts sketch-settled tests too — the metric is "questions
-    /// asked of the extension", not "kernel invocations".
+    /// Counts tests settled from exact counts too — the metric is
+    /// "questions asked of the extension", not "kernel invocations".
     pub fd_checks: usize,
     /// Audit trail.
     pub log: Vec<DecisionRecord>,
-    /// Sketch-prefilter observability (all zero when sketches were off
-    /// or the backend offers none).
+    /// What the unary-key shortcut settled (all zero when the backend
+    /// serves no counts).
     pub sketch: SketchPruneStats,
 }
 
 /// Runs RHS-Discovery over `LHS ∪ H`.
 ///
-/// Equivalent to [`rhs_discovery_sketched`] with a throwaway
-/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
+/// Equivalent to [`rhs_discovery_with_engine`] with a throwaway
+/// [`StatsEngine`].
 pub fn rhs_discovery(
     db: &Database,
     input: &LhsDiscovery,
@@ -79,7 +81,7 @@ pub fn rhs_discovery(
     options: &RhsOptions,
 ) -> RhsDiscovery {
     let engine = StatsEngine::new();
-    rhs_discovery_sketched(db, input, oracle, options, &engine, SketchMode::from_env())
+    rhs_discovery_with_engine(db, input, oracle, options, &engine)
 }
 
 /// Runs RHS-Discovery with `A → b` extension tests memoized in
@@ -94,20 +96,18 @@ pub fn rhs_discovery(
 /// `--features parallel`); oracle interaction for failing/elicited FDs
 /// stays sequential and in candidate order.
 ///
-/// When `mode` is on and a single-attribute LHS has a
-/// [`ColumnSketch`][dbre_relational::sketch::ColumnSketch] proving it a
-/// key of its extension (NULL-free, every row distinct — exact counts,
-/// not estimates), the per-candidate probes are skipped wholesale:
-/// every group is a single row, so every `A → b` trivially holds. The
-/// outcome (`B`, the log, `fd_checks`) is byte-identical to running
-/// the probes.
-pub fn rhs_discovery_sketched(
+/// When the exact counts of a single-attribute LHS
+/// ([`CountBackend::column_sketch`]) prove it a key of its extension
+/// (NULL-free, every row distinct), the per-candidate probes are
+/// skipped wholesale: every group is a single row, so every `A → b`
+/// trivially holds. The outcome (`B`, the log, `fd_checks`) is
+/// byte-identical to running the probes.
+pub fn rhs_discovery_with_engine(
     db: &Database,
     input: &LhsDiscovery,
     oracle: &mut dyn Oracle,
     options: &RhsOptions,
     engine: &dyn CountBackend,
-    mode: SketchMode,
 ) -> RhsDiscovery {
     let mut out = RhsDiscovery {
         hidden: input.hidden.clone(),
@@ -147,9 +147,9 @@ pub fn rhs_discovery_sketched(
             .iter()
             .map(|ca| Fd::new(rel, a.clone(), AttrSet::single(*ca)))
             .collect();
-        // Sketch prefilter: a single-attribute LHS whose sketch proves
-        // it a key settles every probe of this step at once.
-        let key_sketch = match (mode.is_on() && a.len() == 1, a.iter().next()) {
+        // Unary-key shortcut: a single-attribute LHS whose exact counts
+        // prove it a key settles every probe of this step at once.
+        let key_sketch = match (a.len() == 1, a.iter().next()) {
             (true, Some(attr)) => engine.column_sketch(db, rel, attr),
             _ => None,
         };
@@ -165,9 +165,8 @@ pub fn rhs_discovery_sketched(
                 par_map(&cand_fds, |fd| engine.fd_holds(db, fd))
             }
         };
-        if let Some(s) = &key_sketch {
+        if key_sketch.is_some() {
             out.sketch.candidates += cand_fds.len() as u64;
-            out.sketch.observe_column(s);
         }
         let mut b = AttrSet::empty();
         for ((cand_attr, fd), holds) in cand_attrs.iter().zip(&cand_fds).zip(holds_vec) {

@@ -17,12 +17,12 @@
 //! (reference scans, dictionary-encoded kernels, or generated SQL).
 
 use crate::eer::EerSchema;
-use crate::ind_discovery::{ind_discovery_sketched, IndDiscovery};
+use crate::ind_discovery::{ind_discovery_with_engine, IndDiscovery};
 use crate::lhs_discovery::{lhs_discovery, LhsDiscovery};
 use crate::oracle::{DecisionRecord, Oracle, OracleAbort};
 use crate::pipeline::{PipelineOptions, PipelineResult, PipelineStats, StageError};
 use crate::restruct::{restruct, Restructured};
-use crate::rhs_discovery::{rhs_discovery_sketched, RhsDiscovery};
+use crate::rhs_discovery::{rhs_discovery_with_engine, RhsDiscovery};
 use crate::translate::translate;
 use dbre_relational::backend::{BackendExecStats, EncodedBackend, ReferenceBackend};
 use dbre_relational::bufpool::PageCacheStats;
@@ -414,12 +414,8 @@ impl Stage for KeyInferenceStage {
     }
 
     fn run(&self, s: &mut DbreSession<'_>) -> Result<(), DbreError> {
-        let (inferred, sketch) = dbre_mine::infer_missing_keys_sketched(
-            &mut s.db,
-            Some(3),
-            &*s.engine,
-            s.options.sketch,
-        );
+        let (inferred, sketch) =
+            dbre_mine::infer_missing_keys_with_engine(&mut s.db, Some(3), &*s.engine);
         s.stats.sketch.merge(&sketch);
         for (rel, key) in inferred {
             let relation = s.db.schema.relation(rel);
@@ -443,15 +439,8 @@ impl Stage for IndDiscoveryStage {
     }
 
     fn run(&self, s: &mut DbreSession<'_>) -> Result<(), DbreError> {
-        let out = ind_discovery_sketched(
-            &mut s.db,
-            &s.q,
-            &mut *s.oracle,
-            &*s.engine,
-            s.options.sketch,
-        )?;
+        let out = ind_discovery_with_engine(&mut s.db, &s.q, &mut *s.oracle, &*s.engine)?;
         s.record_all(&out.log);
-        s.stats.sketch.merge(&out.sketch);
         s.ind = out;
         Ok(())
     }
@@ -480,14 +469,8 @@ impl Stage for RhsDiscoveryStage {
     }
 
     fn run(&self, s: &mut DbreSession<'_>) -> Result<(), DbreError> {
-        let out = rhs_discovery_sketched(
-            &s.db,
-            &s.lhs,
-            &mut *s.oracle,
-            &s.options.rhs,
-            &*s.engine,
-            s.options.sketch,
-        );
+        let out =
+            rhs_discovery_with_engine(&s.db, &s.lhs, &mut *s.oracle, &s.options.rhs, &*s.engine);
         s.record_all(&out.log);
         s.stats.sketch.merge(&out.sketch);
         s.rhs = out;

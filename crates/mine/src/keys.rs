@@ -12,6 +12,13 @@
 //! A discovered key is only a *candidate* — uniqueness in a snapshot
 //! is necessary, not sufficient — which is exactly the kind of
 //! presumption the paper routes through the expert user.
+//!
+//! Served through the counting seam ([`discover_keys_with_engine`]),
+//! two exact-count shortcuts ([`ColumnSketch`]) spare partition work
+//! without changing the keys found: a NULL-free column with as many
+//! distinct values as rows is a key without a partition, and at the
+//! last level a column set whose product of unary distinct counts is
+//! below the row count cannot be unique (pigeonhole).
 
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
@@ -20,7 +27,7 @@ use dbre_relational::database::Database;
 use dbre_relational::encode::DictTable;
 use dbre_relational::par::par_map;
 use dbre_relational::schema::RelId;
-use dbre_relational::sketch::{ColumnSketch, SketchMode, SketchPruneStats};
+use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
 use std::sync::Arc;
@@ -28,26 +35,27 @@ use std::sync::Arc;
 /// Work counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KeyStats {
-    /// Uniqueness tests performed. A sketch-settled verdict still
-    /// counts — the metric is "column sets examined", not "partitions
-    /// materialized".
+    /// Uniqueness tests performed. A verdict settled from exact counts
+    /// still counts — the metric is "column sets examined", not
+    /// "partitions materialized".
     pub tests: usize,
-    /// Sketch-prefilter observability (all zero when sketches were off
-    /// or the backend offers none).
+    /// What the exact-count shortcuts settled (all zero when the
+    /// backend serves no counts).
     pub sketch: SketchPruneStats,
 }
 
 /// A level-1 seed for the levelwise search: either a partition to
-/// expand, or a sketch-settled verdict that needs none.
+/// expand, or a verdict settled from exact counts that needs none.
 enum UnarySeed {
-    /// Proven a key by exact sketch counts (NULL-free, every row
-    /// distinct) — nothing expands from a key, so no partition is
-    /// ever built for it.
+    /// Proven a key by exact counts (NULL-free, every row distinct) —
+    /// nothing expands from a key, so no partition is ever built for
+    /// it.
     Key,
-    /// The unary partition, with the exact distinct count when a
-    /// sketch supplied one (feeds the last-level cardinality bound).
+    /// The unary partition (shared with the engine's cache), with the
+    /// exact distinct count when the backend served one (feeds the
+    /// last-level cardinality bound).
     Partition {
-        partition: StrippedPartition,
+        partition: Arc<StrippedPartition>,
         cardinality: Option<usize>,
     },
 }
@@ -77,7 +85,7 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
             par_map(&attrs, |&a| dict.partition1(a))
                 .into_iter()
                 .map(|p| UnarySeed::Partition {
-                    partition: p,
+                    partition: Arc::new(p),
                     cardinality: None,
                 }),
         )
@@ -98,21 +106,20 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 /// through [`column_cells`], so a streamed extension answers from its
 /// backend-served dictionaries.
 ///
-/// When `mode` is on and the backend serves sketches, two exact
-/// shortcuts fire (the discovered keys are identical either way):
+/// When the backend serves a column's exact counts
+/// ([`CountBackend::column_sketch`]), two shortcuts fire (the
+/// discovered keys are identical either way):
 ///
-/// * a level-1 column whose sketch proves it a key (NULL-free, every
-///   row distinct — exact counts) is accepted without ever building
-///   its partition;
+/// * a level-1 column the counts prove a key (NULL-free, every row
+///   distinct) is accepted without ever building its partition;
 /// * at the last expanded level, a candidate whose product of exact
 ///   unary cardinalities is below the row count cannot be unique
 ///   (pigeonhole), so its partition product is skipped.
-pub fn discover_keys_sketched(
+pub fn discover_keys_with_engine(
     db: &Database,
     rel: RelId,
     max_width: Option<usize>,
     backend: &dyn CountBackend,
-    mode: SketchMode,
 ) -> KeyResult {
     let table = db.table(rel);
     let eligible: Vec<u16> = (0..table.arity() as u16)
@@ -120,22 +127,16 @@ pub fn discover_keys_sketched(
         .collect();
     let sketches: Vec<Option<Arc<ColumnSketch>>> = eligible
         .iter()
-        .map(|&i| {
-            if mode.is_on() {
-                backend.column_sketch(db, rel, AttrId(i))
-            } else {
-                None
-            }
-        })
+        .map(|&i| backend.column_sketch(db, rel, AttrId(i)))
         .collect();
-    // Partitions only for the columns sketches couldn't settle.
+    // Partitions only for the columns the counts couldn't settle.
     let need: Vec<AttrId> = eligible
         .iter()
         .zip(&sketches)
         .filter(|(_, s)| !s.as_deref().is_some_and(ColumnSketch::is_exact_key))
         .map(|(&i, _)| AttrId(i))
         .collect();
-    let mut parts = par_map(&need, |&a| (*backend.partition1(db, rel, a)).clone()).into_iter();
+    let mut parts = par_map(&need, |&a| backend.partition1(db, rel, a)).into_iter();
     let mut sk = SketchPruneStats::default();
     let seeds: Vec<(u16, UnarySeed)> = eligible
         .iter()
@@ -151,12 +152,11 @@ pub fn discover_keys_sketched(
                     cardinality: sketch.as_ref().map(|s| s.distinct_exact()),
                 },
             };
-            if let Some(s) = sketch {
+            if sketch.is_some() {
                 sk.candidates += 1;
                 if !matches!(seed, UnarySeed::Key) {
                     sk.verified += 1;
                 }
-                sk.observe_column(s);
             }
             (i, seed)
         })
@@ -199,7 +199,7 @@ fn discover_keys_seeded(
     // cardinality bound.
     let mut cards: Vec<Option<usize>> = vec![None; 32];
     // Level 1 seeds: partitions (or settled verdicts) per column.
-    let mut level: Vec<(u32, StrippedPartition)> = Vec::new();
+    let mut level: Vec<(u32, Arc<StrippedPartition>)> = Vec::new();
     for (i, seed) in seeds {
         stats.tests += 1;
         match seed {
@@ -225,7 +225,7 @@ fn discover_keys_seeded(
         // further, so a candidate the cardinality bound refutes there
         // needs no partition product at all.
         let last_level = width + 1 == max_width;
-        let mut next: Vec<(u32, StrippedPartition)> = Vec::new();
+        let mut next: Vec<(u32, Arc<StrippedPartition>)> = Vec::new();
         for i in 0..level.len() {
             for j in i + 1..level.len() {
                 let (mx, px) = &level[i];
@@ -260,7 +260,7 @@ fn discover_keys_seeded(
                 if p.is_key() {
                     keys.push(set_of(merged));
                 } else {
-                    next.push((merged, p));
+                    next.push((merged, Arc::new(p)));
                 }
             }
         }
@@ -277,7 +277,7 @@ fn discover_keys_seeded(
 
 /// Upper bound on the distinct projections of the column set `mask`:
 /// the product of exact unary distinct counts. `None` when any count
-/// is unknown (unsketched column).
+/// is unknown (the backend served none for that column).
 fn product_card_bound(cards: &[Option<usize>], mask: u32) -> Option<usize> {
     let mut bound = 1usize;
     for i in 0..32u16 {
@@ -300,23 +300,21 @@ fn set_of(mask: u32) -> AttrSet {
 /// and registers the narrowest discovered key as its primary key.
 /// Returns the relations that received an inferred key.
 ///
-/// Equivalent to [`infer_missing_keys_sketched`] with a throwaway
-/// [`StatsEngine`] and the ambient [`SketchMode`] (`DBRE_SKETCH`).
+/// Equivalent to [`infer_missing_keys_with_engine`] with a throwaway
+/// [`StatsEngine`].
 pub fn infer_missing_keys(db: &mut Database, max_width: Option<usize>) -> Vec<(RelId, AttrSet)> {
-    infer_missing_keys_sketched(db, max_width, &StatsEngine::new(), SketchMode::from_env()).0
+    infer_missing_keys_with_engine(db, max_width, &StatsEngine::new()).0
 }
 
 /// [`infer_missing_keys`] with unary partitions served through the
 /// counting seam — memoized when `backend` is a [`StatsEngine`] (key
 /// registration touches only the dictionary, never the tables, so
-/// previously cached entries stay valid) — and an explicit
-/// [`SketchMode`], also returning the accumulated sketch-prefilter
-/// counters.
-pub fn infer_missing_keys_sketched(
+/// previously cached entries stay valid) — also returning what the
+/// exact-count shortcuts settled.
+pub fn infer_missing_keys_with_engine(
     db: &mut Database,
     max_width: Option<usize>,
     backend: &dyn CountBackend,
-    mode: SketchMode,
 ) -> (Vec<(RelId, AttrSet)>, SketchPruneStats) {
     let mut inferred = Vec::new();
     let mut sketch = SketchPruneStats::default();
@@ -325,7 +323,7 @@ pub fn infer_missing_keys_sketched(
         if db.constraints.primary_key(rel).is_some() {
             continue;
         }
-        let result = discover_keys_sketched(db, rel, max_width, backend, mode);
+        let result = discover_keys_with_engine(db, rel, max_width, backend);
         sketch.merge(&result.stats.sketch);
         if let Some(best) = result.keys.iter().min_by_key(|k| (k.len(), mask_of(k))) {
             db.constraints.add_key(rel, best.clone());
@@ -457,7 +455,7 @@ mod tests {
         backend.adopt_spilled(&db, r, &SpilledTable::new(cols, rows.len(), false));
 
         // `a` contains NULL: only `b` may seed a key, and it is one.
-        let result = discover_keys_sketched(&db, r, None, &backend, SketchMode::from_env());
+        let result = discover_keys_with_engine(&db, r, None, &backend);
         assert_eq!(result.keys, vec![AttrSet::from_indices([1u16])]);
 
         // Same rows materialized agree.

@@ -29,7 +29,7 @@ pub mod tane;
 pub use approx::{fd_error, fd_error_db, fd_holds_approx, ind_error, ind_holds_approx};
 pub use fd_check::{check_hash, check_partition, violations};
 pub use keys::{
-    discover_keys, discover_keys_sketched, infer_missing_keys, infer_missing_keys_sketched,
+    discover_keys, discover_keys_with_engine, infer_missing_keys, infer_missing_keys_with_engine,
     KeyResult, KeyStats,
 };
 pub use mind::{maximal, mind, mind_with_stats, MindResult, MindStats};

@@ -21,9 +21,7 @@ use dbre_relational::database::Database;
 use dbre_relational::deps::Ind;
 use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
-use dbre_relational::sketch::ColumnSketch;
 use dbre_relational::value::{Domain, Value};
-use std::sync::Arc;
 
 /// Work counters for the comparison benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -34,10 +32,6 @@ pub struct SpiderStats {
     pub initial_candidates: usize,
     /// Total distinct values merged.
     pub values_scanned: usize,
-    /// Candidate pairs retired by a sketch refutation before the sweep
-    /// (0 unless [`SpiderConfig::sketch_prune`] is on and the backend
-    /// serves sketches).
-    pub sketch_pruned: usize,
 }
 
 /// Result of a SPIDER run.
@@ -66,13 +60,6 @@ pub struct SpiderConfig {
     /// navigation matters; same-attribute reflexive INDs are always
     /// excluded).
     pub allow_same_relation: bool,
-    /// Retire candidate pairs a column-sketch refutation (exact
-    /// cardinality ordering or a definitely-absent value) rules out
-    /// before the merge sweep. Exact — the sweep would clear the same
-    /// bits — so the reported INDs are identical either way; only the
-    /// counters differ. Default `false` (keeps the seamed run
-    /// counter-identical to [`spider`], which has no sketches).
-    pub sketch_prune: bool,
 }
 
 impl Default for SpiderConfig {
@@ -81,7 +68,6 @@ impl Default for SpiderConfig {
             require_same_domain: true,
             skip_empty: true,
             allow_same_relation: true,
-            sketch_prune: false,
         }
     }
 }
@@ -92,7 +78,6 @@ struct Col {
     attr: AttrId,
     domain: Domain,
     values: Vec<Value>,
-    sketch: Option<Arc<ColumnSketch>>,
 }
 
 /// Runs exhaustive unary IND discovery over the whole database.
@@ -113,7 +98,6 @@ pub fn spider(db: &Database, cfg: &SpiderConfig) -> SpiderResult {
                 attr,
                 domain: relation.attribute(attr).domain,
                 values,
-                sketch: None,
             });
         }
     }
@@ -146,10 +130,6 @@ pub fn spider_with_stats(
                 attr,
                 domain: relation.attribute(attr).domain,
                 values,
-                sketch: cfg
-                    .sketch_prune
-                    .then(|| backend.column_sketch(db, rel, attr))
-                    .flatten(),
             });
         }
     }
@@ -187,31 +167,6 @@ fn sweep(mut cols: Vec<Col>, cfg: &SpiderConfig) -> SpiderResult {
         candidates.push(row);
     }
 
-    // Sketch prefilter: clear pairs a refutation proves impossible.
-    // The sweep would clear exactly these bits anyway (the refuting
-    // value is in the merge), so results are unchanged — the merge
-    // just intersects fewer live rows.
-    let mut sketch_pruned = 0usize;
-    if cfg.sketch_prune {
-        for i in 0..m {
-            let Some(si) = cols[i].sketch.as_ref() else {
-                continue;
-            };
-            for j in 0..m {
-                if candidates[i][j / 64] & (1 << (j % 64)) == 0 {
-                    continue;
-                }
-                let Some(sj) = cols[j].sketch.as_ref() else {
-                    continue;
-                };
-                if si.refutes_containment(sj) {
-                    candidates[i][j / 64] &= !(1 << (j % 64));
-                    sketch_pruned += 1;
-                }
-            }
-        }
-    }
-
     // K-way merge sweep. A binary heap of (next value, column index).
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -226,7 +181,6 @@ fn sweep(mut cols: Vec<Col>, cfg: &SpiderConfig) -> SpiderResult {
         attributes: m,
         initial_candidates: initial,
         values_scanned: 0,
-        sketch_pruned,
     };
     let mut holders: Vec<usize> = Vec::new();
     let mut mask = vec![0u64; words];
@@ -349,24 +303,6 @@ mod tests {
             assert_eq!(seamed.inds, direct.inds, "backend {}", backend.name());
             assert_eq!(seamed.stats, direct.stats, "backend {}", backend.name());
         }
-    }
-
-    #[test]
-    fn sketch_prune_preserves_results() {
-        use dbre_relational::backend::EncodedBackend;
-        let d = db();
-        let base = spider(&d, &SpiderConfig::default());
-        let encoded = EncodedBackend::new();
-        let cfg = SpiderConfig {
-            sketch_prune: true,
-            ..Default::default()
-        };
-        let pruned = spider_with_stats(&d, &cfg, &encoded);
-        assert_eq!(pruned.inds, base.inds, "pruning must not change results");
-        // Person[id] (5 distinct) ⊆ Emp[no] (3 distinct) is refuted by
-        // exact cardinality ordering alone, so at least that bit dies
-        // before the sweep.
-        assert!(pruned.stats.sketch_pruned > 0);
     }
 
     #[test]

@@ -261,15 +261,14 @@ pub trait CountBackend: Send + Sync {
         None
     }
 
-    /// The backend's sketch of one column
-    /// ([`crate::sketch::ColumnSketch`]: exact sorted distinct hashes
-    /// plus an HLL), when it can produce one cheaply and *soundly* —
-    /// the prefilter seam the discovery stages consult before paying
-    /// for exact kernels. `None` (the default) disables pruning for
-    /// the column, which is always correct: sketches only ever
-    /// suppress work whose result they prove, so their absence merely
-    /// costs speed. Implementations must derive the sketch from the
-    /// same generation-consistent state that serves their counting
+    /// One column's exact row, NULL and distinct counts
+    /// ([`crate::sketch::ColumnSketch`]), when the backend holds them
+    /// without a scan — the seam key inference and RHS-Discovery read
+    /// before paying for a partition or an FD probe. `None` (the
+    /// default) only turns those shortcuts off for the column: they
+    /// skip work whose outcome the counts prove, so their absence
+    /// merely costs speed. Implementations must read the counts from
+    /// the same generation-consistent state that serves their counting
     /// probes.
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
         let _ = (db, rel, attr);
@@ -859,14 +858,17 @@ impl<S: ColumnStore> CountBackend for ColumnarBackend<S> {
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // Lazily attached to the generation-cached dictionary, so the
-        // sketch always summarizes exactly the state the counting
-        // kernels read (and is built at most once per generation). The
-        // resident dictionary — slim for spilled codes — carries the
-        // whole value set and the fused counts, so this never reads a
-        // code page. A failed build simply yields no sketch: pruning
-        // is disabled, answers unchanged.
-        self.column(db, rel, attr).ok()?.dict().sketch()
+        // Read off the generation-cached dictionary, so the counts are
+        // exactly the state the counting kernels read. The resident
+        // dictionary — slim for spilled codes — carries the fused
+        // per-code counts, so this never reads a code page. A failed
+        // build yields no counts: the shortcuts are off, answers
+        // unchanged.
+        self.column(db, rel, attr)
+            .ok()?
+            .dict()
+            .sketch()
+            .map(Arc::new)
     }
 
     fn exec_stats(&self) -> BackendExecStats {

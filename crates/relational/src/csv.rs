@@ -913,7 +913,7 @@ mod tests {
     }
 
     #[test]
-    fn spilled_ingest_error_parity_with_import() {
+    fn spilled_ingest_fails_like_import() {
         // Streaming surfaces errors in stream order; on these inputs
         // (single defect each) both paths must agree on the error.
         for bad in [

@@ -71,7 +71,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::convert::Infallible;
 use std::ops::{Deref, Range};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The NULL sentinel code: row positions holding SQL `NULL` encode to
 /// 0 in every [`ColumnDict`]; real values start at 1.
@@ -80,13 +80,11 @@ pub const NULL_CODE: u32 = 0;
 /// One column's dictionary: per-row dense codes plus both decode
 /// (code → value) and encode (value → code) directions.
 ///
-/// Equality compares every *data* field — two dictionaries are equal
-/// iff they were built from the same cell sequence (codes are assigned
-/// in first-occurrence order, so the decode table is canonical), which
-/// is what the streaming-vs-materialized differential tests pin. The
-/// lazily attached sketch is a pure derivation of those fields and is
-/// excluded from equality.
-#[derive(Debug, Clone, Default)]
+/// Two dictionaries are equal iff they were built from the same cell
+/// sequence (codes are assigned in first-occurrence order, so the
+/// decode table is canonical), which is what the
+/// streaming-vs-materialized differential tests pin.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnDict {
     /// Per-row codes; `codes[i] == NULL_CODE` iff row `i` is NULL.
     codes: Vec<u32>,
@@ -101,20 +99,6 @@ pub struct ColumnDict {
     /// code `c` (`counts[0]` = NULL rows). Maintained by the interning
     /// loop, so the counting-sort kernels skip their sizes pass.
     counts: Vec<u64>,
-    /// Lazily built column sketch ([`ColumnDict::sketch`]); `None`
-    /// once initialized means the dictionary is not sketchable (counts
-    /// invariant broken).
-    sketch: OnceLock<Option<Arc<ColumnSketch>>>,
-}
-
-impl PartialEq for ColumnDict {
-    fn eq(&self, other: &Self) -> bool {
-        self.codes == other.codes
-            && self.values == other.values
-            && self.index == other.index
-            && self.nulls == other.nulls
-            && self.counts == other.counts
-    }
 }
 
 /// Incremental column interner: the streaming half of
@@ -201,7 +185,6 @@ impl DictBuilder {
             index: self.index,
             nulls: self.nulls,
             counts: self.counts,
-            sketch: OnceLock::new(),
         }
     }
 }
@@ -301,60 +284,25 @@ impl ColumnDict {
             index,
             nulls,
             counts,
-            sketch: OnceLock::new(),
         }
     }
 
-    /// [`ColumnDict::from_parts`] with a sketch preseeded from
-    /// persisted hashes — the spill-cache load path, which would
-    /// otherwise rehash every distinct value to rebuild what the
-    /// ingest pass already computed. The hashes must be the
-    /// [`ColumnSketch::hashes`] of this exact value sequence; callers
-    /// (the spill decoder) verify provenance via the entry checksum.
-    pub fn from_parts_with_sketch(
-        values: Vec<Value>,
-        nulls: usize,
-        counts: Vec<u64>,
-        hashes: Vec<u64>,
-    ) -> ColumnDict {
-        let rows = counts.iter().sum::<u64>() as usize;
-        let dict = ColumnDict::from_parts(values, nulls, counts);
-        let _ = dict.sketch.set(Some(Arc::new(ColumnSketch::from_hashes(
-            rows, nulls, hashes,
-        ))));
-        dict
-    }
-
-    /// The column's sketch, built on first request (O(cardinality))
-    /// and cached. `None` when the dictionary cannot vouch for
-    /// exactness: the fused-counts invariant is broken (a hand-assembled
-    /// dictionary with missing counts, or a code no row carries) — then
-    /// `cardinality()` may over-count the live column and any pruning
-    /// proof would be unsound, so no sketch is offered at all.
-    pub fn sketch(&self) -> Option<Arc<ColumnSketch>> {
-        self.sketch
-            .get_or_init(|| {
-                if self.counts.len() != self.values.len() + 1 {
-                    return None;
-                }
-                if self.counts.iter().skip(1).any(|&c| c == 0) {
-                    return None;
-                }
-                let rows = self.counts.iter().sum::<u64>() as usize;
-                Some(Arc::new(ColumnSketch::build(
-                    &self.values,
-                    self.nulls,
-                    rows,
-                )))
-            })
-            .clone()
-    }
-
-    /// The sketch if one was already built or preseeded — never
-    /// triggers a build (spill serialization uses this to persist
-    /// exactly what ingest computed).
-    pub fn sketch_if_built(&self) -> Option<Arc<ColumnSketch>> {
-        self.sketch.get().cloned().flatten()
+    /// The column's exact row, NULL and distinct counts, read off the
+    /// per-code counts (O(cardinality), on every call). `None` when the
+    /// dictionary cannot vouch for exactness: the fused-counts
+    /// invariant is broken (a hand-assembled dictionary with missing
+    /// counts, or a code no row carries) — then `cardinality()` may
+    /// over-count the live column and a shortcut taken on it would be
+    /// unsound.
+    pub fn sketch(&self) -> Option<ColumnSketch> {
+        if self.counts.len() != self.values.len() + 1 {
+            return None;
+        }
+        if self.counts.iter().skip(1).any(|&c| c == 0) {
+            return None;
+        }
+        let rows = self.counts.iter().sum::<u64>() as usize;
+        Some(ColumnSketch::new(rows, self.nulls, self.values.len()))
     }
 
     /// A codes-free copy: the decode/encode tables and the NULL count
@@ -373,8 +321,6 @@ impl ColumnDict {
             index: self.index.clone(),
             nulls: self.nulls,
             counts: self.counts.clone(),
-            // A sketch summarizes the value set, which slimming keeps.
-            sketch: self.sketch.clone(),
         }
     }
 
@@ -390,7 +336,6 @@ impl ColumnDict {
             index: self.index.clone(),
             nulls: self.nulls,
             counts: self.counts.clone(),
-            sketch: self.sketch.clone(),
         }
     }
 }
@@ -1323,41 +1268,26 @@ mod tests {
     }
 
     #[test]
-    fn dict_sketch_lazy_and_exact() {
+    fn dict_sketch_is_exact() {
         let t = sample();
         let built = ColumnDict::build(t.column(a(0)));
-        // Lazy: nothing built until asked.
-        assert!(built.sketch_if_built().is_none());
         let sketch = built.sketch().expect("counts invariant holds");
         assert_eq!(sketch.distinct_exact(), built.cardinality());
         assert_eq!(sketch.null_count(), built.null_count());
         assert_eq!(sketch.rows(), built.rows());
-        // Cached: second call returns the same Arc.
-        assert!(Arc::ptr_eq(&sketch, &built.sketch().unwrap()));
-        // Slim and rehydrated copies carry the sketch.
-        assert!(built.slim().sketch_if_built().is_some());
-        // Broken counts invariant → no sketch (pruning stays sound).
-        // Start from a never-sketched dict: clones of a sketched one
-        // deliberately carry the cached sketch (slim/rehydrate rely on
-        // that), so the lazy path would never re-examine counts.
-        let mut manual = ColumnDict::build(t.column(a(0)));
+        // The counts survive slimming (rows come from the per-code
+        // counts, not the dropped code vector) and rehydration.
+        assert_eq!(built.slim().sketch(), Some(sketch));
+        assert_eq!(
+            built.slim().rehydrate(built.codes().to_vec()).sketch(),
+            Some(sketch)
+        );
+        // Broken counts invariant → no sketch (shortcuts stay sound).
+        let mut manual = built.clone();
         manual.counts = Vec::new();
         assert!(manual.sketch().is_none());
         // A code no row carries (zero count) → no sketch.
         let unused = ColumnDict::from_parts(vec![Value::Int(1), Value::Int(2)], 0, vec![0, 1, 0]);
         assert!(unused.sketch().is_none());
-        // from_parts_with_sketch preseeds a sketch equal to a rebuild.
-        let slim = built.slim();
-        let seeded = ColumnDict::from_parts_with_sketch(
-            slim.distinct_values().to_vec(),
-            slim.null_count(),
-            slim.code_counts().to_vec(),
-            sketch.hashes().to_vec(),
-        );
-        assert_eq!(
-            seeded.sketch_if_built().as_deref(),
-            Some(sketch.as_ref()),
-            "preseeded sketch equals a fresh build"
-        );
     }
 }

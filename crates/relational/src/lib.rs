@@ -65,7 +65,7 @@ pub use pages::{PageError, PageFileWriter, PagedBackend, PagedColumn};
 pub use par::par_map;
 pub use partitions::StrippedPartition;
 pub use schema::{QualAttrs, RelId, Relation, Schema};
-pub use sketch::{ColumnSketch, SketchMode, SketchPruneStats};
+pub use sketch::{ColumnSketch, SketchPruneStats};
 pub use snapshot::DbSnapshot;
 pub use spill::{SpillCacheStats, SpilledTable};
 pub use stats::{StatsCounters, StatsEngine};

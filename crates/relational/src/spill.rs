@@ -33,11 +33,11 @@ use std::sync::Arc;
 
 /// Spill-cache format version — part of the cache key, so a layout
 /// change silently invalidates old entries instead of misreading them.
-/// Version 2 added the optional per-column sketch-hash section.
-const FORMAT_VERSION: &str = "dbre-spill 2";
+/// Version 3 dropped version 2's per-column sketch-hash section.
+const FORMAT_VERSION: &str = "dbre-spill 3";
 
 /// Dictionary-file magic (format name + version).
-const DICT_MAGIC: &[u8; 8] = b"DBREDC02";
+const DICT_MAGIC: &[u8; 8] = b"DBREDC03";
 
 /// Counters describing how streamed ingest used the persistent spill
 /// cache: one hit per table whose encode pass was skipped entirely,
@@ -155,11 +155,8 @@ fn manifest_path(dir: &Path) -> PathBuf {
 }
 
 /// Serializes a slim dictionary: magic, decode table (tagged values),
-/// NULL count, per-code occurrence counts, an optional sketch-hash
-/// section (one 64-bit [`crate::sketch::value_hash`] per distinct
-/// value, present iff the ingest pass built a sketch), and an FNV-1a
-/// trailer over everything after the magic. All integers
-/// little-endian.
+/// NULL count, per-code occurrence counts, and an FNV-1a trailer over
+/// everything after the magic. All integers little-endian.
 fn encode_dict(dict: &ColumnDict) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(DICT_MAGIC);
@@ -199,19 +196,6 @@ fn encode_dict(dict: &ColumnDict) -> Vec<u8> {
     out.extend_from_slice(&(counts.len() as u64).to_le_bytes());
     for &c in counts {
         out.extend_from_slice(&c.to_le_bytes());
-    }
-    // Sketch section: persist the distinct-value hashes the ingest
-    // pass computed, so a warm load preseeds the sketch instead of
-    // rehashing every value. Flag byte keeps sketch-off entries valid.
-    match dict.sketch_if_built() {
-        Some(sketch) => {
-            out.push(1);
-            out.extend_from_slice(&(sketch.hashes().len() as u64).to_le_bytes());
-            for &h in sketch.hashes() {
-                out.extend_from_slice(&h.to_le_bytes());
-            }
-        }
-        None => out.push(0),
     }
     let trailer = fnv1a64_bytes(FNV_BYTES_SEED, &out[body_start..]);
     out.extend_from_slice(&trailer.to_le_bytes());
@@ -306,40 +290,14 @@ fn decode_dict(bytes: &[u8]) -> Option<ColumnDict> {
     for _ in 0..n_counts {
         counts.push(c.u64()?);
     }
-    let hashes = match c.u8()? {
-        0 => None,
-        1 => {
-            let n_hashes = usize::try_from(c.u64()?).ok()?;
-            // One hash per distinct value, nothing else is well-formed.
-            if n_hashes != n_values {
-                return None;
-            }
-            let mut hashes = Vec::with_capacity(n_hashes);
-            for _ in 0..n_hashes {
-                hashes.push(c.u64()?);
-            }
-            Some(hashes)
-        }
-        _ => return None,
-    };
     if c.pos != body.len() || counts[0] != nulls as u64 {
         return None;
     }
-    Some(match hashes {
-        Some(hashes) => ColumnDict::from_parts_with_sketch(values, nulls, counts, hashes),
-        None => ColumnDict::from_parts(values, nulls, counts),
-    })
+    Some(ColumnDict::from_parts(values, nulls, counts))
 }
 
-/// Writes one column's dictionary file. With the sketch prefilter
-/// enabled ([`crate::sketch::SketchMode::from_env`]), the column's
-/// sketch is built here — O(cardinality), riding the ingest pass —
-/// and its hashes persist with the dictionary, so warm loads never
-/// rehash.
+/// Writes one column's dictionary file.
 pub(crate) fn write_dict(dir: &Path, col: usize, dict: &ColumnDict) -> Result<(), PageError> {
-    if crate::sketch::SketchMode::from_env().is_on() {
-        let _ = dict.sketch();
-    }
     std::fs::write(dict_path(dir, col), encode_dict(dict)).map_err(|e| PageError::Io(e.to_string()))
 }
 
@@ -476,29 +434,6 @@ mod tests {
         for v in dict.distinct_values() {
             assert_eq!(back.code_of(v), dict.code_of(v));
         }
-    }
-
-    #[test]
-    fn dict_sketch_persists_and_preseeds() {
-        let dict = dict_of(&[
-            Value::Int(1),
-            Value::Null,
-            Value::Int(2),
-            Value::str("x"),
-            Value::Int(1),
-        ]);
-        // No sketch built: flag 0, decode yields a sketchless dict.
-        let plain = decode_dict(&encode_dict(&dict)).expect("round trip");
-        assert!(plain.sketch_if_built().is_none());
-        // Force the sketch and re-encode: the load path must preseed
-        // an identical sketch without rebuilding.
-        let sketch = dict.sketch().expect("sketchable");
-        let seeded = decode_dict(&encode_dict(&dict)).expect("round trip");
-        let preseeded = seeded.sketch_if_built().expect("sketch persisted");
-        assert_eq!(preseeded.as_ref(), sketch.as_ref());
-        assert_eq!(preseeded.distinct_exact(), dict.cardinality());
-        assert_eq!(preseeded.rows(), 5);
-        assert_eq!(preseeded.null_count(), 1);
     }
 
     #[test]

@@ -419,9 +419,9 @@ impl CountBackend for StatsEngine {
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // Sketches are already memoized where they live (on the
-        // backend's generation-cached dictionaries); forwarding keeps
-        // the engine transparent and the hit/miss counters honest.
+        // The counts are read off the backend's generation-cached
+        // dictionaries; forwarding keeps the engine transparent and
+        // the hit/miss counters honest.
         self.backend.column_sketch(db, rel, attr)
     }
 

@@ -266,6 +266,19 @@ proptest! {
         prop_assert!(q_truth.fd.recall >= q_deny.fd.recall - 1e-9);
     }
 
+    /// Perfect knowledge, full coverage and a clean extension recover
+    /// every navigated IND and every reachable FD. Precision is not
+    /// pinned: the data can nest two referencing sites of a dropped
+    /// entity, or satisfy an FD by coincidence (ROADMAP item 5).
+    #[test]
+    fn truth_oracle_recovers_everything_navigated(seed in 0u64..500) {
+        let (result, truth, covered) = run_one(seed, 1.0, 0.0, 0);
+        prop_assert!(result.is_complete(), "{:?}", result.stage_errors);
+        let q = evaluate(&result, &truth, Some(&covered));
+        prop_assert_eq!(q.ind.recall, 1.0);
+        prop_assert_eq!(q.fd.recall, 1.0);
+    }
+
     #[test]
     fn more_coverage_never_hurts_ind_recall(seed in 0u64..200) {
         let (r_half, truth, _) = run_one(seed, 0.5, 0.0, 0);
