@@ -928,46 +928,6 @@ fn xb(check: bool) {
         out_of_core_10m = Some((rows, ingest_s, probe_ms, backend.page_stats()));
     }
 
-    // Serial vs chunk-parallel paged scan over one page-resident
-    // spilled extension — only measurable when the kernels are built
-    // with the `parallel` feature. Skipped under --check.
-    #[allow(unused_mut)]
-    let mut paged_parallel: Option<(usize, usize, f64, f64)> = None;
-    #[cfg(feature = "parallel")]
-    if !check {
-        use dbre_relational::backend::CountBackend;
-        let rows = 2_000_000usize;
-        let path = std::env::temp_dir().join(format!("dbre-xb-par-{}.csv", std::process::id()));
-        write_synth_csv(&path, rows).expect("write parallel-scan CSV");
-        let (mut db, rel) = ingest_db();
-        let table = dbre_relational::csv::import_csv_spilled(&mut db, rel, &path, None)
-            .expect("parallel-scan ingest");
-        std::fs::remove_file(&path).ok();
-        let backend = dbre_relational::PagedBackend::new();
-        backend.adopt_spilled(&db, rel, &table);
-        let fd = Fd::new(
-            rel,
-            AttrSet::from_indices([1u16]),
-            AttrSet::from_indices([2u16]),
-        );
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .max(2);
-        // Warm the pool so both variants scan resident pages.
-        std::env::set_var("DBRE_PAGED_THREADS", "1");
-        std::hint::black_box(backend.fd_holds(&db, &fd));
-        let serial_ns = median_ns(3, || {
-            std::hint::black_box(backend.fd_holds(&db, &fd));
-        });
-        std::env::set_var("DBRE_PAGED_THREADS", threads.to_string());
-        let parallel_ns = median_ns(3, || {
-            std::hint::black_box(backend.fd_holds(&db, &fd));
-        });
-        std::env::remove_var("DBRE_PAGED_THREADS");
-        paged_parallel = Some((rows, threads, serial_ns / 1e6, parallel_ns / 1e6));
-    }
-
     // Cache counters from one warm engine pass (8 entities, 10k rows).
     let s = scenario(8, 10_000, 42);
     let q = dbre_extract::extract_programs(
@@ -1077,12 +1037,6 @@ fn xb(check: bool) {
             pc.hits, pc.misses, pc.evictions
         ));
     }
-    if let Some((rows, threads, serial_ms, parallel_ms)) = &paged_parallel {
-        json.push_str(&format!(
-            "  \"paged_parallel\": {{ \"rows\": {rows}, \"threads\": {threads}, \
-             \"serial_ms\": {serial_ms:.2}, \"parallel_ms\": {parallel_ms:.2} }},\n"
-        ));
-    }
     json.push_str("  \"service\": [\n");
     for (i, (n, sps, p50, p99, agree)) in service_rows.iter().enumerate() {
         let sep = if i + 1 == service_rows.len() { "" } else { "," };
@@ -1146,14 +1100,6 @@ fn xb(check: bool) {
         println!(
             "  paged probes  {probe_ms:>9.0} ms   ({} hits, {} misses, {} evictions)",
             pc.hits, pc.misses, pc.evictions
-        );
-    }
-    if let Some((rows, threads, serial_ms, parallel_ms)) = &paged_parallel {
-        println!("\n  page-parallel fd_holds scan ({rows} rows, warm pool):");
-        println!("  1 thread      {serial_ms:>9.2} ms");
-        println!(
-            "  {threads} threads     {parallel_ms:>9.2} ms   ({:.2}x)",
-            serial_ms / parallel_ms.max(1e-9)
         );
     }
     println!("\n  concurrent service (8 entities, 1000 rows, one shared engine):");

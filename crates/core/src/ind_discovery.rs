@@ -25,7 +25,6 @@ use dbre_relational::backend::CountBackend;
 use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Ind, IndSide};
-use dbre_relational::par::par_map;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
@@ -72,12 +71,10 @@ pub fn ind_discovery(
 /// Runs IND-Discovery with counting memoized in `engine`.
 ///
 /// Every join's exact cardinalities (`‖r_k[A_k]‖`, `‖r_l[A_l]‖`,
-/// `‖r_k[A_k] ⋈ r_l[A_l]‖`) are collected up front in one [`par_map`]
-/// pass over `engine` (concurrent with `--features parallel`), which
-/// is sound because the only mutation the loop performs —
-/// conceptualization — *adds* relations and never touches existing
-/// tables. The loop below then reads them back from the engine's
-/// cache in `Q` order.
+/// `‖r_k[A_k] ⋈ r_l[A_l]‖`) are collected up front in one pass over
+/// `engine`, which is sound because the only mutation the loop
+/// performs — conceptualization — *adds* relations and never touches
+/// existing tables.
 ///
 /// The oracle dialogue stays strictly sequential and deterministic.
 /// The NEI questions are *asked* in descending exact overlap order
@@ -102,8 +99,6 @@ pub fn ind_discovery_with_engine(
     }
     let mut out = IndDiscovery::default();
 
-    // One pass fills the engine's join cache; the read-back hits it.
-    par_map(q, |join| engine.join_stats(db, join));
     let all_stats: Vec<JoinStats> = q.iter().map(|join| engine.join_stats(db, join)).collect();
 
     // Rank the NEI questions: most-promising first by exact overlap

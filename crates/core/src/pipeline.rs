@@ -468,7 +468,7 @@ mod tests {
         assert!(result.stats.counters.cache_misses > 0, "engine was used");
         assert!(
             result.stats.counters.cache_hits > 0,
-            "join stats are pre-collected then re-read: {:?}",
+            "RHS-Discovery re-reads the cached LHS groups: {:?}",
             result.stats.counters
         );
         assert!(result.stats.counters.rows_scanned > 0);

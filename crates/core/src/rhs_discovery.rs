@@ -27,7 +27,6 @@ use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::backend::{g3_error, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
-use dbre_relational::par::par_map;
 use dbre_relational::schema::QualAttrs;
 use dbre_relational::sketch::SketchPruneStats;
 use dbre_relational::stats::StatsEngine;
@@ -92,9 +91,8 @@ pub fn rhs_discovery(
 /// grouped rows. The g3 error shown for a failing test
 /// ([`g3_error`]) reads the same cached groups, over the raw values of
 /// a resident table or the backend-served codes of a streamed one.
-/// The per-candidate tests run through [`par_map`] (concurrent with
-/// `--features parallel`); oracle interaction for failing/elicited FDs
-/// stays sequential and in candidate order.
+/// Oracle interaction for failing/elicited FDs follows the tests, in
+/// candidate order.
 ///
 /// When the exact counts of a single-attribute LHS
 /// ([`CountBackend::column_sketch`]) prove it a key of its extension
@@ -139,9 +137,8 @@ pub fn rhs_discovery_with_engine(
         }
 
         // Step 2 — test each candidate attribute. The extension probes
-        // all share the LHS `A`, so they run through the engine (and
-        // concurrently under `parallel`); the oracle dialogue below
-        // stays sequential in candidate order.
+        // all share the LHS `A`, so they run through the engine; the
+        // oracle dialogue below follows in candidate order.
         let cand_attrs: Vec<AttrId> = t.iter().collect();
         let cand_fds: Vec<Fd> = cand_attrs
             .iter()
@@ -162,7 +159,7 @@ pub fn rhs_discovery_with_engine(
                 if key_sketch.is_some() {
                     out.sketch.verified += cand_fds.len() as u64;
                 }
-                par_map(&cand_fds, |fd| engine.fd_holds(db, fd))
+                cand_fds.iter().map(|fd| engine.fd_holds(db, fd)).collect()
             }
         };
         if key_sketch.is_some() {

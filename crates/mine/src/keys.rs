@@ -25,11 +25,11 @@ use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::backend::{column_cells, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::encode::DictTable;
-use dbre_relational::par::par_map;
 use dbre_relational::schema::RelId;
 use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Work counters.
@@ -73,22 +73,18 @@ pub struct KeyResult {
 /// `max_width` columns (`None` = full lattice). Columns containing
 /// NULL are excluded from key membership.
 pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
-    // One encode pass; the dictionary is shared read-only across the
-    // parallel unary-partition workers, which then only bucket codes.
+    // One encode pass; each unary partition then only buckets codes.
     let dict = DictTable::build(table);
-    let eligible = eligible_columns_raw(table);
-    let attrs: Vec<AttrId> = eligible.iter().map(|&i| AttrId(i)).collect();
-    let seeds = eligible
-        .iter()
-        .copied()
-        .zip(
-            par_map(&attrs, |&a| dict.partition1(a))
-                .into_iter()
-                .map(|p| UnarySeed::Partition {
-                    partition: Arc::new(p),
-                    cardinality: None,
-                }),
-        )
+    let seeds = eligible_columns_raw(table)
+        .into_iter()
+        .map(|i| {
+            let partition = Arc::new(dict.partition1(AttrId(i)));
+            let seed = UnarySeed::Partition {
+                partition,
+                cardinality: None,
+            };
+            (i, seed)
+        })
         .collect();
     discover_keys_seeded(
         table.arity(),
@@ -100,11 +96,9 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 }
 
 /// [`discover_keys`] with the unary seed partitions served through
-/// the counting seam (pass a
-/// [`StatsEngine`] and they are additionally cached), built
-/// concurrently under `--features parallel`. NULL-freeness is read
-/// through [`column_cells`], so a streamed extension answers from its
-/// backend-served dictionaries.
+/// the counting seam (pass a [`StatsEngine`] and they are additionally
+/// cached). NULL-freeness is read through [`column_cells`], so a
+/// streamed extension answers from its backend-served dictionaries.
 ///
 /// When the backend serves a column's exact counts
 /// ([`CountBackend::column_sketch`]), two shortcuts fire (the
@@ -129,14 +123,6 @@ pub fn discover_keys_with_engine(
         .iter()
         .map(|&i| backend.column_sketch(db, rel, AttrId(i)))
         .collect();
-    // Partitions only for the columns the counts couldn't settle.
-    let need: Vec<AttrId> = eligible
-        .iter()
-        .zip(&sketches)
-        .filter(|(_, s)| !s.as_deref().is_some_and(ColumnSketch::is_exact_key))
-        .map(|(&i, _)| AttrId(i))
-        .collect();
-    let mut parts = par_map(&need, |&a| backend.partition1(db, rel, a)).into_iter();
     let mut sk = SketchPruneStats::default();
     let seeds: Vec<(u16, UnarySeed)> = eligible
         .iter()
@@ -147,8 +133,9 @@ pub fn discover_keys_with_engine(
                     sk.pruned += 1;
                     UnarySeed::Key
                 }
+                // A partition only for a column the counts couldn't settle.
                 _ => UnarySeed::Partition {
-                    partition: parts.next().expect("one partition per unsettled column"),
+                    partition: backend.partition1(db, rel, AttrId(i)),
                     cardinality: sketch.as_ref().map(|s| s.distinct_exact()),
                 },
             };
@@ -226,6 +213,7 @@ fn discover_keys_seeded(
         // needs no partition product at all.
         let last_level = width + 1 == max_width;
         let mut next: Vec<(u32, Arc<StrippedPartition>)> = Vec::new();
+        let mut generated: HashSet<u32> = HashSet::new();
         for i in 0..level.len() {
             for j in i + 1..level.len() {
                 let (mx, px) = &level[i];
@@ -234,7 +222,9 @@ fn discover_keys_seeded(
                 if merged.count_ones() != width as u32 + 1 {
                     continue;
                 }
-                if next.iter().any(|(m, _)| *m == merged) {
+                // Each candidate is examined (and counted) once, however
+                // many pairs of this level generate it.
+                if !generated.insert(merged) {
                     continue;
                 }
                 // Prune supersets of found keys.

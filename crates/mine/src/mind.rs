@@ -17,7 +17,6 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::backend::CountBackend;
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Ind, IndSide};
-use dbre_relational::par::par_map;
 use dbre_relational::stats::StatsEngine;
 use std::collections::BTreeSet;
 
@@ -52,10 +51,7 @@ pub fn mind(db: &Database, cfg: &SpiderConfig, max_arity: usize) -> MindResult {
 
 /// [`mind`] with candidate validation served through the counting
 /// seam: pass a [`StatsEngine`] and every `r[X] ⊆ s[Y]` test reuses
-/// the memoized distinct projections. The validations of one level run
-/// through [`par_map`] (concurrent under `--features parallel`,
-/// identical output either way since candidate generation stays
-/// sequential and order-preserving).
+/// the memoized distinct projections.
 pub fn mind_with_stats(
     db: &Database,
     cfg: &SpiderConfig,
@@ -97,11 +93,9 @@ pub fn mind_with_stats(
         }
         stats.candidates += cands.len();
         stats.validated += cands.len();
-        let holds = par_map(&cands, |cand| backend.ind_holds(db, cand));
         let next: Vec<Ind> = cands
             .into_iter()
-            .zip(holds)
-            .filter_map(|(cand, ok)| ok.then_some(cand))
+            .filter(|cand| backend.ind_holds(db, cand))
             .collect();
         all.extend(next.iter().cloned());
         level = next;

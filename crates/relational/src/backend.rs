@@ -156,8 +156,8 @@ pub struct BackendExecStats {
 /// (logically) stateless services over whatever extension they are
 /// handed; any internal caching (see [`EncodedBackend`]) must be
 /// generation-aware and invisible in the results. `Send + Sync` is a
-/// supertrait so one backend can serve the parallel workers of
-/// [`crate::par::par_map`] through a shared reference.
+/// supertrait so one backend can serve concurrent sessions (`dbre-core`'s
+/// `run_service`) through a shared reference.
 ///
 /// Semantics contract (pinned by the differential proptest suites):
 ///
@@ -518,7 +518,7 @@ pub trait ColumnStore: Send + Sync {
     const NAME: &'static str;
     /// Why a column could not be built or read — [`Infallible`] for
     /// resident codes.
-    type Error: Send;
+    type Error;
     /// One cached column: its resident dictionary (a slim one for
     /// spilled codes) and its codes, read through [`Self::pager`].
     type Column: CodeSource<Error = Self::Error> + Send + Sync;
@@ -643,7 +643,7 @@ impl EncodedBackend {
 }
 
 /// Generation-tagged get-or-build on one cache shard. Keys are shared
-/// across concurrent probes (two parallel join probes can touch the
+/// across concurrent sessions (two sessions' probes can touch the
 /// same column), so after building the entry is re-checked under the
 /// write lock: a concurrent winner's entry is adopted and ours
 /// dropped. Building before locking wastes the loser's pass but never

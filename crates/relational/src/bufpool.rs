@@ -71,10 +71,10 @@ struct Inner {
 /// capacity.
 ///
 /// `Send + Sync`: one pool serves every column of a paged backend,
-/// including parallel workers. Loads happen *outside* the lock — two
-/// threads missing the same page may both read it from disk, but the
-/// pool stays responsive and the duplicate insert is benign (the
-/// second loader adopts the first's entry).
+/// across the concurrent sessions sharing it. Loads happen *outside*
+/// the lock — two sessions missing the same page may both read it
+/// from disk, but the pool stays responsive and the duplicate insert
+/// is benign (the second loader adopts the first's entry).
 pub struct BufferPool {
     capacity_pages: usize,
     inner: Mutex<Inner>,

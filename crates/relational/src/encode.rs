@@ -24,8 +24,7 @@
 //! slice the code vector and cannot fail; spilled codes
 //! ([`crate::pages::PagedColumn`], the `paged` backend) read pages
 //! through the buffer pool. Both storage modes therefore share one
-//! scan loop, one deterministic chunk-parallel merge under the
-//! `parallel` feature, and one answer. Cross-column kernels that never
+//! serial scan loop and one answer. Cross-column kernels that never
 //! touch per-row codes — [`code_translation`], [`intersect_count`],
 //! [`decode_set_cols`] — read only the dictionaries.
 //!
@@ -53,7 +52,7 @@
 //! equal.
 //!
 //! A `ColumnDict` is immutable after [`ColumnDict::build`]; sharing
-//! one read-only across [`crate::par::par_map`] workers is safe
+//! one read-only across concurrent sessions on one engine is safe
 //! (`Sync` by construction, no interior mutability). Lifecycle
 //! management — building once per table generation and invalidating on
 //! mutation — lives in the counting backends
@@ -70,7 +69,7 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashSet;
 use std::convert::Infallible;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// The NULL sentinel code: row positions holding SQL `NULL` encode to
@@ -417,13 +416,10 @@ pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKe
 // ---- the kernel family over code sources ----------------------------
 //
 // Every row-scan kernel reads its columns through a [`CodeSource`]:
-// page-sized chunks of codes, streamed in lockstep. Multi-column
-// kernels take the projected columns as a slice (repeats allowed — a
-// projection list can name a column twice) plus the table's row count,
-// which disambiguates the empty projection. Under the `parallel`
-// feature the chunks split into contiguous ranges scanned on scoped
-// threads, and the per-range partials merge in range order, so every
-// answer is byte-identical to the serial scan.
+// page-sized chunks of codes, streamed once, in lockstep, into one
+// accumulator. Multi-column kernels take the projected columns as a
+// slice (repeats allowed — a projection list can name a column twice)
+// plus the table's row count, which disambiguates the empty projection.
 
 /// A column whose per-row codes are read in page-sized chunks through
 /// a pager: chunk `i` holds rows `i * PAGE_CODES ..` up to the next
@@ -434,19 +430,16 @@ pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKe
 /// [`crate::pages::PagedColumn`] is spilled codes: its pager is the
 /// [`crate::bufpool::BufferPool`], each chunk a pooled page, and a read
 /// fails with a [`crate::pages::PageError`].
-pub trait CodeSource: Sync {
+pub trait CodeSource {
     /// What chunks are read through.
-    type Pager: Sync;
+    type Pager;
     /// Why a chunk could not be read — [`Infallible`] for resident
     /// codes.
-    type Error: Send;
+    type Error;
     /// One chunk's codes, borrowed or pinned for the scan.
-    type Chunk<'a>: Deref<Target = [u32]> + Send
+    type Chunk<'a>: Deref<Target = [u32]>
     where
         Self: 'a;
-    /// Whether, under the `parallel` feature, a reader thread fetches
-    /// chunks ahead of the kernel — worth it only where a read blocks.
-    const PREFETCH: bool = false;
 
     /// The column's dictionary; a slim one is enough (kernels read only
     /// its cardinality, NULL count and fused code counts).
@@ -485,150 +478,29 @@ impl CodeSource for ColumnDict {
     }
 }
 
-/// Worker threads for chunked scans. Off-feature this is 1 (every
-/// kernel is one serial scan); with the `parallel` feature it follows
-/// the machine, overridable through `DBRE_PAGED_THREADS` (clamped to
-/// 1..=64) so scaling can be measured — and the parallel code paths
-/// exercised — regardless of the host's core count.
-fn chunk_threads() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
-    #[cfg(feature = "parallel")]
-    {
-        if let Ok(v) = std::env::var("DBRE_PAGED_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.clamp(1, 64);
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
-/// Splits the chunks of a `rows`-row column into at most
-/// [`chunk_threads`] contiguous ranges. Range boundaries depend only on
-/// (rows, threads), so a merge in range order is deterministic.
-fn chunk_ranges(rows: usize) -> Vec<Range<usize>> {
-    let chunks = rows.div_ceil(PAGE_CODES);
-    if chunks == 0 {
-        return Vec::new();
-    }
-    let per = chunks.div_ceil(chunk_threads().clamp(1, chunks));
-    (0..chunks)
-        .step_by(per)
-        .map(|s| s..(s + per).min(chunks))
-        .collect()
-}
-
-/// Runs `f` over every range, one scoped thread per range when the
-/// `parallel` feature is on and there is more than one range, inline
-/// otherwise. Results come back **in range order** regardless of
-/// completion order — the determinism the merges rely on. A worker's
-/// panic resumes on the caller.
-fn run_chunks<R, E, F>(ranges: &[Range<usize>], f: F) -> Vec<Result<R, E>>
-where
-    R: Send,
-    E: Send,
-    F: Fn(Range<usize>) -> Result<R, E> + Sync,
-{
-    #[cfg(feature = "parallel")]
-    if ranges.len() > 1 {
-        return std::thread::scope(|scope| {
-            let workers: Vec<_> = ranges
-                .iter()
-                .map(|r| {
-                    let (f, r) = (&f, r.clone());
-                    scope.spawn(move || f(r))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-    }
-    ranges.iter().map(|r| f(r.clone())).collect()
-}
-
-/// Folds per-range partials in range order. The first partial *is* the
-/// accumulator — moved, never copied — so a single-range scan (the
-/// serial build, or any column of one page) returns its partial as is.
-/// `None` when there were no ranges (an empty column).
-fn merge<R, E>(parts: Vec<Result<R, E>>, mut fold: impl FnMut(&mut R, R)) -> Result<Option<R>, E> {
-    let mut acc = None;
-    for part in parts {
-        let part = part?;
-        match &mut acc {
-            None => acc = Some(part),
-            Some(a) => fold(a, part),
-        }
-    }
-    Ok(acc)
-}
-
-/// How many chunk groups the prefetching reader may run ahead of the
-/// consumer.
-#[cfg(feature = "parallel")]
-const PREFETCH_DEPTH: usize = 2;
-
-/// Streams `range`'s chunks of `cols` in lockstep, calling
+/// Streams the chunks of `rows`-row columns `cols` in lockstep, calling
 /// `f(first_row, slices)` once per chunk in order. Holding the chunks
 /// across the callback keeps pooled pages alive even if the pool
 /// evicts them mid-iteration, so a capacity-1 pool is slow but never
 /// wrong.
-///
-/// Under the `parallel` feature a [`CodeSource::PREFETCH`] source gets
-/// a reader thread fetching chunks ahead of the consumer (bounded by
-/// [`PREFETCH_DEPTH`]), overlapping page I/O with kernel compute.
-/// Chunks are still requested and delivered strictly in order, so
-/// results and pool counters are identical to the plain loop.
-fn stream_range<C: CodeSource>(
+fn stream<C: CodeSource>(
     cols: &[&C],
     pager: &C::Pager,
-    range: Range<usize>,
+    rows: usize,
     mut f: impl FnMut(usize, &[&[u32]]),
 ) -> Result<(), C::Error> {
-    #[cfg(feature = "parallel")]
-    if C::PREFETCH && range.len() > 1 {
-        return std::thread::scope(|scope| {
-            let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_DEPTH);
-            let reader = range.clone();
-            scope.spawn(move || {
-                for i in reader {
-                    let group: Result<Vec<C::Chunk<'_>>, C::Error> =
-                        cols.iter().map(|c| c.chunk(pager, i)).collect();
-                    let stop = group.is_err();
-                    if tx.send(group).is_err() || stop {
-                        return;
-                    }
-                }
-            });
-            for (i, group) in range.zip(rx.iter()) {
-                visit(i, &group?, &mut f);
-            }
-            Ok(())
-        });
-    }
-    for i in range {
-        let group: Vec<C::Chunk<'_>> = cols
+    for i in 0..rows.div_ceil(PAGE_CODES) {
+        let chunks: Vec<C::Chunk<'_>> = cols
             .iter()
             .map(|c| c.chunk(pager, i))
             .collect::<Result<_, _>>()?;
-        visit(i, &group, &mut f);
+        // Lockstep chunks of one table have equal lengths; trimming to
+        // the shortest keeps every index loop in bounds regardless.
+        let n = chunks.iter().map(|c| c.len()).min().unwrap_or(0);
+        let slices: Vec<&[u32]> = chunks.iter().map(|c| &c[..n]).collect();
+        f(i * PAGE_CODES, &slices);
     }
     Ok(())
-}
-
-/// Hands one chunk group to a kernel callback. Lockstep chunks of one
-/// table have equal lengths; trimming to the shortest keeps every
-/// index loop in bounds regardless.
-fn visit<K: Deref<Target = [u32]>>(i: usize, group: &[K], f: &mut impl FnMut(usize, &[&[u32]])) {
-    let n = group.iter().map(|c| c.len()).min().unwrap_or(0);
-    let slices: Vec<&[u32]> = group.iter().map(|c| &c[..n]).collect();
-    f(i * PAGE_CODES, &slices);
 }
 
 /// Per-code occurrence counts of `col` (index 0 = NULL): the
@@ -644,21 +516,13 @@ fn code_counts<'a, C: CodeSource>(
     if fused.len() == domain {
         return Ok(Cow::Borrowed(fused));
     }
-    let parts = run_chunks(&chunk_ranges(col.rows()), |r| {
-        let mut counts: Vec<u64> = vec![0; domain];
-        stream_range(&[col], pager, r, |_, s| {
-            for &c in s[0] {
-                counts[c as usize] += 1;
-            }
-        })?;
-        Ok(counts)
-    });
-    let counts = merge(parts, |acc, part| {
-        for (a, b) in acc.iter_mut().zip(part) {
-            *a += b;
+    let mut counts: Vec<u64> = vec![0; domain];
+    stream(&[col], pager, col.rows(), |_, s| {
+        for &c in s[0] {
+            counts[c as usize] += 1;
         }
     })?;
-    Ok(Cow::Owned(counts.unwrap_or_else(|| vec![0; domain])))
+    Ok(Cow::Owned(counts))
 }
 
 /// The counting-sort slot table: `slots[c]` is the dense group index of
@@ -677,52 +541,25 @@ fn group_slots(counts: &[u64], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
     (slots, sizes)
 }
 
-/// The chunked counting-sort fill shared by [`lhs_groups`] and
-/// [`partition1`]: every row whose code has a slot lands in its group.
-/// Partials concatenate in range order, so row ids stay ascending. A
-/// single range fills its groups in place at their final sizes.
+/// The counting-sort fill shared by [`lhs_groups`] and [`partition1`]:
+/// every row whose code has a slot lands in its group, allocated at
+/// its final size. Rows arrive in order, so row ids stay ascending.
 fn fill_groups<C: CodeSource>(
     col: &C,
     pager: &C::Pager,
     slots: &[u32],
     sizes: &[usize],
 ) -> Result<Vec<Vec<usize>>, C::Error> {
-    let ranges = chunk_ranges(col.rows());
-    let presize = ranges.len() == 1;
-    let parts = run_chunks(&ranges, |r| {
-        let mut part: Vec<Vec<usize>> = sizes
-            .iter()
-            .map(|&n| Vec::with_capacity(if presize { n } else { 0 }))
-            .collect();
-        stream_range(&[col], pager, r, |base, s| {
-            for (i, &c) in s[0].iter().enumerate() {
-                let slot = slots[c as usize];
-                if slot != u32::MAX {
-                    part[slot as usize].push(base + i);
-                }
+    let mut groups: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+    stream(&[col], pager, col.rows(), |base, s| {
+        for (i, &c) in s[0].iter().enumerate() {
+            let slot = slots[c as usize];
+            if slot != u32::MAX {
+                groups[slot as usize].push(base + i);
             }
-        })?;
-        Ok(part)
-    });
-    let groups = merge(parts, |acc, part| {
-        for (g, p) in acc.iter_mut().zip(part) {
-            g.extend(p);
         }
     })?;
-    Ok(groups.unwrap_or_else(|| vec![Vec::new(); sizes.len()]))
-}
-
-/// Unions per-range row-group maps, in range order (row ids stay
-/// ascending within each group).
-fn merge_groups<K: std::hash::Hash + Eq, E>(
-    parts: Vec<Result<FxHashMap<K, Vec<usize>>, E>>,
-) -> Result<FxHashMap<K, Vec<usize>>, E> {
-    let map = merge(parts, |acc, part| {
-        for (k, v) in part {
-            acc.entry(k).or_default().extend(v);
-        }
-    })?;
-    Ok(map.unwrap_or_default())
+    Ok(groups)
 }
 
 /// The groups of two or more rows, sorted (rows arrive ascending within
@@ -736,9 +573,7 @@ fn sorted_groups<K>(map: FxHashMap<K, Vec<usize>>) -> Vec<Vec<usize>> {
 /// The distinct non-NULL projected code tuples (SQL semantics: rows
 /// with a NULL among the projection are dropped) — `‖r[cols]‖` is its
 /// length, and [`decode_set_cols`] recovers the exact
-/// [`Table::distinct_projection`] result. Set contents do not depend
-/// on how the scan was split; only insertion order does, which no
-/// consumer observes.
+/// [`Table::distinct_projection`] result.
 pub fn distinct_codes<C: CodeSource>(
     cols: &[&C],
     pager: &C::Pager,
@@ -759,44 +594,36 @@ pub fn distinct_codes<C: CodeSource>(
         }),
         [ca, cb] => {
             let domain = ca.dict().cardinality() as u64 * cb.dict().cardinality() as u64;
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let cap = domain.min((r.len() * PAGE_CODES).min(rows) as u64) as usize;
-                let mut set: FxHashSet<u64> =
-                    FxHashSet::with_capacity_and_hasher(cap, Default::default());
-                stream_range(cols, pager, r, |_, s| {
-                    for (&x, &y) in s[0].iter().zip(s[1]) {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            set.insert(pack2(x, y));
-                        }
+            let cap = domain.min(rows as u64) as usize;
+            let mut set: FxHashSet<u64> =
+                FxHashSet::with_capacity_and_hasher(cap, Default::default());
+            stream(cols, pager, rows, |_, s| {
+                for (&x, &y) in s[0].iter().zip(s[1]) {
+                    if x != NULL_CODE && y != NULL_CODE {
+                        set.insert(pack2(x, y));
                     }
-                })?;
-                Ok(set)
-            });
-            let set = merge(parts, |acc, part| acc.extend(part))?;
-            Ok(EncodedSet::Packed(set.unwrap_or_default()))
+                }
+            })?;
+            Ok(EncodedSet::Packed(set))
         }
         _ => {
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_range(cols, pager, r, |_, s| {
-                    'rows: for i in 0..s[0].len() {
-                        for (k, c) in scratch.iter_mut().zip(s) {
-                            if c[i] == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *k = c[i];
+            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
+            let mut scratch: Vec<u32> = vec![0; cols.len()];
+            stream(cols, pager, rows, |_, s| {
+                'rows: for i in 0..s[0].len() {
+                    for (k, c) in scratch.iter_mut().zip(s) {
+                        if c[i] == NULL_CODE {
+                            continue 'rows;
                         }
-                        // Probe by slice first so duplicates allocate nothing.
-                        if !set.contains(scratch.as_slice()) {
-                            set.insert(scratch.clone().into_boxed_slice());
-                        }
+                        *k = c[i];
                     }
-                })?;
-                Ok(set)
-            });
-            let set = merge(parts, |acc, part| acc.extend(part))?;
-            Ok(EncodedSet::Wide(set.unwrap_or_default()))
+                    // Probe by slice first so duplicates allocate nothing.
+                    if !set.contains(scratch.as_slice()) {
+                        set.insert(scratch.clone().into_boxed_slice());
+                    }
+                }
+            })?;
+            Ok(EncodedSet::Wide(set))
         }
     }
 }
@@ -831,41 +658,35 @@ pub fn lhs_groups<C: CodeSource>(
             Ok(groups)
         }
         [_, _] => {
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-                stream_range(cols, pager, r, |base, s| {
-                    for (i, (&x, &y)) in s[0].iter().zip(s[1]).enumerate() {
-                        if x != NULL_CODE && y != NULL_CODE {
-                            map.entry(pack2(x, y)).or_default().push(base + i);
-                        }
+            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
+            stream(cols, pager, rows, |base, s| {
+                for (i, (&x, &y)) in s[0].iter().zip(s[1]).enumerate() {
+                    if x != NULL_CODE && y != NULL_CODE {
+                        map.entry(pack2(x, y)).or_default().push(base + i);
                     }
-                })?;
-                Ok(map)
-            });
-            Ok(sorted_groups(merge_groups(parts)?))
+                }
+            })?;
+            Ok(sorted_groups(map))
         }
         _ => {
-            let parts = run_chunks(&chunk_ranges(rows), |r| {
-                let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-                let mut scratch: Vec<u32> = vec![0; cols.len()];
-                stream_range(cols, pager, r, |base, s| {
-                    'rows: for i in 0..s[0].len() {
-                        for (k, c) in scratch.iter_mut().zip(s) {
-                            if c[i] == NULL_CODE {
-                                continue 'rows;
-                            }
-                            *k = c[i];
+            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
+            let mut scratch: Vec<u32> = vec![0; cols.len()];
+            stream(cols, pager, rows, |base, s| {
+                'rows: for i in 0..s[0].len() {
+                    for (k, c) in scratch.iter_mut().zip(s) {
+                        if c[i] == NULL_CODE {
+                            continue 'rows;
                         }
-                        if let Some(g) = map.get_mut(scratch.as_slice()) {
-                            g.push(base + i);
-                        } else {
-                            map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
-                        }
+                        *k = c[i];
                     }
-                })?;
-                Ok(map)
-            });
-            Ok(sorted_groups(merge_groups(parts)?))
+                    if let Some(g) = map.get_mut(scratch.as_slice()) {
+                        g.push(base + i);
+                    } else {
+                        map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
+                    }
+                }
+            })?;
+            Ok(sorted_groups(map))
         }
     }
 }
@@ -889,9 +710,8 @@ pub fn partition1<C: CodeSource>(col: &C, pager: &C::Pager) -> Result<StrippedPa
 /// A fully dictionary-encoded table: one shared [`ColumnDict`] per
 /// attribute, resident.
 ///
-/// Immutable and `Sync` after construction, so parallel workers share
-/// the codes read-only. Whole-table consumers (TANE, SPIDER, key
-/// discovery) use this; per-projection consumers go through a
+/// Immutable after construction. Whole-table consumers (TANE, SPIDER,
+/// key discovery) use this; per-projection consumers go through a
 /// counting backend's column cache.
 #[derive(Debug, Clone, Default)]
 pub struct DictTable {

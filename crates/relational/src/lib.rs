@@ -40,7 +40,6 @@ pub mod fd_theory;
 pub mod ind_theory;
 pub mod normal_forms;
 pub mod pages;
-pub mod par;
 pub mod partitions;
 pub mod schema;
 pub mod sketch;
@@ -62,7 +61,6 @@ pub use encode::{ColumnDict, DictBuilder, DictTable, EncodedSet};
 pub use error::{DbreError, RelationalError};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pages::{PageError, PageFileWriter, PagedBackend, PagedColumn};
-pub use par::par_map;
 pub use partitions::StrippedPartition;
 pub use schema::{QualAttrs, RelId, Relation, Schema};
 pub use sketch::{ColumnSketch, SketchPruneStats};

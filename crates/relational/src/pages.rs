@@ -537,7 +537,6 @@ impl CodeSource for PagedColumn {
     type Pager = BufferPool;
     type Error = PageError;
     type Chunk<'a> = PageCodes;
-    const PREFETCH: bool = true;
 
     fn dict(&self) -> &ColumnDict {
         &self.dict
@@ -915,7 +914,10 @@ mod tests {
         // Enough rows for several pages, with NULLs and duplicates.
         let mut db = Database::new();
         let rel = db
-            .add_relation(Relation::of("T", &[("x", Domain::Int), ("y", Domain::Int)]))
+            .add_relation(Relation::of(
+                "T",
+                &[("x", Domain::Int), ("y", Domain::Int), ("z", Domain::Int)],
+            ))
             .unwrap();
         let rows = PAGE_CODES * 2 + 123;
         for i in 0..rows {
@@ -924,14 +926,22 @@ mod tests {
             } else {
                 Value::Int((i % 1009) as i64)
             };
-            db.insert(rel, vec![x, Value::Int((i % 31) as i64)])
+            // z follows x's period, so the three-column groups are the
+            // (x, y) repeats 31 * 1009 rows apart — on different pages.
+            let z = Value::Int((i % 1009 % 7) as i64);
+            db.insert(rel, vec![x, Value::Int((i % 31) as i64), z])
                 .unwrap();
         }
         let reference = ReferenceBackend;
         let (encoded, paged) = both_stores();
         for backend in [&encoded as &dyn CountBackend, &paged] {
             let name = backend.name();
-            for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
+            for attrs in [
+                vec![AttrId(0)],
+                vec![AttrId(1)],
+                vec![AttrId(0), AttrId(1)],
+                vec![AttrId(1), AttrId(2), AttrId(0)],
+            ] {
                 assert_eq!(
                     backend.count_distinct(&db, rel, &attrs),
                     reference.count_distinct(&db, rel, &attrs),
@@ -1060,75 +1070,6 @@ mod tests {
             assert!(db2.fd_holds(&fd2));
             assert_eq!(backend.exec_stats().fallback_failures, 0, "{name}");
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn chunked_kernels_match_reference_across_thread_counts() {
-        // DBRE_PAGED_THREADS is read per kernel call; every thread
-        // count must give byte-identical answers, over resident and
-        // spilled codes alike. Concurrent tests seeing the transient
-        // value is fine — that is exactly the invariant under test.
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of("P", &[("x", Domain::Int), ("y", Domain::Int)]))
-            .unwrap();
-        let rows = PAGE_CODES * 5 + 321;
-        for i in 0..rows {
-            let x = if i % 53 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 2111) as i64)
-            };
-            db.insert(rel, vec![x, Value::Int((i % 17) as i64)])
-                .unwrap();
-        }
-        let reference = ReferenceBackend;
-        let fds = [
-            Fd {
-                rel,
-                lhs: crate::attr::AttrSet::from_indices([0u16]),
-                rhs: crate::attr::AttrSet::from_indices([1u16]),
-            },
-            Fd {
-                rel,
-                lhs: crate::attr::AttrSet::from_indices([0u16, 1]),
-                rhs: crate::attr::AttrSet::from_indices([0u16]),
-            },
-        ];
-        for threads in ["1", "2", "5"] {
-            std::env::set_var("DBRE_PAGED_THREADS", threads);
-            let (encoded, paged) = (EncodedBackend::new(), PagedBackend::new());
-            for backend in [&encoded as &dyn CountBackend, &paged] {
-                let name = backend.name();
-                for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
-                    assert_eq!(
-                        backend.count_distinct(&db, rel, &attrs),
-                        reference.count_distinct(&db, rel, &attrs),
-                        "{name} threads={threads} attrs={attrs:?}"
-                    );
-                    assert_eq!(
-                        *backend.lhs_groups(&db, rel, &attrs),
-                        *reference.lhs_groups(&db, rel, &attrs),
-                        "{name} threads={threads} attrs={attrs:?}"
-                    );
-                }
-                assert_eq!(
-                    *backend.partition1(&db, rel, AttrId(0)),
-                    *reference.partition1(&db, rel, AttrId(0)),
-                    "{name} threads={threads}"
-                );
-                for fd in &fds {
-                    assert_eq!(
-                        backend.fd_holds(&db, fd),
-                        db.fd_holds(fd),
-                        "{name} threads={threads} {fd:?}"
-                    );
-                }
-                assert_eq!(backend.exec_stats().fallback_failures, 0);
-            }
-        }
-        std::env::remove_var("DBRE_PAGED_THREADS");
     }
 
     #[test]

@@ -25,11 +25,11 @@
 //! and identical caching regardless of the backend underneath.
 //!
 //! Interior mutability (`RwLock` caches, atomic counters) keeps the
-//! whole API on `&self`, so one engine can be shared by the parallel
-//! workers of [`crate::par::par_map`] without cloning caches. Cache
-//! entries racing between workers are resolved by re-checking under
-//! the write lock and *adopting* a concurrent winner's entry as a hit,
-//! so the hit/miss counters match the sequential schedule.
+//! whole API on `&self`, so one engine can be shared by the concurrent
+//! sessions of `dbre-core`'s `run_service` without cloning caches.
+//! Cache entries racing between sessions are resolved by re-checking
+//! under the write lock and *adopting* a concurrent winner's entry as
+//! a hit, so each cold key is charged one miss.
 //!
 //! NULL semantics are the backend contract (see [`CountBackend`]):
 //! projections and [`StatsEngine::lhs_groups`] drop NULL-containing
@@ -156,15 +156,12 @@ impl StatsEngine {
     /// `build` and inserts. `build` returns the value plus the rows
     /// scanned to produce it (charged to the counters on a miss only).
     ///
-    /// Cache keys can be shared across concurrent probes (parallel FD
-    /// checks share an LHS, parallel joins share a side), so after
-    /// building the entry is re-checked under the write lock: if a
-    /// concurrent prober beat us, its entry is adopted as a *hit* and
-    /// ours dropped. Counters then match the sequential schedule
-    /// exactly — one miss per cold key — keeping the `parallel`
-    /// feature's byte-identical-output guarantee. Building before
-    /// locking wastes the loser's pass but never serializes distinct
-    /// keys.
+    /// Cache keys can be shared across concurrent sessions (two
+    /// sessions of `run_service` probe the same LHS or join side), so
+    /// after building the entry is re-checked under the write lock: if
+    /// a concurrent prober beat us, its entry is adopted as a *hit* and
+    /// ours dropped — one miss per cold key. Building before locking
+    /// wastes the loser's pass but never serializes distinct keys.
     fn cached<K, T>(
         &self,
         cache: &RwLock<HashMap<K, Tagged<T>>>,

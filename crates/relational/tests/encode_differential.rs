@@ -8,10 +8,6 @@
 //! Every case runs the one kernel family twice: over resident codes
 //! and over the same codes spilled to page files read through a
 //! one-page buffer pool.
-//!
-//! The same file gates the default and `parallel` builds (CI runs both
-//! feature sets), so the encoded path is pinned to the reference
-//! byte-for-byte regardless of how the engine schedules work.
 
 // Test-support helpers outside #[test] fns; panicking on fixture
 // failure is test behaviour.
@@ -380,8 +376,7 @@ proptest! {
     /// public API over *every in-crate backend* (reference scans and
     /// the dictionary-encoded kernels; the SQL backend joins the
     /// matrix in `dbre-sql`'s `backend_differential`) — covering the
-    /// generation-tagged caches and, under `--features parallel`, the
-    /// shared read-only dictionary access from worker threads.
+    /// generation-tagged caches.
     #[test]
     fn engine_agrees_with_references(
         case in table_and_attrs(),

@@ -9,10 +9,9 @@
 //! SQL path executes real generated `SELECT COUNT(DISTINCT …)`
 //! statements, and [`SqlBackend::failures`] is asserted zero in every
 //! property, so a quoting or generation bug cannot hide behind the
-//! reference fallback. The same file gates the default and `parallel`
-//! builds, and a CI leg re-runs the whole core pipeline suite with
-//! `DBRE_BACKEND=sql` on top (the suite here always covers all four
-//! backends regardless of that variable).
+//! reference fallback. A CI leg re-runs the whole core pipeline suite
+//! with `DBRE_BACKEND=sql` on top (the suite here always covers all
+//! four backends regardless of that variable).
 
 // Test-support helpers outside #[test] fns; panicking on fixture
 // failure is test behaviour.
