@@ -671,7 +671,7 @@ fn x8() {
 /// backend's (8 entities, 1k rows): the CI guard that tier-1 lowering
 /// keeps carrying the SQL path.
 fn xb(check: bool) {
-    use dbre_mine::{check_hash, StrippedPartition};
+    use dbre_mine::{check_hash, discover_keys_with_engine, StrippedPartition};
     use dbre_relational::encode::{partition1, ColumnDict};
     use dbre_relational::{AttrId, AttrSet, CountBackend, Fd, StatsEngine};
 
@@ -751,6 +751,19 @@ fn xb(check: bool) {
                             partition1(&col, &()).unwrap_or_else(|never| match never {}),
                         );
                     }
+                }
+            }),
+        ));
+
+        // Cold key discovery (key inference's kernel): a fresh engine
+        // seeds the unary partitions, then the levelwise search runs
+        // to width 3 on every relation.
+        benches.push((
+            format!("fd_discovery/key_discovery_cold_encoded/{tag}"),
+            median_ns(samples, || {
+                let engine = StatsEngine::new();
+                for (rel, _) in s.db.schema.iter() {
+                    std::hint::black_box(discover_keys_with_engine(&s.db, rel, Some(3), &engine));
                 }
             }),
         ));

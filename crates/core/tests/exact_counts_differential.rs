@@ -250,6 +250,52 @@ fn pigeonhole_skips_only_impossible_candidates() {
     }
 }
 
+/// Key inference past 32 columns: `W(c0, …, c39)` has 16 rows whose
+/// only key is `{c33, c38}` (the two base-4 digits of the row number;
+/// every other column is a parity bit, so no other pair reaches 16
+/// distinct values), next to the small keyless `S(x, y)` keyed by
+/// both columns. Every backend infers both keys, with no degraded
+/// stage.
+#[test]
+fn keys_of_a_relation_wider_than_32_columns() {
+    let mut db = Database::new();
+    let names: Vec<String> = (0..40).map(|i| format!("c{i}")).collect();
+    let columns: Vec<(&str, Domain)> = names.iter().map(|n| (n.as_str(), Domain::Int)).collect();
+    let w = db.add_relation(Relation::of("W", &columns)).unwrap();
+    for row in 0..16i64 {
+        let cells = (0..40i64).map(|c| match c {
+            33 => row / 4,
+            38 => row % 4,
+            _ => (row + c) % 2,
+        });
+        db.insert(w, cells.map(Value::Int).collect()).unwrap();
+    }
+    let s = db
+        .add_relation(Relation::of("S", &[("x", Domain::Int), ("y", Domain::Int)]))
+        .unwrap();
+    for (x, y) in [(1, 1), (1, 2), (2, 1)] {
+        db.insert(s, vec![Value::Int(x), Value::Int(y)]).unwrap();
+    }
+    for backend in BACKENDS {
+        let out = run(&db, &[], backend);
+        assert!(
+            out.stage_errors.is_empty(),
+            "{}: {:?}",
+            backend.name(),
+            out.stage_errors
+        );
+        assert_eq!(
+            keys(&out, [w, s]),
+            vec![
+                Some(AttrSet::from_indices([33u16, 38])),
+                Some(AttrSet::from_indices([0u16, 1]))
+            ],
+            "backend {}",
+            backend.name()
+        );
+    }
+}
+
 /// NULL-only and empty columns: the counts must not invent work or
 /// verdicts where the probes report empty intersections.
 #[test]

@@ -5,9 +5,14 @@
 //! ancient DBMSs predate even `UNIQUE` declarations; this module
 //! recovers candidate keys from the data so the pipeline can run on
 //! such systems: levelwise search over column combinations, where `X`
-//! is unique iff its stripped partition has no class, with supersets
-//! of found keys pruned (minimality) and NULL-free-ness required
-//! (SQL keys are not null).
+//! is unique iff its stripped partition has no class, with
+//! NULL-free-ness required (SQL keys are not null). The search stops
+//! after the narrowest width that holds a key: the pipeline registers
+//! one narrowest key per relation, and every minimal key of that width
+//! is still found, since all its subsets are non-keys and expanded.
+//! The last expanded width only asks whether a candidate is a key, so
+//! it tests [`StrippedPartition::product_is_key`] without building the
+//! product.
 //!
 //! A discovered key is only a *candidate* — uniqueness in a snapshot
 //! is necessary, not sufficient — which is exactly the kind of
@@ -63,15 +68,17 @@ enum UnarySeed {
 /// Result of key discovery on one relation.
 #[derive(Debug, Clone)]
 pub struct KeyResult {
-    /// Minimal unique column sets, sorted.
+    /// The minimal unique column sets of the narrowest width that has
+    /// any (at most the search's `max_width`), sorted.
     pub keys: Vec<AttrSet>,
     /// Work counters.
     pub stats: KeyStats,
 }
 
-/// Discovers all minimal unique column combinations of a table, up to
-/// `max_width` columns (`None` = full lattice). Columns containing
-/// NULL are excluded from key membership.
+/// Discovers the minimal unique column combinations of a table of the
+/// narrowest width that has any, up to `max_width` columns (`None` =
+/// full lattice); wider keys are not searched. Columns containing NULL
+/// are excluded from key membership.
 pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
     // One encode pass; each unary partition then only buckets codes.
     let dict = DictTable::build(table);
@@ -97,8 +104,10 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 
 /// [`discover_keys`] with the unary seed partitions served through
 /// the counting seam (pass a [`StatsEngine`] and they are additionally
-/// cached). NULL-freeness is read through [`column_cells`], so a
-/// streamed extension answers from its backend-served dictionaries.
+/// cached). Like it, returns the minimal keys of the narrowest width
+/// at most `max_width`. NULL-freeness is read through
+/// [`column_cells`], so a streamed extension answers from its
+/// backend-served dictionaries.
 ///
 /// When the backend serves a column's exact counts
 /// ([`CountBackend::column_sketch`]), two shortcuts fire (the
@@ -108,7 +117,7 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 ///   distinct) is accepted without ever building its partition;
 /// * at the last expanded level, a candidate whose product of exact
 ///   unary cardinalities is below the row count cannot be unique
-///   (pigeonhole), so its partition product is skipped.
+///   (pigeonhole), so its key test is skipped.
 pub fn discover_keys_with_engine(
     db: &Database,
     rel: RelId,
@@ -165,7 +174,8 @@ fn eligible_columns_raw(table: &Table) -> Vec<u16> {
 }
 
 /// The shared levelwise search over prebuilt level-1 `seeds`
-/// (column index, seed), in column order.
+/// (column index, seed), in column order. It stops after the narrowest
+/// width that holds a key.
 fn discover_keys_seeded(
     arity: usize,
     rows: usize,
@@ -173,8 +183,6 @@ fn discover_keys_seeded(
     max_width: Option<usize>,
     sketch: SketchPruneStats,
 ) -> KeyResult {
-    let n = arity;
-    assert!(n <= 32, "key discovery supports at most 32 attributes");
     let eligible = seeds.len();
     let mut stats = KeyStats {
         sketch,
@@ -184,55 +192,52 @@ fn discover_keys_seeded(
     let mut keys: Vec<AttrSet> = Vec::new();
     // Exact unary distinct counts where known, for the last-level
     // cardinality bound.
-    let mut cards: Vec<Option<usize>> = vec![None; 32];
+    let mut cards: Vec<Option<usize>> = vec![None; arity];
     // Level 1 seeds: partitions (or settled verdicts) per column.
-    let mut level: Vec<(u32, Arc<StrippedPartition>)> = Vec::new();
+    let mut level: Vec<(AttrSet, Arc<StrippedPartition>)> = Vec::new();
     for (i, seed) in seeds {
         stats.tests += 1;
+        let set = AttrSet::from_indices([i]);
         match seed {
-            UnarySeed::Key => keys.push(AttrSet::from_indices([i])),
+            UnarySeed::Key => keys.push(set),
             UnarySeed::Partition {
                 partition: p,
                 cardinality,
             } => {
-                cards[i as usize] = cardinality;
+                cards[usize::from(i)] = cardinality;
                 if p.is_key() {
-                    keys.push(AttrSet::from_indices([i]));
+                    keys.push(set);
                 } else {
-                    level.push((1 << i, p));
+                    level.push((set, p));
                 }
             }
         }
     }
 
+    // No narrower width held a key, so every NULL-free set of the
+    // current width is generated: stopping after the first width with
+    // a key still finds all of its keys.
     let max_width = max_width.unwrap_or(eligible.max(1));
     let mut width = 1;
-    while width < max_width && !level.is_empty() {
+    while keys.is_empty() && width < max_width && !level.is_empty() {
         // Partitions produced in the last expanded round never expand
         // further, so a candidate the cardinality bound refutes there
-        // needs no partition product at all.
+        // needs no test at all, and the rest need only the verdict.
         let last_level = width + 1 == max_width;
-        let mut next: Vec<(u32, Arc<StrippedPartition>)> = Vec::new();
-        let mut generated: HashSet<u32> = HashSet::new();
+        let mut next: Vec<(AttrSet, Arc<StrippedPartition>)> = Vec::new();
+        let mut generated: HashSet<AttrSet> = HashSet::new();
         for i in 0..level.len() {
             for j in i + 1..level.len() {
-                let (mx, px) = &level[i];
-                let (my, py) = &level[j];
-                let merged = mx | my;
-                if merged.count_ones() != width as u32 + 1 {
-                    continue;
-                }
+                let (x, px) = &level[i];
+                let (y, py) = &level[j];
+                let merged = x.union(y);
                 // Each candidate is examined (and counted) once, however
                 // many pairs of this level generate it.
-                if !generated.insert(merged) {
-                    continue;
-                }
-                // Prune supersets of found keys.
-                if keys.iter().any(|k| mask_of(k) & merged == mask_of(k)) {
+                if merged.len() != width + 1 || !generated.insert(merged.clone()) {
                     continue;
                 }
                 if last_level {
-                    if let Some(bound) = product_card_bound(&cards, merged) {
+                    if let Some(bound) = product_card_bound(&cards, &merged) {
                         stats.sketch.candidates += 1;
                         if bound < rows {
                             // Pigeonhole: at most `bound` distinct
@@ -245,12 +250,20 @@ fn discover_keys_seeded(
                         stats.sketch.verified += 1;
                     }
                 }
-                let p = px.product(py);
                 stats.tests += 1;
-                if p.is_key() {
-                    keys.push(set_of(merged));
+                // Once this width holds a key the search stops after
+                // it, so nothing of it expands: only the verdict is read.
+                if last_level || !keys.is_empty() {
+                    if px.product_is_key(py) {
+                        keys.push(merged);
+                    }
                 } else {
-                    next.push((merged, Arc::new(p)));
+                    let p = px.product(py);
+                    if p.is_key() {
+                        keys.push(merged);
+                    } else {
+                        next.push((merged, Arc::new(p)));
+                    }
                 }
             }
         }
@@ -265,29 +278,17 @@ fn discover_keys_seeded(
     KeyResult { keys, stats }
 }
 
-/// Upper bound on the distinct projections of the column set `mask`:
+/// Upper bound on the distinct projections of the column set `set`:
 /// the product of exact unary distinct counts. `None` when any count
 /// is unknown (the backend served none for that column).
-fn product_card_bound(cards: &[Option<usize>], mask: u32) -> Option<usize> {
-    let mut bound = 1usize;
-    for i in 0..32u16 {
-        if mask & (1 << i) != 0 {
-            bound = bound.saturating_mul(cards[i as usize]?);
-        }
-    }
-    Some(bound)
-}
-
-fn mask_of(set: &AttrSet) -> u32 {
-    set.iter().fold(0u32, |m, a| m | (1 << a.0))
-}
-
-fn set_of(mask: u32) -> AttrSet {
-    AttrSet::from_indices((0..32u16).filter(|i| mask & (1 << i) != 0))
+fn product_card_bound(cards: &[Option<usize>], set: &AttrSet) -> Option<usize> {
+    set.iter().try_fold(1usize, |bound, a| {
+        Some(bound.saturating_mul(cards[a.index()]?))
+    })
 }
 
 /// Infers keys for every relation of a database that has none declared
-/// and registers the narrowest discovered key as its primary key.
+/// and registers a narrowest discovered key as its primary key.
 /// Returns the relations that received an inferred key.
 ///
 /// Equivalent to [`infer_missing_keys_with_engine`] with a throwaway
@@ -301,24 +302,34 @@ pub fn infer_missing_keys(db: &mut Database, max_width: Option<usize>) -> Vec<(R
 /// registration touches only the dictionary, never the tables, so
 /// previously cached entries stay valid) — also returning what the
 /// exact-count shortcuts settled.
+///
+/// Every discovered key of a relation has the narrowest width; among
+/// them the one with the smallest column bitmask wins, which compares
+/// the ids from the highest down (sets of equal size). The keys are registered only after
+/// every relation has been searched, so a search that fails leaves
+/// the dictionary untouched.
 pub fn infer_missing_keys_with_engine(
     db: &mut Database,
     max_width: Option<usize>,
     backend: &dyn CountBackend,
 ) -> (Vec<(RelId, AttrSet)>, SketchPruneStats) {
-    let mut inferred = Vec::new();
     let mut sketch = SketchPruneStats::default();
-    let rels: Vec<RelId> = db.schema.iter().map(|(r, _)| r).collect();
-    for rel in rels {
-        if db.constraints.primary_key(rel).is_some() {
-            continue;
-        }
-        let result = discover_keys_with_engine(db, rel, max_width, backend);
-        sketch.merge(&result.stats.sketch);
-        if let Some(best) = result.keys.iter().min_by_key(|k| (k.len(), mask_of(k))) {
-            db.constraints.add_key(rel, best.clone());
-            inferred.push((rel, best.clone()));
-        }
+    let inferred: Vec<(RelId, AttrSet)> = db
+        .schema
+        .iter()
+        .filter(|&(rel, _)| db.constraints.primary_key(rel).is_none())
+        .filter_map(|(rel, _)| {
+            let result = discover_keys_with_engine(db, rel, max_width, backend);
+            sketch.merge(&result.stats.sketch);
+            let best = result
+                .keys
+                .into_iter()
+                .min_by(|a, b| a.as_slice().iter().rev().cmp(b.as_slice().iter().rev()))?;
+            Some((rel, best))
+        })
+        .collect();
+    for (rel, key) in &inferred {
+        db.constraints.add_key(*rel, key.clone());
     }
     db.constraints.normalize();
     (inferred, sketch)
@@ -408,6 +419,38 @@ mod tests {
         assert!(r.keys.is_empty(), "the only key {{a,b}} is width 2");
         let r = discover_keys(&t, Some(2));
         assert!(r.keys.contains(&AttrSet::from_indices([0u16, 1])));
+    }
+
+    #[test]
+    fn narrowest_keys_and_the_smallest_bitmask_wins() {
+        // No column alone is unique; four column pairs are.
+        let rows: &[&[i64]] = &[&[2, 0, 1, 2], &[2, 0, 2, 0], &[2, 1, 1, 1], &[0, 1, 0, 0]];
+        let pair = |x: u16, y: u16| AttrSet::from_indices([x, y]);
+        let r = discover_keys(&table(rows), Some(3));
+        assert_eq!(r.keys, vec![pair(0, 3), pair(1, 2), pair(1, 3), pair(2, 3)]);
+
+        // {a, d} sorts first as an `AttrSet`, but {b, c} has the
+        // smaller column bitmask (0b0110 < 0b1001).
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of(
+                "R",
+                &[
+                    ("a", Domain::Int),
+                    ("b", Domain::Int),
+                    ("c", Domain::Int),
+                    ("d", Domain::Int),
+                ],
+            ))
+            .unwrap();
+        for row in rows {
+            db.insert(rel, row.iter().map(|&v| Value::Int(v)).collect())
+                .unwrap();
+        }
+        assert_eq!(
+            infer_missing_keys(&mut db, Some(3)),
+            vec![(rel, pair(1, 2))]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use dbre_relational::deps::Fd;
 use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
 use dbre_relational::table::Table;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Discovery statistics, used by the comparison benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -141,16 +141,15 @@ pub fn tane(rel: RelId, table: &Table, max_lhs: Option<usize>) -> TaneResult {
 
         // Generate next level (prefix join) and its partitions.
         let mut next: Vec<u64> = Vec::new();
-        let level_set: std::collections::HashSet<u64> = level.iter().copied().collect();
+        let level_set: HashSet<u64> = level.iter().copied().collect();
+        let mut generated: HashSet<u64> = HashSet::new();
         for i in 0..level.len() {
             for j in i + 1..level.len() {
                 let (x, y) = (level[i], level[j]);
-                // Join only sets sharing all but the last attribute.
+                // Join only sets sharing all but the last attribute,
+                // each set once however many pairs generate it.
                 let merged = x | y;
-                if merged.count_ones() != x.count_ones() + 1 {
-                    continue;
-                }
-                if next.contains(&merged) {
+                if merged.count_ones() != x.count_ones() + 1 || !generated.insert(merged) {
                     continue;
                 }
                 // All |merged|-1 subsets must be in the current level.
@@ -166,10 +165,11 @@ pub fn tane(rel: RelId, table: &Table, max_lhs: Option<usize>) -> TaneResult {
         }
         next.sort_unstable();
 
-        // Free partitions of the previous level-minus-one to bound
-        // memory (only current and next level are needed).
         level = next;
         level_no += 1;
+        // The validity check of the next level reads widths
+        // `level_no - 1` and `level_no` only: free the narrower ones.
+        partitions.retain(|&mask, _| mask.count_ones() as usize + 1 >= level_no);
     }
 
     fds.sort();

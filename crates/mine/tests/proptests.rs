@@ -1,10 +1,14 @@
 //! Property tests: TANE is sound+complete against the naive checker;
-//! SPIDER is sound+complete against pairwise inclusion tests.
+//! SPIDER is sound+complete against pairwise inclusion tests; key
+//! discovery finds exactly the narrowest unique column sets.
+//!
+//! The oracles share no kernel with the code under test: FDs are
+//! checked by hashing value tuples ([`check_hash`]), keys by counting
+//! distinct projected rows, and neither builds a partition.
 
-use dbre_mine::partitions::fd_holds_partition;
 use dbre_mine::spider::{spider, SpiderConfig};
 use dbre_mine::tane::tane;
-use dbre_mine::{fd_error, violations};
+use dbre_mine::{check_hash, discover_keys, fd_error, infer_missing_keys, violations};
 use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::database::Database;
 use dbre_relational::deps::Ind;
@@ -12,6 +16,7 @@ use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn small_table(cols: usize, max_rows: usize, card: i64) -> impl Strategy<Value = Table> {
     prop::collection::vec(prop::collection::vec(0..card, cols..=cols), 0..=max_rows).prop_map(
@@ -26,8 +31,83 @@ fn small_table(cols: usize, max_rows: usize, card: i64) -> impl Strategy<Value =
     )
 }
 
+/// Up to 12 rows over 4 columns with values `0..card`; a column
+/// flagged in `nullable` holds NULL wherever it would hold 0.
+fn nullable_rows(card: i64) -> impl Strategy<Value = Vec<Vec<Value>>> {
+    (
+        prop::collection::vec(any::<bool>(), 4),
+        prop::collection::vec(prop::collection::vec(0..card, 4), 0..=12),
+    )
+        .prop_map(|(nullable, rows)| {
+            rows.into_iter()
+                .map(|r| {
+                    r.into_iter()
+                        .zip(&nullable)
+                        .map(|(v, &n)| {
+                            if n && v == 0 {
+                                Value::Null
+                            } else {
+                                Value::Int(v)
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+}
+
+/// The column bitmasks over 4 columns of the NULL-free column sets of
+/// the smallest width ≤ 3 whose projections are all distinct, by brute
+/// force; empty when no such width exists.
+fn narrowest_unique_masks(rows: &[Vec<Value>]) -> Vec<u32> {
+    let null_free = |c: usize| rows.iter().all(|r| !r[c].is_null());
+    let unique = |mask: u32| {
+        let cols: Vec<usize> = (0..4).filter(|c| mask & (1 << c) != 0).collect();
+        let projected: HashSet<Vec<&Value>> = rows
+            .iter()
+            .map(|r| cols.iter().map(|&c| &r[c]).collect())
+            .collect();
+        cols.iter().all(|&c| null_free(c)) && projected.len() == rows.len()
+    };
+    (1..=3)
+        .map(|width| {
+            (1u32..16)
+                .filter(|m| m.count_ones() == width && unique(*m))
+                .collect::<Vec<u32>>()
+        })
+        .find(|masks| !masks.is_empty())
+        .unwrap_or_default()
+}
+
+fn mask_set(mask: u32) -> AttrSet {
+    AttrSet::from_indices((0..4u16).filter(|c| mask & (1 << c) != 0))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn key_search_finds_the_narrowest_keys(rows in nullable_rows(3)) {
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of(
+                "R",
+                &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int), ("d", Domain::Int)],
+            ))
+            .unwrap();
+        for row in &rows {
+            db.insert(rel, row.clone()).unwrap();
+        }
+        let masks = narrowest_unique_masks(&rows);
+        let mut expected: Vec<AttrSet> = masks.iter().map(|&m| mask_set(m)).collect();
+        expected.sort();
+        prop_assert_eq!(discover_keys(db.table(rel), Some(3)).keys, expected);
+
+        // The registered key: narrowest, then smallest bitmask.
+        let registered: Vec<(RelId, AttrSet)> =
+            masks.iter().min().map(|&m| (rel, mask_set(m))).into_iter().collect();
+        prop_assert_eq!(infer_missing_keys(&mut db, Some(3)), registered);
+    }
 
     #[test]
     fn tane_matches_naive_enumeration(t in small_table(4, 12, 3)) {
@@ -42,12 +122,14 @@ proptest! {
                     .filter(|i| lhs_mask & (1 << i) != 0)
                     .map(AttrId)
                     .collect();
-                let holds = fd_holds_partition(&t, &lhs, &[AttrId(rhs)]);
+                // NULL-free tables: `check_hash`'s SQL NULL convention
+                // agrees with TANE's NULL = NULL.
+                let holds = check_hash(&t, &lhs, &[AttrId(rhs)]);
                 let minimal = holds
                     && lhs.iter().all(|d| {
                         let smaller: Vec<AttrId> =
                             lhs.iter().copied().filter(|a| a != d).collect();
-                        !fd_holds_partition(&t, &smaller, &[AttrId(rhs)])
+                        !check_hash(&t, &smaller, &[AttrId(rhs)])
                     });
                 let lhs_set = AttrSet::from_iter_ids(lhs.iter().copied());
                 let rhs_set = AttrSet::from_indices([rhs]);

@@ -85,27 +85,84 @@ impl StrippedPartition {
         self.classes.is_empty()
     }
 
-    /// Partition product `π_X · π_Y = π_{XY}` (TANE's linear-time
-    /// algorithm with a probe table).
+    /// Partition product `π_X · π_Y = π_{XY}`: TANE's linear-time
+    /// algorithm with a probe table (Huhtala et al.).
+    ///
+    /// Each class of `other` is walked twice: once to drop its rows
+    /// into one bucket per class of `self`, once to emit every bucket
+    /// holding two rows or more (and empty it for the next class).
+    /// Rows arrive in ascending order, so every emitted class is
+    /// sorted; the classes are disjoint, so ordering them by first row
+    /// yields the same lexicographic order [`for_attribute`] builds,
+    /// and products compare equal by `==` with directly built
+    /// partitions.
+    ///
+    /// [`for_attribute`]: Self::for_attribute
     pub fn product(&self, other: &Self) -> Self {
         debug_assert_eq!(self.rows, other.rows);
-        // probe[row] = class index in self (+1), 0 = stripped singleton.
-        let mut probe = vec![0usize; self.rows];
-        for (ci, class) in self.classes.iter().enumerate() {
+        let probe = self.probe();
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.classes.len()];
+        let mut classes = Vec::new();
+        for class in &other.classes {
             for &r in class {
-                probe[r] = ci + 1;
+                if let Some(b) = slot(&probe, r) {
+                    buckets[b].push(r);
+                }
             }
-        }
-        let mut groups: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
-        for (cj, class) in other.classes.iter().enumerate() {
             for &r in class {
-                let pi = probe[r];
-                if pi != 0 {
-                    groups.entry((pi, cj)).or_default().push(r);
+                if let Some(b) = slot(&probe, r) {
+                    let bucket = &mut buckets[b];
+                    if bucket.len() >= 2 {
+                        classes.push(bucket.clone());
+                    }
+                    bucket.clear();
                 }
             }
         }
-        Self::from_groups(groups.into_values(), self.rows)
+        classes.sort_unstable_by_key(|c: &Vec<usize>| c[0]);
+        StrippedPartition {
+            classes,
+            rows: self.rows,
+        }
+    }
+
+    /// Is `π_X · π_Y` a key (all classes singleton)? Equals
+    /// `self.product(other).is_key()` without building the product:
+    /// it fills the same probe table, keeps one marker per class of
+    /// `self` (the last class of `other` that reached it), and answers
+    /// `false` at the first two rows that share a class on both sides.
+    pub fn product_is_key(&self, other: &Self) -> bool {
+        debug_assert_eq!(self.rows, other.rows);
+        let probe = self.probe();
+        let mut seen = vec![0u32; self.classes.len()];
+        for (cj, class) in other.classes.iter().enumerate() {
+            let mark = cj as u32 + 1;
+            for &r in class {
+                if let Some(b) = slot(&probe, r) {
+                    if seen[b] == mark {
+                        return false;
+                    }
+                    seen[b] = mark;
+                }
+            }
+        }
+        true
+    }
+
+    /// The probe table of the product: `probe[row]` is the index of the
+    /// row's class in `self` plus one, 0 for a stripped singleton.
+    /// Class indices fit in `u32`: a stripped partition has at most
+    /// `rows / 2` classes, and 2³³ rows of `usize` classes would not
+    /// fit in memory.
+    fn probe(&self) -> Vec<u32> {
+        debug_assert!(self.classes.len() < u32::MAX as usize);
+        let mut probe = vec![0u32; self.rows];
+        for (ci, class) in self.classes.iter().enumerate() {
+            for &r in class {
+                probe[r] = ci as u32 + 1;
+            }
+        }
+        probe
     }
 
     /// Does the FD `X → Y` hold, given `π_X` (self) and `π_{XY}`?
@@ -114,6 +171,12 @@ impl StrippedPartition {
     pub fn refines_to(&self, product_with_rhs: &Self) -> bool {
         self.error() == product_with_rhs.error()
     }
+}
+
+/// The class index a probe table gives row `r` (`None` for a row the
+/// probed partition stripped as a singleton).
+fn slot(probe: &[u32], r: usize) -> Option<usize> {
+    probe[r].checked_sub(1).map(|b| b as usize)
 }
 
 /// Convenience: does `X → Y` hold in `table` (NULL = NULL convention)?

@@ -1,16 +1,19 @@
 //! Property-based tests for the relational substrate:
-//! AttrSet algebra laws, FD-theory laws, table counting invariants.
+//! AttrSet algebra laws, FD-theory laws, table counting invariants,
+//! and the partition product against a direct grouping of the rows.
 
 use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::deps::Fd;
 use dbre_relational::fd_theory::{
     candidate_keys, closure, equivalent, implies, is_superkey, minimal_cover,
 };
+use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::RelId;
 use dbre_relational::synthesis::synthesize_3nf;
 use dbre_relational::table::Table;
 use dbre_relational::value::Value;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 const R: RelId = RelId(0);
 
@@ -29,6 +32,70 @@ fn fd_strategy(max_attr: u16) -> impl Strategy<Value = Fd> {
 
 fn fd_set(max_attr: u16) -> impl Strategy<Value = Vec<Fd>> {
     prop::collection::vec(fd_strategy(max_attr), 0..8)
+}
+
+/// Up to 40 rows over 3 or 4 columns; cells are 0..=2, or NULL for
+/// code 3.
+// A test-support helper outside #[test] fns: every row has the
+// table's arity, and a fixture failure panicking is test behaviour.
+#[allow(clippy::unwrap_used)]
+fn partition_table() -> impl Strategy<Value = Table> {
+    (
+        3usize..=4,
+        prop::collection::vec(prop::collection::vec(0i64..=3, 4), 0..=40),
+    )
+        .prop_map(|(cols, rows)| {
+            let cell = |code: i64| {
+                if code == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(code)
+                }
+            };
+            Table::from_rows(
+                cols,
+                rows.into_iter()
+                    .map(|r| r.into_iter().take(cols).map(cell).collect::<Vec<_>>()),
+            )
+            .unwrap()
+        })
+}
+
+/// The stripped partition of `attrs`, built without any product: rows
+/// grouped on their value tuples directly (NULL = NULL).
+fn grouped(table: &Table, attrs: &[AttrId]) -> StrippedPartition {
+    let mut groups: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
+    for row in 0..table.len() {
+        let tuple = attrs.iter().map(|&a| &table.column(a)[row]).collect();
+        groups.entry(tuple).or_default().push(row);
+    }
+    let mut classes: Vec<Vec<usize>> = groups.into_values().filter(|c| c.len() >= 2).collect();
+    classes.sort();
+    StrippedPartition {
+        classes,
+        rows: table.len(),
+    }
+}
+
+/// Every attribute list of length 1–3 over `arity` columns, repeats
+/// included.
+fn attr_lists(arity: u16) -> Vec<Vec<AttrId>> {
+    let mut lists: Vec<Vec<AttrId>> = (0..arity).map(|a| vec![AttrId(a)]).collect();
+    let mut frontier = lists.clone();
+    for _ in 1..3 {
+        frontier = frontier
+            .iter()
+            .flat_map(|l| {
+                (0..arity).map(move |a| {
+                    let mut longer = l.clone();
+                    longer.push(AttrId(a));
+                    longer
+                })
+            })
+            .collect();
+        lists.extend(frontier.iter().cloned());
+    }
+    lists
 }
 
 proptest! {
@@ -261,5 +328,35 @@ proptest! {
             Table::from_rows(1, rows.iter().map(|a| vec![Value::Int(*a)])).unwrap();
         let sub = table.distinct_subtable(&[AttrId(0)]);
         prop_assert_eq!(sub.len(), table.count_distinct(&[AttrId(0)]));
+    }
+
+    // ---- Partition product ----
+
+    #[test]
+    fn product_equals_a_direct_grouping(t in partition_table()) {
+        for attrs in attr_lists(t.arity() as u16) {
+            prop_assert_eq!(
+                StrippedPartition::for_attrs(&t, &attrs),
+                grouped(&t, &attrs),
+                "attrs {:?}", attrs
+            );
+        }
+    }
+
+    #[test]
+    fn product_is_key_equals_the_built_product(t in partition_table()) {
+        let arity = t.arity() as u16;
+        let unary = (0..arity).map(|a| vec![AttrId(a)]);
+        let binary = (0..arity)
+            .flat_map(|a| (a + 1..arity).map(move |b| vec![AttrId(a), AttrId(b)]));
+        let parts: Vec<StrippedPartition> = unary
+            .chain(binary)
+            .map(|attrs| StrippedPartition::for_attrs(&t, &attrs))
+            .collect();
+        for p in &parts {
+            for q in &parts {
+                prop_assert_eq!(p.product_is_key(q), p.product(q).is_key());
+            }
+        }
     }
 }
