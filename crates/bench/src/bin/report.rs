@@ -802,6 +802,33 @@ fn xb(check: bool) {
         ));
     }
 
+    // Cold RHS-Discovery (§6.2.2) over the scenario's LHS candidates,
+    // on the database it reads in a pipeline run: every candidate
+    // `A → b` asks its g3 error once, on a fresh engine per sample.
+    // The pipeline run that yields the inputs is outside the clock.
+    let rhs_rows: &[usize] = if check {
+        &[1000, 10_000]
+    } else {
+        &[1000, 10_000, 100_000]
+    };
+    for &rows in rhs_rows {
+        let s = scenario(8, rows, 42);
+        let inputs = run_truth(&s);
+        benches.push((
+            format!("fd_discovery/rhs_fd_questions_cold_encoded/e8_r{rows}"),
+            median_ns(samples, || {
+                let engine = StatsEngine::new();
+                std::hint::black_box(dbre_core::rhs_discovery_with_engine(
+                    &inputs.db_before,
+                    &inputs.lhs,
+                    &mut AutoOracle::default(),
+                    &RhsOptions::default(),
+                    &engine,
+                ));
+            }),
+        ));
+    }
+
     // Per-backend end-to-end pipeline rows: the same run_with_q served
     // by each CountBackend through the one counting seam (small
     // extension — the SQL backend executes every ‖·‖ probe as a real

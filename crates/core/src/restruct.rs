@@ -26,11 +26,11 @@
 use crate::ind_discovery::unique_name;
 use crate::oracle::{DecisionRecord, NamingContext, NewRelationReason, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::{plurality, set_cells, CountBackend};
+use dbre_relational::backend::{pluralities, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind, IndSide};
 use dbre_relational::schema::{QualAttrs, RelId, Relation};
-use dbre_relational::{Attribute, DbreError, RelationalError, Table};
+use dbre_relational::{Attribute, DbreError, RelationalError, Table, Value};
 
 /// Result of Restruct.
 #[derive(Debug, Clone, Default)]
@@ -269,46 +269,53 @@ pub fn restruct(
 
 /// Builds the extension of an FD-split relation `R_p(A B)`: one tuple
 /// per distinct non-null `A` value, in first-seen order, carrying the
-/// [`plurality`] `B` value of its group (ties broken by first
+/// [`pluralities`] `B` value of its group (ties broken by first
 /// occurrence). Identical to the distinct projection whenever `A → B`
 /// actually holds. A row in no group of `engine`'s LHS groups is the
-/// only one with its `A` value and keeps its own `B`.
+/// only one with its `A` value and keeps its own `B`. The columns are
+/// gathered once each, from the source rows of every output tuple.
 fn fd_repaired_subtable(
     db: &Database,
     fd: &Fd,
     engine: &dyn CountBackend,
 ) -> Result<Table, DbreError> {
     let a_ids: Vec<AttrId> = fd.lhs.iter().collect();
-    let a = set_cells(engine, db, fd.rel, &fd.lhs);
-    let b = set_cells(engine, db, fd.rel, &fd.rhs);
     let groups = engine.lhs_groups(db, fd.rel, &a_ids);
+    let sources = pluralities(engine, db, fd, &groups);
+    let table = db.table(fd.rel);
     // Per row: the group it starts, `GROUPED` for a later row of a
     // group, `SINGLE` for a row in no group (NULL or unique `A`).
     const SINGLE: usize = usize::MAX;
     const GROUPED: usize = usize::MAX - 1;
-    let mut group_of = vec![SINGLE; db.table(fd.rel).len()];
+    let mut group_of = vec![SINGLE; table.len()];
     for (g, group) in groups.iter().enumerate() {
         group_of[group[0]] = g;
         for &i in &group[1..] {
             group_of[i] = GROUPED;
         }
     }
-    let mut out = Table::new(a.len() + b.len());
-    for (i, &g) in group_of.iter().enumerate() {
-        let source = match g {
-            GROUPED => continue,
-            SINGLE if a.iter().any(|c| c.is_null(i)) => continue,
-            SINGLE => i,
-            g => plurality(&groups[g], &b).0,
-        };
-        let row = a
-            .iter()
-            .map(|c| c.value(i))
-            .chain(b.iter().map(|c| c.value(source)))
-            .collect();
-        out.push_row(row)?;
-    }
-    Ok(out)
+    // Per output tuple, the row its `A` and the row its `B` come from.
+    let (a_rows, b_rows): (Vec<usize>, Vec<usize>) = group_of
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &g)| match g {
+            GROUPED => None,
+            SINGLE if table.row_has_null(i, &a_ids) => None,
+            SINGLE => Some((i, i)),
+            g => Some((i, sources[g].0)),
+        })
+        .unzip();
+    let gather = |attr: AttrId, rows: &[usize]| -> Vec<Value> {
+        let column = table.column(attr);
+        rows.iter().map(|&i| column[i].clone()).collect()
+    };
+    let columns = fd
+        .lhs
+        .iter()
+        .map(|a| gather(a, &a_rows))
+        .chain(fd.rhs.iter().map(|b| gather(b, &b_rows)))
+        .collect();
+    Ok(Table::from_columns(columns)?)
 }
 
 /// Redirects IND sides from `(rel, attrs)` to `(new_rel, new_attrs)`.
@@ -447,7 +454,8 @@ mod tests {
     use super::*;
     use crate::oracle::{DenyOracle, ScriptedOracle};
     use dbre_relational::stats::StatsEngine;
-    use dbre_relational::value::{Domain, Value};
+    use dbre_relational::value::Domain;
+    use proptest::prelude::*;
 
     /// Department(dep key, emp, skill, location, proj) + Project-ish
     /// Assignment(emp, dep, proj, date, pname) with keys as in §5.
@@ -730,6 +738,85 @@ mod tests {
         ];
         assert_eq!(got, want);
         assert_eq!(db.schema.relation(t).arity(), 2, "b left T");
+    }
+
+    /// The `Value`-level reference for an FD split: one row per
+    /// distinct non-NULL `lhs` tuple in first-seen order, carrying the
+    /// `rhs` tuple that occurs most often with it, ties going to the
+    /// first to occur.
+    fn reference_split(t: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> Vec<Vec<Value>> {
+        let mut order: Vec<Vec<Value>> = Vec::new();
+        let mut tallies: std::collections::HashMap<Vec<Value>, Vec<(Vec<Value>, usize)>> =
+            std::collections::HashMap::new();
+        for i in (0..t.len()).filter(|&i| !t.row_has_null(i, lhs)) {
+            let (a, b) = (t.project_row(i, lhs), t.project_row(i, rhs));
+            let tally = tallies.entry(a.clone()).or_insert_with(|| {
+                order.push(a);
+                Vec::new()
+            });
+            match tally.iter_mut().find(|(seen, _)| *seen == b) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((b, 1)),
+            }
+        }
+        order
+            .into_iter()
+            .map(|a| {
+                let tally = &tallies[&a];
+                let max = tally.iter().map(|(_, n)| *n).max().unwrap();
+                let (b, _) = tally.iter().find(|(_, n)| *n == max).unwrap();
+                a.iter().chain(b).cloned().collect()
+            })
+            .collect()
+    }
+
+    fn cell() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            (0i64..3).prop_map(Value::Int),
+            (0i64..3).prop_map(Value::Int),
+            Just(Value::Null),
+            Just(Value::str("x")),
+            Just(Value::float(f64::NAN)),
+        ]
+    }
+
+    proptest! {
+        /// On generated tables with NULL and NaN cells, the split of an
+        /// FD enforced over dirty data — composite LHS and RHS included
+        /// — equals the `Value`-level plurality reference, on the
+        /// encoded and the reference engine.
+        #[test]
+        fn enforced_split_matches_the_value_plurality_reference(
+            rows in prop::collection::vec(prop::collection::vec(cell(), 4), 0..30),
+            lhs_width in 1usize..3,
+            rhs_width in 1usize..3,
+        ) {
+            let table = Table::from_rows(4, rows).unwrap();
+            let lhs: Vec<AttrId> = (0..lhs_width as u16).map(AttrId).collect();
+            let rhs: Vec<AttrId> = (2..2 + rhs_width as u16).map(AttrId).collect();
+            let expected = reference_split(&table, &lhs, &rhs);
+            let relation = Relation::of(
+                "T",
+                &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int), ("d", Domain::Int)],
+            );
+            let fd = Fd::new(
+                RelId(0),
+                AttrSet::from_iter_ids(lhs.iter().copied()),
+                AttrSet::from_iter_ids(rhs.iter().copied()),
+            );
+            let engines = [
+                StatsEngine::new(),
+                StatsEngine::with_backend(Box::new(dbre_relational::ReferenceBackend)),
+            ];
+            for engine in engines {
+                let mut db = Database::new();
+                db.add_relation_with_table(relation.clone(), table.clone()).unwrap();
+                let out = restruct(&mut db, std::slice::from_ref(&fd), &[], &[], &mut DenyOracle, &engine)
+                    .unwrap();
+                let got: Vec<Vec<Value>> = db.table(out.fd_relations[0]).rows().collect();
+                prop_assert_eq!(&got, &expected, "{}", engine.backend_name());
+            }
+        }
     }
 
     #[test]

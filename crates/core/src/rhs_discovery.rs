@@ -9,8 +9,9 @@
 //!    in the object the paper is after.
 //! 2. *Test each candidate*: `A → b` against the extension; on failure
 //!    the expert user may still enforce it (dirty data, step (ii)),
-//!    shown its g3 error. Both questions read the rows grouped by `A`
-//!    that the counting engine caches once per step.
+//!    shown its g3 error. One question answers both: the g3 error,
+//!    0 iff the FD holds, read from the rows grouped by `A` that the
+//!    counting engine caches once per step.
 //! 3. If `B ≠ ∅` the FD `R_i : A → B` joins `F` (after expert
 //!    validation) and `R_i.A` leaves `H` if it was there; if `B = ∅`
 //!    and `R_i.A ∉ H`, the expert decides whether `R_i.A` is a hidden
@@ -24,7 +25,7 @@
 use crate::lhs_discovery::LhsDiscovery;
 use crate::oracle::{DecisionRecord, FdContext, HiddenContext, Oracle};
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::{g3_error, CountBackend};
+use dbre_relational::backend::CountBackend;
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
 use dbre_relational::schema::QualAttrs;
@@ -87,12 +88,12 @@ pub fn rhs_discovery(
 /// `engine`.
 ///
 /// All candidates `b` of one step share the LHS `A`, so the engine
-/// groups the rows agreeing on `A` once and every test only rescans the
-/// grouped rows. The g3 error shown for a failing test
-/// ([`g3_error`]) reads the same cached groups, over the raw values of
-/// a resident table or the backend-served codes of a streamed one.
-/// Oracle interaction for failing/elicited FDs follows the tests, in
-/// candidate order.
+/// groups the rows agreeing on `A` once, and each candidate asks one
+/// question, [`CountBackend::fd_error`]: its g3 error over the grouped
+/// rows' codes of `b`, 0 iff `A → b` holds and shown to the expert
+/// when it fails. A [`StatsEngine`] caches the answer, so a warm engine
+/// asks nothing twice. Oracle interaction for failing/elicited FDs
+/// follows the tests, in candidate order.
 ///
 /// When the exact counts of a single-attribute LHS
 /// ([`CountBackend::column_sketch`]) prove it a key of its extension
@@ -150,29 +151,28 @@ pub fn rhs_discovery_with_engine(
             (true, Some(attr)) => engine.column_sketch(db, rel, attr),
             _ => None,
         };
-        let holds_vec: Vec<bool> = match &key_sketch {
+        let errors: Vec<f64> = match &key_sketch {
             Some(s) if s.is_exact_key() => {
                 out.sketch.pruned += cand_fds.len() as u64;
-                vec![true; cand_fds.len()]
+                vec![0.0; cand_fds.len()]
             }
             _ => {
                 if key_sketch.is_some() {
                     out.sketch.verified += cand_fds.len() as u64;
                 }
-                cand_fds.iter().map(|fd| engine.fd_holds(db, fd)).collect()
+                cand_fds.iter().map(|fd| engine.fd_error(db, fd)).collect()
             }
         };
         if key_sketch.is_some() {
             out.sketch.candidates += cand_fds.len() as u64;
         }
         let mut b = AttrSet::empty();
-        for ((cand_attr, fd), holds) in cand_attrs.iter().zip(&cand_fds).zip(holds_vec) {
+        for ((cand_attr, fd), error) in cand_attrs.iter().zip(&cand_fds).zip(errors) {
             let cand_attr = *cand_attr;
             out.fd_checks += 1;
-            if holds {
+            if error == 0.0 {
                 b.insert(cand_attr);
             } else {
-                let error = g3_error(engine, db, fd);
                 let enforced = oracle.enforce_fd(&FdContext { db, fd, error });
                 out.log.push(DecisionRecord::new(
                     "RHS-Discovery/enforce",

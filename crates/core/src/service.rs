@@ -161,7 +161,9 @@ pub fn shared_engine(options: &PipelineOptions) -> Arc<StatsEngine> {
 /// degradation behavior, same audit-log order — stage panics are
 /// contained *inside* the session by its single catch-unwind site, so
 /// one analyst's failing stage never takes down a neighbor. Outcomes
-/// come back in session-index order regardless of scheduling.
+/// come back in session-index order regardless of scheduling. Only
+/// two or more sessions spawn threads, one each; a lone session runs
+/// on the calling thread.
 pub fn run_service<O, F>(
     snapshot: &DbSnapshot,
     engine: &Arc<StatsEngine>,
@@ -175,44 +177,49 @@ where
     F: Fn(usize) -> O + Sync,
 {
     let start = Instant::now();
-    let outcomes: Vec<SessionOutcome> = std::thread::scope(|scope| {
-        let make_oracle = &make_oracle;
-        let handles: Vec<_> = (0..sessions)
-            .map(|i| {
-                let engine = Arc::clone(engine);
-                scope.spawn(move || {
-                    let t = Instant::now();
-                    let mut oracle = TimingOracle::new(make_oracle(i));
-                    let mut session = DbreSession::with_engine(
-                        snapshot.to_database(),
-                        &mut oracle,
-                        options.clone(),
-                        engine,
-                    );
-                    session.admit_q(q);
-                    for stage in stages(&session.options) {
-                        session.run_stage(stage.as_ref());
-                    }
-                    let result = session.into_result();
-                    SessionOutcome {
-                        result,
-                        latencies: oracle.latencies,
-                        wall: t.elapsed(),
-                    }
+    let session = |i: usize| {
+        let t = Instant::now();
+        let mut oracle = TimingOracle::new(make_oracle(i));
+        let mut session = DbreSession::with_engine(
+            snapshot.to_database(),
+            &mut oracle,
+            options.clone(),
+            Arc::clone(engine),
+        );
+        session.admit_q(q);
+        for stage in stages(&session.options) {
+            session.run_stage(stage.as_ref());
+        }
+        let result = session.into_result();
+        SessionOutcome {
+            result,
+            latencies: oracle.latencies,
+            wall: t.elapsed(),
+        }
+    };
+    // A lone session runs on the calling thread: a fresh thread per
+    // dialogue would cost its start-up, and its allocations could land
+    // in a fresh malloc arena.
+    let outcomes: Vec<SessionOutcome> = if sessions < 2 {
+        (0..sessions).map(session).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let session = &session;
+            let handles: Vec<_> = (0..sessions)
+                .map(|i| scope.spawn(move || session(i)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match h.join() {
+                    Ok(outcome) => outcome,
+                    // Only a panic *outside* run_stage's containment can
+                    // land here (a bug, not an expected path) — re-raise
+                    // rather than invent a fake outcome.
+                    Err(payload) => std::panic::resume_unwind(payload),
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(outcome) => outcome,
-                // Only a panic *outside* run_stage's containment can
-                // land here (a bug, not an expected path) — re-raise
-                // rather than invent a fake outcome.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
+                .collect()
+        })
+    };
     ServiceReport {
         outcomes,
         wall: start.elapsed(),
@@ -306,6 +313,34 @@ mod tests {
         // baseline diff: engine-absolute misses only ever grow, so a
         // session re-reporting engine totals could never shrink.
         assert!(warm.cache_hits > 0, "warm probes hit shared entries");
+    }
+
+    /// A lone session runs on the calling thread — its oracle is made
+    /// there — while two sessions each get a thread of their own.
+    #[test]
+    fn a_lone_session_runs_on_the_calling_thread() {
+        let (db, q) = legacy();
+        let options = PipelineOptions::default();
+        let snapshot = DbSnapshot::new(db);
+        let engine = shared_engine(&options);
+        let caller = std::thread::current().id();
+        let threads = std::sync::Mutex::new(Vec::new());
+        let make_oracle = |_| {
+            threads.lock().unwrap().push(std::thread::current().id());
+            AutoOracle::default()
+        };
+        let lone = run_service(&snapshot, &engine, &q, &options, 1, make_oracle);
+        assert!(lone.outcomes[0].result.is_complete());
+        assert_eq!(*threads.lock().unwrap(), vec![caller]);
+
+        threads.lock().unwrap().clear();
+        let pair = run_service(&snapshot, &engine, &q, &options, 2, make_oracle);
+        assert!(pair.logs_identical());
+        assert_eq!(pair.outcomes[0].result.log, lone.outcomes[0].result.log);
+        let spawned = threads.lock().unwrap();
+        assert_eq!(spawned.len(), 2);
+        assert!(spawned.iter().all(|&id| id != caller));
+        assert_ne!(spawned[0], spawned[1]);
     }
 
     #[test]

@@ -17,14 +17,21 @@
 use dbre_core::oracle::AutoOracle;
 use dbre_core::pipeline::{run_with_q, PipelineOptions, PipelineResult};
 use dbre_core::session::BackendChoice;
+use dbre_mine::discover_keys_with_engine;
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::counting::EquiJoin;
+use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
+use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
+use dbre_relational::encode::ColumnDict;
+use dbre_relational::pages::PagedBackend;
+use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::sketch::SketchPruneStats;
+use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::value::{Domain, OrdF64, Value};
+use dbre_sql::SqlBackend;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 /// Codes 0..=5 as an int column value: 5 is NULL (NULL-heavy when the
 /// generator clusters high).
@@ -313,5 +320,90 @@ fn null_only_columns_stay_identical() {
             "backend {}",
             backend.name()
         );
+    }
+}
+
+/// A backend decorator that records every column `partition1` builds.
+struct PartitionLog {
+    inner: Box<dyn CountBackend>,
+    built: Mutex<Vec<AttrId>>,
+}
+
+impl CountBackend for PartitionLog {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
+        self.inner.count_distinct(db, rel, attrs)
+    }
+
+    fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
+        self.inner.join_stats(db, join)
+    }
+
+    fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
+        self.inner.lhs_groups(db, rel, attrs)
+    }
+
+    fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
+        self.built.lock().unwrap().push(attr);
+        self.inner.partition1(db, rel, attr)
+    }
+
+    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
+        self.inner.column_dict(db, rel, attr)
+    }
+
+    fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
+        self.inner.column_sketch(db, rel, attr)
+    }
+}
+
+/// Once the exact counts prove one column a key, key inference stops
+/// at width 1, so no partition is built for a column the counts settle
+/// — here the repeating `grp` — and only a column without counts gets
+/// one. `K(id, grp, opt)`: `id` is unique and NULL-free, `grp` repeats,
+/// `opt` holds a NULL. All four backends find the same key.
+#[test]
+fn a_count_proven_key_spares_the_count_settled_partitions() {
+    let mut db = Database::new();
+    let k = db
+        .add_relation(Relation::of(
+            "K",
+            &[
+                ("id", Domain::Int),
+                ("grp", Domain::Int),
+                ("opt", Domain::Int),
+            ],
+        ))
+        .unwrap();
+    for i in 0..6 {
+        let opt = if i == 3 { Value::Null } else { Value::Int(i) };
+        db.insert(k, vec![Value::Int(i), Value::Int(i % 2), opt])
+            .unwrap();
+    }
+    let backends: [Box<dyn CountBackend>; 4] = [
+        Box::new(ReferenceBackend),
+        Box::new(EncodedBackend::new()),
+        Box::new(SqlBackend::new()),
+        Box::new(PagedBackend::new()),
+    ];
+    for inner in backends {
+        let counted = matches!(inner.name(), "encoded" | "paged");
+        let log = PartitionLog {
+            inner,
+            built: Mutex::new(Vec::new()),
+        };
+        let result = discover_keys_with_engine(&db, k, Some(3), &log);
+        let name = log.name();
+        assert_eq!(result.keys, vec![AttrSet::from_indices([0u16])], "{name}");
+        let built = log.built.into_inner().unwrap();
+        if counted {
+            assert!(built.is_empty(), "{name} built partitions for {built:?}");
+            assert_eq!(result.stats.sketch.pruned, 2, "{name}");
+        } else {
+            assert_eq!(built, vec![AttrId(0), AttrId(1)], "{name}");
+        }
     }
 }

@@ -12,8 +12,8 @@
 //!   the RHS value set.
 //!
 //! These are `Value`-level references: the pipeline's g3 error is
-//! [`dbre_relational::backend::g3_error`], the same number read from
-//! the counting engine's cached LHS groups.
+//! [`dbre_relational::CountBackend::fd_error`], the same number read
+//! from the counting engine's cached LHS groups and column codes.
 
 use crate::fd_check::violations;
 use dbre_relational::attr::AttrId;

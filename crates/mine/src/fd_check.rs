@@ -15,7 +15,7 @@
 //! `g3` counter backing approximate dependencies in [`crate::approx`].
 //!
 //! These are references: the pipeline's FD test is the counting seam's
-//! `CountBackend::fd_holds`, read from the engine's cached LHS groups.
+//! `CountBackend::fd_error`, read from the engine's cached LHS groups.
 
 use crate::partitions::fd_holds_partition;
 use dbre_relational::attr::AttrId;

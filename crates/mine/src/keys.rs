@@ -19,15 +19,16 @@
 //! presumption the paper routes through the expert user.
 //!
 //! Served through the counting seam ([`discover_keys_with_engine`]),
-//! two exact-count shortcuts ([`ColumnSketch`]) spare partition work
+//! exact-count shortcuts ([`ColumnSketch`]) spare partition work
 //! without changing the keys found: a NULL-free column with as many
-//! distinct values as rows is a key without a partition, and at the
-//! last level a column set whose product of unary distinct counts is
-//! below the row count cannot be unique (pigeonhole).
+//! distinct values as rows is a key without a partition, and then no
+//! other column whose counts settle it needs one; at the last level a
+//! column set whose product of unary distinct counts is below the row
+//! count cannot be unique (pigeonhole).
 
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
-use dbre_relational::backend::{column_cells, CountBackend};
+use dbre_relational::backend::CountBackend;
 use dbre_relational::database::Database;
 use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
@@ -56,6 +57,10 @@ enum UnarySeed {
     /// nothing expands from a key, so no partition is ever built for
     /// it.
     Key,
+    /// Proven no key by exact counts, in a relation where another
+    /// column's counts prove a key: the search stops at width 1, so
+    /// nothing expands from it either.
+    NonKey,
     /// The unary partition (shared with the engine's cache), with the
     /// exact distinct count when the backend served one (feeds the
     /// last-level cardinality bound).
@@ -105,16 +110,19 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 /// [`discover_keys`] with the unary seed partitions served through
 /// the counting seam (pass a [`StatsEngine`] and they are additionally
 /// cached). Like it, returns the minimal keys of the narrowest width
-/// at most `max_width`. NULL-freeness is read through
-/// [`column_cells`], so a streamed extension answers from its
-/// backend-served dictionaries.
+/// at most `max_width`. NULL-freeness is read off the exact counts, or
+/// the [`CountBackend::column_codes`] when the backend serves none, so
+/// a streamed extension answers without a raw column.
 ///
 /// When the backend serves a column's exact counts
-/// ([`CountBackend::column_sketch`]), two shortcuts fire (the
+/// ([`CountBackend::column_sketch`]), three shortcuts fire (the
 /// discovered keys are identical either way):
 ///
 /// * a level-1 column the counts prove a key (NULL-free, every row
 ///   distinct) is accepted without ever building its partition;
+/// * once one column is proven a key, the search stops at width 1,
+///   where the counts settle every other column they cover, so only
+///   the columns without counts get a partition;
 /// * at the last expanded level, a candidate whose product of exact
 ///   unary cardinalities is below the row count cannot be unique
 ///   (pigeonhole), so its key test is skipped.
@@ -125,23 +133,23 @@ pub fn discover_keys_with_engine(
     backend: &dyn CountBackend,
 ) -> KeyResult {
     let table = db.table(rel);
-    let eligible: Vec<u16> = (0..table.arity() as u16)
-        .filter(|&i| !column_cells(backend, db, rel, AttrId(i)).has_null())
+    let eligible: Vec<(u16, Option<Arc<ColumnSketch>>)> = (0..table.arity() as u16)
+        .map(|i| (i, backend.column_sketch(db, rel, AttrId(i))))
+        .filter(|(i, sketch)| match sketch {
+            Some(s) => s.null_count() == 0,
+            None => !backend.column_codes(db, rel, AttrId(*i)).has_null(),
+        })
         .collect();
-    let sketches: Vec<Option<Arc<ColumnSketch>>> = eligible
+    let count_proven_key = eligible
         .iter()
-        .map(|&i| backend.column_sketch(db, rel, AttrId(i)))
-        .collect();
+        .any(|(_, sketch)| sketch.as_ref().is_some_and(|s| s.is_exact_key()));
     let mut sk = SketchPruneStats::default();
     let seeds: Vec<(u16, UnarySeed)> = eligible
-        .iter()
-        .zip(&sketches)
-        .map(|(&i, sketch)| {
-            let seed = match sketch {
-                Some(s) if s.is_exact_key() => {
-                    sk.pruned += 1;
-                    UnarySeed::Key
-                }
+        .into_iter()
+        .map(|(i, sketch)| {
+            let seed = match &sketch {
+                Some(s) if s.is_exact_key() => UnarySeed::Key,
+                Some(_) if count_proven_key => UnarySeed::NonKey,
                 // A partition only for a column the counts couldn't settle.
                 _ => UnarySeed::Partition {
                     partition: backend.partition1(db, rel, AttrId(i)),
@@ -150,8 +158,10 @@ pub fn discover_keys_with_engine(
             };
             if sketch.is_some() {
                 sk.candidates += 1;
-                if !matches!(seed, UnarySeed::Key) {
+                if matches!(seed, UnarySeed::Partition { .. }) {
                     sk.verified += 1;
+                } else {
+                    sk.pruned += 1;
                 }
             }
             (i, seed)
@@ -200,6 +210,7 @@ fn discover_keys_seeded(
         let set = AttrSet::from_indices([i]);
         match seed {
             UnarySeed::Key => keys.push(set),
+            UnarySeed::NonKey => {}
             UnarySeed::Partition {
                 partition: p,
                 cardinality,

@@ -37,19 +37,20 @@
 //! convention (`NULL = NULL`). Every implementation must reproduce
 //! these exactly — the differential proptests enforce it.
 
-use crate::attr::{AttrId, AttrSet};
+use crate::attr::AttrId;
 use crate::bufpool::PageCacheStats;
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::{Fd, Ind};
-use crate::encode::{self, decode_set_cols, intersect_count, CodeSource, ColumnDict, EncodedSet};
+use crate::encode::{
+    self, decode_set_cols, intersect_count, tuple_keys, CodeSource, ColumnCodes, ColumnDict,
+    EncodedSet, Tally,
+};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
 use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
-use crate::value::Value;
-use std::cmp::{Ordering, Reverse};
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::sync::{Arc, RwLock};
@@ -170,7 +171,8 @@ pub struct BackendExecStats {
 ///   size ≥ 2 agreeing on the attributes, NULL-bearing rows skipped
 ///   (unless the attribute list is empty), groups ascending and sorted;
 /// * [`fd_holds`](CountBackend::fd_holds) — SQL convention, same
-///   answer as [`Database::fd_holds`];
+///   answer as [`Database::fd_holds`]; [`fd_error`](CountBackend::fd_error)
+///   is 0 exactly then;
 /// * [`partition1`](CountBackend::partition1) — the mining convention
 ///   (`NULL = NULL`) of [`crate::partitions`].
 pub trait CountBackend: Send + Sync {
@@ -201,19 +203,23 @@ pub trait CountBackend: Send + Sync {
     /// Does `fd` hold in the extension? SQL NULL semantics: NULL-LHS
     /// rows are skipped; the RHS comparison is structural equality on
     /// the cells (`NULL = NULL`, `NaN = NaN` by bit key). The default
-    /// asks [`lhs_groups`](CountBackend::lhs_groups) for the groups —
-    /// cached when `self` is a [`crate::stats::StatsEngine`] — and
-    /// requires every group to be uniform on the RHS
-    /// [`column_cells`]: only the grouped rows are touched, and a
-    /// key-like LHS (no group) reads no RHS cell at all.
+    /// reads the same answer as [`fd_error`](CountBackend::fd_error):
+    /// the FD holds iff its g3 error is 0.
     fn fd_holds(&self, db: &Database, fd: &Fd) -> bool {
-        let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-        let groups = self.lhs_groups(db, fd.rel, &lhs);
-        if groups.is_empty() {
-            return true;
-        }
-        let rhs = set_cells(self, db, fd.rel, &fd.rhs);
-        groups.iter().all(|group| uniform(group, &rhs))
+        self.fd_error(db, fd) == 0.0
+    }
+
+    /// The `g3` error of `fd`: the fraction of the rows with a non-NULL
+    /// LHS to delete for it to hold — every LHS group keeps its
+    /// plurality RHS and loses the rest. 0 iff the FD holds; the same
+    /// number as the `Value`-level reference (`dbre_mine`'s
+    /// `fd_error`). The default reads the
+    /// [`lhs_groups`](CountBackend::lhs_groups) and the RHS
+    /// [`column_codes`](CountBackend::column_codes) — both cached when
+    /// `self` is a [`crate::stats::StatsEngine`], which caches the
+    /// answer too — and allocates nothing per group.
+    fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
+        g3_error(self, db, fd)
     }
 
     /// Does `ind` hold in the extension? Same answer as
@@ -248,17 +254,38 @@ pub trait CountBackend: Send + Sync {
     /// The backend's dictionary encoding of one column, per-row codes
     /// included, when it maintains one — the dict-access seam for
     /// streamed extensions, whose raw cells are not resident:
-    /// [`column_cells`] serves a streamed table's cells from it (the
-    /// FD test, the g3 error and key inference's NULL-freeness read
-    /// them), and Restruct hydrates streamed columns from it. Every
-    /// caller asks only about streamed tables, which only the paged
-    /// backend serves. The columnar
+    /// [`column_codes`](CountBackend::column_codes) serves a streamed
+    /// table's codes from it, and Restruct hydrates streamed columns
+    /// from it. Every caller asks only about streamed tables, which
+    /// only the paged backend serves. The columnar
     /// backends answer from the same generation-tagged column cache as
     /// their counting probes; the reference and SQL backends keep no
     /// encoding and return `None`.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let _ = (db, rel, attr);
         None
+    }
+
+    /// One column's per-row codes, as every FD question reads its
+    /// cells ([`ColumnCodes`]): a resident table's come from a
+    /// codes-only encoding of its values, a streamed table's from the
+    /// backend's [`column_dict`](CountBackend::column_dict).
+    ///
+    /// # Panics
+    ///
+    /// On a streamed table whose backend serves no dictionary: a wiring
+    /// bug (adoption installs the pages before discovery runs), which
+    /// the session's per-stage isolation turns into a degraded stage.
+    fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
+        let table = db.table(rel);
+        if table.is_materialized() {
+            return Arc::new(ColumnCodes::encode(table.column(attr)));
+        }
+        Arc::new(ColumnCodes::Streamed(
+            self.column_dict(db, rel, attr).unwrap_or_else(|| {
+                panic!("streamed extension must have backend-served column dictionaries")
+            }),
+        ))
     }
 
     /// One column's exact row, NULL and distinct counts
@@ -300,149 +327,54 @@ pub trait CountBackend: Send + Sync {
     }
 }
 
-/// One column's cells as the FD questions read them (see
-/// [`column_cells`]). Two rows hold the same cell exactly when their
-/// values are structurally equal (`NULL = NULL`, `NaN = NaN` by bit
-/// key) in either form, because one dictionary's codes are injective
-/// on values.
-pub enum Cells<'a> {
-    /// A resident table's raw column.
-    Values(&'a [Value]),
-    /// A streamed table's backend-served dictionary, per-row codes
-    /// included ([`encode::NULL_CODE`] for NULL).
-    Codes(Arc<ColumnDict>),
-}
-
-impl Cells<'_> {
-    /// Is row `i`'s cell NULL?
-    pub fn is_null(&self, i: usize) -> bool {
-        match self {
-            Cells::Values(v) => v[i].is_null(),
-            Cells::Codes(d) => d.codes()[i] == encode::NULL_CODE,
-        }
-    }
-
-    /// Does any row hold NULL?
-    pub fn has_null(&self) -> bool {
-        match self {
-            Cells::Values(v) => v.iter().any(Value::is_null),
-            Cells::Codes(d) => d.null_count() > 0,
-        }
-    }
-
-    /// Row `i`'s value, decoded from its code on a streamed table.
-    pub fn value(&self, i: usize) -> Value {
-        match self {
-            Cells::Values(v) => v[i].clone(),
-            Cells::Codes(d) => d.value_of(d.codes()[i]).cloned().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Orders rows `i` and `j` by their cells — `Equal` exactly when
-    /// they hold the same cell.
-    fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
-        match self {
-            Cells::Values(v) => v[i].cmp(&v[j]),
-            Cells::Codes(d) => d.codes()[i].cmp(&d.codes()[j]),
-        }
-    }
-}
-
-/// Do all rows of `group` (non-empty) hold the same `cells`?
-fn uniform(group: &[usize], cells: &[Cells<'_>]) -> bool {
-    group[1..]
+/// The g3 error of `fd` — the default [`CountBackend::fd_error`] —
+/// read off `backend`'s LHS groups and their [`pluralities`]: each
+/// group's size minus its plurality count, summed, over the rows with
+/// a non-NULL LHS. A key-like LHS (no group) reads nothing else, and
+/// only a failing FD asks for that row count, as the grouped rows plus
+/// one row per distinct LHS value outside the groups.
+pub(crate) fn g3_error<B: CountBackend + ?Sized>(backend: &B, db: &Database, fd: &Fd) -> f64 {
+    let lhs: Vec<AttrId> = fd.lhs.iter().collect();
+    let groups = backend.lhs_groups(db, fd.rel, &lhs);
+    let grouped: usize = groups.iter().map(Vec::len).sum();
+    let kept: usize = pluralities(backend, db, fd, &groups)
         .iter()
-        .all(|&i| cells.iter().all(|c| c.cmp_rows(i, group[0]).is_eq()))
-}
-
-/// The cells of `rel.attr`: its raw values while the table is
-/// resident, the backend-served dictionary codes
-/// ([`CountBackend::column_dict`]) when it is a streamed extension,
-/// whose raw columns are empty. With the LHS groups, this is all the
-/// FD test ([`CountBackend::fd_holds`]), the [`g3_error`] and
-/// Restruct's [`plurality`] split read.
-///
-/// # Panics
-///
-/// On a streamed table whose backend serves no dictionary: a wiring
-/// bug (adoption installs the pages before discovery runs), which the
-/// session's per-stage isolation turns into a degraded stage.
-pub fn column_cells<'a, B: CountBackend + ?Sized>(
-    backend: &B,
-    db: &'a Database,
-    rel: RelId,
-    attr: AttrId,
-) -> Cells<'a> {
-    let table = db.table(rel);
-    if table.is_materialized() {
-        return Cells::Values(table.column(attr));
-    }
-    Cells::Codes(backend.column_dict(db, rel, attr).unwrap_or_else(|| {
-        panic!("streamed extension must have backend-served column dictionaries")
-    }))
-}
-
-/// [`column_cells`] of every attribute of `attrs`, in order.
-pub fn set_cells<'a, B: CountBackend + ?Sized>(
-    backend: &B,
-    db: &'a Database,
-    rel: RelId,
-    attrs: &AttrSet,
-) -> Vec<Cells<'a>> {
-    attrs
-        .iter()
-        .map(|a| column_cells(backend, db, rel, a))
-        .collect()
-}
-
-/// The plurality right-hand side of one LHS group: the row whose
-/// `rhs` cells occur most often among the rows of `group` (ascending,
-/// as [`CountBackend::lhs_groups`] returns it), ties going to the
-/// first occurrence, and how often they occur. NULL and NaN cells
-/// count as values.
-pub fn plurality(group: &[usize], rhs: &[Cells<'_>]) -> (usize, usize) {
-    if uniform(group, rhs) {
-        return (group[0], group.len());
-    }
-    let by_cells = |i: &usize, j: &usize| {
-        rhs.iter()
-            .map(|c| c.cmp_rows(*i, *j))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    };
-    // A stable sort keeps each run of equal cells in row order, so a
-    // run starts at its first occurrence.
-    let mut rows = group.to_vec();
-    rows.sort_by(by_cells);
-    rows.chunk_by(|i, j| by_cells(i, j).is_eq())
-        .map(|run| (run[0], run.len()))
-        .max_by_key(|&(first, n)| (n, Reverse(first)))
-        .unwrap_or((group[0], 0))
-}
-
-/// The `g3` error of `fd`: the fraction of the rows with a non-NULL
-/// LHS to delete for it to hold — every LHS group keeps its
-/// [`plurality`] RHS and loses the rest. Read from `backend`'s LHS
-/// groups (cached when it is a [`crate::stats::StatsEngine`], which
-/// RHS-Discovery's failing test just filled) and [`column_cells`];
-/// the same number as the `Value`-level reference (`dbre_mine`'s
-/// `fd_error`). 0 iff the FD holds.
-pub fn g3_error(backend: &dyn CountBackend, db: &Database, fd: &Fd) -> f64 {
-    let lhs_cells = set_cells(backend, db, fd.rel, &fd.lhs);
-    let considered = (0..db.table(fd.rel).len())
-        .filter(|&i| !lhs_cells.iter().any(|c| c.is_null(i)))
-        .count();
-    if considered == 0 {
+        .map(|&(_, n)| n)
+        .sum();
+    if grouped == kept {
         return 0.0;
     }
-    let lhs: Vec<AttrId> = fd.lhs.iter().collect();
-    let rhs = set_cells(backend, db, fd.rel, &fd.rhs);
-    let violations: usize = backend
-        .lhs_groups(db, fd.rel, &lhs)
+    let considered = grouped + backend.count_distinct(db, fd.rel, &lhs) - groups.len();
+    (grouped - kept) as f64 / considered as f64
+}
+
+/// The plurality right-hand side of every group of `groups` (the LHS
+/// groups of `fd`, as [`CountBackend::lhs_groups`] returns them): per
+/// group, the row where its most frequent `fd.rhs` cells first occur —
+/// ties going to the earliest first occurrence — and how often they
+/// occur. NULL and NaN cells count as values. Reads the RHS
+/// [`CountBackend::column_codes`] (none when there is no group) and
+/// allocates nothing per group.
+pub fn pluralities<B: CountBackend + ?Sized>(
+    backend: &B,
+    db: &Database,
+    fd: &Fd,
+    groups: &[Vec<usize>],
+) -> Vec<(usize, usize)> {
+    if groups.is_empty() {
+        return Vec::new();
+    }
+    let rhs: Vec<Arc<ColumnCodes>> = fd
+        .rhs
         .iter()
-        .map(|group| group.len() - plurality(group, &rhs).1)
-        .sum();
-    violations as f64 / considered as f64
+        .map(|a| backend.column_codes(db, fd.rel, a))
+        .collect();
+    let (keys, count) = tuple_keys(&rhs, groups, db.table(fd.rel).len());
+    let mut tally = Tally::new(count);
+    groups
+        .iter()
+        .map(|group| tally.plurality(group, &keys))
+        .collect()
 }
 
 /// Shared `Value`-level implementation of the LHS-group contract (see
@@ -890,7 +822,7 @@ mod tests {
     use crate::attr::AttrSet;
     use crate::deps::IndSide;
     use crate::schema::Relation;
-    use crate::value::Domain;
+    use crate::value::{Domain, Value};
 
     fn sample_db() -> (Database, RelId, RelId) {
         let mut db = Database::new();

@@ -44,18 +44,22 @@
 //! `&dyn CountBackend` parameter. The engine inherits the seam's
 //! extension tests, which read its caches: [`CountBackend::ind_holds`]
 //! the memoized join statistics, and [`CountBackend::fd_holds`] the
-//! cached LHS groups. [`crate::backend::g3_error`] and Restruct's
-//! plurality split read the same groups, so a batch of `A → b` tests,
-//! the g3 error of a failing one and the split of an enforced one
-//! group the rows by `A` once.
+//! cached g3 error. Every FD question — the test, the g3 error of a
+//! failing one and Restruct's split of an enforced one
+//! ([`crate::backend::pluralities`]) — reads the cached LHS groups
+//! and the cached per-row codes of the RHS columns, so a batch of
+//! `A → b` tests groups the rows by `A` once, encodes each `b` once,
+//! and asks each FD once.
 
 use crate::attr::AttrId;
 use crate::backend::{
-    read_recover, write_recover, BackendExecStats, CountBackend, EncodedBackend, Tagged,
+    g3_error, read_recover, write_recover, BackendExecStats, ColumnCache, CountBackend,
+    EncodedBackend, Tagged,
 };
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
-use crate::encode::ColumnDict;
+use crate::deps::Fd;
+use crate::encode::{ColumnCodes, ColumnDict};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
@@ -83,7 +87,7 @@ pub struct StatsCounters {
     pub cache_hits: u64,
     /// Lookups that had to (re)build an entry.
     pub cache_misses: u64,
-    /// Table rows scanned while building cache entries. An FD test's
+    /// Table rows scanned while building cache entries. A g3 error's
     /// pass over its (cached) LHS groups is not counted.
     pub rows_scanned: u64,
 }
@@ -111,6 +115,12 @@ pub struct StatsEngine {
     projections: AttrCache<HashSet<ProjKey>>,
     partitions: AttrCache<StrippedPartition>,
     lhs_groups: AttrCache<Vec<Vec<usize>>>,
+    /// Per-row codes of the columns FD questions read, tagged with the
+    /// generation they were encoded at; a streamed table's entry
+    /// survives hydration, which keeps the generation.
+    codes: ColumnCache<ColumnCodes>,
+    /// g3 errors per FD, tagged with the generation of its relation.
+    fd_errors: RwLock<HashMap<Fd, Tagged<f64>>>,
     joins: RwLock<HashMap<EquiJoin, TaggedJoin>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -139,6 +149,8 @@ impl StatsEngine {
             projections: RwLock::default(),
             partitions: RwLock::default(),
             lhs_groups: RwLock::default(),
+            codes: RwLock::default(),
+            fd_errors: RwLock::default(),
             joins: RwLock::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -314,6 +326,30 @@ impl StatsEngine {
         })
     }
 
+    /// One column's per-row codes ([`CountBackend::column_codes`]),
+    /// built by the backend once per table generation and shared out
+    /// of the cache.
+    pub fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
+        let gen = db.generation(rel);
+        self.cached(&self.codes, (rel, attr), gen, || {
+            (
+                self.backend.column_codes(db, rel, attr),
+                db.table(rel).len() as u64,
+            )
+        })
+    }
+
+    /// The g3 error of `fd` ([`CountBackend::fd_error`]), computed once
+    /// per generation of its relation from the cached LHS groups and
+    /// column codes. Its pass over the grouped rows is not counted as
+    /// scanned.
+    pub fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
+        let gen = db.generation(fd.rel);
+        *self.cached(&self.fd_errors, fd.clone(), gen, || {
+            (Arc::new(g3_error(self, db, fd)), 0)
+        })
+    }
+
     /// Prewarms `rel`: lets the backend build its internal structures
     /// while the rows are hot (e.g. right after a CSV import) and
     /// primes the unary count cache, so the first statistics query
@@ -413,6 +449,14 @@ impl CountBackend for StatsEngine {
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         self.backend.column_dict(db, rel, attr)
+    }
+
+    fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
+        StatsEngine::column_codes(self, db, rel, attr)
+    }
+
+    fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
+        StatsEngine::fd_error(self, db, fd)
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
@@ -551,6 +595,46 @@ mod tests {
         db.insert(t, vec![Value::Int(1), Value::Int(99)]).unwrap();
         assert!(!engine.fd_holds(&db, &fd));
         assert_eq!(engine.fd_holds(&db, &fd), db.fd_holds(&fd));
+    }
+
+    /// The cached g3 error is tagged with its relation's generation: a
+    /// mutation is seen by the very next ask, which rebuilds the LHS
+    /// groups and the RHS codes it reads, while an untouched relation's
+    /// answer stays a hit.
+    #[test]
+    fn mutation_invalidates_a_cached_g3_error() {
+        for engine in engines() {
+            let (mut db, l, r) = two_table_db();
+            let fd = Fd::new(
+                l,
+                AttrSet::from_indices([1u16]),
+                AttrSet::from_indices([0u16]),
+            );
+            let other = Fd::new(r, AttrSet::empty(), AttrSet::from_indices([0u16]));
+            // b → a: the group b=20 holds a=2 and a=3, one of 5 rows
+            // to delete; R's four distinct rows lose three.
+            assert_eq!(engine.fd_error(&db, &fd), 1.0 / 5.0);
+            assert_eq!(engine.fd_error(&db, &other), 3.0 / 4.0);
+            db.insert(l, vec![Value::Int(5), Value::Int(20)]).unwrap();
+            let misses = engine.counters().cache_misses;
+            assert_eq!(
+                engine.fd_error(&db, &fd),
+                2.0 / 6.0,
+                "{}",
+                engine.backend_name()
+            );
+            assert!(
+                engine.counters().cache_misses > misses,
+                "the stale entry is rebuilt"
+            );
+            let misses = engine.counters().cache_misses;
+            assert_eq!(engine.fd_error(&db, &other), 3.0 / 4.0);
+            assert_eq!(
+                engine.counters().cache_misses,
+                misses,
+                "R kept its generation"
+            );
+        }
     }
 
     #[test]

@@ -114,6 +114,22 @@ impl Table {
         Ok(t)
     }
 
+    /// Bulk constructor from columns, which must share one length (the
+    /// first column's; a table without columns has no rows). A column
+    /// of another length is an [`RelationalError::ArityMismatch`] with
+    /// the two lengths.
+    pub fn from_columns(columns: Vec<Vec<Value>>) -> Result<Self, RelationalError> {
+        let rows = columns.first().map_or(0, Vec::len);
+        if let Some(ragged) = columns.iter().find(|c| c.len() != rows) {
+            return Err(RelationalError::ArityMismatch {
+                relation: String::from("<detached table>"),
+                expected: rows,
+                got: ragged.len(),
+            });
+        }
+        Ok(Table { columns, rows })
+    }
+
     /// Single cell access.
     #[inline]
     pub fn cell(&self, row: usize, attr: AttrId) -> &Value {
