@@ -806,6 +806,7 @@ fn xb(check: bool) {
     // on the database it reads in a pipeline run: every candidate
     // `A → b` asks its g3 error once, on a fresh engine per sample.
     // The pipeline run that yields the inputs is outside the clock.
+    // Restruct's row below reads the same run.
     let rhs_rows: &[usize] = if check {
         &[1000, 10_000]
     } else {
@@ -825,6 +826,29 @@ fn xb(check: bool) {
                     &RhsOptions::default(),
                     &engine,
                 ));
+            }),
+        ));
+        // Cold Restruct (§7) over the same run's elicited F, H and IND:
+        // a fresh engine per sample builds the LHS groups and g3 errors
+        // the splits read. Each sample restructures
+        // `inputs.db_before.clone()`, an O(relations) clone inside the
+        // clock that shares every table and column.
+        benches.push((
+            format!("restruct/split_cold_encoded/e8_r{rows}"),
+            median_ns(samples, || {
+                let engine = StatsEngine::new();
+                let mut db = inputs.db_before.clone();
+                std::hint::black_box(
+                    dbre_core::restruct(
+                        &mut db,
+                        &inputs.rhs.fds,
+                        &inputs.rhs.hidden,
+                        &inputs.ind.inds,
+                        &mut AutoOracle::default(),
+                        &engine,
+                    )
+                    .expect("restruct over the pipeline's own inputs"),
+                );
             }),
         ));
     }

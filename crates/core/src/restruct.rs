@@ -16,12 +16,14 @@
 //!
 //! Unlike the paper (which works on schema text), this implementation
 //! also restructures the *extension*: new relations receive the
-//! distinct projection of their source — for an FD split, one row per
-//! `A` group of the counting engine's cached LHS groups, carrying the
-//! group's plurality `B` when the expert enforced the FD over dirty
-//! data — and split-off attributes are physically dropped, so the
-//! output is a runnable database whose 3NF-ness the test suite
-//! verifies.
+//! distinct projection of their source — one row per `A` group of the
+//! counting engine's cached LHS groups, for a hidden object as for an
+//! FD split, carrying the group's plurality `B` when the expert
+//! enforced the FD over dirty data — and split-off attributes are
+//! physically dropped, so the output is a runnable database whose
+//! 3NF-ness the test suite verifies. A trimmed relation shares its
+//! kept columns with the table it replaces ([`Table::drop_columns`]):
+//! no cell is copied.
 
 use crate::ind_discovery::unique_name;
 use crate::oracle::{DecisionRecord, NamingContext, NewRelationReason, Oracle};
@@ -119,10 +121,12 @@ fn validate_inputs(
 /// Runs Restruct. Mutates `db` in place: adds the new relations,
 /// removes split-off attributes, extends `K`.
 ///
-/// An FD split reads the rows of `R_i` grouped by `A` from `engine`
-/// ([`CountBackend::lhs_groups`]) — the groups RHS-Discovery's
-/// extension tests already cached there for every FD of `F` — so the
-/// split regroups nothing.
+/// A hidden object or an FD split reads the rows of `R_i` grouped by
+/// `A` from `engine` ([`CountBackend::lhs_groups`]) — the groups
+/// RHS-Discovery's extension tests already cached there — so the split
+/// regroups nothing, and it reads the g3 errors those tests cached
+/// ([`CountBackend::fd_error`]) to tell an FD that holds from one the
+/// expert enforced.
 ///
 /// Fallible: malformed inputs (out-of-range ids, empty attribute sets,
 /// mismatched IND arity) are rejected upfront with a typed error,
@@ -170,7 +174,12 @@ pub fn restruct(
             format!("new relation {name}"),
         ));
 
-        let table = db.table(h.rel).distinct_subtable(&attr_ids);
+        // The distinct projection on `A_i`: the split of `A_i → ∅`.
+        let table = fd_repaired_subtable(
+            db,
+            &Fd::new(h.rel, h.attrs.clone(), AttrSet::empty()),
+            engine,
+        )?;
         let rel_p = db.add_relation_with_table(Relation::new(name, attrs)?, table)?;
         let p_attrs: Vec<AttrId> = (0..attr_ids.len() as u16).map(AttrId).collect();
         db.constraints
@@ -271,9 +280,14 @@ pub fn restruct(
 /// per distinct non-null `A` value, in first-seen order, carrying the
 /// [`pluralities`] `B` value of its group (ties broken by first
 /// occurrence). Identical to the distinct projection whenever `A → B`
-/// actually holds. A row in no group of `engine`'s LHS groups is the
-/// only one with its `A` value and keeps its own `B`. The columns are
-/// gathered once each, from the source rows of every output tuple.
+/// actually holds, and then read without a tally: when the engine's g3
+/// error of `A → b` is 0 for every `b ∈ B` (on the pipeline path the
+/// errors RHS-Discovery cached), each group's first row is its
+/// plurality. With `B = ∅` this is the distinct projection on `A` — a
+/// hidden object's relation. A row in no group of `engine`'s LHS
+/// groups is the only one with its `A` value and keeps its own `B`.
+/// The columns are gathered once each, from the source rows of every
+/// output tuple.
 fn fd_repaired_subtable(
     db: &Database,
     fd: &Fd,
@@ -281,7 +295,18 @@ fn fd_repaired_subtable(
 ) -> Result<Table, DbreError> {
     let a_ids: Vec<AttrId> = fd.lhs.iter().collect();
     let groups = engine.lhs_groups(db, fd.rel, &a_ids);
-    let sources = pluralities(engine, db, fd, &groups);
+    let holds = groups.is_empty()
+        || fd.rhs.iter().all(|b| {
+            engine.fd_error(db, &Fd::new(fd.rel, fd.lhs.clone(), AttrSet::single(b))) == 0.0
+        });
+    let sources: Vec<usize> = if holds {
+        groups.iter().map(|group| group[0]).collect()
+    } else {
+        pluralities(engine, db, fd, &groups)
+            .into_iter()
+            .map(|(row, _)| row)
+            .collect()
+    };
     let table = db.table(fd.rel);
     // Per row: the group it starts, `GROUPED` for a later row of a
     // group, `SINGLE` for a row in no group (NULL or unique `A`).
@@ -302,7 +327,7 @@ fn fd_repaired_subtable(
             GROUPED => None,
             SINGLE if table.row_has_null(i, &a_ids) => None,
             SINGLE => Some((i, i)),
-            g => Some((i, sources[g].0)),
+            g => Some((i, sources[g])),
         })
         .unzip();
     let gather = |attr: AttrId, rows: &[usize]| -> Vec<Value> {
@@ -453,9 +478,12 @@ fn apply_removals(
 mod tests {
     use super::*;
     use crate::oracle::{DenyOracle, ScriptedOracle};
+    use dbre_relational::counting::{EquiJoin, JoinStats};
+    use dbre_relational::encode::ColumnCodes;
     use dbre_relational::stats::StatsEngine;
     use dbre_relational::value::Domain;
     use proptest::prelude::*;
+    use std::sync::{Arc, Mutex};
 
     /// Department(dep key, emp, skill, location, proj) + Project-ish
     /// Assignment(emp, dep, proj, date, pname) with keys as in §5.
@@ -611,6 +639,162 @@ mod tests {
         }
         // The old key of Department survived the remap.
         assert!(db.constraints.is_key(dept, &AttrSet::from_indices([0u16])));
+    }
+
+    /// Restruct trims `Department` without copying a cell: each of its
+    /// kept columns, and every column of the untouched `Assignment`, is
+    /// the allocation the snapshot taken before Restruct holds, and that
+    /// snapshot still equals the input.
+    #[test]
+    fn trimmed_relations_share_their_kept_columns_with_the_snapshot() {
+        let (mut db, dept, assign) = db();
+        let before = db.clone();
+        let fd = Fd::new(
+            dept,
+            AttrSet::from_indices([1u16]),
+            AttrSet::from_indices([2u16, 4u16]),
+        );
+        restruct(
+            &mut db,
+            &[fd],
+            &[],
+            &[],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
+        assert_eq!(db.schema.relation(dept).arity(), 3);
+        for rel in [dept, assign] {
+            let relation = db.schema.relation(rel);
+            let old = before.schema.relation(rel);
+            for (i, attr) in relation.attributes().iter().enumerate() {
+                let kept = db.table(rel).column(AttrId(i as u16));
+                let source = before.table(rel).column(old.attr_id(&attr.name).unwrap());
+                assert_eq!(
+                    kept.as_ptr(),
+                    source.as_ptr(),
+                    "{}.{}",
+                    relation.name,
+                    attr.name
+                );
+            }
+        }
+        let (input, _, _) = super::tests::db();
+        for rel in [dept, assign] {
+            assert_eq!(before.table(rel), input.table(rel));
+            assert_eq!(before.schema.relation(rel), input.schema.relation(rel));
+        }
+    }
+
+    /// A counting engine that records every column whose codes its
+    /// caller asks for.
+    struct CodesLog {
+        inner: StatsEngine,
+        asked: Mutex<Vec<AttrId>>,
+    }
+
+    impl CountBackend for CodesLog {
+        fn name(&self) -> &'static str {
+            "codes-log"
+        }
+
+        fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
+            self.inner.count_distinct(db, rel, attrs)
+        }
+
+        fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
+            self.inner.join_stats(db, join)
+        }
+
+        fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
+            self.inner.lhs_groups(db, rel, attrs)
+        }
+
+        fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
+            self.inner.fd_error(db, fd)
+        }
+
+        fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
+            self.asked.lock().unwrap().push(attr);
+            self.inner.column_codes(db, rel, attr)
+        }
+    }
+
+    /// The split of an FD that holds reads no RHS codes: its g3 errors
+    /// are 0, so each group's first row is its plurality. The split of
+    /// an enforced FD tallies its RHS codes.
+    #[test]
+    fn the_split_of_an_fd_that_holds_tallies_nothing() {
+        let split = |rhs: u16| {
+            let (mut db, dept, _) = db();
+            let fd = Fd::new(
+                dept,
+                AttrSet::from_indices([1u16]),
+                AttrSet::from_indices([rhs]),
+            );
+            let log = CodesLog {
+                inner: StatsEngine::new(),
+                asked: Mutex::new(Vec::new()),
+            };
+            let out = restruct(&mut db, &[fd], &[], &[], &mut DenyOracle, &log).unwrap();
+            let rows: Vec<Vec<Value>> = db.table(out.fd_relations[0]).rows().collect();
+            (rows, log.asked.into_inner().unwrap())
+        };
+        // Department: emp -> skill holds.
+        let (rows, asked) = split(2);
+        assert_eq!(asked, Vec::<AttrId>::new());
+        assert_eq!(
+            rows,
+            vec![
+                vec![Value::Int(1), Value::str("db")],
+                vec![Value::Int(2), Value::str("ai")]
+            ]
+        );
+        // Department: emp -> location does not (lyon, paris for emp 1).
+        let (rows, asked) = split(3);
+        assert_eq!(asked, vec![AttrId(3)]);
+        assert_eq!(rows[0], vec![Value::Int(1), Value::str("lyon")]);
+    }
+
+    /// A hidden object's relation holds the distinct non-NULL values of
+    /// its attributes in first-seen order.
+    #[test]
+    fn hidden_relation_keeps_the_first_seen_order() {
+        let mut db = Database::new();
+        let s = db
+            .add_relation(Relation::of(
+                "S",
+                &[("x", Domain::Int), ("y", Domain::Text)],
+            ))
+            .unwrap();
+        for (x, y) in [
+            (Value::Int(1), Value::str("a")),
+            (Value::Int(1), Value::str("a")),
+            (Value::Int(2), Value::str("b")),
+            (Value::Null, Value::str("c")),
+            (Value::Int(3), Value::Null),
+        ] {
+            db.insert(s, vec![x, y]).unwrap();
+        }
+        let h = QualAttrs::new(s, AttrSet::from_indices([0u16]));
+        let out = restruct(
+            &mut db,
+            &[],
+            &[h],
+            &[],
+            &mut DenyOracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
+        let got: Vec<Vec<Value>> = db.table(out.hidden_relations[0]).rows().collect();
+        assert_eq!(
+            got,
+            vec![
+                vec![Value::Int(1)],
+                vec![Value::Int(2)],
+                vec![Value::Int(3)]
+            ]
+        );
     }
 
     #[test]
@@ -770,6 +954,17 @@ mod tests {
             .collect()
     }
 
+    /// The `Value`-level reference for a hidden object's relation: the
+    /// distinct non-NULL `attrs` tuples in first-seen order.
+    fn reference_distinct(t: &Table, attrs: &[AttrId]) -> Vec<Vec<Value>> {
+        let mut seen = std::collections::HashSet::new();
+        (0..t.len())
+            .filter(|&i| !t.row_has_null(i, attrs))
+            .map(|i| t.project_row(i, attrs))
+            .filter(|row| seen.insert(row.clone()))
+            .collect()
+    }
+
     fn cell() -> impl Strategy<Value = Value> {
         prop_oneof![
             (0i64..3).prop_map(Value::Int),
@@ -814,6 +1009,40 @@ mod tests {
                 let out = restruct(&mut db, std::slice::from_ref(&fd), &[], &[], &mut DenyOracle, &engine)
                     .unwrap();
                 let got: Vec<Vec<Value>> = db.table(out.fd_relations[0]).rows().collect();
+                prop_assert_eq!(&got, &expected, "{}", engine.backend_name());
+            }
+        }
+    }
+
+    proptest! {
+        /// A hidden object's relation is the distinct non-NULL
+        /// projection of its attributes in first-seen order, as many
+        /// rows as `‖r[A]‖`, on generated tables with NULL and NaN
+        /// cells and on the encoded and the reference engine.
+        #[test]
+        fn hidden_relation_is_the_first_seen_distinct_projection(
+            rows in prop::collection::vec(prop::collection::vec(cell(), 4), 0..30),
+            width in 1usize..3,
+        ) {
+            let table = Table::from_rows(4, rows).unwrap();
+            let attrs: Vec<AttrId> = (0..width as u16).map(AttrId).collect();
+            let expected = reference_distinct(&table, &attrs);
+            prop_assert_eq!(expected.len(), table.count_distinct(&attrs));
+            let relation = Relation::of(
+                "T",
+                &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int), ("d", Domain::Int)],
+            );
+            let hidden = QualAttrs::new(RelId(0), AttrSet::from_iter_ids(attrs.iter().copied()));
+            let engines = [
+                StatsEngine::new(),
+                StatsEngine::with_backend(Box::new(dbre_relational::ReferenceBackend)),
+            ];
+            for engine in engines {
+                let mut db = Database::new();
+                db.add_relation_with_table(relation.clone(), table.clone()).unwrap();
+                let out = restruct(&mut db, &[], std::slice::from_ref(&hidden), &[], &mut DenyOracle, &engine)
+                    .unwrap();
+                let got: Vec<Vec<Value>> = db.table(out.hidden_relations[0]).rows().collect();
                 prop_assert_eq!(&got, &expected, "{}", engine.backend_name());
             }
         }

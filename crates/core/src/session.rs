@@ -505,8 +505,9 @@ impl Stage for RestructStage {
     }
 }
 
-/// Restruct rewrites extensions through raw value columns
-/// (`drop_columns`, `distinct_subtable`), so streamed extensions must
+/// Restruct rewrites extensions through raw value columns (it gathers
+/// each split-off relation's cells from them, and a trimmed relation
+/// keeps them through `drop_columns`), so streamed extensions must
 /// come back to memory first. The discovery stages before this point
 /// ran entirely over the spilled pages; only the final rewrite pays
 /// for materialization, and it decodes from the already-encoded pages

@@ -208,12 +208,15 @@ fn unique_null_free_column_is_settled_from_counts() {
     }
 }
 
-/// Deterministic witness for key inference's last-level pigeonhole
-/// bound: in `T(a, b, c, d)` holding all eight `(a, b, c) ∈ {0, 1}³`
-/// and a constant `d`, the width-3 candidates containing `d` have at
-/// most 4 distinct projections over 8 rows and are skipped, while
+/// Deterministic witness for key inference's pigeonhole bound, which
+/// applies at every width: in `T(d, a, b, c)` holding a constant `d`
+/// and all eight `(a, b, c) ∈ {0, 1}³`, every pair has at most 4
+/// distinct projections over 8 rows, and so does every width-3
+/// candidate containing `d`. Those six pairs and the three width-3
+/// candidates ahead of `{a, b, c}` in bitmask order are skipped, while
 /// `{a, b, c}` — at most 8, exactly the row count — must still be
-/// tested and found to be the key.
+/// tested and found to be the key. The four columns are counted too:
+/// 14 candidates, 9 pruned, 5 verified.
 #[test]
 fn pigeonhole_skips_only_impossible_candidates() {
     let mut db = Database::new();
@@ -221,15 +224,15 @@ fn pigeonhole_skips_only_impossible_candidates() {
         .add_relation(Relation::of(
             "T",
             &[
+                ("d", Domain::Int),
                 ("a", Domain::Int),
                 ("b", Domain::Int),
                 ("c", Domain::Int),
-                ("d", Domain::Int),
             ],
         ))
         .unwrap();
     for row in 0..8i64 {
-        let bits = [row & 1, (row >> 1) & 1, (row >> 2) & 1, 7];
+        let bits = [7, row & 1, (row >> 1) & 1, (row >> 2) & 1];
         db.insert(t, bits.iter().map(|&v| Value::Int(v)).collect())
             .unwrap();
     }
@@ -240,15 +243,15 @@ fn pigeonhole_skips_only_impossible_candidates() {
             .map(|k| k.attrs.clone())
     };
     let reference = run(&db, &[], BackendChoice::Reference);
-    assert_eq!(key(&reference), Some(AttrSet::from_indices([0u16, 1, 2])));
+    assert_eq!(key(&reference), Some(AttrSet::from_indices([1u16, 2, 3])));
     for backend in [BackendChoice::Encoded, BackendChoice::Paged] {
         let out = run(&db, &[], backend);
         assert_eq!(key(&out), key(&reference), "backend {}", backend.name());
         assert_eq!(
             out.stats.sketch,
             SketchPruneStats {
-                candidates: 8,
-                pruned: 3,
+                candidates: 14,
+                pruned: 9,
                 verified: 5
             },
             "backend {}",
@@ -397,7 +400,7 @@ fn a_count_proven_key_spares_the_count_settled_partitions() {
         };
         let result = discover_keys_with_engine(&db, k, Some(3), &log);
         let name = log.name();
-        assert_eq!(result.keys, vec![AttrSet::from_indices([0u16])], "{name}");
+        assert_eq!(result.key, Some(AttrSet::from_indices([0u16])), "{name}");
         let built = log.built.into_inner().unwrap();
         if counted {
             assert!(built.is_empty(), "{name} built partitions for {built:?}");

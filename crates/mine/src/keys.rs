@@ -3,16 +3,26 @@
 //! The paper assumes `K` can be read from the data dictionary ("the
 //! expert user is not required to provide this information"). Truly
 //! ancient DBMSs predate even `UNIQUE` declarations; this module
-//! recovers candidate keys from the data so the pipeline can run on
-//! such systems: levelwise search over column combinations, where `X`
+//! recovers a candidate key from the data so the pipeline can run on
+//! such systems: a levelwise search over column combinations, where `X`
 //! is unique iff its stripped partition has no class, with
-//! NULL-free-ness required (SQL keys are not null). The search stops
-//! after the narrowest width that holds a key: the pipeline registers
-//! one narrowest key per relation, and every minimal key of that width
-//! is still found, since all its subsets are non-keys and expanded.
-//! The last expanded width only asks whether a candidate is a key, so
-//! it tests [`StrippedPartition::product_is_key`] without building the
-//! product.
+//! NULL-free-ness required (SQL keys are not null).
+//!
+//! The search returns the one key the pipeline registers: the
+//! narrowest (at most `max_width` columns), and among those the one
+//! with the smallest column bitmask. Level 1 reads the unary
+//! partitions (or the exact counts); a unary key ends the search. From
+//! width 2 on it visits the width-`w` sets of the non-key columns in
+//! ascending bitmask (colexicographic) order and returns at the first
+//! key. No narrower set is a key by then, so every candidate is a
+//! minimal one. A candidate is tested with
+//! [`StrippedPartition::product_is_key`] of its *prefix* (the candidate
+//! without its highest column) and its highest column's unary
+//! partition, which builds nothing; a prefix wider than one column is
+//! the product of its own prefix and last column, built the first time
+//! a test reads it and memoized. So no candidate's own product is ever
+//! built, and a search that stops at its first width-3 candidate builds
+//! one product.
 //!
 //! A discovered key is only a *candidate* — uniqueness in a snapshot
 //! is necessary, not sufficient — which is exactly the kind of
@@ -20,11 +30,11 @@
 //!
 //! Served through the counting seam ([`discover_keys_with_engine`]),
 //! exact-count shortcuts ([`ColumnSketch`]) spare partition work
-//! without changing the keys found: a NULL-free column with as many
+//! without changing the key found: a NULL-free column with as many
 //! distinct values as rows is a key without a partition, and then no
-//! other column whose counts settle it needs one; at the last level a
-//! column set whose product of unary distinct counts is below the row
-//! count cannot be unique (pigeonhole).
+//! other column whose counts settle it needs one; and a column set
+//! whose product of unary distinct counts is below the row count
+//! cannot be unique (pigeonhole), so its test is skipped at any width.
 
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
@@ -35,7 +45,7 @@ use dbre_relational::schema::RelId;
 use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Work counters.
@@ -63,7 +73,7 @@ enum UnarySeed {
     NonKey,
     /// The unary partition (shared with the engine's cache), with the
     /// exact distinct count when the backend served one (feeds the
-    /// last-level cardinality bound).
+    /// cardinality bound).
     Partition {
         partition: Arc<StrippedPartition>,
         cardinality: Option<usize>,
@@ -73,17 +83,18 @@ enum UnarySeed {
 /// Result of key discovery on one relation.
 #[derive(Debug, Clone)]
 pub struct KeyResult {
-    /// The minimal unique column sets of the narrowest width that has
-    /// any (at most the search's `max_width`), sorted.
-    pub keys: Vec<AttrSet>,
+    /// The narrowest unique column set (at most the search's
+    /// `max_width` wide) with the smallest column bitmask; `None` when
+    /// no set up to that width is unique.
+    pub key: Option<AttrSet>,
     /// Work counters.
     pub stats: KeyStats,
 }
 
-/// Discovers the minimal unique column combinations of a table of the
-/// narrowest width that has any, up to `max_width` columns (`None` =
-/// full lattice); wider keys are not searched. Columns containing NULL
-/// are excluded from key membership.
+/// Discovers the narrowest unique column combination of a table, up to
+/// `max_width` columns (`None` = full lattice), with the smallest
+/// column bitmask among those of its width; wider keys are not
+/// searched. Columns containing NULL are excluded from key membership.
 pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
     // One encode pass; each unary partition then only buckets codes.
     let dict = DictTable::build(table);
@@ -98,33 +109,28 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
             (i, seed)
         })
         .collect();
-    discover_keys_seeded(
-        table.arity(),
-        table.len(),
-        seeds,
-        max_width,
-        SketchPruneStats::default(),
-    )
+    discover_keys_seeded(table.len(), seeds, max_width, SketchPruneStats::default())
 }
 
 /// [`discover_keys`] with the unary seed partitions served through
 /// the counting seam (pass a [`StatsEngine`] and they are additionally
-/// cached). Like it, returns the minimal keys of the narrowest width
-/// at most `max_width`. NULL-freeness is read off the exact counts, or
-/// the [`CountBackend::column_codes`] when the backend serves none, so
-/// a streamed extension answers without a raw column.
+/// cached). Like it, returns the narrowest key of at most `max_width`
+/// columns with the smallest column bitmask. NULL-freeness is read off
+/// the exact counts, or the [`CountBackend::column_codes`] when the
+/// backend serves none, so a streamed extension answers without a raw
+/// column.
 ///
 /// When the backend serves a column's exact counts
 /// ([`CountBackend::column_sketch`]), three shortcuts fire (the
-/// discovered keys are identical either way):
+/// discovered key is identical either way):
 ///
 /// * a level-1 column the counts prove a key (NULL-free, every row
 ///   distinct) is accepted without ever building its partition;
 /// * once one column is proven a key, the search stops at width 1,
 ///   where the counts settle every other column they cover, so only
 ///   the columns without counts get a partition;
-/// * at the last expanded level, a candidate whose product of exact
-///   unary cardinalities is below the row count cannot be unique
+/// * from width 2 on, a candidate whose product of exact unary
+///   cardinalities is below the row count cannot be unique
 ///   (pigeonhole), so its key test is skipped.
 pub fn discover_keys_with_engine(
     db: &Database,
@@ -167,7 +173,7 @@ pub fn discover_keys_with_engine(
             (i, seed)
         })
         .collect();
-    discover_keys_seeded(table.arity(), table.len(), seeds, max_width, sk)
+    discover_keys_seeded(table.len(), seeds, max_width, sk)
 }
 
 /// Columns containing NULL cannot participate in a key — the
@@ -183,124 +189,164 @@ fn eligible_columns_raw(table: &Table) -> Vec<u16> {
         .collect()
 }
 
+/// A level-1 column that is not a key: the wider widths are built
+/// from these.
+struct NonKeyColumn {
+    id: u16,
+    partition: Arc<StrippedPartition>,
+    /// The exact distinct count, when the backend served one.
+    cardinality: Option<usize>,
+}
+
+/// Memoized prefix partitions, keyed by positions in the list of
+/// [`NonKeyColumn`]s.
+type Prefixes = HashMap<Vec<usize>, Arc<StrippedPartition>>;
+
 /// The shared levelwise search over prebuilt level-1 `seeds`
-/// (column index, seed), in column order. It stops after the narrowest
-/// width that holds a key.
+/// (column index, seed), in column order (see the module docs). It
+/// returns at the first key it finds.
 fn discover_keys_seeded(
-    arity: usize,
     rows: usize,
     seeds: Vec<(u16, UnarySeed)>,
     max_width: Option<usize>,
     sketch: SketchPruneStats,
 ) -> KeyResult {
-    let eligible = seeds.len();
     let mut stats = KeyStats {
         sketch,
         ..KeyStats::default()
     };
+    let max_width = max_width.unwrap_or(seeds.len().max(1));
 
-    let mut keys: Vec<AttrSet> = Vec::new();
-    // Exact unary distinct counts where known, for the last-level
-    // cardinality bound.
-    let mut cards: Vec<Option<usize>> = vec![None; arity];
-    // Level 1 seeds: partitions (or settled verdicts) per column.
-    let mut level: Vec<(AttrSet, Arc<StrippedPartition>)> = Vec::new();
-    for (i, seed) in seeds {
+    // Level 1: every seed is counted, and the lowest unary key is the
+    // one with the smallest bitmask. On an empty or one-row table every
+    // NULL-free column is a key, so the lowest one is reported (the
+    // empty set is technically unique, but a key of nothing helps
+    // nobody).
+    let mut key: Option<AttrSet> = None;
+    let mut nonkeys: Vec<NonKeyColumn> = Vec::new();
+    for (id, seed) in seeds {
         stats.tests += 1;
-        let set = AttrSet::from_indices([i]);
-        match seed {
-            UnarySeed::Key => keys.push(set),
-            UnarySeed::NonKey => {}
+        let is_key = match seed {
+            UnarySeed::Key => true,
+            UnarySeed::NonKey => false,
             UnarySeed::Partition {
-                partition: p,
+                partition,
                 cardinality,
             } => {
-                cards[usize::from(i)] = cardinality;
-                if p.is_key() {
-                    keys.push(set);
-                } else {
-                    level.push((set, p));
+                let is_key = partition.is_key();
+                if !is_key {
+                    nonkeys.push(NonKeyColumn {
+                        id,
+                        partition,
+                        cardinality,
+                    });
                 }
+                is_key
+            }
+        };
+        if is_key && key.is_none() {
+            key = Some(AttrSet::from_indices([id]));
+        }
+    }
+    if key.is_some() {
+        return KeyResult { key, stats };
+    }
+
+    // Wider widths: the candidates of each width in ascending bitmask
+    // order, as ascending positions in `nonkeys`.
+    let mut prefixes = Prefixes::new();
+    for width in 2..=max_width.min(nonkeys.len()) {
+        // A test of this width reads prefixes one narrower, built from
+        // prefixes two narrower; nothing narrower is read again.
+        prefixes.retain(|set, _| set.len() + 2 >= width);
+        let mut candidate: Vec<usize> = (0..width).collect();
+        loop {
+            stats.tests += 1;
+            // Pigeonhole: at most `bound` distinct projections over
+            // fewer than `rows` rows — the exact test would report
+            // non-key.
+            let pruned = cardinality_bound(&nonkeys, &candidate).is_some_and(|bound| {
+                stats.sketch.candidates += 1;
+                if bound < rows {
+                    stats.sketch.pruned += 1;
+                } else {
+                    stats.sketch.verified += 1;
+                }
+                bound < rows
+            });
+            if !pruned {
+                let (prefix, last) = candidate.split_at(width - 1);
+                let prefix = partition_of(&nonkeys, prefix, rows, &mut prefixes);
+                if prefix.product_is_key(&nonkeys[last[0]].partition) {
+                    let key = AttrSet::from_indices(candidate.iter().map(|&c| nonkeys[c].id));
+                    return KeyResult {
+                        key: Some(key),
+                        stats,
+                    };
+                }
+            }
+            if !next_colex(&mut candidate, nonkeys.len()) {
+                break;
             }
         }
     }
-
-    // No narrower width held a key, so every NULL-free set of the
-    // current width is generated: stopping after the first width with
-    // a key still finds all of its keys.
-    let max_width = max_width.unwrap_or(eligible.max(1));
-    let mut width = 1;
-    while keys.is_empty() && width < max_width && !level.is_empty() {
-        // Partitions produced in the last expanded round never expand
-        // further, so a candidate the cardinality bound refutes there
-        // needs no test at all, and the rest need only the verdict.
-        let last_level = width + 1 == max_width;
-        let mut next: Vec<(AttrSet, Arc<StrippedPartition>)> = Vec::new();
-        let mut generated: HashSet<AttrSet> = HashSet::new();
-        for i in 0..level.len() {
-            for j in i + 1..level.len() {
-                let (x, px) = &level[i];
-                let (y, py) = &level[j];
-                let merged = x.union(y);
-                // Each candidate is examined (and counted) once, however
-                // many pairs of this level generate it.
-                if merged.len() != width + 1 || !generated.insert(merged.clone()) {
-                    continue;
-                }
-                if last_level {
-                    if let Some(bound) = product_card_bound(&cards, &merged) {
-                        stats.sketch.candidates += 1;
-                        if bound < rows {
-                            // Pigeonhole: at most `bound` distinct
-                            // projections over fewer than `rows` rows
-                            // — the exact test would report non-key.
-                            stats.tests += 1;
-                            stats.sketch.pruned += 1;
-                            continue;
-                        }
-                        stats.sketch.verified += 1;
-                    }
-                }
-                stats.tests += 1;
-                // Once this width holds a key the search stops after
-                // it, so nothing of it expands: only the verdict is read.
-                if last_level || !keys.is_empty() {
-                    if px.product_is_key(py) {
-                        keys.push(merged);
-                    }
-                } else {
-                    let p = px.product(py);
-                    if p.is_key() {
-                        keys.push(merged);
-                    } else {
-                        next.push((merged, Arc::new(p)));
-                    }
-                }
-            }
-        }
-        level = next;
-        width += 1;
-    }
-
-    // Empty table / single row: the empty set is technically unique,
-    // but a key of nothing helps nobody — report the narrowest
-    // eligible column if any, else nothing.
-    keys.sort();
-    KeyResult { keys, stats }
+    KeyResult { key: None, stats }
 }
 
-/// Upper bound on the distinct projections of the column set `set`:
-/// the product of exact unary distinct counts. `None` when any count
-/// is unknown (the backend served none for that column).
-fn product_card_bound(cards: &[Option<usize>], set: &AttrSet) -> Option<usize> {
-    set.iter().try_fold(1usize, |bound, a| {
-        Some(bound.saturating_mul(cards[a.index()]?))
+/// The partition of the columns at positions `set` (ascending): a
+/// unary partition as seeded; a wider one the product of its own
+/// prefix and its last column, built once and memoized in `prefixes`.
+fn partition_of(
+    columns: &[NonKeyColumn],
+    set: &[usize],
+    rows: usize,
+    prefixes: &mut Prefixes,
+) -> Arc<StrippedPartition> {
+    match set {
+        [] => Arc::new(StrippedPartition::single_class(rows)),
+        [only] => Arc::clone(&columns[*only].partition),
+        [prefix @ .., last] => {
+            if let Some(p) = prefixes.get(set) {
+                return Arc::clone(p);
+            }
+            let p = partition_of(columns, prefix, rows, prefixes);
+            let p = Arc::new(p.product(&columns[*last].partition));
+            prefixes.insert(set.to_vec(), Arc::clone(&p));
+            p
+        }
+    }
+}
+
+/// Steps `set` (ascending positions below `n`) to the next set of its
+/// size in colexicographic order, which is ascending bitmask order;
+/// `false` after the last.
+fn next_colex(set: &mut [usize], n: usize) -> bool {
+    for i in 0..set.len() {
+        let limit = set.get(i + 1).copied().unwrap_or(n);
+        if set[i] + 1 < limit {
+            set[i] += 1;
+            for (j, slot) in set[..i].iter_mut().enumerate() {
+                *slot = j;
+            }
+            return true;
+        }
+    }
+    false
+}
+
+/// Upper bound on the distinct projections of the columns at
+/// positions `set`: the product of their exact unary distinct counts.
+/// `None` when any count is unknown (the backend served none for that
+/// column).
+fn cardinality_bound(columns: &[NonKeyColumn], set: &[usize]) -> Option<usize> {
+    set.iter().try_fold(1usize, |bound, &c| {
+        Some(bound.saturating_mul(columns[c].cardinality?))
     })
 }
 
 /// Infers keys for every relation of a database that has none declared
-/// and registers a narrowest discovered key as its primary key.
-/// Returns the relations that received an inferred key.
+/// and registers the discovered key ([`discover_keys`]) as its primary
+/// key. Returns the relations that received an inferred key.
 ///
 /// Equivalent to [`infer_missing_keys_with_engine`] with a throwaway
 /// [`StatsEngine`].
@@ -314,11 +360,8 @@ pub fn infer_missing_keys(db: &mut Database, max_width: Option<usize>) -> Vec<(R
 /// previously cached entries stay valid) — also returning what the
 /// exact-count shortcuts settled.
 ///
-/// Every discovered key of a relation has the narrowest width; among
-/// them the one with the smallest column bitmask wins, which compares
-/// the ids from the highest down (sets of equal size). The keys are registered only after
-/// every relation has been searched, so a search that fails leaves
-/// the dictionary untouched.
+/// The keys are registered only after every relation has been
+/// searched, so a search that fails leaves the dictionary untouched.
 pub fn infer_missing_keys_with_engine(
     db: &mut Database,
     max_width: Option<usize>,
@@ -332,11 +375,7 @@ pub fn infer_missing_keys_with_engine(
         .filter_map(|(rel, _)| {
             let result = discover_keys_with_engine(db, rel, max_width, backend);
             sketch.merge(&result.stats.sketch);
-            let best = result
-                .keys
-                .into_iter()
-                .min_by(|a, b| a.as_slice().iter().rev().cmp(b.as_slice().iter().rev()))?;
-            Some((rel, best))
+            Some((rel, result.key?))
         })
         .collect();
     for (rel, key) in &inferred {
@@ -366,7 +405,7 @@ mod tests {
     fn single_column_key() {
         let t = table(&[&[1, 5], &[2, 5], &[3, 6]]);
         let r = discover_keys(&t, None);
-        assert_eq!(r.keys, vec![AttrSet::from_indices([0u16])]);
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16])));
     }
 
     #[test]
@@ -374,18 +413,15 @@ mod tests {
         // (a, b) unique; neither column alone.
         let t = table(&[&[1, 1], &[1, 2], &[2, 1]]);
         let r = discover_keys(&t, None);
-        assert_eq!(r.keys, vec![AttrSet::from_indices([0u16, 1])]);
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16, 1])));
     }
 
     #[test]
     fn multiple_minimal_keys() {
-        // a unique AND b unique.
+        // a unique AND b unique: the lower column is the key.
         let t = table(&[&[1, 10], &[2, 20], &[3, 30]]);
         let r = discover_keys(&t, None);
-        assert_eq!(
-            r.keys,
-            vec![AttrSet::from_indices([0u16]), AttrSet::from_indices([1u16])]
-        );
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16])));
     }
 
     #[test]
@@ -393,10 +429,7 @@ mod tests {
         let t = table(&[&[1, 1, 1], &[2, 1, 1], &[3, 2, 2]]);
         let r = discover_keys(&t, None);
         // {0} is a key; {0,1}, {0,2}, {0,1,2} must not be reported.
-        assert!(r.keys.contains(&AttrSet::from_indices([0u16])));
-        for k in &r.keys {
-            assert!(!AttrSet::from_indices([0u16]).is_strict_subset(k));
-        }
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16])));
         // Pruning really cut the test count: full lattice for 3 cols
         // is 7 sets; we must have tested fewer.
         assert!(r.stats.tests < 7);
@@ -413,35 +446,36 @@ mod tests {
         )
         .unwrap();
         let r = discover_keys(&t, None);
-        assert_eq!(r.keys, vec![AttrSet::from_indices([0u16])]);
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16])));
     }
 
     #[test]
     fn duplicate_rows_mean_no_key() {
         let t = table(&[&[1, 1], &[1, 1]]);
         let r = discover_keys(&t, None);
-        assert!(r.keys.is_empty());
+        assert_eq!(r.key, None);
     }
 
     #[test]
     fn width_bound_respected() {
         let t = table(&[&[1, 1, 7], &[1, 2, 8], &[2, 1, 9], &[2, 2, 7]]);
         let r = discover_keys(&t, Some(1));
-        assert!(r.keys.is_empty(), "the only key {{a,b}} is width 2");
+        assert_eq!(r.key, None, "the only key {{a,b}} is width 2");
         let r = discover_keys(&t, Some(2));
-        assert!(r.keys.contains(&AttrSet::from_indices([0u16, 1])));
+        assert_eq!(r.key, Some(AttrSet::from_indices([0u16, 1])));
     }
 
     #[test]
     fn narrowest_keys_and_the_smallest_bitmask_wins() {
-        // No column alone is unique; four column pairs are.
+        // No column alone is unique; four column pairs are: {a, d},
+        // {b, c}, {b, d} and {c, d}. {a, d} sorts first as an
+        // `AttrSet`, but {b, c} has the smaller column bitmask
+        // (0b0110 < 0b1001).
         let rows: &[&[i64]] = &[&[2, 0, 1, 2], &[2, 0, 2, 0], &[2, 1, 1, 1], &[0, 1, 0, 0]];
         let pair = |x: u16, y: u16| AttrSet::from_indices([x, y]);
         let r = discover_keys(&table(rows), Some(3));
-        assert_eq!(r.keys, vec![pair(0, 3), pair(1, 2), pair(1, 3), pair(2, 3)]);
+        assert_eq!(r.key, Some(pair(1, 2)));
 
-        // {a, d} sorts first as an `AttrSet`, but {b, c} has the
-        // smaller column bitmask (0b0110 < 0b1001).
         let mut db = Database::new();
         let rel = db
             .add_relation(Relation::of(
@@ -462,6 +496,23 @@ mod tests {
             infer_missing_keys(&mut db, Some(3)),
             vec![(rel, pair(1, 2))]
         );
+    }
+
+    /// `T(a, b, c, d)` holds all eight `(a, b, c) ∈ {0, 1}³` and a
+    /// constant `d`: no column and no pair is a key, and `{a, b, c}` is
+    /// the first width-3 candidate. The search tests the four columns,
+    /// the six pairs and that one candidate, and stops.
+    #[test]
+    fn the_search_stops_at_the_first_key_of_its_width() {
+        let rows: Vec<Vec<i64>> = (0..8)
+            .map(|r| vec![r & 1, (r >> 1) & 1, (r >> 2) & 1, 7])
+            .collect();
+        let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        for max_width in [Some(3), None] {
+            let r = discover_keys(&table(&rows), max_width);
+            assert_eq!(r.key, Some(AttrSet::from_indices([0u16, 1, 2])));
+            assert_eq!(r.stats.tests, 4 + 6 + 1, "{max_width:?}");
+        }
     }
 
     #[test]
@@ -500,11 +551,11 @@ mod tests {
 
         // `a` contains NULL: only `b` may seed a key, and it is one.
         let result = discover_keys_with_engine(&db, r, None, &backend);
-        assert_eq!(result.keys, vec![AttrSet::from_indices([1u16])]);
+        assert_eq!(result.key, Some(AttrSet::from_indices([1u16])));
 
         // Same rows materialized agree.
         let reference = discover_keys(scratch.table(r0), None);
-        assert_eq!(result.keys, reference.keys);
+        assert_eq!(result.key, reference.key);
     }
 
     #[test]

@@ -31,12 +31,16 @@ fn small_table(cols: usize, max_rows: usize, card: i64) -> impl Strategy<Value =
     )
 }
 
-/// Up to 12 rows over 4 columns with values `0..card`; a column
-/// flagged in `nullable` holds NULL wherever it would hold 0.
-fn nullable_rows(card: i64) -> impl Strategy<Value = Vec<Vec<Value>>> {
+/// Up to `max_rows` rows over `cols` columns with values `0..card`; a
+/// column flagged in `nullable` holds NULL wherever it would hold 0.
+fn nullable_rows(
+    cols: usize,
+    max_rows: usize,
+    card: i64,
+) -> impl Strategy<Value = Vec<Vec<Value>>> {
     (
-        prop::collection::vec(any::<bool>(), 4),
-        prop::collection::vec(prop::collection::vec(0..card, 4), 0..=12),
+        prop::collection::vec(any::<bool>(), cols),
+        prop::collection::vec(prop::collection::vec(0..card, cols), 0..=max_rows),
     )
         .prop_map(|(nullable, rows)| {
             rows.into_iter()
@@ -56,13 +60,13 @@ fn nullable_rows(card: i64) -> impl Strategy<Value = Vec<Vec<Value>>> {
         })
 }
 
-/// The column bitmasks over 4 columns of the NULL-free column sets of
-/// the smallest width ≤ 3 whose projections are all distinct, by brute
-/// force; empty when no such width exists.
-fn narrowest_unique_masks(rows: &[Vec<Value>]) -> Vec<u32> {
+/// The column bitmasks over `cols` columns of the NULL-free column sets
+/// of the smallest width ≤ 3 whose projections are all distinct, by
+/// brute force; empty when no such width exists.
+fn narrowest_unique_masks(rows: &[Vec<Value>], cols: usize) -> Vec<u32> {
     let null_free = |c: usize| rows.iter().all(|r| !r[c].is_null());
     let unique = |mask: u32| {
-        let cols: Vec<usize> = (0..4).filter(|c| mask & (1 << c) != 0).collect();
+        let cols: Vec<usize> = (0..cols).filter(|c| mask & (1 << c) != 0).collect();
         let projected: HashSet<Vec<&Value>> = rows
             .iter()
             .map(|r| cols.iter().map(|&c| &r[c]).collect())
@@ -71,7 +75,7 @@ fn narrowest_unique_masks(rows: &[Vec<Value>]) -> Vec<u32> {
     };
     (1..=3)
         .map(|width| {
-            (1u32..16)
+            (1u32..1 << cols)
                 .filter(|m| m.count_ones() == width && unique(*m))
                 .collect::<Vec<u32>>()
         })
@@ -80,33 +84,50 @@ fn narrowest_unique_masks(rows: &[Vec<Value>]) -> Vec<u32> {
 }
 
 fn mask_set(mask: u32) -> AttrSet {
-    AttrSet::from_indices((0..4u16).filter(|c| mask & (1 << c) != 0))
+    AttrSet::from_indices((0..32u16).filter(|c| mask & (1 << c) != 0))
+}
+
+/// Key search over `rows` (`cols` Int columns) against the brute-force
+/// oracle: the discovered key is the narrowest unique set with the
+/// smallest bitmask, and that is the key `infer_missing_keys`
+/// registers.
+fn check_narrowest_key(rows: &[Vec<Value>], cols: usize) -> Result<(), TestCaseError> {
+    let mut db = Database::new();
+    let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
+    let attrs: Vec<(&str, Domain)> = names.iter().map(|n| (n.as_str(), Domain::Int)).collect();
+    let rel = db.add_relation(Relation::of("R", &attrs)).unwrap();
+    for row in rows {
+        db.insert(rel, row.clone()).unwrap();
+    }
+    let masks = narrowest_unique_masks(rows, cols);
+    let smallest = masks.iter().min().map(|&m| mask_set(m));
+    prop_assert_eq!(discover_keys(db.table(rel), Some(3)).key, smallest);
+
+    // The registered key: narrowest, then smallest bitmask.
+    let registered: Vec<(RelId, AttrSet)> = masks
+        .iter()
+        .min()
+        .map(|&m| (rel, mask_set(m)))
+        .into_iter()
+        .collect();
+    prop_assert_eq!(infer_missing_keys(&mut db, Some(3)), registered);
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn key_search_finds_the_narrowest_keys(rows in nullable_rows(3)) {
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of(
-                "R",
-                &[("a", Domain::Int), ("b", Domain::Int), ("c", Domain::Int), ("d", Domain::Int)],
-            ))
-            .unwrap();
-        for row in &rows {
-            db.insert(rel, row.clone()).unwrap();
-        }
-        let masks = narrowest_unique_masks(&rows);
-        let mut expected: Vec<AttrSet> = masks.iter().map(|&m| mask_set(m)).collect();
-        expected.sort();
-        prop_assert_eq!(discover_keys(db.table(rel), Some(3)).keys, expected);
+    fn key_search_finds_the_narrowest_keys(rows in nullable_rows(4, 12, 3)) {
+        check_narrowest_key(&rows, 4)?;
+    }
 
-        // The registered key: narrowest, then smallest bitmask.
-        let registered: Vec<(RelId, AttrSet)> =
-            masks.iter().min().map(|&m| (rel, mask_set(m))).into_iter().collect();
-        prop_assert_eq!(infer_missing_keys(&mut db, Some(3)), registered);
+    /// Six columns of two values each: width-3 keys are common, and
+    /// the colex walk and the prefix memo run past the first
+    /// candidates.
+    #[test]
+    fn key_search_finds_the_narrowest_keys_over_six_columns(rows in nullable_rows(6, 9, 2)) {
+        check_narrowest_key(&rows, 6)?;
     }
 
     #[test]

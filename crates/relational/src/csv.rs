@@ -325,6 +325,10 @@ fn header_mapping(relation: &Relation, header: &[Option<String>]) -> Result<Vec<
 /// Loads CSV text into an existing relation. The header must name the
 /// relation's attributes (any order); values are coerced per the
 /// declared domains; unquoted-empty fields become NULL.
+///
+/// The records are coerced into one vector per column, which are
+/// appended to the table at once (one generation bump per file), so a
+/// file with a malformed record leaves the relation as it was.
 pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, CsvError> {
     // Tolerate a leading UTF-8 byte-order mark (Excel and Windows
     // exports routinely prepend one); without this the first header
@@ -334,10 +338,13 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
     let Some(header) = records.first() else {
         return Ok(0);
     };
-    let relation = db.schema.relation(rel).clone();
-    let mapping = header_mapping(&relation, header)?;
+    let relation = db.schema.relation(rel);
+    let mapping = header_mapping(relation, header)?;
 
-    let mut inserted = 0usize;
+    let rows = records.len() - 1;
+    let mut columns: Vec<Vec<Value>> = (0..relation.arity())
+        .map(|_| Vec::with_capacity(rows))
+        .collect();
     for (line_no, record) in records.iter().enumerate().skip(1) {
         if record.len() != mapping.len() {
             return Err(CsvError::Malformed {
@@ -350,9 +357,10 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
                 ),
             });
         }
-        let mut row = vec![Value::Null; relation.arity()];
         for (field, attr) in record.iter().zip(&mapping) {
             let domain = relation.attribute(*attr).domain;
+            // `parse_into` yields a value of `domain` or NULL, so every
+            // cell passes the domain check `Database::insert` makes.
             let v = match field {
                 None => Value::Null,
                 Some(text) => Value::parse_into(text, domain).ok_or_else(|| {
@@ -363,12 +371,13 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
                     ))
                 })?,
             };
-            row[attr.index()] = v;
+            columns[attr.index()].push(v);
         }
-        db.insert(rel, row)?;
-        inserted += 1;
     }
-    Ok(inserted)
+    if rows > 0 {
+        db.table_mut(rel).append_columns(columns)?;
+    }
+    Ok(rows)
 }
 
 /// [`import_csv`] plus an immediate prewarm pass: the fresh extension
@@ -729,6 +738,33 @@ mod tests {
             parse_records("\"unterminated"),
             Err(CsvError::Malformed { .. })
         ));
+    }
+
+    /// A record that fails midway (too few fields, or a cell outside
+    /// its domain) rejects the whole file: the rows before it are not
+    /// kept, and the relation's extension and generation are as before.
+    #[test]
+    fn a_bad_record_in_the_middle_leaves_the_relation_as_it_was() {
+        let (mut db, rel) = db();
+        let generation = db.generation(rel);
+        for text in [
+            "id,name,when,score\n1,a,,\n2,b\n3,c,,\n",
+            "id,name,when,score\n1,a,,\n2,b,,not-a-float\n3,c,,\n",
+        ] {
+            assert!(import_csv(&mut db, rel, text).is_err());
+            assert!(db.table(rel).is_empty());
+            assert_eq!(db.generation(rel), generation);
+        }
+        // A good file still appends below rows already present.
+        import_csv(&mut db, rel, "id,name,when,score\n1,a,,\n").unwrap();
+        import_csv(&mut db, rel, "name,id,score,when\nb,2,,\n").unwrap();
+        assert_eq!(db.table(rel).len(), 2);
+        assert_eq!(db.table(rel).cell(1, AttrId(1)), &Value::str("b"));
+        assert!(matches!(
+            import_csv(&mut db, rel, "id,name,when,score\n3,c,,\n4\n"),
+            Err(CsvError::Malformed { line: 3, .. })
+        ));
+        assert_eq!(db.table(rel).len(), 2);
     }
 
     #[test]

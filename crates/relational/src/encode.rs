@@ -66,7 +66,6 @@ use crate::sketch::ColumnSketch;
 use crate::table::{ProjKey, Table};
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -151,13 +150,14 @@ impl DictBuilder {
             self.counts[NULL_CODE as usize] += 1;
             return NULL_CODE;
         }
-        let next = self.values.len() as u32 + 1;
-        let code = match self.index.entry(v.clone()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
+        let code = match self.index.get(v) {
+            Some(&code) => code,
+            None => {
+                let code = self.values.len() as u32 + 1;
+                self.index.insert(v.clone(), code);
                 self.values.push(v.clone());
                 self.counts.push(0);
-                *e.insert(next)
+                code
             }
         };
         self.counts[code as usize] += 1;

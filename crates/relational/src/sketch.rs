@@ -6,8 +6,9 @@
 //!
 //! * key inference accepts a column as a unary key when it is NULL-free
 //!   and every row is distinct ([`ColumnSketch::is_exact_key`]);
-//! * key inference's last level skips a column set whose product of
-//!   unary distinct counts is below the row count (pigeonhole);
+//! * key inference skips the test of a column set, at any width from
+//!   2 on, whose product of unary distinct counts is below the row
+//!   count (pigeonhole);
 //! * RHS-Discovery settles every `A → b` at once when the single
 //!   attribute `A` is such a key.
 //!

@@ -1,23 +1,29 @@
 //! Table storage: the extension `r_i` of a relation `R_i(X_i)`.
 //!
-//! Storage is columnar (`Vec<Value>` per attribute). The dependency
-//! algorithms are dominated by projections over small attribute sets and
-//! distinct counting, which columnar layout serves directly; tuple
-//! reconstruction is only needed for display and INSERT.
+//! Storage is columnar: one `Vec<Value>` per attribute, each behind an
+//! [`Arc`] and copy-on-write. The dependency algorithms are dominated by
+//! projections over small attribute sets and distinct counting, which
+//! columnar layout serves directly; tuple reconstruction is only needed
+//! for display and INSERT. Cloning a table, or dropping columns from it
+//! ([`Table::drop_columns`]), shares the columns instead of copying
+//! their cells; a write copies only the column it touches, and only
+//! while another table still shares it.
 
 use crate::attr::AttrId;
 use crate::error::RelationalError;
 use crate::schema::Relation;
 use crate::value::Value;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A tuple projected on an ordered attribute list; used as hash/set key.
 pub type ProjKey = Vec<Value>;
 
 /// The extension of one relation: a bag of tuples in columnar layout.
+/// Cloning is O(arity): the clone shares every column.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table {
-    columns: Vec<Vec<Value>>,
+    columns: Vec<Arc<Vec<Value>>>,
     rows: usize,
 }
 
@@ -25,7 +31,7 @@ impl Table {
     /// Creates an empty table with `arity` columns.
     pub fn new(arity: usize) -> Self {
         Table {
-            columns: vec![Vec::new(); arity],
+            columns: (0..arity).map(|_| Arc::new(Vec::new())).collect(),
             rows: 0,
         }
     }
@@ -48,14 +54,15 @@ impl Table {
     /// extension marker. Only valid on an empty table.
     pub(crate) fn set_streamed_rows(&mut self, rows: usize) {
         assert!(
-            self.rows == 0 && self.columns.iter().all(Vec::is_empty),
+            self.rows == 0 && self.columns.iter().all(|c| c.is_empty()),
             "streamed extension over a populated table"
         );
         self.rows = rows;
     }
 
     /// Installs `values` as the full contents of one empty column of
-    /// a streamed extension — the restructuring hydration path.
+    /// a streamed extension — the restructuring hydration path. Only
+    /// that column changes; the others stay shared.
     pub(crate) fn hydrate_column(&mut self, attr: AttrId, values: Vec<Value>) {
         assert_eq!(
             values.len(),
@@ -64,7 +71,7 @@ impl Table {
         );
         let col = &mut self.columns[attr.index()];
         assert!(col.is_empty(), "hydrating a column that already has data");
-        *col = values;
+        *col = Arc::new(values);
     }
 
     /// Number of tuples.
@@ -86,7 +93,9 @@ impl Table {
     }
 
     /// Appends a tuple without validation against a relation (domain
-    /// checks live in [`crate::database::Database::insert`]).
+    /// checks live in [`crate::database::Database::insert`]). A column
+    /// another table shares is copied first; a CSV import appends whole
+    /// columns instead ([`crate::csv::import_csv`]).
     pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), RelationalError> {
         if row.len() != self.columns.len() {
             return Err(RelationalError::ArityMismatch {
@@ -96,9 +105,38 @@ impl Table {
             });
         }
         for (col, v) in self.columns.iter_mut().zip(row) {
-            col.push(v);
+            Arc::make_mut(col).push(v);
         }
         self.rows += 1;
+        Ok(())
+    }
+
+    /// Appends the rows held in `columns` (one vector per attribute,
+    /// all of one length) without validation against a relation. An
+    /// empty column takes its vector as is; a populated one is
+    /// extended, after a copy if another table shares it. Nothing
+    /// changes on an error: a wrong column count or a ragged column is
+    /// an [`RelationalError::ArityMismatch`].
+    pub(crate) fn append_columns(
+        &mut self,
+        columns: Vec<Vec<Value>>,
+    ) -> Result<(), RelationalError> {
+        let added = Table::from_columns(columns)?;
+        if added.arity() != self.arity() {
+            return Err(RelationalError::ArityMismatch {
+                relation: String::from("<detached table>"),
+                expected: self.arity(),
+                got: added.arity(),
+            });
+        }
+        for (col, new) in self.columns.iter_mut().zip(added.columns) {
+            if col.is_empty() {
+                *col = new;
+            } else {
+                Arc::make_mut(col).extend(Arc::unwrap_or_clone(new));
+            }
+        }
+        self.rows += added.rows;
         Ok(())
     }
 
@@ -127,6 +165,7 @@ impl Table {
                 got: ragged.len(),
             });
         }
+        let columns = columns.into_iter().map(Arc::new).collect();
         Ok(Table { columns, rows })
     }
 
@@ -203,46 +242,21 @@ impl Table {
 
     /// Removes the columns in `drop` (sorted or not), producing a new
     /// table whose column order matches the relation with those
-    /// attributes removed. Used by the Restruct algorithm.
+    /// attributes removed. The kept columns are shared with `self`, not
+    /// copied. Used by the Restruct algorithm.
     pub fn drop_columns(&self, drop: &[AttrId]) -> Table {
         let dropset: HashSet<usize> = drop.iter().map(|a| a.index()).collect();
-        let columns: Vec<Vec<Value>> = self
+        let columns = self
             .columns
             .iter()
             .enumerate()
             .filter(|(i, _)| !dropset.contains(i))
-            .map(|(_, c)| c.clone())
+            .map(|(_, c)| Arc::clone(c))
             .collect();
         Table {
             rows: self.rows,
             columns,
         }
-    }
-
-    /// Builds a new table containing the distinct non-null projections
-    /// on `attrs`, in first-seen order. Used when Restruct materializes
-    /// a new relation `R_p(A_i B_i)` out of an FD `A_i → B_i`.
-    pub fn distinct_subtable(&self, attrs: &[AttrId]) -> Table {
-        let cols = self.column_slices(attrs);
-        let mut seen: HashSet<ProjKey> = HashSet::new();
-        let mut out = Table::new(attrs.len());
-        'rows: for i in 0..self.rows {
-            let mut key = Vec::with_capacity(cols.len());
-            for c in &cols {
-                let v = &c[i];
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
-            }
-            if seen.insert(key.clone()) {
-                // The key holds exactly `attrs.len()` values and `out`
-                // was built with that arity.
-                #[allow(clippy::expect_used)]
-                out.push_row(key).expect("arity fixed by construction");
-            }
-        }
-        out
     }
 }
 
@@ -308,13 +322,41 @@ mod tests {
     }
 
     #[test]
-    fn distinct_subtable_dedups_in_first_seen_order() {
-        let t = sample();
-        let sub = t.distinct_subtable(&[a(0)]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.cell(0, a(0)), &Value::Int(1));
-        assert_eq!(sub.cell(1, a(0)), &Value::Int(2));
-        assert_eq!(sub.cell(2, a(0)), &Value::Int(3));
+    fn a_write_to_a_shared_column_leaves_the_other_table_unchanged() {
+        let original = sample();
+        let mut copy = original.clone();
+        assert_eq!(copy.column(a(0)).as_ptr(), original.column(a(0)).as_ptr());
+        copy.push_row(vec![Value::Int(9), Value::str("z")]).unwrap();
+        assert_eq!(original, sample());
+        assert_eq!(copy.len(), 6);
+        assert_eq!(copy.row(5), vec![Value::Int(9), Value::str("z")]);
+
+        // A table with dropped columns shares the ones it keeps.
+        let mut kept = original.drop_columns(&[a(0)]);
+        assert_eq!(kept.column(a(0)).as_ptr(), original.column(a(1)).as_ptr());
+        kept.append_columns(vec![vec![Value::str("w")]]).unwrap();
+        assert_eq!(original, sample());
+        assert_eq!(kept.cell(5, a(0)), &Value::str("w"));
+    }
+
+    #[test]
+    fn append_columns_takes_a_batch_whole_or_not_at_all() {
+        let mut t = sample();
+        assert!(t.append_columns(vec![vec![Value::Int(4)], vec![]]).is_err());
+        assert!(t.append_columns(vec![vec![Value::Int(4)]]).is_err());
+        assert_eq!(t, sample());
+        t.append_columns(vec![vec![Value::Int(4)], vec![Value::Null]])
+            .unwrap();
+        assert_eq!(t.len(), 6);
+        assert_eq!(t.row(5), vec![Value::Int(4), Value::Null]);
+
+        // An empty column takes the appended vector as is.
+        let column = vec![Value::Int(1), Value::Int(2)];
+        let cells = column.as_ptr();
+        let mut empty = Table::new(1);
+        empty.append_columns(vec![column]).unwrap();
+        assert_eq!(empty.column(a(0)).as_ptr(), cells);
+        assert_eq!(empty.len(), 2);
     }
 
     #[test]

@@ -320,16 +320,6 @@ proptest! {
         prop_assert!(first <= both);
     }
 
-    #[test]
-    fn distinct_subtable_matches_count(
-        rows in prop::collection::vec(0i64..10, 0..50)
-    ) {
-        let table =
-            Table::from_rows(1, rows.iter().map(|a| vec![Value::Int(*a)])).unwrap();
-        let sub = table.distinct_subtable(&[AttrId(0)]);
-        prop_assert_eq!(sub.len(), table.count_distinct(&[AttrId(0)]));
-    }
-
     // ---- Partition product ----
 
     #[test]
