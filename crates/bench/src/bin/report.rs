@@ -853,6 +853,70 @@ fn xb(check: bool) {
         ));
     }
 
+    // Restruct over a streamed database (§7 after a `--spill-dir`
+    // ingest): the stage first hydrates every streamed column from its
+    // paged dictionary, then splits. Each sample ingests every
+    // relation cold through the streamed path into a fresh schema and
+    // runs the pipeline on the paged backend with the scenario's
+    // expert; only the pipeline's own Restruct stage timing counts.
+    {
+        use dbre_relational::csv::{export_csv, import_csv_spilled};
+        let s = scenario(8, 10_000, 42);
+        let q = dbre_extract::extract_programs(
+            &s.db.schema,
+            &s.programs,
+            &dbre_extract::ExtractConfig::default(),
+        )
+        .q();
+        let dir = std::env::temp_dir().join(format!("dbre-xb-hydrate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create hydrate CSV dir");
+        let csvs: Vec<_> =
+            s.db.schema
+                .iter()
+                .map(|(rel, relation)| {
+                    let path = dir.join(format!("{}.csv", relation.name));
+                    std::fs::write(&path, export_csv(&s.db, rel)).expect("write hydrate CSV");
+                    (rel, path)
+                })
+                .collect();
+        let mut times: Vec<f64> = (0..samples)
+            .map(|_| {
+                let mut db = dbre_relational::Database::new();
+                for (_, relation) in s.db.schema.iter() {
+                    db.add_relation(relation.clone()).expect("fresh schema");
+                }
+                db.constraints = s.db.constraints.clone();
+                let spilled = csvs
+                    .iter()
+                    .map(|(rel, path)| {
+                        let table =
+                            import_csv_spilled(&mut db, *rel, path, None).expect("streamed ingest");
+                        (*rel, std::sync::Arc::new(table))
+                    })
+                    .collect();
+                let opts = PipelineOptions {
+                    backend: dbre_core::BackendChoice::Paged,
+                    spilled,
+                    ..Default::default()
+                };
+                let mut oracle = TruthOracle::new(s.truth.clone());
+                let r = dbre_core::run_with_q(db, &q, &mut oracle, &opts);
+                assert!(r.is_complete(), "{:?}", r.stage_errors);
+                r.stats
+                    .stage_timings
+                    .iter()
+                    .find(|(stage, _)| *stage == "restruct")
+                    .map_or(0.0, |(_, d)| d.as_nanos() as f64)
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
+        benches.push((
+            "restruct/hydrate_streamed/e8_r10000".to_string(),
+            times[times.len() / 2],
+        ));
+    }
+
     // Per-backend end-to-end pipeline rows: the same run_with_q served
     // by each CountBackend through the one counting seam (small
     // extension — the SQL backend executes every ‖·‖ probe as a real
@@ -955,6 +1019,22 @@ fn xb(check: bool) {
         }
     });
     std::fs::remove_file(&csv_path).ok();
+    // In-memory import of text columns, which interns every field per
+    // column: a few repeated values (the denormalized case), and all
+    // distinct values, the interner's worst case (one set entry and
+    // one allocation per cell).
+    for (shape, distinct) in [("repeated", false), ("distinct", true)] {
+        let text = text_csv(ingest_rows, distinct);
+        benches.push((
+            format!("ingest/import_csv_text_{shape}/r{ingest_rows}"),
+            median_ns(3, || {
+                let (mut db, rel) = text_db();
+                std::hint::black_box(
+                    dbre_relational::csv::import_csv(&mut db, rel, &text).expect("text import"),
+                );
+            }),
+        ));
+    }
     let rows_per_s = |ns: f64| ingest_rows as f64 / (ns / 1e9);
     let ingest = (
         ingest_rows,
@@ -1371,6 +1451,41 @@ fn ingest_db() -> (dbre_relational::Database, dbre_relational::RelId) {
             ],
         ))
         .expect("add Ingest relation");
+    (db, rel)
+}
+
+/// A CSV of `rows` rows over `text_db`'s relation: an integer id and
+/// three text columns of 10–24-byte strings, each column holding 40
+/// repeated values, or a distinct value on every row.
+fn text_csv(rows: usize, distinct: bool) -> String {
+    use std::fmt::Write;
+    let mut text = String::from("id,city,dept,title\n");
+    for i in 0..rows {
+        let k = if distinct { i } else { i % 40 };
+        writeln!(
+            text,
+            "{i},city-{k:05},department-{k:07},title-of-row-{k:011}"
+        )
+        .expect("writing to a String cannot fail");
+    }
+    text
+}
+
+/// A one-relation scratch database matching `text_csv`.
+fn text_db() -> (dbre_relational::Database, dbre_relational::RelId) {
+    use dbre_relational::{Database, Domain, Relation};
+    let mut db = Database::new();
+    let rel = db
+        .add_relation(Relation::of(
+            "Text",
+            &[
+                ("id", Domain::Int),
+                ("city", Domain::Text),
+                ("dept", Domain::Text),
+                ("title", Domain::Text),
+            ],
+        ))
+        .expect("add Text relation");
     (db, rel)
 }
 

@@ -539,9 +539,11 @@ mod tests {
 
     #[test]
     fn streamed_pipeline_matches_materialized() {
+        use dbre_relational::attr::AttrId;
         use dbre_relational::bufpool::BufferPool;
         use dbre_relational::csv::{export_csv, import_csv_spilled};
         use dbre_relational::spill::validate_spilled;
+        use dbre_relational::value::Value;
 
         // Materialized baseline over the paged backend.
         let (db, programs) = legacy();
@@ -584,12 +586,29 @@ mod tests {
         }
         let opts = PipelineOptions {
             backend: BackendChoice::Paged,
-            spilled,
+            spilled: spilled.clone(),
             ..Default::default()
         };
         let mut o2 = AutoOracle::default();
         let result = run_with_q(streamed_db, &q, &mut o2, &opts);
         assert!(result.is_complete(), "{:?}", result.stage_errors);
+        // Hydration decoded each text cell to the paged dictionary's
+        // entry for its code: the cell shares that string, no copy.
+        for (rel, table) in &spilled {
+            let hydrated = result.db_before.table(*rel);
+            for (i, col) in table.columns().iter().enumerate() {
+                let dict = col.dict();
+                for v in hydrated.column(AttrId(i as u16)) {
+                    if let Value::Str(s) = v {
+                        let entry = dict.value_of(dict.code_of(v));
+                        assert!(
+                            matches!(entry, Some(Value::Str(e)) if Arc::ptr_eq(s, e)),
+                            "{v} is not its dictionary entry"
+                        );
+                    }
+                }
+            }
+        }
 
         // Identical discovery and restructuring output.
         assert_eq!(baseline.ind.inds, result.ind.inds);

@@ -287,7 +287,8 @@ pub fn restruct(
 /// hidden object's relation. A row in no group of `engine`'s LHS
 /// groups is the only one with its `A` value and keeps its own `B`.
 /// The columns are gathered once each, from the source rows of every
-/// output tuple.
+/// output tuple; a gathered string cell shares its source cell's
+/// allocation.
 fn fd_repaired_subtable(
     db: &Database,
     fd: &Fd,
@@ -684,6 +685,52 @@ mod tests {
             assert_eq!(before.table(rel), input.table(rel));
             assert_eq!(before.schema.relation(rel), input.schema.relation(rel));
         }
+    }
+
+    /// Every string cell of a split-off relation is its source cell's
+    /// allocation, not a copy: the FD split's `Manager` and the hidden
+    /// phase's `Site`. The fixture inserts each cell through its own
+    /// `Value::str`, so no two source cells share one.
+    #[test]
+    fn split_off_cells_share_their_source_strings() {
+        fn is_shared(column: &[Value], source: &[Value]) -> bool {
+            column.iter().all(|v| match v {
+                Value::Str(s) => source
+                    .iter()
+                    .any(|w| matches!(w, Value::Str(t) if Arc::ptr_eq(s, t))),
+                _ => true,
+            })
+        }
+        let (mut db, dept, _) = db();
+        let before = db.clone();
+        let fd = Fd::new(
+            dept,
+            AttrSet::from_indices([1u16]),
+            AttrSet::from_indices([2u16, 4u16]),
+        );
+        let site = QualAttrs::new(dept, AttrSet::from_indices([3u16]));
+        let mut oracle = ScriptedOracle::new()
+            .name("fd:Department: emp -> skill, proj", "Manager")
+            .name("hidden:Department.{location}", "Site");
+        restruct(
+            &mut db,
+            &[fd],
+            &[site],
+            &[],
+            &mut oracle,
+            &StatsEngine::new(),
+        )
+        .unwrap();
+        let source = |attr: u16| before.table(dept).column(AttrId(attr));
+        let manager = db.table(db.rel("Manager").unwrap());
+        assert_eq!(manager.len(), 2);
+        assert!(is_shared(manager.column(AttrId(1)), source(2)), "skill");
+        assert!(is_shared(manager.column(AttrId(2)), source(4)), "proj");
+        let site = db.table(db.rel("Site").unwrap());
+        assert_eq!(site.len(), 2);
+        assert!(is_shared(site.column(AttrId(0)), source(3)), "location");
+        // A copy of an equal string is not a share.
+        assert!(!is_shared(&[Value::str("lyon")], source(3)));
     }
 
     /// A counting engine that records every column whose codes its

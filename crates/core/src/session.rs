@@ -511,7 +511,9 @@ impl Stage for RestructStage {
 /// come back to memory first. The discovery stages before this point
 /// ran entirely over the spilled pages; only the final rewrite pays
 /// for materialization, and it decodes from the already-encoded pages
-/// (dictionary codes → values) rather than re-parsing any source.
+/// (dictionary codes → values) rather than re-parsing any source. A
+/// decoded string cell shares the dictionary's allocation, so the
+/// decode allocates once per column, not once per cell.
 /// Hydration failure is a typed stage error — never a silent
 /// empty-column rewrite.
 fn hydrate_streamed(s: &mut DbreSession<'_>) -> Result<(), DbreError> {

@@ -11,7 +11,10 @@
 //!   rejected streamed ingest leaves the target relation untouched;
 //! * a second ingest through the same `--spill-dir` is served from
 //!   the committed cache entry with identical bytes, and a content
-//!   change invalidates it.
+//!   change invalidates it;
+//! * the in-memory ingest's string interning is invisible: its table
+//!   equals a per-field `Value::parse_into` reference, and equal text
+//!   cells of one column share one allocation.
 
 // Test-support helpers outside #[test] fns; panicking on fixture
 // failure is test behaviour.
@@ -24,9 +27,11 @@ use dbre_relational::database::Database;
 use dbre_relational::encode::ColumnDict;
 use dbre_relational::pages::PageFile;
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::value::Domain;
+use dbre_relational::value::{Domain, Value};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn scratch_db() -> (Database, RelId) {
     let mut db = Database::new();
@@ -50,8 +55,131 @@ fn tmp_file(tag: &str, seed: u64, text: &str) -> PathBuf {
     p
 }
 
+/// The records of `text` under the CSV dialect, split apart from the
+/// ingest's own parser: one leading byte-order mark dropped, `None`
+/// for an unquoted-empty field, `""` an escaped quote inside a quoted
+/// field, `\r` dropped outside quotes, blank lines skipped. `None` on
+/// an unterminated quote or a quote inside an unquoted field.
+fn reference_records(text: &str) -> Option<Vec<Vec<Option<String>>>> {
+    fn end_field(record: &mut Vec<Option<String>>, field: &mut String, was_quoted: &mut bool) {
+        let f = std::mem::take(field);
+        record.push((!f.is_empty() || *was_quoted).then_some(f));
+        *was_quoted = false;
+    }
+    fn end_record(records: &mut Vec<Vec<Option<String>>>, record: &mut Vec<Option<String>>) {
+        let r = std::mem::take(record);
+        if r != [None] {
+            records.push(r);
+        }
+    }
+    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
+    let (mut records, mut record) = (Vec::new(), Vec::new());
+    let mut field = String::new();
+    let (mut in_quotes, mut was_quoted) = (false, false);
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        if in_quotes {
+            match c {
+                '"' if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                '"' => in_quotes = false,
+                c => field.push(c),
+            }
+            continue;
+        }
+        match c {
+            '"' if field.is_empty() => (in_quotes, was_quoted) = (true, true),
+            '"' => return None,
+            ',' => end_field(&mut record, &mut field, &mut was_quoted),
+            '\r' => {}
+            '\n' => {
+                end_field(&mut record, &mut field, &mut was_quoted);
+                end_record(&mut records, &mut record);
+            }
+            c => field.push(c),
+        }
+    }
+    if in_quotes {
+        return None;
+    }
+    if !field.is_empty() || was_quoted || !record.is_empty() {
+        end_field(&mut record, &mut field, &mut was_quoted);
+        end_record(&mut records, &mut record);
+    }
+    Some(records)
+}
+
+/// The columns `relation` holds after importing `text` into it empty,
+/// each field coerced on its own by `Value::parse_into`; `None` when
+/// the text should be rejected.
+fn reference_import(relation: &Relation, text: &str) -> Option<Vec<Vec<Value>>> {
+    let records = reference_records(text)?;
+    let mut columns = vec![Vec::new(); relation.arity()];
+    let Some((header, rows)) = records.split_first() else {
+        return Some(columns);
+    };
+    let attrs: Vec<AttrId> = header
+        .iter()
+        .map(|name| relation.attr_id(name.as_deref()?))
+        .collect::<Option<_>>()?;
+    let named: HashSet<AttrId> = attrs.iter().copied().collect();
+    if attrs.len() != relation.arity() || named.len() != attrs.len() {
+        return None;
+    }
+    for row in rows {
+        if row.len() != attrs.len() {
+            return None;
+        }
+        for (field, &attr) in row.iter().zip(&attrs) {
+            let v = match field {
+                None => Value::Null,
+                Some(text) => Value::parse_into(text, relation.attribute(attr).domain)?,
+            };
+            columns[attr.index()].push(v);
+        }
+    }
+    Some(columns)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Interning text cells at ingest changes nothing a reader of the
+    /// table can see but the sharing itself: on hostile well-formed
+    /// and on corrupted input, `import_csv` accepts exactly what the
+    /// per-field reference and the streamed ingest accept, yields the
+    /// reference's cells, and holds the equal text cells of a column
+    /// as one allocation.
+    #[test]
+    fn interning_is_invisible(seed in any::<u64>()) {
+        for (tag, text) in [("intern-ok", streaming_csv(seed)), ("intern-bad", corrupt_csv(seed))] {
+            let (mut db, rel) = scratch_db();
+            let imported = import_csv(&mut db, rel, &text);
+            let relation = db.schema.relation(rel);
+            let reference = reference_import(relation, &text);
+            let path = tmp_file(tag, seed, &text);
+            let (mut sdb, srel) = scratch_db();
+            let streamed = import_csv_spilled(&mut sdb, srel, &path, None);
+            std::fs::remove_file(&path).ok();
+            prop_assert_eq!(imported.is_ok(), reference.is_some(), "{:?}: {:?}", text, imported);
+            prop_assert_eq!(imported.is_ok(), streamed.is_ok(), "{:?}", text);
+            let Some(reference) = reference else { continue };
+            let table = db.table(rel);
+            for (i, expect) in reference.iter().enumerate() {
+                let attr = AttrId(i as u16);
+                prop_assert_eq!(table.column(attr), expect.as_slice(), "column {}", i);
+                let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
+                for v in table.column(attr) {
+                    if let Value::Str(s) = v {
+                        let shared = *first.entry(&**s).or_insert(s);
+                        prop_assert!(Arc::ptr_eq(s, shared), "column {}: {:?} copied", i, s);
+                    }
+                }
+            }
+        }
+    }
 
     /// Streaming ingest produces byte-identical spill files and equal
     /// slim dictionaries for every generated hostile-but-valid input.

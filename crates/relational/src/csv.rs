@@ -14,9 +14,11 @@ use crate::pages::PageError;
 use crate::schema::{RelId, Relation};
 use crate::table::Table;
 use crate::value::Value;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::Read;
 use std::path::Path;
+use std::sync::Arc;
 
 /// CSV errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,10 +70,14 @@ impl From<PageError> for CsvError {
 /// it one big chunk) and the streaming [`import_csv_spilled`] path
 /// (which feeds it file-sized reads). Byte chunks may split anywhere,
 /// including mid-UTF-8-sequence and mid-`""` escape; state carries
-/// across `feed` calls.
+/// across `feed` calls. A record is lent to the caller, and its field
+/// buffers are then reused for later records, so a field allocates
+/// only when its text outgrows the buffer it reuses.
 struct RecordParser {
     field: String,
     record: Vec<Option<String>>,
+    /// Emptied field buffers of records already emitted.
+    spare: Vec<String>,
     /// Inside a quoted field.
     quoted: bool,
     /// Just saw a `"` inside a quoted field: the next char decides
@@ -96,6 +102,7 @@ impl RecordParser {
         RecordParser {
             field: String::new(),
             record: Vec::new(),
+            spare: Vec::new(),
             quoted: false,
             pending_quote: false,
             was_quoted: false,
@@ -117,7 +124,9 @@ impl RecordParser {
         if self.field.is_empty() && !self.was_quoted {
             self.record.push(None);
         } else {
-            self.record.push(Some(std::mem::take(&mut self.field)));
+            let next = self.spare.pop().unwrap_or_default();
+            self.record
+                .push(Some(std::mem::replace(&mut self.field, next)));
         }
         self.was_quoted = false;
     }
@@ -126,21 +135,22 @@ impl RecordParser {
     /// (a single NULL field).
     fn end_record(
         &mut self,
-        emit: &mut impl FnMut(Vec<Option<String>>) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         self.end_field();
-        if self.record.len() == 1 && self.record[0].is_none() {
-            self.record.clear();
-            Ok(())
-        } else {
-            emit(std::mem::take(&mut self.record))
+        let blank = self.record.len() == 1 && self.record[0].is_none();
+        let emitted = if blank { Ok(()) } else { emit(&self.record) };
+        for mut buffer in self.record.drain(..).flatten() {
+            buffer.clear();
+            self.spare.push(buffer);
         }
+        emitted
     }
 
     fn process_char(
         &mut self,
         c: char,
-        emit: &mut impl FnMut(Vec<Option<String>>) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         if self.at_start {
             self.at_start = false;
@@ -195,7 +205,7 @@ impl RecordParser {
     fn process_str(
         &mut self,
         s: &str,
-        emit: &mut impl FnMut(Vec<Option<String>>) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         for c in s.chars() {
             self.process_char(c, emit)?;
@@ -207,7 +217,7 @@ impl RecordParser {
     fn feed(
         &mut self,
         mut chunk: &[u8],
-        emit: &mut impl FnMut(Vec<Option<String>>) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         // Complete a UTF-8 sequence split at the previous boundary.
         while !self.stash.is_empty() && !chunk.is_empty() {
@@ -249,7 +259,7 @@ impl RecordParser {
     /// UTF-8 sequence.
     fn finish(
         mut self,
-        emit: &mut impl FnMut(Vec<Option<String>>) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         if !self.stash.is_empty() {
             return Err(self.invalid_utf8());
@@ -274,10 +284,11 @@ impl RecordParser {
 
 /// Splits CSV text into records of raw fields. `None` fields are
 /// unquoted-empty (→ NULL); quoted-empty stays `Some("")`.
+#[cfg(test)]
 fn parse_records(text: &str) -> Result<Vec<Vec<Option<String>>>, CsvError> {
     let mut records = Vec::new();
-    let mut emit = |r: Vec<Option<String>>| {
-        records.push(r);
+    let mut emit = |r: &[Option<String>]| {
+        records.push(r.to_vec());
         Ok(())
     };
     let mut p = RecordParser::new(false);
@@ -322,33 +333,58 @@ fn header_mapping(relation: &Relation, header: &[Option<String>]) -> Result<Vec<
     Ok(mapping)
 }
 
-/// Loads CSV text into an existing relation. The header must name the
-/// relation's attributes (any order); values are coerced per the
-/// declared domains; unquoted-empty fields become NULL.
+/// Turns the records of one CSV file into cells of `relation`, in
+/// stream order: the one coercion path of [`import_csv`] and the
+/// streamed [`import_csv_spilled`], so the NULL-text rule, the domain
+/// parse and the error texts exist once.
 ///
-/// The records are coerced into one vector per column, which are
-/// appended to the table at once (one generation bump per file), so a
-/// file with a malformed record leaves the relation as it was.
-pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, CsvError> {
-    // Tolerate a leading UTF-8 byte-order mark (Excel and Windows
-    // exports routinely prepend one); without this the first header
-    // column would never resolve.
-    let text = text.strip_prefix('\u{feff}').unwrap_or(text);
-    let records = parse_records(text)?;
-    let Some(header) = records.first() else {
-        return Ok(0);
-    };
-    let relation = db.schema.relation(rel);
-    let mapping = header_mapping(relation, header)?;
+/// Each text column interns its strings: a repeated string costs a
+/// set lookup instead of an allocation, and equal cells of one column
+/// share one `Arc<str>`. The sets key on text from the input file, so
+/// they keep std's default hasher, and they drop with the ingest.
+struct Ingest<'r> {
+    relation: &'r Relation,
+    /// The CSV-position → attribute map, once the header has resolved.
+    mapping: Option<Vec<AttrId>>,
+    /// The strings seen so far, per CSV position; only the positions of
+    /// text attributes fill theirs.
+    interners: Vec<HashSet<Arc<str>>>,
+    /// Records seen, header included: the record line of the last one.
+    /// Error lines count records, not newlines inside quoted fields.
+    records: usize,
+}
 
-    let rows = records.len() - 1;
-    let mut columns: Vec<Vec<Value>> = (0..relation.arity())
-        .map(|_| Vec::with_capacity(rows))
-        .collect();
-    for (line_no, record) in records.iter().enumerate().skip(1) {
+impl<'r> Ingest<'r> {
+    fn new(relation: &'r Relation) -> Self {
+        Ingest {
+            relation,
+            mapping: None,
+            interners: Vec::new(),
+            records: 0,
+        }
+    }
+
+    /// Takes the next record. The first resolves the header; each
+    /// later one is coerced field by field into the declared domains,
+    /// and `put` receives every cell with its attribute. `parse_with`
+    /// yields a value of the attribute's domain or NULL, so every cell
+    /// passes the domain check `Database::insert` makes.
+    fn record(
+        &mut self,
+        record: &[Option<String>],
+        mut put: impl FnMut(AttrId, Value) -> Result<(), CsvError>,
+    ) -> Result<(), CsvError> {
+        self.records += 1;
+        let relation = self.relation;
+        let Some(mapping) = &self.mapping else {
+            let mapping = header_mapping(relation, record)?;
+            self.interners = mapping.iter().map(|_| HashSet::new()).collect();
+            self.mapping = Some(mapping);
+            return Ok(());
+        };
         if record.len() != mapping.len() {
             return Err(CsvError::Malformed {
-                line: line_no + 1,
+                line: self.records,
                 message: format!(
                     "expected {} fields for relation `{}`, found {}",
                     mapping.len(),
@@ -357,23 +393,72 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
                 ),
             });
         }
-        for (field, attr) in record.iter().zip(&mapping) {
-            let domain = relation.attribute(*attr).domain;
-            // `parse_into` yields a value of `domain` or NULL, so every
-            // cell passes the domain check `Database::insert` makes.
+        for ((field, &attr), strings) in record.iter().zip(mapping).zip(&mut self.interners) {
+            let domain = relation.attribute(attr).domain;
             let v = match field {
                 None => Value::Null,
-                Some(text) => Value::parse_into(text, domain).ok_or_else(|| {
-                    CsvError::Schema(format!(
-                        "`{text}` does not fit {domain} (column `{}`, line {})",
-                        relation.attr_name(*attr),
-                        line_no + 1
-                    ))
-                })?,
+                Some(text) => {
+                    Value::parse_with(text, domain, |s| intern(strings, s)).ok_or_else(|| {
+                        CsvError::Schema(format!(
+                            "`{text}` does not fit {domain} (column `{}`, line {})",
+                            relation.attr_name(attr),
+                            self.records
+                        ))
+                    })?
+                }
             };
-            columns[attr.index()].push(v);
+            put(attr, v)?;
         }
+        Ok(())
     }
+
+    /// Data records taken so far.
+    fn rows(&self) -> usize {
+        self.records.saturating_sub(1)
+    }
+}
+
+/// The interned copy of `s` in `strings`, added on first sight.
+fn intern(strings: &mut HashSet<Arc<str>>, s: &str) -> Arc<str> {
+    if let Some(shared) = strings.get(s) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(s);
+    strings.insert(Arc::clone(&shared));
+    shared
+}
+
+/// Loads CSV text into an existing relation. The header must name the
+/// relation's attributes (any order); values are coerced per the
+/// declared domains; unquoted-empty fields become NULL; a leading
+/// UTF-8 byte-order mark is skipped.
+///
+/// Each record is coerced as the parser emits it, into one vector per
+/// column; the columns are appended to the table at the end (one
+/// generation bump per file), so a file with a malformed record leaves
+/// the relation as it was. The first bad record in stream order is the
+/// one reported.
+pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, CsvError> {
+    let relation = db.schema.relation(rel);
+    // Every record but the last ends in a newline, so the newline count
+    // bounds the data rows: each column is sized once.
+    let capacity = text.bytes().filter(|&b| b == b'\n').count();
+    let mut columns: Vec<Vec<Value>> = (0..relation.arity())
+        .map(|_| Vec::with_capacity(capacity))
+        .collect();
+    let mut ingest = Ingest::new(relation);
+    let mut on_record = |record: &[Option<String>]| {
+        ingest.record(record, |attr, v| {
+            columns[attr.index()].push(v);
+            Ok(())
+        })
+    };
+    // Excel and Windows exports routinely prepend a byte-order mark;
+    // without stripping it the first header column would never resolve.
+    let mut parser = RecordParser::new(true);
+    parser.feed(text.as_bytes(), &mut on_record)?;
+    parser.finish(&mut on_record)?;
+    let rows = ingest.rows();
     if rows > 0 {
         db.table_mut(rel).append_columns(columns)?;
     }
@@ -411,11 +496,9 @@ pub fn import_csv_with_stats(
 /// degrade to a re-encode that overwrites them.
 ///
 /// Field semantics, coercion and error reporting are byte-identical
-/// to [`import_csv`] — both run on the same record parser — with
-/// one accepted divergence: this path surfaces the *first* record's
-/// error in stream order, while [`import_csv`] parses everything
-/// before coercing (so a late structural error can mask an early
-/// coercion error there).
+/// to [`import_csv`]: both run on the same record parser and the same
+/// coercion, interner included, and both report the first bad record
+/// in stream order.
 ///
 /// Constraint checking (`K`, `N`) does not happen here — rows never
 /// pass through [`Database::insert`]. Callers run
@@ -551,45 +634,13 @@ fn encode_stream(
     builders: &mut [crate::encode::DictBuilder],
 ) -> Result<usize, CsvError> {
     let mut parser = RecordParser::new(true);
-    let mut mapping: Option<Vec<AttrId>> = None;
-    // Records seen so far, header included — so for record N the
-    // 1-based source line of its terminator is N+1 only in the
-    // newline-free sense; error lines here are *record* lines, the
-    // same convention `import_csv` uses.
-    let mut records = 0usize;
-    let mut on_record = |record: Vec<Option<String>>| -> Result<(), CsvError> {
-        records += 1;
-        let Some(map) = &mapping else {
-            mapping = Some(header_mapping(relation, &record)?);
-            return Ok(());
-        };
-        if record.len() != map.len() {
-            return Err(CsvError::Malformed {
-                line: records,
-                message: format!(
-                    "expected {} fields for relation `{}`, found {}",
-                    map.len(),
-                    relation.name,
-                    record.len()
-                ),
-            });
-        }
-        for (field, attr) in record.iter().zip(map) {
-            let domain = relation.attribute(*attr).domain;
-            let v = match field {
-                None => Value::Null,
-                Some(text) => Value::parse_into(text, domain).ok_or_else(|| {
-                    CsvError::Schema(format!(
-                        "`{text}` does not fit {domain} (column `{}`, line {})",
-                        relation.attr_name(*attr),
-                        records
-                    ))
-                })?,
-            };
+    let mut ingest = Ingest::new(relation);
+    let mut on_record = |record: &[Option<String>]| {
+        ingest.record(record, |attr, v| {
             let code = builders[attr.index()].intern(&v);
             writers[attr.index()].push(code)?;
-        }
-        Ok(())
+            Ok(())
+        })
     };
     let mut buf = vec![0u8; 64 * 1024];
     loop {
@@ -602,7 +653,7 @@ fn encode_stream(
         parser.feed(&buf[..n], &mut on_record)?;
     }
     parser.finish(&mut on_record)?;
-    Ok(records.saturating_sub(1))
+    Ok(ingest.rows())
 }
 
 /// Serializes a table to CSV with a header. NULL becomes an unquoted
@@ -837,8 +888,8 @@ mod tests {
         assert_eq!(whole.len(), 3, "blank line must vanish");
         for chunk in 1..=text.len() {
             let mut records = Vec::new();
-            let mut emit = |r: Vec<Option<String>>| {
-                records.push(r);
+            let mut emit = |r: &[Option<String>]| {
+                records.push(r.to_vec());
                 Ok(())
             };
             let mut p = RecordParser::new(false);
@@ -853,7 +904,7 @@ mod tests {
     #[test]
     fn record_parser_rejects_invalid_utf8() {
         let mut p = RecordParser::new(false);
-        let mut emit = |_| Ok(());
+        let mut emit = |_: &[Option<String>]| Ok(());
         // 0xff can never start a UTF-8 sequence.
         assert!(matches!(
             p.feed(b"ok,\xff", &mut emit),

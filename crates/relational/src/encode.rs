@@ -83,10 +83,23 @@ pub const NULL_CODE: u32 = 0;
 /// sequence (codes are assigned in first-occurrence order, so the
 /// decode table is canonical), which is what the
 /// streaming-vs-materialized differential tests pin.
+///
+/// The tables sit behind one `Arc`, so the copies the paged store
+/// makes — [`ColumnDict::slim`] and [`ColumnDict::rehydrate`] — clone a
+/// pointer, not the tables. Equality still compares contents.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnDict {
     /// Per-row codes; `codes[i] == NULL_CODE` iff row `i` is NULL.
     codes: Vec<u32>,
+    /// Everything but the per-row codes, shared by every slim copy and
+    /// rehydration of this dictionary.
+    tables: Arc<DictTables>,
+}
+
+/// The per-column part of a [`ColumnDict`]: what a slim dictionary
+/// keeps once the per-row codes are dropped.
+#[derive(Debug, Default, PartialEq)]
+struct DictTables {
     /// Decode table: `values[(c - 1) as usize]` is the value of code
     /// `c ≥ 1`. Codes are assigned in first-occurrence order.
     values: Vec<Value>,
@@ -112,55 +125,55 @@ pub struct ColumnDict {
 /// `build(column).slim()` for the same cell sequence.
 #[derive(Debug, Default)]
 pub struct DictBuilder {
-    values: Vec<Value>,
-    index: FxHashMap<Value, u32>,
-    nulls: usize,
-    counts: Vec<u64>,
+    tables: DictTables,
     rows: usize,
 }
 
 impl DictBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        DictBuilder {
-            counts: vec![0],
-            ..DictBuilder::default()
-        }
+        DictBuilder::with_row_capacity(0)
     }
 
     /// An empty builder presized for roughly `rows` incoming cells.
     pub fn with_row_capacity(rows: usize) -> Self {
         DictBuilder {
-            // Worst case (all-distinct key columns) is common enough in
-            // the paper's workloads to pre-size for; low-cardinality
-            // columns briefly over-reserve and release on drop.
-            index: FxHashMap::with_capacity_and_hasher(rows / 2, Default::default()),
-            counts: vec![0],
-            ..DictBuilder::default()
+            tables: DictTables {
+                // Worst case (all-distinct key columns) is common enough
+                // in the paper's workloads to pre-size for;
+                // low-cardinality columns briefly over-reserve and
+                // release on drop.
+                index: FxHashMap::with_capacity_and_hasher(rows / 2, Default::default()),
+                counts: vec![0],
+                ..DictTables::default()
+            },
+            rows: 0,
         }
     }
 
     /// Interns one cell, returning its code ([`NULL_CODE`] for NULL).
-    /// Clones `v` only on first occurrence.
+    /// Clones `v` only on first occurrence, and a string's clone
+    /// shares its allocation.
     #[inline]
     pub fn intern(&mut self, v: &Value) -> u32 {
         self.rows += 1;
+        let t = &mut self.tables;
         if v.is_null() {
-            self.nulls += 1;
-            self.counts[NULL_CODE as usize] += 1;
+            t.nulls += 1;
+            t.counts[NULL_CODE as usize] += 1;
             return NULL_CODE;
         }
-        let code = match self.index.get(v) {
+        let code = match t.index.get(v) {
             Some(&code) => code,
             None => {
-                let code = self.values.len() as u32 + 1;
-                self.index.insert(v.clone(), code);
-                self.values.push(v.clone());
-                self.counts.push(0);
+                let code = t.values.len() as u32 + 1;
+                t.index.insert(v.clone(), code);
+                t.values.push(v.clone());
+                t.counts.push(0);
                 code
             }
         };
-        self.counts[code as usize] += 1;
+        t.counts[code as usize] += 1;
         code
     }
 
@@ -173,7 +186,7 @@ impl DictBuilder {
     /// Number of distinct non-NULL values interned so far.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.values.len()
+        self.tables.values.len()
     }
 
     /// Finishes into a codes-free (slim) dictionary — the resident
@@ -181,10 +194,7 @@ impl DictBuilder {
     pub fn finish_slim(self) -> ColumnDict {
         ColumnDict {
             codes: Vec::new(),
-            values: self.values,
-            index: self.index,
-            nulls: self.nulls,
-            counts: self.counts,
+            tables: Arc::new(self.tables),
         }
     }
 }
@@ -208,19 +218,19 @@ impl ColumnDict {
     /// `COUNT(DISTINCT ·)` in `O(1)`.
     #[inline]
     pub fn cardinality(&self) -> usize {
-        self.values.len()
+        self.tables.values.len()
     }
 
     /// Does the column contain any NULL?
     #[inline]
     pub fn has_null(&self) -> bool {
-        self.nulls > 0
+        self.tables.nulls > 0
     }
 
     /// Number of NULL rows.
     #[inline]
     pub fn null_count(&self) -> usize {
-        self.nulls
+        self.tables.nulls
     }
 
     /// The per-row code slice (0 = NULL).
@@ -239,7 +249,7 @@ impl ColumnDict {
     /// NULL or absent from the column.
     #[inline]
     pub fn code_of(&self, v: &Value) -> u32 {
-        self.index.get(v).copied().unwrap_or(NULL_CODE)
+        self.tables.index.get(v).copied().unwrap_or(NULL_CODE)
     }
 
     /// Decodes a non-NULL code back into its value.
@@ -248,14 +258,14 @@ impl ColumnDict {
         if code == NULL_CODE {
             None
         } else {
-            self.values.get(code as usize - 1)
+            self.tables.values.get(code as usize - 1)
         }
     }
 
     /// The distinct non-NULL values, in first-occurrence (code) order.
     #[inline]
     pub fn distinct_values(&self) -> &[Value] {
-        &self.values
+        &self.tables.values
     }
 
     /// Per-code occurrence counts: `counts()[c]` is how many rows of
@@ -266,7 +276,7 @@ impl ColumnDict {
     /// counting pass.
     #[inline]
     pub fn code_counts(&self) -> &[u64] {
-        &self.counts
+        &self.tables.counts
     }
 
     /// Reassembles a slim dictionary from its serialized parts — the
@@ -280,10 +290,12 @@ impl ColumnDict {
         }
         ColumnDict {
             codes: Vec::new(),
-            values,
-            index,
-            nulls,
-            counts,
+            tables: Arc::new(DictTables {
+                values,
+                index,
+                nulls,
+                counts,
+            }),
         }
     }
 
@@ -295,14 +307,15 @@ impl ColumnDict {
     /// over-count the live column and a shortcut taken on it would be
     /// unsound.
     pub fn sketch(&self) -> Option<ColumnSketch> {
-        if self.counts.len() != self.values.len() + 1 {
+        let t = &*self.tables;
+        if t.counts.len() != t.values.len() + 1 {
             return None;
         }
-        if self.counts.iter().skip(1).any(|&c| c == 0) {
+        if t.counts.iter().skip(1).any(|&c| c == 0) {
             return None;
         }
-        let rows = self.counts.iter().sum::<u64>() as usize;
-        Some(ColumnSketch::new(rows, self.nulls, self.values.len()))
+        let rows = t.counts.iter().sum::<u64>() as usize;
+        Some(ColumnSketch::new(rows, t.nulls, t.values.len()))
     }
 
     /// A codes-free copy: the decode/encode tables and the NULL count
@@ -313,29 +326,22 @@ impl ColumnDict {
     /// [`intersect_count`] and [`decode_set_cols`]) works on a slim
     /// dictionary unchanged, while per-row codes stream from disk.
     /// `rows()` reports 0 on the copy; the paged column tracks the
-    /// true row count itself.
+    /// true row count itself. The copy shares this dictionary's
+    /// tables.
     pub fn slim(&self) -> ColumnDict {
-        ColumnDict {
-            codes: Vec::new(),
-            values: self.values.clone(),
-            index: self.index.clone(),
-            nulls: self.nulls,
-            counts: self.counts.clone(),
-        }
+        self.rehydrate(Vec::new())
     }
 
-    /// Rebuilds a full dictionary from this (slim) one plus a per-row
-    /// code vector — the paged store's rehydration path for consumers
-    /// that need random access to codes (the `column_dict()` seam:
-    /// key inference, RHS-Discovery's g3 error on streamed tables and
-    /// Restruct's hydration of streamed columns).
+    /// A full dictionary from this (slim) one plus a per-row code
+    /// vector, sharing this one's tables — the paged store's
+    /// rehydration path for consumers that need random access to a
+    /// streamed column's codes (the `column_dict()` seam):
+    /// RHS-Discovery's g3 error and Restruct's hydration of streamed
+    /// columns.
     pub fn rehydrate(&self, codes: Vec<u32>) -> ColumnDict {
         ColumnDict {
             codes,
-            values: self.values.clone(),
-            index: self.index.clone(),
-            nulls: self.nulls,
-            counts: self.counts.clone(),
+            tables: Arc::clone(&self.tables),
         }
     }
 }
@@ -1250,14 +1256,23 @@ mod tests {
         }
     }
 
+    /// `built`'s decode table and codes, with no per-code counts.
+    fn without_counts(built: &ColumnDict) -> ColumnDict {
+        ColumnDict::from_parts(
+            built.distinct_values().to_vec(),
+            built.null_count(),
+            Vec::new(),
+        )
+        .rehydrate(built.codes().to_vec())
+    }
+
     #[test]
     fn kernels_fall_back_when_counts_missing() {
         // A hand-assembled dictionary without the counts invariant
         // must still partition correctly: the kernels recount.
         let t = sample();
         let built = ColumnDict::build(t.column(a(0)));
-        let mut manual = built.clone();
-        manual.counts = Vec::new();
+        let manual = without_counts(&built);
         assert_eq!(ok(partition1(&manual, &())), ok(partition1(&built, &())));
         assert_eq!(
             ok(lhs_groups(&[&manual], &(), t.len())),
@@ -1281,11 +1296,38 @@ mod tests {
             Some(sketch)
         );
         // Broken counts invariant → no sketch (shortcuts stay sound).
-        let mut manual = built.clone();
-        manual.counts = Vec::new();
-        assert!(manual.sketch().is_none());
+        assert!(without_counts(&built).sketch().is_none());
         // A code no row carries (zero count) → no sketch.
         let unused = ColumnDict::from_parts(vec![Value::Int(1), Value::Int(2)], 0, vec![0, 1, 0]);
         assert!(unused.sketch().is_none());
+    }
+
+    /// The paged store's copies of a dictionary — the slim half it
+    /// keeps resident and every rehydration for `column_dict` — share
+    /// the source's tables instead of copying them, and still compare
+    /// equal by content.
+    #[test]
+    fn slim_and_rehydrate_share_the_tables() {
+        let t = sample();
+        let built = ColumnDict::build(t.column(a(1)));
+        let slim = built.slim();
+        let full = slim.rehydrate(built.codes().to_vec());
+        for copy in [&slim, &full] {
+            assert!(std::ptr::eq(
+                copy.distinct_values(),
+                built.distinct_values()
+            ));
+            assert!(std::ptr::eq(copy.code_counts(), built.code_counts()));
+        }
+        assert_eq!(slim.rows(), 0);
+        assert_eq!(full, built);
+        // A dictionary built apart from the same cells is equal, though
+        // it shares nothing.
+        let twin = ColumnDict::build(t.column(a(1)));
+        assert!(!std::ptr::eq(
+            twin.distinct_values(),
+            built.distinct_values()
+        ));
+        assert_eq!(twin, built);
     }
 }

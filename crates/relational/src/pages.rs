@@ -460,7 +460,9 @@ impl PageFileWriter {
 #[derive(Debug)]
 pub struct PagedColumn {
     /// Codes-free dictionary ([`ColumnDict::slim`]): decode/encode
-    /// tables and NULL count, no per-row vector.
+    /// tables and NULL count, no per-row vector. Its tables are shared
+    /// with the dictionary it was slimmed from and with every
+    /// rehydration of it.
     dict: Arc<ColumnDict>,
     rows: usize,
     file: PageFile,
@@ -578,7 +580,8 @@ impl std::ops::Deref for PageCodes {
 pub struct SpilledStore {
     pool: Arc<BufferPool>,
     /// Rehydrated full dictionaries for the `column_dict()` seam —
-    /// built on demand by streaming every page, then cached per
+    /// built on demand by streaming every page into a code vector
+    /// beside the slim dictionary's shared tables, then cached per
     /// generation like any other derived structure.
     hydrated: ColumnCache<ColumnDict>,
     fallbacks: AtomicU64,

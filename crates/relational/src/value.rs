@@ -5,6 +5,15 @@
 //! databases (the paper's motivating setting): integers, reals, strings,
 //! booleans and dates, plus SQL `NULL`.
 //!
+//! A string cell is a shared reference ([`Value::Str`] holds an
+//! `Arc<str>`): a denormalized extension repeats each determined value
+//! on every row that references it, so copying a cell — into a
+//! dictionary, a hydrated column or a split-off relation — costs a
+//! reference-count increment, not an allocation. Ingest interns each
+//! text column ([`crate::csv`]), so equal cells of one imported column
+//! share one allocation. `Arc<str>` hashes and compares as `str`, so
+//! the sharing is invisible to `Hash`, `Eq` and `Ord`.
+//!
 //! # NULL semantics
 //!
 //! The algorithms of the paper compute `‖r[X]‖` as SQL
@@ -23,6 +32,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A totally ordered wrapper around `f64`.
 ///
@@ -213,8 +223,8 @@ pub enum Value {
     Int(i64),
     /// Floating point value with total order.
     Float(OrdF64),
-    /// String value.
-    Str(Box<str>),
+    /// String value, shared: a clone is a reference-count increment.
+    Str(Arc<str>),
     /// Boolean value.
     Bool(bool),
     /// Date value.
@@ -223,7 +233,7 @@ pub enum Value {
 
 impl Value {
     /// Convenience constructor for strings.
-    pub fn str(s: impl Into<Box<str>>) -> Self {
+    pub fn str(s: impl Into<Arc<str>>) -> Self {
         Value::Str(s.into())
     }
 
@@ -272,13 +282,25 @@ impl Value {
     /// Coerces literal text into `domain` (used by the SQL layer and the
     /// data generator). Returns `None` when the text does not parse.
     pub fn parse_into(text: &str, domain: Domain) -> Option<Value> {
+        Value::parse_with(text, domain, |s| Arc::from(s))
+    }
+
+    /// [`Value::parse_into`], with `text_cell` making the string of a
+    /// text cell: a CSV ingest passes its column's interner, so equal
+    /// cells share one allocation. `null` in any case is NULL in every
+    /// domain, text included.
+    pub fn parse_with(
+        text: &str,
+        domain: Domain,
+        text_cell: impl FnOnce(&str) -> Arc<str>,
+    ) -> Option<Value> {
         if text.eq_ignore_ascii_case("null") {
             return Some(Value::Null);
         }
         Some(match domain {
             Domain::Int => Value::Int(text.parse().ok()?),
             Domain::Float => Value::float(text.parse().ok()?),
-            Domain::Text => Value::str(text),
+            Domain::Text => Value::Str(text_cell(text)),
             Domain::Bool => match text.to_ascii_lowercase().as_str() {
                 "true" | "t" | "1" => Value::Bool(true),
                 "false" | "f" | "0" => Value::Bool(false),
@@ -288,6 +310,11 @@ impl Value {
         })
     }
 }
+
+// A cell is a tag plus at most two words (`Arc<str>` is a fat
+// pointer); a wider variant would grow every column of every table.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -314,7 +341,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(v.into_boxed_str())
+        Value::str(v)
     }
 }
 impl From<f64> for Value {
