@@ -921,7 +921,8 @@ fn xb(check: bool) {
     // by each CountBackend through the one counting seam (small
     // extension — the SQL backend executes every ‖·‖ probe as a real
     // statement, lowered onto the encoded kernels; the paged backend
-    // streams spilled code pages through its buffer pool).
+    // keeps this in-memory database's columns resident, as encoded
+    // does, so its pool stays untouched).
     let mut backend_rows: Vec<(&'static str, f64)> = Vec::new();
     let mut paged_cache = dbre_relational::PageCacheStats::default();
     let sp = scenario(8, 1000, 42);
@@ -954,43 +955,6 @@ fn xb(check: bool) {
             ns,
         ));
         backend_rows.push((choice.name(), ns));
-    }
-
-    // Out-of-core scaling point: the full pipeline at 8 entities / 1M
-    // rows, encoded (in RAM) vs paged (64 MiB default pool), single
-    // sample — this is a scaling observation, not a microbenchmark.
-    // Skipped under --check to keep the CI smoke leg inside its budget.
-    let mut paged_scale: Option<(f64, f64, bool, dbre_relational::PageCacheStats)> = None;
-    if !check {
-        let s = scenario(8, 1_000_000, 42);
-        let q = dbre_extract::extract_programs(
-            &s.db.schema,
-            &s.programs,
-            &dbre_extract::ExtractConfig::default(),
-        )
-        .q();
-        let run = |choice: dbre_core::BackendChoice| {
-            let opts = PipelineOptions {
-                backend: choice,
-                ..Default::default()
-            };
-            let mut oracle = AutoOracle::default();
-            // Clone the 1M-row database before the clock starts: the
-            // row times the pipeline, not the copy of its input.
-            let db = s.db.clone();
-            let t0 = Instant::now();
-            let r = dbre_core::run_with_q(db, &q, &mut oracle, &opts);
-            (t0.elapsed().as_secs_f64() * 1e3, r)
-        };
-        let (encoded_ms, enc) = run(dbre_core::BackendChoice::Encoded);
-        let (paged_ms, paged) = run(dbre_core::BackendChoice::Paged);
-        // The two backends must reach the same reverse-engineered
-        // design; streaming over spilled pages may only cost time.
-        let agree = render_inds(&enc.db, &enc.ind.inds) == render_inds(&paged.db, &paged.ind.inds)
-            && render_fds(&enc.db_before, &enc.rhs.fds)
-                == render_fds(&paged.db_before, &paged.rhs.fds)
-            && enc.restructured.ric.len() == paged.restructured.ric.len();
-        paged_scale = Some((encoded_ms, paged_ms, agree, paged.stats.page_cache));
     }
 
     // Ingest throughput: the same synthetic CSV through both ingest
@@ -1159,15 +1123,6 @@ fn xb(check: bool) {
         "  ],\n  \"page_cache\": {{ \"hits\": {}, \"misses\": {}, \"evictions\": {} }},\n",
         paged_cache.hits, paged_cache.misses, paged_cache.evictions
     ));
-    if let Some((encoded_ms, paged_ms, agree, pc)) = &paged_scale {
-        json.push_str(&format!(
-            "  \"paged_scale\": {{ \"entities\": 8, \"rows\": 1000000, \
-             \"encoded_ms\": {encoded_ms:.0}, \"paged_ms\": {paged_ms:.0}, \
-             \"agree\": {agree}, \"page_hits\": {}, \"page_misses\": {}, \
-             \"page_evictions\": {} }},\n",
-            pc.hits, pc.misses, pc.evictions
-        ));
-    }
     json.push_str(&format!(
         "  \"ingest\": {{ \"rows\": {}, \"streaming_rows_per_s\": {:.0}, \
          \"materialized_rows_per_s\": {:.0} }},\n",
@@ -1220,18 +1175,6 @@ fn xb(check: bool) {
         "  paged page cache: {} hits, {} misses, {} evictions",
         paged_cache.hits, paged_cache.misses, paged_cache.evictions
     );
-    if let Some((encoded_ms, paged_ms, agree, pc)) = &paged_scale {
-        println!("\n  out-of-core scaling (8 entities, 1M rows, 64 MiB pool, 1 sample):");
-        println!("  --backend encoded    {encoded_ms:>9.0} ms");
-        println!(
-            "  --backend paged      {paged_ms:>9.0} ms   ({} hits, {} misses, {} evictions)",
-            pc.hits, pc.misses, pc.evictions
-        );
-        println!(
-            "  designs agree: {}",
-            if *agree { "yes" } else { "NO — INVESTIGATE" }
-        );
-    }
     println!(
         "\n  ingest to spill pages ({} rows, median of 3):",
         ingest.0

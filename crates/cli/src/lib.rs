@@ -12,6 +12,9 @@
 //! dbre extract --schema schema.sql [--programs file|dir]...
 //! dbre example
 //! ```
+//!
+//! `--backend paged` and `--spill-dir` stream the `--csv` extensions to
+//! spill pages instead of loading them into memory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -52,7 +55,9 @@ pub struct ReverseArgs {
     /// `auto` (default) or `deny`.
     pub oracle: String,
     /// Counting backend: `encoded` (default), `reference`, `sql`, or
-    /// `paged`.
+    /// `paged`. `paged` means out of core: `--csv` extensions stream to
+    /// temporary spill files instead of materializing, and the paged
+    /// backend reads them through its buffer pool.
     pub backend: String,
     /// Buffer-pool capacity in MiB for `--backend paged`
     /// (default 64).
@@ -97,6 +102,10 @@ USAGE:
   dbre extract --schema DDL.sql [--programs FILE|DIR]...
   dbre example
   dbre help
+
+--backend paged and --spill-dir DIR stream every --csv extension to
+spill pages instead of loading it into memory (temporary files, or a
+cache under DIR that reruns on unchanged inputs reuse).
 ";
 
 /// Parses argv (without the binary name).
@@ -244,12 +253,13 @@ pub type SpilledInputs = Vec<(
 
 /// Builds the database plus any streamed extensions.
 ///
-/// Without `--spill-dir` every `--csv` extension materializes through
-/// [`import_csv`] as before and the second element is empty. With it,
-/// each extension streams straight to checksummed spill files under
-/// the cache directory (reruns on unchanged inputs load the committed
-/// entry instead of re-encoding) and is validated against the
-/// dictionary via [`dbre_relational::spill::validate_spilled`].
+/// Without `--spill-dir` or `--backend paged` every `--csv` extension
+/// materializes through [`import_csv`] and the second element is
+/// empty. With either, each extension streams straight to checksummed
+/// spill files — under the cache directory, where reruns on unchanged
+/// inputs load the committed entry instead of re-encoding, or else to
+/// temporary files — and is validated against the dictionary via
+/// [`dbre_relational::spill::validate_spilled`].
 pub fn load_inputs(
     args: &ReverseArgs,
 ) -> Result<(dbre_relational::Database, SpilledInputs), String> {
@@ -268,12 +278,14 @@ pub fn load_inputs(
     }
     let mut db = catalog.into_database();
     let mut spilled: SpilledInputs = Vec::new();
+    let stream = args.spill_dir.is_some() || args.backend == "paged";
     for (table, path) in &args.csv {
         let rel = db
             .rel(table)
             .map_err(|_| format!("--csv names unknown table `{table}`"))?;
-        if let Some(dir) = &args.spill_dir {
-            let t = dbre_relational::csv::import_csv_spilled(&mut db, rel, path, Some(dir))
+        if stream {
+            let dir = args.spill_dir.as_deref();
+            let t = dbre_relational::csv::import_csv_spilled(&mut db, rel, path, dir)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
             spilled.push((rel, std::sync::Arc::new(t)));
         } else {
@@ -389,9 +401,9 @@ fn run_service_bench(
     use dbre_core::service::{run_service, shared_engine};
 
     if !options.spilled.is_empty() {
-        return Err(
-            "--sessions (service mode) needs materialized extensions; drop --spill-dir".into(),
-        );
+        return Err("--sessions (service mode) needs materialized extensions; \
+                    drop --spill-dir and --backend paged"
+            .into());
     }
     let extraction = dbre_extract::extract_programs(&db.schema, programs, &options.extract);
     let q = extraction.q();
@@ -875,19 +887,26 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("t.csv"), "a,b\n1,2\n3,4\n").unwrap();
-        let cmd = parse_args(&s(&[
-            "reverse",
-            "--schema",
-            dir.join("schema.sql").to_str().unwrap(),
-            "--csv",
-            &format!("T={}", dir.join("t.csv").display()),
-            "--spill-dir",
-            dir.join("spill").to_str().unwrap(),
-            "--sessions",
-            "2",
-        ]));
-        let err = run(&cmd).unwrap_err();
-        assert!(err.contains("materialized"), "{err}");
+        // Both ways in to streamed extensions are refused, by name.
+        let spill = dir.join("spill");
+        for streaming in [
+            ["--spill-dir", spill.to_str().unwrap()],
+            ["--backend", "paged"],
+        ] {
+            let mut argv = s(&[
+                "reverse",
+                "--schema",
+                dir.join("schema.sql").to_str().unwrap(),
+                "--csv",
+                &format!("T={}", dir.join("t.csv").display()),
+                "--sessions",
+                "2",
+            ]);
+            argv.extend(s(&streaming));
+            let err = run(&parse_args(&argv)).unwrap_err();
+            assert!(err.contains("materialized"), "{err}");
+            assert!(err.contains("--spill-dir and --backend paged"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -938,6 +957,12 @@ mod tests {
         };
 
         let materialized = run(&parse_args(&argv(false))).unwrap();
+        // `--backend paged` streams to temporary spill files.
+        let mut paged_argv = argv(false);
+        paged_argv.extend(s(&["--backend", "paged"]));
+        let paged = run(&parse_args(&paged_argv)).unwrap();
+        assert!(paged.contains("spill cache: 0 hits, 2 misses"), "{paged}");
+        assert_eq!(findings(&paged), findings(&materialized));
         let cold = run(&parse_args(&argv(true))).unwrap();
         assert!(cold.contains("counting engine: backend `paged`"), "{cold}");
         assert!(cold.contains("spill cache: 0 hits, 2 misses"), "{cold}");

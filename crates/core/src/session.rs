@@ -55,8 +55,12 @@ pub enum BackendChoice {
     Encoded,
     /// Generated SQL through the `dbre-sql` executor (fidelity path).
     Sql,
-    /// Out-of-core paged columnar store: encoded kernels streaming
-    /// over spilled code pages through an LRU buffer pool.
+    /// Out-of-core paged columnar store: the encoded kernels, reading
+    /// the code pages streamed ingest spilled (adopted from
+    /// [`PipelineOptions::spilled`]) through an LRU buffer pool. A
+    /// table whose values are in memory stays resident, as under
+    /// `Encoded`; `dbre reverse --backend paged` streams its `--csv`
+    /// extensions so that they are paged.
     Paged,
 }
 

@@ -24,10 +24,11 @@ use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
 use dbre_relational::encode::ColumnDict;
-use dbre_relational::pages::PagedBackend;
+use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
+use dbre_relational::spill::SpilledTable;
 use dbre_relational::value::{Domain, OrdF64, Value};
 use dbre_sql::SqlBackend;
 use proptest::prelude::*;
@@ -89,15 +90,48 @@ fn build_db(
     (db, l, r, q)
 }
 
-/// One pipeline run on the given backend, with key inference on.
+/// `db`'s streamed twin: every relation a streamed extension holding
+/// no values, its columns spilled to page files as streamed ingest
+/// would, for the session to adopt.
+fn streamed_twin(db: &Database) -> (Database, Vec<(RelId, Arc<SpilledTable>)>) {
+    let mut twin = Database::new();
+    let mut spilled = Vec::new();
+    for (rel, relation) in db.schema.iter() {
+        let table = db.table(rel);
+        let streamed = twin.add_relation(relation.clone()).unwrap();
+        twin.set_streamed_extension(streamed, table.len());
+        let columns = (0..table.arity())
+            .map(|i| {
+                let dict = ColumnDict::build(table.column(AttrId(i as u16)));
+                let file = PageFile::spill(dict.codes()).unwrap();
+                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
+            })
+            .collect();
+        let table = SpilledTable::new(columns, table.len(), false);
+        spilled.push((streamed, Arc::new(table)));
+    }
+    twin.constraints = db.constraints.clone();
+    (twin, spilled)
+}
+
+/// One pipeline run on the given backend, with key inference on. The
+/// paged backend runs on `db`'s streamed twin, so its probes read
+/// pages.
 fn run(db: &Database, q: &[EquiJoin], backend: BackendChoice) -> PipelineResult {
-    let options = PipelineOptions {
+    let mut options = PipelineOptions {
         backend,
         infer_missing_keys: true,
         ..Default::default()
     };
+    let db = if backend == BackendChoice::Paged {
+        let (twin, spilled) = streamed_twin(db);
+        options.spilled = spilled;
+        twin
+    } else {
+        db.clone()
+    };
     let mut oracle = AutoOracle::default();
-    run_with_q(db.clone(), q, &mut oracle, &options)
+    run_with_q(db, q, &mut oracle, &options)
 }
 
 /// The key each input relation ended key inference with.

@@ -117,7 +117,7 @@ proptest! {
         // Warm every cache family.
         engine.join_stats(&db, &join);
         engine.fd_holds(&db, &fd);
-        engine.partition_for_attrs(&db, r, &[AttrId(0), AttrId(1)]);
+        engine.partition(&db, r, AttrId(1));
 
         for (i, &(x, y)) in extra.iter().enumerate() {
             db.insert(r, vec![val(x), val(y)]).unwrap();
@@ -136,14 +136,11 @@ proptest! {
                 engine.count_distinct(&db, r, &[AttrId(0)]),
                 db.table(r).count_distinct(&[AttrId(0)])
             );
-            let direct = dbre_relational::partitions::StrippedPartition::for_attrs(
+            let direct = dbre_relational::partitions::StrippedPartition::for_attribute(
                 db.table(r),
-                &[AttrId(0), AttrId(1)],
+                AttrId(1),
             );
-            prop_assert_eq!(
-                (*engine.partition_for_attrs(&db, r, &[AttrId(0), AttrId(1)])).clone(),
-                direct
-            );
+            prop_assert_eq!((*engine.partition(&db, r, AttrId(1))).clone(), direct);
         }
     }
 }

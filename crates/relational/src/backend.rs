@@ -21,13 +21,14 @@
 //! here, and so does [`ColumnarBackend`], the one backend over
 //! dictionary-encoded columns: it owns the generation-tagged column
 //! and encoded-set caches and the single set of [`CountBackend`]
-//! method bodies, and runs the kernel family of [`crate::encode`].
-//! Its [`ColumnStore`] decides only where a built column's codes live:
-//! [`EncodedBackend`] keeps them resident ([`ResidentStore`]),
-//! [`crate::pages::PagedBackend`] spills them to pages behind a buffer
-//! pool ([`crate::pages::SpilledStore`]). The SQL backend lives in
-//! `dbre-sql` (`SqlBackend`), respecting the dependency direction:
-//! this crate knows nothing about SQL.
+//! method bodies, and runs the kernel family of [`crate::encode`]. A
+//! resident table's column keeps its dictionary in memory; only the
+//! columns streamed ingest spilled, which the paged backend adopts
+//! ([`crate::pages::PagedBackend::adopt_spilled`]), are read page by
+//! page through its buffer pool. [`EncodedBackend`] and
+//! [`crate::pages::PagedBackend`] are its two names. The SQL backend
+//! lives in `dbre-sql` (`SqlBackend`), respecting the dependency
+//! direction: this crate knows nothing about SQL.
 //!
 //! NULL conventions are part of the contract (see the trait docs):
 //! projections and counts drop NULL-bearing tuples (SQL
@@ -38,7 +39,7 @@
 //! these exactly — the differential proptests enforce it.
 
 use crate::attr::AttrId;
-use crate::bufpool::PageCacheStats;
+use crate::bufpool::{BufferPool, PageCacheStats};
 use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::{Fd, Ind};
@@ -46,6 +47,7 @@ use crate::encode::{
     self, decode_set_cols, intersect_count, tuple_keys, CodeSource, ColumnCodes, ColumnDict,
     EncodedSet, Tally,
 };
+use crate::pages::{PageCodes, PageError, PagedColumn};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
@@ -53,6 +55,7 @@ use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
 use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// What a cache shard does when its lock is recovered from poisoning:
@@ -197,7 +200,7 @@ pub trait CountBackend: Send + Sync {
     /// `Value` tuples — for consumers that need the actual values,
     /// e.g. materializing a conceptualized intersection.
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        Arc::new(db.table(rel).distinct_projection(attrs))
+        Arc::new(db.materialized(rel).distinct_projection(attrs))
     }
 
     /// Does `fd` hold in the extension? SQL NULL semantics: NULL-LHS
@@ -241,7 +244,7 @@ pub trait CountBackend: Send + Sync {
     /// convention** (`NULL = NULL`) — the substrate of the TANE/key
     /// baselines, not expressible as a plain SQL count.
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        Arc::new(StrippedPartition::for_attribute(db.table(rel), attr))
+        Arc::new(StrippedPartition::for_attribute(db.materialized(rel), attr))
     }
 
     /// A hint that `rel` is about to be queried heavily (e.g. right
@@ -257,10 +260,12 @@ pub trait CountBackend: Send + Sync {
     /// [`column_codes`](CountBackend::column_codes) serves a streamed
     /// table's codes from it, and Restruct hydrates streamed columns
     /// from it. Every caller asks only about streamed tables, which
-    /// only the paged backend serves. The columnar
-    /// backends answer from the same generation-tagged column cache as
-    /// their counting probes; the reference and SQL backends keep no
-    /// encoding and return `None`.
+    /// only the paged backend serves. The columnar backends answer from
+    /// the same generation-tagged column cache as their counting
+    /// probes: a resident column's dictionary as built, an adopted
+    /// spilled column's rehydrated from its pages once per generation.
+    /// The reference and SQL backends keep no encoding and return
+    /// `None`.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let _ = (db, rel, attr);
         None
@@ -273,19 +278,17 @@ pub trait CountBackend: Send + Sync {
     ///
     /// # Panics
     ///
-    /// On a streamed table whose backend serves no dictionary: a wiring
-    /// bug (adoption installs the pages before discovery runs), which
-    /// the session's per-stage isolation turns into a degraded stage.
+    /// On a streamed table whose backend serves no dictionary
+    /// ([`Database::materialized`]): a wiring bug (adoption installs
+    /// the pages before discovery runs), which the session's per-stage
+    /// isolation turns into a degraded stage.
     fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
-        let table = db.table(rel);
-        if table.is_materialized() {
-            return Arc::new(ColumnCodes::encode(table.column(attr)));
+        if !db.table(rel).is_materialized() {
+            if let Some(dict) = self.column_dict(db, rel, attr) {
+                return Arc::new(ColumnCodes::Streamed(dict));
+            }
         }
-        Arc::new(ColumnCodes::Streamed(
-            self.column_dict(db, rel, attr).unwrap_or_else(|| {
-                panic!("streamed extension must have backend-served column dictionaries")
-            }),
-        ))
+        Arc::new(ColumnCodes::encode(db.materialized(rel).column(attr)))
     }
 
     /// One column's exact row, NULL and distinct counts
@@ -379,10 +382,9 @@ pub fn pluralities<B: CountBackend + ?Sized>(
 
 /// Shared `Value`-level implementation of the LHS-group contract (see
 /// [`CountBackend::lhs_groups`]); also the oracle the differential
-/// tests compare against, and the fallback the paged backend degrades
-/// to on a spill-file failure.
+/// tests compare against.
 pub(crate) fn lhs_groups_reference(db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Vec<usize>> {
-    let table = db.table(rel);
+    let table = db.materialized(rel);
     let mut map: HashMap<ProjKey, Vec<usize>> = HashMap::new();
     'rows: for i in 0..table.len() {
         let mut key = Vec::with_capacity(attrs.len());
@@ -414,7 +416,7 @@ impl CountBackend for ReferenceBackend {
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        db.table(rel).count_distinct(attrs)
+        db.materialized(rel).count_distinct(attrs)
     }
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
@@ -436,76 +438,84 @@ impl CountBackend for ReferenceBackend {
     }
 }
 
-/// Where a [`ColumnarBackend`] keeps a freshly built column's codes —
-/// the one thing the `encoded` and `paged` backends do differently.
-///
-/// Everything else is shared: the generation-tagged column cache, the
-/// encoded-set cache, the kernels of [`crate::encode`] and every
-/// [`CountBackend`] method body. [`ResidentStore`] keeps the codes in
-/// the dictionary and cannot fail; [`crate::pages::SpilledStore`]
-/// spills them to a page file behind a buffer pool and degrades a
-/// failed read to the reference semantics.
-pub trait ColumnStore: Send + Sync {
-    /// The backend's stable name for reports and the CLI.
-    const NAME: &'static str;
-    /// Why a column could not be built or read — [`Infallible`] for
-    /// resident codes.
-    type Error;
-    /// One cached column: its resident dictionary (a slim one for
-    /// spilled codes) and its codes, read through [`Self::pager`].
-    type Column: CodeSource<Error = Self::Error> + Send + Sync;
+/// One cached column of a [`ColumnarBackend`].
+#[derive(Debug)]
+pub(crate) enum Column {
+    /// A resident table's dictionary, per-row codes included, built
+    /// from its values on first use.
+    Resident(Arc<ColumnDict>),
+    /// A streamed table's column, adopted from its ingest
+    /// ([`crate::pages::PagedBackend::adopt_spilled`]): the slim
+    /// dictionary resident, the codes on pages read through the pool.
+    Spilled(Arc<PagedColumn>),
+}
 
-    /// What the columns' codes are read through.
-    fn pager(&self) -> &<Self::Column as CodeSource>::Pager;
+/// A resident column's chunks slice its code vector; a spilled
+/// column's are pooled pages.
+impl CodeSource for Column {
+    type Pager = BufferPool;
+    type Error = PageError;
+    type Chunk<'a> = ColumnChunk<'a>;
 
-    /// Encodes one column of the table's current generation.
-    fn build(&self, db: &Database, rel: RelId, attr: AttrId) -> Result<Self::Column, Self::Error>;
-
-    /// `col`'s full dictionary, per-row codes included — the
-    /// [`CountBackend::column_dict`] seam.
-    fn full_dict(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attr: AttrId,
-        col: Arc<Self::Column>,
-    ) -> Result<Arc<ColumnDict>, Self::Error>;
-
-    /// Serves a probe whose native execution failed on `rels`.
-    fn degrade<T>(
-        &self,
-        db: &Database,
-        rels: &[RelId],
-        err: Self::Error,
-        reference: impl FnOnce() -> T,
-    ) -> T;
-
-    /// Releases what a replaced column held outside the cache.
-    fn retire(&self, stale: &Self::Column) {
-        let _ = stale;
+    fn dict(&self) -> &ColumnDict {
+        match self {
+            Column::Resident(dict) => dict,
+            Column::Spilled(col) => col.dict(),
+        }
     }
 
-    /// See [`CountBackend::exec_stats`].
-    fn exec_stats(&self) -> BackendExecStats {
-        BackendExecStats::default()
+    fn rows(&self) -> usize {
+        match self {
+            Column::Resident(dict) => dict.rows(),
+            Column::Spilled(col) => col.rows(),
+        }
     }
 
-    /// See [`CountBackend::page_stats`].
-    fn page_stats(&self) -> PageCacheStats {
-        PageCacheStats::default()
+    fn chunk<'a>(&'a self, pool: &'a BufferPool, i: usize) -> Result<ColumnChunk<'a>, PageError> {
+        match self {
+            Column::Resident(dict) => {
+                let codes = dict.chunk(&(), i).unwrap_or_else(|never| match never {});
+                Ok(ColumnChunk::Resident(codes))
+            }
+            Column::Spilled(col) => col.chunk(pool, i).map(ColumnChunk::Spilled),
+        }
     }
+}
 
-    /// See [`CountBackend::spill_stats`].
-    fn spill_stats(&self) -> SpillCacheStats {
-        SpillCacheStats::default()
+/// One chunk of a [`Column`]'s codes, borrowed or pinned for the scan.
+pub(crate) enum ColumnChunk<'a> {
+    /// A slice of a resident code vector.
+    Resident(&'a [u32]),
+    /// A pooled page.
+    Spilled(PageCodes),
+}
+
+impl std::ops::Deref for ColumnChunk<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            ColumnChunk::Resident(codes) => codes,
+            ColumnChunk::Spilled(page) => page,
+        }
     }
 }
 
 /// A counting backend over dictionary-encoded columns: each column a
 /// probe touches is interned once per table generation, and counting /
 /// grouping / partitioning / join probes run the integer-code kernels
-/// of [`crate::encode`] over its codes, wherever the [`ColumnStore`]
-/// keeps them.
+/// of [`crate::encode`] over its codes.
+///
+/// A resident table's column keeps its whole [`ColumnDict`] in memory.
+/// A streamed table's columns are the ones its ingest spilled, adopted
+/// by the paged backend ([`crate::pages::PagedBackend::adopt_spilled`]),
+/// and their codes are read page by page through the backend's
+/// [`BufferPool`]; no other column touches the pool. A page that cannot
+/// be read fails the probe loudly, naming the relation: a streamed
+/// extension holds no values to answer from instead.
+///
+/// `PAGED` only names the backend: [`EncodedBackend`] is `encoded`,
+/// [`crate::pages::PagedBackend`] is `paged` and the one that adopts.
 ///
 /// The per-column encodings and the per-projection encoded sets are
 /// cached *inside* the backend, tagged with [`Database::generation`]
@@ -514,63 +524,35 @@ pub trait ColumnStore: Send + Sync {
 /// handful of key columns of wide denormalized relations, so encoding
 /// whole tables up front would dominate the cold path the encoding is
 /// meant to speed up.
-pub struct ColumnarBackend<S: ColumnStore> {
-    pub(crate) store: S,
+pub struct ColumnarBackend<const PAGED: bool> {
+    /// What spilled columns' pages are read through.
+    pub(crate) pool: Arc<BufferPool>,
     /// Per-column encodings, keyed per `(relation, attribute)` so a
     /// probe touching two columns of a wide table pays for exactly
     /// those two builds.
-    pub(crate) columns: ColumnCache<S::Column>,
+    pub(crate) columns: ColumnCache<Column>,
     /// Encoded distinct-code sets per `(rel, attrs)` — shared between
     /// counts, projections and every join side touching them.
     encoded: ProjectionCache<EncodedSet>,
+    /// Spilled columns' full dictionaries for the
+    /// [`CountBackend::column_dict`] seam: every page streamed into a
+    /// code vector beside the slim dictionary's shared tables, once
+    /// per generation.
+    hydrated: ColumnCache<ColumnDict>,
+    /// Adopted streamed-ingest tables whose encode the persistent
+    /// spill cache skipped.
+    pub(crate) spill_hits: AtomicU64,
+    /// Adopted streamed-ingest tables that had to encode (cold cache,
+    /// or no `--spill-dir` configured).
+    pub(crate) spill_misses: AtomicU64,
 }
 
-/// The dictionary-encoded backend: every column's codes stay resident.
-pub type EncodedBackend = ColumnarBackend<ResidentStore>;
+/// The dictionary-encoded backend.
+pub type EncodedBackend = ColumnarBackend<false>;
 
-/// The resident store: a freshly built column's codes stay in its
-/// dictionary, in memory.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ResidentStore;
-
-impl ColumnStore for ResidentStore {
-    const NAME: &'static str = "encoded";
-    type Error = Infallible;
-    type Column = ColumnDict;
-
-    fn pager(&self) -> &() {
-        &()
-    }
-
-    fn build(&self, db: &Database, rel: RelId, attr: AttrId) -> Result<ColumnDict, Infallible> {
-        Ok(ColumnDict::build(db.table(rel).column(attr)))
-    }
-
-    fn full_dict(
-        &self,
-        _db: &Database,
-        _rel: RelId,
-        _attr: AttrId,
-        col: Arc<ColumnDict>,
-    ) -> Result<Arc<ColumnDict>, Infallible> {
-        Ok(col)
-    }
-
-    fn degrade<T>(&self, _: &Database, _: &[RelId], err: Infallible, _: impl FnOnce() -> T) -> T {
-        match err {}
-    }
-}
-
-impl<S: ColumnStore + Default> Default for ColumnarBackend<S> {
+impl<const PAGED: bool> Default for ColumnarBackend<PAGED> {
     fn default() -> Self {
-        ColumnarBackend::with_store(S::default())
-    }
-}
-
-impl EncodedBackend {
-    /// A backend with empty dictionary caches.
-    pub fn new() -> Self {
-        EncodedBackend::default()
+        ColumnarBackend::with_pool(Arc::new(BufferPool::default()))
     }
 }
 
@@ -612,207 +594,184 @@ where
     Ok(value)
 }
 
-impl<S: ColumnStore> ColumnarBackend<S> {
-    /// A backend over `store` with empty caches.
-    pub(crate) fn with_store(store: S) -> Self {
+/// A probe's answer, or a loud failure naming the relation whose
+/// adopted pages could not be read.
+fn read_or_die<T>(db: &Database, rel: RelId, answer: Result<T, PageError>) -> T {
+    answer.unwrap_or_else(|err| {
+        panic!(
+            "cannot read the spilled pages of relation `{}`: {err}",
+            db.schema.relation(rel).name
+        )
+    })
+}
+
+impl<const PAGED: bool> ColumnarBackend<PAGED> {
+    /// A backend with empty caches and the default 64 MiB buffer pool.
+    pub fn new() -> Self {
+        ColumnarBackend::default()
+    }
+
+    /// A backend whose pool holds at most `bytes` of page data.
+    pub fn with_capacity_bytes(bytes: usize) -> Self {
+        ColumnarBackend::with_pool(Arc::new(BufferPool::with_capacity_bytes(bytes)))
+    }
+
+    /// A backend over an explicit (possibly shared) pool.
+    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         ColumnarBackend {
-            store,
+            pool,
             columns: RwLock::new(HashMap::new()),
             encoded: RwLock::new(HashMap::new()),
+            hydrated: RwLock::new(HashMap::new()),
+            spill_hits: AtomicU64::new(0),
+            spill_misses: AtomicU64::new(0),
         }
     }
 
-    /// One column of `rel`, encoded once per table generation and
-    /// shared out of the cache. A replaced stale entry is retired
-    /// through the store (the spilled store purges its pages).
-    pub(crate) fn column(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attr: AttrId,
-    ) -> Result<Arc<S::Column>, S::Error> {
+    /// The backend's buffer pool.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
+    /// One column of `rel`: an adopted spilled column, or the table's
+    /// values encoded once per generation and shared out of the cache.
+    pub(crate) fn column(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<Column> {
         get_or_build(
             &self.columns,
             (rel, attr),
             db.generation(rel),
-            || self.store.build(db, rel, attr),
-            |stale| self.store.retire(stale),
+            || {
+                let values = db.materialized(rel).column(attr);
+                Ok::<_, Infallible>(Column::Resident(Arc::new(ColumnDict::build(values))))
+            },
+            |stale| self.retire(stale),
         )
+        .unwrap_or_else(|never| match never {})
+    }
+
+    /// Purges a replaced spilled column's pages from the pool: no probe
+    /// can ask for its file again.
+    pub(crate) fn retire(&self, stale: &Column) {
+        if let Column::Spilled(col) = stale {
+            self.pool.evict_file(col.file().id());
+        }
     }
 
     /// The cached columns of `attrs`, in order (repeats allowed).
-    fn columns(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attrs: &[AttrId],
-    ) -> Result<Vec<Arc<S::Column>>, S::Error> {
+    fn columns(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Arc<Column>> {
         attrs.iter().map(|a| self.column(db, rel, *a)).collect()
     }
 
     /// Borrowed views of `cols`, as the kernels take them.
-    fn refs(cols: &[Arc<S::Column>]) -> Vec<&S::Column> {
+    fn refs(cols: &[Arc<Column>]) -> Vec<&Column> {
         cols.iter().map(Arc::as_ref).collect()
     }
 
     /// The resident dictionaries of `cols` — all that decoding and the
     /// join intersection read.
-    fn dicts(cols: &[Arc<S::Column>]) -> Vec<&ColumnDict> {
+    fn dicts(cols: &[Arc<Column>]) -> Vec<&ColumnDict> {
         cols.iter().map(|c| c.dict()).collect()
     }
 
     /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
     /// encoded form, shared out of the cache.
-    fn encoded_set(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attrs: &[AttrId],
-    ) -> Result<Arc<EncodedSet>, S::Error> {
-        get_or_build(
+    fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
+        let set = get_or_build(
             &self.encoded,
             (rel, attrs.to_vec()),
             db.generation(rel),
             || {
-                let cols = self.columns(db, rel, attrs)?;
-                let refs = Self::refs(&cols);
-                encode::distinct_codes(&refs, self.store.pager(), db.table(rel).len())
+                let cols = self.columns(db, rel, attrs);
+                encode::distinct_codes(&Self::refs(&cols), &self.pool, db.table(rel).len())
             },
             |_| {},
-        )
-    }
-
-    /// Runs `probe`; if it fails on `rels`, the store decides how the
-    /// answer is served (`reference` computes it from the extension).
-    fn serve<T>(
-        &self,
-        db: &Database,
-        rels: &[RelId],
-        probe: impl FnOnce() -> Result<T, S::Error>,
-        reference: impl FnOnce() -> T,
-    ) -> T {
-        probe().unwrap_or_else(|err| self.store.degrade(db, rels, err, reference))
+        );
+        read_or_die(db, rel, set)
     }
 }
 
-impl<S: ColumnStore> CountBackend for ColumnarBackend<S> {
+impl<const PAGED: bool> CountBackend for ColumnarBackend<PAGED> {
     fn name(&self) -> &'static str {
-        S::NAME
+        if PAGED {
+            "paged"
+        } else {
+            "encoded"
+        }
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        self.serve(
-            db,
-            &[rel],
-            || Ok(self.encoded_set(db, rel, attrs)?.len()),
-            || db.table(rel).count_distinct(attrs),
-        )
+        self.encoded_set(db, rel, attrs).len()
     }
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
         let (l, r) = (&join.left, &join.right);
-        self.serve(
-            db,
-            &[l.rel, r.rel],
-            || {
-                let lcols = self.columns(db, l.rel, &l.attrs)?;
-                let rcols = self.columns(db, r.rel, &r.attrs)?;
-                let left = self.encoded_set(db, l.rel, &l.attrs)?;
-                let right = self.encoded_set(db, r.rel, &r.attrs)?;
-                let (ldicts, rdicts) = (Self::dicts(&lcols), Self::dicts(&rcols));
-                Ok(JoinStats {
-                    n_left: left.len(),
-                    n_right: right.len(),
-                    n_join: intersect_count(&ldicts, &left, &rdicts, &right),
-                })
-            },
-            || join_stats(db, join),
-        )
+        let lcols = self.columns(db, l.rel, &l.attrs);
+        let rcols = self.columns(db, r.rel, &r.attrs);
+        let left = self.encoded_set(db, l.rel, &l.attrs);
+        let right = self.encoded_set(db, r.rel, &r.attrs);
+        JoinStats {
+            n_left: left.len(),
+            n_right: right.len(),
+            n_join: intersect_count(&Self::dicts(&lcols), &left, &Self::dicts(&rcols), &right),
+        }
     }
 
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        self.serve(
-            db,
-            &[rel],
-            || {
-                let cols = self.columns(db, rel, attrs)?;
-                let refs = Self::refs(&cols);
-                let groups = encode::lhs_groups(&refs, self.store.pager(), db.table(rel).len())?;
-                Ok(Arc::new(groups))
-            },
-            || Arc::new(lhs_groups_reference(db, rel, attrs)),
-        )
+        let cols = self.columns(db, rel, attrs);
+        let groups = encode::lhs_groups(&Self::refs(&cols), &self.pool, db.table(rel).len());
+        Arc::new(read_or_die(db, rel, groups))
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        self.serve(
-            db,
-            &[rel],
-            || {
-                let set = self.encoded_set(db, rel, attrs)?;
-                let cols = self.columns(db, rel, attrs)?;
-                Ok(Arc::new(decode_set_cols(&Self::dicts(&cols), &set)))
-            },
-            || Arc::new(db.table(rel).distinct_projection(attrs)),
-        )
+        let set = self.encoded_set(db, rel, attrs);
+        let cols = self.columns(db, rel, attrs);
+        Arc::new(decode_set_cols(&Self::dicts(&cols), &set))
     }
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        self.serve(
-            db,
-            &[rel],
-            || {
-                let col = self.column(db, rel, attr)?;
-                Ok(Arc::new(encode::partition1(&*col, self.store.pager())?))
-            },
-            || Arc::new(StrippedPartition::for_attribute(db.table(rel), attr)),
-        )
+        let col = self.column(db, rel, attr);
+        Arc::new(read_or_die(db, rel, encode::partition1(&*col, &self.pool)))
     }
 
     fn prewarm(&self, db: &Database, rel: RelId) {
-        // Encode every column while the rows are hot; a failed build is
-        // retried (and served) by whichever probe needs the column.
+        // Encode every column while the rows are hot.
         for i in 0..db.table(rel).arity() {
-            let _ = self.column(db, rel, AttrId(i as u16));
+            self.column(db, rel, AttrId(i as u16));
         }
     }
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        self.serve(
-            db,
-            &[rel],
-            || {
-                let col = self.column(db, rel, attr)?;
-                self.store.full_dict(db, rel, attr, col).map(Some)
-            },
-            || None,
-        )
+        let col = match &*self.column(db, rel, attr) {
+            Column::Resident(dict) => return Some(Arc::clone(dict)),
+            Column::Spilled(col) => Arc::clone(col),
+        };
+        let dict = get_or_build(
+            &self.hydrated,
+            (rel, attr),
+            db.generation(rel),
+            || Ok(col.dict().rehydrate(col.read_all_codes(&self.pool)?)),
+            |_| {},
+        );
+        Some(read_or_die(db, rel, dict))
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
         // Read off the generation-cached dictionary, so the counts are
         // exactly the state the counting kernels read. The resident
         // dictionary — slim for spilled codes — carries the fused
-        // per-code counts, so this never reads a code page. A failed
-        // build yields no counts: the shortcuts are off, answers
-        // unchanged.
-        self.column(db, rel, attr)
-            .ok()?
-            .dict()
-            .sketch()
-            .map(Arc::new)
-    }
-
-    fn exec_stats(&self) -> BackendExecStats {
-        self.store.exec_stats()
+        // per-code counts, so this never reads a code page.
+        self.column(db, rel, attr).dict().sketch().map(Arc::new)
     }
 
     fn page_stats(&self) -> PageCacheStats {
-        self.store.page_stats()
+        self.pool.stats()
     }
 
     fn spill_stats(&self) -> SpillCacheStats {
-        self.store.spill_stats()
+        SpillCacheStats {
+            hits: self.spill_hits.load(Ordering::Relaxed),
+            misses: self.spill_misses.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -842,17 +801,17 @@ mod tests {
         (db, l, r)
     }
 
-    /// Every probe of the in-crate backends — both columnar stores over
-    /// a one-page pool included — agrees with the reference on a
-    /// NULL-bearing database (the exhaustive pinning lives in the
+    /// Every probe of the in-crate backends agrees with the reference on
+    /// a NULL-bearing database — the paged backend on its streamed
+    /// twin, over a one-page pool (the exhaustive pinning lives in the
     /// differential proptest suites; this is the smoke test).
     #[test]
     fn in_crate_backends_agree() {
         let (db, l, r) = sample_db();
-        let reference = ReferenceBackend;
         let encoded = EncodedBackend::new();
-        let paged = crate::pages::PagedBackend::with_capacity_bytes(crate::pages::PAGE_BYTES);
-        let backends: [&dyn CountBackend; 3] = [&reference, &encoded, &paged];
+        let (twin, paged) = crate::pages::streamed_twin(&db, crate::pages::PAGE_BYTES);
+        let backends: [(&dyn CountBackend, &Database); 3] =
+            [(&ReferenceBackend, &db), (&encoded, &db), (&paged, &twin)];
         let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
             .unwrap();
         let fd = Fd::new(
@@ -861,46 +820,98 @@ mod tests {
             AttrSet::from_indices([1u16]),
         );
         let ind = Ind::unary(l, AttrId(0), r, AttrId(0));
-        for b in backends {
+        for (b, bdb) in backends {
             let name = b.name();
-            assert_eq!(b.count_distinct(&db, l, &[AttrId(0)]), 4, "{name}");
+            assert_eq!(b.count_distinct(bdb, l, &[AttrId(0)]), 4, "{name}");
             assert_eq!(
-                *b.lhs_groups(&db, l, &[AttrId(0)]),
+                *b.lhs_groups(bdb, l, &[AttrId(0)]),
                 vec![vec![0, 1]],
                 "{name}"
             );
             for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)]] {
                 assert_eq!(
-                    b.count_distinct(&db, l, &attrs),
+                    b.count_distinct(bdb, l, &attrs),
                     db.table(l).count_distinct(&attrs),
                     "{name}"
                 );
                 assert_eq!(
-                    *b.lhs_groups(&db, l, &attrs),
+                    *b.lhs_groups(bdb, l, &attrs),
                     lhs_groups_reference(&db, l, &attrs),
                     "{name}"
                 );
                 assert_eq!(
-                    *b.projection(&db, l, &attrs),
+                    *b.projection(bdb, l, &attrs),
                     db.table(l).distinct_projection(&attrs),
                     "{name}"
                 );
             }
-            assert_eq!(b.join_stats(&db, &join), join_stats(&db, &join), "{name}");
-            assert_eq!(b.fd_holds(&db, &fd), db.fd_holds(&fd), "{name}");
-            assert_eq!(b.ind_holds(&db, &ind), db.ind_holds(&ind), "{name}");
+            assert_eq!(b.join_stats(bdb, &join), join_stats(&db, &join), "{name}");
+            assert_eq!(b.fd_holds(bdb, &fd), db.fd_holds(&fd), "{name}");
+            assert_eq!(b.ind_holds(bdb, &ind), db.ind_holds(&ind), "{name}");
             assert_eq!(
-                *b.partition1(&db, l, AttrId(1)),
+                *b.partition1(bdb, l, AttrId(1)),
                 StrippedPartition::for_attribute(db.table(l), AttrId(1)),
                 "{name}"
             );
-            assert_eq!(b.exec_stats().fallback_failures, 0, "{name}");
         }
         let pool = paged.page_stats();
         assert!(
             pool.hits + pool.misses > 0,
             "paged probes must touch the pool"
         );
+    }
+
+    /// A streamed extension that was never hydrated holds no values: a
+    /// backend that reads values refuses it, naming the relation,
+    /// instead of answering from zero rows.
+    #[test]
+    fn unhydrated_streamed_extension_fails_loudly() {
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of(
+                "Stub",
+                &[("x", Domain::Int), ("y", Domain::Int)],
+            ))
+            .unwrap();
+        db.set_streamed_extension(rel, 5);
+        let fd = Fd::new(
+            rel,
+            AttrSet::from_indices([0u16]),
+            AttrSet::from_indices([1u16]),
+        );
+        let encoded = EncodedBackend::new();
+        let backends: [&dyn CountBackend; 2] = [&ReferenceBackend, &encoded];
+        for b in backends {
+            let probes: [(&str, &dyn Fn()); 5] = [
+                ("count_distinct", &|| {
+                    b.count_distinct(&db, rel, &[AttrId(0)]);
+                }),
+                ("lhs_groups", &|| {
+                    b.lhs_groups(&db, rel, &[AttrId(0)]);
+                }),
+                ("partition1", &|| {
+                    b.partition1(&db, rel, AttrId(0));
+                }),
+                ("fd_error", &|| {
+                    b.fd_error(&db, &fd);
+                }),
+                ("column_codes", &|| {
+                    b.column_codes(&db, rel, AttrId(1));
+                }),
+            ];
+            for (probe, run) in probes {
+                let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                let message = failure
+                    .err()
+                    .and_then(|e| e.downcast_ref::<String>().cloned())
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("relation `Stub`"),
+                    "{} {probe} must fail naming the relation, got {message:?}",
+                    b.name()
+                );
+            }
+        }
     }
 
     /// The encoded backend's internal caches are generation-aware: a

@@ -658,9 +658,14 @@ fn encode_stream(
 
 /// Serializes a table to CSV with a header. NULL becomes an unquoted
 /// empty field; text is quoted whenever it needs to be.
+///
+/// # Panics
+///
+/// On a streamed extension that was never hydrated
+/// ([`Database::materialized`]): it holds no values to write.
 pub fn export_csv(db: &Database, rel: RelId) -> String {
     let relation = db.schema.relation(rel);
-    let table: &Table = db.table(rel);
+    let table: &Table = db.materialized(rel);
     let mut out = String::new();
     let header: Vec<String> = relation
         .attributes()

@@ -85,6 +85,24 @@ impl Database {
         &self.tables[rel.index()]
     }
 
+    /// The extension of `rel`, for a read of its values.
+    ///
+    /// # Panics
+    ///
+    /// When `rel` is a streamed extension whose columns hold no values
+    /// ([`Table::is_materialized`]): an answer read from them would
+    /// count zero rows. Only the paged backend that adopted its spilled
+    /// pages counts it, until Restruct hydrates it.
+    pub fn materialized(&self, rel: RelId) -> &Table {
+        let table = self.table(rel);
+        assert!(
+            table.is_materialized(),
+            "relation `{}` is a streamed extension: its columns hold no values",
+            self.schema.relation(rel).name
+        );
+        table
+    }
+
     /// Mutable extension access. Conservatively counts as a mutation
     /// for cache-invalidation purposes (see [`Self::generation`]).
     pub fn table_mut(&mut self, rel: RelId) -> &mut Table {
@@ -229,7 +247,7 @@ impl Database {
     /// SQL semantics: tuples with a NULL in the LHS never agree with any
     /// tuple, so they cannot violate the dependency.
     pub fn fd_holds(&self, fd: &Fd) -> bool {
-        let table = self.table(fd.rel);
+        let table = self.materialized(fd.rel);
         let lhs: Vec<_> = fd.lhs.iter().collect();
         let rhs: Vec<_> = fd.rhs.iter().collect();
         let lhs_cols: Vec<&[Value]> = lhs.iter().map(|a| table.column(*a)).collect();
@@ -263,8 +281,10 @@ impl Database {
     /// Checks whether an IND holds in the current extension
     /// (`r_lhs[Y] ⊆ r_rhs[Z]`, NULL-containing projections dropped).
     pub fn ind_holds(&self, ind: &Ind) -> bool {
-        let right = self.table(ind.rhs.rel).distinct_projection(&ind.rhs.attrs);
-        let left_table = self.table(ind.lhs.rel);
+        let right = self
+            .materialized(ind.rhs.rel)
+            .distinct_projection(&ind.rhs.attrs);
+        let left_table = self.materialized(ind.lhs.rel);
         let cols: Vec<&[Value]> = ind
             .lhs
             .attrs

@@ -20,9 +20,9 @@
 //! The kernels — [`distinct_codes`], [`lhs_groups`] and
 //! [`partition1`] — exist once, generic over a [`CodeSource`] that
 //! yields a column's codes in page-sized chunks through a pager.
-//! Resident codes (a built [`ColumnDict`], the `encoded` backend)
-//! slice the code vector and cannot fail; spilled codes
-//! ([`crate::pages::PagedColumn`], the `paged` backend) read pages
+//! Resident codes (a built [`ColumnDict`]) slice the code vector and
+//! cannot fail; spilled codes ([`crate::pages::PagedColumn`], written
+//! by streamed ingest and read by the `paged` backend) read pages
 //! through the buffer pool. Both storage modes therefore share one
 //! serial scan loop and one answer. Cross-column kernels that never
 //! touch per-row codes — [`code_translation`], [`intersect_count`],

@@ -34,9 +34,9 @@
 //! NULL semantics are the backend contract (see [`CountBackend`]):
 //! projections and [`StatsEngine::lhs_groups`] drop NULL-containing
 //! rows (SQL `COUNT(DISTINCT …)`, matching [`Database::fd_holds`]),
-//! while [`StatsEngine::partition_for_attrs`] keeps the mining
-//! convention (NULL = NULL) of [`crate::partitions`]. The two families
-//! are cached separately and never conflated.
+//! while [`StatsEngine::partition`] keeps the mining convention
+//! (NULL = NULL) of [`crate::partitions`]. The two families are cached
+//! separately and never conflated.
 //!
 //! The engine itself implements [`CountBackend`], so anything written
 //! against the seam — the miners, the differential suites — can take
@@ -113,7 +113,7 @@ pub struct StatsEngine {
     /// Memoized `‖rel[attrs]‖` counts.
     counts: AttrCache<usize>,
     projections: AttrCache<HashSet<ProjKey>>,
-    partitions: AttrCache<StrippedPartition>,
+    partitions: ColumnCache<StrippedPartition>,
     lhs_groups: AttrCache<Vec<Vec<usize>>>,
     /// Per-row codes of the columns FD questions read, tagged with the
     /// generation they were encoded at; a streamed table's entry
@@ -270,46 +270,15 @@ impl StatsEngine {
     }
 
     /// The stripped partition `π_{attr}` (mining convention:
-    /// NULL = NULL), shared out of the cache.
+    /// NULL = NULL), built by the backend and shared out of the cache.
     pub fn partition(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        self.partition_for_attrs(db, rel, &[attr])
-    }
-
-    /// The stripped partition `π_{attrs}`, built by products of cached
-    /// unary partitions (each from the backend) and itself cached.
-    pub fn partition_for_attrs(
-        &self,
-        db: &Database,
-        rel: RelId,
-        attrs: &[AttrId],
-    ) -> Arc<StrippedPartition> {
         let gen = db.generation(rel);
-        self.cached(
-            &self.partitions,
-            (rel, attrs.to_vec()),
-            gen,
-            || match attrs {
-                [] => (
-                    Arc::new(StrippedPartition::single_class(db.table(rel).len())),
-                    db.table(rel).len() as u64,
-                ),
-                [a] => (
-                    self.backend.partition1(db, rel, *a),
-                    db.table(rel).len() as u64,
-                ),
-                [first, rest @ ..] => {
-                    // Chain products of cached unary partitions; each
-                    // product touches at most the surviving class rows.
-                    let mut rows = 0u64;
-                    let mut p = (*self.partition(db, rel, *first)).clone();
-                    for a in rest {
-                        rows += p.error() as u64;
-                        p = p.product(&self.partition(db, rel, *a));
-                    }
-                    (Arc::new(p), rows)
-                }
-            },
-        )
+        self.cached(&self.partitions, (rel, attr), gen, || {
+            (
+                self.backend.partition1(db, rel, attr),
+                db.table(rel).len() as u64,
+            )
+        })
     }
 
     /// Row-index groups (size ≥ 2) agreeing on `attrs` under **SQL
@@ -652,10 +621,12 @@ mod tests {
     fn partitions_match_direct_construction() {
         let (db, l, _) = two_table_db();
         for engine in engines() {
-            let direct = StrippedPartition::for_attrs(db.table(l), &[AttrId(0), AttrId(1)]);
-            let cached = engine.partition_for_attrs(&db, l, &[AttrId(0), AttrId(1)]);
-            assert_eq!(*cached, direct, "{}", engine.backend_name());
-            // Unary partitions were cached along the way.
+            for a in [AttrId(0), AttrId(1)] {
+                let direct = StrippedPartition::for_attribute(db.table(l), a);
+                let cached = engine.partition(&db, l, a);
+                assert_eq!(*cached, direct, "{}", engine.backend_name());
+            }
+            // A second ask is served from the cache.
             let before = engine.counters();
             engine.partition(&db, l, AttrId(0));
             let after = engine.counters();
