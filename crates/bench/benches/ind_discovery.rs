@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbre_bench::scenario;
 use dbre_mine::spider::{spider, SpiderConfig};
 use dbre_relational::counting::join_stats;
-use dbre_relational::StatsEngine;
+use dbre_relational::{CountBackend, StatsEngine};
 use dbre_synth::TruthOracle;
 use std::hint::black_box;
 

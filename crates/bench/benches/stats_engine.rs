@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbre_bench::scenario;
-use dbre_relational::{join_stats, StatsEngine};
+use dbre_relational::{join_stats, CountBackend, StatsEngine};
 use std::hint::black_box;
 
 const REPS: usize = 10;

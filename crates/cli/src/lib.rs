@@ -28,6 +28,9 @@ use dbre_sql::Catalog;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+/// Bytes per MiB, the unit of `--page-cache`.
+const MIB: usize = 1024 * 1024;
+
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
@@ -160,8 +163,11 @@ pub fn parse_args(args: &[String]) -> Command {
                         }
                         "--page-cache" => {
                             let v = value("--page-cache")?;
-                            let mib: usize =
-                                v.parse().ok().filter(|m| *m > 0).ok_or_else(|| {
+                            let mib: usize = v
+                                .parse()
+                                .ok()
+                                .filter(|m: &usize| *m > 0 && m.checked_mul(MIB).is_some())
+                                .ok_or_else(|| {
                                     format!("--page-cache expects a positive MiB count, got `{v}`")
                                 })?;
                             reverse.page_cache = Some(mib);
@@ -364,7 +370,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
                 options.backend = dbre_core::BackendChoice::Paged;
             }
             options.spilled = spilled;
-            options.page_cache = args.page_cache.map(|mib| mib * 1024 * 1024);
+            options.page_cache = args.page_cache.map(|mib| mib.saturating_mul(MIB));
             if let Some(n) = args.sessions {
                 return run_service_bench(db, &programs, &options, args, n);
             }
@@ -670,6 +676,27 @@ mod tests {
         ));
         assert!(matches!(parse_args(&s(&[])), Command::Help(None)));
         assert!(matches!(parse_args(&s(&["example"])), Command::Example));
+    }
+
+    /// A `--page-cache` count whose byte size overflows `usize` is
+    /// refused with the usual error, not wrapped to a one-page pool.
+    #[test]
+    fn page_cache_byte_size_must_fit_usize() {
+        let parse = |mib: usize| {
+            let mib = mib.to_string();
+            parse_args(&s(&["reverse", "--schema", "x", "--page-cache", &mib]))
+        };
+        match parse(usize::MAX / MIB + 1) {
+            Command::Help(Some(message)) => assert!(
+                message.contains("--page-cache expects a positive MiB count"),
+                "{message}"
+            ),
+            other => panic!("an overflowing --page-cache must be refused, got {other:?}"),
+        }
+        match parse(usize::MAX / MIB) {
+            Command::Reverse(args) => assert_eq!(args.page_cache, Some(usize::MAX / MIB)),
+            other => panic!("the largest representable count is accepted, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1056,7 +1056,7 @@ mod tests {
                 let out = restruct(&mut db, std::slice::from_ref(&fd), &[], &[], &mut DenyOracle, &engine)
                     .unwrap();
                 let got: Vec<Vec<Value>> = db.table(out.fd_relations[0]).rows().collect();
-                prop_assert_eq!(&got, &expected, "{}", engine.backend_name());
+                prop_assert_eq!(&got, &expected, "{}", engine.name());
             }
         }
     }
@@ -1090,7 +1090,7 @@ mod tests {
                 let out = restruct(&mut db, &[], std::slice::from_ref(&hidden), &[], &mut DenyOracle, &engine)
                     .unwrap();
                 let got: Vec<Vec<Value>> = db.table(out.hidden_relations[0]).rows().collect();
-                prop_assert_eq!(&got, &expected, "{}", engine.backend_name());
+                prop_assert_eq!(&got, &expected, "{}", engine.name());
             }
         }
     }

@@ -13,8 +13,8 @@
 //!
 //! The counting seam is chosen by [`BackendChoice`]: every `‖·‖`
 //! probe of the run goes through a [`StatsEngine`] memoizing the
-//! selected [`CountBackend`](dbre_relational::backend::CountBackend)
-//! (reference scans, dictionary-encoded kernels, or generated SQL).
+//! selected [`CountBackend`] (reference scans, dictionary-encoded
+//! kernels, or generated SQL).
 
 use crate::eer::EerSchema;
 use crate::ind_discovery::{ind_discovery_with_engine, IndDiscovery};
@@ -24,7 +24,7 @@ use crate::pipeline::{PipelineOptions, PipelineResult, PipelineStats, StageError
 use crate::restruct::{restruct, Restructured};
 use crate::rhs_discovery::{rhs_discovery_with_engine, RhsDiscovery};
 use crate::translate::translate;
-use dbre_relational::backend::{BackendExecStats, EncodedBackend, ReferenceBackend};
+use dbre_relational::backend::{BackendExecStats, CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::bufpool::PageCacheStats;
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
@@ -111,14 +111,17 @@ impl BackendChoice {
             BackendChoice::Reference => StatsEngine::with_backend(Box::new(ReferenceBackend)),
             BackendChoice::Encoded => StatsEngine::with_backend(Box::new(EncodedBackend::new())),
             BackendChoice::Sql => StatsEngine::with_backend(Box::new(SqlBackend::new())),
-            BackendChoice::Paged => {
-                let backend = match page_cache_bytes {
-                    Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
-                    None => PagedBackend::new(),
-                };
-                StatsEngine::with_backend(Box::new(backend))
-            }
+            BackendChoice::Paged => StatsEngine::with_backend(Box::new(paged(page_cache_bytes))),
         }
+    }
+}
+
+/// The paged backend over a pool of `page_cache_bytes` (`None` = its
+/// 64 MiB default).
+fn paged(page_cache_bytes: Option<usize>) -> PagedBackend {
+    match page_cache_bytes {
+        Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
+        None => PagedBackend::new(),
     }
 }
 
@@ -200,10 +203,7 @@ impl<'o> DbreSession<'o> {
                     options.backend.name()
                 ));
             }
-            let backend = match options.page_cache {
-                Some(bytes) => PagedBackend::with_capacity_bytes(bytes),
-                None => PagedBackend::new(),
-            };
+            let backend = paged(options.page_cache);
             for (rel, table) in &options.spilled {
                 backend.adopt_spilled(&db, *rel, table);
             }
@@ -232,7 +232,7 @@ impl<'o> DbreSession<'o> {
         engine: Arc<StatsEngine>,
     ) -> Self {
         let stats = PipelineStats {
-            backend: engine.backend_name(),
+            backend: engine.name(),
             ..Default::default()
         };
         DbreSession {
@@ -371,7 +371,7 @@ impl<'o> DbreSession<'o> {
 impl std::fmt::Debug for DbreSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DbreSession")
-            .field("backend", &self.engine.backend_name())
+            .field("backend", &self.engine.name())
             .field("q", &self.q.len())
             .field("log", &self.log.len())
             .field("warnings", &self.warnings.len())
@@ -601,7 +601,7 @@ mod tests {
             BackendChoice::Paged,
         ] {
             assert_eq!(BackendChoice::parse(choice.name()), Some(choice));
-            assert_eq!(choice.engine().backend_name(), choice.name());
+            assert_eq!(choice.engine().name(), choice.name());
         }
         assert_eq!(BackendChoice::parse("postgres"), None);
         assert_eq!(BackendChoice::default(), BackendChoice::Encoded);

@@ -89,7 +89,7 @@ fn concurrent_probes_across_versions_match_reference() {
                         );
                         for &a in *attrs {
                             assert_eq!(
-                                *engine.partition(snap, rel, a),
+                                *engine.partition1(snap, rel, a),
                                 StrippedPartition::for_attribute(table, a),
                             );
                         }

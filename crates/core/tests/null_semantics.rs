@@ -13,6 +13,7 @@
 #![allow(clippy::expect_used)]
 
 use dbre_relational::attr::AttrId;
+use dbre_relational::backend::CountBackend;
 use dbre_relational::counting::{join_stats, EquiJoin};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;

@@ -117,7 +117,7 @@ proptest! {
         // Warm every cache family.
         engine.join_stats(&db, &join);
         engine.fd_holds(&db, &fd);
-        engine.partition(&db, r, AttrId(1));
+        engine.partition1(&db, r, AttrId(1));
 
         for (i, &(x, y)) in extra.iter().enumerate() {
             db.insert(r, vec![val(x), val(y)]).unwrap();
@@ -140,7 +140,7 @@ proptest! {
                 db.table(r),
                 AttrId(1),
             );
-            prop_assert_eq!((*engine.partition(&db, r, AttrId(1))).clone(), direct);
+            prop_assert_eq!((*engine.partition1(&db, r, AttrId(1))).clone(), direct);
         }
     }
 }

@@ -19,16 +19,17 @@
 //!
 //! [`ReferenceBackend`] (the `Value`-based reference semantics) lives
 //! here, and so does [`ColumnarBackend`], the one backend over
-//! dictionary-encoded columns: it owns the generation-tagged column
-//! and encoded-set caches and the single set of [`CountBackend`]
-//! method bodies, and runs the kernel family of [`crate::encode`]. A
-//! resident table's column keeps its dictionary in memory; only the
-//! columns streamed ingest spilled, which the paged backend adopts
-//! ([`crate::pages::PagedBackend::adopt_spilled`]), are read page by
-//! page through its buffer pool. [`EncodedBackend`] and
-//! [`crate::pages::PagedBackend`] are its two names. The SQL backend
-//! lives in `dbre-sql` (`SqlBackend`), respecting the dependency
-//! direction: this crate knows nothing about SQL.
+//! dictionary-encoded columns: it owns three generation-tagged caches
+//! (columns, encoded sets and rehydrated dictionaries, each the same
+//! crate-private memo the engine's caches are) and the single set of
+//! [`CountBackend`] method bodies, and runs the kernel family of
+//! [`crate::encode`]. A resident table's column keeps its dictionary
+//! in memory; only the columns streamed ingest spilled, which the
+//! paged backend adopts ([`crate::pages::PagedBackend::adopt_spilled`]),
+//! are read page by page through its buffer pool. [`EncodedBackend`]
+//! and [`crate::pages::PagedBackend`] are its two names. The SQL
+//! backend lives in `dbre-sql` (`SqlBackend`), respecting the
+//! dependency direction: this crate knows nothing about SQL.
 //!
 //! NULL conventions are part of the contract (see the trait docs):
 //! projections and counts drop NULL-bearing tuples (SQL
@@ -47,6 +48,7 @@ use crate::encode::{
     self, decode_set_cols, intersect_count, tuple_keys, CodeSource, ColumnCodes, ColumnDict,
     EncodedSet, Tally,
 };
+use crate::memo::Memo;
 use crate::pages::{PageCodes, PageError, PagedColumn};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
@@ -54,83 +56,8 @@ use crate::sketch::ColumnSketch;
 use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
 use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
-
-/// What a cache shard does when its lock is recovered from poisoning:
-/// discard everything it holds. Dropping a cache is always sound (the
-/// next probe rebuilds from the extension) — serving it is not, see
-/// [`read_recover`].
-pub(crate) trait PoisonReset {
-    /// Discards the shard's contents.
-    fn reset(&mut self);
-}
-
-impl<K, V, S> PoisonReset for HashMap<K, V, S> {
-    fn reset(&mut self) {
-        self.clear();
-    }
-}
-
-/// Acquires a read guard, recovering from poisoning by *clearing the
-/// shard first*.
-///
-/// A poisoned lock means a writer panicked while holding the guard.
-/// Individual inserts here are single `HashMap::insert` calls of
-/// fully-formed values, so a torn *entry* is impossible — but the
-/// panicking thread may still have inserted a value computed from a
-/// state that itself panicked halfway (a probe that blew up after
-/// caching an intermediate), and a recovered reader would then serve
-/// that entry forever. Discarding the shard on recovery costs one
-/// cache refill and removes the possibility; `clear_poison` is called
-/// so later lookups don't re-purge a healthy cache.
-pub(crate) fn read_recover<T: PoisonReset>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    if let Ok(guard) = lock.read() {
-        return guard;
-    }
-    // Escalate to a write to purge, then retake the read lock.
-    drop(write_recover(lock));
-    lock.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Write twin of [`read_recover`]: same purge-on-poison contract,
-/// applied directly to the write guard.
-pub(crate) fn write_recover<T: PoisonReset>(
-    lock: &RwLock<T>,
-) -> std::sync::RwLockWriteGuard<'_, T> {
-    match lock.write() {
-        Ok(guard) => guard,
-        Err(poison) => {
-            let mut guard = poison.into_inner();
-            guard.reset();
-            lock.clear_poison();
-            guard
-        }
-    }
-}
-
-/// A cache entry tagged with the table generation it was built from.
-pub(crate) struct Tagged<T> {
-    pub(crate) gen: u64,
-    pub(crate) value: Arc<T>,
-}
-
-impl<T> Clone for Tagged<T> {
-    fn clone(&self) -> Self {
-        Tagged {
-            gen: self.gen,
-            value: Arc::clone(&self.value),
-        }
-    }
-}
-
-/// Generation-tagged cache keyed by a projection `(rel, attrs)`.
-type ProjectionCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
-
-/// Generation-tagged cache keyed by one column `(rel, attr)`.
-pub(crate) type ColumnCache<T> = RwLock<HashMap<(RelId, AttrId), Tagged<T>>>;
+use std::sync::Arc;
 
 /// Execution counters a backend may expose about *how* it served its
 /// probes — all zero for backends with a single execution strategy.
@@ -519,7 +446,8 @@ impl std::ops::Deref for ColumnChunk<'_> {
 ///
 /// The per-column encodings and the per-projection encoded sets are
 /// cached *inside* the backend, tagged with [`Database::generation`]
-/// so a mutated table can never serve stale codes. Encoding lazily per
+/// so a mutated table can never serve stale codes; a replaced spilled
+/// column's pages are purged from the pool. Encoding lazily per
 /// column matters on the paper's workloads: a query set `Q` joins a
 /// handful of key columns of wide denormalized relations, so encoding
 /// whole tables up front would dominate the cold path the encoding is
@@ -530,15 +458,15 @@ pub struct ColumnarBackend<const PAGED: bool> {
     /// Per-column encodings, keyed per `(relation, attribute)` so a
     /// probe touching two columns of a wide table pays for exactly
     /// those two builds.
-    pub(crate) columns: ColumnCache<Column>,
+    pub(crate) columns: Memo<(RelId, AttrId), Arc<Column>>,
     /// Encoded distinct-code sets per `(rel, attrs)` — shared between
     /// counts, projections and every join side touching them.
-    encoded: ProjectionCache<EncodedSet>,
+    encoded: Memo<(RelId, Vec<AttrId>), Arc<EncodedSet>>,
     /// Spilled columns' full dictionaries for the
     /// [`CountBackend::column_dict`] seam: every page streamed into a
     /// code vector beside the slim dictionary's shared tables, once
     /// per generation.
-    hydrated: ColumnCache<ColumnDict>,
+    hydrated: Memo<(RelId, AttrId), Arc<ColumnDict>>,
     /// Adopted streamed-ingest tables whose encode the persistent
     /// spill cache skipped.
     pub(crate) spill_hits: AtomicU64,
@@ -554,44 +482,6 @@ impl<const PAGED: bool> Default for ColumnarBackend<PAGED> {
     fn default() -> Self {
         ColumnarBackend::with_pool(Arc::new(BufferPool::default()))
     }
-}
-
-/// Generation-tagged get-or-build on one cache shard. Keys are shared
-/// across concurrent sessions (two sessions' probes can touch the
-/// same column), so after building the entry is re-checked under the
-/// write lock: a concurrent winner's entry is adopted and ours
-/// dropped. Building before locking wastes the loser's pass but never
-/// serializes distinct keys. A replaced stale entry goes to `retire`.
-pub(crate) fn get_or_build<K, T, E>(
-    cache: &RwLock<HashMap<K, Tagged<T>>>,
-    key: K,
-    gen: u64,
-    build: impl FnOnce() -> Result<T, E>,
-    retire: impl FnOnce(&T),
-) -> Result<Arc<T>, E>
-where
-    K: std::hash::Hash + Eq,
-{
-    if let Some(entry) = read_recover(cache).get(&key) {
-        if entry.gen == gen {
-            return Ok(Arc::clone(&entry.value));
-        }
-    }
-    let value = Arc::new(build()?);
-    let mut guard = write_recover(cache);
-    if let Some(entry) = guard.get(&key) {
-        if entry.gen == gen {
-            return Ok(Arc::clone(&entry.value));
-        }
-    }
-    let tagged = Tagged {
-        gen,
-        value: Arc::clone(&value),
-    };
-    if let Some(stale) = guard.insert(key, tagged) {
-        retire(&stale.value);
-    }
-    Ok(value)
 }
 
 /// A probe's answer, or a loud failure naming the relation whose
@@ -620,9 +510,9 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         ColumnarBackend {
             pool,
-            columns: RwLock::new(HashMap::new()),
-            encoded: RwLock::new(HashMap::new()),
-            hydrated: RwLock::new(HashMap::new()),
+            columns: Memo::default(),
+            encoded: Memo::default(),
+            hydrated: Memo::default(),
             spill_hits: AtomicU64::new(0),
             spill_misses: AtomicU64::new(0),
         }
@@ -636,17 +526,16 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
     /// One column of `rel`: an adopted spilled column, or the table's
     /// values encoded once per generation and shared out of the cache.
     pub(crate) fn column(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<Column> {
-        get_or_build(
-            &self.columns,
-            (rel, attr),
-            db.generation(rel),
-            || {
+        let served = self
+            .columns
+            .get_or_init((rel, attr), db.generation(rel), || {
                 let values = db.materialized(rel).column(attr);
-                Ok::<_, Infallible>(Column::Resident(Arc::new(ColumnDict::build(values))))
-            },
-            |stale| self.retire(stale),
-        )
-        .unwrap_or_else(|never| match never {})
+                Arc::new(Column::Resident(Arc::new(ColumnDict::build(values))))
+            });
+        if let Some(stale) = &served.replaced {
+            self.retire(stale);
+        }
+        served.value
     }
 
     /// Purges a replaced spilled column's pages from the pool: no probe
@@ -676,17 +565,14 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
     /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
     /// encoded form, shared out of the cache.
     fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
-        let set = get_or_build(
-            &self.encoded,
-            (rel, attrs.to_vec()),
-            db.generation(rel),
-            || {
+        let set = self
+            .encoded
+            .get_or_try_init((rel, attrs.to_vec()), db.generation(rel), || {
                 let cols = self.columns(db, rel, attrs);
                 encode::distinct_codes(&Self::refs(&cols), &self.pool, db.table(rel).len())
-            },
-            |_| {},
-        );
-        read_or_die(db, rel, set)
+                    .map(Arc::new)
+            });
+        read_or_die(db, rel, set).value
     }
 }
 
@@ -745,14 +631,14 @@ impl<const PAGED: bool> CountBackend for ColumnarBackend<PAGED> {
             Column::Resident(dict) => return Some(Arc::clone(dict)),
             Column::Spilled(col) => Arc::clone(col),
         };
-        let dict = get_or_build(
-            &self.hydrated,
-            (rel, attr),
-            db.generation(rel),
-            || Ok(col.dict().rehydrate(col.read_all_codes(&self.pool)?)),
-            |_| {},
-        );
-        Some(read_or_die(db, rel, dict))
+        let dict = self
+            .hydrated
+            .get_or_try_init((rel, attr), db.generation(rel), || {
+                Ok(Arc::new(
+                    col.dict().rehydrate(col.read_all_codes(&self.pool)?),
+                ))
+            });
+        Some(read_or_die(db, rel, dict).value)
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
@@ -925,34 +811,20 @@ mod tests {
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 5);
     }
 
-    /// A thread that panics while holding a cache write guard poisons
-    /// the lock — recovery must *discard* whatever the panicking
-    /// thread wrote, never serve it. The thread here deliberately
-    /// plants a bogus entry (an impossible cardinality) before
-    /// panicking; if recovery merely took `into_inner`, the next probe
-    /// would report 999.
+    /// A writer that panicked holding the encoded-set memo's write
+    /// guard leaves it poisoned with whatever it planted (here an
+    /// impossible cardinality): the next probe must purge and
+    /// recompute, never report 999.
     #[test]
     fn poisoned_cache_is_cleared_not_served() {
         let (db, l, _) = sample_db();
         let encoded = EncodedBackend::new();
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
-        let gen = db.generation(l);
-        std::thread::scope(|s| {
-            let handle = s.spawn(|| {
-                let mut guard = encoded.encoded.write().unwrap();
-                guard.insert(
-                    (l, vec![AttrId(0)]),
-                    Tagged {
-                        gen,
-                        value: Arc::new(EncodedSet::Unary { card: 999 }),
-                    },
-                );
-                panic!("poison the encoded-set cache");
-            });
-            assert!(handle.join().is_err(), "the planting thread must panic");
-        });
-        assert!(encoded.encoded.is_poisoned(), "lock must be poisoned");
-        // Recovery path: the shard is purged, the probe recomputes.
+        encoded.encoded.plant_and_poison(
+            (l, vec![AttrId(0)]),
+            db.generation(l),
+            Arc::new(EncodedSet::Unary { card: 999 }),
+        );
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
         assert!(
             !encoded.encoded.is_poisoned(),

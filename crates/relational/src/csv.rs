@@ -465,23 +465,6 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
     Ok(rows)
 }
 
-/// [`import_csv`] plus an immediate prewarm pass: the fresh extension
-/// is interned into `engine`'s caches
-/// ([`crate::stats::StatsEngine::prewarm`]) while it is still hot, so
-/// the first statistics query after an import doesn't pay the build.
-/// Purely an optimization — the caches invalidate themselves if the
-/// table mutates again.
-pub fn import_csv_with_stats(
-    db: &mut Database,
-    rel: RelId,
-    text: &str,
-    engine: &crate::stats::StatsEngine,
-) -> Result<usize, CsvError> {
-    let inserted = import_csv(db, rel, text)?;
-    engine.prewarm(db, rel);
-    Ok(inserted)
-}
-
 /// Streaming ingest: encodes a CSV file straight into paged spill
 /// files — dictionary interning and page writes happen per record, so
 /// peak memory is one 64 KiB chunk, the parser state, and the (per
@@ -1031,26 +1014,5 @@ mod tests {
             assert_eq!(sdb.table(srel).len(), 0);
             let _ = std::fs::remove_file(path);
         }
-    }
-
-    #[test]
-    fn import_with_stats_prewarms_the_dictionary() {
-        use crate::stats::StatsEngine;
-        let (mut db, rel) = db();
-        let engine = StatsEngine::new();
-        let n = import_csv_with_stats(
-            &mut db,
-            rel,
-            "id,name,when,score\n1,a,1990-01-01,0.5\n2,b,1990-01-02,1.5\n",
-            &engine,
-        )
-        .unwrap();
-        assert_eq!(n, 2);
-        let warmed = engine.counters();
-        // The dictionary was built during import; the first count is a
-        // cache hit on it, not a rebuild.
-        engine.count_distinct(&db, rel, &[AttrId(0)]);
-        assert!(engine.counters().cache_hits > warmed.cache_hits);
-        assert_eq!(engine.count_distinct(&db, rel, &[AttrId(0)]), 2);
     }
 }

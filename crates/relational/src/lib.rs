@@ -38,6 +38,7 @@ pub mod error;
 pub mod fasthash;
 pub mod fd_theory;
 pub mod ind_theory;
+mod memo;
 pub mod normal_forms;
 pub mod pages;
 pub mod partitions;

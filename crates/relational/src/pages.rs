@@ -27,7 +27,7 @@
 //! has no values to answer from instead.
 
 use crate::attr::AttrId;
-use crate::backend::{write_recover, Column, ColumnarBackend, Tagged};
+use crate::backend::{Column, ColumnarBackend};
 use crate::bufpool::{BufferPool, PageKey};
 use crate::database::Database;
 use crate::encode::{CodeSource, ColumnDict};
@@ -165,7 +165,10 @@ pub struct PageFile {
 
 impl PageFile {
     /// Writes `codes` to a fresh spill file in the system temp
-    /// directory and reopens it for reading.
+    /// directory and reopens it for reading. Only tests call it: they
+    /// spill a resident column's codes to build the streamed twin of a
+    /// table, or the reference a streamed ingest's pages must equal.
+    /// Programs reach spill files through streamed ingest alone.
     pub fn spill(codes: &[u32]) -> Result<PageFile, PageError> {
         let mut w = PageFileWriter::create_temp()?;
         w.append(codes)?;
@@ -566,17 +569,12 @@ impl PagedBackend {
     /// counters record whether the cache skipped encode.
     pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
         let gen = db.generation(rel);
-        let mut columns = write_recover(&self.columns);
         for (i, col) in table.columns().iter().enumerate() {
-            let tagged = Tagged {
-                gen,
-                value: Arc::new(Column::Spilled(Arc::clone(col))),
-            };
-            if let Some(stale) = columns.insert((rel, AttrId(i as u16)), tagged) {
-                self.retire(&stale.value);
+            let adopted = Arc::new(Column::Spilled(Arc::clone(col)));
+            if let Some(stale) = self.columns.install((rel, AttrId(i as u16)), gen, adopted) {
+                self.retire(&stale);
             }
         }
-        drop(columns);
         let counter = if table.from_cache() {
             &self.spill_hits
         } else {

@@ -10,75 +10,65 @@
 //! FD once per oracle round), so recomputation — whatever backend
 //! computes it — is the dominant waste.
 //!
-//! [`StatsEngine`] memoizes *results* per `(relation, attribute-list)`
-//! key, tagged with the owning table's generation counter
-//! ([`Database::generation`]), so conceptualization in IND-Discovery
-//! and attribute drops in Restruct — both of which mutate the
-//! database — can never cause a stale count to be served: a mutated
-//! table's generation moves past the tag and the entry is rebuilt on
-//! next use. *How* a missing entry is built is delegated to the
-//! wrapped [`CountBackend`] ([`ReferenceBackend`] scans, the default
+//! [`StatsEngine`] memoizes *results* in seven caches — counts,
+//! projections, unary partitions, LHS groups, column codes, g3 errors
+//! and join statistics — each keyed by `(relation, attributes)`, by
+//! FD or by join, and tagged with the owning table's generation
+//! counter ([`Database::generation`]; a join's tag is both sides'
+//! generations). Conceptualization in IND-Discovery and attribute
+//! drops in Restruct — both of which mutate the database — can
+//! therefore never cause a stale count to be served: a mutated table's
+//! generation moves past the tag and the entry is rebuilt on next use.
+//! *How* a missing entry is built is delegated to the wrapped
+//! [`CountBackend`] ([`ReferenceBackend`] scans, the default
 //! [`EncodedBackend`] runs integer-code kernels over its own
-//! generation-tagged dictionary cache, `dbre-sql`'s `SqlBackend`
-//! executes generated SQL), which is what makes the engine one seam:
-//! the pipeline, the miners, and the benches see identical semantics
-//! and identical caching regardless of the backend underneath.
+//! generation-tagged column caches, `dbre-sql`'s `SqlBackend` executes
+//! generated SQL), which is what makes the engine one seam: the
+//! pipeline, the miners, and the benches see identical semantics and
+//! identical caching regardless of the backend underneath.
 //!
-//! Interior mutability (`RwLock` caches, atomic counters) keeps the
-//! whole API on `&self`, so one engine can be shared by the concurrent
-//! sessions of `dbre-core`'s `run_service` without cloning caches.
-//! Cache entries racing between sessions are resolved by re-checking
-//! under the write lock and *adopting* a concurrent winner's entry as
-//! a hit, so each cold key is charged one miss.
+//! The seven caches and the backend's three are one crate-private
+//! memo type (`memo.rs`): it keeps the whole API on `&self`, so the
+//! concurrent sessions of `dbre-core`'s `run_service` share one engine,
+//! and charges each cold key one miss when two sessions race to build
+//! it. The engine counts hits, misses and rows scanned from what the
+//! memo served. Its probes are its [`CountBackend`] implementation, so
+//! the miners, the differential suites and the pipeline take a raw
+//! backend or a memoizing engine through the same `&dyn CountBackend`.
 //!
 //! NULL semantics are the backend contract (see [`CountBackend`]):
-//! projections and [`StatsEngine::lhs_groups`] drop NULL-containing
+//! projections and [`CountBackend::lhs_groups`] drop NULL-containing
 //! rows (SQL `COUNT(DISTINCT …)`, matching [`Database::fd_holds`]),
-//! while [`StatsEngine::partition`] keeps the mining convention
+//! while [`CountBackend::partition1`] keeps the mining convention
 //! (NULL = NULL) of [`crate::partitions`]. The two families are cached
 //! separately and never conflated.
 //!
-//! The engine itself implements [`CountBackend`], so anything written
-//! against the seam — the miners, the differential suites — can take
-//! either a raw backend or a memoizing engine through the same
-//! `&dyn CountBackend` parameter. The engine inherits the seam's
-//! extension tests, which read its caches: [`CountBackend::ind_holds`]
-//! the memoized join statistics, and [`CountBackend::fd_holds`] the
-//! cached g3 error. Every FD question — the test, the g3 error of a
-//! failing one and Restruct's split of an enforced one
-//! ([`crate::backend::pluralities`]) — reads the cached LHS groups
-//! and the cached per-row codes of the RHS columns, so a batch of
-//! `A → b` tests groups the rows by `A` once, encodes each `b` once,
-//! and asks each FD once.
+//! The engine inherits the seam's extension tests, which read its
+//! caches: [`CountBackend::ind_holds`] the memoized join statistics,
+//! and [`CountBackend::fd_holds`] the cached g3 error. Every FD
+//! question — the test, the g3 error of a failing one and Restruct's
+//! split of an enforced one ([`crate::backend::pluralities`]) — reads
+//! the cached LHS groups and the cached per-row codes of the RHS
+//! columns, so a batch of `A → b` tests groups the rows by `A` once,
+//! encodes each `b` once, and asks each FD once.
 
 use crate::attr::AttrId;
-use crate::backend::{
-    g3_error, read_recover, write_recover, BackendExecStats, ColumnCache, CountBackend,
-    EncodedBackend, Tagged,
-};
+use crate::backend::{g3_error, BackendExecStats, CountBackend, EncodedBackend};
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::Fd;
 use crate::encode::{ColumnCodes, ColumnDict};
+use crate::memo::{Memo, Served};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
 use crate::table::ProjKey;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 #[cfg(doc)]
 use crate::backend::ReferenceBackend;
-
-/// Cached [`JoinStats`], valid while both side tables keep their
-/// generations.
-#[derive(Clone, Copy)]
-struct TaggedJoin {
-    left_gen: u64,
-    right_gen: u64,
-    stats: JoinStats,
-}
 
 /// Cheap observability counters, readable at any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,8 +82,8 @@ pub struct StatsCounters {
     pub rows_scanned: u64,
 }
 
-/// A cache family: one generation-tagged entry per `(rel, attrs)` key.
-type AttrCache<T> = RwLock<HashMap<(RelId, Vec<AttrId>), Tagged<T>>>;
+/// The key of a probe over an attribute list of one relation.
+type Projection = (RelId, Vec<AttrId>);
 
 /// Memoized distinct-projection / partition / FD-group statistics over
 /// one [`Database`], decorating a [`CountBackend`] (see the module
@@ -111,17 +101,18 @@ pub struct StatsEngine {
     /// The counting implementation cache misses are delegated to.
     backend: Box<dyn CountBackend>,
     /// Memoized `‖rel[attrs]‖` counts.
-    counts: AttrCache<usize>,
-    projections: AttrCache<HashSet<ProjKey>>,
-    partitions: ColumnCache<StrippedPartition>,
-    lhs_groups: AttrCache<Vec<Vec<usize>>>,
+    counts: Memo<Projection, usize>,
+    projections: Memo<Projection, Arc<HashSet<ProjKey>>>,
+    partitions: Memo<(RelId, AttrId), Arc<StrippedPartition>>,
+    lhs_groups: Memo<Projection, Arc<Vec<Vec<usize>>>>,
     /// Per-row codes of the columns FD questions read, tagged with the
     /// generation they were encoded at; a streamed table's entry
     /// survives hydration, which keeps the generation.
-    codes: ColumnCache<ColumnCodes>,
+    codes: Memo<(RelId, AttrId), Arc<ColumnCodes>>,
     /// g3 errors per FD, tagged with the generation of its relation.
-    fd_errors: RwLock<HashMap<Fd, Tagged<f64>>>,
-    joins: RwLock<HashMap<EquiJoin, TaggedJoin>>,
+    fd_errors: Memo<Fd, f64>,
+    /// Join statistics, tagged with both sides' generations.
+    joins: Memo<EquiJoin, JoinStats, (u64, u64)>,
     hits: AtomicU64,
     misses: AtomicU64,
     rows_scanned: AtomicU64,
@@ -145,188 +136,16 @@ impl StatsEngine {
     pub fn with_backend(backend: Box<dyn CountBackend>) -> Self {
         StatsEngine {
             backend,
-            counts: RwLock::default(),
-            projections: RwLock::default(),
-            partitions: RwLock::default(),
-            lhs_groups: RwLock::default(),
-            codes: RwLock::default(),
-            fd_errors: RwLock::default(),
-            joins: RwLock::default(),
+            counts: Memo::default(),
+            projections: Memo::default(),
+            partitions: Memo::default(),
+            lhs_groups: Memo::default(),
+            codes: Memo::default(),
+            fd_errors: Memo::default(),
+            joins: Memo::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             rows_scanned: AtomicU64::new(0),
-        }
-    }
-
-    /// The wrapped backend's name (`"reference"`, `"encoded"`,
-    /// `"sql"`, …).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    /// Serves `cache[key]` when its tag matches `gen`, otherwise runs
-    /// `build` and inserts. `build` returns the value plus the rows
-    /// scanned to produce it (charged to the counters on a miss only).
-    ///
-    /// Cache keys can be shared across concurrent sessions (two
-    /// sessions of `run_service` probe the same LHS or join side), so
-    /// after building the entry is re-checked under the write lock: if
-    /// a concurrent prober beat us, its entry is adopted as a *hit* and
-    /// ours dropped — one miss per cold key. Building before locking
-    /// wastes the loser's pass but never serializes distinct keys.
-    fn cached<K, T>(
-        &self,
-        cache: &RwLock<HashMap<K, Tagged<T>>>,
-        key: K,
-        gen: u64,
-        build: impl FnOnce() -> (Arc<T>, u64),
-    ) -> Arc<T>
-    where
-        K: std::hash::Hash + Eq,
-    {
-        if let Some(entry) = read_recover(cache).get(&key) {
-            if entry.gen == gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.value);
-            }
-        }
-        let (value, rows) = build();
-        let mut guard = write_recover(cache);
-        if let Some(entry) = guard.get(&key) {
-            if entry.gen == gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.value);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rows_scanned.fetch_add(rows, Ordering::Relaxed);
-        guard.insert(
-            key,
-            Tagged {
-                gen,
-                value: Arc::clone(&value),
-            },
-        );
-        value
-    }
-
-    /// `‖rel[attrs]‖` — the paper's cardinality query, memoized.
-    pub fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        let gen = db.generation(rel);
-        *self.cached(&self.counts, (rel, attrs.to_vec()), gen, || {
-            (
-                Arc::new(self.backend.count_distinct(db, rel, attrs)),
-                db.table(rel).len() as u64,
-            )
-        })
-    }
-
-    /// The distinct projection `π_{attrs}(rel)` (NULL rows dropped) as
-    /// `Value` tuples, shared out of the cache. Kept for consumers
-    /// that need the actual values (e.g. materializing a
-    /// conceptualized intersection); counting paths stay on
-    /// [`StatsEngine::count_distinct`].
-    pub fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let gen = db.generation(rel);
-        self.cached(&self.projections, (rel, attrs.to_vec()), gen, || {
-            (
-                self.backend.projection(db, rel, attrs),
-                db.table(rel).len() as u64,
-            )
-        })
-    }
-
-    /// The three IND-Discovery cardinalities for `join`, memoized per
-    /// join and valid while both side tables keep their generations.
-    pub fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        let left_gen = db.generation(join.left.rel);
-        let right_gen = db.generation(join.right.rel);
-        if let Some(entry) = read_recover(&self.joins).get(join) {
-            if entry.left_gen == left_gen && entry.right_gen == right_gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.stats;
-            }
-        }
-        let stats = self.backend.join_stats(db, join);
-        let mut joins = write_recover(&self.joins);
-        if let Some(entry) = joins.get(join) {
-            if entry.left_gen == left_gen && entry.right_gen == right_gen {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.stats;
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rows_scanned
-            .fetch_add(stats.n_left.min(stats.n_right) as u64, Ordering::Relaxed);
-        joins.insert(
-            join.clone(),
-            TaggedJoin {
-                left_gen,
-                right_gen,
-                stats,
-            },
-        );
-        stats
-    }
-
-    /// The stripped partition `π_{attr}` (mining convention:
-    /// NULL = NULL), built by the backend and shared out of the cache.
-    pub fn partition(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        let gen = db.generation(rel);
-        self.cached(&self.partitions, (rel, attr), gen, || {
-            (
-                self.backend.partition1(db, rel, attr),
-                db.table(rel).len() as u64,
-            )
-        })
-    }
-
-    /// Row-index groups (size ≥ 2) agreeing on `attrs` under **SQL
-    /// semantics** — rows with a NULL in `attrs` are skipped, exactly
-    /// like [`Database::fd_holds`]. Deterministically ordered, shared
-    /// out of the cache.
-    pub fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let gen = db.generation(rel);
-        self.cached(&self.lhs_groups, (rel, attrs.to_vec()), gen, || {
-            (
-                self.backend.lhs_groups(db, rel, attrs),
-                db.table(rel).len() as u64,
-            )
-        })
-    }
-
-    /// One column's per-row codes ([`CountBackend::column_codes`]),
-    /// built by the backend once per table generation and shared out
-    /// of the cache.
-    pub fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
-        let gen = db.generation(rel);
-        self.cached(&self.codes, (rel, attr), gen, || {
-            (
-                self.backend.column_codes(db, rel, attr),
-                db.table(rel).len() as u64,
-            )
-        })
-    }
-
-    /// The g3 error of `fd` ([`CountBackend::fd_error`]), computed once
-    /// per generation of its relation from the cached LHS groups and
-    /// column codes. Its pass over the grouped rows is not counted as
-    /// scanned.
-    pub fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
-        let gen = db.generation(fd.rel);
-        *self.cached(&self.fd_errors, fd.clone(), gen, || {
-            (Arc::new(g3_error(self, db, fd)), 0)
-        })
-    }
-
-    /// Prewarms `rel`: lets the backend build its internal structures
-    /// while the rows are hot (e.g. right after a CSV import) and
-    /// primes the unary count cache, so the first statistics query
-    /// after an import is a cache hit instead of a rebuild.
-    pub fn prewarm(&self, db: &Database, rel: RelId) {
-        self.backend.prewarm(db, rel);
-        for i in 0..db.table(rel).arity() {
-            self.count_distinct(db, rel, &[AttrId(i as u16)]);
         }
     }
 
@@ -346,25 +165,16 @@ impl StatsEngine {
         self.rows_scanned.store(0, Ordering::Relaxed);
     }
 
-    /// The inner backend's execution counters ([`BackendExecStats`]) —
-    /// the decorator adds nothing of its own, so a nonzero
-    /// `fallback_failures` here is always the backend confessing.
-    pub fn exec_stats(&self) -> BackendExecStats {
-        self.backend.exec_stats()
-    }
-
-    /// The inner backend's page-cache counters
-    /// ([`crate::bufpool::PageCacheStats`]) — all-zero unless the
-    /// paged backend is underneath.
-    pub fn page_stats(&self) -> crate::bufpool::PageCacheStats {
-        self.backend.page_stats()
-    }
-
-    /// The inner backend's spill-cache counters
-    /// ([`crate::spill::SpillCacheStats`]) — all-zero unless the
-    /// paged backend adopted streamed-ingest tables.
-    pub fn spill_stats(&self) -> crate::spill::SpillCacheStats {
-        self.backend.spill_stats()
+    /// Counts what a memo lookup took — a hit, or a miss whose build
+    /// scanned `rows` — and returns its value.
+    fn tally<V>(&self, served: Served<V>, rows: usize) -> V {
+        if served.hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.rows_scanned.fetch_add(rows as u64, Ordering::Relaxed);
+        }
+        served.value
     }
 }
 
@@ -384,48 +194,95 @@ const _: () = {
     assert_send_sync::<crate::snapshot::DbSnapshot>();
 };
 
-/// The memoizing engine is itself a backend: consumers written against
-/// the seam (`&dyn CountBackend`) can be handed a raw backend or a
-/// caching engine interchangeably.
+/// The engine's probes: each serves its memo's entry at the probed
+/// tables' generations, or builds it through the wrapped backend.
+/// Being a backend itself, the engine can be handed to anything
+/// written against the seam (`&dyn CountBackend`) in place of a raw
+/// backend.
 impl CountBackend for StatsEngine {
+    /// The wrapped backend's name (`"reference"`, `"encoded"`,
+    /// `"sql"`, …).
     fn name(&self) -> &'static str {
         self.backend.name()
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        StatsEngine::count_distinct(self, db, rel, attrs)
+        let served = self
+            .counts
+            .get_or_init((rel, attrs.to_vec()), db.generation(rel), || {
+                self.backend.count_distinct(db, rel, attrs)
+            });
+        self.tally(served, db.table(rel).len())
     }
 
+    /// Memoized per join, valid while both side tables keep their
+    /// generations.
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
-        StatsEngine::join_stats(self, db, join)
+        let tag = (db.generation(join.left.rel), db.generation(join.right.rel));
+        let served = self
+            .joins
+            .get_or_init(join.clone(), tag, || self.backend.join_stats(db, join));
+        let rows = served.value.n_left.min(served.value.n_right);
+        self.tally(served, rows)
     }
 
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        StatsEngine::lhs_groups(self, db, rel, attrs)
+        let served = self
+            .lhs_groups
+            .get_or_init((rel, attrs.to_vec()), db.generation(rel), || {
+                self.backend.lhs_groups(db, rel, attrs)
+            });
+        self.tally(served, db.table(rel).len())
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        StatsEngine::projection(self, db, rel, attrs)
+        let served =
+            self.projections
+                .get_or_init((rel, attrs.to_vec()), db.generation(rel), || {
+                    self.backend.projection(db, rel, attrs)
+                });
+        self.tally(served, db.table(rel).len())
     }
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        StatsEngine::partition(self, db, rel, attr)
+        let served = self
+            .partitions
+            .get_or_init((rel, attr), db.generation(rel), || {
+                self.backend.partition1(db, rel, attr)
+            });
+        self.tally(served, db.table(rel).len())
     }
 
+    /// Lets the backend build its internal structures while the rows
+    /// are hot and primes the unary count cache, so the first
+    /// statistics query after an import is a hit.
     fn prewarm(&self, db: &Database, rel: RelId) {
-        StatsEngine::prewarm(self, db, rel);
+        self.backend.prewarm(db, rel);
+        for i in 0..db.table(rel).arity() {
+            self.count_distinct(db, rel, &[AttrId(i as u16)]);
+        }
     }
 
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         self.backend.column_dict(db, rel, attr)
     }
 
+    /// Built by the backend once per table generation.
     fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
-        StatsEngine::column_codes(self, db, rel, attr)
+        let served = self.codes.get_or_init((rel, attr), db.generation(rel), || {
+            self.backend.column_codes(db, rel, attr)
+        });
+        self.tally(served, db.table(rel).len())
     }
 
+    /// Computed once per generation of the FD's relation from the
+    /// cached LHS groups and column codes. Its pass over the grouped
+    /// rows is not counted as scanned.
     fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
-        StatsEngine::fd_error(self, db, fd)
+        let served = self
+            .fd_errors
+            .get_or_init(fd.clone(), db.generation(fd.rel), || g3_error(self, db, fd));
+        self.tally(served, 0)
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
@@ -435,16 +292,18 @@ impl CountBackend for StatsEngine {
         self.backend.column_sketch(db, rel, attr)
     }
 
+    /// The decorator adds nothing of its own, so a nonzero
+    /// `fallback_failures` here is always the backend confessing.
     fn exec_stats(&self) -> BackendExecStats {
-        StatsEngine::exec_stats(self)
+        self.backend.exec_stats()
     }
 
     fn page_stats(&self) -> crate::bufpool::PageCacheStats {
-        StatsEngine::page_stats(self)
+        self.backend.page_stats()
     }
 
     fn spill_stats(&self) -> crate::spill::SpillCacheStats {
-        StatsEngine::spill_stats(self)
+        self.backend.spill_stats()
     }
 }
 
@@ -491,7 +350,7 @@ mod tests {
             .unwrap();
         for engine in engines() {
             let first = engine.join_stats(&db, &join);
-            assert_eq!(first, join_stats(&db, &join), "{}", engine.backend_name());
+            assert_eq!(first, join_stats(&db, &join), "{}", engine.name());
             let misses_after_first = engine.counters().cache_misses;
             let second = engine.join_stats(&db, &join);
             assert_eq!(second, first);
@@ -511,11 +370,22 @@ mod tests {
             .unwrap();
         let engine = StatsEngine::new();
         let before = engine.join_stats(&db, &join);
+        // The right side moves: its half of the join's tag is stale.
         db.insert(r, vec![Value::Int(4)]).unwrap();
         let after = engine.join_stats(&db, &join);
         assert_eq!(after, join_stats(&db, &join));
         assert_eq!(after.n_right, before.n_right + 1);
         assert_eq!(after.n_join, before.n_join + 1);
+        // Then the left side: the right half still matches, the left
+        // half alone must invalidate the entry.
+        db.insert(l, vec![Value::Int(9), Value::Int(90)]).unwrap();
+        let misses = engine.counters().cache_misses;
+        let last = engine.join_stats(&db, &join);
+        assert!(engine.counters().cache_misses > misses, "rebuilt");
+        assert_eq!(last, join_stats(&db, &join));
+        assert_eq!(last.n_left, after.n_left + 1);
+        assert_eq!(last.n_right, after.n_right);
+        assert_eq!(last.n_join, after.n_join + 1);
     }
 
     #[test]
@@ -555,7 +425,7 @@ mod tests {
         for engine in engines() {
             // NULL-LHS rows are skipped under SQL semantics, so x → y
             // holds.
-            assert!(engine.fd_holds(&db, &fd), "{}", engine.backend_name());
+            assert!(engine.fd_holds(&db, &fd), "{}", engine.name());
             assert_eq!(engine.fd_holds(&db, &fd), db.fd_holds(&fd));
         }
         // Break it and confirm the engine notices (generation bump).
@@ -586,12 +456,7 @@ mod tests {
             assert_eq!(engine.fd_error(&db, &other), 3.0 / 4.0);
             db.insert(l, vec![Value::Int(5), Value::Int(20)]).unwrap();
             let misses = engine.counters().cache_misses;
-            assert_eq!(
-                engine.fd_error(&db, &fd),
-                2.0 / 6.0,
-                "{}",
-                engine.backend_name()
-            );
+            assert_eq!(engine.fd_error(&db, &fd), 2.0 / 6.0, "{}", engine.name());
             assert!(
                 engine.counters().cache_misses > misses,
                 "the stale entry is rebuilt"
@@ -623,12 +488,12 @@ mod tests {
         for engine in engines() {
             for a in [AttrId(0), AttrId(1)] {
                 let direct = StrippedPartition::for_attribute(db.table(l), a);
-                let cached = engine.partition(&db, l, a);
-                assert_eq!(*cached, direct, "{}", engine.backend_name());
+                let cached = engine.partition1(&db, l, a);
+                assert_eq!(*cached, direct, "{}", engine.name());
             }
             // A second ask is served from the cache.
             let before = engine.counters();
-            engine.partition(&db, l, AttrId(0));
+            engine.partition1(&db, l, AttrId(0));
             let after = engine.counters();
             assert_eq!(after.cache_misses, before.cache_misses);
             assert_eq!(after.cache_hits, before.cache_hits + 1);

@@ -401,19 +401,19 @@ proptest! {
                 prop_assert_eq!(
                     engine.count_distinct(&db, rel, &attrs),
                     t.count_distinct(&attrs),
-                    "backend {}", engine.backend_name()
+                    "backend {}", engine.name()
                 );
                 for &a in &attrs {
                     prop_assert_eq!(
-                        (*engine.partition(&db, rel, a)).clone(),
+                        (*engine.partition1(&db, rel, a)).clone(),
                         StrippedPartition::for_attribute(&t, a),
-                        "backend {}", engine.backend_name()
+                        "backend {}", engine.name()
                     );
                 }
                 prop_assert_eq!(
                     (*engine.lhs_groups(&db, rel, &attrs)).clone(),
                     naive_lhs_groups(&t, &attrs),
-                    "backend {}", engine.backend_name()
+                    "backend {}", engine.name()
                 );
                 if !attrs.is_empty() {
                     let fd = Fd {
@@ -424,7 +424,7 @@ proptest! {
                     prop_assert_eq!(
                         engine.fd_holds(&db, &fd),
                         naive_fd_holds(&t, &attrs, &rhs),
-                        "backend {}", engine.backend_name()
+                        "backend {}", engine.name()
                     );
                 }
             }
