@@ -983,10 +983,13 @@ fn xb(check: bool) {
         );
     });
     std::fs::remove_file(&csv_path).ok();
-    // In-memory import of text columns, which interns every field per
+    // Both imports of text columns, which intern every field per
     // column: a few repeated values (the denormalized case), and all
-    // distinct values, the interner's worst case (one set entry and
-    // one allocation per cell).
+    // distinct values, the interners' worst case (one allocation per
+    // cell; the streamed ingest enters each string in its dictionary
+    // builder's text table and in the dictionary's encode table).
+    let text_path =
+        std::env::temp_dir().join(format!("dbre-xb-ingest-text-{}.csv", std::process::id()));
     for (shape, distinct) in [("repeated", false), ("distinct", true)] {
         let text = text_csv(ingest_rows, distinct);
         benches.push((
@@ -998,7 +1001,19 @@ fn xb(check: bool) {
                 );
             }),
         ));
+        std::fs::write(&text_path, &text).expect("write text ingest CSV");
+        benches.push((
+            format!("ingest/import_csv_spilled_text_{shape}/r{ingest_rows}"),
+            median_ns(3, || {
+                let (mut db, rel) = text_db();
+                std::hint::black_box(
+                    dbre_relational::csv::import_csv_spilled(&mut db, rel, &text_path, None)
+                        .expect("streamed text ingest"),
+                );
+            }),
+        ));
     }
+    std::fs::remove_file(&text_path).ok();
     let rows_per_s = |ns: f64| ingest_rows as f64 / (ns / 1e9);
     let ingest = (
         ingest_rows,

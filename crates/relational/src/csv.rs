@@ -3,9 +3,19 @@
 //! connections).
 //!
 //! The dialect is the common denominator: comma separator, `"`
-//! quoting with `""` escape, first line is the header, empty unquoted
-//! fields are `NULL`. Values are coerced into the declared domain of
-//! the target relation.
+//! quoting with `""` escape, first line is the header. Values are
+//! coerced into the declared domain of the target relation, under
+//! these NULL rules:
+//!
+//! * an unquoted empty field is `NULL` in every domain, and so is an
+//!   unquoted `null` in any case;
+//! * in a text column a quoted field is its text as written: `""` is
+//!   the empty string and `"null"` the string `null`;
+//! * in the other domains a quoted field reads like an unquoted one,
+//!   so `"null"` is `NULL` there and `""` does not parse.
+//!
+//! [`export_csv`] quotes every text cell that is empty or spells
+//! `null`, so a table reads back as it was written.
 
 use crate::attr::AttrId;
 use crate::database::Database;
@@ -13,7 +23,7 @@ use crate::error::RelationalError;
 use crate::pages::PageError;
 use crate::schema::{RelId, Relation};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{Domain, Value};
 use std::collections::HashSet;
 use std::fmt;
 use std::io::Read;
@@ -65,26 +75,67 @@ impl From<PageError> for CsvError {
     }
 }
 
+/// How a field was written, which is what the NULL rules read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FieldKind {
+    /// Unquoted and empty.
+    Null,
+    /// Unquoted text.
+    Unquoted,
+    /// Opened with a quote; its text may be empty.
+    Quoted,
+}
+
+/// One record as [`RecordParser`] lends it: the texts of its fields
+/// back to back in one buffer, and each field's end in it and kind.
+#[derive(Debug, Default)]
+struct Record {
+    text: String,
+    fields: Vec<(usize, FieldKind)>,
+}
+
+impl Record {
+    /// Number of fields.
+    fn len(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Each field's kind and text, in order.
+    fn fields(&self) -> impl Iterator<Item = (FieldKind, &str)> {
+        let mut start = 0;
+        self.fields.iter().map(move |&(end, kind)| {
+            let text = &self.text[start..end];
+            start = end;
+            (kind, text)
+        })
+    }
+}
+
 /// Chunk-fed CSV record parser — the single home of the dialect's
 /// semantics, shared by the in-memory [`import_csv`] path (which feeds
 /// it one big chunk) and the streaming [`import_csv_spilled`] path
 /// (which feeds it file-sized reads). Byte chunks may split anywhere,
 /// including mid-UTF-8-sequence and mid-`""` escape; state carries
-/// across `feed` calls. A record is lent to the caller, and its field
-/// buffers are then reused for later records, so a field allocates
-/// only when its text outgrows the buffer it reuses.
+/// across `feed` calls.
+///
+/// Each chunk is validated as UTF-8, then scanned byte by byte for the
+/// four structural bytes `,` `"` `\r` `\n`. They are ASCII, and ASCII
+/// bytes never occur inside a multi-byte UTF-8 sequence, so the run of
+/// ordinary bytes before each one is copied whole and every cut falls
+/// on a char boundary. A record is lent to the caller and its buffers
+/// are then reused for the next one, so parsing allocates only when a
+/// record outgrows the largest before it.
 struct RecordParser {
-    field: String,
-    record: Vec<Option<String>>,
-    /// Emptied field buffers of records already emitted.
-    spare: Vec<String>,
+    record: Record,
+    /// Where the field in progress starts in `record.text`.
+    field_start: usize,
     /// Inside a quoted field.
     quoted: bool,
-    /// Just saw a `"` inside a quoted field: the next char decides
+    /// Just saw a `"` inside a quoted field: the next byte decides
     /// between a `""` escape and the field closing.
     pending_quote: bool,
     /// The field in progress was opened with a quote (quoted-empty is
-    /// `Some("")`, not NULL).
+    /// an empty [`FieldKind::Quoted`] field, not NULL).
     was_quoted: bool,
     /// 1-based source line, counting newlines inside quoted fields —
     /// structural errors point at real text positions.
@@ -100,9 +151,8 @@ struct RecordParser {
 impl RecordParser {
     fn new(strip_bom: bool) -> Self {
         RecordParser {
-            field: String::new(),
-            record: Vec::new(),
-            spare: Vec::new(),
+            record: Record::default(),
+            field_start: 0,
             quoted: false,
             pending_quote: false,
             was_quoted: false,
@@ -121,13 +171,16 @@ impl RecordParser {
     }
 
     fn end_field(&mut self) {
-        if self.field.is_empty() && !self.was_quoted {
-            self.record.push(None);
+        let end = self.record.text.len();
+        let kind = if self.was_quoted {
+            FieldKind::Quoted
+        } else if end == self.field_start {
+            FieldKind::Null
         } else {
-            let next = self.spare.pop().unwrap_or_default();
-            self.record
-                .push(Some(std::mem::replace(&mut self.field, next)));
-        }
+            FieldKind::Unquoted
+        };
+        self.record.fields.push((end, kind));
+        self.field_start = end;
         self.was_quoted = false;
     }
 
@@ -135,80 +188,78 @@ impl RecordParser {
     /// (a single NULL field).
     fn end_record(
         &mut self,
-        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&Record) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         self.end_field();
-        let blank = self.record.len() == 1 && self.record[0].is_none();
+        let blank = self.record.fields == [(0, FieldKind::Null)];
         let emitted = if blank { Ok(()) } else { emit(&self.record) };
-        for mut buffer in self.record.drain(..).flatten() {
-            buffer.clear();
-            self.spare.push(buffer);
-        }
+        self.record.text.clear();
+        self.record.fields.clear();
+        self.field_start = 0;
         emitted
-    }
-
-    fn process_char(
-        &mut self,
-        c: char,
-        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
-    ) -> Result<(), CsvError> {
-        if self.at_start {
-            self.at_start = false;
-            if self.strip_bom && c == '\u{feff}' {
-                return Ok(());
-            }
-        }
-        if self.quoted {
-            if self.pending_quote {
-                self.pending_quote = false;
-                if c == '"' {
-                    self.field.push('"');
-                    return Ok(());
-                }
-                // The quote we saw closed the field; `c` continues in
-                // unquoted context below.
-                self.quoted = false;
-            } else {
-                match c {
-                    '"' => self.pending_quote = true,
-                    '\n' => {
-                        self.line += 1;
-                        self.field.push('\n');
-                    }
-                    other => self.field.push(other),
-                }
-                return Ok(());
-            }
-        }
-        match c {
-            '"' => {
-                if !self.field.is_empty() {
-                    return Err(CsvError::Malformed {
-                        line: self.line,
-                        message: "quote inside unquoted field".into(),
-                    });
-                }
-                self.quoted = true;
-                self.was_quoted = true;
-            }
-            ',' => self.end_field(),
-            '\r' => {}
-            '\n' => {
-                self.end_record(emit)?;
-                self.line += 1;
-            }
-            other => self.field.push(other),
-        }
-        Ok(())
     }
 
     fn process_str(
         &mut self,
-        s: &str,
-        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
+        mut s: &str,
+        emit: &mut impl FnMut(&Record) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
-        for c in s.chars() {
-            self.process_char(c, emit)?;
+        if self.at_start && !s.is_empty() {
+            self.at_start = false;
+            if self.strip_bom {
+                s = s.strip_prefix('\u{feff}').unwrap_or(s);
+            }
+        }
+        let bytes = s.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if self.pending_quote {
+                self.pending_quote = false;
+                if bytes[i] == b'"' {
+                    self.record.text.push('"');
+                    i += 1;
+                    continue;
+                }
+                // The quote we saw closed the field; this byte
+                // continues in unquoted context.
+                self.quoted = false;
+            }
+            let rest = &bytes[i..];
+            let run = if self.quoted {
+                rest.iter().position(|&b| b == b'"' || b == b'\n')
+            } else {
+                rest.iter()
+                    .position(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+            };
+            let Some(run) = run else {
+                self.record.text.push_str(&s[i..]);
+                break;
+            };
+            self.record.text.push_str(&s[i..i + run]);
+            i += run + 1;
+            match (self.quoted, bytes[i - 1]) {
+                (true, b'"') => self.pending_quote = true,
+                (true, _) => {
+                    self.line += 1;
+                    self.record.text.push('\n');
+                }
+                (false, b'"') => {
+                    if self.record.text.len() > self.field_start {
+                        return Err(CsvError::Malformed {
+                            line: self.line,
+                            message: "quote inside unquoted field".into(),
+                        });
+                    }
+                    self.quoted = true;
+                    self.was_quoted = true;
+                }
+                (false, b',') => self.end_field(),
+                (false, b'\r') => {}
+                (false, _) => {
+                    self.end_record(emit)?;
+                    self.line += 1;
+                }
+            }
         }
         Ok(())
     }
@@ -217,7 +268,7 @@ impl RecordParser {
     fn feed(
         &mut self,
         mut chunk: &[u8],
-        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&Record) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         // Complete a UTF-8 sequence split at the previous boundary.
         while !self.stash.is_empty() && !chunk.is_empty() {
@@ -259,7 +310,7 @@ impl RecordParser {
     /// UTF-8 sequence.
     fn finish(
         mut self,
-        emit: &mut impl FnMut(&[Option<String>]) -> Result<(), CsvError>,
+        emit: &mut impl FnMut(&Record) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         if !self.stash.is_empty() {
             return Err(self.invalid_utf8());
@@ -275,20 +326,22 @@ impl RecordParser {
                 message: "unterminated quoted field".into(),
             });
         }
-        if !self.field.is_empty() || self.was_quoted || !self.record.is_empty() {
+        if self.record.text.len() > self.field_start
+            || self.was_quoted
+            || !self.record.fields.is_empty()
+        {
             self.end_record(emit)?;
         }
         Ok(())
     }
 }
 
-/// Splits CSV text into records of raw fields. `None` fields are
-/// unquoted-empty (→ NULL); quoted-empty stays `Some("")`.
+/// Splits CSV text into records of (kind, text) fields.
 #[cfg(test)]
-fn parse_records(text: &str) -> Result<Vec<Vec<Option<String>>>, CsvError> {
+fn parse_records(text: &str) -> Result<Vec<Vec<(FieldKind, String)>>, CsvError> {
     let mut records = Vec::new();
-    let mut emit = |r: &[Option<String>]| {
-        records.push(r.to_vec());
+    let mut emit = |r: &Record| {
+        records.push(owned(r));
         Ok(())
     };
     let mut p = RecordParser::new(false);
@@ -297,14 +350,23 @@ fn parse_records(text: &str) -> Result<Vec<Vec<Option<String>>>, CsvError> {
     Ok(records)
 }
 
+/// An owned copy of a lent record's fields.
+#[cfg(test)]
+fn owned(record: &Record) -> Vec<(FieldKind, String)> {
+    record.fields().map(|(k, t)| (k, t.to_string())).collect()
+}
+
 /// Resolves a header record against `relation`: every attribute named
 /// exactly once, any order. Returns the CSV-position → attribute map.
-fn header_mapping(relation: &Relation, header: &[Option<String>]) -> Result<Vec<AttrId>, CsvError> {
+fn header_mapping(relation: &Relation, header: &Record) -> Result<Vec<AttrId>, CsvError> {
     let mut mapping: Vec<AttrId> = Vec::with_capacity(header.len());
-    for (i, h) in header.iter().enumerate() {
-        let name = h
-            .as_deref()
-            .ok_or_else(|| CsvError::Schema(format!("empty header field at position {}", i + 1)))?;
+    for (i, (kind, name)) in header.fields().enumerate() {
+        if kind == FieldKind::Null {
+            return Err(CsvError::Schema(format!(
+                "empty header field at position {}",
+                i + 1
+            )));
+        }
         let id = relation.attr_id(name).ok_or_else(|| {
             CsvError::Schema(format!(
                 "header column `{name}` not in relation `{}`",
@@ -333,22 +395,22 @@ fn header_mapping(relation: &Relation, header: &[Option<String>]) -> Result<Vec<
     Ok(mapping)
 }
 
+/// One coerced cell as [`Ingest`] hands it on: a text cell still
+/// borrowed from the record, so each ingest stores its strings its own
+/// way, or any other value (NULL included).
+enum Cell<'t> {
+    Text(&'t str),
+    Value(Value),
+}
+
 /// Turns the records of one CSV file into cells of `relation`, in
 /// stream order: the one coercion path of [`import_csv`] and the
-/// streamed [`import_csv_spilled`], so the NULL-text rule, the domain
-/// parse and the error texts exist once.
-///
-/// Each text column interns its strings: a repeated string costs a
-/// set lookup instead of an allocation, and equal cells of one column
-/// share one `Arc<str>`. The sets key on text from the input file, so
-/// they keep std's default hasher, and they drop with the ingest.
+/// streamed [`import_csv_spilled`], so the NULL rules (see the module
+/// docs), the domain parse and the error texts exist once.
 struct Ingest<'r> {
     relation: &'r Relation,
     /// The CSV-position → attribute map, once the header has resolved.
     mapping: Option<Vec<AttrId>>,
-    /// The strings seen so far, per CSV position; only the positions of
-    /// text attributes fill theirs.
-    interners: Vec<HashSet<Arc<str>>>,
     /// Records seen, header included: the record line of the last one.
     /// Error lines count records, not newlines inside quoted fields.
     records: usize,
@@ -359,27 +421,24 @@ impl<'r> Ingest<'r> {
         Ingest {
             relation,
             mapping: None,
-            interners: Vec::new(),
             records: 0,
         }
     }
 
     /// Takes the next record. The first resolves the header; each
     /// later one is coerced field by field into the declared domains,
-    /// and `put` receives every cell with its attribute. `parse_with`
-    /// yields a value of the attribute's domain or NULL, so every cell
-    /// passes the domain check `Database::insert` makes.
+    /// and `put` receives every cell with its attribute. A cell is
+    /// NULL or of its attribute's domain, so it passes the domain check
+    /// `Database::insert` makes.
     fn record(
         &mut self,
-        record: &[Option<String>],
-        mut put: impl FnMut(AttrId, Value) -> Result<(), CsvError>,
+        record: &Record,
+        mut put: impl FnMut(AttrId, Cell<'_>) -> Result<(), CsvError>,
     ) -> Result<(), CsvError> {
         self.records += 1;
         let relation = self.relation;
         let Some(mapping) = &self.mapping else {
-            let mapping = header_mapping(relation, record)?;
-            self.interners = mapping.iter().map(|_| HashSet::new()).collect();
-            self.mapping = Some(mapping);
+            self.mapping = Some(header_mapping(relation, record)?);
             return Ok(());
         };
         if record.len() != mapping.len() {
@@ -393,21 +452,22 @@ impl<'r> Ingest<'r> {
                 ),
             });
         }
-        for ((field, &attr), strings) in record.iter().zip(mapping).zip(&mut self.interners) {
+        for ((kind, text), &attr) in record.fields().zip(mapping) {
             let domain = relation.attribute(attr).domain;
-            let v = match field {
-                None => Value::Null,
-                Some(text) => {
-                    Value::parse_with(text, domain, |s| intern(strings, s)).ok_or_else(|| {
-                        CsvError::Schema(format!(
-                            "`{text}` does not fit {domain} (column `{}`, line {})",
-                            relation.attr_name(attr),
-                            self.records
-                        ))
-                    })?
-                }
+            let cell = match kind {
+                FieldKind::Null => Cell::Value(Value::Null),
+                FieldKind::Quoted if domain == Domain::Text => Cell::Text(text),
+                _ if text.eq_ignore_ascii_case("null") => Cell::Value(Value::Null),
+                _ if domain == Domain::Text => Cell::Text(text),
+                _ => Cell::Value(Value::parse_into(text, domain).ok_or_else(|| {
+                    CsvError::Schema(format!(
+                        "`{text}` does not fit {domain} (column `{}`, line {})",
+                        relation.attr_name(attr),
+                        self.records
+                    ))
+                })?),
             };
-            put(attr, v)?;
+            put(attr, cell)?;
         }
         Ok(())
     }
@@ -446,10 +506,19 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
     let mut columns: Vec<Vec<Value>> = (0..relation.arity())
         .map(|_| Vec::with_capacity(capacity))
         .collect();
+    // Each text column interns its strings: a repeated string costs a
+    // set lookup instead of an allocation, and equal cells of one
+    // column share one `Arc<str>`. The sets key on text from the input
+    // file, so they keep std's default hasher.
+    let mut strings: Vec<HashSet<Arc<str>>> = columns.iter().map(|_| HashSet::new()).collect();
     let mut ingest = Ingest::new(relation);
-    let mut on_record = |record: &[Option<String>]| {
-        ingest.record(record, |attr, v| {
-            columns[attr.index()].push(v);
+    let mut on_record = |record: &Record| {
+        ingest.record(record, |attr, cell| {
+            let i = attr.index();
+            columns[i].push(match cell {
+                Cell::Text(s) => Value::Str(intern(&mut strings[i], s)),
+                Cell::Value(v) => v,
+            });
             Ok(())
         })
     };
@@ -480,8 +549,10 @@ pub fn import_csv(db: &mut Database, rel: RelId, text: &str) -> Result<usize, Cs
 ///
 /// Field semantics, coercion and error reporting are byte-identical
 /// to [`import_csv`]: both run on the same record parser and the same
-/// coercion, interner included, and both report the first bad record
-/// in stream order.
+/// coercion, and both report the first bad record in stream order. A
+/// text cell interns straight into its column's dictionary builder by
+/// its text ([`crate::encode::DictBuilder::intern_text`]), so a
+/// repeated string costs one lookup and makes no `Value`.
 ///
 /// Constraint checking (`K`, `N`) does not happen here — rows never
 /// pass through [`Database::insert`]. Callers run
@@ -618,10 +689,14 @@ fn encode_stream(
 ) -> Result<usize, CsvError> {
     let mut parser = RecordParser::new(true);
     let mut ingest = Ingest::new(relation);
-    let mut on_record = |record: &[Option<String>]| {
-        ingest.record(record, |attr, v| {
-            let code = builders[attr.index()].intern(&v);
-            writers[attr.index()].push(code)?;
+    let mut on_record = |record: &Record| {
+        ingest.record(record, |attr, cell| {
+            let i = attr.index();
+            let code = match cell {
+                Cell::Text(s) => builders[i].intern_text(s),
+                Cell::Value(v) => builders[i].intern(&v),
+            };
+            writers[i].push(code)?;
             Ok(())
         })
     };
@@ -640,7 +715,9 @@ fn encode_stream(
 }
 
 /// Serializes a table to CSV with a header. NULL becomes an unquoted
-/// empty field; text is quoted whenever it needs to be.
+/// empty field; text is quoted whenever it needs to be, which includes
+/// the empty string and any spelling of `null`, so each reads back as
+/// the string it is.
 ///
 /// # Panics
 ///
@@ -678,7 +755,7 @@ pub fn export_csv(db: &Database, rel: RelId) -> String {
 }
 
 fn quote(s: &str) -> String {
-    if s.is_empty() || s.contains([',', '"', '\n', '\r']) {
+    if s.is_empty() || s.eq_ignore_ascii_case("null") || s.contains([',', '"', '\n', '\r']) {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -876,8 +953,8 @@ mod tests {
         assert_eq!(whole.len(), 3, "blank line must vanish");
         for chunk in 1..=text.len() {
             let mut records = Vec::new();
-            let mut emit = |r: &[Option<String>]| {
-                records.push(r.to_vec());
+            let mut emit = |r: &Record| {
+                records.push(owned(r));
                 Ok(())
             };
             let mut p = RecordParser::new(false);
@@ -892,7 +969,7 @@ mod tests {
     #[test]
     fn record_parser_rejects_invalid_utf8() {
         let mut p = RecordParser::new(false);
-        let mut emit = |_: &[Option<String>]| Ok(());
+        let mut emit = |_: &Record| Ok(());
         // 0xff can never start a UTF-8 sequence.
         assert!(matches!(
             p.feed(b"ok,\xff", &mut emit),
@@ -907,45 +984,261 @@ mod tests {
         ));
     }
 
+    type Fields = Vec<(FieldKind, String)>;
+
+    /// The per-char state machine `RecordParser` replaced, kept as the
+    /// reference it is checked against: one `char` at a time into a
+    /// field buffer, each field reported with the kind its quoting gave
+    /// it. Chunking, the UTF-8 stash and the BOM work as in the parser.
+    struct CharParser {
+        field: String,
+        record: Fields,
+        quoted: bool,
+        pending_quote: bool,
+        was_quoted: bool,
+        line: usize,
+        strip_bom: bool,
+        at_start: bool,
+        stash: Vec<u8>,
+    }
+
+    impl CharParser {
+        fn new(strip_bom: bool) -> Self {
+            CharParser {
+                field: String::new(),
+                record: Vec::new(),
+                quoted: false,
+                pending_quote: false,
+                was_quoted: false,
+                line: 1,
+                strip_bom,
+                at_start: true,
+                stash: Vec::new(),
+            }
+        }
+
+        fn invalid_utf8(&self) -> CsvError {
+            CsvError::Malformed {
+                line: self.line,
+                message: "invalid UTF-8".into(),
+            }
+        }
+
+        fn end_field(&mut self) {
+            let kind = match (self.was_quoted, self.field.is_empty()) {
+                (true, _) => FieldKind::Quoted,
+                (false, true) => FieldKind::Null,
+                (false, false) => FieldKind::Unquoted,
+            };
+            self.record.push((kind, std::mem::take(&mut self.field)));
+            self.was_quoted = false;
+        }
+
+        fn end_record(&mut self, out: &mut Vec<Fields>) {
+            self.end_field();
+            let record = std::mem::take(&mut self.record);
+            if record != [(FieldKind::Null, String::new())] {
+                out.push(record);
+            }
+        }
+
+        fn process_char(&mut self, c: char, out: &mut Vec<Fields>) -> Result<(), CsvError> {
+            if self.at_start {
+                self.at_start = false;
+                if self.strip_bom && c == '\u{feff}' {
+                    return Ok(());
+                }
+            }
+            if self.quoted {
+                if self.pending_quote {
+                    self.pending_quote = false;
+                    if c == '"' {
+                        self.field.push('"');
+                        return Ok(());
+                    }
+                    self.quoted = false;
+                } else {
+                    match c {
+                        '"' => self.pending_quote = true,
+                        '\n' => {
+                            self.line += 1;
+                            self.field.push('\n');
+                        }
+                        other => self.field.push(other),
+                    }
+                    return Ok(());
+                }
+            }
+            match c {
+                '"' => {
+                    if !self.field.is_empty() {
+                        return Err(CsvError::Malformed {
+                            line: self.line,
+                            message: "quote inside unquoted field".into(),
+                        });
+                    }
+                    self.quoted = true;
+                    self.was_quoted = true;
+                }
+                ',' => self.end_field(),
+                '\r' => {}
+                '\n' => {
+                    self.end_record(out);
+                    self.line += 1;
+                }
+                other => self.field.push(other),
+            }
+            Ok(())
+        }
+
+        fn process_str(&mut self, s: &str, out: &mut Vec<Fields>) -> Result<(), CsvError> {
+            s.chars().try_for_each(|c| self.process_char(c, out))
+        }
+
+        fn feed(&mut self, mut chunk: &[u8], out: &mut Vec<Fields>) -> Result<(), CsvError> {
+            while !self.stash.is_empty() && !chunk.is_empty() {
+                self.stash.push(chunk[0]);
+                chunk = &chunk[1..];
+                match std::str::from_utf8(&self.stash) {
+                    Ok(s) => {
+                        let owned = s.to_string();
+                        self.stash.clear();
+                        self.process_str(&owned, out)?;
+                        break;
+                    }
+                    Err(e) if e.error_len().is_some() || self.stash.len() >= 4 => {
+                        return Err(self.invalid_utf8());
+                    }
+                    Err(_) => {}
+                }
+            }
+            match std::str::from_utf8(chunk) {
+                Ok(s) => self.process_str(s, out),
+                Err(e) => {
+                    let (valid, rest) = chunk.split_at(e.valid_up_to());
+                    self.process_str(std::str::from_utf8(valid).unwrap(), out)?;
+                    if e.error_len().is_some() {
+                        return Err(self.invalid_utf8());
+                    }
+                    self.stash.extend_from_slice(rest);
+                    Ok(())
+                }
+            }
+        }
+
+        fn finish(mut self, out: &mut Vec<Fields>) -> Result<(), CsvError> {
+            if !self.stash.is_empty() {
+                return Err(self.invalid_utf8());
+            }
+            if self.pending_quote {
+                self.quoted = false;
+                self.pending_quote = false;
+            }
+            if self.quoted {
+                return Err(CsvError::Malformed {
+                    line: self.line,
+                    message: "unterminated quoted field".into(),
+                });
+            }
+            if !self.field.is_empty() || self.was_quoted || !self.record.is_empty() {
+                self.end_record(out);
+            }
+            Ok(())
+        }
+    }
+
+    /// The pieces the differential property builds its input from:
+    /// every structural byte, a one- and a two-byte char, a BOM, a
+    /// byte no UTF-8 text holds, and the NULL word.
+    const PIECES: [&[u8]; 9] = [
+        b"a",
+        "é".as_bytes(),
+        b",",
+        b"\"",
+        b"\r",
+        b"\n",
+        "\u{feff}".as_bytes(),
+        b"\xff",
+        b"null",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// The byte-scanning parser and the per-char reference emit the
+        /// same records (each field's text and kind) and end the same
+        /// way, or with the same error (variant, line and message),
+        /// whatever the chunk splits and with or without BOM stripping;
+        /// the parser does the same fed the input whole.
+        #[test]
+        fn record_parser_matches_the_per_char_reference(
+            pieces in proptest::prelude::prop::collection::vec(0usize..PIECES.len(), 0..48),
+            cuts in proptest::prelude::prop::collection::vec(1usize..9, 1..12),
+        ) {
+            let bytes: Vec<u8> = pieces.iter().flat_map(|&i| PIECES[i].iter().copied()).collect();
+            let mut chunks = Vec::new();
+            let mut rest = bytes.as_slice();
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(cut.min(rest.len()));
+                chunks.push(head);
+                rest = tail;
+            }
+
+            for strip_bom in [false, true] {
+                let mut reference = CharParser::new(strip_bom);
+                let mut expect = Vec::new();
+                let done = chunks
+                    .iter()
+                    .try_for_each(|c| reference.feed(c, &mut expect))
+                    .and_then(|()| reference.finish(&mut expect));
+                let expect = (expect, done);
+
+                // In the same chunks, and in one chunk as `import_csv`
+                // feeds it.
+                for pieces in [chunks.clone(), vec![bytes.as_slice()]] {
+                    let mut parser = RecordParser::new(strip_bom);
+                    let mut got = Vec::new();
+                    let mut emit = |r: &Record| {
+                        got.push(owned(r));
+                        Ok(())
+                    };
+                    let done = pieces
+                        .iter()
+                        .try_for_each(|c| parser.feed(c, &mut emit))
+                        .and_then(|()| parser.finish(&mut emit));
+                    proptest::prop_assert_eq!(
+                        &(got, done),
+                        &expect,
+                        "input {:?}, chunks {:?}, strip_bom {}",
+                        bytes,
+                        pieces,
+                        strip_bom
+                    );
+                }
+            }
+        }
+    }
+
     fn write_temp_csv(tag: &str, text: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("dbre-csv-{}-{tag}.csv", std::process::id()));
         std::fs::write(&p, text).unwrap();
         p
     }
 
-    #[test]
-    fn spilled_ingest_matches_materialized_encode() {
+    /// Each streamed column's dictionary equals `ColumnDict::build` of
+    /// `table`'s column, and its pages are the bytes `PageFile::spill`
+    /// writes for that build's codes.
+    fn assert_spilled_encodes(spilled: &crate::spill::SpilledTable, table: &Table) {
         use crate::encode::ColumnDict;
         use crate::pages::PageFile;
 
-        let text = "\u{feff}id,name,when,score\n\
-                    1,alice,1990-01-02,0.5\n\
-                    2,\"b,\"\"c\"\"\",,-1.5\n\
-                    3,,1996-02-29,\n\
-                    1,alice,1990-01-02,0.5\n";
-        let path = write_temp_csv("diff", text);
-
-        let (mut mem_db, mem_rel) = db();
-        import_csv(&mut mem_db, mem_rel, text).unwrap();
-
-        let (mut db2, rel2) = db();
-        let spilled = import_csv_spilled(&mut db2, rel2, &path, None).unwrap();
-        assert_eq!(spilled.rows(), 4);
-        assert!(!spilled.from_cache());
-        assert!(!db2.table(rel2).is_materialized());
-        assert_eq!(db2.table(rel2).len(), 4);
-
-        // Per column: identical dictionary and byte-identical pages
-        // versus materialize-then-spill.
+        assert_eq!(spilled.rows(), table.len());
         for (i, col) in spilled.columns().iter().enumerate() {
-            let direct = ColumnDict::build(mem_db.table(mem_rel).column(AttrId(i as u16)));
-            assert_eq!(
-                col.dict().distinct_values(),
-                direct.distinct_values(),
-                "col {i}"
-            );
-            assert_eq!(col.dict().null_count(), direct.null_count(), "col {i}");
-            assert_eq!(col.dict().code_counts(), direct.code_counts(), "col {i}");
+            let direct = ColumnDict::build(table.column(AttrId(i as u16)));
+            assert_eq!(col.dict().as_ref(), &direct.slim(), "col {i}");
             let twin = PageFile::spill(direct.codes()).unwrap();
             assert_eq!(
                 std::fs::read(col.file().path()).unwrap(),
@@ -953,6 +1246,121 @@ mod tests {
                 "col {i} pages"
             );
         }
+    }
+
+    /// A relation of text columns beside two integer ones, for the
+    /// text paths of both ingests.
+    fn text_db() -> (Database, RelId) {
+        let mut db = Database::new();
+        let rel = db
+            .add_relation(Relation::of(
+                "W",
+                &[
+                    ("id", Domain::Int),
+                    ("rep", Domain::Text),
+                    ("uniq", Domain::Text),
+                    ("word", Domain::Text),
+                    ("n", Domain::Int),
+                ],
+            ))
+            .unwrap();
+        (db, rel)
+    }
+
+    #[test]
+    fn spilled_ingest_matches_materialized_encode() {
+        let text = "\u{feff}id,name,when,score\n\
+                    1,alice,1990-01-02,0.5\n\
+                    2,\"b,\"\"c\"\"\",,-1.5\n\
+                    3,,1996-02-29,\n\
+                    1,alice,1990-01-02,0.5\n";
+        // Repeated, all-distinct, NULL-word, quoted-empty and
+        // quoted-`null` text cells; `null` quoted or not in an integer
+        // column.
+        let words = "id,rep,uniq,word,n\n\
+                     1,x,u1,null,null\n\
+                     2,y,u2,NULL,\"null\"\n\
+                     3,x,u3,\"null\",\n\
+                     4,x,u4,\"\",7\n\
+                     5,\"y\",u5,,\"7\"\n\
+                     6,x,u6,Null,8\n\
+                     7,y,u7,\"NULL\",8\n";
+        for (make, text) in [(db as fn() -> (Database, RelId), text), (text_db, words)] {
+            let path = write_temp_csv("diff", text);
+            let (mut mem_db, mem_rel) = make();
+            import_csv(&mut mem_db, mem_rel, text).unwrap();
+
+            let (mut db2, rel2) = make();
+            let spilled = import_csv_spilled(&mut db2, rel2, &path, None).unwrap();
+            assert!(!spilled.from_cache());
+            assert!(!db2.table(rel2).is_materialized());
+            assert_eq!(db2.table(rel2).len(), mem_db.table(mem_rel).len());
+            assert_spilled_encodes(&spilled, mem_db.table(mem_rel));
+            let _ = std::fs::remove_file(path);
+        }
+
+        let (mut mem_db, rel) = text_db();
+        import_csv(&mut mem_db, rel, words).unwrap();
+        let t = mem_db.table(rel);
+        let column = |i: u16| t.column(AttrId(i)).to_vec();
+        let s = |text: &str| Value::str(text);
+        assert_eq!(
+            column(1),
+            [s("x"), s("y"), s("x"), s("x"), s("y"), s("x"), s("y")]
+        );
+        assert_eq!(
+            column(3),
+            [
+                Value::Null,
+                Value::Null,
+                s("null"),
+                s(""),
+                Value::Null,
+                Value::Null,
+                s("NULL")
+            ]
+        );
+        let n = [
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Int(7),
+            Value::Int(7),
+        ];
+        assert_eq!(column(4)[..5], n);
+    }
+
+    /// A text cell that is empty or spells `null` in any case reads
+    /// back as that string through both ingests.
+    #[test]
+    fn null_spelled_text_survives_export_and_reimport() {
+        let (mut db, rel) = db();
+        let names = [
+            Some("null"),
+            Some("NULL"),
+            Some(""),
+            None,
+            Some("Null"),
+            Some("nullx"),
+        ];
+        for (i, name) in names.into_iter().enumerate() {
+            let name = name.map_or(Value::Null, Value::str);
+            db.insert(
+                rel,
+                vec![Value::Int(i as i64), name, Value::Null, Value::Null],
+            )
+            .unwrap();
+        }
+        let csv = export_csv(&db, rel);
+
+        let (mut back, back_rel) = super::tests::db();
+        import_csv(&mut back, back_rel, &csv).unwrap();
+        assert_eq!(back.table(back_rel), db.table(rel));
+
+        let path = write_temp_csv("null-roundtrip", &csv);
+        let (mut streamed, streamed_rel) = super::tests::db();
+        let spilled = import_csv_spilled(&mut streamed, streamed_rel, &path, None).unwrap();
+        assert_spilled_encodes(&spilled, db.table(rel));
         let _ = std::fs::remove_file(path);
     }
 

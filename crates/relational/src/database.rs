@@ -7,6 +7,7 @@ use crate::schema::{RelId, Relation, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -204,21 +205,15 @@ impl Database {
                 continue;
             }
             let relation = self.schema.relation(key.rel);
-            let attrs: Vec<_> = key.attrs.iter().collect();
-            let cols: Vec<&[Value]> = attrs.iter().map(|a| table.column(*a)).collect();
+            let cols: Vec<&[Value]> = key.attrs.iter().map(|a| table.column(a)).collect();
             let mut seen = HashSet::with_capacity(table.len());
-            'rows: for i in 0..table.len() {
+            for row in 0..table.len() {
                 // Key attributes are not-null by normalization; a null
                 // here is caught by the not-null check below, so skip.
-                let mut proj = Vec::with_capacity(cols.len());
-                for c in &cols {
-                    let v = &c[i];
-                    if v.is_null() {
-                        continue 'rows;
-                    }
-                    proj.push(v.clone());
+                if cols.iter().any(|c| c[row].is_null()) {
+                    continue;
                 }
-                if !seen.insert(proj) {
+                if !seen.insert(KeyCells { cols: &cols, row }) {
                     return Err(RelationalError::KeyViolation {
                         relation: relation.name.clone(),
                         key: relation.render_set(&key.attrs),
@@ -330,6 +325,30 @@ impl Database {
     }
 }
 
+/// One row's cells under a key's columns, borrowed in place: two rows
+/// are equal when every cell is, so checking a key allocates nothing
+/// per row.
+struct KeyCells<'a> {
+    cols: &'a [&'a [Value]],
+    row: usize,
+}
+
+impl Hash for KeyCells<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for c in self.cols {
+            c[self.row].hash(state);
+        }
+    }
+}
+
+impl PartialEq for KeyCells<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cols.iter().all(|c| c[self.row] == c[other.row])
+    }
+}
+
+impl Eq for KeyCells<'_> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,6 +412,67 @@ mod tests {
             d.validate_dictionary(),
             Err(RelationalError::KeyViolation { .. })
         ));
+    }
+
+    /// The key `validate_dictionary` reports violated, if any.
+    fn violated_key(d: &Database) -> Option<String> {
+        match d.validate_dictionary() {
+            Err(RelationalError::KeyViolation { key, .. }) => Some(key),
+            Err(e) => panic!("expected a key violation, got {e}"),
+            Ok(()) => None,
+        }
+    }
+
+    #[test]
+    fn dictionary_validation_checks_composite_keys_by_value() {
+        let mut d = db();
+        let person = d.rel("Person").unwrap();
+        d.constraints.add_key(person, AttrSet::from_indices([0, 1]));
+        d.constraints.normalize();
+        // A repeated id under another name holds the composite key.
+        d.insert(person, vec![Value::Int(1), Value::str("cy")])
+            .unwrap();
+        assert_eq!(violated_key(&d), None);
+        d.insert(person, vec![Value::Int(1), Value::str("cy")])
+            .unwrap();
+        assert_eq!(violated_key(&d).as_deref(), Some("id, name"));
+    }
+
+    #[test]
+    fn dictionary_validation_skips_key_rows_holding_null() {
+        let mut d = db();
+        let person = d.rel("Person").unwrap();
+        d.constraints.add_key(person, AttrSet::from_indices([0, 1]));
+        d.constraints.normalize();
+        for _ in 0..2 {
+            d.insert(person, vec![Value::Null, Value::str("dee")])
+                .unwrap();
+        }
+        // Keys are checked first: the repeated pair holding a NULL is
+        // no key violation, and the NULL is left to the not-null check.
+        assert!(matches!(
+            d.validate_dictionary(),
+            Err(RelationalError::NotNullViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn dictionary_validation_reports_the_first_violated_key() {
+        let mut d = db();
+        let person = d.rel("Person").unwrap();
+        d.constraints.add_key(person, AttrSet::from_indices([0]));
+        d.constraints.add_key(person, AttrSet::from_indices([1]));
+        d.constraints.normalize();
+        // Repeats both the id and the name of the first row.
+        d.insert(person, vec![Value::Int(1), Value::str("ann")])
+            .unwrap();
+        for expect in ["id", "name"] {
+            let first = &d.constraints.keys[0];
+            let first = d.schema.relation(person).render_set(&first.attrs);
+            assert_eq!(first, expect);
+            assert_eq!(violated_key(&d).as_deref(), Some(expect));
+            d.constraints.keys.reverse();
+        }
     }
 
     #[test]

@@ -123,9 +123,15 @@ struct DictTables {
 /// decode/encode tables, NULL and per-code counts — so
 /// [`DictBuilder::finish_slim`] yields a dictionary byte-identical to
 /// `build(column).slim()` for the same cell sequence.
+///
+/// A streamed text cell interns by its text ([`DictBuilder::intern_text`]),
+/// through an encode table keyed by string: a repeated string costs one
+/// lookup and makes no `Value`. The table drops with the builder.
 #[derive(Debug, Default)]
 pub struct DictBuilder {
     tables: DictTables,
+    /// The code of each string interned through `intern_text`.
+    text: FxHashMap<Arc<str>, u32>,
     rows: usize,
 }
 
@@ -147,6 +153,7 @@ impl DictBuilder {
                 counts: vec![0],
                 ..DictTables::default()
             },
+            text: FxHashMap::default(),
             rows: 0,
         }
     }
@@ -174,6 +181,23 @@ impl DictBuilder {
             }
         };
         t.counts[code as usize] += 1;
+        code
+    }
+
+    /// Interns one text cell given by its text: the code
+    /// [`DictBuilder::intern`] gives `Value::Str` of the same text. A
+    /// string seen before costs one lookup; a new one is allocated once
+    /// and shared by both encode tables and the decode table.
+    #[inline]
+    pub fn intern_text(&mut self, s: &str) -> u32 {
+        if let Some(&code) = self.text.get(s) {
+            self.rows += 1;
+            self.tables.counts[code as usize] += 1;
+            return code;
+        }
+        let shared: Arc<str> = Arc::from(s);
+        let code = self.intern(&Value::Str(Arc::clone(&shared)));
+        self.text.insert(shared, code);
         code
     }
 

@@ -279,28 +279,18 @@ impl Value {
         }
     }
 
-    /// Coerces literal text into `domain` (used by the SQL layer and the
-    /// data generator). Returns `None` when the text does not parse.
+    /// Coerces literal text into `domain` (used by the SQL layer, the
+    /// data generator and CSV ingest). Returns `None` when the text
+    /// does not parse. `null` in any case is NULL in every domain, text
+    /// included.
     pub fn parse_into(text: &str, domain: Domain) -> Option<Value> {
-        Value::parse_with(text, domain, |s| Arc::from(s))
-    }
-
-    /// [`Value::parse_into`], with `text_cell` making the string of a
-    /// text cell: a CSV ingest passes its column's interner, so equal
-    /// cells share one allocation. `null` in any case is NULL in every
-    /// domain, text included.
-    pub fn parse_with(
-        text: &str,
-        domain: Domain,
-        text_cell: impl FnOnce(&str) -> Arc<str>,
-    ) -> Option<Value> {
         if text.eq_ignore_ascii_case("null") {
             return Some(Value::Null);
         }
         Some(match domain {
             Domain::Int => Value::Int(text.parse().ok()?),
             Domain::Float => Value::float(text.parse().ok()?),
-            Domain::Text => Value::Str(text_cell(text)),
+            Domain::Text => Value::str(text),
             Domain::Bool => match text.to_ascii_lowercase().as_str() {
                 "true" | "t" | "1" => Value::Bool(true),
                 "false" | "f" | "0" => Value::Bool(false),
