@@ -35,9 +35,16 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// The state folded through one widening multiply, so its high
+    /// bits reach the low ones. Each step's multiply carries entropy
+    /// upward only: the state's low bits depend on the low bytes of
+    /// each word alone, and a hash table picks its bucket from the low
+    /// bits, so keys differing only further into a word would share
+    /// buckets.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let wide = u128::from(self.hash) * u128::from(SEED);
+        (wide as u64) ^ (wide >> 64) as u64
     }
 
     #[inline]
@@ -118,6 +125,16 @@ mod tests {
         // hash map actually indexes with.
         let low_bits: FxHashSet<u64> = (0u32..1024).map(|c| hash_of(&c) >> 57).collect();
         assert!(low_bits.len() > 32, "top bits too clustered");
+    }
+
+    #[test]
+    fn strings_differing_past_their_first_word_spread_over_the_low_bits() {
+        // One 8-byte prefix, then a distinct number: the bucket index a
+        // table takes from the low bits must still tell them apart.
+        let low_bits: FxHashSet<u64> = (0..1024)
+            .map(|i| hash_of(&format!("column__{i:08}")) & 1023)
+            .collect();
+        assert!(low_bits.len() > 512, "{} of 1024 buckets", low_bits.len());
     }
 
     #[test]
