@@ -7,7 +7,7 @@ use dbre_bench::scenario;
 use dbre_core::rhs_discovery::RhsOptions;
 use dbre_mine::tane::tane;
 use dbre_mine::{check_hash, check_partition, StrippedPartition};
-use dbre_relational::encode::{partition1, ColumnDict};
+use dbre_relational::encode::partition1;
 use dbre_relational::{AttrId, AttrSet, CountBackend, Fd, StatsEngine};
 use dbre_synth::TruthOracle;
 use std::hint::black_box;
@@ -107,13 +107,14 @@ fn bench_fd(c: &mut Criterion) {
             }
         })
     });
+    let pool = dbre_relational::BufferPool::with_capacity_pages(1);
     group.bench_function("unary_partitions_cold_encoded_r10000", |b| {
         b.iter(|| {
             for (rel, relation) in s.db.schema.iter() {
                 let table = s.db.table(rel);
                 for i in 0..relation.arity() {
-                    let col = ColumnDict::build(table.column(AttrId(i as u16)));
-                    black_box(partition1(&col, &()).unwrap_or_else(|never| match never {}));
+                    let col = table.column(AttrId(i as u16));
+                    black_box(partition1(col, &pool).expect("resident codes always read"));
                 }
             }
         })

@@ -673,8 +673,9 @@ fn x8() {
 /// keeps carrying the SQL path.
 fn xb(check: bool) {
     use dbre_mine::{check_hash, discover_keys_with_engine, StrippedPartition};
-    use dbre_relational::encode::{partition1, ColumnDict};
+    use dbre_relational::encode::partition1;
     use dbre_relational::{AttrId, AttrSet, Fd, StatsEngine};
+    let pool = dbre_relational::BufferPool::with_capacity_pages(1);
 
     header(
         "XB",
@@ -747,9 +748,9 @@ fn xb(check: bool) {
                 for (rel, relation) in s.db.schema.iter() {
                     let table = s.db.table(rel);
                     for i in 0..relation.arity() {
-                        let col = ColumnDict::build(table.column(AttrId(i as u16)));
+                        let col = table.column(AttrId(i as u16));
                         std::hint::black_box(
-                            partition1(&col, &()).unwrap_or_else(|never| match never {}),
+                            partition1(col, &pool).expect("resident codes always read"),
                         );
                     }
                 }
@@ -855,13 +856,12 @@ fn xb(check: bool) {
     }
 
     // Restruct over a streamed database (§7 after a `--spill-dir`
-    // ingest): the stage first hydrates every streamed column from its
-    // paged dictionary, then splits. Each sample ingests every
-    // relation cold through the streamed path into a fresh schema and
-    // runs the pipeline on the paged backend with the scenario's
-    // expert; only the pipeline's own Restruct stage timing counts.
+    // ingest): the split gathers the codes of the streamed columns it
+    // reads, and the trimmed relations keep their paged columns. Every
+    // relation is streamed once; each sample runs the pipeline on a
+    // clone, on a fresh paged backend, with the scenario's expert, and
+    // only the pipeline's own Restruct stage timing counts.
     {
-        use dbre_relational::csv::{export_csv, import_csv_spilled};
         let s = scenario(8, 10_000, 42);
         let q = dbre_extract::extract_programs(
             &s.db.schema,
@@ -869,39 +869,16 @@ fn xb(check: bool) {
             &dbre_extract::ExtractConfig::default(),
         )
         .q();
-        let dir = std::env::temp_dir().join(format!("dbre-xb-hydrate-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create hydrate CSV dir");
-        let csvs: Vec<_> =
-            s.db.schema
-                .iter()
-                .map(|(rel, relation)| {
-                    let path = dir.join(format!("{}.csv", relation.name));
-                    std::fs::write(&path, export_csv(&s.db, rel)).expect("write hydrate CSV");
-                    (rel, path)
-                })
-                .collect();
+        let (db, spilled) = streamed_twin(&s.db);
+        let opts = PipelineOptions {
+            backend: dbre_core::BackendChoice::Paged,
+            spilled,
+            ..Default::default()
+        };
         let mut times: Vec<f64> = (0..samples)
             .map(|_| {
-                let mut db = dbre_relational::Database::new();
-                for (_, relation) in s.db.schema.iter() {
-                    db.add_relation(relation.clone()).expect("fresh schema");
-                }
-                db.constraints = s.db.constraints.clone();
-                let spilled = csvs
-                    .iter()
-                    .map(|(rel, path)| {
-                        let table =
-                            import_csv_spilled(&mut db, *rel, path, None).expect("streamed ingest");
-                        (*rel, std::sync::Arc::new(table))
-                    })
-                    .collect();
-                let opts = PipelineOptions {
-                    backend: dbre_core::BackendChoice::Paged,
-                    spilled,
-                    ..Default::default()
-                };
                 let mut oracle = TruthOracle::new(s.truth.clone());
-                let r = dbre_core::run_with_q(db, &q, &mut oracle, &opts);
+                let r = dbre_core::run_with_q(db.clone(), &q, &mut oracle, &opts);
                 assert!(r.is_complete(), "{:?}", r.stage_errors);
                 r.stats
                     .stage_timings
@@ -910,10 +887,9 @@ fn xb(check: bool) {
                     .map_or(0.0, |(_, d)| d.as_nanos() as f64)
             })
             .collect();
-        std::fs::remove_dir_all(&dir).ok();
         times.sort_by(|a, b| a.partial_cmp(b).expect("durations are finite"));
         benches.push((
-            "restruct/hydrate_streamed/e8_r10000".to_string(),
+            "restruct/streamed/e8_r10000".to_string(),
             times[times.len() / 2],
         ));
     }
@@ -958,13 +934,38 @@ fn xb(check: bool) {
         backend_rows.push((choice.name(), ns));
     }
 
+    // The same pipeline over the streamed twin of that database: every
+    // relation streamed through `import_csv_spilled` (once, outside the
+    // timed region), then each sample a cold paged pipeline whose
+    // kernels read the pages through a pool of a few pages.
+    let (streamed, spilled) = streamed_twin(&sp.db);
+    let streamed_opts = PipelineOptions {
+        backend: dbre_core::BackendChoice::Paged,
+        page_cache: Some(STREAMED_POOL_PAGES * dbre_relational::pages::PAGE_BYTES),
+        spilled,
+        ..Default::default()
+    };
+    let mut streamed_cache = dbre_relational::PageCacheStats::default();
+    let run_streamed = |cache: &mut dbre_relational::PageCacheStats| {
+        median_ns(samples, || {
+            let mut oracle = AutoOracle::default();
+            let r = dbre_core::run_with_q(streamed.clone(), &qp, &mut oracle, &streamed_opts);
+            *cache = r.stats.page_cache;
+            std::hint::black_box(r);
+        })
+    };
+    let streamed_ns = run_streamed(&mut streamed_cache);
+    benches.push((
+        "pipeline/run_with_q_paged_streamed/e8_r1000".to_string(),
+        streamed_ns,
+    ));
+
     // Ingest throughput: the same synthetic CSV through both ingest
     // paths (median of 3, rows/sec). The streaming path writes spill
-    // pages and never materializes a Table, as `--backend paged` and
-    // the cold-spilled benchmark load; the materialized path is
-    // `import_csv` alone, the in-memory load of `dbre reverse` and the
-    // cold-inmem benchmark. Dictionaries are built on first probe, not
-    // here.
+    // pages, as `--backend paged` and the cold-spilled benchmark load;
+    // the materialized path is `import_csv` alone, the in-memory load
+    // of `dbre reverse` and the cold-inmem benchmark. Both build every
+    // column's dictionary here, once.
     let ingest_rows: usize = if check { 20_000 } else { 200_000 };
     let csv_path = std::env::temp_dir().join(format!("dbre-xb-ingest-{}.csv", std::process::id()));
     write_synth_csv(&csv_path, ingest_rows).expect("write ingest CSV");
@@ -983,11 +984,10 @@ fn xb(check: bool) {
         );
     });
     std::fs::remove_file(&csv_path).ok();
-    // Both imports of text columns, which intern every field per
-    // column: a few repeated values (the denormalized case), and all
-    // distinct values, the interners' worst case (one allocation per
-    // cell; the streamed ingest enters each string in its dictionary
-    // builder's text table and in the dictionary's encode table).
+    // Both imports of text columns, which intern every field into its
+    // column's dictionary: a few repeated values (the denormalized
+    // case), and all distinct values, the interners' worst case (one
+    // allocation and one encode-table entry per cell).
     let text_path =
         std::env::temp_dir().join(format!("dbre-xb-ingest-text-{}.csv", std::process::id()));
     for (shape, distinct) in [("repeated", false), ("distinct", true)] {
@@ -1022,9 +1022,9 @@ fn xb(check: bool) {
     );
 
     // Out-of-core scaling: a 10M-row CSV streamed straight to spill
-    // pages (the table never exists in memory), then paged kernels
-    // probed over the adopted columns through the default 64 MiB
-    // pool. One sample; skipped under --check.
+    // pages (the codes never exist in memory), then paged kernels
+    // probed over its columns through the default 64 MiB pool. One
+    // sample; skipped under --check.
     let mut out_of_core_10m: Option<(usize, f64, f64, dbre_relational::PageCacheStats)> = None;
     if !check {
         let rows = 10_000_000usize;
@@ -1189,6 +1189,13 @@ fn xb(check: bool) {
         "  paged page cache: {} hits, {} misses, {} evictions",
         paged_cache.hits, paged_cache.misses, paged_cache.evictions
     );
+    println!(
+        "  --backend paged, streamed {:>9.2} ms   ({} page hits, {} misses, {} evictions)",
+        streamed_ns / 1e6,
+        streamed_cache.hits,
+        streamed_cache.misses,
+        streamed_cache.evictions
+    );
     println!("\n  ingest ({} rows, median of 3):", ingest.0);
     println!(
         "  streaming     {:>12.0} rows/s  (to spill pages)",
@@ -1250,16 +1257,13 @@ fn xb(check: bool) {
                 ));
             })
         };
-        let gate = |name: &str, choice: dbre_core::BackendChoice, budget: f64| {
+        let gate = |name: &str, first: f64, again: &dyn Fn() -> f64, budget: f64| {
             let mut best = f64::NAN;
             for attempt in 1..=3 {
                 let (numer, encoded) = if attempt == 1 {
-                    (of(name), of("encoded"))
+                    (first, of("encoded"))
                 } else {
-                    (
-                        remeasure(choice),
-                        remeasure(dbre_core::BackendChoice::Encoded),
-                    )
+                    (again(), remeasure(dbre_core::BackendChoice::Encoded))
                 };
                 let ratio = numer / encoded;
                 println!(
@@ -1284,8 +1288,29 @@ fn xb(check: bool) {
                 std::process::exit(1);
             }
         };
-        gate("sql", dbre_core::BackendChoice::Sql, 2.0);
-        gate("paged", dbre_core::BackendChoice::Paged, 1.1);
+        gate(
+            "sql",
+            of("sql"),
+            &|| remeasure(dbre_core::BackendChoice::Sql),
+            2.0,
+        );
+        gate(
+            "paged",
+            of("paged"),
+            &|| remeasure(dbre_core::BackendChoice::Paged),
+            1.1,
+        );
+        // The streamed pipeline must read its pages through the pool.
+        if streamed_cache.hits + streamed_cache.misses == 0 {
+            eprintln!("FAIL: the streamed paged pipeline read no page through its pool");
+            std::process::exit(1);
+        }
+        gate(
+            "paged_streamed",
+            streamed_ns,
+            &|| run_streamed(&mut dbre_relational::PageCacheStats::default()),
+            STREAMED_BUDGET,
+        );
 
         // Service gate. Determinism is absolute — logs diverging from
         // the serial run fail immediately, no retries (scheduling must
@@ -1387,6 +1412,44 @@ fn xb(check: bool) {
 /// Writes the synthetic three-column CSV used by the ingest and
 /// out-of-core measurements: `id` unique, `grp` a 1000-way group,
 /// `val` a 50k-value payload functionally determined by `grp`.
+/// The budget of the streamed paged pipeline over the encoded one
+/// (the gate in [`xb`]): the largest first-attempt ratio of seven
+/// `xb --check` runs on a shared 2-vCPU machine was 1.82x (0.75x to
+/// 1.82x), and the gate retries twice.
+const STREAMED_BUDGET: f64 = 2.0;
+
+/// `db`'s streamed twin: every relation exported to CSV and streamed
+/// back through `import_csv_spilled` into temporary page files, and
+/// the spilled tables for a paged pipeline's options.
+fn streamed_twin(db: &dbre_relational::Database) -> (dbre_relational::Database, SpilledInputs) {
+    use dbre_relational::csv::{export_csv, import_csv_spilled};
+    let dir = std::env::temp_dir().join(format!("dbre-xb-twin-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create streamed twin dir");
+    let mut twin = dbre_relational::Database::new();
+    for (_, relation) in db.schema.iter() {
+        twin.add_relation(relation.clone()).expect("fresh schema");
+    }
+    twin.constraints = db.constraints.clone();
+    let mut spilled = Vec::new();
+    for (rel, relation) in db.schema.iter() {
+        let path = dir.join(format!("{}.csv", relation.name));
+        std::fs::write(&path, export_csv(db, rel)).expect("write twin CSV");
+        let table = import_csv_spilled(&mut twin, rel, &path, None).expect("streamed ingest");
+        spilled.push((rel, std::sync::Arc::new(table)));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    (twin, spilled)
+}
+
+/// Streamed-ingest tables, as `PipelineOptions::spilled` takes them.
+type SpilledInputs = Vec<(
+    dbre_relational::RelId,
+    std::sync::Arc<dbre_relational::SpilledTable>,
+)>;
+
+/// Pages the streamed pipeline's pool holds.
+const STREAMED_POOL_PAGES: usize = 4;
+
 fn write_synth_csv(path: &std::path::Path, rows: usize) -> std::io::Result<()> {
     use std::io::Write;
     let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);

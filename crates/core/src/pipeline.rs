@@ -54,12 +54,11 @@ pub struct PipelineOptions {
     /// (`--page-cache` on the CLI; `None` = the 64 MiB default).
     /// Ignored by the in-memory backends.
     pub page_cache: Option<usize>,
-    /// Streamed-ingest tables (`import_csv_spilled`): spilled code
-    /// pages adopted by the paged backend at session construction, for
-    /// relations whose [`Database`] extension is a *streamed
-    /// extension* (row count known, no in-memory values). Non-empty
-    /// `spilled` forces the paged backend regardless of `backend` —
-    /// no other backend can answer for pages-only extensions.
+    /// Streamed-ingest tables (`import_csv_spilled`), whose
+    /// [`Database`] extensions hold their codes on these pages.
+    /// Non-empty `spilled` forces the paged backend regardless of
+    /// `backend`, whose pool `page_cache` sizes; the backend counts
+    /// their spill-cache hits and misses.
     pub spilled: Vec<(RelId, Arc<SpilledTable>)>,
     /// Read by nothing: the exact-count shortcuts are always on. Kept
     /// only because the end-to-end benchmark sets it; it goes together
@@ -543,7 +542,6 @@ mod tests {
         use dbre_relational::bufpool::BufferPool;
         use dbre_relational::csv::{export_csv, import_csv_spilled};
         use dbre_relational::spill::validate_spilled;
-        use dbre_relational::value::Value;
 
         // Materialized baseline over the paged backend.
         let (db, programs) = legacy();
@@ -579,7 +577,7 @@ mod tests {
             std::fs::write(&path, csv).unwrap();
             let srel = streamed_db.rel(&relation.name).unwrap();
             let table = import_csv_spilled(&mut streamed_db, srel, &path, None).unwrap();
-            assert!(!streamed_db.table(srel).is_materialized());
+            assert!(streamed_db.table(srel).column(AttrId(0)).pages().is_some());
             validate_spilled(&streamed_db, srel, &table, &pool).unwrap();
             spilled.push((srel, Arc::new(table)));
             let _ = std::fs::remove_file(path);
@@ -592,31 +590,22 @@ mod tests {
         let mut o2 = AutoOracle::default();
         let result = run_with_q(streamed_db, &q, &mut o2, &opts);
         assert!(result.is_complete(), "{:?}", result.stage_errors);
-        // Hydration decoded each text cell to the paged dictionary's
-        // entry for its code: the cell shares that string, no copy.
-        for (rel, table) in &spilled {
-            let hydrated = result.db_before.table(*rel);
-            for (i, col) in table.columns().iter().enumerate() {
-                let dict = col.dict();
-                for v in hydrated.column(AttrId(i as u16)) {
-                    if let Value::Str(s) = v {
-                        let entry = dict.value_of(dict.code_of(v));
-                        assert!(
-                            matches!(entry, Some(Value::Str(e)) if Arc::ptr_eq(s, e)),
-                            "{v} is not its dictionary entry"
-                        );
-                    }
-                }
-            }
-        }
-
         // Identical discovery and restructuring output.
         assert_eq!(baseline.ind.inds, result.ind.inds);
         assert_eq!(baseline.rhs.fds, result.rhs.fds);
         assert_eq!(baseline.eer, result.eer);
-        // Restruct hydrated the streamed tables before rewriting.
-        for (rel, _) in result.db.schema.iter() {
-            assert!(result.db.table(rel).is_materialized());
+        // Restruct decoded nothing: the relations it trimmed keep their
+        // paged columns, and every table reads back the baseline's.
+        let trimmed = result.db.rel("Orders").unwrap();
+        assert!(result.db.table(trimmed).column(AttrId(0)).pages().is_some());
+        for (rel, relation) in result.db.schema.iter() {
+            let twin = baseline.db.rel(&relation.name).unwrap();
+            assert_eq!(
+                result.db.table(rel),
+                baseline.db.table(twin),
+                "{}",
+                relation.name
+            );
         }
         assert_eq!(
             result.db.table(result.db.rel("Orders").unwrap()),

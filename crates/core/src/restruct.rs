@@ -31,8 +31,11 @@ use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::backend::{pluralities, CountBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, Ind, IndSide};
+use dbre_relational::encode::{ColumnDict, NULL_CODE};
+use dbre_relational::pages::PageError;
 use dbre_relational::schema::{QualAttrs, RelId, Relation};
-use dbre_relational::{Attribute, DbreError, RelationalError, Table, Value};
+use dbre_relational::{Attribute, DbreError, RelationalError, Table};
+use std::sync::Arc;
 
 /// Result of Restruct.
 #[derive(Debug, Clone, Default)]
@@ -286,9 +289,10 @@ pub fn restruct(
 /// plurality. With `B = ∅` this is the distinct projection on `A` — a
 /// hidden object's relation. A row in no group of `engine`'s LHS
 /// groups is the only one with its `A` value and keeps its own `B`.
-/// The columns are gathered once each, from the source rows of every
-/// output tuple; a gathered string cell shares its source cell's
-/// allocation.
+/// The columns are gathered once each, as codes, from the source rows
+/// of every output tuple ([`ColumnDict::gather`]), read off the
+/// engine's [`CountBackend::column_dict`]; a gathered string cell
+/// shares its source cell's allocation.
 fn fd_repaired_subtable(
     db: &Database,
     fd: &Fd,
@@ -308,39 +312,44 @@ fn fd_repaired_subtable(
             .map(|(row, _)| row)
             .collect()
     };
-    let table = db.table(fd.rel);
+    let column = |attr: AttrId| {
+        engine.column_dict(db, fd.rel, attr).ok_or_else(|| {
+            DbreError::Page(PageError::Io(format!(
+                "no codes for column `{}` of `{}`",
+                db.schema.relation(fd.rel).attr_name(attr),
+                db.schema.relation(fd.rel).name,
+            )))
+        })
+    };
+    let lhs: Vec<Arc<ColumnDict>> = a_ids.iter().map(|&a| column(a)).collect::<Result<_, _>>()?;
+    let rows = db.table(fd.rel).len();
     // Per row: the group it starts, `GROUPED` for a later row of a
     // group, `SINGLE` for a row in no group (NULL or unique `A`).
     const SINGLE: usize = usize::MAX;
     const GROUPED: usize = usize::MAX - 1;
-    let mut group_of = vec![SINGLE; table.len()];
+    let mut group_of = vec![SINGLE; rows];
     for (g, group) in groups.iter().enumerate() {
         group_of[group[0]] = g;
         for &i in &group[1..] {
             group_of[i] = GROUPED;
         }
     }
+    let lhs_codes: Vec<_> = lhs.iter().map(|c| c.codes()).collect();
     // Per output tuple, the row its `A` and the row its `B` come from.
     let (a_rows, b_rows): (Vec<usize>, Vec<usize>) = group_of
         .iter()
         .enumerate()
         .filter_map(|(i, &g)| match g {
             GROUPED => None,
-            SINGLE if table.row_has_null(i, &a_ids) => None,
+            SINGLE if lhs_codes.iter().any(|c| c[i] == NULL_CODE) => None,
             SINGLE => Some((i, i)),
             g => Some((i, sources[g])),
         })
         .unzip();
-    let gather = |attr: AttrId, rows: &[usize]| -> Vec<Value> {
-        let column = table.column(attr);
-        rows.iter().map(|&i| column[i].clone()).collect()
-    };
-    let columns = fd
-        .lhs
-        .iter()
-        .map(|a| gather(a, &a_rows))
-        .chain(fd.rhs.iter().map(|b| gather(b, &b_rows)))
-        .collect();
+    let mut columns: Vec<ColumnDict> = lhs.iter().map(|c| c.gather(&a_rows)).collect();
+    for b in fd.rhs.iter() {
+        columns.push(column(b)?.gather(&b_rows));
+    }
     Ok(Table::from_columns(columns)?)
 }
 
@@ -480,9 +489,8 @@ mod tests {
     use super::*;
     use crate::oracle::{DenyOracle, ScriptedOracle};
     use dbre_relational::counting::{EquiJoin, JoinStats};
-    use dbre_relational::encode::ColumnCodes;
     use dbre_relational::stats::StatsEngine;
-    use dbre_relational::value::Domain;
+    use dbre_relational::value::{Domain, Value};
     use proptest::prelude::*;
     use std::sync::{Arc, Mutex};
 
@@ -671,13 +679,7 @@ mod tests {
             for (i, attr) in relation.attributes().iter().enumerate() {
                 let kept = db.table(rel).column(AttrId(i as u16));
                 let source = before.table(rel).column(old.attr_id(&attr.name).unwrap());
-                assert_eq!(
-                    kept.as_ptr(),
-                    source.as_ptr(),
-                    "{}.{}",
-                    relation.name,
-                    attr.name
-                );
+                assert!(Arc::ptr_eq(kept, source), "{}.{}", relation.name, attr.name);
             }
         }
         let (input, _, _) = super::tests::db();
@@ -693,10 +695,10 @@ mod tests {
     /// `Value::str`, so no two source cells share one.
     #[test]
     fn split_off_cells_share_their_source_strings() {
-        fn is_shared(column: &[Value], source: &[Value]) -> bool {
-            column.iter().all(|v| match v {
+        fn is_shared(column: &ColumnDict, source: &ColumnDict) -> bool {
+            column.values().all(|v| match v {
                 Value::Str(s) => source
-                    .iter()
+                    .values()
                     .any(|w| matches!(w, Value::Str(t) if Arc::ptr_eq(s, t))),
                 _ => true,
             })
@@ -730,11 +732,14 @@ mod tests {
         assert_eq!(site.len(), 2);
         assert!(is_shared(site.column(AttrId(0)), source(3)), "location");
         // A copy of an equal string is not a share.
-        assert!(!is_shared(&[Value::str("lyon")], source(3)));
+        assert!(!is_shared(
+            &ColumnDict::build(&[Value::str("lyon")]),
+            source(3)
+        ));
     }
 
-    /// A counting engine that records every column whose codes its
-    /// caller asks for.
+    /// A counting engine that records every column whose resident codes
+    /// its caller asks for.
     struct CodesLog {
         inner: StatsEngine,
         asked: Mutex<Vec<AttrId>>,
@@ -761,15 +766,16 @@ mod tests {
             self.inner.fd_error(db, fd)
         }
 
-        fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
+        fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
             self.asked.lock().unwrap().push(attr);
-            self.inner.column_codes(db, rel, attr)
+            self.inner.column_dict(db, rel, attr)
         }
     }
 
-    /// The split of an FD that holds reads no RHS codes: its g3 errors
-    /// are 0, so each group's first row is its plurality. The split of
-    /// an enforced FD tallies its RHS codes.
+    /// The split of an FD that holds tallies no RHS codes: its g3
+    /// errors are 0, so each group's first row is its plurality, and
+    /// each column is read once, for its gather. The split of an
+    /// enforced FD tallies its RHS codes before the gather.
     #[test]
     fn the_split_of_an_fd_that_holds_tallies_nothing() {
         let split = |rhs: u16| {
@@ -789,7 +795,7 @@ mod tests {
         };
         // Department: emp -> skill holds.
         let (rows, asked) = split(2);
-        assert_eq!(asked, Vec::<AttrId>::new());
+        assert_eq!(asked, vec![AttrId(1), AttrId(2)]);
         assert_eq!(
             rows,
             vec![
@@ -799,7 +805,7 @@ mod tests {
         );
         // Department: emp -> location does not (lyon, paris for emp 1).
         let (rows, asked) = split(3);
-        assert_eq!(asked, vec![AttrId(3)]);
+        assert_eq!(asked, vec![AttrId(3), AttrId(1), AttrId(3)]);
         assert_eq!(rows[0], vec![Value::Int(1), Value::str("lyon")]);
     }
 

@@ -148,7 +148,7 @@ impl ServiceReport {
 /// The shared engine a service run probes through: one memoizing
 /// engine over the backend `options` selects. (Streamed/spilled
 /// extensions are a solo-session feature — service mode expects
-/// materialized tables.)
+/// tables loaded into memory.)
 pub fn shared_engine(options: &PipelineOptions) -> Arc<StatsEngine> {
     Arc::new(options.backend.engine_sized(options.page_cache))
 }

@@ -56,11 +56,10 @@ pub enum BackendChoice {
     /// Generated SQL through the `dbre-sql` executor (fidelity path).
     Sql,
     /// Out-of-core paged columnar store: the encoded kernels, reading
-    /// the code pages streamed ingest spilled (adopted from
-    /// [`PipelineOptions::spilled`]) through an LRU buffer pool. A
-    /// table whose values are in memory stays resident, as under
-    /// `Encoded`; `dbre reverse --backend paged` streams its `--csv`
-    /// extensions so that they are paged.
+    /// the code pages of streamed tables' columns through an LRU
+    /// buffer pool. A table loaded into memory stays resident, as
+    /// under `Encoded`; `dbre reverse --backend paged` streams its
+    /// `--csv` extensions so that they are paged.
     Paged,
 }
 
@@ -193,10 +192,9 @@ impl<'o> DbreSession<'o> {
         let engine = if options.spilled.is_empty() {
             options.backend.engine_sized(options.page_cache)
         } else {
-            // Streamed extensions exist only as spilled pages — no
-            // in-memory backend can answer for them, so the paged
-            // backend is forced and the adopted columns are installed
-            // before any probe runs.
+            // Streamed extensions are read through a pool the
+            // workload sizes, so the paged backend is forced; it
+            // counts the spill cache's hits and misses.
             if options.backend != BackendChoice::Paged {
                 warnings.push(format!(
                     "streamed-ingest tables require the paged backend; overriding `{}`",
@@ -222,9 +220,9 @@ impl<'o> DbreSession<'o> {
     /// Builds a session over an *existing* (possibly shared) engine —
     /// the concurrent-service path, where many sessions answer their
     /// `‖·‖` probes from one memoizing engine. The engine must serve
-    /// the chosen backend semantics for `db` (streamed extensions
-    /// still require a paged backend underneath; [`DbreSession::new`]
-    /// handles that wiring for the solo case).
+    /// the chosen backend semantics for `db` ([`DbreSession::new`]
+    /// picks the paged backend for streamed extensions in the solo
+    /// case).
     pub fn with_engine(
         db: Database,
         oracle: &'o mut dyn Oracle,
@@ -493,7 +491,6 @@ impl Stage for RestructStage {
     }
 
     fn run(&self, s: &mut DbreSession<'_>) -> Result<(), DbreError> {
-        hydrate_streamed(s)?;
         s.db_before = s.db.clone();
         let out = restruct(
             &mut s.db,
@@ -507,49 +504,6 @@ impl Stage for RestructStage {
         s.restructured = out;
         Ok(())
     }
-}
-
-/// Restruct rewrites extensions through raw value columns (it gathers
-/// each split-off relation's cells from them, and a trimmed relation
-/// keeps them through `drop_columns`), so streamed extensions must
-/// come back to memory first. The discovery stages before this point
-/// ran entirely over the spilled pages; only the final rewrite pays
-/// for materialization, and it decodes from the already-encoded pages
-/// (dictionary codes → values) rather than re-parsing any source. A
-/// decoded string cell shares the dictionary's allocation, so the
-/// decode allocates once per column, not once per cell.
-/// Hydration failure is a typed stage error — never a silent
-/// empty-column rewrite.
-fn hydrate_streamed(s: &mut DbreSession<'_>) -> Result<(), DbreError> {
-    use dbre_relational::attr::AttrId;
-    use dbre_relational::backend::CountBackend;
-    use dbre_relational::pages::PageError;
-    use dbre_relational::value::Value;
-
-    let rels: Vec<_> = s.db.schema.iter().map(|(rel, _)| rel).collect();
-    for rel in rels {
-        if s.db.table(rel).is_materialized() {
-            continue;
-        }
-        let arity = s.db.schema.relation(rel).arity();
-        for i in 0..arity {
-            let attr = AttrId(i as u16);
-            let dict = s.engine.column_dict(&s.db, rel, attr).ok_or_else(|| {
-                DbreError::Page(PageError::Io(format!(
-                    "cannot hydrate streamed column `{}` of `{}` for restructuring",
-                    s.db.schema.relation(rel).attr_name(attr),
-                    s.db.schema.relation(rel).name,
-                )))
-            })?;
-            let values: Vec<Value> = dict
-                .codes()
-                .iter()
-                .map(|&c| dict.value_of(c).cloned().unwrap_or(Value::Null))
-                .collect();
-            s.db.hydrate_column(rel, attr, values);
-        }
-    }
-    Ok(())
 }
 
 /// §7 Translate: the restructured schema as an EER diagram.

@@ -23,12 +23,13 @@ use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
-use dbre_relational::encode::ColumnDict;
-use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn};
+use dbre_relational::encode::{ColumnDict, DictBuilder};
+use dbre_relational::pages::{PageFileWriter, PagedBackend, PagedColumn};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::spill::SpilledTable;
+use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, OrdF64, Value};
 use dbre_sql::SqlBackend;
 use proptest::prelude::*;
@@ -90,24 +91,34 @@ fn build_db(
     (db, l, r, q)
 }
 
-/// `db`'s streamed twin: every relation a streamed extension holding
-/// no values, its columns spilled to page files as streamed ingest
-/// would, for the session to adopt.
+/// `db`'s streamed twin: every relation's columns interned and written
+/// to page files one cell at a time, as streamed ingest would, and the
+/// spilled tables for the session.
 fn streamed_twin(db: &Database) -> (Database, Vec<(RelId, Arc<SpilledTable>)>) {
     let mut twin = Database::new();
     let mut spilled = Vec::new();
     for (rel, relation) in db.schema.iter() {
         let table = db.table(rel);
-        let streamed = twin.add_relation(relation.clone()).unwrap();
-        twin.set_streamed_extension(streamed, table.len());
-        let columns = (0..table.arity())
+        let columns: Vec<ColumnDict> = (0..table.arity())
             .map(|i| {
-                let dict = ColumnDict::build(table.column(AttrId(i as u16)));
-                let file = PageFile::spill(dict.codes()).unwrap();
-                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
+                let mut b = DictBuilder::new();
+                let mut w = PageFileWriter::create_temp().unwrap();
+                for v in table.values(AttrId(i as u16)) {
+                    w.push(b.intern(v)).unwrap();
+                }
+                let pages = PagedColumn::new(w.finish().unwrap(), &relation.name);
+                b.finish_paged(Arc::new(pages))
             })
             .collect();
-        let table = SpilledTable::new(columns, table.len(), false);
+        let pages = columns
+            .iter()
+            .map(|c| Arc::clone(c.pages().unwrap()))
+            .collect();
+        let paged = Table::from_columns(columns).unwrap();
+        let streamed = twin
+            .add_relation_with_table(relation.clone(), paged)
+            .unwrap();
+        let table = SpilledTable::new(pages, table.len(), false);
         spilled.push((streamed, Arc::new(table)));
     }
     twin.constraints = db.constraints.clone();

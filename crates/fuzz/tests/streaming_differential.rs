@@ -4,16 +4,16 @@
 //! *indistinguishable* from materialize-then-spill:
 //!
 //! * on well-formed hostile input (NULL-heavy, BOM, quoting-hostile,
-//!   mixed line endings) the slim dictionaries match and the spill
-//!   files are byte-identical to `PageFile::spill` over the
-//!   materialized encode;
+//!   mixed line endings) the dictionaries and codes match the
+//!   in-memory import's and the spill files are byte-identical to a
+//!   page file written from its codes;
 //! * on corrupted input both paths agree on accept/reject, and a
 //!   rejected streamed ingest leaves the target relation untouched;
 //! * a second ingest through the same `--spill-dir` is served from
 //!   the committed cache entry with identical bytes, and a content
 //!   change invalidates it;
-//! * the in-memory ingest's string interning is invisible: its table
-//!   equals a per-field `Value::parse_into` reference, and equal text
+//! * the in-memory ingest's dictionary is invisible: its table reads
+//!   back a per-field `Value::parse_into` reference, and equal text
 //!   cells of one column share one allocation.
 
 // Test-support helpers outside #[test] fns; panicking on fixture
@@ -25,7 +25,7 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::csv::{import_csv, import_csv_spilled};
 use dbre_relational::database::Database;
 use dbre_relational::encode::ColumnDict;
-use dbre_relational::pages::PageFile;
+use dbre_relational::pages::PageFileWriter;
 use dbre_relational::schema::{RelId, Relation};
 use dbre_relational::value::{Domain, Value};
 use proptest::prelude::*;
@@ -143,6 +143,21 @@ fn reference_import(relation: &Relation, text: &str) -> Option<Vec<Vec<Value>>> 
     Some(columns)
 }
 
+/// `got` holds `want`'s codes under the same dictionary: decode
+/// table, per-code counts and NULL count.
+fn same_column(got: &ColumnDict, want: &ColumnDict, i: u16) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.codes(), want.codes(), "column {} codes", i);
+    prop_assert_eq!(
+        got.distinct_values(),
+        want.distinct_values(),
+        "column {} dict",
+        i
+    );
+    prop_assert_eq!(got.code_counts(), want.code_counts(), "column {} counts", i);
+    prop_assert_eq!(got.null_count(), want.null_count(), "column {} nulls", i);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -169,9 +184,10 @@ proptest! {
             let table = db.table(rel);
             for (i, expect) in reference.iter().enumerate() {
                 let attr = AttrId(i as u16);
-                prop_assert_eq!(table.column(attr), expect.as_slice(), "column {}", i);
+                let cells: Vec<Value> = table.values(attr).cloned().collect();
+                prop_assert_eq!(&cells, expect, "column {}", i);
                 let mut first: HashMap<&str, &Arc<str>> = HashMap::new();
-                for v in table.column(attr) {
+                for v in table.values(attr) {
                     if let Value::Str(s) = v {
                         let shared = *first.entry(&**s).or_insert(s);
                         prop_assert!(Arc::ptr_eq(s, shared), "column {}: {:?} copied", i, s);
@@ -182,7 +198,8 @@ proptest! {
     }
 
     /// Streaming ingest produces byte-identical spill files and equal
-    /// slim dictionaries for every generated hostile-but-valid input.
+    /// dictionaries and codes for every generated hostile-but-valid
+    /// input.
     #[test]
     fn streaming_ingest_is_byte_identical(seed in any::<u64>()) {
         let text = streaming_csv(seed);
@@ -196,12 +213,13 @@ proptest! {
         prop_assert_eq!(table.rows(), mat.table(rel).len());
 
         for i in 0..4u16 {
-            let direct = ColumnDict::build(mat.table(rel).column(AttrId(i)));
-            let col = &table.columns()[i as usize];
-            prop_assert_eq!(col.dict().as_ref(), &direct.slim(), "column {} dict", i);
-            let reference = PageFile::spill(direct.codes()).unwrap();
+            let direct = mat.table(rel).column(AttrId(i));
+            same_column(sdb.table(srel).column(AttrId(i)), direct, i)?;
+            let mut w = PageFileWriter::create_temp().unwrap();
+            w.append(&direct.codes()).unwrap();
+            let reference = w.finish().unwrap();
             let expect = std::fs::read(reference.path()).unwrap();
-            let got = std::fs::read(col.file().path()).unwrap();
+            let got = std::fs::read(table.columns()[i as usize].file().path()).unwrap();
             prop_assert_eq!(got, expect, "column {} spill bytes", i);
         }
         std::fs::remove_file(&path).ok();
@@ -209,8 +227,7 @@ proptest! {
 
     /// Corrupted input: both ingest paths accept or both reject, and
     /// agreement on accept extends to the encoded dictionaries. A
-    /// rejected streamed ingest must leave the relation empty and
-    /// materialized (no half-adopted streamed extension).
+    /// rejected streamed ingest must leave the relation empty.
     #[test]
     fn corrupt_inputs_agree(seed in any::<u64>()) {
         let text = corrupt_csv(seed);
@@ -225,13 +242,11 @@ proptest! {
             (Ok(_), Ok(table)) => {
                 prop_assert_eq!(table.rows(), mat.table(rel).len());
                 for i in 0..4u16 {
-                    let direct = ColumnDict::build(mat.table(rel).column(AttrId(i)));
-                    let col = &table.columns()[i as usize];
-                    prop_assert_eq!(col.dict().as_ref(), &direct.slim(), "column {} dict", i);
+                    let direct = mat.table(rel).column(AttrId(i));
+                    same_column(sdb.table(srel).column(AttrId(i)), direct, i)?;
                 }
             }
             (Err(_), Err(_)) => {
-                prop_assert!(sdb.table(srel).is_materialized());
                 prop_assert_eq!(sdb.table(srel).len(), 0);
             }
             _ => prop_assert!(
@@ -266,8 +281,11 @@ proptest! {
         let warm = import_csv_spilled(&mut db2, r2, &path, Some(&dir)).unwrap();
         prop_assert!(warm.from_cache());
         prop_assert_eq!(warm.rows(), cold.rows());
+        for i in 0..4u16 {
+            let (c, w) = (db1.table(r1).column(AttrId(i)), db2.table(r2).column(AttrId(i)));
+            same_column(w, c, i)?;
+        }
         for (c, w) in cold.columns().iter().zip(warm.columns()) {
-            prop_assert_eq!(c.dict(), w.dict());
             prop_assert_eq!(
                 std::fs::read(c.file().path()).unwrap(),
                 std::fs::read(w.file().path()).unwrap()

@@ -19,21 +19,22 @@
 
 use crate::partitions::fd_holds_partition;
 use dbre_relational::attr::AttrId;
+use dbre_relational::encode::ColumnDict;
 use dbre_relational::table::Table;
 use dbre_relational::value::Value;
 use std::collections::HashMap;
 
 /// Hash-based FD check with SQL NULL semantics (the `Value`-level
-/// reference implementation; column slices hoisted out of the row
-/// loop).
+/// reference implementation; columns resolved once, cells decoded per
+/// row).
 pub fn check_hash(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
-    let lhs_cols: Vec<&[Value]> = lhs.iter().map(|a| table.column(*a)).collect();
-    let rhs_cols: Vec<&[Value]> = rhs.iter().map(|a| table.column(*a)).collect();
+    let lhs_cols: Vec<&ColumnDict> = lhs.iter().map(|a| &**table.column(*a)).collect();
+    let rhs_cols: Vec<&ColumnDict> = rhs.iter().map(|a| &**table.column(*a)).collect();
     let mut map: HashMap<Vec<Value>, usize> = HashMap::new();
     'rows: for i in 0..table.len() {
         let mut key = Vec::with_capacity(lhs_cols.len());
         for c in &lhs_cols {
-            let v = &c[i];
+            let v = c.cell(i);
             if v.is_null() {
                 continue 'rows;
             }
@@ -42,7 +43,7 @@ pub fn check_hash(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
         match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let first = *e.get();
-                if rhs_cols.iter().any(|c| c[i] != c[first]) {
+                if rhs_cols.iter().any(|c| c.cell(i) != c.cell(first)) {
                     return false;
                 }
             }
@@ -65,21 +66,21 @@ pub fn check_partition(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> bool {
 /// NULL-LHS tuples never violate).
 pub fn violations(table: &Table, lhs: &[AttrId], rhs: &[AttrId]) -> usize {
     // Group rows by LHS; within each group, keep the plurality RHS.
-    let lhs_cols: Vec<&[Value]> = lhs.iter().map(|a| table.column(*a)).collect();
-    let rhs_cols: Vec<&[Value]> = rhs.iter().map(|a| table.column(*a)).collect();
+    let lhs_cols: Vec<&ColumnDict> = lhs.iter().map(|a| &**table.column(*a)).collect();
+    let rhs_cols: Vec<&ColumnDict> = rhs.iter().map(|a| &**table.column(*a)).collect();
     let mut groups: HashMap<Vec<Value>, HashMap<Vec<Value>, usize>> = HashMap::new();
     let mut considered = 0usize;
     'rows: for i in 0..table.len() {
         let mut key = Vec::with_capacity(lhs_cols.len());
         for c in &lhs_cols {
-            let v = &c[i];
+            let v = c.cell(i);
             if v.is_null() {
                 continue 'rows;
             }
             key.push(v.clone());
         }
         considered += 1;
-        let val: Vec<Value> = rhs_cols.iter().map(|c| c[i].clone()).collect();
+        let val: Vec<Value> = rhs_cols.iter().map(|c| c.cell(i).clone()).collect();
         *groups.entry(key).or_default().entry(val).or_insert(0) += 1;
     }
     let kept: usize = groups

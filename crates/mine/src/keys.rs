@@ -39,8 +39,8 @@
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::backend::CountBackend;
+use dbre_relational::bufpool::BufferPool;
 use dbre_relational::database::Database;
-use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
 use dbre_relational::sketch::{ColumnSketch, SketchPruneStats};
 use dbre_relational::stats::StatsEngine;
@@ -96,12 +96,12 @@ pub struct KeyResult {
 /// column bitmask among those of its width; wider keys are not
 /// searched. Columns containing NULL are excluded from key membership.
 pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
-    // One encode pass; each unary partition then only buckets codes.
-    let dict = DictTable::build(table);
+    // Each unary partition only buckets the column's codes.
+    let pool = BufferPool::with_capacity_pages(1);
     let seeds = eligible_columns_raw(table)
         .into_iter()
         .map(|i| {
-            let partition = Arc::new(dict.partition1(AttrId(i)));
+            let partition = Arc::new(unary_partition(table, AttrId(i), &pool));
             let seed = UnarySeed::Partition {
                 partition,
                 cardinality: None,
@@ -116,9 +116,8 @@ pub fn discover_keys(table: &Table, max_width: Option<usize>) -> KeyResult {
 /// the counting seam (pass a [`StatsEngine`] and they are additionally
 /// cached). Like it, returns the narrowest key of at most `max_width`
 /// columns with the smallest column bitmask. NULL-freeness is read off
-/// the exact counts, or the [`CountBackend::column_codes`] when the
-/// backend serves none, so a streamed extension answers without a raw
-/// column.
+/// the exact counts, or the table's column when the backend serves
+/// none.
 ///
 /// When the backend serves a column's exact counts
 /// ([`CountBackend::column_sketch`]), three shortcuts fire (the
@@ -143,7 +142,7 @@ pub fn discover_keys_with_engine(
         .map(|i| (i, backend.column_sketch(db, rel, AttrId(i))))
         .filter(|(i, sketch)| match sketch {
             Some(s) => s.null_count() == 0,
-            None => !backend.column_codes(db, rel, AttrId(*i)).has_null(),
+            None => !table.column(AttrId(*i)).has_null(),
         })
         .collect();
     let count_proven_key = eligible
@@ -176,17 +175,23 @@ pub fn discover_keys_with_engine(
     discover_keys_seeded(table.len(), seeds, max_width, sk)
 }
 
-/// Columns containing NULL cannot participate in a key — the
-/// raw-column scan of a `Table` (see [`discover_keys`]).
+/// Columns containing NULL cannot participate in a key (see
+/// [`discover_keys`]).
 fn eligible_columns_raw(table: &Table) -> Vec<u16> {
     (0..table.arity() as u16)
-        .filter(|&i| {
-            !table
-                .column(AttrId(i))
-                .iter()
-                .any(dbre_relational::Value::is_null)
-        })
+        .filter(|&i| !table.column(AttrId(i)).has_null())
         .collect()
+}
+
+/// The unary stripped partition of `attr` from its codes, paged ones
+/// read through `pool`.
+///
+/// # Panics
+///
+/// When a page cannot be read.
+pub(crate) fn unary_partition(table: &Table, attr: AttrId, pool: &BufferPool) -> StrippedPartition {
+    dbre_relational::encode::partition1(table.column(attr), pool)
+        .unwrap_or_else(|e| panic!("cannot partition a paged column: {e}"))
 }
 
 /// A level-1 column that is not a key: the wider widths are built
@@ -517,37 +522,23 @@ mod tests {
 
     #[test]
     fn streamed_extension_excludes_null_columns_from_keys() {
-        use dbre_relational::encode::ColumnDict;
-        use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn};
-        use dbre_relational::spill::SpilledTable;
-        use std::sync::Arc;
+        use dbre_relational::csv::{import_csv, import_csv_spilled};
+        use dbre_relational::pages::PagedBackend;
 
-        // Build the rows in a scratch db only to encode them, then
-        // serve them to a second db purely as a streamed extension.
+        // The same rows resident and streamed to pages.
+        let text = "a,b\n1,10\n,20\n2,30\n";
+        let relation = Relation::of("R", &[("a", Domain::Int), ("b", Domain::Int)]);
         let mut scratch = Database::new();
-        let r0 = scratch
-            .add_relation(Relation::of("R", &[("a", Domain::Int), ("b", Domain::Int)]))
-            .unwrap();
-        let rows: &[(Option<i64>, i64)] = &[(Some(1), 10), (None, 20), (Some(2), 30)];
-        for (a, b) in rows {
-            let av = a.map(Value::Int).unwrap_or(Value::Null);
-            scratch.insert(r0, vec![av, Value::Int(*b)]).unwrap();
-        }
-        let cols: Vec<Arc<PagedColumn>> = (0..2)
-            .map(|i| {
-                let dict = ColumnDict::build(scratch.table(r0).column(AttrId(i)));
-                let file = PageFile::spill(dict.codes()).unwrap();
-                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
-            })
-            .collect();
-
+        let r0 = scratch.add_relation(relation.clone()).unwrap();
+        import_csv(&mut scratch, r0, text).unwrap();
+        let path = std::env::temp_dir().join(format!("dbre-keys-{}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
         let mut db = Database::new();
-        let r = db
-            .add_relation(Relation::of("R", &[("a", Domain::Int), ("b", Domain::Int)]))
-            .unwrap();
-        db.set_streamed_extension(r, rows.len());
+        let r = db.add_relation(relation).unwrap();
+        import_csv_spilled(&mut db, r, &path, None).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(db.table(r).column(AttrId(0)).pages().is_some());
         let backend = PagedBackend::new();
-        backend.adopt_spilled(&db, r, &SpilledTable::new(cols, rows.len(), false));
 
         // `a` contains NULL: only `b` may seed a key, and it is one.
         let result = discover_keys_with_engine(&db, r, None, &backend);

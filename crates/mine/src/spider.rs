@@ -19,7 +19,6 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::backend::CountBackend;
 use dbre_relational::database::Database;
 use dbre_relational::deps::Ind;
-use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
 use dbre_relational::value::{Domain, Value};
 
@@ -85,13 +84,13 @@ pub fn spider(db: &Database, cfg: &SpiderConfig) -> SpiderResult {
     // Collect (relation, attribute, domain, sorted distinct values).
     let mut cols: Vec<Col> = Vec::new();
     for (rel, relation) in db.schema.iter() {
-        // One dictionary pass per table: the distinct non-NULL values
-        // come out deduplicated, so only `cardinality` values are
-        // cloned and sorted (instead of a tree insert per row).
-        let dict = DictTable::build(db.table(rel));
+        // Each column's dictionary holds its distinct non-NULL values,
+        // so only `cardinality` values are cloned and sorted (instead
+        // of a tree insert per row).
+        let table = db.table(rel);
         for i in 0..relation.arity() {
             let attr = AttrId(i as u16);
-            let mut values: Vec<Value> = dict.column(attr).distinct_values().to_vec();
+            let mut values: Vec<Value> = table.column(attr).distinct_values().to_vec();
             values.sort_unstable();
             cols.push(Col {
                 rel,

@@ -14,8 +14,8 @@
 
 use crate::partitions::StrippedPartition;
 use dbre_relational::attr::{AttrId, AttrSet};
+use dbre_relational::bufpool::BufferPool;
 use dbre_relational::deps::Fd;
-use dbre_relational::encode::DictTable;
 use dbre_relational::schema::RelId;
 use dbre_relational::table::Table;
 use std::collections::{HashMap, HashSet};
@@ -49,14 +49,17 @@ pub fn tane(rel: RelId, table: &Table, max_lhs: Option<usize>) -> TaneResult {
     let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
     let mut stats = TaneStats::default();
 
-    // Level-1 partitions, built from one dictionary-encoding pass:
-    // each unary partition is then an array-bucket sweep over the code
-    // domain instead of a `Value`-hashing pass per column.
-    let dict = DictTable::build(table);
+    // Level-1 partitions from the columns' codes: each is an
+    // array-bucket sweep over the code domain instead of a
+    // `Value`-hashing pass per column.
+    let pool = BufferPool::with_capacity_pages(1);
     let mut partitions: HashMap<u64, StrippedPartition> = HashMap::new();
     partitions.insert(0, StrippedPartition::single_class(table.len()));
     for i in 0..n {
-        partitions.insert(1 << i, dict.partition1(AttrId(i as u16)));
+        partitions.insert(
+            1 << i,
+            crate::keys::unary_partition(table, AttrId(i as u16), &pool),
+        );
     }
 
     // C⁺(∅) = R.

@@ -15,10 +15,9 @@ use dbre_relational::attr::{AttrId, AttrSet};
 use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::database::Database;
 use dbre_relational::deps::Fd;
-use dbre_relational::encode::ColumnDict;
-use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn, PAGE_BYTES};
+use dbre_relational::encode::DictBuilder;
+use dbre_relational::pages::{PageFileWriter, PagedBackend, PagedColumn, PAGE_BYTES};
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::spill::SpilledTable;
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
@@ -79,28 +78,32 @@ fn resident(t: &Table) -> (Database, RelId) {
     (db, rel)
 }
 
-/// `t`'s streamed twin: a database whose relation holds no resident
-/// values.
+/// `t`'s streamed twin: a database whose relation holds `t`'s cells in
+/// paged columns, interned and written one cell at a time as streamed
+/// ingest does.
 fn streamed(t: &Table) -> (Database, RelId) {
+    let columns = (0..t.arity())
+        .map(|i| {
+            let mut b = DictBuilder::new();
+            let mut w = PageFileWriter::create_temp().expect("temp page file");
+            for v in t.values(AttrId(i as u16)) {
+                w.push(b.intern(v)).expect("write a code");
+            }
+            let pages = PagedColumn::new(w.finish().expect("finish the page file"), "T");
+            b.finish_paged(Arc::new(pages))
+        })
+        .collect();
     let mut db = Database::new();
-    let rel = db.add_relation(relation_of(t)).expect("fresh schema");
-    db.set_streamed_extension(rel, t.len());
+    let table = Table::from_columns(columns).expect("equal columns");
+    let rel = db
+        .add_relation_with_table(relation_of(t), table)
+        .expect("fresh schema");
     (db, rel)
 }
 
-/// A paged backend over a one-page pool that adopted `t`'s columns,
-/// spilled to pages, as the streamed extension `rel` of `db`.
-fn adopting(t: &Table, db: &Database, rel: RelId) -> PagedBackend {
-    let columns = (0..t.arity())
-        .map(|i| {
-            let dict = ColumnDict::build(t.column(AttrId(i as u16)));
-            let file = PageFile::spill(dict.codes()).expect("spill to temp dir");
-            Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
-        })
-        .collect();
-    let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-    paged.adopt_spilled(db, rel, &SpilledTable::new(columns, t.len(), false));
-    paged
+/// A paged backend over a one-page pool.
+fn paged() -> PagedBackend {
+    PagedBackend::with_capacity_bytes(PAGE_BYTES)
 }
 
 /// One FD asked of one extension: the database, the FD, a backend
@@ -135,7 +138,7 @@ proptest! {
                 .map(|(raw, wrapped)| (db.clone(), fd.clone(), raw, wrapped))
                 .collect();
         let (twin, trel) = streamed(&t);
-        let (raw, wrapped) = (adopting(&t, &twin, trel), adopting(&t, &twin, trel));
+        let (raw, wrapped) = (paged(), paged());
         let tfd = Fd { rel: trel, ..fd.clone() };
         runs.push((twin, tfd, Box::new(raw), Box::new(wrapped)));
 

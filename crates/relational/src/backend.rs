@@ -18,15 +18,13 @@
 //! caching, the pipeline wiring, and the test harness.
 //!
 //! [`ReferenceBackend`] (the `Value`-based reference semantics) lives
-//! here, and so does [`ColumnarBackend`], the one backend over
-//! dictionary-encoded columns: it owns three generation-tagged caches
-//! (columns, encoded sets and rehydrated dictionaries, each the same
-//! crate-private memo the engine's caches are) and the single set of
-//! [`CountBackend`] method bodies, and runs the kernel family of
-//! [`crate::encode`]. A resident table's column keeps its dictionary
-//! in memory; only the columns streamed ingest spilled, which the
-//! paged backend adopts ([`crate::pages::PagedBackend::adopt_spilled`]),
-//! are read page by page through its buffer pool. [`EncodedBackend`]
+//! here, and so does [`ColumnarBackend`], the one backend over the
+//! tables' dictionary columns: it runs the kernel family of
+//! [`crate::encode`] over each table's own columns, encoded once at
+//! load, and keeps only its buffer pool and one generation-tagged
+//! cache of encoded sets (the crate-private memo the engine's caches
+//! are). Resident codes are read in place; a streamed table's paged
+//! codes are read page by page through the pool. [`EncodedBackend`]
 //! and [`crate::pages::PagedBackend`] are its two names. The SQL
 //! backend lives in `dbre-sql` (`SqlBackend`), respecting the
 //! dependency direction: this crate knows nothing about SQL.
@@ -45,17 +43,20 @@ use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::{Fd, Ind};
 use crate::encode::{
-    self, decode_set_cols, intersect_count, tuple_keys, CodeSource, ColumnCodes, ColumnDict,
-    EncodedSet, Tally,
+    self, decode_set_cols, intersect_count, tuple_keys, ColumnDict, EncodedSet, Tally,
 };
+use crate::fasthash::FxHashMap;
 use crate::memo::Memo;
-use crate::pages::{PageCodes, PageError, PagedColumn};
+use crate::pages::PageError;
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
 use crate::sketch::ColumnSketch;
 use crate::spill::SpillCacheStats;
 use crate::table::ProjKey;
-use std::collections::{HashMap, HashSet};
+use crate::value::Value;
+use std::collections::hash_map::Entry;
+use std::collections::HashSet;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -127,7 +128,7 @@ pub trait CountBackend: Send + Sync {
     /// `Value` tuples — for consumers that need the actual values,
     /// e.g. materializing a conceptualized intersection.
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        Arc::new(db.materialized(rel).distinct_projection(attrs))
+        Arc::new(db.table(rel).distinct_projection(attrs))
     }
 
     /// Does `fd` hold in the extension? SQL NULL semantics: NULL-LHS
@@ -145,8 +146,8 @@ pub trait CountBackend: Send + Sync {
     /// number as the `Value`-level reference (`dbre_mine`'s
     /// `fd_error`). The default reads the
     /// [`lhs_groups`](CountBackend::lhs_groups) and the RHS
-    /// [`column_codes`](CountBackend::column_codes) — both cached when
-    /// `self` is a [`crate::stats::StatsEngine`], which caches the
+    /// [`column_dict`](CountBackend::column_dict) codes — both cached
+    /// when `self` is a [`crate::stats::StatsEngine`], which caches the
     /// answer too — and allocates nothing per group.
     fn fd_error(&self, db: &Database, fd: &Fd) -> f64 {
         g3_error(self, db, fd)
@@ -171,7 +172,7 @@ pub trait CountBackend: Send + Sync {
     /// convention** (`NULL = NULL`) — the substrate of the TANE/key
     /// baselines, not expressible as a plain SQL count.
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        Arc::new(StrippedPartition::for_attribute(db.materialized(rel), attr))
+        Arc::new(StrippedPartition::for_attribute(db.table(rel), attr))
     }
 
     /// A hint that `rel` is about to be queried heavily (e.g. right
@@ -181,41 +182,22 @@ pub trait CountBackend: Send + Sync {
         let _ = (db, rel);
     }
 
-    /// The backend's dictionary encoding of one column, per-row codes
-    /// included, when it maintains one — the dict-access seam for
-    /// streamed extensions, whose raw cells are not resident:
-    /// [`column_codes`](CountBackend::column_codes) serves a streamed
-    /// table's codes from it, and Restruct hydrates streamed columns
-    /// from it. Every caller asks only about streamed tables, which
-    /// only the paged backend serves. The columnar backends answer from
-    /// the same generation-tagged column cache as their counting
-    /// probes: a resident column's dictionary as built, an adopted
-    /// spilled column's rehydrated from its pages once per generation.
-    /// The reference and SQL backends keep no encoding and return
-    /// `None`.
-    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        let _ = (db, rel, attr);
-        None
-    }
-
-    /// One column's per-row codes, as every FD question reads its
-    /// cells ([`ColumnCodes`]): a resident table's come from a
-    /// codes-only encoding of its values, a streamed table's from the
-    /// backend's [`column_dict`](CountBackend::column_dict).
+    /// One column of `rel` with its codes resident: the table's own
+    /// column when they are, otherwise a copy sharing its dictionary
+    /// whose codes were read from the pages — the per-row codes FD
+    /// questions and Restruct's split read. Always `Some`. The default
+    /// reads paged codes from the column's own page file; the columnar
+    /// backends read them through their pool.
     ///
     /// # Panics
     ///
-    /// On a streamed table whose backend serves no dictionary
-    /// ([`Database::materialized`]): a wiring bug (adoption installs
-    /// the pages before discovery runs), which the session's per-stage
-    /// isolation turns into a degraded stage.
-    fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
-        if !db.table(rel).is_materialized() {
-            if let Some(dict) = self.column_dict(db, rel, attr) {
-                return Arc::new(ColumnCodes::Streamed(dict));
-            }
-        }
-        Arc::new(ColumnCodes::encode(db.materialized(rel).column(attr)))
+    /// When a page cannot be read, naming the relation and the file.
+    fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
+        let column = db.table(rel).column(attr);
+        Some(match column.pages() {
+            None => Arc::clone(column),
+            Some(_) => Arc::new(ColumnDict::clone(column).into_resident()),
+        })
     }
 
     /// One column's exact row, NULL and distinct counts
@@ -282,8 +264,8 @@ pub(crate) fn g3_error<B: CountBackend + ?Sized>(backend: &B, db: &Database, fd:
 /// groups of `fd`, as [`CountBackend::lhs_groups`] returns them): per
 /// group, the row where its most frequent `fd.rhs` cells first occur —
 /// ties going to the earliest first occurrence — and how often they
-/// occur. NULL and NaN cells count as values. Reads the RHS
-/// [`CountBackend::column_codes`] (none when there is no group) and
+/// occur. NULL and NaN cells count as values. Reads the codes of the
+/// RHS [`CountBackend::column_dict`] (none when there is no group) and
 /// allocates nothing per group.
 pub fn pluralities<B: CountBackend + ?Sized>(
     backend: &B,
@@ -294,10 +276,14 @@ pub fn pluralities<B: CountBackend + ?Sized>(
     if groups.is_empty() {
         return Vec::new();
     }
-    let rhs: Vec<Arc<ColumnCodes>> = fd
+    let rhs: Vec<Arc<ColumnDict>> = fd
         .rhs
         .iter()
-        .map(|a| backend.column_codes(db, fd.rel, a))
+        .map(|a| {
+            backend
+                .column_dict(db, fd.rel, a)
+                .unwrap_or_else(|| Arc::clone(db.table(fd.rel).column(a)))
+        })
         .collect();
     let (keys, count) = tuple_keys(&rhs, groups, db.table(fd.rel).len());
     let mut tally = Tally::new(count);
@@ -309,22 +295,49 @@ pub fn pluralities<B: CountBackend + ?Sized>(
 
 /// Shared `Value`-level implementation of the LHS-group contract (see
 /// [`CountBackend::lhs_groups`]); also the oracle the differential
-/// tests compare against.
+/// tests compare against. Keys borrow the decoded cells, so no cell is
+/// cloned, and a row whose key is new allocates no group.
 pub(crate) fn lhs_groups_reference(db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Vec<usize>> {
-    let table = db.materialized(rel);
-    let mut map: HashMap<ProjKey, Vec<usize>> = HashMap::new();
-    'rows: for i in 0..table.len() {
-        let mut key = Vec::with_capacity(attrs.len());
-        for a in attrs {
-            let v = &table.column(*a)[i];
-            if v.is_null() {
-                continue 'rows;
-            }
-            key.push(v.clone());
-        }
-        map.entry(key).or_default().push(i);
+    let table = db.table(rel);
+    if let [attr] = attrs {
+        return group_rows(table.values(*attr).map(|v| (!v.is_null()).then_some(v)));
     }
-    let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
+    let mut cols: Vec<_> = attrs.iter().map(|a| table.values(*a)).collect();
+    group_rows((0..table.len()).map(|_| {
+        let key: Vec<&Value> = cols
+            .iter_mut()
+            .map(|c| c.next().unwrap_or(&Value::Null))
+            .collect();
+        (!key.iter().any(|v| v.is_null())).then_some(key)
+    }))
+}
+
+/// The groups of two or more rows sharing a key (`None`: the row is in
+/// no group), rows ascending within a group, groups sorted.
+fn group_rows<K: Hash + Eq>(keys: impl Iterator<Item = Option<K>>) -> Vec<Vec<usize>> {
+    // Per key: its first row, and the whole group once a second row
+    // arrives.
+    let mut map: FxHashMap<K, (usize, Vec<usize>)> = FxHashMap::default();
+    for (i, key) in keys.enumerate() {
+        let Some(key) = key else { continue };
+        match map.entry(key) {
+            Entry::Occupied(mut seen) => {
+                let (first, group) = seen.get_mut();
+                if group.is_empty() {
+                    group.push(*first);
+                }
+                group.push(i);
+            }
+            Entry::Vacant(new) => {
+                new.insert((i, Vec::new()));
+            }
+        }
+    }
+    let mut groups: Vec<Vec<usize>> = map
+        .into_values()
+        .map(|(_, group)| group)
+        .filter(|group| !group.is_empty())
+        .collect();
     groups.sort();
     groups
 }
@@ -343,7 +356,7 @@ impl CountBackend for ReferenceBackend {
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        db.materialized(rel).count_distinct(attrs)
+        db.table(rel).count_distinct(attrs)
     }
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
@@ -365,113 +378,34 @@ impl CountBackend for ReferenceBackend {
     }
 }
 
-/// One cached column of a [`ColumnarBackend`].
-#[derive(Debug)]
-pub(crate) enum Column {
-    /// A resident table's dictionary, per-row codes included, built
-    /// from its values on first use.
-    Resident(Arc<ColumnDict>),
-    /// A streamed table's column, adopted from its ingest
-    /// ([`crate::pages::PagedBackend::adopt_spilled`]): the slim
-    /// dictionary resident, the codes on pages read through the pool.
-    Spilled(Arc<PagedColumn>),
-}
-
-/// A resident column's chunks slice its code vector; a spilled
-/// column's are pooled pages.
-impl CodeSource for Column {
-    type Pager = BufferPool;
-    type Error = PageError;
-    type Chunk<'a> = ColumnChunk<'a>;
-
-    fn dict(&self) -> &ColumnDict {
-        match self {
-            Column::Resident(dict) => dict,
-            Column::Spilled(col) => col.dict(),
-        }
-    }
-
-    fn rows(&self) -> usize {
-        match self {
-            Column::Resident(dict) => dict.rows(),
-            Column::Spilled(col) => col.rows(),
-        }
-    }
-
-    fn chunk<'a>(&'a self, pool: &'a BufferPool, i: usize) -> Result<ColumnChunk<'a>, PageError> {
-        match self {
-            Column::Resident(dict) => {
-                let codes = dict.chunk(&(), i).unwrap_or_else(|never| match never {});
-                Ok(ColumnChunk::Resident(codes))
-            }
-            Column::Spilled(col) => col.chunk(pool, i).map(ColumnChunk::Spilled),
-        }
-    }
-}
-
-/// One chunk of a [`Column`]'s codes, borrowed or pinned for the scan.
-pub(crate) enum ColumnChunk<'a> {
-    /// A slice of a resident code vector.
-    Resident(&'a [u32]),
-    /// A pooled page.
-    Spilled(PageCodes),
-}
-
-impl std::ops::Deref for ColumnChunk<'_> {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        match self {
-            ColumnChunk::Resident(codes) => codes,
-            ColumnChunk::Spilled(page) => page,
-        }
-    }
-}
-
-/// A counting backend over dictionary-encoded columns: each column a
-/// probe touches is interned once per table generation, and counting /
+/// A counting backend over the tables' dictionary columns: counting /
 /// grouping / partitioning / join probes run the integer-code kernels
-/// of [`crate::encode`] over its codes.
+/// of [`crate::encode`] over each table's own columns, which loading
+/// encoded once.
 ///
-/// A resident table's column keeps its whole [`ColumnDict`] in memory.
-/// A streamed table's columns are the ones its ingest spilled, adopted
-/// by the paged backend ([`crate::pages::PagedBackend::adopt_spilled`]),
-/// and their codes are read page by page through the backend's
-/// [`BufferPool`]; no other column touches the pool. A page that cannot
-/// be read fails the probe loudly, naming the relation: a streamed
-/// extension holds no values to answer from instead.
+/// Resident codes are read in place. A streamed table's paged codes
+/// are read page by page through the backend's [`BufferPool`]; a page
+/// that cannot be read fails the probe loudly, naming the relation and
+/// the file.
 ///
 /// `PAGED` only names the backend: [`EncodedBackend`] is `encoded`,
-/// [`crate::pages::PagedBackend`] is `paged` and the one that adopts.
+/// [`crate::pages::PagedBackend`] is `paged`, whose pool a workload
+/// sizes.
 ///
-/// The per-column encodings and the per-projection encoded sets are
-/// cached *inside* the backend, tagged with [`Database::generation`]
-/// so a mutated table can never serve stale codes; a replaced spilled
-/// column's pages are purged from the pool. Encoding lazily per
-/// column matters on the paper's workloads: a query set `Q` joins a
-/// handful of key columns of wide denormalized relations, so encoding
-/// whole tables up front would dominate the cold path the encoding is
-/// meant to speed up.
+/// The per-projection encoded sets are cached *inside* the backend,
+/// tagged with [`Database::generation`], so a mutated table can never
+/// serve a stale set; they are shared between counts, projections and
+/// every join side touching them.
 pub struct ColumnarBackend<const PAGED: bool> {
-    /// What spilled columns' pages are read through.
+    /// What paged codes are read through.
     pub(crate) pool: Arc<BufferPool>,
-    /// Per-column encodings, keyed per `(relation, attribute)` so a
-    /// probe touching two columns of a wide table pays for exactly
-    /// those two builds.
-    pub(crate) columns: Memo<(RelId, AttrId), Arc<Column>>,
-    /// Encoded distinct-code sets per `(rel, attrs)` — shared between
-    /// counts, projections and every join side touching them.
+    /// Encoded distinct-code sets per `(rel, attrs)`.
     encoded: Memo<(RelId, Vec<AttrId>), Arc<EncodedSet>>,
-    /// Spilled columns' full dictionaries for the
-    /// [`CountBackend::column_dict`] seam: every page streamed into a
-    /// code vector beside the slim dictionary's shared tables, once
-    /// per generation.
-    hydrated: Memo<(RelId, AttrId), Arc<ColumnDict>>,
-    /// Adopted streamed-ingest tables whose encode the persistent
-    /// spill cache skipped.
+    /// Streamed-ingest tables whose encode the persistent spill cache
+    /// skipped.
     pub(crate) spill_hits: AtomicU64,
-    /// Adopted streamed-ingest tables that had to encode (cold cache,
-    /// or no `--spill-dir` configured).
+    /// Streamed-ingest tables that had to encode (cold cache, or no
+    /// `--spill-dir` configured).
     pub(crate) spill_misses: AtomicU64,
 }
 
@@ -484,8 +418,8 @@ impl<const PAGED: bool> Default for ColumnarBackend<PAGED> {
     }
 }
 
-/// A probe's answer, or a loud failure naming the relation whose
-/// adopted pages could not be read.
+/// A probe's answer, or a loud failure naming the relation whose pages
+/// could not be read (the error names the file).
 fn read_or_die<T>(db: &Database, rel: RelId, answer: Result<T, PageError>) -> T {
     answer.unwrap_or_else(|err| {
         panic!(
@@ -495,8 +429,14 @@ fn read_or_die<T>(db: &Database, rel: RelId, answer: Result<T, PageError>) -> T 
     })
 }
 
+/// The columns of `attrs` in `rel`'s table, in order (repeats allowed).
+fn columns<'a>(db: &'a Database, rel: RelId, attrs: &[AttrId]) -> Vec<&'a ColumnDict> {
+    let table = db.table(rel);
+    attrs.iter().map(|a| &**table.column(*a)).collect()
+}
+
 impl<const PAGED: bool> ColumnarBackend<PAGED> {
-    /// A backend with empty caches and the default 64 MiB buffer pool.
+    /// A backend with an empty cache and the default 64 MiB buffer pool.
     pub fn new() -> Self {
         ColumnarBackend::default()
     }
@@ -510,9 +450,7 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         ColumnarBackend {
             pool,
-            columns: Memo::default(),
             encoded: Memo::default(),
-            hydrated: Memo::default(),
             spill_hits: AtomicU64::new(0),
             spill_misses: AtomicU64::new(0),
         }
@@ -523,54 +461,14 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
         &self.pool
     }
 
-    /// One column of `rel`: an adopted spilled column, or the table's
-    /// values encoded once per generation and shared out of the cache.
-    pub(crate) fn column(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<Column> {
-        let served = self
-            .columns
-            .get_or_init((rel, attr), db.generation(rel), || {
-                let values = db.materialized(rel).column(attr);
-                Arc::new(Column::Resident(Arc::new(ColumnDict::build(values))))
-            });
-        if let Some(stale) = &served.replaced {
-            self.retire(stale);
-        }
-        served.value
-    }
-
-    /// Purges a replaced spilled column's pages from the pool: no probe
-    /// can ask for its file again.
-    pub(crate) fn retire(&self, stale: &Column) {
-        if let Column::Spilled(col) = stale {
-            self.pool.evict_file(col.file().id());
-        }
-    }
-
-    /// The cached columns of `attrs`, in order (repeats allowed).
-    fn columns(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Vec<Arc<Column>> {
-        attrs.iter().map(|a| self.column(db, rel, *a)).collect()
-    }
-
-    /// Borrowed views of `cols`, as the kernels take them.
-    fn refs(cols: &[Arc<Column>]) -> Vec<&Column> {
-        cols.iter().map(Arc::as_ref).collect()
-    }
-
-    /// The resident dictionaries of `cols` — all that decoding and the
-    /// join intersection read.
-    fn dicts(cols: &[Arc<Column>]) -> Vec<&ColumnDict> {
-        cols.iter().map(|c| c.dict()).collect()
-    }
-
     /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
     /// encoded form, shared out of the cache.
     fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
         let set = self
             .encoded
             .get_or_try_init((rel, attrs.to_vec()), db.generation(rel), || {
-                let cols = self.columns(db, rel, attrs);
-                encode::distinct_codes(&Self::refs(&cols), &self.pool, db.table(rel).len())
-                    .map(Arc::new)
+                let cols = columns(db, rel, attrs);
+                encode::distinct_codes(&cols, &self.pool, db.table(rel).len()).map(Arc::new)
             });
         read_or_die(db, rel, set).value
     }
@@ -591,62 +489,48 @@ impl<const PAGED: bool> CountBackend for ColumnarBackend<PAGED> {
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
         let (l, r) = (&join.left, &join.right);
-        let lcols = self.columns(db, l.rel, &l.attrs);
-        let rcols = self.columns(db, r.rel, &r.attrs);
         let left = self.encoded_set(db, l.rel, &l.attrs);
         let right = self.encoded_set(db, r.rel, &r.attrs);
         JoinStats {
             n_left: left.len(),
             n_right: right.len(),
-            n_join: intersect_count(&Self::dicts(&lcols), &left, &Self::dicts(&rcols), &right),
+            n_join: intersect_count(
+                &columns(db, l.rel, &l.attrs),
+                &left,
+                &columns(db, r.rel, &r.attrs),
+                &right,
+            ),
         }
     }
 
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        let cols = self.columns(db, rel, attrs);
-        let groups = encode::lhs_groups(&Self::refs(&cols), &self.pool, db.table(rel).len());
+        let cols = columns(db, rel, attrs);
+        let groups = encode::lhs_groups(&cols, &self.pool, db.table(rel).len());
         Arc::new(read_or_die(db, rel, groups))
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
         let set = self.encoded_set(db, rel, attrs);
-        let cols = self.columns(db, rel, attrs);
-        Arc::new(decode_set_cols(&Self::dicts(&cols), &set))
+        Arc::new(decode_set_cols(&columns(db, rel, attrs), &set))
     }
 
     fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
-        let col = self.column(db, rel, attr);
-        Arc::new(read_or_die(db, rel, encode::partition1(&*col, &self.pool)))
+        let col = db.table(rel).column(attr);
+        Arc::new(read_or_die(db, rel, encode::partition1(col, &self.pool)))
     }
 
-    fn prewarm(&self, db: &Database, rel: RelId) {
-        // Encode every column while the rows are hot.
-        for i in 0..db.table(rel).arity() {
-            self.column(db, rel, AttrId(i as u16));
-        }
-    }
-
+    /// Paged codes are read through the pool, once per call: the
+    /// [`crate::stats::StatsEngine`] above caches the copy per
+    /// generation.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        let col = match &*self.column(db, rel, attr) {
-            Column::Resident(dict) => return Some(Arc::clone(dict)),
-            Column::Spilled(col) => Arc::clone(col),
-        };
-        let dict = self
-            .hydrated
-            .get_or_try_init((rel, attr), db.generation(rel), || {
-                Ok(Arc::new(
-                    col.dict().rehydrate(col.read_all_codes(&self.pool)?),
-                ))
-            });
-        Some(read_or_die(db, rel, dict).value)
+        let column = db.table(rel).column(attr);
+        Some(read_or_die(db, rel, column.resident(&self.pool)))
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // Read off the generation-cached dictionary, so the counts are
-        // exactly the state the counting kernels read. The resident
-        // dictionary — slim for spilled codes — carries the fused
-        // per-code counts, so this never reads a code page.
-        self.column(db, rel, attr).dict().sketch().map(Arc::new)
+        // The column carries its exact per-code counts, so this never
+        // reads a code page.
+        db.table(rel).column(attr).sketch().map(Arc::new)
     }
 
     fn page_stats(&self) -> PageCacheStats {
@@ -667,6 +551,7 @@ mod tests {
     use crate::attr::AttrSet;
     use crate::deps::IndSide;
     use crate::schema::Relation;
+    use crate::table::Table;
     use crate::value::{Domain, Value};
 
     fn sample_db() -> (Database, RelId, RelId) {
@@ -747,30 +632,104 @@ mod tests {
         );
     }
 
-    /// A streamed extension that was never hydrated holds no values: a
-    /// backend that reads values refuses it, naming the relation,
-    /// instead of answering from zero rows.
+    /// The reference and encoded backends answer a streamed table —
+    /// paged columns read from their own page files, or through the
+    /// encoded backend's pool — exactly as the paged backend does.
     #[test]
-    fn unhydrated_streamed_extension_fails_loudly() {
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of(
-                "Stub",
-                &[("x", Domain::Int), ("y", Domain::Int)],
-            ))
+    fn every_backend_answers_a_streamed_table_as_the_paged_one() {
+        let (db, l, r) = sample_db();
+        let (twin, paged) = crate::pages::streamed_twin(&db, crate::pages::PAGE_BYTES);
+        let encoded = EncodedBackend::new();
+        let join = EquiJoin::try_new(IndSide::single(l, AttrId(0)), IndSide::single(r, AttrId(0)))
             .unwrap();
-        db.set_streamed_extension(rel, 5);
+        let fd = Fd::new(
+            l,
+            AttrSet::from_indices([1u16]),
+            AttrSet::from_indices([0u16]),
+        );
+        let ind = Ind::unary(r, AttrId(0), l, AttrId(0));
+        for b in [&ReferenceBackend as &dyn CountBackend, &encoded] {
+            let name = b.name();
+            for attrs in [vec![AttrId(0)], vec![AttrId(0), AttrId(1)], vec![AttrId(1)]] {
+                assert_eq!(
+                    b.count_distinct(&twin, l, &attrs),
+                    paged.count_distinct(&twin, l, &attrs),
+                    "{name}"
+                );
+                assert_eq!(
+                    b.lhs_groups(&twin, l, &attrs),
+                    paged.lhs_groups(&twin, l, &attrs),
+                    "{name}"
+                );
+                assert_eq!(
+                    b.projection(&twin, l, &attrs),
+                    paged.projection(&twin, l, &attrs),
+                    "{name}"
+                );
+            }
+            assert_eq!(
+                b.join_stats(&twin, &join),
+                paged.join_stats(&twin, &join),
+                "{name}"
+            );
+            assert_eq!(b.fd_holds(&twin, &fd), paged.fd_holds(&twin, &fd), "{name}");
+            assert_eq!(b.fd_error(&twin, &fd), paged.fd_error(&twin, &fd), "{name}");
+            assert_eq!(
+                b.ind_holds(&twin, &ind),
+                paged.ind_holds(&twin, &ind),
+                "{name}"
+            );
+            for a in [AttrId(0), AttrId(1)] {
+                assert_eq!(
+                    b.partition1(&twin, l, a),
+                    paged.partition1(&twin, l, a),
+                    "{name}"
+                );
+                let (mine, theirs) = (
+                    b.column_dict(&twin, l, a).unwrap(),
+                    paged.column_dict(&twin, l, a).unwrap(),
+                );
+                assert_eq!(mine.codes(), theirs.codes(), "{name}");
+            }
+        }
+        assert!(
+            encoded.page_stats().misses > 0,
+            "encoded read pages through its pool"
+        );
+    }
+
+    /// A page file truncated after load (the fuzz corpus's truncated
+    /// page over it) fails every backend's page-reading probe loudly,
+    /// naming the relation and the file.
+    #[test]
+    fn a_page_truncated_after_load_fails_naming_the_relation_and_the_file() {
+        const TRUNCATED_PAGE: &[u8] = include_bytes!("../../fuzz/corpus/truncated_page.colpage");
+        let mut db = Database::new();
+        let relation = Relation::of("Stub", &[("x", Domain::Int), ("y", Domain::Int)]);
+        let rows = (0..100).map(|i| vec![Value::Int(i % 7), Value::Int(i)]);
+        let table = crate::pages::paged_twin(&Table::from_rows(2, rows).unwrap(), "Stub");
+        let path = table
+            .column(AttrId(0))
+            .pages()
+            .unwrap()
+            .file()
+            .path()
+            .to_path_buf();
+        let rel = db.add_relation_with_table(relation, table).unwrap();
+        std::fs::write(&path, TRUNCATED_PAGE).unwrap();
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
         let fd = Fd::new(
             rel,
             AttrSet::from_indices([0u16]),
             AttrSet::from_indices([1u16]),
         );
         let encoded = EncodedBackend::new();
-        let backends: [&dyn CountBackend; 2] = [&ReferenceBackend, &encoded];
+        let paged = crate::pages::PagedBackend::new();
+        let backends: [&dyn CountBackend; 3] = [&ReferenceBackend, &encoded, &paged];
         for b in backends {
             let probes: [(&str, &dyn Fn()); 5] = [
                 ("count_distinct", &|| {
-                    b.count_distinct(&db, rel, &[AttrId(0)]);
+                    b.count_distinct(&db, rel, &[AttrId(0), AttrId(1)]);
                 }),
                 ("lhs_groups", &|| {
                     b.lhs_groups(&db, rel, &[AttrId(0)]);
@@ -781,8 +740,8 @@ mod tests {
                 ("fd_error", &|| {
                     b.fd_error(&db, &fd);
                 }),
-                ("column_codes", &|| {
-                    b.column_codes(&db, rel, AttrId(1));
+                ("column_dict", &|| {
+                    b.column_dict(&db, rel, AttrId(0));
                 }),
             ];
             for (probe, run) in probes {
@@ -792,8 +751,8 @@ mod tests {
                     .and_then(|e| e.downcast_ref::<String>().cloned())
                     .unwrap_or_default();
                 assert!(
-                    message.contains("relation `Stub`"),
-                    "{} {probe} must fail naming the relation, got {message:?}",
+                    message.contains("relation `Stub`") && message.contains(&file),
+                    "{} {probe} must fail naming the relation and the file, got {message:?}",
                     b.name()
                 );
             }
@@ -832,7 +791,7 @@ mod tests {
         );
     }
 
-    /// Prewarming builds every column dictionary but changes no answer.
+    /// Prewarming changes no answer.
     #[test]
     fn prewarm_is_transparent() {
         let (db, l, _) = sample_db();

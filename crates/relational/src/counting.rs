@@ -157,10 +157,10 @@ impl JoinStats {
 /// `O(|r_k| + |r_l|)`.
 pub fn join_stats(db: &Database, join: &EquiJoin) -> JoinStats {
     let left = db
-        .materialized(join.left.rel)
+        .table(join.left.rel)
         .distinct_projection(&join.left.attrs);
     let right = db
-        .materialized(join.right.rel)
+        .table(join.right.rel)
         .distinct_projection(&join.right.attrs);
     // Iterate the smaller set for the intersection.
     let (small, large) = if left.len() <= right.len() {

@@ -1,13 +1,14 @@
 //! The relational database `(R, E, Δ)` plus the dictionary constraints.
 
-use crate::attr::{AttrId, AttrSet};
+use crate::attr::AttrSet;
+use crate::bufpool::BufferPool;
 use crate::deps::{Constraints, Dependencies, Fd, Ind};
-use crate::error::RelationalError;
+use crate::encode::{distinct_codes, lhs_groups, ColumnDict};
+use crate::error::{DbreError, RelationalError};
 use crate::schema::{RelId, Relation, Schema};
-use crate::table::Table;
+use crate::table::{ProjKey, Table};
 use crate::value::Value;
-use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,24 +87,6 @@ impl Database {
         &self.tables[rel.index()]
     }
 
-    /// The extension of `rel`, for a read of its values.
-    ///
-    /// # Panics
-    ///
-    /// When `rel` is a streamed extension whose columns hold no values
-    /// ([`Table::is_materialized`]): an answer read from them would
-    /// count zero rows. Only the paged backend that adopted its spilled
-    /// pages counts it, until Restruct hydrates it.
-    pub fn materialized(&self, rel: RelId) -> &Table {
-        let table = self.table(rel);
-        assert!(
-            table.is_materialized(),
-            "relation `{}` is a streamed extension: its columns hold no values",
-            self.schema.relation(rel).name
-        );
-        table
-    }
-
     /// Mutable extension access. Conservatively counts as a mutation
     /// for cache-invalidation purposes (see [`Self::generation`]).
     pub fn table_mut(&mut self, rel: RelId) -> &mut Table {
@@ -112,8 +95,8 @@ impl Database {
     }
 
     /// The generation tag of `rel`'s extension: assigned at creation
-    /// and reassigned by [`Self::insert`], [`Self::replace_table`],
-    /// [`Self::set_streamed_extension`] and [`Self::table_mut`] — in a
+    /// and reassigned by [`Self::insert`], [`Self::replace_table`] and
+    /// [`Self::table_mut`] — in a
     /// dialogue, by IND-Discovery's conceptualisations and Restruct's
     /// splits. Tags come from a process-global allocator, so equal
     /// tags mean *the same table version* even across database clones;
@@ -135,25 +118,6 @@ impl Database {
         self.tables[rel.index()] = Arc::new(table);
         self.gens[rel.index()] = fresh_gen();
         Ok(())
-    }
-
-    /// Marks `rel` as a *streamed extension*: `rows` rows exist, but
-    /// the in-memory columns stay empty — the data lives in the paged
-    /// store (see `crate::spill`). Bumps the generation like any
-    /// other extension change. Panics if the table already has rows
-    /// (streaming ingest only targets freshly declared relations).
-    pub fn set_streamed_extension(&mut self, rel: RelId, rows: usize) {
-        Arc::make_mut(&mut self.tables[rel.index()]).set_streamed_rows(rows);
-        self.gens[rel.index()] = fresh_gen();
-    }
-
-    /// Installs the full contents of one empty column of a streamed
-    /// extension (decoded from the paged store). Deliberately does
-    /// **not** bump the generation: the hydrated values are by
-    /// construction the ones the paged columns encode, so cached
-    /// derived structures stay valid.
-    pub fn hydrate_column(&mut self, rel: RelId, attr: AttrId, values: Vec<Value>) {
-        Arc::make_mut(&mut self.tables[rel.index()]).hydrate_column(attr, values);
     }
 
     /// Inserts a tuple with domain validation.
@@ -194,79 +158,104 @@ impl Database {
 
     /// Validates that every declared constraint (`K`, `N`) holds in the
     /// extension. The paper assumes `E` "is correct with respect to the
-    /// constraints defined in the data dictionary" — this checks it.
+    /// constraints defined in the data dictionary" — this checks it,
+    /// every key first, in declaration order, then every not-null
+    /// constraint. Streamed tables are checked like resident ones.
+    ///
+    /// # Panics
+    ///
+    /// When a page of a streamed table's composite key cannot be read,
+    /// naming the relation and the file.
     pub fn validate_dictionary(&self) -> Result<(), RelationalError> {
-        for key in &self.constraints.keys {
+        match self.check_constraints(None, &BufferPool::with_capacity_pages(1)) {
+            Ok(()) => Ok(()),
+            Err(DbreError::Relational(e)) => Err(e),
+            Err(e) => panic!("cannot validate the extension: {e}"),
+        }
+    }
+
+    /// The constraints of `only` (every relation when `None`) checked
+    /// against the extension, keys first: a one-column key holds iff
+    /// its distinct count equals its non-NULL rows, a composite key iff
+    /// no two rows agree on it without a NULL — over NULL-free columns,
+    /// iff it has as many distinct tuples as rows; otherwise iff
+    /// `lhs_groups` is empty — its paged codes read through `pool`, and
+    /// a not-null constraint iff its column counts no NULL.
+    pub(crate) fn check_constraints(
+        &self,
+        only: Option<RelId>,
+        pool: &BufferPool,
+    ) -> Result<(), DbreError> {
+        let checked = |rel: RelId| only.is_none_or(|only| only == rel);
+        for key in self.constraints.keys.iter().filter(|k| checked(k.rel)) {
             let table = self.table(key.rel);
-            // Streamed extensions have no raw columns to scan; their
-            // twin check is `crate::spill::validate_spilled`, run by
-            // whoever performed the streaming ingest.
-            if !table.is_materialized() {
-                continue;
-            }
-            let relation = self.schema.relation(key.rel);
-            let cols: Vec<&[Value]> = key.attrs.iter().map(|a| table.column(a)).collect();
-            let mut seen = HashSet::with_capacity(table.len());
-            for row in 0..table.len() {
-                // Key attributes are not-null by normalization; a null
-                // here is caught by the not-null check below, so skip.
-                if cols.iter().any(|c| c[row].is_null()) {
-                    continue;
+            let cols: Vec<&ColumnDict> = key.attrs.iter().map(|a| &**table.column(a)).collect();
+            let holds = match cols[..] {
+                [col] => col.cardinality() == col.rows() - col.null_count(),
+                _ if cols.iter().all(|c| !c.has_null()) => {
+                    distinct_codes(&cols, pool, table.len())?.len() == table.len()
                 }
-                if !seen.insert(KeyCells { cols: &cols, row }) {
-                    return Err(RelationalError::KeyViolation {
-                        relation: relation.name.clone(),
-                        key: relation.render_set(&key.attrs),
-                    });
+                _ => lhs_groups(&cols, pool, table.len())?.is_empty(),
+            };
+            if !holds {
+                let relation = self.schema.relation(key.rel);
+                return Err(RelationalError::KeyViolation {
+                    relation: relation.name.clone(),
+                    key: relation.render_set(&key.attrs),
                 }
+                .into());
             }
         }
-        for &(rel, attr) in &self.constraints.not_null {
-            let table = self.table(rel);
-            if !table.is_materialized() {
-                continue;
-            }
-            if table.column(attr).iter().any(Value::is_null) {
+        for &(rel, attr) in self
+            .constraints
+            .not_null
+            .iter()
+            .filter(|(r, _)| checked(*r))
+        {
+            if self.table(rel).column(attr).has_null() {
+                let relation = self.schema.relation(rel);
                 return Err(RelationalError::NotNullViolation {
-                    relation: self.schema.relation(rel).name.clone(),
-                    attribute: self.schema.relation(rel).attr_name(attr).to_string(),
-                });
+                    relation: relation.name.clone(),
+                    attribute: relation.attr_name(attr).to_string(),
+                }
+                .into());
             }
         }
         Ok(())
     }
 
     /// Checks whether an FD holds in the current extension
-    /// (`∀ t, t' : t[Y] = t'[Y] ⇒ t[Z] = t'[Z]`).
+    /// (`∀ t, t' : t[Y] = t'[Y] ⇒ t[Z] = t'[Z]`), reading decoded
+    /// cells — the `Value`-level reference.
     ///
     /// SQL semantics: tuples with a NULL in the LHS never agree with any
     /// tuple, so they cannot violate the dependency.
     pub fn fd_holds(&self, fd: &Fd) -> bool {
-        let table = self.materialized(fd.rel);
-        let lhs: Vec<_> = fd.lhs.iter().collect();
-        let rhs: Vec<_> = fd.rhs.iter().collect();
-        let lhs_cols: Vec<&[Value]> = lhs.iter().map(|a| table.column(*a)).collect();
-        let rhs_cols: Vec<&[Value]> = rhs.iter().map(|a| table.column(*a)).collect();
-        let mut map: std::collections::HashMap<Vec<Value>, usize> =
-            std::collections::HashMap::new();
-        'rows: for i in 0..table.len() {
-            let mut key = Vec::with_capacity(lhs_cols.len());
-            for c in &lhs_cols {
-                let v = &c[i];
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
+        let table = self.table(fd.rel);
+        let mut lhs: Vec<_> = fd.lhs.iter().map(|a| table.values(a)).collect();
+        let mut rhs: Vec<_> = fd.rhs.iter().map(|a| table.values(a)).collect();
+        let mut first: HashMap<ProjKey, ProjKey> = HashMap::new();
+        for _ in 0..table.len() {
+            let key: Vec<&Value> = lhs
+                .iter_mut()
+                .map(|c| c.next().unwrap_or(&Value::Null))
+                .collect();
+            let dependent: Vec<&Value> = rhs
+                .iter_mut()
+                .map(|c| c.next().unwrap_or(&Value::Null))
+                .collect();
+            if key.iter().any(|v| v.is_null()) {
+                continue;
             }
-            match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let first = *e.get();
-                    if rhs_cols.iter().any(|c| c[i] != c[first]) {
+            let key: ProjKey = key.into_iter().cloned().collect();
+            match first.get(&key) {
+                Some(seen) => {
+                    if seen.iter().zip(&dependent).any(|(a, b)| a != *b) {
                         return false;
                     }
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
+                None => {
+                    first.insert(key, dependent.into_iter().cloned().collect());
                 }
             }
         }
@@ -274,32 +263,14 @@ impl Database {
     }
 
     /// Checks whether an IND holds in the current extension
-    /// (`r_lhs[Y] ⊆ r_rhs[Z]`, NULL-containing projections dropped).
+    /// (`r_lhs[Y] ⊆ r_rhs[Z]`, NULL-containing projections dropped),
+    /// reading decoded cells.
     pub fn ind_holds(&self, ind: &Ind) -> bool {
-        let right = self
-            .materialized(ind.rhs.rel)
-            .distinct_projection(&ind.rhs.attrs);
-        let left_table = self.materialized(ind.lhs.rel);
-        let cols: Vec<&[Value]> = ind
-            .lhs
-            .attrs
+        let right = self.table(ind.rhs.rel).distinct_projection(&ind.rhs.attrs);
+        self.table(ind.lhs.rel)
+            .distinct_projection(&ind.lhs.attrs)
             .iter()
-            .map(|a| left_table.column(*a))
-            .collect();
-        'rows: for i in 0..left_table.len() {
-            let mut proj = Vec::with_capacity(cols.len());
-            for c in &cols {
-                let v = &c[i];
-                if v.is_null() {
-                    continue 'rows;
-                }
-                proj.push(v.clone());
-            }
-            if !right.contains(&proj) {
-                return false;
-            }
-        }
-        true
+            .all(|proj| right.contains(proj))
     }
 
     /// Convenience: resolve `(relation, [attrs])` by names into an
@@ -324,30 +295,6 @@ impl Database {
         Ok((rel, AttrSet::from_iter_ids(ids)))
     }
 }
-
-/// One row's cells under a key's columns, borrowed in place: two rows
-/// are equal when every cell is, so checking a key allocates nothing
-/// per row.
-struct KeyCells<'a> {
-    cols: &'a [&'a [Value]],
-    row: usize,
-}
-
-impl Hash for KeyCells<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for c in self.cols {
-            c[self.row].hash(state);
-        }
-    }
-}
-
-impl PartialEq for KeyCells<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.cols.iter().all(|c| c[self.row] == c[other.row])
-    }
-}
-
-impl Eq for KeyCells<'_> {}
 
 #[cfg(test)]
 mod tests {

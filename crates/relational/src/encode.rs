@@ -1,40 +1,36 @@
-//! Dictionary-encoded columns and the one family of integer-code
-//! kernels behind every `‖·‖` probe.
+//! Dictionary columns and the one family of integer-code kernels
+//! behind every `‖·‖` probe.
 //!
 //! Every statistic the paper's algorithms consume — distinct
 //! projections for the three IND-Discovery cardinalities, LHS groups
 //! for the `A → b` extension tests, stripped partitions for the mining
-//! baselines — reduces to hashing and comparing projected tuples. The
-//! `Value`-based primitives in [`crate::counting`] and
-//! [`crate::partitions`] pay for that with a heap-allocated
-//! `Vec<Value>` clone per row. This module removes that cost: each
-//! column's values are interned once into dense `u32` codes
+//! baselines — reduces to hashing and comparing projected tuples. A
+//! table column is therefore stored as its dictionary ([`ColumnDict`]):
+//! each cell is interned once, at load, into a dense `u32` code
 //! (first-occurrence order, with **code 0 reserved for `NULL`**), and
 //! every kernel afterwards runs on plain integers hashed with the
-//! cheap [`crate::fasthash`] scheme.
+//! cheap [`crate::fasthash`] scheme. Nothing encodes a column again.
 //!
-//! The unit of encoding is the **column** ([`ColumnDict`]), not the
-//! table: a probe that touches two attributes of a 13-column relation
-//! pays for exactly two dictionary builds.
-//!
-//! The kernels — [`distinct_codes`], [`lhs_groups`] and
-//! [`partition1`] — exist once, generic over a [`CodeSource`] that
-//! yields a column's codes in page-sized chunks through a pager.
-//! Resident codes (a built [`ColumnDict`]) slice the code vector and
-//! cannot fail; spilled codes ([`crate::pages::PagedColumn`], written
-//! by streamed ingest and read by the `paged` backend) read pages
-//! through the buffer pool. Both storage modes therefore share one
+//! A column's per-row codes are either resident or on the pages
+//! streamed ingest wrote ([`crate::pages::PagedColumn`]); its
+//! dictionary — decode table, encode tables, NULL count and exact
+//! per-code counts — is always resident. The kernels —
+//! [`distinct_codes`], [`lhs_groups`] and [`partition1`] — read the
+//! codes in page-sized chunks, slices of a resident vector or pages
+//! read through a [`BufferPool`], so both storage modes share one
 //! serial scan loop and one answer. Cross-column kernels that never
 //! touch per-row codes — [`code_translation`], [`intersect_count`],
-//! [`decode_set_cols`] — read only the dictionaries.
+//! [`decode_set_cols`] — read only the dictionaries. `Value`-level
+//! readers decode cells through [`ColumnDict::cell`] and
+//! [`ColumnDict::values`], which borrow from the decode table and
+//! allocate nothing per resident cell.
 //!
 //! Consequences of the encoding:
 //!
-//! * a unary `COUNT(DISTINCT a)` is the dictionary cardinality — `O(1)`
-//!   after the build;
+//! * a unary `COUNT(DISTINCT a)` is the dictionary cardinality, `O(1)`;
 //! * unary groupings (partitions, LHS groups) are a counting-sort fill
-//!   over the code domain, sized from the per-code counts the build
-//!   fused into its interning loop — no hashing at all;
+//!   over the code domain, sized from the per-code counts — no hashing
+//!   at all;
 //! * a two-attribute projection key packs into a single `u64`
 //!   (`hi << 32 | lo`), wider ones into a `Box<[u32]>` — no `Value`
 //!   clones on any hot path;
@@ -43,32 +39,28 @@
 //!   integer sets.
 //!
 //! NULL conventions are preserved exactly: the SQL kernels
-//! ([`distinct_codes`], [`lhs_groups`]) skip rows whose
-//! projection touches code 0, while the mining kernel ([`partition1`])
-//! treats code 0 as an ordinary value equal to itself, mirroring
+//! ([`distinct_codes`], [`lhs_groups`]) skip rows whose projection
+//! touches code 0, while the mining kernel ([`partition1`]) treats
+//! code 0 as an ordinary value equal to itself, mirroring
 //! [`crate::partitions`]. `NaN` floats intern through
 //! [`crate::value::OrdF64`]'s total order, so two NaNs with the same
 //! payload share a code exactly when the `Value` kernels consider them
 //! equal.
 //!
-//! A `ColumnDict` is immutable after [`ColumnDict::build`]; sharing
-//! one read-only across concurrent sessions on one engine is safe
-//! (`Sync` by construction, no interior mutability). Lifecycle
-//! management — building once per table generation and invalidating on
-//! mutation — lives in the counting backends
-//! ([`crate::backend::ColumnarBackend`]).
+//! A `ColumnDict` is written only through copy-on-write
+//! ([`crate::table::Table`] holds each column behind an `Arc`), so one
+//! column is shared read-only by every table version, database clone
+//! and concurrent session that did not write it.
 
-use crate::attr::AttrId;
-use crate::fasthash::{FxHashMap, FxHashSet, FxHasher};
-use crate::pages::PAGE_CODES;
+use crate::bufpool::BufferPool;
+use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::pages::{PageError, PagedColumn, PAGE_CODES};
 use crate::partitions::StrippedPartition;
 use crate::sketch::ColumnSketch;
-use crate::table::{ProjKey, Table};
+use crate::table::ProjKey;
 use crate::value::Value;
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
-use std::convert::Infallible;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashSet;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -76,85 +68,200 @@ use std::sync::Arc;
 /// 0 in every [`ColumnDict`]; real values start at 1.
 pub const NULL_CODE: u32 = 0;
 
-/// One column's dictionary: per-row dense codes plus both decode
-/// (code → value) and encode (value → code) directions.
+/// The cell [`NULL_CODE`] decodes to.
+const NULL: &Value = &Value::Null;
+
+/// One table column: per-row dense codes, resident or on pages, plus
+/// the dictionary that decodes (code → value) and encodes (value →
+/// code) them and counts each code's rows.
 ///
-/// Two dictionaries are equal iff they were built from the same cell
-/// sequence (codes are assigned in first-occurrence order, so the
-/// decode table is canonical), which is what the
-/// streaming-vs-materialized differential tests pin.
-///
-/// The tables sit behind one `Arc`, so the copies the paged store
-/// makes — [`ColumnDict::slim`] and [`ColumnDict::rehydrate`] — clone a
-/// pointer, not the tables. Equality still compares contents.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Codes are assigned in first-occurrence order, so two columns built
+/// from the same cell sequence hold the same codes and decode table.
+/// The dictionary sits behind one `Arc`: a column sharing it (a
+/// resident copy of paged codes, a copy about to be written) clones a
+/// pointer, not the tables.
+#[derive(Debug, Clone)]
 pub struct ColumnDict {
-    /// Per-row codes; `codes[i] == NULL_CODE` iff row `i` is NULL.
-    codes: Vec<u32>,
-    /// Everything but the per-row codes, shared by every slim copy and
-    /// rehydration of this dictionary.
+    codes: Codes,
     tables: Arc<DictTables>,
 }
 
-/// The per-column part of a [`ColumnDict`]: what a slim dictionary
-/// keeps once the per-row codes are dropped.
-#[derive(Debug, Default, PartialEq)]
-struct DictTables {
+/// Where a column's per-row codes live.
+#[derive(Debug, Clone)]
+enum Codes {
+    /// In memory; `codes[i] == NULL_CODE` iff row `i` is NULL.
+    Resident(Vec<u32>),
+    /// On the pages streamed ingest wrote.
+    Paged(Arc<PagedColumn>),
+}
+
+/// A column's dictionary: everything but the per-row codes.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DictTables {
     /// Decode table: `values[(c - 1) as usize]` is the value of code
-    /// `c ≥ 1`. Codes are assigned in first-occurrence order.
+    /// `c ≥ 1`, in first-occurrence order.
     values: Vec<Value>,
-    /// Encode table (no entry for NULL).
-    index: FxHashMap<Value, u32>,
+    /// Encode tables (no entry for NULL).
+    index: Index,
     /// Number of NULL rows.
     nulls: usize,
     /// Per-code occurrence counts: `counts[c]` is how many rows carry
-    /// code `c` (`counts[0]` = NULL rows). Maintained by the interning
-    /// loop, so the counting-sort kernels skip their sizes pass.
+    /// code `c` (`counts[0]` = NULL rows), kept by the interning loop,
+    /// so the counting-sort kernels skip their sizes pass.
     counts: Vec<u64>,
 }
 
-/// Incremental column interner: the streaming half of
-/// [`ColumnDict::build`].
+/// The encode tables, one per kind of cell: an integer or a string is
+/// looked up by itself, with no `Value` around it, and the entries
+/// are 16 and 24 bytes instead of 32.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Index {
+    ints: FxHashMap<i64, u32>,
+    text: FxHashMap<Arc<str>, u32>,
+    other: FxHashMap<Value, u32>,
+}
+
+impl Index {
+    fn get(&self, v: &Value) -> Option<u32> {
+        match v {
+            Value::Null => None,
+            Value::Int(i) => self.ints.get(i),
+            Value::Str(s) => self.text.get(&**s),
+            _ => self.other.get(v),
+        }
+        .copied()
+    }
+
+    fn insert(&mut self, v: &Value, code: u32) {
+        match v {
+            Value::Int(i) => self.ints.insert(*i, code),
+            Value::Str(s) => self.text.insert(Arc::clone(s), code),
+            _ => self.other.insert(v.clone(), code),
+        };
+    }
+}
+
+impl DictTables {
+    fn new() -> Self {
+        DictTables {
+            values: Vec::new(),
+            index: Index::default(),
+            nulls: 0,
+            counts: vec![0],
+        }
+    }
+
+    /// A dictionary from its serialized parts — the spill-cache load
+    /// path ([`crate::spill`]). The encode tables are rebuilt from the
+    /// decode table; `counts` must follow the
+    /// [`ColumnDict::code_counts`] convention.
+    pub(crate) fn from_parts(values: Vec<Value>, nulls: usize, counts: Vec<u64>) -> DictTables {
+        let mut index = Index::default();
+        for (i, v) in values.iter().enumerate() {
+            index.insert(v, i as u32 + 1);
+        }
+        DictTables {
+            values,
+            index,
+            nulls,
+            counts,
+        }
+    }
+
+    /// The code of `v`, added with a fresh code on first sight.
+    #[inline]
+    fn intern(&mut self, v: &Value) -> u32 {
+        match v {
+            Value::Null => {
+                self.nulls += 1;
+                self.counts[NULL_CODE as usize] += 1;
+                NULL_CODE
+            }
+            Value::Int(i) => self.intern_int(*i),
+            Value::Str(s) => self.intern_text(s),
+            _ => {
+                let code = match self.index.other.get(v) {
+                    Some(&code) => code,
+                    None => self.add(v.clone()),
+                };
+                self.counts[code as usize] += 1;
+                code
+            }
+        }
+    }
+
+    #[inline]
+    fn intern_int(&mut self, i: i64) -> u32 {
+        let code = match self.index.ints.get(&i) {
+            Some(&code) => code,
+            None => self.add(Value::Int(i)),
+        };
+        self.counts[code as usize] += 1;
+        code
+    }
+
+    #[inline]
+    fn intern_text(&mut self, s: &str) -> u32 {
+        let code = match self.index.text.get(s) {
+            Some(&code) => code,
+            None => self.add(Value::str(s)),
+        };
+        self.counts[code as usize] += 1;
+        code
+    }
+
+    /// Gives the new value `v` the next code.
+    fn add(&mut self, v: Value) -> u32 {
+        let code = self.values.len() as u32 + 1;
+        self.index.insert(&v, code);
+        self.values.push(v);
+        self.counts.push(0);
+        code
+    }
+
+    /// Releases the slack a presized or grown table holds, so a kept
+    /// dictionary is sized by its cardinality.
+    fn shrink_to_fit(&mut self) {
+        self.values.shrink_to_fit();
+        self.counts.shrink_to_fit();
+        self.index.ints.shrink_to_fit();
+        self.index.text.shrink_to_fit();
+        self.index.other.shrink_to_fit();
+    }
+
+    #[inline]
+    fn decode(&self, code: u32) -> &Value {
+        match code {
+            NULL_CODE => NULL,
+            c => &self.values[c as usize - 1],
+        }
+    }
+}
+
+/// Incremental column interner: the one way a column is encoded.
 ///
-/// Chunked ingest ([`crate::csv`] → [`crate::pages`]) cannot hand a
-/// whole column slice to `build`; it interns one cell at a time as
-/// records arrive and appends the resulting codes straight to a spill
-/// file. The builder carries exactly the state `build`'s loop carries —
-/// decode/encode tables, NULL and per-code counts — so
-/// [`DictBuilder::finish_slim`] yields a dictionary byte-identical to
-/// `build(column).slim()` for the same cell sequence.
-///
-/// A streamed text cell interns by its text ([`DictBuilder::intern_text`]),
-/// through an encode table keyed by string: a repeated string costs one
-/// lookup and makes no `Value`. The table drops with the builder.
-#[derive(Debug, Default)]
+/// Both ingests ([`crate::csv`]) intern one cell at a time as records
+/// arrive; the in-memory one keeps the codes, the streamed one appends
+/// them to a page file. A text cell interns by its text
+/// ([`DictBuilder::intern_text`]) and an integer by its value
+/// ([`DictBuilder::intern_int`]), so neither makes a `Value` unless it
+/// is new.
+#[derive(Debug)]
 pub struct DictBuilder {
     tables: DictTables,
-    /// The code of each string interned through `intern_text`.
-    text: FxHashMap<Arc<str>, u32>,
-    rows: usize,
+}
+
+impl Default for DictBuilder {
+    fn default() -> Self {
+        DictBuilder::new()
+    }
 }
 
 impl DictBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        DictBuilder::with_row_capacity(0)
-    }
-
-    /// An empty builder presized for roughly `rows` incoming cells.
-    pub fn with_row_capacity(rows: usize) -> Self {
         DictBuilder {
-            tables: DictTables {
-                // Worst case (all-distinct key columns) is common enough
-                // in the paper's workloads to pre-size for;
-                // low-cardinality columns briefly over-reserve and
-                // release on drop.
-                index: FxHashMap::with_capacity_and_hasher(rows / 2, Default::default()),
-                counts: vec![0],
-                ..DictTables::default()
-            },
-            text: FxHashMap::default(),
-            rows: 0,
+            tables: DictTables::new(),
         }
     }
 
@@ -163,79 +270,78 @@ impl DictBuilder {
     /// shares its allocation.
     #[inline]
     pub fn intern(&mut self, v: &Value) -> u32 {
-        self.rows += 1;
-        let t = &mut self.tables;
-        if v.is_null() {
-            t.nulls += 1;
-            t.counts[NULL_CODE as usize] += 1;
-            return NULL_CODE;
-        }
-        let code = match t.index.get(v) {
-            Some(&code) => code,
-            None => {
-                let code = t.values.len() as u32 + 1;
-                t.index.insert(v.clone(), code);
-                t.values.push(v.clone());
-                t.counts.push(0);
-                code
-            }
-        };
-        t.counts[code as usize] += 1;
-        code
+        self.tables.intern(v)
     }
 
     /// Interns one text cell given by its text: the code
     /// [`DictBuilder::intern`] gives `Value::Str` of the same text. A
     /// string seen before costs one lookup; a new one is allocated once
-    /// and shared by both encode tables and the decode table.
+    /// and shared by the encode and decode tables.
     #[inline]
     pub fn intern_text(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.text.get(s) {
-            self.rows += 1;
-            self.tables.counts[code as usize] += 1;
-            return code;
-        }
-        let shared: Arc<str> = Arc::from(s);
-        let code = self.intern(&Value::Str(Arc::clone(&shared)));
-        self.text.insert(shared, code);
-        code
+        self.tables.intern_text(s)
     }
 
-    /// Number of cells interned so far.
+    /// Interns one integer cell: the code [`DictBuilder::intern`] gives
+    /// `Value::Int(i)`.
     #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
+    pub fn intern_int(&mut self, i: i64) -> u32 {
+        self.tables.intern_int(i)
     }
 
-    /// Number of distinct non-NULL values interned so far.
-    #[inline]
-    pub fn cardinality(&self) -> usize {
-        self.tables.values.len()
+    /// The column of `codes`, the codes this builder handed out, in
+    /// row order.
+    pub fn finish(self, codes: Vec<u32>) -> ColumnDict {
+        self.finish_with(Codes::Resident(codes))
     }
 
-    /// Finishes into a codes-free (slim) dictionary — the resident
-    /// half of a spilled column (see [`ColumnDict::slim`]).
-    pub fn finish_slim(self) -> ColumnDict {
+    /// The column whose codes this builder handed out to `pages`.
+    pub fn finish_paged(self, pages: Arc<PagedColumn>) -> ColumnDict {
+        self.finish_with(Codes::Paged(pages))
+    }
+
+    fn finish_with(mut self, codes: Codes) -> ColumnDict {
+        self.tables.shrink_to_fit();
         ColumnDict {
-            codes: Vec::new(),
+            codes,
             tables: Arc::new(self.tables),
         }
     }
 }
 
-impl ColumnDict {
-    /// Interns one column. The only `Value` clones are one per
-    /// *distinct* value (into the decode and encode tables), never per
-    /// row.
-    pub fn build(column: &[Value]) -> Self {
-        let mut b = DictBuilder::with_row_capacity(column.len());
-        let mut codes = Vec::with_capacity(column.len());
-        for v in column {
-            codes.push(b.intern(v));
+/// One page-sized chunk of a column's codes, borrowed from a resident
+/// vector or pinned from the buffer pool while a kernel reads it.
+pub(crate) enum Chunk<'a> {
+    Resident(&'a [u32]),
+    Page(Arc<Vec<u32>>),
+}
+
+impl Deref for Chunk<'_> {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Chunk::Resident(codes) => codes,
+            Chunk::Page(page) => page,
         }
-        let mut dict = b.finish_slim();
-        dict.codes = codes;
-        dict
+    }
+}
+
+impl ColumnDict {
+    /// Interns one column of values.
+    pub fn build(column: &[Value]) -> Self {
+        let mut b = DictBuilder::new();
+        let codes = column.iter().map(|v| b.intern(v)).collect();
+        b.finish(codes)
+    }
+
+    /// The column over `pages` whose dictionary is `tables` — the
+    /// spill-cache load path.
+    pub(crate) fn paged(tables: DictTables, pages: Arc<PagedColumn>) -> Self {
+        ColumnDict {
+            codes: Codes::Paged(pages),
+            tables: Arc::new(tables),
+        }
     }
 
     /// Number of distinct non-NULL values — the unary
@@ -257,23 +363,175 @@ impl ColumnDict {
         self.tables.nulls
     }
 
-    /// The per-row code slice (0 = NULL).
-    #[inline]
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// Number of rows the column was built from.
+    /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
-        self.codes.len()
+        match &self.codes {
+            Codes::Resident(codes) => codes.len(),
+            Codes::Paged(pages) => pages.rows(),
+        }
+    }
+
+    /// The spilled pages holding the codes, when they are not
+    /// resident.
+    pub fn pages(&self) -> Option<&Arc<PagedColumn>> {
+        match &self.codes {
+            Codes::Resident(_) => None,
+            Codes::Paged(pages) => Some(pages),
+        }
+    }
+
+    /// The per-row codes (0 = NULL): borrowed when resident, read from
+    /// the column's own page file otherwise.
+    ///
+    /// # Panics
+    ///
+    /// When a page cannot be read, naming the relation and the file.
+    pub fn codes(&self) -> Cow<'_, [u32]> {
+        match &self.codes {
+            Codes::Resident(codes) => Cow::Borrowed(codes),
+            Codes::Paged(pages) => Cow::Owned(pages.read_all_or_die()),
+        }
+    }
+
+    /// The column with its codes resident: this one, shared, when they
+    /// are; otherwise a copy sharing its dictionary, with the codes read
+    /// through `pool`.
+    pub fn resident(self: &Arc<Self>, pool: &BufferPool) -> Result<Arc<ColumnDict>, PageError> {
+        match &self.codes {
+            Codes::Resident(_) => Ok(Arc::clone(self)),
+            Codes::Paged(pages) => Ok(Arc::new(ColumnDict {
+                codes: Codes::Resident(pages.read_all(pool)?),
+                tables: Arc::clone(&self.tables),
+            })),
+        }
+    }
+
+    /// This column with its codes in memory, paged codes read from the
+    /// column's own page file; the dictionary is shared.
+    ///
+    /// # Panics
+    ///
+    /// When a page cannot be read, naming the relation and the file.
+    pub fn into_resident(self) -> ColumnDict {
+        match &self.codes {
+            Codes::Resident(_) => self,
+            Codes::Paged(pages) => ColumnDict {
+                codes: Codes::Resident(pages.read_all_or_die()),
+                tables: self.tables,
+            },
+        }
+    }
+
+    /// Row `row`'s cell, borrowed from the decode table.
+    ///
+    /// # Panics
+    ///
+    /// When `row` is out of bounds, or the page holding a paged row
+    /// cannot be read (naming the relation and the file).
+    pub fn cell(&self, row: usize) -> &Value {
+        let code = match &self.codes {
+            Codes::Resident(codes) => codes[row],
+            Codes::Paged(pages) => pages.read_or_die(row / PAGE_CODES)[row % PAGE_CODES],
+        };
+        self.tables.decode(code)
+    }
+
+    /// Every cell in row order, borrowed from the decode table: the
+    /// accessor `Value`-level readers scan a column with. A paged
+    /// column is read one page at a time from its own page file.
+    ///
+    /// # Panics
+    ///
+    /// As [`ColumnDict::cell`].
+    pub fn values(&self) -> impl Iterator<Item = &Value> + '_ {
+        let chunks = match &self.codes {
+            Codes::Resident(codes) => codes.len().div_ceil(PAGE_CODES),
+            Codes::Paged(pages) => pages.file().pages() as usize,
+        };
+        (0..chunks).flat_map(move |i| {
+            let chunk: Cow<'_, [u32]> = match &self.codes {
+                Codes::Resident(codes) => {
+                    Cow::Borrowed(&codes[i * PAGE_CODES..((i + 1) * PAGE_CODES).min(codes.len())])
+                }
+                Codes::Paged(pages) => Cow::Owned(pages.read_or_die(i)),
+            };
+            (0..chunk.len()).map(move |j| self.tables.decode(chunk[j]))
+        })
+    }
+
+    /// Chunk `i`'s codes: rows `i * PAGE_CODES ..` up to the next page
+    /// boundary (or the last row), paged ones read through `pool`.
+    pub(crate) fn chunk<'a>(&'a self, pool: &BufferPool, i: usize) -> Result<Chunk<'a>, PageError> {
+        match &self.codes {
+            Codes::Resident(codes) => {
+                let start = i.saturating_mul(PAGE_CODES).min(codes.len());
+                let end = start.saturating_add(PAGE_CODES).min(codes.len());
+                Ok(Chunk::Resident(&codes[start..end]))
+            }
+            Codes::Paged(pages) => pages.page(pool, i as u32).map(Chunk::Page),
+        }
+    }
+
+    /// Appends one cell — the write path of [`crate::table::Table`].
+    /// Paged codes are brought into memory first, and a dictionary
+    /// another column shares is copied before it takes a new value.
+    pub(crate) fn push(&mut self, v: &Value) {
+        if let Codes::Paged(pages) = &self.codes {
+            self.codes = Codes::Resident(pages.read_all_or_die());
+        }
+        let code = Arc::make_mut(&mut self.tables).intern(v);
+        if let Codes::Resident(codes) = &mut self.codes {
+            codes.push(code);
+        }
+    }
+
+    /// The column of the cells at `rows`, in that order (repeats
+    /// allowed), with dense first-occurrence codes over the decode
+    /// values of this one: Restruct's gather of a split-off relation.
+    /// A gathered string shares its source's allocation.
+    pub fn gather(&self, rows: &[usize]) -> ColumnDict {
+        let codes = self.codes();
+        let mut remap: Vec<u32> = vec![u32::MAX; self.cardinality() + 1];
+        remap[NULL_CODE as usize] = NULL_CODE;
+        let mut tables = DictTables::new();
+        let gathered = rows
+            .iter()
+            .map(|&i| {
+                let old = codes[i] as usize;
+                let code = match remap[old] {
+                    u32::MAX => {
+                        let code = tables.add(self.tables.values[old - 1].clone());
+                        remap[old] = code;
+                        code
+                    }
+                    code => code,
+                };
+                if code == NULL_CODE {
+                    tables.nulls += 1;
+                }
+                tables.counts[code as usize] += 1;
+                code
+            })
+            .collect();
+        tables.shrink_to_fit();
+        ColumnDict {
+            codes: Codes::Resident(gathered),
+            tables: Arc::new(tables),
+        }
+    }
+
+    /// The dictionary, for tests that compare two.
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> &DictTables {
+        &self.tables
     }
 
     /// The code of `v` in this column, or [`NULL_CODE`] when `v` is
     /// NULL or absent from the column.
     #[inline]
     pub fn code_of(&self, v: &Value) -> u32 {
-        self.tables.index.get(v).copied().unwrap_or(NULL_CODE)
+        self.tables.index.get(v).unwrap_or(NULL_CODE)
     }
 
     /// Decodes a non-NULL code back into its value.
@@ -292,44 +550,21 @@ impl ColumnDict {
         &self.tables.values
     }
 
-    /// Per-code occurrence counts: `counts()[c]` is how many rows of
-    /// the source column carry code `c`, with `counts()[0]` the NULL
-    /// count. Length is `cardinality() + 1` for any dictionary built
-    /// through [`ColumnDict::build`] / [`DictBuilder`]; kernels treat
-    /// any other length as "counts unavailable" and fall back to a
-    /// counting pass.
+    /// Per-code occurrence counts: `code_counts()[c]` is how many rows
+    /// carry code `c`, with `code_counts()[0]` the NULL count. Length
+    /// is `cardinality() + 1`; kernels treat any other length as
+    /// "counts unavailable" and fall back to a counting pass.
     #[inline]
     pub fn code_counts(&self) -> &[u64] {
         &self.tables.counts
     }
 
-    /// Reassembles a slim dictionary from its serialized parts — the
-    /// spill-cache load path ([`crate::pages`]). The encode index is
-    /// rebuilt from the decode table; `counts` must follow the
-    /// [`ColumnDict::code_counts`] convention.
-    pub fn from_parts(values: Vec<Value>, nulls: usize, counts: Vec<u64>) -> ColumnDict {
-        let mut index = FxHashMap::with_capacity_and_hasher(values.len(), Default::default());
-        for (i, v) in values.iter().enumerate() {
-            index.insert(v.clone(), i as u32 + 1);
-        }
-        ColumnDict {
-            codes: Vec::new(),
-            tables: Arc::new(DictTables {
-                values,
-                index,
-                nulls,
-                counts,
-            }),
-        }
-    }
-
     /// The column's exact row, NULL and distinct counts, read off the
     /// per-code counts (O(cardinality), on every call). `None` when the
     /// dictionary cannot vouch for exactness: the fused-counts
-    /// invariant is broken (a hand-assembled dictionary with missing
-    /// counts, or a code no row carries) — then `cardinality()` may
-    /// over-count the live column and a shortcut taken on it would be
-    /// unsound.
+    /// invariant is broken (missing counts, or a code no row carries),
+    /// so `cardinality()` may over-count the live column and a
+    /// shortcut taken on it would be unsound.
     pub fn sketch(&self) -> Option<ColumnSketch> {
         let t = &*self.tables;
         if t.counts.len() != t.values.len() + 1 {
@@ -341,144 +576,14 @@ impl ColumnDict {
         let rows = t.counts.iter().sum::<u64>() as usize;
         Some(ColumnSketch::new(rows, t.nulls, t.values.len()))
     }
-
-    /// A codes-free copy: the decode/encode tables and the NULL count
-    /// survive, the per-row code vector is dropped. This is the
-    /// resident half of the paged store ([`crate::pages`]) — every
-    /// kernel that reads only `cardinality` / `code_of` /
-    /// `distinct_values` / `value_of` (notably [`code_translation`],
-    /// [`intersect_count`] and [`decode_set_cols`]) works on a slim
-    /// dictionary unchanged, while per-row codes stream from disk.
-    /// `rows()` reports 0 on the copy; the paged column tracks the
-    /// true row count itself. The copy shares this dictionary's
-    /// tables.
-    pub fn slim(&self) -> ColumnDict {
-        self.rehydrate(Vec::new())
-    }
-
-    /// A full dictionary from this (slim) one plus a per-row code
-    /// vector, sharing this one's tables — the paged store's
-    /// rehydration path for consumers that need random access to a
-    /// streamed column's codes (the `column_dict()` seam):
-    /// RHS-Discovery's g3 error and Restruct's hydration of streamed
-    /// columns.
-    pub fn rehydrate(&self, codes: Vec<u32>) -> ColumnDict {
-        ColumnDict {
-            codes,
-            tables: Arc::clone(&self.tables),
-        }
-    }
 }
 
-/// One column's per-row codes, as every FD question reads its cells:
-/// two rows hold the same cell exactly when they hold the same code
-/// ([`NULL_CODE`] for NULL, `NaN = NaN` by bit key), because one
-/// column's codes are injective on its values. Codes are dense: they
-/// run over `0..=distinct()`.
-#[derive(Debug, Clone)]
-pub enum ColumnCodes {
-    /// A resident column's codes-only encoding ([`ColumnCodes::encode`]).
-    Resident {
-        /// Per-row codes, first-occurrence order, 0 for NULL.
-        codes: Vec<u32>,
-        /// Distinct non-NULL values.
-        distinct: usize,
-        /// NULL rows.
-        nulls: usize,
-    },
-    /// A streamed column's backend-served dictionary, per-row codes
-    /// included.
-    Streamed(Arc<ColumnDict>),
-}
-
-impl ColumnCodes {
-    /// Encodes a resident column: the interning loop of
-    /// [`ColumnDict::build`] over borrowed values, 4 bytes a row. No
-    /// decode table, no encode index and no value copy outlives it.
-    pub fn encode(column: &[Value]) -> ColumnCodes {
-        let mut index: HashMap<&Value, u32, BuildHasherDefault<CellHasher>> = HashMap::default();
-        let mut nulls = 0;
-        let codes = column
-            .iter()
-            .map(|v| {
-                if v.is_null() {
-                    nulls += 1;
-                    return NULL_CODE;
-                }
-                let next = index.len() as u32 + 1;
-                *index.entry(v).or_insert(next)
-            })
-            .collect();
-        ColumnCodes::Resident {
-            codes,
-            distinct: index.len(),
-            nulls,
-        }
-    }
-
-    /// The per-row codes.
-    pub fn codes(&self) -> &[u32] {
-        match self {
-            ColumnCodes::Resident { codes, .. } => codes,
-            ColumnCodes::Streamed(dict) => dict.codes(),
-        }
-    }
-
-    /// Distinct non-NULL values, i.e. the largest code.
-    pub fn distinct(&self) -> usize {
-        match self {
-            ColumnCodes::Resident { distinct, .. } => *distinct,
-            ColumnCodes::Streamed(dict) => dict.cardinality(),
-        }
-    }
-
-    /// Does any row hold NULL?
-    pub fn has_null(&self) -> bool {
-        match self {
-            ColumnCodes::Resident { nulls, .. } => *nulls > 0,
-            ColumnCodes::Streamed(dict) => dict.has_null(),
-        }
-    }
-}
-
-/// [`FxHasher`] under a type of its own, for the borrowed keys of
-/// [`ColumnCodes::encode`]. Hashing them through `FxHasher` itself
-/// gives its instantiation of `Value`'s hash more callers, and the
-/// compiler then stops inlining it into `ColumnDict::build` and
-/// `ColumnDict::code_of`: IND-Discovery's join statistics ran 10–15%
-/// slower.
-#[derive(Default)]
-struct CellHasher(FxHasher);
-
-impl Hasher for CellHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0.finish()
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.0.write_u8(i);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.0.write_u32(i);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.0.write_u64(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.0.write_usize(i);
+/// Two columns are equal when they hold the same cells in the same
+/// order; their codes and decode tables then agree too, since both
+/// follow first occurrence.
+impl PartialEq for ColumnDict {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows() == other.rows() && self.values().eq(other.values())
     }
 }
 
@@ -488,12 +593,12 @@ impl Hasher for CellHasher {
 /// wider tuple is folded column by column into dense keys, over the
 /// rows of `groups` only — every other row's key stays 0, unread.
 pub fn tuple_keys<'a>(
-    cols: &'a [Arc<ColumnCodes>],
+    cols: &'a [Arc<ColumnDict>],
     groups: &[Vec<usize>],
     rows: usize,
 ) -> (Cow<'a, [u32]>, usize) {
     if let [col] = cols {
-        return (Cow::Borrowed(col.codes()), col.distinct() + 1);
+        return (col.codes(), col.cardinality() + 1);
     }
     let mut keys = vec![0u32; rows];
     let mut count = 1;
@@ -548,7 +653,7 @@ impl Tally {
 }
 
 /// The set of distinct, fully non-NULL projected code tuples of one
-/// side — the encoded counterpart of [`Table::distinct_projection`].
+/// side — the encoded counterpart of [`crate::table::Table::distinct_projection`].
 ///
 /// The representation is chosen by projection arity:
 /// * 1 attribute: codes are assigned first-occurrence, so the distinct
@@ -591,7 +696,7 @@ fn pack2(hi: u32, lo: u32) -> u64 {
 }
 
 /// Decodes an [`EncodedSet`] produced from `cols` back into `Value`
-/// tuples; equals [`Table::distinct_projection`]. Reads only the
+/// tuples; equals [`crate::table::Table::distinct_projection`]. Reads only the
 /// decode tables, so slim dictionaries serve.
 pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKey> {
     let decode_one = |col: &ColumnDict, code: u32| -> Value {
@@ -621,86 +726,29 @@ pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKe
     }
 }
 
-// ---- the kernel family over code sources ----------------------------
+// ---- the kernel family ---------------------------------------------
 //
-// Every row-scan kernel reads its columns through a [`CodeSource`]:
-// page-sized chunks of codes, streamed once, in lockstep, into one
+// Every row-scan kernel reads its columns in page-sized chunks
+// (`ColumnDict::chunk`), streamed once, in lockstep, into one
 // accumulator. Multi-column kernels take the projected columns as a
 // slice (repeats allowed — a projection list can name a column twice)
 // plus the table's row count, which disambiguates the empty projection.
-
-/// A column whose per-row codes are read in page-sized chunks through
-/// a pager: chunk `i` holds rows `i * PAGE_CODES ..` up to the next
-/// page boundary (or the last row).
-///
-/// A built [`ColumnDict`] is resident codes: its pager is `()`, each
-/// chunk a slice of the code vector, and no read can fail. A
-/// [`crate::pages::PagedColumn`] is spilled codes: its pager is the
-/// [`crate::bufpool::BufferPool`], each chunk a pooled page, and a read
-/// fails with a [`crate::pages::PageError`].
-pub trait CodeSource {
-    /// What chunks are read through.
-    type Pager;
-    /// Why a chunk could not be read — [`Infallible`] for resident
-    /// codes.
-    type Error;
-    /// One chunk's codes, borrowed or pinned for the scan.
-    type Chunk<'a>: Deref<Target = [u32]>
-    where
-        Self: 'a;
-
-    /// The column's dictionary; a slim one is enough (kernels read only
-    /// its cardinality, NULL count and fused code counts).
-    fn dict(&self) -> &ColumnDict;
-
-    /// Rows the column encodes.
-    fn rows(&self) -> usize;
-
-    /// Chunk `i`'s codes.
-    fn chunk<'a>(
-        &'a self,
-        pager: &'a Self::Pager,
-        i: usize,
-    ) -> Result<Self::Chunk<'a>, Self::Error>;
-}
-
-/// Resident codes: each chunk is a slice of the code vector.
-impl CodeSource for ColumnDict {
-    type Pager = ();
-    type Error = Infallible;
-    type Chunk<'a> = &'a [u32];
-
-    fn dict(&self) -> &ColumnDict {
-        self
-    }
-
-    fn rows(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn chunk<'a>(&'a self, _: &'a (), i: usize) -> Result<&'a [u32], Infallible> {
-        let len = self.codes.len();
-        let start = i.saturating_mul(PAGE_CODES).min(len);
-        let end = start.saturating_add(PAGE_CODES).min(len);
-        Ok(&self.codes[start..end])
-    }
-}
 
 /// Streams the chunks of `rows`-row columns `cols` in lockstep, calling
 /// `f(first_row, slices)` once per chunk in order. Holding the chunks
 /// across the callback keeps pooled pages alive even if the pool
 /// evicts them mid-iteration, so a capacity-1 pool is slow but never
 /// wrong.
-fn stream<C: CodeSource>(
-    cols: &[&C],
-    pager: &C::Pager,
+fn stream(
+    cols: &[&ColumnDict],
+    pool: &BufferPool,
     rows: usize,
     mut f: impl FnMut(usize, &[&[u32]]),
-) -> Result<(), C::Error> {
+) -> Result<(), PageError> {
     for i in 0..rows.div_ceil(PAGE_CODES) {
-        let chunks: Vec<C::Chunk<'_>> = cols
+        let chunks: Vec<Chunk<'_>> = cols
             .iter()
-            .map(|c| c.chunk(pager, i))
+            .map(|c| c.chunk(pool, i))
             .collect::<Result<_, _>>()?;
         // Lockstep chunks of one table have equal lengths; trimming to
         // the shortest keeps every index loop in bounds regardless.
@@ -715,17 +763,14 @@ fn stream<C: CodeSource>(
 /// dictionary's fused counts ([`ColumnDict::code_counts`]) when they
 /// hold, else one chunked counting pass (any other length means
 /// "unavailable" by convention).
-fn code_counts<'a, C: CodeSource>(
-    col: &'a C,
-    pager: &C::Pager,
-) -> Result<Cow<'a, [u64]>, C::Error> {
-    let domain = col.dict().cardinality() + 1;
-    let fused = col.dict().code_counts();
+fn code_counts<'a>(col: &'a ColumnDict, pool: &BufferPool) -> Result<Cow<'a, [u64]>, PageError> {
+    let domain = col.cardinality() + 1;
+    let fused = col.code_counts();
     if fused.len() == domain {
         return Ok(Cow::Borrowed(fused));
     }
     let mut counts: Vec<u64> = vec![0; domain];
-    stream(&[col], pager, col.rows(), |_, s| {
+    stream(&[col], pool, col.rows(), |_, s| {
         for &c in s[0] {
             counts[c as usize] += 1;
         }
@@ -752,14 +797,14 @@ fn group_slots(counts: &[u64], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
 /// The counting-sort fill shared by [`lhs_groups`] and [`partition1`]:
 /// every row whose code has a slot lands in its group, allocated at
 /// its final size. Rows arrive in order, so row ids stay ascending.
-fn fill_groups<C: CodeSource>(
-    col: &C,
-    pager: &C::Pager,
+fn fill_groups(
+    col: &ColumnDict,
+    pool: &BufferPool,
     slots: &[u32],
     sizes: &[usize],
-) -> Result<Vec<Vec<usize>>, C::Error> {
+) -> Result<Vec<Vec<usize>>, PageError> {
     let mut groups: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    stream(&[col], pager, col.rows(), |base, s| {
+    stream(&[col], pool, col.rows(), |base, s| {
         for (i, &c) in s[0].iter().enumerate() {
             let slot = slots[c as usize];
             if slot != u32::MAX {
@@ -781,12 +826,12 @@ fn sorted_groups<K>(map: FxHashMap<K, Vec<usize>>) -> Vec<Vec<usize>> {
 /// The distinct non-NULL projected code tuples (SQL semantics: rows
 /// with a NULL among the projection are dropped) — `‖r[cols]‖` is its
 /// length, and [`decode_set_cols`] recovers the exact
-/// [`Table::distinct_projection`] result.
-pub fn distinct_codes<C: CodeSource>(
-    cols: &[&C],
-    pager: &C::Pager,
+/// [`crate::table::Table::distinct_projection`] result.
+pub fn distinct_codes(
+    cols: &[&ColumnDict],
+    pool: &BufferPool,
     rows: usize,
-) -> Result<EncodedSet, C::Error> {
+) -> Result<EncodedSet, PageError> {
     match cols {
         [] => {
             // π_∅ is {[]} on a non-empty table, {} on an empty one
@@ -798,14 +843,14 @@ pub fn distinct_codes<C: CodeSource>(
             Ok(EncodedSet::Wide(s))
         }
         [c] => Ok(EncodedSet::Unary {
-            card: c.dict().cardinality() as u32,
+            card: c.cardinality() as u32,
         }),
         [ca, cb] => {
-            let domain = ca.dict().cardinality() as u64 * cb.dict().cardinality() as u64;
+            let domain = ca.cardinality() as u64 * cb.cardinality() as u64;
             let cap = domain.min(rows as u64) as usize;
             let mut set: FxHashSet<u64> =
                 FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            stream(cols, pager, rows, |_, s| {
+            stream(cols, pool, rows, |_, s| {
                 for (&x, &y) in s[0].iter().zip(s[1]) {
                     if x != NULL_CODE && y != NULL_CODE {
                         set.insert(pack2(x, y));
@@ -817,7 +862,7 @@ pub fn distinct_codes<C: CodeSource>(
         _ => {
             let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
             let mut scratch: Vec<u32> = vec![0; cols.len()];
-            stream(cols, pager, rows, |_, s| {
+            stream(cols, pool, rows, |_, s| {
                 'rows: for i in 0..s[0].len() {
                     for (k, c) in scratch.iter_mut().zip(s) {
                         if c[i] == NULL_CODE {
@@ -842,11 +887,11 @@ pub fn distinct_codes<C: CodeSource>(
 /// [`crate::backend::CountBackend::lhs_groups`]. Unary group sizes
 /// come from the dictionary's fused counts, so singleton codes — the
 /// common case on key-like columns — never allocate a group.
-pub fn lhs_groups<C: CodeSource>(
-    cols: &[&C],
-    pager: &C::Pager,
+pub fn lhs_groups(
+    cols: &[&ColumnDict],
+    pool: &BufferPool,
     rows: usize,
-) -> Result<Vec<Vec<usize>>, C::Error> {
+) -> Result<Vec<Vec<usize>>, PageError> {
     match cols {
         [] => {
             // No attributes, no NULLs to skip: all rows agree.
@@ -857,17 +902,17 @@ pub fn lhs_groups<C: CodeSource>(
             })
         }
         [col] => {
-            let counts = code_counts(*col, pager)?;
+            let counts = code_counts(col, pool)?;
             // slots[NULL_CODE] stays MAX (NULL rows never group), so
             // the fill pass needs no NULL check.
             let (slots, sizes) = group_slots(&counts, true);
-            let mut groups = fill_groups(*col, pager, &slots, &sizes)?;
+            let mut groups = fill_groups(col, pool, &slots, &sizes)?;
             groups.sort();
             Ok(groups)
         }
         [_, _] => {
             let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            stream(cols, pager, rows, |base, s| {
+            stream(cols, pool, rows, |base, s| {
                 for (i, (&x, &y)) in s[0].iter().zip(s[1]).enumerate() {
                     if x != NULL_CODE && y != NULL_CODE {
                         map.entry(pack2(x, y)).or_default().push(base + i);
@@ -879,7 +924,7 @@ pub fn lhs_groups<C: CodeSource>(
         _ => {
             let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
             let mut scratch: Vec<u32> = vec![0; cols.len()];
-            stream(cols, pager, rows, |base, s| {
+            stream(cols, pool, rows, |base, s| {
                 'rows: for i in 0..s[0].len() {
                     for (k, c) in scratch.iter_mut().zip(s) {
                         if c[i] == NULL_CODE {
@@ -904,64 +949,15 @@ pub fn lhs_groups<C: CodeSource>(
 /// [`StrippedPartition::for_attribute`]. Class sizes come from the
 /// dictionary's fused counts, so stripped singleton classes never
 /// allocate and the kernel is a single fill pass.
-pub fn partition1<C: CodeSource>(col: &C, pager: &C::Pager) -> Result<StrippedPartition, C::Error> {
-    let counts = code_counts(col, pager)?;
+pub fn partition1(col: &ColumnDict, pool: &BufferPool) -> Result<StrippedPartition, PageError> {
+    let counts = code_counts(col, pool)?;
     let (slots, sizes) = group_slots(&counts, false);
-    let mut classes = fill_groups(col, pager, &slots, &sizes)?;
+    let mut classes = fill_groups(col, pool, &slots, &sizes)?;
     classes.sort();
     Ok(StrippedPartition {
         classes,
         rows: col.rows(),
     })
-}
-
-/// A fully dictionary-encoded table: one shared [`ColumnDict`] per
-/// attribute, resident.
-///
-/// Immutable after construction. Whole-table consumers (TANE, SPIDER,
-/// key discovery) use this; per-projection consumers go through a
-/// counting backend's column cache.
-#[derive(Debug, Clone, Default)]
-pub struct DictTable {
-    columns: Vec<Arc<ColumnDict>>,
-    rows: usize,
-}
-
-impl DictTable {
-    /// Encodes every column of `table`. One pass per column.
-    pub fn build(table: &Table) -> Self {
-        let columns = (0..table.arity())
-            .map(|i| Arc::new(ColumnDict::build(table.column(AttrId(i as u16)))))
-            .collect();
-        DictTable {
-            columns,
-            rows: table.len(),
-        }
-    }
-
-    /// Number of rows of the encoded table.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// One column's dictionary.
-    #[inline]
-    pub fn column(&self, attr: AttrId) -> &ColumnDict {
-        self.columns[attr.index()].as_ref()
-    }
-
-    /// Unary stripped partition; see [`partition1`]. Resident codes
-    /// cannot fail to read.
-    pub fn partition1(&self, attr: AttrId) -> StrippedPartition {
-        partition1(self.column(attr), &()).unwrap_or_else(|never| match never {})
-    }
 }
 
 /// Per-position code translation `left code → right code`
@@ -1073,23 +1069,28 @@ pub fn intersect_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::AttrId;
+    use crate::table::Table;
 
     fn a(i: u16) -> AttrId {
         AttrId(i)
     }
 
-    /// Resident kernels cannot fail.
-    fn ok<T>(r: Result<T, Infallible>) -> T {
-        r.unwrap_or_else(|never| match never {})
+    /// Resident codes always read.
+    fn ok<T>(r: Result<T, PageError>) -> T {
+        r.unwrap()
     }
 
-    fn cols<'a>(d: &'a DictTable, attrs: &[AttrId]) -> Vec<&'a ColumnDict> {
-        attrs.iter().map(|&x| d.column(x)).collect()
+    fn cols<'a>(t: &'a Table, attrs: &[AttrId]) -> Vec<&'a ColumnDict> {
+        attrs.iter().map(|&x| &**t.column(x)).collect()
+    }
+
+    fn pool() -> BufferPool {
+        BufferPool::with_capacity_pages(1)
     }
 
     fn sample() -> Table {
         // (x, y): (1,'a') (1,'a') (2,'b') (NULL,'c') (3,NULL)
-        #[allow(clippy::unwrap_used)]
         Table::from_rows(
             2,
             vec![
@@ -1106,24 +1107,26 @@ mod tests {
     #[test]
     fn null_encodes_to_sentinel_and_values_to_dense_codes() {
         let t = sample();
-        let d = DictTable::build(&t);
-        assert_eq!(d.rows(), 5);
-        assert_eq!(d.column(a(0)).codes(), &[1, 1, 2, 0, 3]);
-        assert_eq!(d.column(a(1)).codes(), &[1, 1, 2, 3, 0]);
-        assert_eq!(d.column(a(0)).cardinality(), 3);
-        assert!(d.column(a(0)).has_null());
-        assert_eq!(d.column(a(0)).null_count(), 1);
-        assert_eq!(d.column(a(0)).value_of(1), Some(&Value::Int(1)));
-        assert_eq!(d.column(a(0)).value_of(0), None);
-        assert_eq!(d.column(a(0)).code_of(&Value::Int(2)), 2);
-        assert_eq!(d.column(a(0)).code_of(&Value::Int(99)), NULL_CODE);
-        assert_eq!(d.column(a(0)).code_of(&Value::Null), NULL_CODE);
+        let (x, y) = (t.column(a(0)), t.column(a(1)));
+        assert_eq!(x.rows(), 5);
+        assert_eq!(*x.codes(), [1, 1, 2, 0, 3]);
+        assert_eq!(*y.codes(), [1, 1, 2, 3, 0]);
+        assert_eq!(x.cardinality(), 3);
+        assert!(x.has_null());
+        assert_eq!(x.null_count(), 1);
+        assert_eq!(x.value_of(1), Some(&Value::Int(1)));
+        assert_eq!(x.value_of(0), None);
+        assert_eq!(x.code_of(&Value::Int(2)), 2);
+        assert_eq!(x.code_of(&Value::Int(99)), NULL_CODE);
+        assert_eq!(x.code_of(&Value::Null), NULL_CODE);
+        assert_eq!(y.code_of(&Value::str("c")), 3);
+        assert_eq!(x.cell(3), &Value::Null);
+        assert_eq!(y.cell(2), &Value::str("b"));
     }
 
     #[test]
     fn count_distinct_matches_reference() {
         let t = sample();
-        let d = DictTable::build(&t);
         for attrs in [
             vec![a(0)],
             vec![a(1)],
@@ -1134,7 +1137,7 @@ mod tests {
             vec![],
         ] {
             assert_eq!(
-                ok(distinct_codes(&cols(&d, &attrs), &(), d.rows())).len(),
+                ok(distinct_codes(&cols(&t, &attrs), &pool(), t.len())).len(),
                 t.count_distinct(&attrs),
                 "attrs {attrs:?}"
             );
@@ -1144,10 +1147,9 @@ mod tests {
     #[test]
     fn decode_recovers_reference_projection() {
         let t = sample();
-        let d = DictTable::build(&t);
         for attrs in [vec![a(0)], vec![a(0), a(1)], vec![a(1), a(0), a(0)]] {
-            let c = cols(&d, &attrs);
-            let set = ok(distinct_codes(&c, &(), d.rows()));
+            let c = cols(&t, &attrs);
+            let set = ok(distinct_codes(&c, &pool(), t.len()));
             assert_eq!(
                 decode_set_cols(&c, &set),
                 t.distinct_projection(&attrs),
@@ -1159,19 +1161,16 @@ mod tests {
     #[test]
     fn partitions_match_reference() {
         let t = sample();
-        let d = DictTable::build(&t);
         for x in [a(0), a(1)] {
             let expected = StrippedPartition::for_attribute(&t, x);
-            assert_eq!(ok(partition1(d.column(x), &())), expected, "attr {x:?}");
-            assert_eq!(d.partition1(x), expected, "attr {x:?}");
+            assert_eq!(ok(partition1(t.column(x), &pool())), expected, "attr {x:?}");
         }
     }
 
     #[test]
     fn lhs_groups_skip_null_rows() {
         let t = sample();
-        let d = DictTable::build(&t);
-        let groups = |attrs: &[AttrId]| ok(lhs_groups(&cols(&d, attrs), &(), d.rows()));
+        let groups = |attrs: &[AttrId]| ok(lhs_groups(&cols(&t, attrs), &pool(), t.len()));
         // x: value 1 on rows {0,1}; NULL row 3 skipped.
         assert_eq!(groups(&[a(0)]), vec![vec![0, 1]]);
         // (x, y): only (1,'a') repeats.
@@ -1181,29 +1180,18 @@ mod tests {
 
     #[test]
     fn join_stats_translate_across_tables() {
-        #[allow(clippy::unwrap_used)]
-        let l = Table::from_rows(
-            1,
-            [1, 2, 2, 4, -7]
-                .iter()
-                .map(|&v| vec![Value::Int(v)])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        #[allow(clippy::unwrap_used)]
-        let r = Table::from_rows(
-            1,
-            [4, 1, 9]
-                .iter()
-                .map(|&v| vec![Value::Int(v)])
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let (dl, dr) = (DictTable::build(&l), DictTable::build(&r));
-        let (lc, rc) = (cols(&dl, &[a(0)]), cols(&dr, &[a(0)]));
+        let ints = |vs: &[i64]| {
+            Table::from_rows(
+                1,
+                vs.iter().map(|&v| vec![Value::Int(v)]).collect::<Vec<_>>(),
+            )
+            .unwrap()
+        };
+        let (l, r) = (ints(&[1, 2, 2, 4, -7]), ints(&[4, 1, 9]));
+        let (lc, rc) = (cols(&l, &[a(0)]), cols(&r, &[a(0)]));
         let (ls, rs) = (
-            ok(distinct_codes(&lc, &(), dl.rows())),
-            ok(distinct_codes(&rc, &(), dr.rows())),
+            ok(distinct_codes(&lc, &pool(), l.len())),
+            ok(distinct_codes(&rc, &pool(), r.len())),
         );
         assert_eq!(
             (ls.len(), rs.len(), intersect_count(&lc, &ls, &rc, &rs)),
@@ -1214,7 +1202,6 @@ mod tests {
     #[test]
     fn nan_interns_consistently() {
         use crate::value::OrdF64;
-        #[allow(clippy::unwrap_used)]
         let t = Table::from_rows(
             1,
             vec![
@@ -1224,15 +1211,14 @@ mod tests {
             ],
         )
         .unwrap();
-        let d = DictTable::build(&t);
         // Same-payload NaNs share a code (OrdF64 total order).
-        assert_eq!(d.column(a(0)).cardinality(), 2);
+        assert_eq!(t.column(a(0)).cardinality(), 2);
         assert_eq!(
-            ok(distinct_codes(&cols(&d, &[a(0)]), &(), d.rows())).len(),
+            ok(distinct_codes(&cols(&t, &[a(0)]), &pool(), t.len())).len(),
             t.count_distinct(&[a(0)])
         );
         assert_eq!(
-            d.partition1(a(0)),
+            ok(partition1(t.column(a(0)), &pool())),
             StrippedPartition::for_attribute(&t, a(0))
         );
     }
@@ -1240,118 +1226,130 @@ mod tests {
     #[test]
     fn empty_table_kernels() {
         let t = Table::new(2);
-        let d = DictTable::build(&t);
-        let (x, xy) = (cols(&d, &[a(0)]), cols(&d, &[a(0), a(1)]));
-        assert_eq!(ok(distinct_codes(&x, &(), 0)).len(), 0);
-        assert_eq!(ok(distinct_codes(&xy, &(), 0)).len(), 0);
-        assert!(ok(distinct_codes::<ColumnDict>(&[], &(), 0)).is_empty());
-        assert!(d.partition1(a(0)).is_key());
-        assert!(ok(lhs_groups(&x, &(), 0)).is_empty());
-        assert!(ok(lhs_groups(&xy, &(), 0)).is_empty());
+        let (x, xy) = (cols(&t, &[a(0)]), cols(&t, &[a(0), a(1)]));
+        assert_eq!(ok(distinct_codes(&x, &pool(), 0)).len(), 0);
+        assert_eq!(ok(distinct_codes(&xy, &pool(), 0)).len(), 0);
+        assert!(ok(distinct_codes(&[], &pool(), 0)).is_empty());
+        assert!(ok(partition1(t.column(a(0)), &pool())).is_key());
+        assert!(ok(lhs_groups(&x, &pool(), 0)).is_empty());
+        assert!(ok(lhs_groups(&xy, &pool(), 0)).is_empty());
     }
 
+    /// The typed interning paths give the codes `intern` gives, the
+    /// fused counts hold, and `build` is the same builder.
     #[test]
-    fn builder_matches_batch_build_and_counts_are_fused() {
+    fn typed_interning_matches_intern_and_counts_are_fused() {
         let t = sample();
         for i in 0..t.arity() {
-            let column = t.column(a(i as u16));
-            let built = ColumnDict::build(column);
+            let built = ColumnDict::build(&t.values(a(i as u16)).cloned().collect::<Vec<_>>());
             // Fused counts: one slot per code, NULLs in slot 0.
             assert_eq!(built.code_counts().len(), built.cardinality() + 1);
             assert_eq!(built.code_counts()[0], built.null_count() as u64);
             let total: u64 = built.code_counts().iter().sum();
             assert_eq!(total, built.rows() as u64);
-            // Streaming interner reproduces the batch dictionary.
-            let mut b = DictBuilder::new();
-            let codes: Vec<u32> = column.iter().map(|v| b.intern(v)).collect();
-            assert_eq!(codes, built.codes());
-            let slim = b.finish_slim();
-            assert_eq!(slim.distinct_values(), built.distinct_values());
-            assert_eq!(slim.null_count(), built.null_count());
-            assert_eq!(slim.code_counts(), built.code_counts());
-            // from_parts round-trips the serialized shape.
-            let parts = ColumnDict::from_parts(
-                slim.distinct_values().to_vec(),
-                slim.null_count(),
-                slim.code_counts().to_vec(),
-            );
-            assert_eq!(parts.code_of(&Value::Int(1)), built.code_of(&Value::Int(1)));
-            assert_eq!(parts.cardinality(), built.cardinality());
+            let mut typed = DictBuilder::new();
+            let codes: Vec<u32> = t
+                .values(a(i as u16))
+                .map(|v| match v {
+                    Value::Int(n) => typed.intern_int(*n),
+                    Value::Str(s) => typed.intern_text(s),
+                    v => typed.intern(v),
+                })
+                .collect();
+            assert_eq!(codes, *built.codes());
+            let typed = typed.finish(codes);
+            assert_eq!(typed.distinct_values(), built.distinct_values());
+            assert_eq!(typed.code_counts(), built.code_counts());
+            assert_eq!(&typed, &**t.column(a(i as u16)));
         }
-    }
-
-    /// `built`'s decode table and codes, with no per-code counts.
-    fn without_counts(built: &ColumnDict) -> ColumnDict {
-        ColumnDict::from_parts(
-            built.distinct_values().to_vec(),
-            built.null_count(),
-            Vec::new(),
-        )
-        .rehydrate(built.codes().to_vec())
     }
 
     #[test]
     fn kernels_fall_back_when_counts_missing() {
-        // A hand-assembled dictionary without the counts invariant
-        // must still partition correctly: the kernels recount.
+        // A dictionary without the counts invariant must still
+        // partition correctly: the kernels recount.
         let t = sample();
-        let built = ColumnDict::build(t.column(a(0)));
-        let manual = without_counts(&built);
-        assert_eq!(ok(partition1(&manual, &())), ok(partition1(&built, &())));
+        let built = t.column(a(0));
+        let mut tables = (*built.tables).clone();
+        tables.counts.clear();
+        let manual = ColumnDict {
+            codes: built.codes.clone(),
+            tables: Arc::new(tables),
+        };
         assert_eq!(
-            ok(lhs_groups(&[&manual], &(), t.len())),
-            ok(lhs_groups(&[&built], &(), t.len()))
+            ok(partition1(&manual, &pool())),
+            ok(partition1(built, &pool()))
         );
+        assert_eq!(
+            ok(lhs_groups(&[&manual], &pool(), t.len())),
+            ok(lhs_groups(&[&**built], &pool(), t.len()))
+        );
+        // Broken counts invariant → no sketch (shortcuts stay sound).
+        assert!(manual.sketch().is_none());
     }
 
     #[test]
     fn dict_sketch_is_exact() {
         let t = sample();
-        let built = ColumnDict::build(t.column(a(0)));
+        let built = t.column(a(0));
         let sketch = built.sketch().expect("counts invariant holds");
         assert_eq!(sketch.distinct_exact(), built.cardinality());
         assert_eq!(sketch.null_count(), built.null_count());
         assert_eq!(sketch.rows(), built.rows());
-        // The counts survive slimming (rows come from the per-code
-        // counts, not the dropped code vector) and rehydration.
-        assert_eq!(built.slim().sketch(), Some(sketch));
-        assert_eq!(
-            built.slim().rehydrate(built.codes().to_vec()).sketch(),
-            Some(sketch)
-        );
-        // Broken counts invariant → no sketch (shortcuts stay sound).
-        assert!(without_counts(&built).sketch().is_none());
         // A code no row carries (zero count) → no sketch.
-        let unused = ColumnDict::from_parts(vec![Value::Int(1), Value::Int(2)], 0, vec![0, 1, 0]);
+        let unused = ColumnDict {
+            codes: Codes::Resident(vec![2]),
+            tables: Arc::new(DictTables::from_parts(
+                vec![Value::Int(1), Value::Int(2)],
+                0,
+                vec![0, 0, 1],
+            )),
+        };
         assert!(unused.sketch().is_none());
     }
 
-    /// The paged store's copies of a dictionary — the slim half it
-    /// keeps resident and every rehydration for `column_dict` — share
-    /// the source's tables instead of copying them, and still compare
-    /// equal by content.
+    /// A gathered column takes dense first-occurrence codes over the
+    /// source's decode values, sharing their allocations, and keeps
+    /// exact counts.
     #[test]
-    fn slim_and_rehydrate_share_the_tables() {
+    fn gather_remaps_to_dense_first_occurrence_codes() {
         let t = sample();
-        let built = ColumnDict::build(t.column(a(1)));
-        let slim = built.slim();
-        let full = slim.rehydrate(built.codes().to_vec());
-        for copy in [&slim, &full] {
-            assert!(std::ptr::eq(
-                copy.distinct_values(),
-                built.distinct_values()
-            ));
-            assert!(std::ptr::eq(copy.code_counts(), built.code_counts()));
-        }
-        assert_eq!(slim.rows(), 0);
-        assert_eq!(full, built);
-        // A dictionary built apart from the same cells is equal, though
-        // it shares nothing.
-        let twin = ColumnDict::build(t.column(a(1)));
-        assert!(!std::ptr::eq(
-            twin.distinct_values(),
-            built.distinct_values()
-        ));
-        assert_eq!(twin, built);
+        let y = t.column(a(1));
+        let g = y.gather(&[4, 2, 2, 0]);
+        assert_eq!(*g.codes(), [0, 1, 1, 2]);
+        assert_eq!(g.distinct_values(), [Value::str("b"), Value::str("a")]);
+        assert_eq!(g.code_counts(), [1, 2, 1]);
+        assert_eq!(g.null_count(), 1);
+        let (Value::Str(from), Value::Str(to)) = (y.cell(2), g.cell(1)) else {
+            panic!("text cells")
+        };
+        assert!(Arc::ptr_eq(from, to));
+    }
+
+    /// A copy of a column shares its dictionary until it is written;
+    /// the write copies the dictionary and leaves the source alone.
+    #[test]
+    fn a_write_copies_a_shared_dictionary() {
+        let t = sample();
+        let source = t.column(a(0));
+        let mut copy = ColumnDict::clone(source);
+        assert!(Arc::ptr_eq(&copy.tables, &source.tables));
+        copy.push(&Value::Int(7));
+        assert!(!Arc::ptr_eq(&copy.tables, &source.tables));
+        assert_eq!(source.cardinality(), 3);
+        assert_eq!((copy.cardinality(), copy.rows()), (4, 6));
+        assert_eq!(copy.cell(5), &Value::Int(7));
+    }
+
+    /// A kept dictionary carries no growth slack: `finish` shrinks it
+    /// to its cardinality.
+    #[test]
+    fn finish_releases_the_growth_slack() {
+        let mut b = DictBuilder::new();
+        let codes = (0..1000).map(|i| b.intern_int(i % 600)).collect();
+        let column = b.finish(codes);
+        assert_eq!(column.cardinality(), 600);
+        assert_eq!(column.tables.values.capacity(), 600);
+        assert_eq!(column.tables.counts.capacity(), 601);
     }
 }

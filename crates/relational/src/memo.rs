@@ -3,13 +3,11 @@
 //! The paper's method asks the `‖·‖` primitive the same questions many
 //! times (§6.1 asks each join of `Q` for three cardinalities, §6.2.2
 //! runs a batch of `A → b` tests over one `A`), so the `StatsEngine`
-//! memoizes each probe's answer and the columnar backend each column,
-//! encoded set and rehydrated dictionary. All ten caches are one
-//! [`Memo`]: a map from a key to a value tagged with the table
-//! generation(s) it was built from ([`Database::generation`]). An entry
-//! is served only at its tag; a build at a new tag replaces it and
-//! hands the stale value back, so the caller can release what it held
-//! (the paged backend purges a replaced spilled column's pages).
+//! memoizes each probe's answer and the columnar backend each encoded
+//! set. All eight caches are one [`Memo`]: a map from a key to a value
+//! tagged with the table generation(s) it was built from
+//! ([`Database::generation`]). An entry is served only at its tag; a
+//! build at a new tag replaces it.
 //!
 //! Keys are shared by concurrent sessions, so a missing entry is built
 //! *outside* the lock and re-checked under the write lock: a concurrent
@@ -44,8 +42,6 @@ pub(crate) struct Served<V> {
     /// read, or installed by a concurrent build that won the race —
     /// and `false` when this lookup built it.
     pub(crate) hit: bool,
-    /// The stale entry this lookup's build replaced.
-    pub(crate) replaced: Option<V>,
 }
 
 impl<K, V, Tag> Default for Memo<K, V, Tag> {
@@ -73,7 +69,6 @@ impl<K: Hash + Eq, V: Clone, Tag: PartialEq> Memo<K, V, Tag> {
                 .map(|(_, value)| Served {
                     value: value.clone(),
                     hit: true,
-                    replaced: None,
                 })
         };
         if let Some(served) = cached(&self.read(), &key) {
@@ -84,14 +79,8 @@ impl<K: Hash + Eq, V: Clone, Tag: PartialEq> Memo<K, V, Tag> {
         if let Some(served) = cached(&map, &key) {
             return Ok(served);
         }
-        let replaced = map
-            .insert(key, (tag, value.clone()))
-            .map(|(_, stale)| stale);
-        Ok(Served {
-            value,
-            hit: false,
-            replaced,
-        })
+        map.insert(key, (tag, value.clone()));
+        Ok(Served { value, hit: false })
     }
 
     /// [`Memo::get_or_try_init`] for a build that cannot fail.
@@ -100,14 +89,6 @@ impl<K: Hash + Eq, V: Clone, Tag: PartialEq> Memo<K, V, Tag> {
             Ok(served) => served,
             Err(never) => match never {},
         }
-    }
-
-    /// Installs `value` as `key`'s entry at `tag`, whatever was there,
-    /// and returns the entry it replaced.
-    pub(crate) fn install(&self, key: K, tag: Tag, value: V) -> Option<V> {
-        self.write()
-            .insert(key, (tag, value))
-            .map(|(_, stale)| stale)
     }
 
     /// The read guard, purging the map first if the lock is poisoned.
@@ -188,28 +169,28 @@ mod tests {
         let winner = &built[0].value;
         for s in &served {
             assert!(Arc::ptr_eq(&s.value, winner), "both serve the one entry");
-            assert!(s.replaced.is_none());
         }
         let again = memo.get_or_init("k", 7, || unreachable!("the entry is cached"));
         assert!(again.hit && Arc::ptr_eq(&again.value, winner));
     }
 
-    /// A lookup at a new tag rebuilds and hands back the entry it
-    /// replaced; the old tag's value is then gone.
+    /// A lookup at a new tag rebuilds and replaces the entry; the old
+    /// tag's value is then gone.
     #[test]
-    fn a_stale_tag_rebuilds_and_returns_the_replaced_entry() {
+    fn a_stale_tag_rebuilds_and_replaces_the_entry() {
         let memo: Memo<u32, &str> = Memo::default();
         let first = memo.get_or_init(1, 10, || "gen 10");
-        assert!(!first.hit && first.replaced.is_none());
+        assert!(!first.hit);
         let hit = memo.get_or_init(1, 10, || unreachable!("cached at tag 10"));
         assert!(hit.hit);
         assert_eq!(hit.value, "gen 10");
         let rebuilt = memo.get_or_init(1, 11, || "gen 11");
         assert!(!rebuilt.hit);
         assert_eq!(rebuilt.value, "gen 11");
-        assert_eq!(rebuilt.replaced, Some("gen 10"));
-        assert_eq!(memo.install(1, 12, "installed"), Some("gen 11"));
-        assert_eq!(memo.get_or_init(1, 12, || "never").value, "installed");
+        assert_eq!(
+            memo.get_or_init(1, 10, || "gen 10 again").value,
+            "gen 10 again"
+        );
         // A failed build installs nothing.
         let failed = memo.get_or_try_init(2, 10, || Err::<&str, _>("no"));
         assert_eq!(failed.err(), Some("no"));
@@ -223,8 +204,9 @@ mod tests {
         let memo: Memo<&str, u32, (u64, u64)> = Memo::default();
         memo.get_or_init("j", (1, 1), || 0);
         assert!(memo.get_or_init("j", (1, 1), || 9).hit);
-        assert_eq!(memo.get_or_init("j", (2, 1), || 1).replaced, Some(0));
-        assert_eq!(memo.get_or_init("j", (2, 3), || 2).replaced, Some(1));
+        assert!(!memo.get_or_init("j", (2, 1), || 1).hit);
+        assert!(!memo.get_or_init("j", (2, 3), || 2).hit);
+        assert_eq!(memo.get_or_init("j", (2, 3), || 9).value, 2);
     }
 
     /// A writer that panics holding the write guard poisons the lock

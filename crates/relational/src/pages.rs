@@ -6,31 +6,27 @@
 //! (`import_csv_spilled` in [`crate::csv`]) therefore writes each
 //! column's per-row `u32` codes (NULL = 0, exactly the
 //! [`crate::encode::ColumnDict`] code space) to a spill file of fixed
-//! [`PAGE_BYTES`] pages behind a small header, while the *dictionary*
-//! halves (decode table, encode index, NULL count, fused code counts)
-//! stay resident as a codes-free [`ColumnDict::slim`] copy. Its table
-//! in the [`Database`] holds no values.
+//! [`PAGE_BYTES`] pages behind a small header, and installs in the
+//! [`crate::database::Database`] a table whose columns keep their
+//! dictionaries resident and their codes on those pages
+//! ([`PagedColumn`]).
 //!
-//! A [`PagedColumn`] is a [`CodeSource`]: each page is one chunk, read
-//! through a shared LRU [`BufferPool`] as its pager, so the one
-//! kernel family of [`crate::encode`] — the same code that scans
-//! resident columns — runs over it unchanged, and the resident working
-//! set is bounded by the pool capacity, not the extension size.
+//! The kernels of [`crate::encode`] read a paged column's codes one
+//! page at a time through a shared LRU [`BufferPool`], so the resident
+//! working set is bounded by the pool capacity, not the extension
+//! size. `Value`-level readers decode a paged column from its own page
+//! file, page by page, so no reader refuses a streamed table. A page
+//! that cannot be read fails the read naming the relation and the
+//! file.
 //!
 //! [`PagedBackend`] is the shared [`ColumnarBackend`] under the name
-//! `paged`: it adopts a streamed table's spilled columns
-//! ([`PagedBackend::adopt_spilled`]) and reads them through its pool.
-//! A resident table's columns stay in memory, as under the encoded
-//! backend. A table mutation retires the adopted columns and purges
-//! their pages from the pool ([`BufferPool::evict_file`]); a page that
-//! cannot be read fails the probe loudly, since a streamed extension
-//! has no values to answer from instead.
+//! `paged`: a workload's pool size belongs to it. It counts the
+//! spill-cache hits and misses of the tables it is handed
+//! ([`PagedBackend::adopt_spilled`]).
 
-use crate::attr::AttrId;
-use crate::backend::{Column, ColumnarBackend};
+use crate::backend::ColumnarBackend;
 use crate::bufpool::{BufferPool, PageKey};
 use crate::database::Database;
-use crate::encode::{CodeSource, ColumnDict};
 use crate::schema::RelId;
 use crate::spill::SpilledTable;
 use std::fs::File;
@@ -150,8 +146,10 @@ static NEXT_FILE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// One column's codes spilled to disk: a header plus fixed-size pages
 /// of little-endian `u32` codes, the last page zero-padded. Owned
-/// files (created by [`PageFile::spill`]) are deleted on drop; files
-/// opened from a path ([`PageFile::open`]) are left in place.
+/// files (written to the temp directory by
+/// [`PageFileWriter::create_temp`]) are deleted on drop; files opened
+/// from a path ([`PageFile::open`]) or written to one are left in
+/// place.
 #[derive(Debug)]
 pub struct PageFile {
     path: PathBuf,
@@ -164,17 +162,6 @@ pub struct PageFile {
 }
 
 impl PageFile {
-    /// Writes `codes` to a fresh spill file in the system temp
-    /// directory and reopens it for reading. Only tests call it: they
-    /// spill a resident column's codes to build the streamed twin of a
-    /// table, or the reference a streamed ingest's pages must equal.
-    /// Programs reach spill files through streamed ingest alone.
-    pub fn spill(codes: &[u32]) -> Result<PageFile, PageError> {
-        let mut w = PageFileWriter::create_temp()?;
-        w.append(codes)?;
-        w.finish()
-    }
-
     /// Opens an existing spill file, validating magic, header layout
     /// and physical length (a truncated file fails here, not on a
     /// later page read). The file is *not* deleted on drop.
@@ -315,9 +302,8 @@ impl Drop for PageFile {
 /// Incremental spill-file writer: codes arrive value by value (or in
 /// slices), pages flush as they fill, and the header — whose page
 /// count, row count and checksum are unknown until the stream ends —
-/// is patched in by [`PageFileWriter::finish`]. The byte layout is
-/// exactly [`PageFile::spill`]'s, so a streamed ingest and a
-/// materialize-then-spill produce identical files.
+/// is patched in by [`PageFileWriter::finish`]. The bytes depend only
+/// on the codes, however they were split into calls.
 ///
 /// This is the streaming-ingest seam (`import_csv_spilled` in
 /// [`crate::csv`]): a CSV parse can encode straight to disk without
@@ -338,8 +324,7 @@ pub struct PageFileWriter {
 
 impl PageFileWriter {
     /// A writer over a fresh temp-dir spill file; the finished
-    /// [`PageFile`] is owned (deleted on drop), like
-    /// [`PageFile::spill`]'s.
+    /// [`PageFile`] is owned (deleted on drop).
     pub fn create_temp() -> Result<PageFileWriter, PageError> {
         let id = NEXT_FILE_ID.fetch_add(1, Ordering::Relaxed);
         let path =
@@ -456,44 +441,39 @@ impl PageFileWriter {
     }
 }
 
-/// One column of the paged store: the resident slim dictionary plus
-/// the spilled code pages.
+/// The codes of one paged column: the spill file streamed ingest
+/// wrote, and the relation it belongs to, which a failed read names.
+/// Its dictionary sits in the [`crate::encode::ColumnDict`] that holds
+/// it.
 #[derive(Debug)]
 pub struct PagedColumn {
-    /// Codes-free dictionary ([`ColumnDict::slim`]): decode/encode
-    /// tables and NULL count, no per-row vector. Its tables are shared
-    /// with the dictionary it was slimmed from and with every
-    /// rehydration of it.
-    dict: Arc<ColumnDict>,
-    rows: usize,
     file: PageFile,
+    relation: String,
 }
 
 impl PagedColumn {
-    /// Wraps an already-written spill file and its slim dictionary —
-    /// the spill-cache load and streaming-ingest paths
-    /// ([`crate::spill`], `import_csv_spilled`).
-    pub fn new(dict: Arc<ColumnDict>, file: PageFile) -> PagedColumn {
+    /// Codes of `relation` on `file` — the streaming-ingest and
+    /// spill-cache load paths ([`crate::spill`], `import_csv_spilled`).
+    pub fn new(file: PageFile, relation: &str) -> PagedColumn {
         PagedColumn {
-            rows: file.rows() as usize,
-            dict,
             file,
+            relation: relation.to_string(),
         }
-    }
-
-    /// The resident slim dictionary.
-    pub fn dict(&self) -> &Arc<ColumnDict> {
-        &self.dict
     }
 
     /// Rows the column encodes.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.file.rows() as usize
     }
 
     /// The spill file.
     pub fn file(&self) -> &PageFile {
         &self.file
+    }
+
+    /// `err`, naming the file it came from.
+    fn in_file(&self, err: PageError) -> PageError {
+        PageError::Io(format!("{}: {err}", self.file.path.display()))
     }
 
     /// One page of codes through the pool.
@@ -503,78 +483,60 @@ impl PagedColumn {
                 file: self.file.id,
                 page,
             },
-            || self.file.read_page(page),
+            || self.file.read_page(page).map_err(|e| self.in_file(e)),
         )
     }
 
-    /// Rehydrates the full per-row code vector by streaming every
-    /// page — the bridge for consumers that need random access
-    /// (the `column_dict()` seam).
-    pub fn read_all_codes(&self, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
-        let mut codes = Vec::with_capacity(self.rows);
+    /// The full per-row code vector, every page read through the pool.
+    pub fn read_all(&self, pool: &BufferPool) -> Result<Vec<u32>, PageError> {
+        let mut codes = Vec::with_capacity(self.rows());
         for p in 0..self.file.pages {
             codes.extend_from_slice(&self.page(pool, p)?);
         }
         Ok(codes)
     }
-}
 
-/// Spilled codes: chunk `i` is page `i` of the spill file, read
-/// through the buffer pool, which pins each page for as long as a
-/// kernel holds it.
-impl CodeSource for PagedColumn {
-    type Pager = BufferPool;
-    type Error = PageError;
-    type Chunk<'a> = PageCodes;
-
-    fn dict(&self) -> &ColumnDict {
-        &self.dict
+    /// Page `page`, read from the file itself — the `Value`-level
+    /// readers' path, which holds no pool.
+    ///
+    /// # Panics
+    ///
+    /// When the page cannot be read, naming the relation and the file.
+    pub(crate) fn read_or_die(&self, page: usize) -> Vec<u32> {
+        self.file.read_page(page as u32).unwrap_or_else(|err| {
+            panic!(
+                "cannot read the spilled pages of relation `{}`: {}",
+                self.relation,
+                self.in_file(err)
+            )
+        })
     }
 
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn chunk(&self, pool: &BufferPool, i: usize) -> Result<PageCodes, PageError> {
-        self.page(pool, i as u32).map(PageCodes)
-    }
-}
-
-/// One pooled page of codes, pinned while a kernel reads it.
-#[derive(Debug, Clone)]
-pub struct PageCodes(Arc<Vec<u32>>);
-
-impl std::ops::Deref for PageCodes {
-    type Target = [u32];
-
-    fn deref(&self) -> &[u32] {
-        &self.0
+    /// Every page, read as [`PagedColumn::read_or_die`] reads one.
+    pub(crate) fn read_all_or_die(&self) -> Vec<u32> {
+        let mut codes = Vec::with_capacity(self.rows());
+        for p in 0..self.file.pages as usize {
+            codes.extend_from_slice(&self.read_or_die(p));
+        }
+        codes
     }
 }
 
 /// The out-of-core counting backend: the columnar backend under the
-/// name `paged`. It adopts the columns streamed ingest spilled
-/// ([`PagedBackend::adopt_spilled`]) and reads their pages through a
-/// capacity-bounded [`BufferPool`], so a streamed extension's resident
-/// working set is bounded by the pool, not the extension. A resident
-/// table's columns stay in memory, as under the encoded backend.
+/// name `paged`, sized by its pool. It reads the paged columns of a
+/// streamed table through a capacity-bounded [`BufferPool`], so a
+/// streamed extension's resident working set is bounded by the pool,
+/// not the extension; resident columns are read in place, as under
+/// the encoded backend.
 pub type PagedBackend = ColumnarBackend<true>;
 
 impl PagedBackend {
-    /// Adopts a streamed-ingest table's columns: the spill files were
-    /// written (or loaded from the persistent cache) by
-    /// `import_csv_spilled`, so no encode pass runs here. Columns are
-    /// installed under the table's *current* generation, and a replaced
-    /// column's pages are purged from the pool; the spill hit/miss
-    /// counters record whether the cache skipped encode.
+    /// Counts one spill-cache hit for a table whose encode the cache
+    /// skipped, or one miss for a table that had to encode. The table's
+    /// paged columns are already the database's: nothing else is
+    /// installed.
     pub fn adopt_spilled(&self, db: &Database, rel: RelId, table: &SpilledTable) {
-        let gen = db.generation(rel);
-        for (i, col) in table.columns().iter().enumerate() {
-            let adopted = Arc::new(Column::Spilled(Arc::clone(col)));
-            if let Some(stale) = self.columns.install((rel, AttrId(i as u16)), gen, adopted) {
-                self.retire(&stale);
-            }
-        }
+        let _ = (db, rel);
         let counter = if table.from_cache() {
             &self.spill_hits
         } else {
@@ -584,38 +546,57 @@ impl PagedBackend {
     }
 }
 
-/// `db`'s streamed twin: the same schema, every relation a streamed
-/// extension that holds no values, served by a paged backend over a
-/// `pool_bytes` pool that adopted each table's columns spilled to
-/// page files, as streamed ingest would.
+/// `table`'s columns with their codes written to temporary page files
+/// through a [`PageFileWriter`] and interned again by a
+/// [`crate::encode::DictBuilder`] — the table streamed ingest installs
+/// for the same cells, as relation `relation`.
+#[cfg(test)]
+pub(crate) fn paged_twin(table: &crate::table::Table, relation: &str) -> crate::table::Table {
+    use crate::attr::AttrId;
+    use crate::encode::DictBuilder;
+    let columns = (0..table.arity())
+        .map(|i| {
+            let mut b = DictBuilder::new();
+            let mut w = PageFileWriter::create_temp().unwrap();
+            for v in table.values(AttrId(i as u16)) {
+                w.push(b.intern(v)).unwrap();
+            }
+            b.finish_paged(Arc::new(PagedColumn::new(w.finish().unwrap(), relation)))
+        })
+        .collect();
+    crate::table::Table::from_columns(columns).unwrap()
+}
+
+/// `db`'s streamed twin: the same schema, every relation's columns
+/// paged ([`paged_twin`]), read by a paged backend over a `pool_bytes`
+/// pool.
 #[cfg(test)]
 pub(crate) fn streamed_twin(db: &Database, pool_bytes: usize) -> (Database, PagedBackend) {
     let mut twin = Database::new();
-    let paged = PagedBackend::with_capacity_bytes(pool_bytes);
     for (rel, relation) in db.schema.iter() {
-        let table = db.table(rel);
-        let streamed = twin.add_relation(relation.clone()).unwrap();
-        twin.set_streamed_extension(streamed, table.len());
-        let columns = (0..table.arity())
-            .map(|i| {
-                let dict = ColumnDict::build(table.column(AttrId(i as u16)));
-                let file = PageFile::spill(dict.codes()).unwrap();
-                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
-            })
-            .collect();
-        let spilled = SpilledTable::new(columns, table.len(), false);
-        paged.adopt_spilled(&twin, streamed, &spilled);
+        let table = paged_twin(db.table(rel), &relation.name);
+        twin.add_relation_with_table(relation.clone(), table)
+            .unwrap();
     }
-    (twin, paged)
+    (twin, PagedBackend::with_capacity_bytes(pool_bytes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::AttrId;
     use crate::backend::{CountBackend, EncodedBackend, ReferenceBackend};
     use crate::deps::Fd;
     use crate::schema::Relation;
+    use crate::stats::StatsEngine;
     use crate::value::{Domain, Value};
+
+    /// `codes` written to a fresh owned temp file in one append.
+    fn spill(codes: &[u32]) -> PageFile {
+        let mut w = PageFileWriter::create_temp().unwrap();
+        w.append(codes).unwrap();
+        w.finish().unwrap()
+    }
 
     fn sample_db() -> (Database, RelId, RelId) {
         let mut db = Database::new();
@@ -638,7 +619,7 @@ mod tests {
     #[test]
     fn page_file_round_trips_codes() {
         let codes: Vec<u32> = (0..PAGE_CODES as u32 * 2 + 17).map(|i| i % 977).collect();
-        let f = PageFile::spill(&codes).unwrap();
+        let f = spill(&codes);
         assert_eq!(f.pages(), 3);
         assert_eq!(f.rows(), codes.len() as u64);
         let mut back = Vec::new();
@@ -655,7 +636,7 @@ mod tests {
 
     #[test]
     fn spill_file_is_deleted_on_drop() {
-        let f = PageFile::spill(&[1, 2, 3]).unwrap();
+        let f = spill(&[1, 2, 3]);
         let path = f.path().to_path_buf();
         assert!(path.exists());
         drop(f);
@@ -665,7 +646,7 @@ mod tests {
     #[test]
     fn open_rejects_truncation_magic_and_checksum() {
         let codes: Vec<u32> = (0..PAGE_CODES as u32 + 5).collect();
-        let f = PageFile::spill(&codes).unwrap();
+        let f = spill(&codes);
         let bytes = std::fs::read(f.path()).unwrap();
         let dir = std::env::temp_dir();
         let stamp = std::process::id();
@@ -706,7 +687,7 @@ mod tests {
         // A file truncated after `open` validated it: the page read
         // comes up short and must report what is on disk now.
         let codes: Vec<u32> = (0..PAGE_CODES as u32 * 2 + 9).collect();
-        let spilled = PageFile::spill(&codes).unwrap();
+        let spilled = spill(&codes);
         let path = std::env::temp_dir().join(format!(
             "dbre-test-short-read-{}-{}.col",
             std::process::id(),
@@ -733,44 +714,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Replacing a streamed table (Restruct's rewrite) retires its
-    /// adopted columns: the next probe encodes the new extension, and
-    /// the replaced column's pages leave the pool without counting as
-    /// evictions.
+    /// A write to a paged column brings its codes into memory first:
+    /// the table reads back its old rows plus the new one, and the
+    /// pages stay as they were for every table still sharing them.
     #[test]
-    fn mutation_invalidates_and_purges_pages() {
+    fn a_write_to_a_paged_column_brings_it_into_memory() {
         let (mut db, l, _) = sample_db();
         let (mut twin, paged) = streamed_twin(&db, PAGE_BYTES * 4);
+        let before = twin.clone();
         assert_eq!(*paged.lhs_groups(&twin, l, &[AttrId(0)]), vec![vec![0, 1]]);
-        assert_eq!(
-            paged.pool().resident_pages(),
-            1,
-            "the adopted page was read"
-        );
+        assert_eq!(paged.pool().resident_pages(), 1, "the page was read");
         db.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
-        twin.replace_table(l, db.table(l).clone()).unwrap();
+        twin.insert(l, vec![Value::Int(99), Value::Int(1)]).unwrap();
+        assert!(twin.table(l).column(AttrId(0)).pages().is_none());
+        assert_eq!(twin.table(l), db.table(l));
         assert_eq!(paged.count_distinct(&twin, l, &[AttrId(0)]), 5);
-        assert!(matches!(
-            *paged.column(&twin, l, AttrId(0)),
-            Column::Resident(_)
-        ));
-        assert_eq!(paged.pool().resident_pages(), 0, "replaced pages purged");
-        assert_eq!(paged.page_stats().evictions, 0);
+        assert!(before.table(l).column(AttrId(0)).pages().is_some());
+        assert_eq!(before.table(l).len(), db.table(l).len() - 1);
     }
 
+    /// `column_dict` serves a paged column's codes read through the
+    /// pool, and the engine reads them once per generation.
     #[test]
-    fn column_dict_rehydrates_full_codes() {
+    fn column_dict_reads_paged_codes_once_per_generation() {
         let (db, l, _) = sample_db();
         let (twin, paged) = streamed_twin(&db, PAGE_BYTES);
-        let dict = CountBackend::column_dict(&paged, &twin, l, AttrId(0)).unwrap();
-        let direct = ColumnDict::build(db.table(l).column(AttrId(0)));
-        assert_eq!(dict.codes(), direct.codes());
-        assert_eq!(dict.cardinality(), direct.cardinality());
-        assert_eq!(dict.null_count(), direct.null_count());
-        // Once per generation: a second ask reads no page.
-        let reads = paged.page_stats();
-        CountBackend::column_dict(&paged, &twin, l, AttrId(0)).unwrap();
-        assert_eq!(paged.page_stats(), reads);
+        let engine = StatsEngine::with_backend(Box::new(paged));
+        let dict = engine.column_dict(&twin, l, AttrId(0)).unwrap();
+        assert!(dict.pages().is_none());
+        assert_eq!(dict.codes(), db.table(l).column(AttrId(0)).codes());
+        let reads = engine.page_stats();
+        assert_eq!(reads.misses, 1);
+        engine.column_dict(&twin, l, AttrId(0)).unwrap();
+        assert_eq!(engine.page_stats(), reads);
     }
 
     /// A resident table's columns stay in memory under the paged
@@ -801,13 +777,7 @@ mod tests {
         };
         assert_eq!(paged.fd_holds(&db, &fd), db.fd_holds(&fd));
         let dict = CountBackend::column_dict(&paged, &db, r, AttrId(0)).unwrap();
-        assert_eq!(
-            dict.codes(),
-            ColumnDict::build(db.table(r).column(AttrId(0))).codes()
-        );
-        for (rel, attr) in [(l, AttrId(0)), (l, AttrId(1)), (r, AttrId(0))] {
-            assert!(matches!(*paged.column(&db, rel, attr), Column::Resident(_)));
-        }
+        assert!(Arc::ptr_eq(&dict, db.table(r).column(AttrId(0))));
         assert_eq!(
             paged.page_stats(),
             crate::bufpool::PageCacheStats::default()
@@ -875,14 +845,14 @@ mod tests {
     }
 
     #[test]
-    fn writer_streams_byte_identical_to_spill() {
-        // The streaming writer must produce the exact on-disk format of
-        // the materialize-then-spill path, byte for byte — the spill
-        // cache and the differential ingest test both lean on this.
+    fn writer_bytes_do_not_depend_on_how_codes_arrive() {
+        // Codes pushed one at a time or appended in slices with awkward
+        // splits make the same file, byte for byte — the spill cache
+        // and the differential ingest test both lean on this.
         let codes: Vec<u32> = (0..PAGE_CODES as u32 * 3 + 41)
             .map(|i| i.wrapping_mul(2654435761))
             .collect();
-        let whole = PageFile::spill(&codes).unwrap();
+        let whole = spill(&codes);
         let mut w = PageFileWriter::create_temp().unwrap();
         // Feed through a mix of push() and append() with awkward splits.
         for &c in &codes[..7] {
@@ -903,8 +873,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_writer_matches_empty_spill() {
-        let whole = PageFile::spill(&[]).unwrap();
+    fn empty_writer_writes_an_empty_file() {
+        let whole = spill(&[]);
         let streamed = PageFileWriter::create_temp().unwrap().finish().unwrap();
         assert_eq!(
             std::fs::read(whole.path()).unwrap(),
@@ -993,88 +963,28 @@ mod tests {
         }
     }
 
+    /// Adoption counts a table's spill-cache hit or miss and nothing
+    /// else: the paged columns already serve the probes.
     #[test]
-    fn adopt_spilled_serves_streamed_extension() {
-        // A materialized twin provides the expected answers; the
-        // streamed database never holds the values in memory.
-        let mut twin = Database::new();
-        let spec = [("x", Domain::Int), ("y", Domain::Text)];
-        let trel = twin.add_relation(Relation::of("S", &spec)).unwrap();
-        let rows = PAGE_CODES + 77;
-        for i in 0..rows {
-            let x = if i % 11 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 301) as i64)
-            };
-            twin.insert(trel, vec![x, Value::str(format!("s{}", i % 40))])
-                .unwrap();
+    fn adopt_spilled_only_counts_the_cache() {
+        let (db, l, _) = sample_db();
+        let (twin, paged) = streamed_twin(&db, PAGE_BYTES);
+        for from_cache in [true, false, true] {
+            let spilled = SpilledTable::new(Vec::new(), 0, from_cache);
+            paged.adopt_spilled(&twin, l, &spilled);
         }
-
-        // Spill the twin's columns by hand, as streaming ingest would.
-        let mut cols = Vec::new();
-        for a in [AttrId(0), AttrId(1)] {
-            let dict = ColumnDict::build(twin.table(trel).column(a));
-            let file = PageFile::spill(dict.codes()).unwrap();
-            cols.push(Arc::new(PagedColumn::new(Arc::new(dict.slim()), file)));
-        }
-        let spilled = crate::spill::SpilledTable::new(cols, rows, true);
-
-        let mut db = Database::new();
-        let rel = db.add_relation(Relation::of("S", &spec)).unwrap();
-        db.set_streamed_extension(rel, rows);
-        assert!(!db.table(rel).is_materialized());
-
-        let paged = PagedBackend::new();
-        paged.adopt_spilled(&db, rel, &spilled);
         assert_eq!(
             paged.spill_stats(),
-            crate::spill::SpillCacheStats { hits: 1, misses: 0 }
+            crate::spill::SpillCacheStats { hits: 2, misses: 1 }
         );
-
+        assert_eq!(
+            paged.page_stats(),
+            crate::bufpool::PageCacheStats::default()
+        );
         let reference = ReferenceBackend;
-        for attrs in [vec![AttrId(0)], vec![AttrId(1)], vec![AttrId(0), AttrId(1)]] {
-            assert_eq!(
-                paged.count_distinct(&db, rel, &attrs),
-                reference.count_distinct(&twin, trel, &attrs),
-                "{attrs:?}"
-            );
-        }
         assert_eq!(
-            *paged.lhs_groups(&db, rel, &[AttrId(0)]),
-            *reference.lhs_groups(&twin, trel, &[AttrId(0)])
+            paged.count_distinct(&twin, l, &[AttrId(0), AttrId(1)]),
+            reference.count_distinct(&db, l, &[AttrId(0), AttrId(1)])
         );
-        let fd = Fd {
-            rel,
-            lhs: crate::attr::AttrSet::from_indices([0u16]),
-            rhs: crate::attr::AttrSet::from_indices([1u16]),
-        };
-        let tfd = Fd {
-            rel: trel,
-            ..fd.clone()
-        };
-        assert_eq!(
-            CountBackend::fd_holds(&paged, &db, &fd),
-            twin.fd_holds(&tfd)
-        );
-        // The slim dictionaries still answer column_dict (rehydrated).
-        let dict = CountBackend::column_dict(&paged, &db, rel, AttrId(0)).unwrap();
-        let direct = ColumnDict::build(twin.table(trel).column(AttrId(0)));
-        assert_eq!(dict.codes(), direct.codes());
-    }
-
-    #[test]
-    #[should_panic(expected = "streamed extension")]
-    fn streamed_extension_without_adoption_dies_instead_of_lying() {
-        // Without adopt_spilled there are no pages AND no in-memory
-        // values: encoding the empty columns would silently answer
-        // from zero rows. The backend must refuse.
-        let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of("V", &[("x", Domain::Int)]))
-            .unwrap();
-        db.set_streamed_extension(rel, 5);
-        let paged = PagedBackend::new();
-        let _ = paged.count_distinct(&db, rel, &[AttrId(0)]);
     }
 }

@@ -30,7 +30,7 @@ impl StrippedPartition {
     /// Builds `π_X` for a single attribute.
     pub fn for_attribute(table: &Table, attr: AttrId) -> Self {
         let mut groups: HashMap<&crate::value::Value, Vec<usize>> = HashMap::new();
-        for (i, v) in table.column(attr).iter().enumerate() {
+        for (i, v) in table.values(attr).enumerate() {
             groups.entry(v).or_default().push(i);
         }
         Self::from_groups(groups.into_values(), table.len())

@@ -2,12 +2,13 @@
 //! reusable across runs.
 //!
 //! Streaming ingest (`import_csv_spilled` in [`crate::csv`]) encodes
-//! a CSV extension straight into [`crate::pages`] spill files without
-//! materializing a `Table`. Those files are validated and checksummed
-//! already — this module makes them *durable*: with a `--spill-dir`,
-//! each ingested table lands in a directory keyed by the **schema
-//! fingerprint + source-content hash**, together with a compact
-//! serialization of each column's slim dictionary and a `manifest`
+//! a CSV extension straight into [`crate::pages`] spill files, one
+//! per column, keeping only the columns' dictionaries in memory. Those
+//! files are validated and checksummed already — this module makes
+//! them *durable*: with a `--spill-dir`, each ingested table lands in
+//! a directory keyed by the **schema fingerprint + source-content
+//! hash**, together with a compact serialization of each column's
+//! dictionary and a `manifest`
 //! written last (its presence is the commit point — a crashed ingest
 //! leaves no manifest and the entry reads as a miss). A warm rerun
 //! re-hashes the source, finds the entry, re-validates every page
@@ -20,8 +21,7 @@
 
 use crate::bufpool::BufferPool;
 use crate::database::Database;
-use crate::encode::lhs_groups;
-use crate::encode::ColumnDict;
+use crate::encode::{ColumnDict, DictTables};
 use crate::error::DbreError;
 use crate::pages::{fnv1a64_bytes, FNV_BYTES_SEED};
 use crate::pages::{PageError, PageFile, PagedColumn};
@@ -51,11 +51,10 @@ pub struct SpillCacheStats {
     pub misses: u64,
 }
 
-/// One streamed-ingest table: every column spilled to pages with its
-/// slim dictionary resident, and no in-memory `Value` columns at all.
-/// The matching `Table` in the [`Database`] is a *streamed extension*
-/// — it knows its row count but holds no data (see
-/// `Table::is_materialized`).
+/// One streamed-ingest table's spilled codes, one page file per
+/// column, and whether they came from the persistent cache. The
+/// matching `Table` in the [`Database`] holds the same files as its
+/// paged columns, beside their resident dictionaries.
 #[derive(Debug)]
 pub struct SpilledTable {
     columns: Vec<Arc<PagedColumn>>,
@@ -83,11 +82,6 @@ impl SpilledTable {
     /// Rows the table holds.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.columns.len()
     }
 
     /// Did this table come from the persistent cache (encode skipped)?
@@ -241,7 +235,7 @@ impl<'a> Cursor<'a> {
 
 /// Deserializes [`encode_dict`] output; `None` on any corruption
 /// (bad magic, bad trailer hash, short reads, foreign value tags).
-fn decode_dict(bytes: &[u8]) -> Option<ColumnDict> {
+fn decode_dict(bytes: &[u8]) -> Option<DictTables> {
     let body = bytes.strip_prefix(DICT_MAGIC)?;
     if body.len() < 8 {
         return None;
@@ -293,7 +287,7 @@ fn decode_dict(bytes: &[u8]) -> Option<ColumnDict> {
     if c.pos != body.len() || counts[0] != nulls as u64 {
         return None;
     }
-    Some(ColumnDict::from_parts(values, nulls, counts))
+    Some(DictTables::from_parts(values, nulls, counts))
 }
 
 /// Writes one column's dictionary file.
@@ -311,13 +305,13 @@ pub(crate) fn write_manifest(dir: &Path, rows: usize, arity: usize) -> Result<()
     .map_err(|e| PageError::Io(e.to_string()))
 }
 
-/// Attempts to load a cache entry for a table of `arity` columns.
+/// Attempts to load a cache entry for `relation`'s `arity` columns.
 /// Every page file is checksum-verified in full (one sequential read
 /// — still far cheaper than re-parsing and re-encoding the source)
 /// and every dictionary must decode and agree with its page file's
 /// row count. Any failure is a miss (`None`); the caller re-encodes
-/// over the entry.
-pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
+/// over the entry. A hit is the paged columns of the table.
+pub(crate) fn load_entry(dir: &Path, relation: &str, arity: usize) -> Option<Vec<ColumnDict>> {
     let manifest = std::fs::read_to_string(manifest_path(dir)).ok()?;
     let mut lines = manifest.lines();
     if lines.next()? != FORMAT_VERSION {
@@ -335,72 +329,32 @@ pub fn load_entry(dir: &Path, arity: usize) -> Option<SpilledTable> {
             return None;
         }
         file.verify_checksum().ok()?;
-        let dict = decode_dict(&std::fs::read(dict_path(dir, i)).ok()?)?;
+        let dict = ColumnDict::paged(
+            decode_dict(&std::fs::read(dict_path(dir, i)).ok()?)?,
+            Arc::new(PagedColumn::new(file, relation)),
+        );
         if dict.code_counts().len() != dict.cardinality() + 1
             || dict.code_counts().iter().sum::<u64>() != rows as u64
         {
             return None;
         }
-        columns.push(Arc::new(PagedColumn::new(Arc::new(dict), file)));
+        columns.push(dict);
     }
-    Some(SpilledTable::new(columns, rows, true))
+    Some(columns)
 }
 
-/// Validation twin of [`Database::validate_dictionary`] for streamed
-/// extensions, whose rows never exist as in-memory `Value` columns:
-/// not-null constraints read the resident dictionaries' NULL counts,
-/// key constraints hold iff no non-NULL key projection repeats —
-/// exactly "`lhs_groups` over the key attributes is empty", which the
-/// kernel answers over the spilled pages from dictionary counts
-/// (unary) or one streamed scan (composite).
+/// [`Database::validate_dictionary`] for the one relation `rel`,
+/// whose streamed ingest returned `table`: the same checks in the same
+/// order, a composite key's paged codes read through `pool`, and a
+/// page that cannot be read a typed error.
 pub fn validate_spilled(
     db: &Database,
     rel: RelId,
     table: &SpilledTable,
     pool: &BufferPool,
 ) -> Result<(), DbreError> {
-    let relation = db.schema.relation(rel);
-    for &(nn_rel, attr) in &db.constraints.not_null {
-        if nn_rel != rel {
-            continue;
-        }
-        let col = table
-            .columns()
-            .get(attr.index())
-            .ok_or_else(|| PageError::Io(format!("not-null attr {} out of range", attr.0)))?;
-        if col.dict().null_count() > 0 {
-            return Err(crate::error::RelationalError::NotNullViolation {
-                relation: relation.name.clone(),
-                attribute: relation.attr_name(attr).to_string(),
-            }
-            .into());
-        }
-    }
-    for key in &db.constraints.keys {
-        if key.rel != rel {
-            continue;
-        }
-        let cols: Vec<&PagedColumn> = key
-            .attrs
-            .iter()
-            .map(|a| {
-                table
-                    .columns()
-                    .get(a.index())
-                    .map(Arc::as_ref)
-                    .ok_or_else(|| PageError::Io(format!("key attr {} out of range", a.0)))
-            })
-            .collect::<Result<_, _>>()?;
-        let groups = lhs_groups(&cols, pool, table.rows())?;
-        if !groups.is_empty() {
-            return Err(crate::error::RelationalError::KeyViolation {
-                relation: relation.name.clone(),
-                key: relation.render_set(&key.attrs),
-            }
-            .into());
-        }
-    }
-    Ok(())
+    let _ = table;
+    db.check_constraints(Some(rel), pool)
 }
 
 #[cfg(test)]
@@ -427,13 +381,8 @@ mod tests {
         let dict = dict_of(&col);
         let bytes = encode_dict(&dict);
         let back = decode_dict(&bytes).expect("round trip");
-        assert_eq!(back.distinct_values(), dict.distinct_values());
-        assert_eq!(back.null_count(), dict.null_count());
-        assert_eq!(back.code_counts(), dict.code_counts());
-        // Codes must agree too: same decode table, same index.
-        for v in dict.distinct_values() {
-            assert_eq!(back.code_of(v), dict.code_of(v));
-        }
+        // Same decode table, encode tables, NULL and per-code counts.
+        assert_eq!(&back, dict.tables());
     }
 
     #[test]
@@ -464,10 +413,10 @@ mod tests {
         for (i, col) in cols.iter().enumerate() {
             let dict = ColumnDict::build(col);
             let mut w = crate::pages::PageFileWriter::create_at(&pages_path(dir, i)).unwrap();
-            w.append(dict.codes()).unwrap();
+            w.append(&dict.codes()).unwrap();
             // Durable files survive the handle; drop the read handle.
             drop(w.finish().unwrap());
-            write_dict(dir, i, &dict.slim()).unwrap();
+            write_dict(dir, i, &dict).unwrap();
         }
         write_manifest(dir, rows, cols.len()).unwrap();
     }
@@ -492,29 +441,27 @@ mod tests {
         let dir = entry_dir(&base, &cache_key(&rel, 1234));
         write_entry(&dir, &[a.clone(), b.clone()], 2500);
 
-        let loaded = load_entry(&dir, 2).expect("fresh entry must load");
-        assert!(loaded.from_cache());
-        assert_eq!(loaded.rows(), 2500);
-        assert_eq!(loaded.arity(), 2);
-        // Adopted columns answer like direct encodes.
+        let loaded = load_entry(&dir, "T", 2).expect("fresh entry must load");
+        assert_eq!(loaded.len(), 2);
+        // Loaded columns hold what direct encodes hold, codes on pages.
         let pool = BufferPool::default();
-        let direct = ColumnDict::build(&a);
-        let col0 = &loaded.columns()[0];
-        assert_eq!(col0.dict().distinct_values(), direct.distinct_values());
-        assert_eq!(col0.dict().null_count(), direct.null_count());
-        let mut codes = Vec::new();
-        for p in 0..col0.file().pages() {
-            codes.extend_from_slice(&col0.page(&pool, p).unwrap());
+        for (col, cells) in loaded.iter().zip([&a, &b]) {
+            let direct = ColumnDict::build(cells);
+            assert_eq!(col.rows(), 2500);
+            assert_eq!(col.tables(), direct.tables());
+            assert_eq!(
+                col.pages().unwrap().read_all(&pool).unwrap(),
+                *direct.codes()
+            );
         }
-        assert_eq!(codes, direct.codes());
 
         // Wrong arity: miss.
-        assert!(load_entry(&dir, 3).is_none());
+        assert!(load_entry(&dir, "T", 3).is_none());
         // Missing manifest (crash mid-ingest): miss.
         let manifest = manifest_path(&dir);
         let saved = std::fs::read(&manifest).unwrap();
         std::fs::remove_file(&manifest).unwrap();
-        assert!(load_entry(&dir, 2).is_none());
+        assert!(load_entry(&dir, "T", 2).is_none());
         std::fs::write(&manifest, &saved).unwrap();
         // Corrupt a code byte (not the tail padding, which is trimmed
         // on read and rightly outside the checksum): miss.
@@ -523,16 +470,19 @@ mod tests {
         let flip = crate::pages::HEADER_BYTES + 8;
         bytes[flip] ^= 0xff;
         std::fs::write(&pp, &bytes).unwrap();
-        assert!(load_entry(&dir, 2).is_none());
+        assert!(load_entry(&dir, "T", 2).is_none());
         bytes[flip] ^= 0xff;
         std::fs::write(&pp, &bytes).unwrap();
-        assert!(load_entry(&dir, 2).is_some(), "repair must re-validate");
+        assert!(
+            load_entry(&dir, "T", 2).is_some(),
+            "repair must re-validate"
+        );
         // Corrupt a dictionary: miss.
         let dp = dict_path(&dir, 0);
         let mut dbytes = std::fs::read(&dp).unwrap();
         dbytes[12] ^= 0x10;
         std::fs::write(&dp, &dbytes).unwrap();
-        assert!(load_entry(&dir, 2).is_none());
+        assert!(load_entry(&dir, "T", 2).is_none());
 
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -557,35 +507,41 @@ mod tests {
         });
         db.constraints.not_null.push((rel, AttrId(0)));
 
+        // `db` with the entry of `cols` installed as `rel`'s table.
+        let entry = |name: &str, cols: &[Vec<Value>]| {
+            let dir = base.join(name);
+            write_entry(&dir, cols, 100);
+            let columns = load_entry(&dir, "K", 2).unwrap();
+            let mut db = db.clone();
+            db.replace_table(rel, crate::table::Table::from_columns(columns).unwrap())
+                .unwrap();
+            db
+        };
+        let spilled = SpilledTable::new(Vec::new(), 100, true);
         let ids: Vec<Value> = (0..100).map(Value::Int).collect();
         let vs: Vec<Value> = (0..100).map(|i| Value::Int(i % 5)).collect();
-        let dir = base.join("good");
-        write_entry(&dir, &[ids, vs.clone()], 100);
-        let good = load_entry(&dir, 2).unwrap();
+        let good = entry("good", &[ids, vs.clone()]);
         let pool = BufferPool::default();
-        validate_spilled(&db, rel, &good, &pool).expect("unique non-null key must pass");
+        validate_spilled(&good, rel, &spilled, &pool).expect("unique non-null key must pass");
 
         // Duplicate id 3: key violation.
         let mut dup_ids: Vec<Value> = (0..100).map(Value::Int).collect();
         dup_ids[50] = Value::Int(3);
-        let dir2 = base.join("dup");
-        write_entry(&dir2, &[dup_ids, vs.clone()], 100);
-        let dup = load_entry(&dir2, 2).unwrap();
+        let dup = entry("dup", &[dup_ids, vs.clone()]);
         assert!(matches!(
-            validate_spilled(&db, rel, &dup, &pool),
+            validate_spilled(&dup, rel, &spilled, &pool),
             Err(DbreError::Relational(
                 crate::error::RelationalError::KeyViolation { .. }
             ))
         ));
 
-        // NULL id: not-null violation (reported before the key check).
+        // NULL id: a one-column key skips NULL rows, the not-null check
+        // reports it.
         let mut null_ids: Vec<Value> = (0..100).map(Value::Int).collect();
         null_ids[7] = Value::Null;
-        let dir3 = base.join("null");
-        write_entry(&dir3, &[null_ids, vs], 100);
-        let nulls = load_entry(&dir3, 2).unwrap();
+        let nulls = entry("null", &[null_ids, vs]);
         assert!(matches!(
-            validate_spilled(&db, rel, &nulls, &pool),
+            validate_spilled(&nulls, rel, &spilled, &pool),
             Err(DbreError::Relational(
                 crate::error::RelationalError::NotNullViolation { .. }
             ))

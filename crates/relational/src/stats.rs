@@ -11,8 +11,9 @@
 //! computes it — is the dominant waste.
 //!
 //! [`StatsEngine`] memoizes *results* in seven caches — counts,
-//! projections, unary partitions, LHS groups, column codes, g3 errors
-//! and join statistics — each keyed by `(relation, attributes)`, by
+//! projections, unary partitions, LHS groups, resident column codes,
+//! g3 errors and join statistics — each keyed by `(relation,
+//! attributes)`, by
 //! FD or by join, and tagged with the owning table's generation
 //! counter ([`Database::generation`]; a join's tag is both sides'
 //! generations). Conceptualization in IND-Discovery and attribute
@@ -20,14 +21,14 @@
 //! therefore never cause a stale count to be served: a mutated table's
 //! generation moves past the tag and the entry is rebuilt on next use.
 //! *How* a missing entry is built is delegated to the wrapped
-//! [`CountBackend`] ([`ReferenceBackend`] scans, the default
-//! [`EncodedBackend`] runs integer-code kernels over its own
-//! generation-tagged column caches, `dbre-sql`'s `SqlBackend` executes
+//! [`CountBackend`] ([`ReferenceBackend`] scans decoded cells, the
+//! default [`EncodedBackend`] runs integer-code kernels over the
+//! tables' dictionary columns, `dbre-sql`'s `SqlBackend` executes
 //! generated SQL), which is what makes the engine one seam: the
 //! pipeline, the miners, and the benches see identical semantics and
 //! identical caching regardless of the backend underneath.
 //!
-//! The seven caches and the backend's three are one crate-private
+//! The seven caches and the columnar backend's one are one crate-private
 //! memo type (`memo.rs`): it keeps the whole API on `&self`, so the
 //! concurrent sessions of `dbre-core`'s `run_service` share one engine,
 //! and charges each cold key one miss when two sessions race to build
@@ -48,16 +49,17 @@
 //! and [`CountBackend::fd_holds`] the cached g3 error. Every FD
 //! question — the test, the g3 error of a failing one and Restruct's
 //! split of an enforced one ([`crate::backend::pluralities`]) — reads
-//! the cached LHS groups and the cached per-row codes of the RHS
-//! columns, so a batch of `A → b` tests groups the rows by `A` once,
-//! encodes each `b` once, and asks each FD once.
+//! the cached LHS groups and the per-row codes of the RHS columns
+//! ([`CountBackend::column_dict`]: a resident column as it is, a paged
+//! one read once per generation), so a batch of `A → b` tests groups
+//! the rows by `A` once, reads each `b` once, and asks each FD once.
 
 use crate::attr::AttrId;
 use crate::backend::{g3_error, BackendExecStats, CountBackend, EncodedBackend};
 use crate::counting::{EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::Fd;
-use crate::encode::{ColumnCodes, ColumnDict};
+use crate::encode::ColumnDict;
 use crate::memo::{Memo, Served};
 use crate::partitions::StrippedPartition;
 use crate::schema::RelId;
@@ -105,10 +107,9 @@ pub struct StatsEngine {
     projections: Memo<Projection, Arc<HashSet<ProjKey>>>,
     partitions: Memo<(RelId, AttrId), Arc<StrippedPartition>>,
     lhs_groups: Memo<Projection, Arc<Vec<Vec<usize>>>>,
-    /// Per-row codes of the columns FD questions read, tagged with the
-    /// generation they were encoded at; a streamed table's entry
-    /// survives hydration, which keeps the generation.
-    codes: Memo<(RelId, AttrId), Arc<ColumnCodes>>,
+    /// The columns FD questions and Restruct's split read, codes
+    /// resident: a paged column's pages are read once per generation.
+    dicts: Memo<(RelId, AttrId), Option<Arc<ColumnDict>>>,
     /// g3 errors per FD, tagged with the generation of its relation.
     fd_errors: Memo<Fd, f64>,
     /// Join statistics, tagged with both sides' generations.
@@ -140,7 +141,7 @@ impl StatsEngine {
             projections: Memo::default(),
             partitions: Memo::default(),
             lhs_groups: Memo::default(),
-            codes: Memo::default(),
+            dicts: Memo::default(),
             fd_errors: Memo::default(),
             joins: Memo::default(),
             hits: AtomicU64::new(0),
@@ -263,14 +264,10 @@ impl CountBackend for StatsEngine {
         }
     }
 
+    /// Served by the backend once per table generation.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
-        self.backend.column_dict(db, rel, attr)
-    }
-
-    /// Built by the backend once per table generation.
-    fn column_codes(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<ColumnCodes> {
-        let served = self.codes.get_or_init((rel, attr), db.generation(rel), || {
-            self.backend.column_codes(db, rel, attr)
+        let served = self.dicts.get_or_init((rel, attr), db.generation(rel), || {
+            self.backend.column_dict(db, rel, attr)
         });
         self.tally(served, db.table(rel).len())
     }
@@ -286,9 +283,8 @@ impl CountBackend for StatsEngine {
     }
 
     fn column_sketch(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnSketch>> {
-        // The counts are read off the backend's generation-cached
-        // dictionaries; forwarding keeps the engine transparent and
-        // the hit/miss counters honest.
+        // The counts are read off the table's column; forwarding keeps
+        // the engine transparent and the hit/miss counters honest.
         self.backend.column_sketch(db, rel, attr)
     }
 

@@ -1,17 +1,24 @@
 //! Table storage: the extension `r_i` of a relation `R_i(X_i)`.
 //!
-//! Storage is columnar: one `Vec<Value>` per attribute, each behind an
-//! [`Arc`] and copy-on-write. The dependency algorithms are dominated by
-//! projections over small attribute sets and distinct counting, which
-//! columnar layout serves directly; tuple reconstruction is only needed
-//! for display and INSERT. Cloning a table, or dropping columns from it
-//! ([`Table::drop_columns`]), shares the columns instead of copying
-//! their cells; a write copies only the column it touches, and only
-//! while another table still shares it.
+//! Storage is columnar, and a column is its dictionary
+//! ([`ColumnDict`]): per-row `u32` codes, resident or on the pages
+//! streamed ingest wrote, beside the decode and encode tables and the
+//! exact per-code counts, all built once, when the column is loaded.
+//! The dependency algorithms are dominated by projections over small
+//! attribute sets and distinct counting, which the counting kernels of
+//! [`crate::encode`] run over the codes directly; `Value`-level readers
+//! decode cells through [`Table::cell`] and [`Table::values`], which
+//! borrow from the decode table.
+//!
+//! Each column sits behind an [`Arc`] and is copy-on-write. Cloning a
+//! table, or dropping columns from it ([`Table::drop_columns`]),
+//! shares the columns instead of copying them; a write copies only the
+//! column it touches, and only while another table still shares it. A
+//! write to a paged column first brings its codes into memory.
 
 use crate::attr::AttrId;
+use crate::encode::{ColumnDict, DictBuilder};
 use crate::error::RelationalError;
-use crate::schema::Relation;
 use crate::value::Value;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -20,58 +27,28 @@ use std::sync::Arc;
 pub type ProjKey = Vec<Value>;
 
 /// The extension of one relation: a bag of tuples in columnar layout.
-/// Cloning is O(arity): the clone shares every column.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Cloning is O(arity): the clone shares every column. Two tables are
+/// equal when they hold the same rows in the same order.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
-    columns: Vec<Arc<Vec<Value>>>,
+    columns: Vec<Arc<ColumnDict>>,
     rows: usize,
+}
+
+impl Eq for Table {}
+
+/// A column without rows.
+fn empty_column() -> Arc<ColumnDict> {
+    Arc::new(DictBuilder::new().finish(Vec::new()))
 }
 
 impl Table {
     /// Creates an empty table with `arity` columns.
     pub fn new(arity: usize) -> Self {
         Table {
-            columns: (0..arity).map(|_| Arc::new(Vec::new())).collect(),
+            columns: (0..arity).map(|_| empty_column()).collect(),
             rows: 0,
         }
-    }
-
-    /// Creates an empty table shaped for `relation`.
-    pub fn for_relation(relation: &Relation) -> Self {
-        Table::new(relation.arity())
-    }
-
-    /// Does every column hold one value per row? `false` only for a
-    /// *streamed extension* — a table whose rows live in the paged
-    /// store (`crate::spill`) while the in-memory columns stay empty.
-    /// Raw-column consumers must check this before trusting
-    /// [`Table::column`].
-    pub fn is_materialized(&self) -> bool {
-        self.columns.iter().all(|c| c.len() == self.rows)
-    }
-
-    /// Declares `rows` rows without materializing them — the streamed
-    /// extension marker. Only valid on an empty table.
-    pub(crate) fn set_streamed_rows(&mut self, rows: usize) {
-        assert!(
-            self.rows == 0 && self.columns.iter().all(|c| c.is_empty()),
-            "streamed extension over a populated table"
-        );
-        self.rows = rows;
-    }
-
-    /// Installs `values` as the full contents of one empty column of
-    /// a streamed extension — the restructuring hydration path. Only
-    /// that column changes; the others stay shared.
-    pub(crate) fn hydrate_column(&mut self, attr: AttrId, values: Vec<Value>) {
-        assert_eq!(
-            values.len(),
-            self.rows,
-            "hydrated column must match the declared row count"
-        );
-        let col = &mut self.columns[attr.index()];
-        assert!(col.is_empty(), "hydrating a column that already has data");
-        *col = Arc::new(values);
     }
 
     /// Number of tuples.
@@ -104,22 +81,21 @@ impl Table {
                 got: row.len(),
             });
         }
-        for (col, v) in self.columns.iter_mut().zip(row) {
+        for (col, v) in self.columns.iter_mut().zip(&row) {
             Arc::make_mut(col).push(v);
         }
         self.rows += 1;
         Ok(())
     }
 
-    /// Appends the rows held in `columns` (one vector per attribute,
-    /// all of one length) without validation against a relation. An
-    /// empty column takes its vector as is; a populated one is
-    /// extended, after a copy if another table shares it. Nothing
-    /// changes on an error: a wrong column count or a ragged column is
-    /// an [`RelationalError::ArityMismatch`].
+    /// Appends the rows held in `columns` (one per attribute, all of
+    /// one length) without validation against a relation. An empty
+    /// table takes the columns as they are; a populated one appends
+    /// their cells. Nothing changes on an error: a wrong column count
+    /// or a ragged column is an [`RelationalError::ArityMismatch`].
     pub(crate) fn append_columns(
         &mut self,
-        columns: Vec<Vec<Value>>,
+        columns: Vec<ColumnDict>,
     ) -> Result<(), RelationalError> {
         let added = Table::from_columns(columns)?;
         if added.arity() != self.arity() {
@@ -129,12 +105,13 @@ impl Table {
                 got: added.arity(),
             });
         }
-        for (col, new) in self.columns.iter_mut().zip(added.columns) {
-            if col.is_empty() {
-                *col = new;
-            } else {
-                Arc::make_mut(col).extend(Arc::unwrap_or_clone(new));
-            }
+        if self.is_empty() {
+            *self = added;
+            return Ok(());
+        }
+        for (col, new) in self.columns.iter_mut().zip(&added.columns) {
+            let col = Arc::make_mut(col);
+            new.values().for_each(|v| col.push(v));
         }
         self.rows += added.rows;
         Ok(())
@@ -156,81 +133,84 @@ impl Table {
     /// first column's; a table without columns has no rows). A column
     /// of another length is an [`RelationalError::ArityMismatch`] with
     /// the two lengths.
-    pub fn from_columns(columns: Vec<Vec<Value>>) -> Result<Self, RelationalError> {
-        let rows = columns.first().map_or(0, Vec::len);
-        if let Some(ragged) = columns.iter().find(|c| c.len() != rows) {
+    pub fn from_columns(columns: Vec<ColumnDict>) -> Result<Self, RelationalError> {
+        let rows = columns.first().map_or(0, ColumnDict::rows);
+        if let Some(ragged) = columns.iter().find(|c| c.rows() != rows) {
             return Err(RelationalError::ArityMismatch {
                 relation: String::from("<detached table>"),
                 expected: rows,
-                got: ragged.len(),
+                got: ragged.rows(),
             });
         }
         let columns = columns.into_iter().map(Arc::new).collect();
         Ok(Table { columns, rows })
     }
 
-    /// Single cell access.
+    /// Single cell access, borrowed from the column's decode table.
+    ///
+    /// # Panics
+    ///
+    /// As [`ColumnDict::cell`].
     #[inline]
     pub fn cell(&self, row: usize, attr: AttrId) -> &Value {
-        &self.columns[attr.index()][row]
+        self.columns[attr.index()].cell(row)
     }
 
-    /// Full column access.
-    pub fn column(&self, attr: AttrId) -> &[Value] {
+    /// One column, shared: hand out a clone of the `Arc` to keep it.
+    pub fn column(&self, attr: AttrId) -> &Arc<ColumnDict> {
         &self.columns[attr.index()]
+    }
+
+    /// The cells of `attr` in row order ([`ColumnDict::values`]).
+    pub fn values(&self, attr: AttrId) -> impl Iterator<Item = &Value> + '_ {
+        self.columns[attr.index()].values()
     }
 
     /// Materializes row `i` as a vector (display/insert paths only).
     pub fn row(&self, i: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c[i].clone()).collect()
+        self.columns.iter().map(|c| c.cell(i).clone()).collect()
     }
 
-    /// Iterates materialized rows. Cloning cost is acceptable on the
-    /// display path; algorithms use [`Table::project_row`] instead.
+    /// Iterates materialized rows, each column read once in order.
+    /// Cloning cost is acceptable on the display path; algorithms use
+    /// the counting kernels instead.
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
-        (0..self.rows).map(|i| self.row(i))
+        let mut cols: Vec<_> = self.columns.iter().map(|c| c.values()).collect();
+        (0..self.rows).map(move |_| {
+            cols.iter_mut()
+                .map(|c| c.next().cloned().unwrap_or_default())
+                .collect()
+        })
     }
 
     /// Projects row `i` on an ordered attribute list `t[Y]`.
     pub fn project_row(&self, i: usize, attrs: &[AttrId]) -> ProjKey {
-        attrs
-            .iter()
-            .map(|a| self.columns[a.index()][i].clone())
-            .collect()
+        attrs.iter().map(|a| self.cell(i, *a).clone()).collect()
     }
 
     /// Does row `i` contain a NULL among `attrs`?
     pub fn row_has_null(&self, i: usize, attrs: &[AttrId]) -> bool {
-        attrs.iter().any(|a| self.columns[a.index()][i].is_null())
-    }
-
-    /// The column slices of `attrs`, resolved once so row loops don't
-    /// re-walk the `attr → column` lookup per row.
-    fn column_slices(&self, attrs: &[AttrId]) -> Vec<&[Value]> {
-        attrs.iter().map(|a| self.column(*a)).collect()
+        attrs.iter().any(|a| self.cell(i, *a).is_null())
     }
 
     /// The set of *distinct, fully non-null* projections `π_Y(r)` — SQL
     /// `SELECT DISTINCT Y` with rows containing NULL in `Y` dropped,
     /// matching the paper's `‖r[Y]‖` (`COUNT (DISTINCT Y)`).
     ///
-    /// This is the reference implementation; hot paths use the
-    /// dictionary-encoded kernels in [`crate::encode`]. The set grows
-    /// organically — pre-sizing to the row count over-allocates badly
-    /// on low-cardinality columns.
+    /// This is the `Value`-level reference, reading decoded cells; hot
+    /// paths use the integer-code kernels in [`crate::encode`]. The set
+    /// grows organically — pre-sizing to the row count over-allocates
+    /// badly on low-cardinality columns.
     pub fn distinct_projection(&self, attrs: &[AttrId]) -> HashSet<ProjKey> {
-        let cols = self.column_slices(attrs);
+        let mut cols: Vec<_> = attrs.iter().map(|a| self.values(*a)).collect();
         let mut set = HashSet::new();
-        'rows: for i in 0..self.rows {
-            let mut key = Vec::with_capacity(cols.len());
-            for c in &cols {
-                let v = &c[i];
-                if v.is_null() {
-                    continue 'rows;
-                }
-                key.push(v.clone());
+        let mut cells: Vec<&Value> = Vec::with_capacity(cols.len());
+        for _ in 0..self.rows {
+            cells.clear();
+            cells.extend(cols.iter_mut().map(|c| c.next().unwrap_or(&Value::Null)));
+            if !cells.iter().any(|v| v.is_null()) {
+                set.insert(cells.iter().map(|&v| v.clone()).collect());
             }
-            set.insert(key);
         }
         set
     }
@@ -325,7 +305,7 @@ mod tests {
     fn a_write_to_a_shared_column_leaves_the_other_table_unchanged() {
         let original = sample();
         let mut copy = original.clone();
-        assert_eq!(copy.column(a(0)).as_ptr(), original.column(a(0)).as_ptr());
+        assert!(Arc::ptr_eq(copy.column(a(0)), original.column(a(0))));
         copy.push_row(vec![Value::Int(9), Value::str("z")]).unwrap();
         assert_eq!(original, sample());
         assert_eq!(copy.len(), 6);
@@ -333,29 +313,33 @@ mod tests {
 
         // A table with dropped columns shares the ones it keeps.
         let mut kept = original.drop_columns(&[a(0)]);
-        assert_eq!(kept.column(a(0)).as_ptr(), original.column(a(1)).as_ptr());
-        kept.append_columns(vec![vec![Value::str("w")]]).unwrap();
+        assert!(Arc::ptr_eq(kept.column(a(0)), original.column(a(1))));
+        kept.append_columns(vec![ColumnDict::build(&[Value::str("w")])])
+            .unwrap();
         assert_eq!(original, sample());
         assert_eq!(kept.cell(5, a(0)), &Value::str("w"));
     }
 
     #[test]
     fn append_columns_takes_a_batch_whole_or_not_at_all() {
+        let col = |cells: &[Value]| ColumnDict::build(cells);
         let mut t = sample();
-        assert!(t.append_columns(vec![vec![Value::Int(4)], vec![]]).is_err());
-        assert!(t.append_columns(vec![vec![Value::Int(4)]]).is_err());
+        assert!(t
+            .append_columns(vec![col(&[Value::Int(4)]), col(&[])])
+            .is_err());
+        assert!(t.append_columns(vec![col(&[Value::Int(4)])]).is_err());
         assert_eq!(t, sample());
-        t.append_columns(vec![vec![Value::Int(4)], vec![Value::Null]])
+        t.append_columns(vec![col(&[Value::Int(4)]), col(&[Value::Null])])
             .unwrap();
         assert_eq!(t.len(), 6);
         assert_eq!(t.row(5), vec![Value::Int(4), Value::Null]);
 
-        // An empty column takes the appended vector as is.
-        let column = vec![Value::Int(1), Value::Int(2)];
-        let cells = column.as_ptr();
+        // An empty table takes the appended columns as they are.
+        let column = col(&[Value::Int(1), Value::Int(2)]);
+        let distinct = column.distinct_values().as_ptr();
         let mut empty = Table::new(1);
         empty.append_columns(vec![column]).unwrap();
-        assert_eq!(empty.column(a(0)).as_ptr(), cells);
+        assert_eq!(empty.column(a(0)).distinct_values().as_ptr(), distinct);
         assert_eq!(empty.len(), 2);
     }
 

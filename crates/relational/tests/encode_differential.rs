@@ -7,7 +7,10 @@
 //!
 //! Every case runs the one kernel family twice: over resident codes
 //! and over the same codes spilled to page files read through a
-//! one-page buffer pool.
+//! one-page buffer pool. The references read cells through the
+//! decoding accessor, which the round-trip properties at the end pin
+//! to the generated cells, so a dictionary bug cannot hide on both
+//! sides.
 
 // Test-support helpers outside #[test] fns; panicking on fixture
 // failure is test behaviour.
@@ -20,16 +23,16 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::{join_stats, EquiJoin, JoinStats};
+use dbre_relational::csv::{export_csv, import_csv, import_csv_spilled};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, IndSide};
 use dbre_relational::encode::{
-    decode_set_cols, distinct_codes, intersect_count, lhs_groups, partition1, CodeSource,
-    ColumnDict,
+    decode_set_cols, distinct_codes, intersect_count, lhs_groups, partition1, ColumnDict,
+    DictBuilder,
 };
-use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn, PAGE_BYTES};
+use dbre_relational::pages::{PageFileWriter, PagedBackend, PagedColumn, PAGE_BYTES};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::spill::SpilledTable;
 use dbre_relational::stats::StatsEngine;
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
@@ -120,23 +123,32 @@ fn db_of(t: &Table) -> (Database, RelId) {
     (db, rel)
 }
 
-/// `t`'s streamed twin: a database whose only relation holds no
-/// resident values, served by a paged backend over a one-page pool
-/// that adopted `t`'s columns spilled to page files.
+/// `t`'s columns with their codes on temporary page files, interned
+/// and written one cell at a time as streamed ingest does.
+fn paged_columns(t: &Table) -> Vec<ColumnDict> {
+    (0..t.arity())
+        .map(|i| {
+            let mut b = DictBuilder::new();
+            let mut w = PageFileWriter::create_temp().expect("temp page file");
+            for v in t.values(AttrId(i as u16)) {
+                w.push(b.intern(v)).expect("write a code");
+            }
+            let pages = PagedColumn::new(w.finish().expect("finish the page file"), "T");
+            b.finish_paged(Arc::new(pages))
+        })
+        .collect()
+}
+
+/// `t`'s streamed twin: a database whose only relation holds `t`'s
+/// cells in paged columns, read by a paged backend over a one-page
+/// pool.
 fn streamed_twin(t: &Table) -> (Database, RelId, PagedBackend) {
     let mut db = Database::new();
-    let rel = db.add_relation(relation_of(t)).expect("fresh schema");
-    db.set_streamed_extension(rel, t.len());
-    let columns = (0..t.arity())
-        .map(|i| {
-            let dict = ColumnDict::build(t.column(AttrId(i as u16)));
-            let file = PageFile::spill(dict.codes()).expect("spill to temp dir");
-            Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
-        })
-        .collect();
-    let paged = PagedBackend::with_capacity_bytes(PAGE_BYTES);
-    paged.adopt_spilled(&db, rel, &SpilledTable::new(columns, t.len(), false));
-    (db, rel, paged)
+    let table = Table::from_columns(paged_columns(t)).expect("equal columns");
+    let rel = db
+        .add_relation_with_table(relation_of(t), table)
+        .expect("arity matches");
+    (db, rel, PagedBackend::with_capacity_bytes(PAGE_BYTES))
 }
 
 // ---- Value-based naive references (independent of encode.rs) --------
@@ -184,40 +196,31 @@ fn naive_lhs_groups(t: &Table, attrs: &[AttrId]) -> Vec<Vec<usize>> {
 
 // ---- both storage modes ---------------------------------------------
 
-/// One table's columns in both storage modes: resident dictionaries,
-/// and the same codes spilled to page files behind a one-page pool.
+/// One table's columns in both storage modes: the table's own
+/// resident columns, and the same cells in paged columns read through
+/// a one-page pool.
 struct Stores {
-    resident: Vec<ColumnDict>,
-    spilled: Vec<PagedColumn>,
+    resident: Table,
+    spilled: Vec<ColumnDict>,
     pool: BufferPool,
     rows: usize,
 }
 
 impl Stores {
     fn of(t: &Table) -> Stores {
-        let resident: Vec<ColumnDict> = (0..t.arity())
-            .map(|i| ColumnDict::build(t.column(AttrId(i as u16))))
-            .collect();
-        let spilled = resident
-            .iter()
-            .map(|d| {
-                let file = PageFile::spill(d.codes()).expect("spill to temp dir");
-                PagedColumn::new(Arc::new(d.slim()), file)
-            })
-            .collect();
         Stores {
-            resident,
-            spilled,
+            resident: t.clone(),
+            spilled: paged_columns(t),
             pool: BufferPool::with_capacity_pages(1),
             rows: t.len(),
         }
     }
 
     fn resident(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
-        attrs.iter().map(|a| &self.resident[a.index()]).collect()
+        attrs.iter().map(|a| &**self.resident.column(*a)).collect()
     }
 
-    fn spilled(&self, attrs: &[AttrId]) -> Vec<&PagedColumn> {
+    fn spilled(&self, attrs: &[AttrId]) -> Vec<&ColumnDict> {
         attrs.iter().map(|a| &self.spilled[a.index()]).collect()
     }
 }
@@ -228,27 +231,17 @@ fn read<T, E: std::fmt::Debug>(r: Result<T, E>) -> T {
     r.expect("kernel read its codes")
 }
 
-fn dicts<'a, C: CodeSource>(cols: &[&'a C]) -> Vec<&'a ColumnDict> {
-    cols.iter().map(|c| c.dict()).collect()
-}
-
 /// The decoded distinct projection, from either store.
-fn decoded<C: CodeSource>(cols: &[&C], pager: &C::Pager, rows: usize) -> HashSet<Vec<Value>>
-where
-    C::Error: std::fmt::Debug,
-{
-    decode_set_cols(&dicts(cols), &read(distinct_codes(cols, pager, rows)))
+fn decoded(cols: &[&ColumnDict], pool: &BufferPool, rows: usize) -> HashSet<Vec<Value>> {
+    decode_set_cols(cols, &read(distinct_codes(cols, pool, rows)))
 }
 
 /// The three join cardinalities from the encoded sets of two sides,
 /// from either store.
-fn join_counts<C: CodeSource>(
-    (l, lp, lrows): (&[&C], &C::Pager, usize),
-    (r, rp, rrows): (&[&C], &C::Pager, usize),
-) -> JoinStats
-where
-    C::Error: std::fmt::Debug,
-{
+fn join_counts(
+    (l, lp, lrows): (&[&ColumnDict], &BufferPool, usize),
+    (r, rp, rrows): (&[&ColumnDict], &BufferPool, usize),
+) -> JoinStats {
     let (ls, rs) = (
         read(distinct_codes(l, lp, lrows)),
         read(distinct_codes(r, rp, rrows)),
@@ -256,7 +249,7 @@ where
     JoinStats {
         n_left: ls.len(),
         n_right: rs.len(),
-        n_join: intersect_count(&dicts(l), &ls, &dicts(r), &rs),
+        n_join: intersect_count(l, &ls, r, &rs),
     }
 }
 
@@ -269,7 +262,7 @@ proptest! {
         let (t, attrs) = case;
         let s = Stores::of(&t);
         let expected = t.count_distinct(&attrs);
-        prop_assert_eq!(read(distinct_codes(&s.resident(&attrs), &(), s.rows)).len(), expected);
+        prop_assert_eq!(read(distinct_codes(&s.resident(&attrs), &s.pool, s.rows)).len(), expected);
         prop_assert_eq!(read(distinct_codes(&s.spilled(&attrs), &s.pool, s.rows)).len(), expected);
     }
 
@@ -280,7 +273,7 @@ proptest! {
         let (t, attrs) = case;
         let s = Stores::of(&t);
         let expected = t.distinct_projection(&attrs);
-        prop_assert_eq!(decoded(&s.resident(&attrs), &(), s.rows), expected.clone());
+        prop_assert_eq!(decoded(&s.resident(&attrs), &s.pool, s.rows), expected.clone());
         prop_assert_eq!(decoded(&s.spilled(&attrs), &s.pool, s.rows), expected);
     }
 
@@ -292,7 +285,7 @@ proptest! {
         let s = Stores::of(&t);
         for a in attrs {
             let expected = StrippedPartition::for_attribute(&t, a);
-            prop_assert_eq!(read(partition1(s.resident(&[a])[0], &())), expected.clone());
+            prop_assert_eq!(read(partition1(s.resident(&[a])[0], &s.pool)), expected.clone());
             prop_assert_eq!(read(partition1(s.spilled(&[a])[0], &s.pool)), expected);
         }
     }
@@ -331,7 +324,7 @@ proptest! {
         let (t, attrs) = case;
         let s = Stores::of(&t);
         let expected = naive_lhs_groups(&t, &attrs);
-        prop_assert_eq!(read(lhs_groups(&s.resident(&attrs), &(), s.rows)), expected.clone());
+        prop_assert_eq!(read(lhs_groups(&s.resident(&attrs), &s.pool, s.rows)), expected.clone());
         prop_assert_eq!(read(lhs_groups(&s.spilled(&attrs), &s.pool, s.rows)), expected);
     }
 
@@ -342,8 +335,8 @@ proptest! {
         let (lt, lattrs, rt, rattrs) = case;
         let (ls, rs) = (Stores::of(&lt), Stores::of(&rt));
         let resident = join_counts(
-            (&ls.resident(&lattrs), &(), ls.rows),
-            (&rs.resident(&rattrs), &(), rs.rows),
+            (&ls.resident(&lattrs), &ls.pool, ls.rows),
+            (&rs.resident(&rattrs), &rs.pool, rs.rows),
         );
         let spilled = join_counts(
             (&ls.spilled(&lattrs), &ls.pool, ls.rows),
@@ -429,5 +422,151 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---- round trips: a column reads back the cells it was given --------
+
+/// The collision-prone pool plus text spelled `null` and the empty
+/// string.
+fn cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        value(),
+        value(),
+        value(),
+        Just(Value::str("null")),
+        Just(Value::str("")),
+    ]
+}
+
+/// Rows of mixed-type cells, each `arity` wide.
+fn mixed_rows() -> impl Strategy<Value = (usize, Vec<Vec<Value>>)> {
+    (
+        1usize..5,
+        prop::collection::vec(prop::collection::vec(cell(), 4), 0..40),
+    )
+        .prop_map(|(arity, rows)| {
+            let rows = rows
+                .into_iter()
+                .map(|mut r| {
+                    r.truncate(arity);
+                    r
+                })
+                .collect();
+            (arity, rows)
+        })
+}
+
+/// Rows of domain-typed columns: `cell()` draws kept when they fit
+/// their column's domain (NULL fits every domain), after an integer
+/// row number. A one-column row holding NULL exports as a blank line,
+/// which import skips; the row number keeps every line non-blank.
+fn typed_rows() -> impl Strategy<Value = (Vec<Domain>, Vec<Vec<Value>>)> {
+    let domain = prop_oneof![Just(Domain::Int), Just(Domain::Float), Just(Domain::Text)];
+    (
+        prop::collection::vec(domain, 1..4),
+        prop::collection::vec(prop::collection::vec(cell(), 3), 0..40),
+    )
+        .prop_map(|(domains, rows)| {
+            let rows = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| {
+                    let cells = domains
+                        .iter()
+                        .zip(r)
+                        .map(|(&d, v)| if v.fits(d) { v } else { Value::Null });
+                    std::iter::once(Value::Int(i as i64)).chain(cells).collect()
+                })
+                .collect();
+            let domains = std::iter::once(Domain::Int).chain(domains).collect();
+            (domains, rows)
+        })
+}
+
+/// Every way of reading `t`'s cells gives exactly `rows`: whole rows,
+/// each column in order, and each cell alone.
+fn reads_back(t: &Table, rows: &[Vec<Value>]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(t.len(), rows.len());
+    prop_assert_eq!(&t.rows().collect::<Vec<_>>(), rows);
+    for a in 0..t.arity() {
+        let attr = AttrId(a as u16);
+        let column: Vec<&Value> = t.values(attr).collect();
+        let expected: Vec<&Value> = rows.iter().map(|r| &r[a]).collect();
+        prop_assert_eq!(column, expected);
+        for (i, row) in rows.iter().enumerate() {
+            prop_assert_eq!(t.cell(i, attr), &row[a]);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `Table::from_rows` and `push_row` (resident and paged columns
+    /// alike, the paged ones written first to pages) read back the
+    /// rows they were given, and so does Restruct's gather of any row
+    /// selection, repeats included.
+    #[test]
+    fn constructed_tables_read_back_their_rows(
+        case in mixed_rows(),
+        picks in prop::collection::vec(0usize..40, 0..20),
+    ) {
+        let (arity, rows) = case;
+        let t = Table::from_rows(arity, rows.clone()).expect("rows match arity");
+        reads_back(&t, &rows)?;
+        let mut pushed = Table::new(arity);
+        let mut paged = Table::from_columns(paged_columns(&t)).expect("equal columns");
+        reads_back(&paged, &rows)?;
+        for row in &rows {
+            pushed.push_row(row.clone()).expect("row matches arity");
+            paged.push_row(row.clone()).expect("row matches arity");
+        }
+        reads_back(&pushed, &rows)?;
+        let twice: Vec<Vec<Value>> = rows.iter().chain(&rows).cloned().collect();
+        reads_back(&paged, &twice)?;
+
+        let picks: Vec<usize> = picks.into_iter().filter(|&i| i < rows.len()).collect();
+        let gathered: Vec<ColumnDict> =
+            (0..arity).map(|a| t.column(AttrId(a as u16)).gather(&picks)).collect();
+        let picked: Vec<Vec<Value>> = picks.iter().map(|&i| rows[i].clone()).collect();
+        reads_back(&Table::from_columns(gathered).expect("equal columns"), &picked)?;
+    }
+
+    /// `Database::insert`, then `export_csv` read back by `import_csv`
+    /// and by `import_csv_spilled`, over domain-typed columns: each
+    /// table reads back the inserted rows.
+    #[test]
+    fn imported_tables_read_back_their_rows(case in typed_rows()) {
+        let (domains, rows) = case;
+        let names: Vec<String> = (0..domains.len()).map(|i| format!("c{i}")).collect();
+        let spec: Vec<(&str, Domain)> =
+            names.iter().map(String::as_str).zip(domains.iter().copied()).collect();
+        let fresh = || {
+            let mut db = Database::new();
+            let rel = db.add_relation(Relation::of("T", &spec)).expect("fresh schema");
+            (db, rel)
+        };
+        let (mut db, rel) = fresh();
+        for row in &rows {
+            db.insert(rel, row.clone()).expect("typed cells fit");
+        }
+        reads_back(db.table(rel), &rows)?;
+        let csv = export_csv(&db, rel);
+
+        let (mut mem, mem_rel) = fresh();
+        import_csv(&mut mem, mem_rel, &csv).expect("exported CSV imports");
+        reads_back(mem.table(mem_rel), &rows)?;
+
+        let path = std::env::temp_dir().join(format!(
+            "dbre-roundtrip-{}-{:016x}.csv",
+            std::process::id(),
+            csv.len() as u64 ^ (rows.len() as u64) << 32
+        ));
+        std::fs::write(&path, &csv).expect("write the CSV");
+        let (mut streamed, streamed_rel) = fresh();
+        let spilled = import_csv_spilled(&mut streamed, streamed_rel, &path, None);
+        let _ = std::fs::remove_file(&path);
+        spilled.expect("exported CSV streams");
+        reads_back(streamed.table(streamed_rel), &rows)?;
     }
 }

@@ -66,7 +66,7 @@ fn partition_table() -> impl Strategy<Value = Table> {
 fn grouped(table: &Table, attrs: &[AttrId]) -> StrippedPartition {
     let mut groups: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
     for row in 0..table.len() {
-        let tuple = attrs.iter().map(|&a| &table.column(a)[row]).collect();
+        let tuple = attrs.iter().map(|&a| table.cell(row, a)).collect();
         groups.entry(tuple).or_default().push(row);
     }
     let mut classes: Vec<Vec<usize>> = groups.into_values().filter(|c| c.len() >= 2).collect();

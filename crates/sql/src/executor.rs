@@ -181,7 +181,7 @@ impl<'a> Executor<'a> {
             let Some((attr, _, _)) = access else { continue };
             let table = self.db.table(bindings[d].rel);
             let mut index: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, v) in table.column(*attr).iter().enumerate() {
+            for (i, v) in table.values(*attr).enumerate() {
                 if !v.is_null() {
                     index.entry(v.clone()).or_default().push(i);
                 }

@@ -25,10 +25,9 @@ use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::EquiJoin;
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, IndSide};
-use dbre_relational::encode::ColumnDict;
-use dbre_relational::pages::{PageFile, PagedBackend, PagedColumn};
+use dbre_relational::encode::DictBuilder;
+use dbre_relational::pages::{PageFileWriter, PagedBackend, PagedColumn};
 use dbre_relational::schema::{RelId, Relation};
-use dbre_relational::spill::SpilledTable;
 use dbre_relational::table::Table;
 use dbre_relational::value::{Domain, Value};
 use dbre_sql::SqlBackend;
@@ -114,31 +113,30 @@ fn db_of(tables: &[&Table]) -> (Database, Vec<RelId>) {
     (db, rels)
 }
 
-/// `db`'s streamed twin: the same relations as streamed extensions
-/// that hold no values, served by a paged backend over `pool` that
-/// adopted each table's columns spilled to page files, as streamed
-/// ingest would.
+/// `db`'s streamed twin: the same relations, each column interned and
+/// written to a page file one cell at a time as streamed ingest does,
+/// read by a paged backend over `pool`.
 fn streamed_twin(db: &Database, pool: BufferPool) -> (Database, PagedBackend) {
     let mut twin = Database::new();
-    let paged = PagedBackend::with_pool(Arc::new(pool));
     for (rel, relation) in db.schema.iter() {
         let table = db.table(rel);
-        let streamed = twin.add_relation(relation.clone()).expect("fresh schema");
-        twin.set_streamed_extension(streamed, table.len());
         let columns = (0..table.arity())
             .map(|i| {
-                let dict = ColumnDict::build(table.column(AttrId(i as u16)));
-                let file = PageFile::spill(dict.codes()).expect("spill to temp dir");
-                Arc::new(PagedColumn::new(Arc::new(dict.slim()), file))
+                let mut b = DictBuilder::new();
+                let mut w = PageFileWriter::create_temp().expect("temp page file");
+                for v in table.values(AttrId(i as u16)) {
+                    w.push(b.intern(v)).expect("write a code");
+                }
+                let pages =
+                    PagedColumn::new(w.finish().expect("finish the page file"), &relation.name);
+                b.finish_paged(Arc::new(pages))
             })
             .collect();
-        paged.adopt_spilled(
-            &twin,
-            streamed,
-            &SpilledTable::new(columns, table.len(), false),
-        );
+        let paged = Table::from_columns(columns).expect("equal columns");
+        twin.add_relation_with_table(relation.clone(), paged)
+            .expect("fresh schema");
     }
-    (twin, paged)
+    (twin, PagedBackend::with_pool(Arc::new(pool)))
 }
 
 /// A backend and the database it reads.
