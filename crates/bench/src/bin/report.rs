@@ -1014,6 +1014,45 @@ fn xb(check: bool) {
         ));
     }
     std::fs::remove_file(&text_path).ok();
+    // The whole load of `dbre reverse`: the 8-entity scenario at 20k
+    // rows per entity, one exported CSV per relation, through
+    // `import_csv_files` on the workers `load_workers` gives, resident
+    // and streamed to temporary pages (median of 3; not gated).
+    let (load_workers, load_ms) = {
+        use dbre_relational::csv::{export_csv, import_csv_files, load_workers, CsvTarget};
+        let s = scenario(8, 20_000, 42);
+        let dir = std::env::temp_dir().join(format!("dbre-xb-load-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create the load dir");
+        let files: Vec<_> =
+            s.db.schema
+                .iter()
+                .map(|(rel, relation)| {
+                    let path = dir.join(format!("{}.csv", relation.name));
+                    std::fs::write(&path, export_csv(&s.db, rel)).expect("write a load CSV");
+                    (rel, path)
+                })
+                .collect();
+        let workers = load_workers(&files);
+        let mut ms = Vec::new();
+        for (name, target) in [
+            ("resident", CsvTarget::Resident),
+            ("streamed", CsvTarget::Streamed(None)),
+        ] {
+            let ns = median_ns(3, || {
+                let mut db = dbre_relational::Database::new();
+                for (_, relation) in s.db.schema.iter() {
+                    db.add_relation(relation.clone()).expect("fresh schema");
+                }
+                std::hint::black_box(
+                    import_csv_files(&mut db, &files, target, workers).expect("whole load"),
+                );
+            });
+            benches.push((format!("ingest/import_csv_files_{name}/e8_r20000"), ns));
+            ms.push((name, ns / 1e6));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        (workers, ms)
+    };
     let rows_per_s = |ns: f64| ingest_rows as f64 / (ns / 1e9);
     let ingest = (
         ingest_rows,
@@ -1205,6 +1244,13 @@ fn xb(check: bool) {
         "  materialized  {:>12.0} rows/s  (import_csv, in memory)",
         ingest.2
     );
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("\n  whole load (8 entities x 20k rows, one CSV per relation, median of 3):");
+    for (name, ms) in &load_ms {
+        println!(
+            "  {name:<13} {ms:>9.1} ms   ({load_workers} workers, available_parallelism {cpus})"
+        );
+    }
     if let Some((rows, ingest_s, probe_ms, pc)) = &out_of_core_10m {
         println!("\n  out-of-core ingest ({rows} rows, streamed straight to spill, 1 sample):");
         println!("  ingest        {ingest_s:>9.1} s");

@@ -23,7 +23,7 @@ use dbre_core::pipeline::{run_with_programs, PipelineOptions};
 use dbre_core::render::{render_fds, render_inds, render_log, render_schema};
 use dbre_core::{AutoOracle, DenyOracle, Oracle};
 use dbre_extract::{ProgramSource, SourceKind};
-use dbre_relational::csv::import_csv;
+use dbre_relational::csv::{import_csv_files, load_workers, CsvTarget, FileFailure};
 use dbre_sql::Catalog;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -260,14 +260,25 @@ pub type SpilledInputs = Vec<(
 /// Builds the database plus any streamed extensions.
 ///
 /// Without `--spill-dir` or `--backend paged` every `--csv` extension
-/// loads into memory through [`import_csv`] and the second element is
-/// empty. With either, each extension streams straight to checksummed
-/// spill files — under the cache directory, where reruns on unchanged
-/// inputs load the committed entry instead of re-encoding, or else to
-/// temporary files. Either way the tables are validated against the
-/// dictionary.
+/// loads into memory as [`dbre_relational::csv::import_csv`] loads it
+/// and the second element is empty. With either, each extension
+/// streams straight to checksummed spill files — under the cache
+/// directory, where reruns on unchanged inputs load the committed
+/// entry instead of re-encoding, or else to temporary files. The
+/// extensions load on as many threads as [`load_workers`] finds worth
+/// it, with the result and the first error of a load one file at a
+/// time. Either way the tables are validated against the dictionary.
 pub fn load_inputs(
     args: &ReverseArgs,
+) -> Result<(dbre_relational::Database, SpilledInputs), String> {
+    load_with(args, None)
+}
+
+/// [`load_inputs`] on `workers` loading threads, or on as many as
+/// [`load_workers`] gives when `None`.
+pub(crate) fn load_with(
+    args: &ReverseArgs,
+    workers: Option<usize>,
 ) -> Result<(dbre_relational::Database, SpilledInputs), String> {
     let ddl = std::fs::read_to_string(&args.schema)
         .map_err(|e| format!("cannot read {}: {e}", args.schema.display()))?;
@@ -283,25 +294,41 @@ pub fn load_inputs(
             .map_err(|e| format!("{}: {e}", data.display()))?;
     }
     let mut db = catalog.into_database();
-    let mut spilled: SpilledInputs = Vec::new();
-    let stream = args.spill_dir.is_some() || args.backend == "paged";
+    // The files before the first unknown table load; its error comes
+    // after theirs.
+    let mut files = Vec::with_capacity(args.csv.len());
+    let mut unknown = None;
     for (table, path) in &args.csv {
-        let rel = db
-            .rel(table)
-            .map_err(|_| format!("--csv names unknown table `{table}`"))?;
-        if stream {
-            let dir = args.spill_dir.as_deref();
-            let t = dbre_relational::csv::import_csv_spilled(&mut db, rel, path, dir)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            spilled.push((rel, std::sync::Arc::new(t)));
-        } else {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            import_csv(&mut db, rel, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+        match db.rel(table) {
+            Ok(rel) => files.push((rel, path.clone())),
+            Err(_) => {
+                unknown = Some(format!("--csv names unknown table `{table}`"));
+                break;
+            }
         }
+    }
+    let target = if args.spill_dir.is_some() || args.backend == "paged" {
+        CsvTarget::Streamed(args.spill_dir.as_deref())
+    } else {
+        CsvTarget::Resident
+    };
+    let workers = workers.unwrap_or_else(|| load_workers(&files));
+    let spilled = import_csv_files(&mut db, &files, target, workers).map_err(|e| {
+        let path = files[e.file].1.display();
+        match e.cause {
+            FileFailure::Read(e) => format!("cannot read {path}: {e}"),
+            FileFailure::Csv(e) => format!("{path}: {e}"),
+        }
+    })?;
+    if let Some(unknown) = unknown {
+        return Err(unknown);
     }
     db.validate_dictionary()
         .map_err(|e| format!("extension violates the dictionary: {e}"))?;
+    let spilled = spilled
+        .into_iter()
+        .map(|(rel, t)| (rel, std::sync::Arc::new(t)))
+        .collect();
     Ok((db, spilled))
 }
 
@@ -1029,5 +1056,287 @@ mod tests {
         assert!(out.contains("partial"), "{out}");
         // No backtrace-looking content in user-facing output.
         assert!(!out.contains("RUST_BACKTRACE"), "{out}");
+    }
+
+    // ---- the loader: every file at once, as if one at a time ---------
+
+    /// The loop `load_with` replaces, kept as its reference: each
+    /// `--csv` file imported in order on this thread, then validated.
+    fn load_one_at_a_time(
+        args: &ReverseArgs,
+    ) -> Result<(dbre_relational::Database, SpilledInputs), String> {
+        let ddl = std::fs::read_to_string(&args.schema).map_err(|e| e.to_string())?;
+        let mut catalog = Catalog::new();
+        catalog.load_script(&ddl).map_err(|e| e.to_string())?;
+        if let Some(data) = &args.data {
+            let inserts = std::fs::read_to_string(data).map_err(|e| e.to_string())?;
+            catalog.load_script(&inserts).map_err(|e| e.to_string())?;
+        }
+        let mut db = catalog.into_database();
+        let mut spilled: SpilledInputs = Vec::new();
+        let stream = args.spill_dir.is_some() || args.backend == "paged";
+        for (table, path) in &args.csv {
+            let rel = db
+                .rel(table)
+                .map_err(|_| format!("--csv names unknown table `{table}`"))?;
+            if stream {
+                let dir = args.spill_dir.as_deref();
+                let t = dbre_relational::csv::import_csv_spilled(&mut db, rel, path, dir)
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
+                spilled.push((rel, std::sync::Arc::new(t)));
+            } else {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                dbre_relational::csv::import_csv(&mut db, rel, &text)
+                    .map_err(|e| format!("{}: {e}", path.display()))?;
+            }
+        }
+        db.validate_dictionary()
+            .map_err(|e| format!("extension violates the dictionary: {e}"))?;
+        Ok((db, spilled))
+    }
+
+    /// Six relations, among them a three-column key, a not-null
+    /// column, NULLs, quoted text and a file of several pages; `T5`
+    /// also has rows from `data.sql`.
+    fn loader_fixture(tag: &str) -> (PathBuf, ReverseArgs) {
+        let dir =
+            std::env::temp_dir().join(format!("dbre_cli_loader_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("schema.sql"),
+            "CREATE TABLE T0 (id INT UNIQUE, name VARCHAR(20), grp INT);
+             CREATE TABLE T1 (a INT, b VARCHAR(8), c INT, note VARCHAR(20), UNIQUE (a, b, c));
+             CREATE TABLE T2 (k INT UNIQUE, v VARCHAR(20) NOT NULL);
+             CREATE TABLE T3 (x INT, y INT);
+             CREATE TABLE T4 (w VARCHAR(20));
+             CREATE TABLE T5 (p INT, q VARCHAR(20));",
+        )
+        .unwrap();
+        std::fs::write(dir.join("data.sql"), "INSERT INTO T5 VALUES (1, 'first');").unwrap();
+        let mut t0 = String::from("id,name,grp\n");
+        for i in 0..30_000 {
+            t0.push_str(&format!("{i},name-{},{}\n", i % 977, i % 13));
+        }
+        let mut t1 = String::from("note,a,b,c\n");
+        for i in 0..2_000 {
+            t1.push_str(&format!("\"n, {i}\",{},b{},{}\n", i % 40, i % 7, i / 280));
+        }
+        let files = [
+            ("T0", t0),
+            ("T1", t1),
+            ("T2", "k,v\n1,\"\"\n2,\"null\"\n3,x\n".to_string()),
+            ("T3", "x,y\n1,\n,2\n1,\n".to_string()),
+            ("T4", "w\nnull\n\"\"\nz\n".to_string()),
+            ("T5", "q,p\nsecond,2\n".to_string()),
+        ];
+        let mut args = ReverseArgs {
+            schema: dir.join("schema.sql"),
+            data: Some(dir.join("data.sql")),
+            oracle: "auto".into(),
+            ..Default::default()
+        };
+        for (table, text) in files {
+            let path = dir.join(format!("{table}.csv"));
+            std::fs::write(&path, text).unwrap();
+            args.csv.push((table.to_string(), path));
+        }
+        (dir, args)
+    }
+
+    /// `a` and `b` hold the same tables: every column's codes,
+    /// dictionary in code order, counts and NULLs, with the same
+    /// constraints, and generation tags in the same relative order.
+    fn assert_same_load(a: &dbre_relational::Database, b: &dbre_relational::Database) {
+        assert_eq!(a.constraints, b.constraints);
+        for (rel, relation) in a.schema.iter() {
+            let (ta, tb) = (a.table(rel), b.table(rel));
+            assert_eq!(ta.len(), tb.len(), "{}", relation.name);
+            for i in 0..relation.arity() {
+                let attr = dbre_relational::AttrId(i as u16);
+                let (ca, cb) = (ta.column(attr), tb.column(attr));
+                let at = format!("{}.{}", relation.name, relation.attr_name(attr));
+                assert_eq!(ca.codes(), cb.codes(), "{at}");
+                assert_eq!(ca.distinct_values(), cb.distinct_values(), "{at}");
+                assert_eq!(ca.code_counts(), cb.code_counts(), "{at}");
+                assert_eq!(ca.null_count(), cb.null_count(), "{at}");
+                assert_eq!(ca.pages().is_some(), cb.pages().is_some(), "{at}");
+            }
+        }
+        let order = |db: &dbre_relational::Database| {
+            let mut rels: Vec<_> = db.schema.iter().map(|(rel, _)| rel).collect();
+            rels.sort_by_key(|&rel| db.generation(rel));
+            rels
+        };
+        assert_eq!(order(a), order(b));
+    }
+
+    /// Every file under `a` has a twin of the same bytes under `b`,
+    /// and the other way round.
+    fn assert_same_tree(a: &Path, b: &Path) {
+        fn files(root: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+            let mut out = Vec::new();
+            let mut dirs = vec![root.to_path_buf()];
+            while let Some(dir) = dirs.pop() {
+                for entry in std::fs::read_dir(&dir).unwrap() {
+                    let path = entry.unwrap().path();
+                    if path.is_dir() {
+                        dirs.push(path);
+                    } else {
+                        let bytes = std::fs::read(&path).unwrap();
+                        out.push((path.strip_prefix(root).unwrap().to_path_buf(), bytes));
+                    }
+                }
+            }
+            out.sort();
+            out
+        }
+        let (fa, fb) = (files(a), files(b));
+        assert!(!fa.is_empty());
+        assert_eq!(fa, fb);
+    }
+
+    #[test]
+    fn loading_on_workers_matches_one_file_at_a_time() {
+        let (dir, args) = loader_fixture("same");
+        for workers in [1, 3] {
+            // Resident: `T5` keeps its `--data` row above the file's.
+            let (reference, _) = load_one_at_a_time(&args).unwrap();
+            let (db, spilled) = load_with(&args, Some(workers)).unwrap();
+            assert!(spilled.is_empty());
+            assert_same_load(&db, &reference);
+            let t5 = db.rel("T5").unwrap();
+            assert_eq!(db.table(t5).len(), 2);
+
+            // Streamed into a fresh spill dir each, without `--data`
+            // (a streamed relation must start empty).
+            let streamed = |spill: &str| ReverseArgs {
+                data: None,
+                spill_dir: Some(dir.join(format!("{spill}-{workers}"))),
+                ..args.clone()
+            };
+            let (reference, reference_spilled) =
+                load_one_at_a_time(&streamed("one-at-a-time")).unwrap();
+            let (db, spilled) = load_with(&streamed("workers"), Some(workers)).unwrap();
+            assert_same_load(&db, &reference);
+            let rels = |s: &SpilledInputs| s.iter().map(|(rel, _)| *rel).collect::<Vec<_>>();
+            assert_eq!(rels(&spilled), rels(&reference_spilled));
+            assert!(spilled.iter().all(|(_, t)| !t.from_cache()));
+            assert_same_tree(
+                &dir.join(format!("one-at-a-time-{workers}")),
+                &dir.join(format!("workers-{workers}")),
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_first_bad_file_in_csv_order_is_reported() {
+        let (dir, mut args) = loader_fixture("bad");
+        args.data = None;
+        // `T0`'s error is on its last line, several pages in; `T3`'s
+        // on its first: on three workers `T3` fails first.
+        let mut t0 = std::fs::read_to_string(&args.csv[0].1).unwrap();
+        t0.push_str("1,2\n");
+        std::fs::write(&args.csv[0].1, t0).unwrap();
+        std::fs::write(&args.csv[3].1, "x,y\nnot-an-int,1\n").unwrap();
+        for spill in [None, Some(dir.join("spill"))] {
+            let mut args = ReverseArgs {
+                spill_dir: spill,
+                ..args.clone()
+            };
+            let expected = load_one_at_a_time(&args).unwrap_err();
+            assert!(expected.contains("T0.csv"), "{expected}");
+            for workers in [1, 3] {
+                assert_eq!(load_with(&args, Some(workers)).unwrap_err(), expected);
+            }
+            // The other way round, `T3` is the one reported.
+            args.csv.swap(0, 3);
+            let expected = load_one_at_a_time(&args).unwrap_err();
+            assert!(expected.contains("T3.csv"), "{expected}");
+            for workers in [1, 3] {
+                assert_eq!(load_with(&args, Some(workers)).unwrap_err(), expected);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unreadable_files_and_unknown_tables_fail_as_before() {
+        let (dir, mut args) = loader_fixture("missing");
+        args.data = None;
+        let check = |args: &ReverseArgs, needle: &str| {
+            let expected = load_one_at_a_time(args).unwrap_err();
+            assert!(expected.contains(needle), "{expected}");
+            for workers in [1, 3] {
+                assert_eq!(load_with(args, Some(workers)).unwrap_err(), expected);
+            }
+        };
+        let (t2, missing) = (args.csv[2].1.clone(), dir.join("missing.csv"));
+        for spill in [None, Some(dir.join("spill"))] {
+            let mut args = ReverseArgs {
+                spill_dir: spill,
+                ..args.clone()
+            };
+            // A missing file among good ones.
+            args.csv[2].1 = missing.clone();
+            check(&args, "missing.csv");
+            // An unknown table after a bad file, and before one.
+            args.csv.insert(4, ("Nope".into(), t2.clone()));
+            check(&args, "missing.csv");
+            args.csv[2].1 = t2.clone();
+            check(&args, "unknown table `Nope`");
+        }
+        // Not UTF-8: the resident error is `read_to_string`'s, even
+        // where a malformed record comes first.
+        args.csv.truncate(4);
+        for text in [&b"x,y\n1,2\n\xff,3\n"[..], b"x,y\n1\n2,\xff\n"] {
+            std::fs::write(&args.csv[3].1, text).unwrap();
+            check(&args, "cannot read");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_relation_named_twice_loads_as_before() {
+        let (dir, mut args) = loader_fixture("twice");
+        let again = dir.join("T5-again.csv");
+        std::fs::write(&again, "p,q\n3,third\n4,\n").unwrap();
+        args.csv.push(("T5".into(), again));
+        args.csv.swap(5, 2);
+        // Resident: `T5` takes the `--data` row, then each file's in
+        // `--csv` order.
+        let (reference, _) = load_one_at_a_time(&args).unwrap();
+        for workers in [1, 3] {
+            let (db, _) = load_with(&args, Some(workers)).unwrap();
+            assert_same_load(&db, &reference);
+            let t5 = db.rel("T5").unwrap();
+            let p: Vec<_> = db
+                .table(t5)
+                .values(dbre_relational::AttrId(0))
+                .cloned()
+                .collect();
+            let int = dbre_relational::Value::Int;
+            assert_eq!(p, [int(1), int(2), int(3), int(4)]);
+        }
+        // Streamed: the relation holds the `--data` row, and without
+        // it the second file's rows are refused.
+        for data in [Some(dir.join("data.sql")), None] {
+            let args = ReverseArgs {
+                data,
+                backend: "paged".into(),
+                ..args.clone()
+            };
+            let expected = load_one_at_a_time(&args).unwrap_err();
+            assert!(
+                expected.contains("streaming ingest needs an empty relation"),
+                "{expected}"
+            );
+            for workers in [1, 3] {
+                assert_eq!(load_with(&args, Some(workers)).unwrap_err(), expected);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

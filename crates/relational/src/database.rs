@@ -3,7 +3,7 @@
 use crate::attr::AttrSet;
 use crate::bufpool::BufferPool;
 use crate::deps::{Constraints, Dependencies, Fd, Ind};
-use crate::encode::{distinct_codes, lhs_groups, ColumnDict};
+use crate::encode::{lhs_groups, tuples_unique, ColumnDict};
 use crate::error::{DbreError, RelationalError};
 use crate::schema::{RelId, Relation, Schema};
 use crate::table::{ProjKey, Table};
@@ -178,9 +178,10 @@ impl Database {
     /// against the extension, keys first: a one-column key holds iff
     /// its distinct count equals its non-NULL rows, a composite key iff
     /// no two rows agree on it without a NULL — over NULL-free columns,
-    /// iff it has as many distinct tuples as rows; otherwise iff
-    /// `lhs_groups` is empty — its paged codes read through `pool`, and
-    /// a not-null constraint iff its column counts no NULL.
+    /// iff folding its columns into dense tuple ids hands out one id per
+    /// row ([`tuples_unique`]); otherwise iff `lhs_groups` is empty —
+    /// its paged codes read through `pool`, and a not-null constraint
+    /// iff its column counts no NULL.
     pub(crate) fn check_constraints(
         &self,
         only: Option<RelId>,
@@ -192,8 +193,8 @@ impl Database {
             let cols: Vec<&ColumnDict> = key.attrs.iter().map(|a| &**table.column(a)).collect();
             let holds = match cols[..] {
                 [col] => col.cardinality() == col.rows() - col.null_count(),
-                _ if cols.iter().all(|c| !c.has_null()) => {
-                    distinct_codes(&cols, pool, table.len())?.len() == table.len()
+                [_, _, ..] if cols.iter().all(|c| !c.has_null()) => {
+                    tuples_unique(&cols, pool, table.len())?
                 }
                 _ => lhs_groups(&cols, pool, table.len())?.is_empty(),
             };

@@ -881,6 +881,43 @@ pub fn distinct_codes(
     }
 }
 
+/// Whether no two rows agree on NULL-free columns `cols`: the check of
+/// a composite key. The columns are read in lockstep chunks, and each
+/// column after the first is folded into the dense ids of the tuple
+/// before it, as [`tuple_keys`] folds, through one map per fold
+/// presized for every row to differ; the rows are distinct iff the
+/// last fold hands out one id per row. No tuple is stored whole.
+pub(crate) fn tuples_unique(
+    cols: &[&ColumnDict],
+    pool: &BufferPool,
+    rows: usize,
+) -> Result<bool, PageError> {
+    let mut folds: Vec<FxHashMap<u64, u32>> = cols
+        .iter()
+        .skip(1)
+        .map(|_| FxHashMap::with_capacity_and_hasher(rows, Default::default()))
+        .collect();
+    let mut ids: Vec<u32> = Vec::with_capacity(PAGE_CODES);
+    stream(cols, pool, rows, |_, s| {
+        let Some((first, rest)) = s.split_first() else {
+            return;
+        };
+        ids.clear();
+        ids.extend_from_slice(first);
+        for (fold, codes) in folds.iter_mut().zip(rest) {
+            for (id, &code) in ids.iter_mut().zip(*codes) {
+                let next = fold.len() as u32;
+                *id = *fold.entry(pack2(*id, code)).or_insert(next);
+            }
+        }
+    })?;
+    Ok(match (folds.last(), cols.first()) {
+        (Some(last), _) => last.len() == rows,
+        (None, Some(col)) => col.cardinality() == rows,
+        (None, None) => rows < 2,
+    })
+}
+
 /// Row-index groups (size ≥ 2) agreeing on `cols` under SQL semantics
 /// — rows with a NULL among the projection are skipped. Indices
 /// ascending within a group, groups sorted: the contract of

@@ -23,13 +23,16 @@ use dbre_relational::attr::AttrId;
 use dbre_relational::backend::{CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::bufpool::BufferPool;
 use dbre_relational::counting::{join_stats, EquiJoin, JoinStats};
-use dbre_relational::csv::{export_csv, import_csv, import_csv_spilled};
+use dbre_relational::csv::{
+    export_csv, import_csv, import_csv_files, import_csv_spilled, CsvTarget,
+};
 use dbre_relational::database::Database;
 use dbre_relational::deps::{Fd, IndSide};
 use dbre_relational::encode::{
     decode_set_cols, distinct_codes, intersect_count, lhs_groups, partition1, ColumnDict,
     DictBuilder,
 };
+use dbre_relational::error::RelationalError;
 use dbre_relational::pages::{PageFileWriter, PagedBackend, PagedColumn, PAGE_BYTES};
 use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::{RelId, Relation};
@@ -425,6 +428,92 @@ proptest! {
     }
 }
 
+// ---- declared keys: the dictionary check ---------------------------
+
+/// A table of 2–4 integer columns over a domain small enough that
+/// composite keys both hold and fail — NULL-free in half the cases,
+/// which is the folded check, and with NULLs in the other half — plus
+/// 1–3 keys of two or more of its columns, in declaration order.
+fn keyed_table() -> impl Strategy<Value = (Table, Vec<Vec<AttrId>>)> {
+    (
+        2usize..5,
+        1i64..7,
+        any::<bool>(),
+        prop::collection::vec(prop::collection::vec((0i64..7, 0u8..6), 4), 0..30),
+        prop::collection::vec(prop::collection::vec(0u16..4, 2..5), 1..4),
+    )
+        .prop_map(|(arity, domain, nulls, rows, keys)| {
+            let rows: Vec<Vec<Value>> = rows
+                .into_iter()
+                .map(|r| {
+                    r.into_iter()
+                        .take(arity)
+                        .map(|(v, n)| match nulls && n == 0 {
+                            true => Value::Null,
+                            false => Value::Int(v % domain),
+                        })
+                        .collect()
+                })
+                .collect();
+            let t = Table::from_rows(arity, rows).expect("rows match arity");
+            let keys = keys
+                .into_iter()
+                .map(|k| {
+                    let mut k: Vec<AttrId> =
+                        k.into_iter().map(|i| AttrId(i % arity as u16)).collect();
+                    k.sort();
+                    k.dedup();
+                    k
+                })
+                .filter(|k| k.len() >= 2)
+                .collect();
+            (t, keys)
+        })
+}
+
+/// Does composite key `key` hold in `t`, read cell by cell: as many
+/// distinct NULL-free tuples as rows without a NULL in the key.
+fn key_holds(t: &Table, key: &[AttrId]) -> bool {
+    let null_free = (0..t.len()).filter(|&i| !t.row_has_null(i, key)).count();
+    t.count_distinct(key) == null_free
+}
+
+proptest! {
+    /// `validate_dictionary` over resident columns and over the same
+    /// codes on pages read through its one-page pool: each composite
+    /// key alone holds exactly when the `Value`-level reference says
+    /// so, and with all of them declared the first violated key, in
+    /// declaration order, is the one reported.
+    #[test]
+    fn composite_keys_check_like_the_reference(case in keyed_table()) {
+        let (t, keys) = case;
+        let (resident, rel) = db_of(&t);
+        let (paged, paged_rel, _) = streamed_twin(&t);
+        let relation = relation_of(&t);
+        let violation = |key: &[AttrId]| RelationalError::KeyViolation {
+            relation: relation.name.clone(),
+            key: relation.render_set(&key.iter().copied().collect()),
+        };
+        let declare = |db: &Database, rel: RelId, keys: &[Vec<AttrId>]| {
+            let mut db = db.clone();
+            for key in keys {
+                db.constraints.add_key(rel, key.iter().copied().collect());
+            }
+            db.validate_dictionary()
+        };
+        for key in &keys {
+            let expected = if key_holds(&t, key) { Ok(()) } else { Err(violation(key)) };
+            let one = std::slice::from_ref(key);
+            prop_assert_eq!(&declare(&resident, rel, one), &expected, "key {:?}", key);
+            prop_assert_eq!(&declare(&paged, paged_rel, one), &expected, "key {:?}", key);
+        }
+        let first = keys.iter().find(|k| !key_holds(&t, k));
+        let expected = first.map_or(Ok(()), |k| Err(violation(k)));
+        prop_assert_eq!(&declare(&resident, rel, &keys), &expected);
+        prop_assert_eq!(&declare(&paged, paged_rel, &keys), &expected);
+    }
+}
+
 // ---- round trips: a column reads back the cells it was given --------
 
 /// The collision-prone pool plus text spelled `null` and the empty
@@ -458,9 +547,9 @@ fn mixed_rows() -> impl Strategy<Value = (usize, Vec<Vec<Value>>)> {
 }
 
 /// Rows of domain-typed columns: `cell()` draws kept when they fit
-/// their column's domain (NULL fits every domain), after an integer
-/// row number. A one-column row holding NULL exports as a blank line,
-/// which import skips; the row number keeps every line non-blank.
+/// their column's domain (NULL fits every domain). One-column tables
+/// are a third of the draws, so their NULL rows, which export as the
+/// word `null`, are read back often.
 fn typed_rows() -> impl Strategy<Value = (Vec<Domain>, Vec<Vec<Value>>)> {
     let domain = prop_oneof![Just(Domain::Int), Just(Domain::Float), Just(Domain::Text)];
     (
@@ -470,16 +559,14 @@ fn typed_rows() -> impl Strategy<Value = (Vec<Domain>, Vec<Vec<Value>>)> {
         .prop_map(|(domains, rows)| {
             let rows = rows
                 .into_iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let cells = domains
+                .map(|r| {
+                    domains
                         .iter()
                         .zip(r)
-                        .map(|(&d, v)| if v.fits(d) { v } else { Value::Null });
-                    std::iter::once(Value::Int(i as i64)).chain(cells).collect()
+                        .map(|(&d, v)| if v.fits(d) { v } else { Value::Null })
+                        .collect()
                 })
                 .collect();
-            let domains = std::iter::once(Domain::Int).chain(domains).collect();
             (domains, rows)
         })
 }
@@ -532,9 +619,10 @@ proptest! {
         reads_back(&Table::from_columns(gathered).expect("equal columns"), &picked)?;
     }
 
-    /// `Database::insert`, then `export_csv` read back by `import_csv`
-    /// and by `import_csv_spilled`, over domain-typed columns: each
-    /// table reads back the inserted rows.
+    /// `Database::insert`, then `export_csv` read back by `import_csv`,
+    /// by `import_csv_spilled` and by `import_csv_files` both ways (the
+    /// resident load naming the file twice), over domain-typed columns:
+    /// each table reads back the inserted rows.
     #[test]
     fn imported_tables_read_back_their_rows(case in typed_rows()) {
         let (domains, rows) = case;
@@ -565,8 +653,20 @@ proptest! {
         std::fs::write(&path, &csv).expect("write the CSV");
         let (mut streamed, streamed_rel) = fresh();
         let spilled = import_csv_spilled(&mut streamed, streamed_rel, &path, None);
+        let (mut files, files_rel) = fresh();
+        let twice = [(files_rel, path.clone()), (files_rel, path.clone())];
+        let resident = import_csv_files(&mut files, &twice, CsvTarget::Resident, 2);
+        let (mut files_streamed, files_streamed_rel) = fresh();
+        let once = [(files_streamed_rel, path.clone())];
+        let streamed_files =
+            import_csv_files(&mut files_streamed, &once, CsvTarget::Streamed(None), 2);
         let _ = std::fs::remove_file(&path);
         spilled.expect("exported CSV streams");
         reads_back(streamed.table(streamed_rel), &rows)?;
+        prop_assert!(resident.expect("exported CSV loads").is_empty());
+        let both: Vec<Vec<Value>> = rows.iter().chain(&rows).cloned().collect();
+        reads_back(files.table(files_rel), &both)?;
+        prop_assert_eq!(streamed_files.expect("exported CSV streams").len(), 1);
+        reads_back(files_streamed.table(files_streamed_rel), &rows)?;
     }
 }
