@@ -804,6 +804,49 @@ fn xb(check: bool) {
         ));
     }
 
+    // The composite kernels no dialogue runs: every declared key of two
+    // or more columns in the 8-entity scenario, on a fresh engine per
+    // sample — its distinct count, its LHS groups, and its self-join
+    // (not gated).
+    let wide_keys = {
+        use dbre_relational::{EquiJoin, IndSide};
+        type Kernel<'a> = &'a dyn Fn(&StatsEngine, &IndSide, &EquiJoin);
+        let s = scenario(8, 10_000, 42);
+        let self_joins: Vec<EquiJoin> =
+            s.db.constraints
+                .keys
+                .iter()
+                .filter(|k| k.attrs.len() >= 2)
+                .map(|k| {
+                    let side = IndSide::new(k.rel, k.attrs.iter().collect());
+                    EquiJoin::try_new(side.clone(), side).expect("equal sides")
+                })
+                .collect();
+        let kernels: [(&str, Kernel<'_>); 3] = [
+            ("count_distinct", &|e, key, _| {
+                std::hint::black_box(e.count_distinct(&s.db, key.rel, &key.attrs));
+            }),
+            ("lhs_groups", &|e, key, _| {
+                std::hint::black_box(e.lhs_groups(&s.db, key.rel, &key.attrs));
+            }),
+            ("join_stats", &|e, _, join| {
+                std::hint::black_box(e.join_stats(&s.db, join));
+            }),
+        ];
+        for (name, kernel) in kernels {
+            benches.push((
+                format!("kernels/{name}_wide_cold_encoded/e8_r10000"),
+                median_ns(samples, || {
+                    let engine = StatsEngine::new();
+                    for join in &self_joins {
+                        kernel(&engine, &join.left, join);
+                    }
+                }),
+            ));
+        }
+        self_joins.len()
+    };
+
     // Cold RHS-Discovery (§6.2.2) over the scenario's LHS candidates,
     // on the database it reads in a pipeline run: every candidate
     // `A → b` asks its g3 error once, on a fresh engine per sample.
@@ -1219,6 +1262,12 @@ fn xb(check: bool) {
     }
     for (id, ratio) in &pairs {
         println!("  {id:<60} encoded is {ratio:.2}x faster than reference");
+    }
+    println!(
+        "\n  composite kernels ({wide_keys} declared keys of 2+ columns, 8 entities, 10k rows):"
+    );
+    for (id, ns) in benches.iter().filter(|(id, _)| id.starts_with("kernels/")) {
+        println!("  {id:<60} {:>9.3} ms", ns / 1e6);
     }
     println!("\n  full pipeline (8 entities, 1000 rows), one seam, four backends:");
     for (name, ns) in &backend_rows {

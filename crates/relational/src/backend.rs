@@ -22,8 +22,9 @@
 //! tables' dictionary columns: it runs the kernel family of
 //! [`crate::encode`] over each table's own columns, encoded once at
 //! load, and keeps only its buffer pool and one generation-tagged
-//! cache of encoded sets (the crate-private memo the engine's caches
-//! are). Resident codes are read in place; a streamed table's paged
+//! cache of each projection's distinct tuples, folded into dense ids
+//! ([`crate::encode::TupleIds`], in the crate-private memo the engine's
+//! caches are). Resident codes are read in place; a streamed table's paged
 //! codes are read page by page through the pool. [`EncodedBackend`]
 //! and [`crate::pages::PagedBackend`] are its two names. The SQL
 //! backend lives in `dbre-sql` (`SqlBackend`), respecting the
@@ -43,7 +44,7 @@ use crate::counting::{join_stats, EquiJoin, JoinStats};
 use crate::database::Database;
 use crate::deps::{Fd, Ind};
 use crate::encode::{
-    self, decode_set_cols, intersect_count, tuple_keys, ColumnDict, EncodedSet, Tally,
+    self, decode_set_cols, intersect_count, tuple_keys, ColumnDict, Tally, TupleIds,
 };
 use crate::fasthash::FxHashMap;
 use crate::memo::Memo;
@@ -108,7 +109,7 @@ pub struct BackendExecStats {
 ///   (`NULL = NULL`) of [`crate::partitions`].
 pub trait CountBackend: Send + Sync {
     /// A short stable name for reports and the CLI (`"reference"`,
-    /// `"encoded"`, `"sql"`).
+    /// `"encoded"`, `"paged"`, `"sql"`).
     fn name(&self) -> &'static str;
 
     /// `‖rel[attrs]‖` — the paper's cardinality query (SQL
@@ -265,7 +266,8 @@ pub(crate) fn g3_error<B: CountBackend + ?Sized>(backend: &B, db: &Database, fd:
 /// group, the row where its most frequent `fd.rhs` cells first occur —
 /// ties going to the earliest first occurrence — and how often they
 /// occur. NULL and NaN cells count as values. Reads the codes of the
-/// RHS [`CountBackend::column_dict`] (none when there is no group) and
+/// RHS [`CountBackend::column_dict`] (none when there is no group) —
+/// a composite RHS's [`encode::fold`]ed into one key per row — and
 /// allocates nothing per group.
 pub fn pluralities<B: CountBackend + ?Sized>(
     backend: &B,
@@ -285,7 +287,7 @@ pub fn pluralities<B: CountBackend + ?Sized>(
                 .unwrap_or_else(|| Arc::clone(db.table(fd.rel).column(a)))
         })
         .collect();
-    let (keys, count) = tuple_keys(&rhs, groups, db.table(fd.rel).len());
+    let (keys, count) = read_or_die(db, fd.rel, tuple_keys(&rhs, db.table(fd.rel).len()));
     let mut tally = Tally::new(count);
     groups
         .iter()
@@ -392,15 +394,17 @@ impl CountBackend for ReferenceBackend {
 /// [`crate::pages::PagedBackend`] is `paged`, whose pool a workload
 /// sizes.
 ///
-/// The per-projection encoded sets are cached *inside* the backend,
-/// tagged with [`Database::generation`], so a mutated table can never
-/// serve a stale set; they are shared between counts, projections and
-/// every join side touching them.
+/// Each projection's distinct tuples ([`TupleIds`]: a dictionary's
+/// cardinality for one column, the folded tuple ids for more) are
+/// cached *inside* the backend, tagged with [`Database::generation`],
+/// so a mutated table can never serve a stale set; they are shared
+/// between counts, projections and every join side touching them, so
+/// a composite key several joins reference is folded once.
 pub struct ColumnarBackend<const PAGED: bool> {
     /// What paged codes are read through.
     pub(crate) pool: Arc<BufferPool>,
-    /// Encoded distinct-code sets per `(rel, attrs)`.
-    encoded: Memo<(RelId, Vec<AttrId>), Arc<EncodedSet>>,
+    /// The distinct tuples of each `(rel, attrs)`.
+    sets: Memo<(RelId, Vec<AttrId>), Arc<TupleIds>>,
     /// Streamed-ingest tables whose encode the persistent spill cache
     /// skipped.
     pub(crate) spill_hits: AtomicU64,
@@ -450,7 +454,7 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
     pub fn with_pool(pool: Arc<BufferPool>) -> Self {
         ColumnarBackend {
             pool,
-            encoded: Memo::default(),
+            sets: Memo::default(),
             spill_hits: AtomicU64::new(0),
             spill_misses: AtomicU64::new(0),
         }
@@ -461,11 +465,11 @@ impl<const PAGED: bool> ColumnarBackend<PAGED> {
         &self.pool
     }
 
-    /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` in
-    /// encoded form, shared out of the cache.
-    fn encoded_set(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<EncodedSet> {
+    /// The distinct non-NULL projected code tuples `π_{attrs}(rel)` as
+    /// tuple ids, shared out of the cache.
+    fn distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<TupleIds> {
         let set = self
-            .encoded
+            .sets
             .get_or_try_init((rel, attrs.to_vec()), db.generation(rel), || {
                 let cols = columns(db, rel, attrs);
                 encode::distinct_codes(&cols, &self.pool, db.table(rel).len()).map(Arc::new)
@@ -484,13 +488,13 @@ impl<const PAGED: bool> CountBackend for ColumnarBackend<PAGED> {
     }
 
     fn count_distinct(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> usize {
-        self.encoded_set(db, rel, attrs).len()
+        self.distinct(db, rel, attrs).len()
     }
 
     fn join_stats(&self, db: &Database, join: &EquiJoin) -> JoinStats {
         let (l, r) = (&join.left, &join.right);
-        let left = self.encoded_set(db, l.rel, &l.attrs);
-        let right = self.encoded_set(db, r.rel, &r.attrs);
+        let left = self.distinct(db, l.rel, &l.attrs);
+        let right = self.distinct(db, r.rel, &r.attrs);
         JoinStats {
             n_left: left.len(),
             n_right: right.len(),
@@ -510,7 +514,7 @@ impl<const PAGED: bool> CountBackend for ColumnarBackend<PAGED> {
     }
 
     fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
-        let set = self.encoded_set(db, rel, attrs);
+        let set = self.distinct(db, rel, attrs);
         Arc::new(decode_set_cols(&columns(db, rel, attrs), &set))
     }
 
@@ -779,14 +783,15 @@ mod tests {
         let (db, l, _) = sample_db();
         let encoded = EncodedBackend::new();
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
-        encoded.encoded.plant_and_poison(
-            (l, vec![AttrId(0)]),
-            db.generation(l),
-            Arc::new(EncodedSet::Unary { card: 999 }),
-        );
+        let wide = ColumnDict::build(&(0..999).map(Value::Int).collect::<Vec<_>>());
+        let bogus = encode::distinct_codes(&[&wide], encoded.pool(), 999).unwrap();
+        assert_eq!(bogus.len(), 999);
+        encoded
+            .sets
+            .plant_and_poison((l, vec![AttrId(0)]), db.generation(l), Arc::new(bogus));
         assert_eq!(encoded.count_distinct(&db, l, &[AttrId(0)]), 4);
         assert!(
-            !encoded.encoded.is_poisoned(),
+            !encoded.sets.is_poisoned(),
             "recovery must clear the poison flag so later probes see a healthy cache"
         );
     }

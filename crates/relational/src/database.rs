@@ -3,7 +3,7 @@
 use crate::attr::AttrSet;
 use crate::bufpool::BufferPool;
 use crate::deps::{Constraints, Dependencies, Fd, Ind};
-use crate::encode::{lhs_groups, tuples_unique, ColumnDict};
+use crate::encode::{distinct_codes, ColumnDict};
 use crate::error::{DbreError, RelationalError};
 use crate::schema::{RelId, Relation, Schema};
 use crate::table::{ProjKey, Table};
@@ -175,13 +175,12 @@ impl Database {
     }
 
     /// The constraints of `only` (every relation when `None`) checked
-    /// against the extension, keys first: a one-column key holds iff
-    /// its distinct count equals its non-NULL rows, a composite key iff
-    /// no two rows agree on it without a NULL — over NULL-free columns,
-    /// iff folding its columns into dense tuple ids hands out one id per
-    /// row ([`tuples_unique`]); otherwise iff `lhs_groups` is empty —
-    /// its paged codes read through `pool`, and a not-null constraint
-    /// iff its column counts no NULL.
+    /// against the extension, keys first: a key holds iff its distinct
+    /// tuples number its rows without a NULL ([`distinct_codes`]: a
+    /// one-column key's are read off its dictionary, a composite key's
+    /// columns are folded into dense tuple ids, paged codes read
+    /// through `pool`), and a not-null constraint iff its column counts
+    /// no NULL.
     pub(crate) fn check_constraints(
         &self,
         only: Option<RelId>,
@@ -191,14 +190,8 @@ impl Database {
         for key in self.constraints.keys.iter().filter(|k| checked(k.rel)) {
             let table = self.table(key.rel);
             let cols: Vec<&ColumnDict> = key.attrs.iter().map(|a| &**table.column(a)).collect();
-            let holds = match cols[..] {
-                [col] => col.cardinality() == col.rows() - col.null_count(),
-                [_, _, ..] if cols.iter().all(|c| !c.has_null()) => {
-                    tuples_unique(&cols, pool, table.len())?
-                }
-                _ => lhs_groups(&cols, pool, table.len())?.is_empty(),
-            };
-            if !holds {
+            let tuples = distinct_codes(&cols, pool, table.len())?;
+            if tuples.len() != tuples.rows() {
                 let relation = self.schema.relation(key.rel);
                 return Err(RelationalError::KeyViolation {
                     relation: relation.name.clone(),

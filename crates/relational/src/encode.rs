@@ -14,16 +14,16 @@
 //! A column's per-row codes are either resident or on the pages
 //! streamed ingest wrote ([`crate::pages::PagedColumn`]); its
 //! dictionary — decode table, encode tables, NULL count and exact
-//! per-code counts — is always resident. The kernels —
-//! [`distinct_codes`], [`lhs_groups`] and [`partition1`] — read the
-//! codes in page-sized chunks, slices of a resident vector or pages
-//! read through a [`BufferPool`], so both storage modes share one
-//! serial scan loop and one answer. Cross-column kernels that never
-//! touch per-row codes — [`code_translation`], [`intersect_count`],
-//! [`decode_set_cols`] — read only the dictionaries. `Value`-level
-//! readers decode cells through [`ColumnDict::cell`] and
-//! [`ColumnDict::values`], which borrow from the decode table and
-//! allocate nothing per resident cell.
+//! per-code counts — is always resident. Every row scan is one
+//! [`fold`], which reads the codes in page-sized chunks, slices of a
+//! resident vector or pages read through a [`BufferPool`], so both
+//! storage modes share one serial scan loop and one answer. Kernels
+//! that never touch per-row codes — [`code_translation`],
+//! [`intersect_count`], [`decode_set_cols`] — read only the
+//! dictionaries and the folds. `Value`-level readers decode cells
+//! through [`ColumnDict::cell`] and [`ColumnDict::values`], which
+//! borrow from the decode table and allocate nothing per resident
+//! cell.
 //!
 //! Consequences of the encoding:
 //!
@@ -31,18 +31,23 @@
 //! * unary groupings (partitions, LHS groups) are a counting-sort fill
 //!   over the code domain, sized from the per-code counts — no hashing
 //!   at all;
-//! * a two-attribute projection key packs into a single `u64`
-//!   (`hi << 32 | lo`), wider ones into a `Box<[u32]>` — no `Value`
-//!   clones on any hot path;
-//! * join intersections translate left codes to right codes through a
-//!   per-position lookup table (codes are column-local), then probe
-//!   integer sets.
+//! * a multi-column tuple is a dense id ([`TupleIds`]): column 0's
+//!   codes are the width-1 ids, and each further column folds
+//!   `(id, code)`, packed into one `u64`, into the next width's ids.
+//!   The distinct count is the last fold's size; LHS groups, join
+//!   intersections, decoding, the g3 tally and key checks all read the
+//!   same ids — no `Value` clones and no boxed tuple on any hot path;
+//! * join intersections translate one side's codes into the other's
+//!   through a per-position lookup table (codes are column-local),
+//!   then look the translated tuples up in the other side's folds.
 //!
 //! NULL conventions are preserved exactly: the SQL kernels
-//! ([`distinct_codes`], [`lhs_groups`]) skip rows whose projection
-//! touches code 0, while the mining kernel ([`partition1`]) treats
-//! code 0 as an ordinary value equal to itself, mirroring
-//! [`crate::partitions`]. `NaN` floats intern through
+//! ([`distinct_codes`], [`lhs_groups`], key checks) fold under
+//! [`Nulls::Skip`], dropping rows whose projection touches code 0,
+//! while the mining kernel ([`partition1`]) and the g3 tally
+//! ([`tuple_keys`]) keep code 0 as an ordinary value equal to itself
+//! ([`Nulls::Keep`]), mirroring [`crate::partitions`]. `NaN` floats
+//! intern through
 //! [`crate::value::OrdF64`]'s total order, so two NaNs with the same
 //! payload share a code exactly when the `Value` kernels consider them
 //! equal.
@@ -53,7 +58,7 @@
 //! and concurrent session that did not write it.
 
 use crate::bufpool::BufferPool;
-use crate::fasthash::{FxHashMap, FxHashSet};
+use crate::fasthash::FxHashMap;
 use crate::pages::{PageError, PagedColumn, PAGE_CODES};
 use crate::partitions::StrippedPartition;
 use crate::sketch::ColumnSketch;
@@ -587,33 +592,6 @@ impl PartialEq for ColumnDict {
     }
 }
 
-/// One key per row for the cell tuple of `cols`, equal for two rows
-/// exactly when each column's codes are, plus the number of keys (the
-/// keys run over `0..count`). One column's codes serve as they are; a
-/// wider tuple is folded column by column into dense keys, over the
-/// rows of `groups` only — every other row's key stays 0, unread.
-pub fn tuple_keys<'a>(
-    cols: &'a [Arc<ColumnDict>],
-    groups: &[Vec<usize>],
-    rows: usize,
-) -> (Cow<'a, [u32]>, usize) {
-    if let [col] = cols {
-        return (col.codes(), col.cardinality() + 1);
-    }
-    let mut keys = vec![0u32; rows];
-    let mut count = 1;
-    for col in cols {
-        let codes = col.codes();
-        let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
-        for &i in groups.iter().flatten() {
-            let next = ids.len() as u32;
-            keys[i] = *ids.entry(pack2(keys[i], codes[i])).or_insert(next);
-        }
-        count = ids.len().max(1);
-    }
-    (Cow::Owned(keys), count)
-}
-
 /// Per-key counters for the plurality of one row group at a time:
 /// sized once for a key domain, reset after every group, so no group
 /// allocates.
@@ -652,99 +630,116 @@ impl Tally {
     }
 }
 
-/// The set of distinct, fully non-NULL projected code tuples of one
-/// side — the encoded counterpart of [`crate::table::Table::distinct_projection`].
-///
-/// The representation is chosen by projection arity:
-/// * 1 attribute: codes are assigned first-occurrence, so the distinct
-///   code set is exactly `1..=cardinality` — nothing to materialize;
-/// * 2 attributes: keys pack into a `u64` (`hi << 32 | lo`);
-/// * otherwise: boxed `u32` slices (also covers the degenerate empty
-///   projection, whose only possible tuple is `[]`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EncodedSet {
-    /// Unary projection: every code `1..=card` occurs.
-    Unary {
-        /// The column cardinality (= set size).
-        card: u32,
-    },
-    /// Two-attribute projection with packed `u64` keys.
-    Packed(FxHashSet<u64>),
-    /// Any other arity, keyed by the full code tuple.
-    Wide(FxHashSet<Box<[u32]>>),
+// ---- the tuple-id fold ---------------------------------------------
+//
+// Every row-scan kernel reads its columns in page-sized chunks
+// (`ColumnDict::chunk`), streamed once, in lockstep, through `fold`.
+// Multi-column kernels take the projected columns as a slice (repeats
+// allowed — a projection list can name a column twice) plus the
+// table's row count, which disambiguates the empty projection.
+
+/// What a fold does with a row holding NULL in one of its columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Nulls {
+    /// SQL semantics (counts, joins, LHS groups, keys): the row's id
+    /// is 0 and no fold sees it.
+    Skip,
+    /// The g3 tally and the mining partitions: NULL is a value like
+    /// any other.
+    Keep,
 }
 
-impl EncodedSet {
-    /// Number of distinct non-NULL projected tuples.
+/// The distinct tuples of a list of columns as dense ids: the one
+/// representation of a multi-column tuple.
+///
+/// Column 0's codes are the width-1 ids. Each further column folds
+/// `(id, code)`, packed into a `u64`, into the next width's ids through
+/// one map, which hands them out from 1 in first-occurrence order, so
+/// the ids of any width run over `0..=len`. Under [`Nulls::Skip`], id 0
+/// marks a row holding a NULL (at width 1, the NULL code). The tuple of
+/// no columns (the empty projection) is id 1 on every row.
+#[derive(Debug)]
+pub struct TupleIds {
+    /// Distinct width-1 ids: column 0's cardinality (at width 0, 1 on
+    /// a non-empty table).
+    first: usize,
+    /// `folds[k]`: the ids of the first `k + 2` columns, keyed by the
+    /// id of the first `k + 1` and the code of column `k + 1`.
+    folds: Vec<FxHashMap<u64, u32>>,
+    /// Rows that hold an id.
+    rows: usize,
+}
+
+impl TupleIds {
+    /// Number of distinct tuples — `‖r[cols]‖` under [`Nulls::Skip`].
     pub fn len(&self) -> usize {
-        match self {
-            EncodedSet::Unary { card } => *card as usize,
-            EncodedSet::Packed(s) => s.len(),
-            EncodedSet::Wide(s) => s.len(),
-        }
+        self.folds.last().map_or(self.first, FxHashMap::len)
     }
 
-    /// Is the set empty?
+    /// Is there no tuple?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Rows that hold an id: under [`Nulls::Skip`], those without a
+    /// NULL among the columns; every row under [`Nulls::Keep`].
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
 }
+
+/// What [`fold`] hands a chunk's ids to, with the chunk's first row.
+pub type OnChunk<'a> = &'a mut dyn FnMut(usize, &[u32]);
 
 #[inline]
 fn pack2(hi: u32, lo: u32) -> u64 {
     (u64::from(hi) << 32) | u64::from(lo)
 }
 
-/// Decodes an [`EncodedSet`] produced from `cols` back into `Value`
-/// tuples; equals [`crate::table::Table::distinct_projection`]. Reads only the
-/// decode tables, so slim dictionaries serve.
-pub fn decode_set_cols(cols: &[&ColumnDict], set: &EncodedSet) -> HashSet<ProjKey> {
-    let decode_one = |col: &ColumnDict, code: u32| -> Value {
-        col.value_of(code).cloned().unwrap_or(Value::Null)
-    };
-    match set {
-        EncodedSet::Unary { card } => match cols {
-            [c] => (1..=*card).map(|code| vec![decode_one(c, code)]).collect(),
-            _ => HashSet::new(),
-        },
-        EncodedSet::Packed(s) => match cols {
-            [ca, cb] => s
-                .iter()
-                .map(|&k| vec![decode_one(ca, (k >> 32) as u32), decode_one(cb, k as u32)])
-                .collect(),
-            _ => HashSet::new(),
-        },
-        EncodedSet::Wide(s) => s
-            .iter()
-            .map(|key| {
-                cols.iter()
-                    .zip(key.iter())
-                    .map(|(c, &code)| decode_one(c, code))
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
-// ---- the kernel family ---------------------------------------------
-//
-// Every row-scan kernel reads its columns in page-sized chunks
-// (`ColumnDict::chunk`), streamed once, in lockstep, into one
-// accumulator. Multi-column kernels take the projected columns as a
-// slice (repeats allowed — a projection list can name a column twice)
-// plus the table's row count, which disambiguates the empty projection.
-
-/// Streams the chunks of `rows`-row columns `cols` in lockstep, calling
-/// `f(first_row, slices)` once per chunk in order. Holding the chunks
-/// across the callback keeps pooled pages alive even if the pool
-/// evicts them mid-iteration, so a capacity-1 pool is slow but never
-/// wrong.
-fn stream(
+/// Folds the tuples of `cols` over a `rows`-row table into
+/// [`TupleIds`], reading the columns in lockstep page-sized chunks —
+/// slices of resident codes, or pages pinned through `pool` — and
+/// handing each chunk's full-width ids, with the chunk's first row, to
+/// `each` in row order. Each fold's map is presized for every row to
+/// differ, or for every tuple the columns' cardinalities allow when
+/// that is fewer. With no `each`, a tuple of fewer than two columns is
+/// read off the dictionary and nothing is scanned.
+///
+/// Holding a chunk's pages across the fold keeps them alive even if
+/// the pool evicts them meanwhile, so a capacity-1 pool is slow but
+/// never wrong.
+pub fn fold(
     cols: &[&ColumnDict],
     pool: &BufferPool,
     rows: usize,
-    mut f: impl FnMut(usize, &[&[u32]]),
-) -> Result<(), PageError> {
+    nulls: Nulls,
+    mut each: Option<OnChunk<'_>>,
+) -> Result<TupleIds, PageError> {
+    let first = cols
+        .first()
+        .map_or(usize::from(rows > 0), |c| c.cardinality());
+    let mut bound = first.saturating_add(1);
+    let mut folds: Vec<FxHashMap<u64, u32>> = cols
+        .iter()
+        .skip(1)
+        .map(|c| {
+            bound = bound.saturating_mul(c.cardinality() + 1);
+            FxHashMap::with_capacity_and_hasher(bound.min(rows), Default::default())
+        })
+        .collect();
+    let mut kept = match (nulls, cols) {
+        (Nulls::Skip, [col]) => rows - col.null_count(),
+        (Nulls::Skip, [_, _, ..]) => 0,
+        _ => rows,
+    };
+    if folds.is_empty() && each.is_none() {
+        return Ok(TupleIds {
+            first,
+            folds,
+            rows: kept,
+        });
+    }
+    let mut ids: Vec<u32> = Vec::new();
     for i in 0..rows.div_ceil(PAGE_CODES) {
         let chunks: Vec<Chunk<'_>> = cols
             .iter()
@@ -752,233 +747,206 @@ fn stream(
             .collect::<Result<_, _>>()?;
         // Lockstep chunks of one table have equal lengths; trimming to
         // the shortest keeps every index loop in bounds regardless.
-        let n = chunks.iter().map(|c| c.len()).min().unwrap_or(0);
-        let slices: Vec<&[u32]> = chunks.iter().map(|c| &c[..n]).collect();
-        f(i * PAGE_CODES, &slices);
-    }
-    Ok(())
-}
-
-/// Per-code occurrence counts of `col` (index 0 = NULL): the
-/// dictionary's fused counts ([`ColumnDict::code_counts`]) when they
-/// hold, else one chunked counting pass (any other length means
-/// "unavailable" by convention).
-fn code_counts<'a>(col: &'a ColumnDict, pool: &BufferPool) -> Result<Cow<'a, [u64]>, PageError> {
-    let domain = col.cardinality() + 1;
-    let fused = col.code_counts();
-    if fused.len() == domain {
-        return Ok(Cow::Borrowed(fused));
-    }
-    let mut counts: Vec<u64> = vec![0; domain];
-    stream(&[col], pool, col.rows(), |_, s| {
-        for &c in s[0] {
-            counts[c as usize] += 1;
-        }
-    })?;
-    Ok(Cow::Owned(counts))
-}
-
-/// The counting-sort slot table: `slots[c]` is the dense group index of
-/// code `c`, `u32::MAX` for codes that form no group (fewer than two
-/// rows, or NULL when `skip_null`). Returns the slot table and each
-/// group's size.
-fn group_slots(counts: &[u64], skip_null: bool) -> (Vec<u32>, Vec<usize>) {
-    let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
-    let mut sizes: Vec<usize> = Vec::new();
-    for (c, &n) in counts.iter().enumerate().skip(usize::from(skip_null)) {
-        if n >= 2 {
-            slots[c] = sizes.len() as u32;
-            sizes.push(n as usize);
-        }
-    }
-    (slots, sizes)
-}
-
-/// The counting-sort fill shared by [`lhs_groups`] and [`partition1`]:
-/// every row whose code has a slot lands in its group, allocated at
-/// its final size. Rows arrive in order, so row ids stay ascending.
-fn fill_groups(
-    col: &ColumnDict,
-    pool: &BufferPool,
-    slots: &[u32],
-    sizes: &[usize],
-) -> Result<Vec<Vec<usize>>, PageError> {
-    let mut groups: Vec<Vec<usize>> = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
-    stream(&[col], pool, col.rows(), |base, s| {
-        for (i, &c) in s[0].iter().enumerate() {
-            let slot = slots[c as usize];
-            if slot != u32::MAX {
-                groups[slot as usize].push(base + i);
+        let n = chunks
+            .iter()
+            .map(|c| c.len())
+            .fold(PAGE_CODES.min(rows - i * PAGE_CODES), usize::min);
+        let chunk_ids: &[u32] = match chunks.split_first() {
+            None => {
+                ids.clear();
+                ids.resize(n, 1);
+                &ids
             }
+            Some((head, [])) => &head[..n],
+            Some((head, rest)) => {
+                ids.clear();
+                ids.extend_from_slice(&head[..n]);
+                for (fold, codes) in folds.iter_mut().zip(rest) {
+                    for (id, &code) in ids.iter_mut().zip(codes.iter()) {
+                        *id = if nulls == Nulls::Skip && (*id == 0 || code == NULL_CODE) {
+                            0
+                        } else {
+                            let next = fold.len() as u32 + 1;
+                            *fold.entry(pack2(*id, code)).or_insert(next)
+                        };
+                    }
+                }
+                if nulls == Nulls::Skip {
+                    kept += ids.iter().filter(|&&id| id != 0).count();
+                }
+                &ids
+            }
+        };
+        if let Some(each) = each.as_mut() {
+            each(i * PAGE_CODES, chunk_ids);
         }
-    })?;
-    Ok(groups)
-}
-
-/// The groups of two or more rows, sorted (rows arrive ascending within
-/// each group; only the outer order needs normalizing).
-fn sorted_groups<K>(map: FxHashMap<K, Vec<usize>>) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = map.into_values().filter(|g| g.len() >= 2).collect();
-    groups.sort();
-    groups
+    }
+    Ok(TupleIds {
+        first,
+        folds,
+        rows: kept,
+    })
 }
 
 /// The distinct non-NULL projected code tuples (SQL semantics: rows
-/// with a NULL among the projection are dropped) — `‖r[cols]‖` is its
-/// length, and [`decode_set_cols`] recovers the exact
-/// [`crate::table::Table::distinct_projection`] result.
+/// with a NULL among the projection are dropped) — `‖r[cols]‖` is
+/// their number, and [`decode_set_cols`] recovers the exact
+/// [`crate::table::Table::distinct_projection`] result. One column's
+/// is its dictionary cardinality, read in `O(1)`.
 pub fn distinct_codes(
     cols: &[&ColumnDict],
     pool: &BufferPool,
     rows: usize,
-) -> Result<EncodedSet, PageError> {
-    match cols {
-        [] => {
-            // π_∅ is {[]} on a non-empty table, {} on an empty one
-            // (matching the Value-based reference).
-            let mut s: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            if rows > 0 {
-                s.insert(Box::from([]));
-            }
-            Ok(EncodedSet::Wide(s))
-        }
-        [c] => Ok(EncodedSet::Unary {
-            card: c.cardinality() as u32,
-        }),
-        [ca, cb] => {
-            let domain = ca.cardinality() as u64 * cb.cardinality() as u64;
-            let cap = domain.min(rows as u64) as usize;
-            let mut set: FxHashSet<u64> =
-                FxHashSet::with_capacity_and_hasher(cap, Default::default());
-            stream(cols, pool, rows, |_, s| {
-                for (&x, &y) in s[0].iter().zip(s[1]) {
-                    if x != NULL_CODE && y != NULL_CODE {
-                        set.insert(pack2(x, y));
-                    }
-                }
-            })?;
-            Ok(EncodedSet::Packed(set))
-        }
-        _ => {
-            let mut set: FxHashSet<Box<[u32]>> = FxHashSet::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            stream(cols, pool, rows, |_, s| {
-                'rows: for i in 0..s[0].len() {
-                    for (k, c) in scratch.iter_mut().zip(s) {
-                        if c[i] == NULL_CODE {
-                            continue 'rows;
-                        }
-                        *k = c[i];
-                    }
-                    // Probe by slice first so duplicates allocate nothing.
-                    if !set.contains(scratch.as_slice()) {
-                        set.insert(scratch.clone().into_boxed_slice());
-                    }
-                }
-            })?;
-            Ok(EncodedSet::Wide(set))
-        }
-    }
+) -> Result<TupleIds, PageError> {
+    fold(cols, pool, rows, Nulls::Skip, None)
 }
 
-/// Whether no two rows agree on NULL-free columns `cols`: the check of
-/// a composite key. The columns are read in lockstep chunks, and each
-/// column after the first is folded into the dense ids of the tuple
-/// before it, as [`tuple_keys`] folds, through one map per fold
-/// presized for every row to differ; the rows are distinct iff the
-/// last fold hands out one id per row. No tuple is stored whole.
-pub(crate) fn tuples_unique(
-    cols: &[&ColumnDict],
-    pool: &BufferPool,
+/// One key per row for the cell tuple of `cols` (NULL a value like any
+/// other), equal for two rows exactly when each column's codes are,
+/// plus the number of keys (the keys run over `0..count`): one
+/// column's codes as they are, a wider tuple's [`fold`]ed ids. The g3
+/// tally's columns come from
+/// [`crate::backend::CountBackend::column_dict`] with their codes
+/// resident, so the fold's own one-page pool reads nothing.
+pub fn tuple_keys(
+    cols: &[Arc<ColumnDict>],
     rows: usize,
-) -> Result<bool, PageError> {
-    let mut folds: Vec<FxHashMap<u64, u32>> = cols
-        .iter()
-        .skip(1)
-        .map(|_| FxHashMap::with_capacity_and_hasher(rows, Default::default()))
+) -> Result<(Cow<'_, [u32]>, usize), PageError> {
+    if let [col] = cols {
+        return Ok((col.codes(), col.cardinality() + 1));
+    }
+    let cols: Vec<&ColumnDict> = cols.iter().map(|c| &**c).collect();
+    let mut keys: Vec<u32> = Vec::with_capacity(rows);
+    let pool = BufferPool::with_capacity_pages(1);
+    let mut collect = |_: usize, ids: &[u32]| keys.extend_from_slice(ids);
+    let tuples = fold(&cols, &pool, rows, Nulls::Keep, Some(&mut collect))?;
+    Ok((Cow::Owned(keys), tuples.len() + 1))
+}
+
+/// Decodes the [`distinct_codes`] of `cols` back into `Value` tuples —
+/// equals [`crate::table::Table::distinct_projection`] — walking the
+/// folds out from column 0's values. Reads only the decode tables.
+pub fn decode_set_cols(cols: &[&ColumnDict], set: &TupleIds) -> HashSet<ProjKey> {
+    let decode = |col: &ColumnDict, code: u32| col.value_of(code).cloned().unwrap_or(Value::Null);
+    let Some((first, rest)) = cols.split_first() else {
+        return (0..set.len()).map(|_| Vec::new()).collect();
+    };
+    // `tuples[id]`: the values of the prefix with that id (slot 0, no
+    // tuple, is dropped at the end).
+    let mut tuples: Vec<ProjKey> = (0..=set.first as u32)
+        .map(|code| vec![decode(first, code)])
         .collect();
-    let mut ids: Vec<u32> = Vec::with_capacity(PAGE_CODES);
-    stream(cols, pool, rows, |_, s| {
-        let Some((first, rest)) = s.split_first() else {
-            return;
-        };
-        ids.clear();
-        ids.extend_from_slice(first);
-        for (fold, codes) in folds.iter_mut().zip(rest) {
-            for (id, &code) in ids.iter_mut().zip(*codes) {
-                let next = fold.len() as u32;
-                *id = *fold.entry(pack2(*id, code)).or_insert(next);
+    for (fold, col) in set.folds.iter().zip(rest) {
+        let mut next: Vec<ProjKey> = vec![Vec::new(); fold.len() + 1];
+        for (&key, &id) in fold {
+            let mut tuple = tuples[(key >> 32) as usize].clone();
+            tuple.push(decode(col, key as u32));
+            next[id as usize] = tuple;
+        }
+        tuples = next;
+    }
+    tuples.into_iter().skip(1).collect()
+}
+
+// ---- groupings -----------------------------------------------------
+
+/// Per-code occurrence counts of `col` (index 0 = NULL): the
+/// dictionary's fused counts ([`ColumnDict::code_counts`]) when they
+/// hold, else one counting pass (any other length means "unavailable"
+/// by convention).
+fn code_counts<'a>(col: &'a ColumnDict, pool: &BufferPool) -> Result<Cow<'a, [u64]>, PageError> {
+    let fused = col.code_counts();
+    if fused.len() == col.cardinality() + 1 {
+        return Ok(Cow::Borrowed(fused));
+    }
+    let mut counts: Vec<u64> = vec![0; col.cardinality() + 1];
+    let mut count = |_: usize, codes: &[u32]| {
+        for &c in codes {
+            counts[c as usize] += 1;
+        }
+    };
+    fold(&[col], pool, col.rows(), Nulls::Keep, Some(&mut count))?;
+    Ok(Cow::Owned(counts))
+}
+
+/// The counting sort shared by [`lhs_groups`] and [`partition1`]: every
+/// id (a code, or a folded tuple id) that `counts` counts twice or
+/// more — other than id 0 when `skip_zero` — is a group allocated at
+/// its final size. Rows arrive in order, so row ids stay ascending, and
+/// an id counted once never allocates.
+struct Groups {
+    /// `slots[id]`: the id's group, `u32::MAX` when it forms none.
+    slots: Vec<u32>,
+    groups: Vec<Vec<usize>>,
+}
+
+impl Groups {
+    fn new(counts: &[u64], skip_zero: bool) -> Groups {
+        let mut slots: Vec<u32> = vec![u32::MAX; counts.len()];
+        let mut sizes: Vec<usize> = Vec::new();
+        for (id, &n) in counts.iter().enumerate().skip(usize::from(skip_zero)) {
+            if n >= 2 {
+                slots[id] = sizes.len() as u32;
+                sizes.push(n as usize);
             }
         }
-    })?;
-    Ok(match (folds.last(), cols.first()) {
-        (Some(last), _) => last.len() == rows,
-        (None, Some(col)) => col.cardinality() == rows,
-        (None, None) => rows < 2,
-    })
+        // Collected from the sizes, so the kept groups hold no slack.
+        let groups = sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
+        Groups { slots, groups }
+    }
+
+    /// Files rows `base..` by their `ids`.
+    fn fill(&mut self, base: usize, ids: &[u32]) {
+        for (i, &id) in ids.iter().enumerate() {
+            let slot = self.slots[id as usize];
+            if slot != u32::MAX {
+                self.groups[slot as usize].push(base + i);
+            }
+        }
+    }
+
+    /// The groups, sorted (only the outer order needs normalizing).
+    fn sorted(mut self) -> Vec<Vec<usize>> {
+        self.groups.sort();
+        self.groups
+    }
 }
 
 /// Row-index groups (size ≥ 2) agreeing on `cols` under SQL semantics
 /// — rows with a NULL among the projection are skipped. Indices
 /// ascending within a group, groups sorted: the contract of
-/// [`crate::backend::CountBackend::lhs_groups`]. Unary group sizes
-/// come from the dictionary's fused counts, so singleton codes — the
-/// common case on key-like columns — never allocate a group.
+/// [`crate::backend::CountBackend::lhs_groups`]. One column's group
+/// sizes come from the dictionary's fused counts, so singleton codes —
+/// the common case on key-like columns — never allocate a group; a
+/// wider tuple's come from its [`fold`]ed ids.
 pub fn lhs_groups(
     cols: &[&ColumnDict],
     pool: &BufferPool,
     rows: usize,
 ) -> Result<Vec<Vec<usize>>, PageError> {
-    match cols {
-        [] => {
-            // No attributes, no NULLs to skip: all rows agree.
-            Ok(if rows >= 2 {
-                vec![(0..rows).collect()]
-            } else {
-                Vec::new()
-            })
-        }
-        [col] => {
-            let counts = code_counts(col, pool)?;
-            // slots[NULL_CODE] stays MAX (NULL rows never group), so
-            // the fill pass needs no NULL check.
-            let (slots, sizes) = group_slots(&counts, true);
-            let mut groups = fill_groups(col, pool, &slots, &sizes)?;
-            groups.sort();
-            Ok(groups)
-        }
-        [_, _] => {
-            let mut map: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            stream(cols, pool, rows, |base, s| {
-                for (i, (&x, &y)) in s[0].iter().zip(s[1]).enumerate() {
-                    if x != NULL_CODE && y != NULL_CODE {
-                        map.entry(pack2(x, y)).or_default().push(base + i);
-                    }
-                }
-            })?;
-            Ok(sorted_groups(map))
-        }
-        _ => {
-            let mut map: FxHashMap<Box<[u32]>, Vec<usize>> = FxHashMap::default();
-            let mut scratch: Vec<u32> = vec![0; cols.len()];
-            stream(cols, pool, rows, |base, s| {
-                'rows: for i in 0..s[0].len() {
-                    for (k, c) in scratch.iter_mut().zip(s) {
-                        if c[i] == NULL_CODE {
-                            continue 'rows;
-                        }
-                        *k = c[i];
-                    }
-                    if let Some(g) = map.get_mut(scratch.as_slice()) {
-                        g.push(base + i);
-                    } else {
-                        map.insert(scratch.clone().into_boxed_slice(), vec![base + i]);
-                    }
-                }
-            })?;
-            Ok(sorted_groups(map))
-        }
+    if let [col] = cols {
+        // slots[NULL_CODE] stays MAX (NULL rows never group), so the
+        // fill needs no NULL check.
+        let mut groups = Groups::new(&code_counts(col, pool)?, true);
+        let mut fill = |base: usize, codes: &[u32]| groups.fill(base, codes);
+        fold(cols, pool, rows, Nulls::Skip, Some(&mut fill))?;
+        return Ok(groups.sorted());
     }
+    let mut ids: Vec<u32> = Vec::with_capacity(rows);
+    let tuples = fold(
+        cols,
+        pool,
+        rows,
+        Nulls::Skip,
+        Some(&mut |_, chunk| ids.extend_from_slice(chunk)),
+    )?;
+    let mut counts: Vec<u64> = vec![0; tuples.len() + 1];
+    for &id in &ids {
+        counts[id as usize] += 1;
+    }
+    let mut groups = Groups::new(&counts, true);
+    groups.fill(0, &ids);
+    Ok(groups.sorted())
 }
 
 /// The unary stripped partition `π_col` (mining convention:
@@ -987,15 +955,16 @@ pub fn lhs_groups(
 /// dictionary's fused counts, so stripped singleton classes never
 /// allocate and the kernel is a single fill pass.
 pub fn partition1(col: &ColumnDict, pool: &BufferPool) -> Result<StrippedPartition, PageError> {
-    let counts = code_counts(col, pool)?;
-    let (slots, sizes) = group_slots(&counts, false);
-    let mut classes = fill_groups(col, pool, &slots, &sizes)?;
-    classes.sort();
+    let mut classes = Groups::new(&code_counts(col, pool)?, false);
+    let mut fill = |base: usize, codes: &[u32]| classes.fill(base, codes);
+    fold(&[col], pool, col.rows(), Nulls::Keep, Some(&mut fill))?;
     Ok(StrippedPartition {
-        classes,
+        classes: classes.sorted(),
         rows: col.rows(),
     })
 }
+
+// ---- joins ---------------------------------------------------------
 
 /// Per-position code translation `left code → right code`
 /// ([`NULL_CODE`] when the left value does not occur on the right —
@@ -1011,96 +980,59 @@ pub fn code_translation(left: &ColumnDict, right: &ColumnDict) -> Vec<u32> {
     t
 }
 
-/// `|π_L(left) ∩ π_R(right)|` — the `N_kl` of the paper — from
-/// prebuilt encoded sets over the two sides' projected columns. The
-/// sides must have equal arity (guaranteed by
-/// [`crate::counting::EquiJoin`]); on a malformed pair the count falls
-/// back to the decoded reference intersection.
+/// `|π_L(left) ∩ π_R(right)|` — the `N_kl` of the paper — from the
+/// [`distinct_codes`] of the two sides' projected columns, which have
+/// equal arity ([`crate::counting::EquiJoin::validate`]'s invariant).
+/// One column a side probes the larger dictionary with the smaller's
+/// values. A wider side's tuples are translated one width at a time:
+/// each of the smaller side's ids maps, through its prefix's mapped id
+/// and [`code_translation`] of its last code, to the larger side's id
+/// of the same values in the larger side's fold, or to 0 when the
+/// larger side has no such tuple. Neither side reads a per-row code.
 pub fn intersect_count(
     lcols: &[&ColumnDict],
-    lset: &EncodedSet,
+    lset: &TupleIds,
     rcols: &[&ColumnDict],
-    rset: &EncodedSet,
+    rset: &TupleIds,
 ) -> usize {
-    match (lcols, rcols, lset, rset) {
-        ([lc], [rc], EncodedSet::Unary { .. }, EncodedSet::Unary { .. }) => {
-            // Iterate the smaller dictionary, probe the larger's index.
-            let (small, large) = if lc.cardinality() <= rc.cardinality() {
-                (lc, rc)
-            } else {
-                (rc, lc)
-            };
-            small
-                .distinct_values()
-                .iter()
-                .filter(|v| large.code_of(v) != NULL_CODE)
-                .count()
-        }
-        ([la, lb], [ra, rb], EncodedSet::Packed(ls), EncodedSet::Packed(rs)) => {
-            // Iterate the smaller set; translate into the larger side's
-            // code space per position, then probe.
-            let translated_probe =
-                |it: &FxHashSet<u64>, ta: Vec<u32>, tb: Vec<u32>, other: &FxHashSet<u64>| {
-                    it.iter()
-                        .filter(|&&k| {
-                            let (x, y) = (ta[(k >> 32) as usize], tb[(k as u32) as usize]);
-                            x != NULL_CODE && y != NULL_CODE && other.contains(&pack2(x, y))
-                        })
-                        .count()
-                };
-            if ls.len() <= rs.len() {
-                translated_probe(ls, code_translation(la, ra), code_translation(lb, rb), rs)
-            } else {
-                translated_probe(rs, code_translation(ra, la), code_translation(rb, lb), ls)
-            }
-        }
-        (_, _, EncodedSet::Wide(ls), EncodedSet::Wide(rs)) if lcols.len() == rcols.len() => {
-            let probe_wide = |it: &FxHashSet<Box<[u32]>>,
-                              xlats: Vec<Vec<u32>>,
-                              other: &FxHashSet<Box<[u32]>>| {
-                let mut scratch: Vec<u32> = vec![0; xlats.len()];
-                it.iter()
-                    .filter(|key| {
-                        for ((s, &c), t) in scratch.iter_mut().zip(key.iter()).zip(&xlats) {
-                            *s = t[c as usize];
-                            if *s == NULL_CODE {
-                                // The left value has no right-side code.
-                                return false;
-                            }
-                        }
-                        other.contains(scratch.as_slice())
-                    })
-                    .count()
-            };
-            if ls.len() <= rs.len() {
-                let xlats = lcols
-                    .iter()
-                    .zip(rcols)
-                    .map(|(l, r)| code_translation(l, r))
-                    .collect();
-                probe_wide(ls, xlats, rs)
-            } else {
-                let xlats = lcols
-                    .iter()
-                    .zip(rcols)
-                    .map(|(l, r)| code_translation(r, l))
-                    .collect();
-                probe_wide(rs, xlats, ls)
-            }
-        }
-        _ => {
-            // Mismatched arity or representations: fall back to the
-            // decoded reference intersection (always correct).
-            let l = decode_set_cols(lcols, lset);
-            let r = decode_set_cols(rcols, rset);
-            let (small, large) = if l.len() <= r.len() {
-                (&l, &r)
-            } else {
-                (&r, &l)
-            };
-            small.iter().filter(|k| large.contains(*k)).count()
-        }
+    debug_assert_eq!(lcols.len(), rcols.len(), "equi-join sides of unequal arity");
+    let ((small_cols, small), (large_cols, large)) = if lset.len() <= rset.len() {
+        ((lcols, lset), (rcols, rset))
+    } else {
+        ((rcols, rset), (lcols, lset))
+    };
+    let (Some((s0, srest)), Some((l0, lrest))) =
+        (small_cols.split_first(), large_cols.split_first())
+    else {
+        // The empty tuple is on both sides, or the intersection is empty.
+        return small.len().min(large.len());
+    };
+    if srest.is_empty() {
+        return s0
+            .distinct_values()
+            .iter()
+            .filter(|v| l0.code_of(v) != NULL_CODE)
+            .count();
     }
+    // `ids[s]`: the larger side's id of the smaller side's prefix `s`.
+    let mut ids = code_translation(s0, l0);
+    for ((sfold, lfold), (scol, lcol)) in small
+        .folds
+        .iter()
+        .zip(&large.folds)
+        .zip(srest.iter().zip(lrest))
+    {
+        let codes = code_translation(scol, lcol);
+        let mut next: Vec<u32> = vec![0; sfold.len() + 1];
+        for (&key, &id) in sfold {
+            let (prefix, code) = (ids[(key >> 32) as usize], codes[key as u32 as usize]);
+            if prefix != 0 && code != NULL_CODE {
+                next[id as usize] = lfold.get(&pack2(prefix, code)).copied().unwrap_or(0);
+            }
+        }
+        ids = next;
+    }
+    ids.iter().filter(|&&id| id != 0).count()
 }
 
 #[cfg(test)]
@@ -1213,6 +1145,30 @@ mod tests {
         // (x, y): only (1,'a') repeats.
         assert_eq!(groups(&[a(0), a(1)]), vec![vec![0, 1]]);
         assert_eq!(groups(&[a(0), a(1), a(0)]), vec![vec![0, 1]]);
+    }
+
+    /// The g3 tally's fold keeps NULL as a value: two rows share a key
+    /// exactly when every cell agrees, NULL = NULL included.
+    #[test]
+    fn tuple_keys_fold_null_as_a_value() {
+        let t = Table::from_rows(
+            2,
+            vec![
+                vec![Value::Null, Value::str("a")],
+                vec![Value::Int(1), Value::str("a")],
+                vec![Value::Null, Value::str("a")],
+                vec![Value::Int(1), Value::Null],
+            ],
+        )
+        .unwrap();
+        let columns = [a(0), a(1)].map(|x| Arc::clone(t.column(x)));
+        let (keys, count) = ok(tuple_keys(&columns, t.len()));
+        assert_eq!(keys[0], keys[2]);
+        assert!(keys[0] != keys[1] && keys[1] != keys[3] && keys[0] != keys[3]);
+        assert!(keys.iter().all(|&k| (k as usize) < count));
+        // Skipping NULLs instead leaves one tuple, on one row.
+        let set = ok(distinct_codes(&cols(&t, &[a(0), a(1)]), &pool(), t.len()));
+        assert_eq!((set.len(), set.rows()), (1, 1));
     }
 
     #[test]

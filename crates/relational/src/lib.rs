@@ -58,7 +58,7 @@ pub use counting::{join_stats, EquiJoin, JoinStats};
 pub use csv::CsvError;
 pub use database::Database;
 pub use deps::{Constraints, Dependencies, Fd, Ind, IndSide, Key};
-pub use encode::{ColumnDict, DictBuilder, EncodedSet};
+pub use encode::{ColumnDict, DictBuilder, TupleIds};
 pub use error::{DbreError, RelationalError};
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use pages::{PageError, PageFileWriter, PagedBackend, PagedColumn};

@@ -586,7 +586,8 @@ mod tests {
     use super::*;
     use crate::attr::AttrId;
     use crate::backend::{CountBackend, EncodedBackend, ReferenceBackend};
-    use crate::deps::Fd;
+    use crate::counting::EquiJoin;
+    use crate::deps::{Fd, IndSide};
     use crate::schema::Relation;
     use crate::stats::StatsEngine;
     use crate::value::{Domain, Value};
@@ -794,12 +795,8 @@ mod tests {
     fn multi_page_columns_stream_correctly() {
         // Enough rows for several pages, with NULLs and duplicates.
         let mut db = Database::new();
-        let rel = db
-            .add_relation(Relation::of(
-                "T",
-                &[("x", Domain::Int), ("y", Domain::Int), ("z", Domain::Int)],
-            ))
-            .unwrap();
+        let xyz = [("x", Domain::Int), ("y", Domain::Int), ("z", Domain::Int)];
+        let rel = db.add_relation(Relation::of("T", &xyz)).unwrap();
         let rows = PAGE_CODES * 2 + 123;
         for i in 0..rows {
             let x = if i % 97 == 0 {
@@ -812,6 +809,29 @@ mod tests {
             let z = Value::Int((i % 1009 % 7) as i64);
             db.insert(rel, vec![x, Value::Int((i % 31) as i64), z])
                 .unwrap();
+        }
+        // U's (x, y) pairs follow T's over twice x's period, so about
+        // half of them occur in T, most only on another page; its z
+        // agrees with T's for about a seventh of those.
+        let u = db.add_relation(Relation::of("U", &xyz)).unwrap();
+        for i in 0..PAGE_CODES + 77 {
+            let xyz = [i * 2 % 2017, i * 2 % 31, i % 7];
+            db.insert(u, xyz.map(|v| Value::Int(v as i64)).to_vec())
+                .unwrap();
+        }
+        let joins: Vec<EquiJoin> = [vec![0, 1, 2], vec![1, 0]]
+            .into_iter()
+            .map(|attrs: Vec<u16>| {
+                let attrs: Vec<AttrId> = attrs.into_iter().map(AttrId).collect();
+                EquiJoin::try_new(IndSide::new(rel, attrs.clone()), IndSide::new(u, attrs)).unwrap()
+            })
+            .collect();
+        for join in &joins {
+            let stats = ReferenceBackend.join_stats(&db, join);
+            assert!(
+                0 < stats.n_join && stats.n_join < stats.n_right,
+                "{stats:?}"
+            );
         }
         let reference = ReferenceBackend;
         let encoded = EncodedBackend::new();
@@ -840,6 +860,23 @@ mod tests {
                 *reference.partition1(&db, rel, AttrId(0)),
                 "{name}"
             );
+            for join in &joins {
+                assert_eq!(
+                    backend.join_stats(bdb, join),
+                    reference.join_stats(&db, join),
+                    "{name} {join:?}"
+                );
+            }
+            for attrs in [
+                vec![AttrId(0), AttrId(1)],
+                vec![AttrId(2), AttrId(1), AttrId(0)],
+            ] {
+                assert_eq!(
+                    *backend.projection(bdb, rel, &attrs),
+                    *reference.projection(&db, rel, &attrs),
+                    "{name} {attrs:?}"
+                );
+            }
         }
         assert!(paged.page_stats().evictions > 0, "1-page pool must churn");
     }

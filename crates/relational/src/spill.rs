@@ -148,9 +148,10 @@ fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest")
 }
 
-/// Serializes a slim dictionary: magic, decode table (tagged values),
-/// NULL count, per-code occurrence counts, and an FNV-1a trailer over
-/// everything after the magic. All integers little-endian.
+/// Serializes a column's dictionary, without its codes: magic, decode
+/// table (tagged values), NULL count, per-code occurrence counts, and
+/// an FNV-1a trailer over everything after the magic. All integers
+/// little-endian.
 fn encode_dict(dict: &ColumnDict) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(DICT_MAGIC);

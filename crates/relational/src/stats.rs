@@ -254,16 +254,6 @@ impl CountBackend for StatsEngine {
         self.tally(served, db.table(rel).len())
     }
 
-    /// Lets the backend build its internal structures while the rows
-    /// are hot and primes the unary count cache, so the first
-    /// statistics query after an import is a hit.
-    fn prewarm(&self, db: &Database, rel: RelId) {
-        self.backend.prewarm(db, rel);
-        for i in 0..db.table(rel).arity() {
-            self.count_distinct(db, rel, &[AttrId(i as u16)]);
-        }
-    }
-
     /// Served by the backend once per table generation.
     fn column_dict(&self, db: &Database, rel: RelId, attr: AttrId) -> Option<Arc<ColumnDict>> {
         let served = self.dicts.get_or_init((rel, attr), db.generation(rel), || {

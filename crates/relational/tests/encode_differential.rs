@@ -90,7 +90,8 @@ fn table_and_attrs() -> impl Strategy<Value = (Table, Vec<AttrId>)> {
     )
 }
 
-/// Two tables plus equal-arity attribute lists for a cross-table join.
+/// Two tables plus equal-arity attribute lists, one to three columns
+/// wide, for a cross-table join.
 #[allow(clippy::type_complexity)]
 fn join_case() -> impl Strategy<Value = (Table, Vec<AttrId>, Table, Vec<AttrId>)> {
     (
@@ -98,7 +99,7 @@ fn join_case() -> impl Strategy<Value = (Table, Vec<AttrId>, Table, Vec<AttrId>)
         1usize..4,
         raw_rows(3),
         raw_rows(3),
-        prop::collection::vec((0u16..3, 0u16..3), 1..3),
+        prop::collection::vec((0u16..3, 0u16..3), 1..4),
     )
         .prop_map(|(la, ra, lrows, rrows, pairs)| {
             let lattrs = pairs.iter().map(|&(l, _)| AttrId(l % la as u16)).collect();

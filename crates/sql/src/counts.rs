@@ -15,16 +15,19 @@
 //! cardinality probes (`count_distinct`, `join_stats`, and through
 //! them `ind_holds`) run generated SQL; the probes the paper never
 //! claims SQL for — row-index LHS groups, value projections, stripped
-//! partitions — fall back to the `Value`-based reference semantics
-//! client-side, exactly as a DBRE tool sitting next to a legacy DBMS
-//! would post-process fetched rows.
+//! partitions — are computed client-side by the dictionary kernels of
+//! the backend's own [`EncodedBackend`], as a DBRE tool sitting next
+//! to a legacy DBMS would post-process fetched rows.
 
 use dbre_relational::attr::AttrId;
 use dbre_relational::backend::{BackendExecStats, CountBackend, EncodedBackend, ReferenceBackend};
 use dbre_relational::counting::{EquiJoin, JoinStats};
 use dbre_relational::database::Database;
 use dbre_relational::deps::IndSide;
+use dbre_relational::partitions::StrippedPartition;
 use dbre_relational::schema::RelId;
+use dbre_relational::table::ProjKey;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -112,10 +115,12 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
 /// Every statement is parsed, then executed through its tier-1
 /// lowering ([`crate::batch::execute_query_batch`]) onto an owned
 /// [`EncodedBackend`] — the generated probe shapes are exactly the
-/// lowered ones, so the dictionaries built for one probe serve every
-/// later probe touching the same columns. A statement without a
+/// lowered ones, so the distinct tuples folded for one probe serve
+/// every later probe touching the same columns. A statement without a
 /// lowering runs on the tuple interpreter;
-/// [`SqlBackend::exec_stats`] reports how often each path served.
+/// [`SqlBackend::exec_stats`] reports how often each path served. The
+/// same backend serves the probes SQL cannot express: LHS groups,
+/// projections and unary partitions.
 ///
 /// The backend trait is infallible by design (counting cannot fail on
 /// a well-formed schema); if a generated statement nevertheless fails
@@ -126,7 +131,8 @@ pub fn join_stats_via_sql(db: &Database, join: &EquiJoin) -> SqlResult<JoinStats
 #[derive(Default)]
 pub struct SqlBackend {
     reference: ReferenceBackend,
-    /// Dictionary caches + counting kernels behind the lowering.
+    /// The counting kernels behind the lowering and the client-side
+    /// probes.
     encoded: EncodedBackend,
     failures: AtomicU64,
     batch_ops: AtomicU64,
@@ -236,12 +242,21 @@ impl CountBackend for SqlBackend {
         }
     }
 
+    // Row indices and value sets are not expressible in the legacy SQL
+    // subset (and the paper only claims SQL for the `‖·‖` counts, §2):
+    // these three are computed client-side over the dictionary codes,
+    // like a tool post-processing fetched rows.
+
     fn lhs_groups(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<Vec<Vec<usize>>> {
-        // Row indices are not expressible in the legacy SQL subset
-        // (and the paper only claims SQL for the `‖·‖` counts, §2);
-        // group client-side with the reference semantics, like a tool
-        // post-processing fetched rows.
-        self.reference.lhs_groups(db, rel, attrs)
+        self.encoded.lhs_groups(db, rel, attrs)
+    }
+
+    fn projection(&self, db: &Database, rel: RelId, attrs: &[AttrId]) -> Arc<HashSet<ProjKey>> {
+        self.encoded.projection(db, rel, attrs)
+    }
+
+    fn partition1(&self, db: &Database, rel: RelId, attr: AttrId) -> Arc<StrippedPartition> {
+        self.encoded.partition1(db, rel, attr)
     }
 
     fn exec_stats(&self) -> BackendExecStats {
